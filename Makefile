@@ -40,7 +40,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-metrics test race bench bench-json bench-store bench-compare chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke ci
+.PHONY: all build vet fmt lint lint-rand lint-http lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -112,6 +112,18 @@ sim-smoke:
 	$(GO) run ./cmd/qrio-sim -experiments sim/experiments.json -only smoke -out "$$tmp2" && \
 	diff -r "$$tmp1" "$$tmp2" && echo "sim-smoke: double run byte-identical"
 
+# sim-check is the behaviour gate for anything under the scheduler: the
+# FULL grid (every scenario, fleet-1k-1m included) runs into a scratch dir
+# and must reproduce the committed sim/results/ byte for byte — a
+# placement, ordering or fairness change anywhere in sched/state shows up
+# as a diff. Minutes, not seconds; the grid's wall time goes to stderr so
+# a scheduling slowdown is visible in the same run.
+sim-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; start=$$(date +%s); \
+	$(GO) run ./cmd/qrio-sim -experiments sim/experiments.json -out "$$tmp" && \
+	diff -r "$$tmp" sim/results && \
+	echo "sim-check: full grid reproduces sim/results byte for byte ($$(( $$(date +%s) - start ))s wall)" >&2
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -173,6 +185,13 @@ bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_REPL)' -benchtime $(BENCH_REPL_TIME) -count $(BENCH_COUNT) -cpu $(BENCH_REPL_CPU) -json . >> BENCH_current.json
 	$(GO) run ./cmd/benchcompare -baseline BENCH_results.json -current BENCH_current.json -threshold 25
+
+# bench-harness vets and tests the end-to-end benchmark harness. bench/ is
+# its own module (qrio/bench, replace qrio => ..), so `go build ./...` and
+# `go test ./...` at the root never compile it: a rename of anything it
+# uses from the tree would otherwise go unnoticed until bench/run.sh.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # coverage runs the full suite with a coverage profile and enforces the
 # soft floor: committed baseline minus $(COVERAGE_SLACK) points. Refresh

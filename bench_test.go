@@ -879,6 +879,45 @@ func BenchmarkSchedulerFilter(b *testing.B) {
 	}
 }
 
+// constScorer is a meta.Scorer that costs nothing, so a benchmark over
+// it measures only the wrapper.
+type constScorer struct{}
+
+func (constScorer) Score(string, string) (float64, error) { return 0.5, nil }
+
+// BenchmarkResilientScore measures what ResilientMetaScore adds to a live
+// score — breaker bookkeeping plus remembering the pair for degraded
+// replay — with its pair cache empty and after 50,000 distinct pairs, all
+// fresh, have gone through it. The live daemon pays this 100× per ranked
+// class, so the two rows must cost the same: the cache is bounded and
+// insertion never scans it. Report-only (not in the guarded set).
+func BenchmarkResilientScore(b *testing.B) {
+	for _, entries := range []int{0, 50000} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			r := &sched.ResilientMetaScore{Scorer: constScorer{}}
+			node := api.Node{ObjectMeta: api.ObjectMeta{Name: "dev"}}
+			job := func(i int) api.QuantumJob {
+				return api.QuantumJob{ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("job-%d", i)}}
+			}
+			for i := 0; i < entries; i++ {
+				if _, err := r.Score(job(i), node); err != nil {
+					b.Fatal(err)
+				}
+			}
+			jobs := make([]api.QuantumJob, 1024)
+			for i := range jobs {
+				jobs[i] = job(entries + i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Score(jobs[i%len(jobs)], node); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Durability substrates ---------------------------------------------
 
 // benchWALPayload is a representative WAL record: a mid-size job status
@@ -1053,7 +1092,6 @@ func BenchmarkReplicatedBind(b *testing.B) {
 				}
 				s := sched.New(st, sched.NewFramework(replicatedBindScorer{rtt: scoreRTT, devs: devs}, sched.DefaultFilters()...))
 				s.Partition = part
-				s.OptimisticBind = true
 				parts[i], scheds[i] = part, s
 				defer s.Stop()
 			}

@@ -122,6 +122,11 @@ func IsNotFound(err error) bool { return code(err) == httpx.CodeNotFound }
 // (duplicate submission, cancel of an already-terminal job).
 func IsConflict(err error) bool { return code(err) == httpx.CodeConflict }
 
+// IsNodeUnavailable reports whether err is POST /v1/bind's
+// node_unavailable error: the node refused the job (not ready, no free
+// slot, CPU or memory) but the job is still pending — bind it elsewhere.
+func IsNodeUnavailable(err error) bool { return code(err) == httpx.CodeNodeUnavailable }
+
 // IsInvalid reports whether err is the gateway's invalid error
 // (malformed or rejected request).
 func IsInvalid(err error) bool { return code(err) == httpx.CodeInvalid }
@@ -361,7 +366,9 @@ func (c *Client) Cancel(ctx context.Context, name string) (Job, error) {
 // (optimistic concurrency): it commits only if the job's resource
 // version, as observed in this replica's watch feed, is unchanged, and
 // returns a conflict error (IsConflict) when another replica won the job
-// first — skip the job and move on. Bind is deliberately NOT retried by
+// first — skip the job and move on. A node that cannot take the job
+// answers IsNodeUnavailable instead: the job is still pending, try the
+// next candidate. Bind is deliberately NOT retried by
 // the client's retry policy: a replayed bind either conflicts (harmless)
 // or masks a lost race.
 func (c *Client) Bind(ctx context.Context, job, node string, score float64, version int64) (Job, error) {

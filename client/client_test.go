@@ -19,6 +19,7 @@ func TestErrorHelpers(t *testing.T) {
 	}{
 		{"not_found", IsNotFound},
 		{"conflict", IsConflict},
+		{"node_unavailable", IsNodeUnavailable},
 		{"invalid", IsInvalid},
 		{"unschedulable", IsUnschedulable},
 	}

@@ -298,11 +298,13 @@ func (p *pendingIndex) namesCapped(perTenant int) []string {
 }
 
 // PendingJobs returns copies of the pending jobs oldest-first (stable on
-// name) — the scheduler's work queue. Cost is proportional to the pending
-// backlog, independent of how many terminal jobs remain resident. The
-// index snapshot is taken before any store read (index lock is never held
-// across a store lock), so a job racing to a new phase is simply filtered
-// by the per-job re-check.
+// name) — the scheduler's work queue. Each copy carries the resource
+// version it was read at in ObjectMeta.ResourceVersion: the observation a
+// scheduler's BindJobAt compare-and-swap binds against. Cost is
+// proportional to the pending backlog, independent of how many terminal
+// jobs remain resident. The index snapshot is taken before any store read
+// (index lock is never held across a store lock), so a job racing to a
+// new phase is simply filtered by the per-job re-check.
 func (c *Cluster) PendingJobs() []api.QuantumJob {
 	return c.pendingByName(c.pending.names())
 }
@@ -323,35 +325,10 @@ func (c *Cluster) PendingJobsCapped(perTenant int) []api.QuantumJob {
 func (c *Cluster) pendingByName(names []string) []api.QuantumJob {
 	out := make([]api.QuantumJob, 0, len(names))
 	for _, name := range names {
-		j, _, err := c.Jobs.Get(name)
-		if err == nil && j.Status.Phase == api.JobPending {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// PendingJob pairs a pending job with the resource version it was read
-// at — the observation a replica's BindJobAt compare-and-swap binds
-// against.
-type PendingJob struct {
-	Job     api.QuantumJob
-	Version int64
-}
-
-// PendingJobsVersioned is PendingJobsCapped carrying each job's resource
-// version, for scheduler replicas that bind optimistically. perTenant <= 0
-// means no cap.
-func (c *Cluster) PendingJobsVersioned(perTenant int) []PendingJob {
-	names := c.pending.names()
-	if perTenant > 0 {
-		names = c.pending.namesCapped(perTenant)
-	}
-	out := make([]PendingJob, 0, len(names))
-	for _, name := range names {
 		j, v, err := c.Jobs.Get(name)
 		if err == nil && j.Status.Phase == api.JobPending {
-			out = append(out, PendingJob{Job: j, Version: v})
+			j.ResourceVersion = v
+			out = append(out, j)
 		}
 	}
 	return out
@@ -727,29 +704,58 @@ func (c *Cluster) SubmitJob(j api.QuantumJob) error {
 	return nil
 }
 
-// ConflictError reports an optimistic-concurrency bind that lost: the
-// job's resource version moved between the caller's observation and the
-// bind transaction. Another scheduler replica (or a cancel, or a kubelet
-// transition) won the race — the caller should skip the job, not retry
-// or alarm.
+// ConflictError reports a bind that lost the job: between the caller's
+// observation and the bind transaction the job's resource version moved
+// (another scheduler replica, a cancel, a kubelet transition won the
+// race) or, for an unconditional bind, the job left Pending. The caller
+// should skip the job, not retry or alarm — and the node it tried is
+// still as good a candidate as it was.
 type ConflictError struct {
 	Job      string
-	Observed int64 // the version the caller bound against
-	Current  int64 // the version the store held at transaction time
+	Observed int64        // the version the caller bound against (0 = unconditional)
+	Current  int64        // the version the store held at transaction time
+	Phase    api.JobPhase // set when the job was found outside Pending
 }
 
 func (e ConflictError) Error() string {
+	if e.Phase != "" {
+		return fmt.Sprintf("state: job %s is %s, not pending", e.Job, e.Phase)
+	}
 	return fmt.Sprintf("state: job %s moved from version %d to %d during binding",
 		e.Job, e.Observed, e.Current)
 }
 
-// HTTPStatus implements httpx.StatusCoder: a lost optimistic bind is the
-// canonical 409.
+// HTTPStatus implements httpx.StatusCoder: a lost bind is the canonical
+// 409.
 func (e ConflictError) HTTPStatus() (int, string) { return 409, "conflict" }
 
-// IsConflict reports whether err is (or wraps) a lost optimistic bind.
+// IsConflict reports whether err is (or wraps) a lost bind.
 func IsConflict(err error) bool {
 	var c ConflictError
+	return errors.As(err, &c)
+}
+
+// CapacityError reports a bind the NODE refused: it is not registered,
+// not Ready, out of container slots, or short of the CPU or memory the
+// job requests. The job is still Pending and still the caller's to
+// place — on another node; this one is spent until its status changes.
+type CapacityError struct {
+	Node   string
+	Reason string
+}
+
+func (e CapacityError) Error() string {
+	return fmt.Sprintf("state: node %s %s", e.Node, e.Reason)
+}
+
+// HTTPStatus implements httpx.StatusCoder: still a 409, but under its
+// own envelope code so a remote scheduler can tell "try the next node"
+// from ConflictError's "drop the job".
+func (e CapacityError) HTTPStatus() (int, string) { return 409, "node_unavailable" }
+
+// IsCapacity reports whether err is (or wraps) a node-side bind refusal.
+func IsCapacity(err error) bool {
+	var c CapacityError
 	return errors.As(err, &c)
 }
 
@@ -764,10 +770,15 @@ func (c *Cluster) BindJob(jobName, nodeName string, score float64) error {
 // BindJobAt is BindJob with optimistic concurrency: when version > 0 the
 // bind commits only if the job's resource version still equals version at
 // the phase-transition step (compare-and-swap under the job shard's
-// lock), returning ConflictError otherwise. Racing scheduler replicas
-// each bind at the version they observed in their pending snapshot, so
-// exactly one wins per job and the losers learn cheaply. version 0 skips
-// the check — the single-replica fast path.
+// lock). Racing scheduler replicas each bind at the version they observed
+// in their pending snapshot, so exactly one wins per job and the losers
+// learn cheaply. version 0 skips the check — the form for callers that
+// hold no observation.
+//
+// Every refusal is typed, so no caller decides by message or by
+// re-reading the job: ConflictError means the job moved (stale version,
+// or no longer Pending), CapacityError means this node cannot take it,
+// store.ErrNotFound means the job does not exist.
 func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int64) error {
 	job, cur, err := c.Jobs.Get(jobName)
 	if err != nil {
@@ -779,32 +790,36 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 		return ConflictError{Job: jobName, Observed: version, Current: cur}
 	}
 	if job.Status.Phase != api.JobPending {
-		return fmt.Errorf("state: job %s is %s, not pending", jobName, job.Status.Phase)
+		return ConflictError{Job: jobName, Observed: version, Current: cur, Phase: job.Status.Phase}
+	}
+	refuse := func(format string, args ...any) error {
+		return CapacityError{Node: nodeName, Reason: fmt.Sprintf(format, args...)}
 	}
 	_, _, err = c.Nodes.Update(nodeName, func(n api.Node) (api.Node, error) {
 		if n.Status.Phase != api.NodeReady {
-			return n, fmt.Errorf("state: node %s not ready", nodeName)
+			return n, refuse("not ready")
 		}
 		if slots := n.ContainerSlots(); len(n.Status.RunningJobs) >= slots {
-			return n, fmt.Errorf("state: node %s at container capacity (%d/%d)",
-				nodeName, len(n.Status.RunningJobs), slots)
+			return n, refuse("at container capacity (%d/%d)", len(n.Status.RunningJobs), slots)
 		}
 		if n.Status.HasRunningJob(jobName) {
-			return n, fmt.Errorf("state: job %s already bound to node %s", jobName, nodeName)
+			return n, refuse("already holds job %s", jobName)
 		}
 		if free := n.Spec.CPUMillis - n.Status.CPUMillisInUse; job.Spec.Resources.CPUMillis > free {
-			return n, fmt.Errorf("state: node %s has %dm CPU free, job %s needs %dm",
-				nodeName, free, jobName, job.Spec.Resources.CPUMillis)
+			return n, refuse("has %dm CPU free, job %s needs %dm", free, jobName, job.Spec.Resources.CPUMillis)
 		}
 		if free := n.Spec.MemoryMB - n.Status.MemoryMBInUse; job.Spec.Resources.MemoryMB > free {
-			return n, fmt.Errorf("state: node %s has %dMB memory free, job %s needs %dMB",
-				nodeName, free, jobName, job.Spec.Resources.MemoryMB)
+			return n, refuse("has %dMB memory free, job %s needs %dMB", free, jobName, job.Spec.Resources.MemoryMB)
 		}
 		n.Status.RunningJobs = append(n.Status.RunningJobs, jobName)
 		n.Status.CPUMillisInUse += job.Spec.Resources.CPUMillis
 		n.Status.MemoryMBInUse += job.Spec.Resources.MemoryMB
 		return n, nil
 	})
+	var gone store.ErrNotFound
+	if errors.As(err, &gone) {
+		return refuse("not registered")
+	}
 	if err != nil {
 		return err
 	}
@@ -813,7 +828,7 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 		// transition) that landed between the pending check above and
 		// this update must win, not be silently overwritten.
 		if j.Status.Phase != api.JobPending {
-			return j, fmt.Errorf("state: job %s became %s during binding", jobName, j.Status.Phase)
+			return j, ConflictError{Job: jobName, Observed: version, Phase: j.Status.Phase}
 		}
 		j.Status.Phase = api.JobScheduled
 		j.Status.Node = nodeName

@@ -129,14 +129,23 @@ func TestBindJobLifecycle(t *testing.T) {
 	if !n.Status.HasRunningJob("j1") || n.Status.CPUMillisInUse != 1000 || n.Status.MemoryMBInUse != 512 {
 		t.Fatalf("node after bind = %+v", n.Status)
 	}
-	// Double bind must fail (job no longer pending).
-	if err := c.BindJob("j1", "dev-a", 0); err == nil {
-		t.Fatal("double bind accepted")
+	// Double bind must fail as "the job moved" (no longer pending) —
+	// typed, even for an unconditional bind.
+	if err := c.BindJob("j1", "dev-a", 0); !IsConflict(err) {
+		t.Fatalf("double bind error = %v, want ConflictError", err)
 	}
-	// A second pending job cannot bind to the busy node.
+	// A second pending job cannot bind to the busy node, an unregistered
+	// one or one that is not Ready: each is the node's refusal, typed so.
 	c.SubmitJob(fidelityJob("j2"))
-	if err := c.BindJob("j2", "dev-a", 0); err == nil {
-		t.Fatal("bind to busy node accepted")
+	c.AddNode(testBackend(t, "dev-down"))
+	c.Nodes.Update("dev-down", func(n api.Node) (api.Node, error) {
+		n.Status.Phase = api.NodeNotReady
+		return n, nil
+	})
+	for _, node := range []string{"dev-a", "dev-ghost", "dev-down"} {
+		if err := c.BindJob("j2", node, 0); !IsCapacity(err) || IsConflict(err) {
+			t.Fatalf("bind to %s error = %v, want CapacityError", node, err)
+		}
 	}
 	c.ReleaseNode("dev-a", "j1")
 	n, _, _ = c.Nodes.Get("dev-a")
@@ -167,8 +176,8 @@ func TestBindJobMultiSlotNode(t *testing.T) {
 		t.Fatalf("second slot rejected: %v", err)
 	}
 	// Third bind exceeds the slot cap.
-	if err := c.BindJob("j3", "multi", 0); err == nil {
-		t.Fatal("bind beyond container capacity accepted")
+	if err := c.BindJob("j3", "multi", 0); !IsCapacity(err) {
+		t.Fatalf("bind beyond container capacity: %v, want CapacityError", err)
 	}
 	n, _, _ := c.Nodes.Get("multi")
 	if len(n.Status.RunningJobs) != 2 || !n.Status.HasRunningJob("j1") || !n.Status.HasRunningJob("j2") {
@@ -207,8 +216,8 @@ func TestBindJobRejectsResourceOvercommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Free slots remain, but CPU headroom is gone: bind must refuse.
-	if err := c.BindJob("small", "dev", 0); err == nil {
-		t.Fatal("CPU overcommit accepted")
+	if err := c.BindJob("small", "dev", 0); !IsCapacity(err) {
+		t.Fatalf("CPU overcommit: %v, want CapacityError", err)
 	}
 }
 
@@ -675,11 +684,11 @@ func TestBindJobAtConflicts(t *testing.T) {
 	if err := c.SubmitJob(j); err != nil {
 		t.Fatal(err)
 	}
-	pend := c.PendingJobsVersioned(0)
-	if len(pend) != 1 || pend[0].Job.Name != "j1" || pend[0].Version <= 0 {
-		t.Fatalf("PendingJobsVersioned = %+v", pend)
+	pend := c.PendingJobs()
+	if len(pend) != 1 || pend[0].Name != "j1" || pend[0].ResourceVersion <= 0 {
+		t.Fatalf("PendingJobs = %+v, want j1 stamped with its resource version", pend)
 	}
-	v := pend[0].Version
+	v := pend[0].ResourceVersion
 
 	if err := c.BindJobAt("j1", "dev-a", 0.5, v); err != nil {
 		t.Fatalf("bind at observed version failed: %v", err)
@@ -709,7 +718,7 @@ func TestBindJobAtConflicts(t *testing.T) {
 
 // TestBindJobAtExactlyOneWinner races replicas binding one job at the same
 // observed version toward different nodes: exactly one bind commits, every
-// loser sees ConflictError, and node accounting reflects one reservation.
+// loser sees a typed refusal, and node accounting reflects one reservation.
 func TestBindJobAtExactlyOneWinner(t *testing.T) {
 	c := New()
 	nodes := make([]string, 4)
@@ -737,10 +746,13 @@ func TestBindJobAtExactlyOneWinner(t *testing.T) {
 			switch {
 			case err == nil:
 				wins.Add(1)
-			case IsConflict(err):
+			case IsConflict(err), IsCapacity(err):
+				// Lost on the job's version — or, for the two racers that
+				// share a one-slot node, on the sibling's not-yet-rolled-back
+				// reservation. Both are typed losses, neither a double bind.
 				conflicts.Add(1)
 			default:
-				t.Errorf("racing bind got non-conflict error: %v", err)
+				t.Errorf("racing bind got an untyped error: %v", err)
 			}
 		}(i)
 	}

@@ -22,9 +22,16 @@ type BindRequest struct {
 }
 
 // handleBind places one pending job on one node through the optimistic
-// bind transaction. 200 returns the bound job; a lost version race, a
-// job no longer pending, or a node without capacity all surface as 409
-// conflict — the caller's cue to move on, not retry.
+// bind transaction. Three outcomes, the same three the in-process
+// dispatcher acts on (sched.BindOutcome):
+//
+//	200                  — bound; the body is the job
+//	409 conflict         — the job moved (lost version race, cancelled,
+//	                       already bound): drop it, the node is still good
+//	409 node_unavailable — the node refused (not ready, no slot, no CPU
+//	                       or memory): try the next candidate
+//
+// An unknown job is 404 not_found. None of them is worth a retry.
 func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	var req BindRequest
 	if err := httpx.DecodeJSON(r, &req); err != nil {
@@ -42,11 +49,9 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Core.State.BindJobAt(req.Job, req.Node, req.Score, req.Version); err != nil {
-		// Typed errors (ConflictError, ErrNotFound) carry their own
-		// status; the untyped bind failures — job not pending, node not
-		// ready or full — are all some racer winning, hence the 409
-		// fallback.
-		httpx.WriteErr(w, err, http.StatusConflict, httpx.CodeConflict)
+		// Every BindJobAt refusal is typed (ConflictError, CapacityError,
+		// ErrNotFound) and carries its own status.
+		httpx.WriteErr(w, err, http.StatusInternalServerError, httpx.CodeInternal)
 		return
 	}
 	job, _, err := s.Core.State.Jobs.Get(req.Job)

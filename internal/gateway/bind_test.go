@@ -4,6 +4,7 @@ package gateway_test
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -109,12 +110,20 @@ func TestBindValidation(t *testing.T) {
 		t.Fatalf("bind unknown job: want not_found, got %v", err)
 	}
 
-	// A cancelled job's version moved: binding at the stale observation is
-	// a conflict, never a resurrection.
+	// A node that cannot take the job is 409 under its own code — the job
+	// is still pending, which "conflict" would deny.
 	if _, err := c.Submit(ctx, ghzReq("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	v := watchVersion(t, c, "doomed")
+	_, err := c.Bind(ctx, "doomed", "no-such-node", 0.5, v)
+	var apiErr *client.APIError
+	if !client.IsNodeUnavailable(err) || client.IsConflict(err) || !errors.As(err, &apiErr) || apiErr.Status != 409 {
+		t.Fatalf("bind to a missing node: want 409 node_unavailable, got %v", err)
+	}
+
+	// A cancelled job's version moved: binding at the stale observation is
+	// a conflict, never a resurrection.
 	if _, err := c.Cancel(ctx, "doomed"); err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 //
 //	{"error": {"code": "not_found", "message": "store: \"bv\" not found"}}
 //
-// The defined codes are invalid, not_found, conflict, unschedulable,
-// quota_exceeded, rate_limited, method_not_allowed, compacted,
-// overloaded, draining and internal.
+// The defined codes are invalid, not_found, conflict, node_unavailable,
+// unschedulable, quota_exceeded, rate_limited, method_not_allowed,
+// compacted, overloaded, draining and internal.
 package httpx
 
 import (
@@ -35,6 +35,11 @@ const (
 	CodeQuotaExceeded    = "quota_exceeded"
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeInternal         = "internal"
+	// CodeNodeUnavailable (409) is POST /v1/bind refusing the NODE — not
+	// ready, full, or short of the job's CPU/memory — while the job is
+	// still pending: the scheduler's cue to try its next candidate, where
+	// CodeConflict on the same route means the job itself moved on.
+	CodeNodeUnavailable = "node_unavailable"
 	// CodeCompacted (410 Gone) rejects a watch resume token whose position
 	// has aged out of the server's version journal — the client must fall
 	// back to a fresh watch (full snapshot) instead of an exact replay,

@@ -5,9 +5,12 @@
 // Server's batch scoring surface, and every placement is a
 // version-conditional POST /v1/bind — so N replicas race safely over one
 // pending queue: exactly one wins each job, the rest observe a counted
-// conflict and move on. Shard partitioning (sched.Partition, hash(job)
-// mod N) keeps the replicas off each other's jobs in the steady state;
-// Assume() takes over a lost peer's shard.
+// conflict and move on. Placement itself is sched.Dispatch, the same
+// code the embedded scheduler runs; what is the replica's own is the
+// cache it schedules from and the remote rank and bind steps it plugs
+// in. Shard partitioning (sched.Partition, hash(job) mod N) keeps the
+// replicas off each other's jobs in the steady state; Assume() takes
+// over a lost peer's shard.
 //
 // This is the Qunicorn-style decoupling the paper's Kubernetes lineage
 // implies: the scheduler is just another API client, so scheduling
@@ -66,19 +69,15 @@ type Replica struct {
 	// Concurrency caps binds per pass (default 16).
 	Concurrency int
 
-	mu    sync.Mutex
-	jobs  map[string]watched[api.QuantumJob]
-	nodes map[string]watched[api.Node]
+	mu sync.Mutex
+	// jobs caches each job stamped (ObjectMeta.ResourceVersion) with the
+	// version it was last observed at — the version its bind is
+	// conditioned on.
+	jobs  map[string]api.QuantumJob
+	nodes map[string]api.Node
 	ready atomic.Bool // first SYNC snapshot consumed
 
 	passes, binds, conflicts, errors atomic.Uint64
-}
-
-// watched is one cached object plus the resource version it was last
-// observed at — the version the replica's binds are conditioned on.
-type watched[T any] struct {
-	obj     T
-	version int64
 }
 
 // Stats snapshots the replica's counters.
@@ -113,8 +112,8 @@ func (r *Replica) Run(ctx context.Context) error {
 	}
 	r.mu.Lock()
 	if r.jobs == nil {
-		r.jobs = make(map[string]watched[api.QuantumJob])
-		r.nodes = make(map[string]watched[api.Node])
+		r.jobs = make(map[string]api.QuantumJob)
+		r.nodes = make(map[string]api.Node)
 	}
 	r.mu.Unlock()
 	events, err := r.Client.Watch(ctx, client.WatchOptions{Reconnect: true})
@@ -152,13 +151,15 @@ func (r *Replica) observe(ev client.WatchEvent) {
 		if ev.Type == client.EventDeleted {
 			delete(r.jobs, ev.Job.Name)
 		} else {
-			r.jobs[ev.Job.Name] = watched[api.QuantumJob]{*ev.Job, ev.Version}
+			job := *ev.Job
+			job.ResourceVersion = ev.Version
+			r.jobs[job.Name] = job
 		}
 	case ev.Node != nil:
 		if ev.Type == client.EventDeleted {
 			delete(r.nodes, ev.Node.Name)
 		} else {
-			r.nodes[ev.Node.Name] = watched[api.Node]{*ev.Node, ev.Version}
+			r.nodes[ev.Node.Name] = *ev.Node
 		}
 	}
 	r.ready.Store(true)
@@ -171,72 +172,50 @@ func (r *Replica) observe(ev client.WatchEvent) {
 func (r *Replica) markBound(name string, version int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if w, ok := r.jobs[name]; ok && w.version == version {
+	if j, ok := r.jobs[name]; ok && j.ResourceVersion == version {
 		delete(r.jobs, name)
 	}
 }
 
-// pendingJob is one bind candidate from the cached queue view.
-type pendingJob struct {
-	job     api.QuantumJob
-	version int64
-}
-
-// headroom is the pass-local free capacity of one cached node.
-type headroom struct {
-	slots    int
-	cpu, mem int64
-}
-
 // snapshot extracts this replica's pending jobs (FIFO: CreatedAt, then
-// name) and the ready fleet's headroom from the cache.
-func (r *Replica) snapshot() ([]pendingJob, []string, map[string]*headroom) {
+// name) and the Ready fleet from the cache.
+func (r *Replica) snapshot() ([]api.QuantumJob, []api.Node) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var pending []pendingJob
-	for name, w := range r.jobs {
-		if w.obj.Status.Phase != api.JobPending || !r.Partition.Owns(name) {
-			continue
+	var pending []api.QuantumJob
+	for name, j := range r.jobs {
+		if j.Status.Phase == api.JobPending && r.Partition.Owns(name) {
+			pending = append(pending, j)
 		}
-		pending = append(pending, pendingJob{w.obj, w.version})
 	}
 	sort.Slice(pending, func(i, j int) bool {
-		if !pending[i].job.CreatedAt.Equal(pending[j].job.CreatedAt) {
-			return pending[i].job.CreatedAt.Before(pending[j].job.CreatedAt)
+		if !pending[i].CreatedAt.Equal(pending[j].CreatedAt) {
+			return pending[i].CreatedAt.Before(pending[j].CreatedAt)
 		}
-		return pending[i].job.Name < pending[j].job.Name
+		return pending[i].Name < pending[j].Name
 	})
-	var names []string
-	free := make(map[string]*headroom)
-	for name, w := range r.nodes {
-		n := w.obj
-		if n.Status.Phase != api.NodeReady {
-			continue
-		}
-		names = append(names, name)
-		free[name] = &headroom{
-			slots: n.ContainerSlots() - len(n.Status.RunningJobs),
-			cpu:   n.Spec.CPUMillis - n.Status.CPUMillisInUse,
-			mem:   n.Spec.MemoryMB - n.Status.MemoryMBInUse,
+	var nodes []api.Node
+	for _, n := range r.nodes {
+		if n.Status.Phase == api.NodeReady {
+			nodes = append(nodes, n)
 		}
 	}
-	sort.Strings(names)
-	return pending, names, free
+	return pending, nodes
 }
 
 // Pass runs one scheduling pass over the cached views and returns how
 // many jobs it bound. Exported so harnesses (and tests) can drive the
 // replica without the Run loop.
 func (r *Replica) Pass(ctx context.Context) int {
-	if !r.ready.Load() {
+	if !r.ready.Load() || ctx.Err() != nil {
 		return 0
 	}
 	limit := r.Concurrency
 	if limit <= 0 {
 		limit = 16
 	}
-	pending, names, free := r.snapshot()
-	if len(pending) == 0 || len(names) == 0 {
+	pending, nodes := r.snapshot()
+	if len(pending) == 0 || len(nodes) == 0 {
 		return 0
 	}
 	r.passes.Add(1)
@@ -244,61 +223,44 @@ func (r *Replica) Pass(ctx context.Context) int {
 	if scorer == nil {
 		scorer = r.Client
 	}
-	bound := 0
-	for _, p := range pending {
-		if bound >= limit || ctx.Err() != nil {
-			break
+	rank := func(job api.QuantumJob, nodes []api.Node) ([]sched.NodeScore, error) {
+		names := make([]string, len(nodes))
+		for i := range nodes {
+			names[i] = nodes[i].Name
 		}
-		// Candidates with headroom, by the cached view; the server-side
-		// bind remains the authoritative capacity check.
-		var cands []string
-		for _, name := range names {
-			h := free[name]
-			if h.slots <= 0 || h.cpu < p.job.Spec.Resources.CPUMillis || h.mem < p.job.Spec.Resources.MemoryMB {
-				continue
-			}
-			cands = append(cands, name)
-		}
-		if len(cands) == 0 {
-			break // headroom only shrinks within a pass
-		}
-		results, err := scorer.ScoreBatch(ctx, p.job.Name, cands)
+		results, err := scorer.ScoreBatch(ctx, job.Name, names)
 		if err != nil {
 			r.errors.Add(1)
-			continue
+			return nil, err
 		}
-		sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
-		placed := false
-		for _, cand := range results {
-			if cand.Error != "" {
-				continue
+		ranked := make([]sched.NodeScore, 0, len(results))
+		for _, res := range results {
+			if res.Error == "" {
+				ranked = append(ranked, sched.NodeScore{Node: res.Backend, Score: res.Score})
 			}
-			_, err := r.Client.Bind(ctx, p.job.Name, cand.Backend, cand.Score, p.version)
-			if err == nil {
-				r.binds.Add(1)
-				r.markBound(p.job.Name, p.version)
-				h := free[cand.Backend]
-				h.slots--
-				h.cpu -= p.job.Spec.Resources.CPUMillis
-				h.mem -= p.job.Spec.Resources.MemoryMB
-				placed = true
-				bound++
-				break
-			}
-			if client.IsConflict(err) {
-				// Version conflict: another replica won the job — drop it
-				// for this pass (the watch feed will deliver its new state).
-				// A capacity conflict on the node surfaces the same way; in
-				// both cases this candidate is spent, and for a job-version
-				// loss every other candidate is too. Distinguish cheaply:
-				// refresh nothing, just stop after the first conflict.
-				r.conflicts.Add(1)
-				placed = true
-				break
-			}
+		}
+		sched.SortRanking(ranked)
+		return ranked, nil
+	}
+	bind := func(job *api.QuantumJob, node string, score float64) sched.BindOutcome {
+		_, err := r.Client.Bind(ctx, job.Name, node, score, job.ResourceVersion)
+		switch {
+		case err == nil:
+			r.binds.Add(1)
+			r.markBound(job.Name, job.ResourceVersion)
+			return sched.Bound
+		case client.IsNodeUnavailable(err):
+			// The cached headroom was stale; the server's check is the
+			// authoritative one. The job is still ours to place.
+			return sched.NodeUnavailable
+		case client.IsConflict(err):
+			// Another replica (or a cancel) won the job; the watch feed
+			// will deliver its new state.
+			r.conflicts.Add(1)
+		default:
 			r.errors.Add(1)
 		}
-		_ = placed
+		return sched.JobMoved
 	}
-	return bound
+	return sched.NewDispatch(nodes, rank, bind).Place(pending, limit)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"qrio/internal/device"
 	"qrio/internal/gateway"
 	"qrio/internal/graph"
+	"qrio/internal/meta"
 	"qrio/internal/quantum/qasm"
 	"qrio/internal/replica"
 	"qrio/internal/sched"
@@ -305,5 +307,100 @@ func TestSchedulerChildProcess(t *testing.T) {
 	defer cancel()
 	if err := rep.Run(ctx); err != nil {
 		t.Fatalf("child replica: %v", err)
+	}
+}
+
+// scriptedScorer is a BatchScorer with fixed per-node scores and a hook
+// that runs once, inside the first scoring call — i.e. after the pass
+// took its snapshot of the cache and before it binds anything.
+type scriptedScorer struct {
+	scores map[string]float64
+	once   sync.Once
+	hook   func()
+}
+
+func (s *scriptedScorer) ScoreBatch(_ context.Context, _ string, backends []string) ([]meta.BatchResult, error) {
+	if s.hook != nil {
+		s.once.Do(s.hook)
+	}
+	out := make([]meta.BatchResult, len(backends))
+	for i, b := range backends {
+		out[i] = meta.BatchResult{Backend: b, Score: s.scores[b]}
+	}
+	return out, nil
+}
+
+// passUntilBound drives rep.Pass by hand (the Run loop only feeds the
+// cache: its own cadence is parked at an hour) until a pass binds.
+func passUntilBound(t *testing.T, rep *replica.Replica) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.Pass(context.Background()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no pass bound the job; stats %+v", rep.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplicaFallsThroughFullNode: the node the replica ranks first is
+// filled behind its cache (a direct bind through the gateway, landing
+// between the pass's snapshot and its bind). The 409 is the NODE's
+// refusal, not a lost job: the same pass must place the job on the next
+// candidate and count no conflict.
+func TestReplicaFallsThroughFullNode(t *testing.T) {
+	url, c := deploy(t, 1)
+	ctx := context.Background()
+	scorer := &scriptedScorer{scores: map[string]float64{"east": 0.5, "west": 0.5}} // tie → east first, by name
+	scorer.hook = func() {
+		// Seconds of simulation, so the filler still holds east's only
+		// slot when the replica's bind arrives; cancelled at test end.
+		src, _ := qasm.Dump(workload.GHZ(12))
+		filler := client.SubmitRequest{JobName: "filler", QASM: src, Shots: 200000,
+			Strategy: api.StrategyFidelity, TargetFidelity: 1.0}
+		if _, err := c.Submit(ctx, filler); err != nil {
+			t.Errorf("submitting filler: %v", err)
+		}
+		if _, err := c.Bind(ctx, "filler", "east", 0, 0); err != nil {
+			t.Errorf("filling east: %v", err)
+		}
+	}
+	rep := &replica.Replica{Client: client.New(url), Scorer: scorer, Interval: time.Hour}
+	startReplica(t, rep)
+	if _, err := c.Submit(ctx, ghzReq("victim")); err != nil {
+		t.Fatal(err)
+	}
+	passUntilBound(t, rep)
+	defer c.Cancel(ctx, "filler")
+
+	job, err := c.Get(ctx, "victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status.Node != "west" {
+		t.Fatalf("victim placed on %q, want west (east was full)", job.Status.Node)
+	}
+	if s := rep.Stats(); s.Binds != 1 || s.Conflicts != 0 || s.Errors != 0 || s.Passes != 1 {
+		t.Fatalf("stats = %+v, want the one pass that saw the job to bind it with no conflict", s)
+	}
+}
+
+// TestReplicaPrefersLowerScore: Meta-Server scores are costs — lower is
+// better — and the replica must rank the way Framework.Rank does.
+func TestReplicaPrefersLowerScore(t *testing.T) {
+	url, c := deploy(t, 1)
+	scorer := &scriptedScorer{scores: map[string]float64{"east": 0.9, "west": 0.1}}
+	rep := &replica.Replica{Client: client.New(url), Scorer: scorer, Interval: time.Hour}
+	startReplica(t, rep)
+	if _, err := c.Submit(context.Background(), ghzReq("picky")); err != nil {
+		t.Fatal(err)
+	}
+	passUntilBound(t, rep)
+	job, err := c.Get(context.Background(), "picky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status.Node != "west" {
+		t.Fatalf("bound to %q (score %.1f), want west, the lower score", job.Status.Node, job.Status.Score)
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // Degraded-score cache bounds: entries older than the staleness window
-// never serve, and the cache prunes itself once it crosses the entry cap
-// so a long outage with heavy churn cannot grow it without bound.
+// never serve, and the pair cache never holds more than the entry cap —
+// past it each new pair evicts the oldest-inserted one, so neither steady
+// traffic nor a long outage with heavy churn can grow it.
 const (
 	defaultMaxStale = 5 * time.Minute
 	maxCacheEntries = 4096
@@ -55,6 +56,8 @@ type ResilientMetaScore struct {
 	mu       sync.Mutex
 	breaker  *resilience.Breaker // resolved from Breaker on first use
 	pairs    map[string]staleScore
+	pairRing []string // pairs' keys in insertion order, a ring once full
+	pairHead int      // the oldest key's slot in a full ring
 	nodes    map[string]staleScore
 	notified int64 // breaker episode OnDegraded last fired for
 }
@@ -110,26 +113,29 @@ func (r *ResilientMetaScore) maxStale() time.Duration {
 
 func pairKey(job, node string) string { return job + "\x00" + node }
 
-// remember stores a live score for degraded replay, pruning expired
-// entries when the cache crosses its cap.
+// remember stores a live score for degraded replay. It runs on every
+// live score, under the mutex, so it is O(1): a new pair past the cap
+// overwrites the oldest one's ring slot, no scan.
 func (r *ResilientMetaScore) remember(job, node string, score float64) {
-	now := clock.Now(r.Clock)
+	entry := staleScore{score: score, at: clock.Now(r.Clock)}
+	key := pairKey(job, node)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pairs == nil {
 		r.pairs = make(map[string]staleScore)
 		r.nodes = make(map[string]staleScore)
 	}
-	if len(r.pairs) >= maxCacheEntries {
-		cutoff := now.Add(-r.maxStale())
-		for k, v := range r.pairs {
-			if v.at.Before(cutoff) {
-				delete(r.pairs, k)
-			}
+	if _, known := r.pairs[key]; !known {
+		if len(r.pairRing) < maxCacheEntries {
+			r.pairRing = append(r.pairRing, key)
+		} else {
+			delete(r.pairs, r.pairRing[r.pairHead])
+			r.pairRing[r.pairHead] = key
+			r.pairHead = (r.pairHead + 1) % maxCacheEntries
 		}
 	}
-	r.pairs[pairKey(job, node)] = staleScore{score: score, at: now}
-	r.nodes[node] = staleScore{score: score, at: now}
+	r.pairs[key] = entry
+	r.nodes[node] = entry
 }
 
 // degraded serves the fallback chain; cause is the live error when the

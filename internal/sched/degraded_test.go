@@ -252,27 +252,44 @@ func TestNoScorerErrors(t *testing.T) {
 	}
 }
 
-// TestCacheCap: the pair cache prunes expired entries at the cap instead
-// of growing without bound through a long outage.
+// TestCacheCap: the pair cache is bounded even when every entry is
+// fresh — steady traffic inside MaxStale, where nothing ever expires —
+// and it is the oldest-inserted pairs that make room.
 func TestCacheCap(t *testing.T) {
 	fc := newStubClock()
 	scorer := &flipScorer{}
 	r := resilient(scorer, fc, nil)
-	r.MaxStale = time.Minute
 
-	for i := 0; i < maxCacheEntries; i++ {
+	const extra = 100
+	for i := 0; i < maxCacheEntries+extra; i++ {
 		if _, err := r.Score(jobNamed(fmt.Sprintf("j%d", i)), nodeNamed("n1", nil)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fc.Advance(2 * time.Minute) // everything above is now expired
-	if _, err := r.Score(jobNamed("fresh"), nodeNamed("n1", nil)); err != nil {
-		t.Fatal(err)
+		fc.Advance(time.Millisecond) // all well inside the 5m MaxStale
 	}
 	r.mu.Lock()
 	size := len(r.pairs)
+	_, oldest := r.pairs[pairKey("j0", "n1")]
+	_, evictedLast := r.pairs[pairKey(fmt.Sprintf("j%d", extra-1), "n1")]
+	_, survivor := r.pairs[pairKey(fmt.Sprintf("j%d", extra), "n1")]
+	_, newest := r.pairs[pairKey(fmt.Sprintf("j%d", maxCacheEntries+extra-1), "n1")]
 	r.mu.Unlock()
-	if size > 1 {
-		t.Fatalf("cache kept %d entries past the cap prune, want 1", size)
+	if size != maxCacheEntries {
+		t.Fatalf("cache holds %d fresh pairs, want it capped at %d", size, maxCacheEntries)
+	}
+	if oldest || evictedLast || !survivor || !newest {
+		t.Fatalf("eviction is not oldest-first: j0=%v j%d=%v j%d=%v newest=%v",
+			oldest, extra-1, evictedLast, extra, survivor, newest)
+	}
+	// Re-scoring a cached pair refreshes it in place, evicting nobody.
+	if _, err := r.Score(jobNamed(fmt.Sprintf("j%d", extra)), nodeNamed("n1", nil)); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	_, stillThere := r.pairs[pairKey(fmt.Sprintf("j%d", extra+1), "n1")]
+	size = len(r.pairs)
+	r.mu.Unlock()
+	if !stillThere || size != maxCacheEntries {
+		t.Fatalf("re-scoring a cached pair evicted a neighbour (size %d)", size)
 	}
 }

@@ -17,6 +17,13 @@ import (
 )
 
 // FilterPlugin decides whether a node can host a job at all.
+//
+// Plugin contract (filters and scorers alike): the verdict is a function
+// of job.Spec and the node — never of the job's name, UID or timestamps.
+// Batched dispatch relies on it: jobs with byte-identical specs are
+// ranked once per pass and share the result (see Dispatch). A plugin may
+// pass job.Name to a service that resolves it back to the spec, as
+// MetaScore does — identical specs have identical circuits.
 type FilterPlugin interface {
 	Name() string
 	// Filter returns ok=false with a human-readable reason.
@@ -25,9 +32,22 @@ type FilterPlugin interface {
 
 // ScorePlugin ranks a feasible node for a job; lower scores are better
 // (QRIO's convention — the Meta Server returns costs/fidelity misses).
+// The FilterPlugin contract applies.
 type ScorePlugin interface {
 	Name() string
 	Score(job api.QuantumJob, node api.Node) (float64, error)
+}
+
+// StaticPlugin is the marker a filter or scorer carries when its verdict
+// reads nothing but job.Spec and the node's registration-time identity
+// (name, labels) — no Status, no load, no outside service. When every
+// plugin of a chain carries it the chain is static: a spec's ranking can
+// only change when a node joins or leaves, so the scheduler keeps
+// rankings across passes until then. QubitCount and Characteristics are
+// static; NodeReady, ResourceFit and the Meta-Server scorers are not, so
+// a chain containing any of them re-ranks every pass.
+type StaticPlugin interface {
+	Static()
 }
 
 // NodeScore pairs a node with its score.
@@ -71,6 +91,18 @@ func (f *Framework) scoreSlots() chan struct{} {
 		f.scoreSem = make(chan struct{}, n)
 	})
 	return f.scoreSem
+}
+
+// static reports whether every plugin in the chain is a StaticPlugin (a
+// nil Scorer ranks by node name, which is static too).
+func (f *Framework) static() bool {
+	for _, p := range f.Filters {
+		if _, ok := p.(StaticPlugin); !ok {
+			return false
+		}
+	}
+	_, ok := f.Scorer.(StaticPlugin)
+	return ok || f.Scorer == nil
 }
 
 // NewFramework assembles a framework with the default lowest-score picker.
@@ -122,9 +154,9 @@ func (f *Framework) Select(job api.QuantumJob, nodes []api.Node) (NodeScore, err
 // Rank runs filtering and then scores every feasible node — concurrently,
 // bounded by ScoreParallelism — returning candidates sorted best-first
 // (score ascending, deterministic tie-break on node name). Nodes whose
-// scoring fails are skipped, like LowestScore does. This is the batched
-// dispatcher's primitive: the greedy binder walks the ranking until a node
-// with a free container slot accepts the job.
+// scoring fails are skipped, like LowestScore does. This is the embedded
+// scheduler's RankFunc: Dispatch walks the ranking until a node with
+// headroom accepts the job.
 func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, error) {
 	feasible, rejected := f.FilterNodes(job, nodes)
 	if len(feasible) == 0 {
@@ -165,13 +197,19 @@ func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, err
 		}
 		return nil, fmt.Errorf("sched: no nodes scored for %s", job.Name)
 	}
+	SortRanking(ranked)
+	return ranked, nil
+}
+
+// SortRanking orders candidates best-first: score ascending (lower is
+// better), ties broken by node name so every scheduler agrees.
+func SortRanking(ranked []NodeScore) {
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].Score != ranked[j].Score {
 			return ranked[i].Score < ranked[j].Score
 		}
 		return ranked[i].Node < ranked[j].Node
 	})
-	return ranked, nil
 }
 
 // UnschedulableError reports that no node passed filtering — the paper's

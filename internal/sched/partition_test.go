@@ -127,7 +127,6 @@ func TestReplicasBindExactlyOnce(t *testing.T) {
 		s := New(st, NewFramework(nil, DefaultFilters()...))
 		s.Concurrency = 8
 		s.Partition = p
-		s.OptimisticBind = true
 		s.Metrics = NewMetrics(obs.NewRegistry())
 		scheds[i] = s
 	}

@@ -55,6 +55,9 @@ type QubitCount struct{}
 // Name implements FilterPlugin.
 func (QubitCount) Name() string { return "QubitCount" }
 
+// Static marks the filter as reading only labels and the spec.
+func (QubitCount) Static() {}
+
 // Filter implements FilterPlugin.
 func (QubitCount) Filter(j api.QuantumJob, n api.Node) (bool, string) {
 	if j.Spec.Requirements.MinQubits == 0 {
@@ -77,6 +80,9 @@ type Characteristics struct{}
 
 // Name implements FilterPlugin.
 func (Characteristics) Name() string { return "Characteristics" }
+
+// Static marks the filter as reading only labels and the spec.
+func (Characteristics) Static() {}
 
 // Filter implements FilterPlugin.
 func (Characteristics) Filter(j api.QuantumJob, n api.Node) (bool, string) {

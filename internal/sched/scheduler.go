@@ -2,43 +2,12 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"math"
-	"runtime"
 	"time"
 
 	"qrio/internal/clock"
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
-	"qrio/internal/par"
-)
-
-// RankReuseMode selects how batched dispatch may reuse framework
-// rankings across jobs instead of ranking every job independently.
-type RankReuseMode int
-
-const (
-	// RankEachJob ranks every job against the fleet independently — the
-	// original batched-dispatch behaviour, correct for arbitrary plugins.
-	RankEachJob RankReuseMode = iota
-	// RankReusePass shares one ranking among all jobs with an identical
-	// spec within a single pass. Sound whenever filter/score plugins read
-	// only the job's Spec (not its Name/UID/timestamps) — true for every
-	// in-tree plugin.
-	RankReusePass
-	// RankReuseFleet additionally keeps those per-spec rankings across
-	// passes until the fleet MEMBERSHIP changes (nodes added/removed).
-	// That further requires filters and scorers that read only static
-	// node identity — labels, spec — never load-dependent Status fields
-	// (NodeReady/ResourceFit are load-dependent and must not be in the
-	// chain; the dispatcher's own headroom bookkeeping plus BindJob's
-	// authoritative capacity check already cover what they filter). The
-	// virtual-time fleet simulator runs in this mode to schedule millions
-	// of jobs against thousands of nodes in seconds.
-	RankReuseFleet
 )
 
 // Scheduler drives the cluster's scheduling loop: it watches for pending
@@ -46,10 +15,13 @@ const (
 // the winning node. By default it processes one job at a time in FIFO
 // order, matching the paper's current architecture (§5); Concurrency > 1
 // enables the future-work extension: each pass collects up to Concurrency
-// pending jobs, ranks them against the fleet in parallel (a bounded worker
-// pool calling Framework.Rank), and binds greedily — FIFO job order,
-// best-score-first candidates, deterministic name tie-breaks — so no node
-// slot is ever double-booked. When jobs from several tenants are queued,
+// pending jobs, ranks each distinct spec among them against the fleet
+// once (in parallel, calling Framework.Rank), and binds greedily — FIFO
+// job order, best-score-first candidates, deterministic name tie-breaks —
+// so no node slot is ever double-booked (see Dispatch). Every bind, on
+// either path, is conditional on the resource version the pass observed
+// the job at, so any number of schedulers can share one pending queue:
+// exactly one wins each job. When jobs from several tenants are queued,
 // batched dispatch walks them in weighted-fair order instead of raw FIFO
 // (see fair.go and TenantWeights); plugins see the owning tenant on every
 // job via Spec.Tenant.
@@ -62,9 +34,6 @@ type Scheduler struct {
 	// Concurrency caps jobs dispatched per pass (default 1 = paper's
 	// serial path; >1 selects batched dispatch).
 	Concurrency int
-	// Workers bounds the ranking worker pool in batched dispatch
-	// (0 = min(Concurrency, GOMAXPROCS)).
-	Workers int
 	// FleetResync is the level-triggered fallback cadence at which the
 	// node snapshot cache re-Lists the store, healing dropped watch events
 	// (default 1s). Tests shrink it to force relists.
@@ -85,10 +54,6 @@ type Scheduler struct {
 	// cadence reads it, so the virtual-time simulator can drive relists
 	// on virtual time. Nil means the wall clock.
 	Clock clock.Clock
-	// RankReuse lets batched dispatch share framework rankings among
-	// jobs with identical specs (see RankReuseMode). The default,
-	// RankEachJob, keeps the original rank-every-job behaviour.
-	RankReuse RankReuseMode
 	// MaxPendingPerTenant bounds how much of each tenant's queue a pass
 	// snapshots (0 = unlimited). Within-tenant FIFO order is preserved —
 	// the cap trims only the tail — so a pass under deep overload costs
@@ -98,14 +63,6 @@ type Scheduler struct {
 	// replica partition of the pending queue (nil = own everything, the
 	// single-replica default). See Partition for the takeover protocol.
 	Partition *Partition
-	// OptimisticBind makes every bind version-conditional: the pass
-	// snapshots each pending job's resource version and binds with
-	// BindJobAt, so a job another replica bound (or a user cancelled)
-	// since the snapshot loses with a counted conflict instead of racing
-	// through phase checks. Required when multiple replicas share one
-	// pending queue; a lone scheduler can leave it off and skip the
-	// version bookkeeping.
-	OptimisticBind bool
 	// Metrics is the optional instrumentation handle (nil = no metrics,
 	// the zero-overhead default). Set once at wiring time.
 	Metrics *Metrics
@@ -124,16 +81,13 @@ type Scheduler struct {
 	// cached view instead of deep-copying the whole fleet each pass.
 	fleet fleetCache
 
-	// fleetRank is RankReuseFleet's cross-pass spec-class → ranking cache,
-	// valid for the fleet membership epoch it was built against. Accessed
-	// only from SchedulePass (not safe for concurrent use, like wrrCredit).
+	// fleetRank keeps spec-class rankings ACROSS passes while the
+	// framework's chain is static (Framework.static) and the fleet
+	// membership epoch it was built against still holds: a static chain
+	// ranks the same spec the same way until a node joins or leaves.
+	// Accessed only from SchedulePass, like wrrCredit.
 	fleetRank      map[uint64][]NodeScore
 	fleetRankEpoch uint64
-
-	// passVersions maps job name → the resource version this pass's
-	// pending snapshot observed, consumed by bind under OptimisticBind.
-	// Accessed only from SchedulePass, like wrrCredit.
-	passVersions map[string]int64
 }
 
 // New assembles a scheduler over cluster state.
@@ -188,7 +142,7 @@ func (s *Scheduler) SchedulePass() int {
 	var bound int
 	if limit == 1 {
 		// Paper-faithful serial path: strict global FIFO, no fair queue.
-		bound = s.serialPass(pending, limit)
+		bound = s.serialPass(pending)
 	} else {
 		bound = s.batchedPass(pending, limit)
 	}
@@ -201,50 +155,29 @@ func (s *Scheduler) SchedulePass() int {
 }
 
 // snapshotPending builds the pass's work queue: the pending index capped
-// per tenant, filtered to this replica's partition, and — under
-// OptimisticBind — with each job's observed resource version parked in
-// passVersions for bind to condition on.
+// per tenant and filtered to this replica's partition. Each job copy
+// carries the resource version it was read at (ObjectMeta.ResourceVersion)
+// — the observation its bind is conditioned on.
 func (s *Scheduler) snapshotPending() []api.QuantumJob {
-	if !s.OptimisticBind {
-		pending := s.State.PendingJobsCapped(s.MaxPendingPerTenant)
-		if s.Partition == nil {
-			return pending
-		}
-		owned := pending[:0]
-		for _, j := range pending {
-			if s.Partition.Owns(j.Name) {
-				owned = append(owned, j)
-			}
-		}
-		return owned
+	pending := s.State.PendingJobsCapped(s.MaxPendingPerTenant)
+	if s.Partition == nil {
+		return pending
 	}
-	versioned := s.State.PendingJobsVersioned(s.MaxPendingPerTenant)
-	if s.passVersions == nil {
-		s.passVersions = make(map[string]int64, len(versioned))
-	} else {
-		clear(s.passVersions)
-	}
-	pending := make([]api.QuantumJob, 0, len(versioned))
-	for _, p := range versioned {
-		if !s.Partition.Owns(p.Job.Name) {
-			continue
+	owned := pending[:0]
+	for _, j := range pending {
+		if s.Partition.Owns(j.Name) {
+			owned = append(owned, j)
 		}
-		s.passVersions[p.Job.Name] = p.Version
-		pending = append(pending, p.Job)
 	}
-	return pending
+	return owned
 }
 
-// bind places one job, version-conditionally under OptimisticBind. A
-// ConflictError means another actor moved the job since the snapshot —
-// count it (the replica-contention signal) and pass it up for the caller
-// to treat as "job moved on", not as a scheduling failure.
-func (s *Scheduler) bind(jobName, nodeName string, score float64) error {
-	var version int64
-	if s.OptimisticBind {
-		version = s.passVersions[jobName]
-	}
-	err := s.State.BindJobAt(jobName, nodeName, score, version)
+// bind places one job at the version it was observed at. A ConflictError
+// means another actor moved the job since the snapshot — count it (the
+// replica-contention signal) and pass it up for the caller to treat as
+// "job moved on", not as a scheduling failure.
+func (s *Scheduler) bind(job *api.QuantumJob, nodeName string, score float64) error {
+	err := s.State.BindJobAt(job.Name, nodeName, score, job.ResourceVersion)
 	if state.IsConflict(err) {
 		if m := s.Metrics; m != nil {
 			m.BindConflicts.Inc()
@@ -254,68 +187,58 @@ func (s *Scheduler) bind(jobName, nodeName string, score float64) error {
 }
 
 // serialPass is the paper's architecture: one job at a time through the
-// full filter/score/pick pipeline.
-func (s *Scheduler) serialPass(pending []api.QuantumJob, limit int) int {
-	bound := 0
+// full filter/score/pick pipeline — the first job in FIFO order that can
+// be scheduled is bound, and the pass ends.
+func (s *Scheduler) serialPass(pending []api.QuantumJob) int {
 	for _, job := range pending {
-		if bound >= limit {
-			break
+		err := s.ScheduleOne(job)
+		if err == nil {
+			return 1
 		}
-		if err := s.ScheduleOne(job); err != nil {
-			if state.IsConflict(err) {
-				// Another replica won the job between snapshot and bind —
-				// expected under contention, not a failure to record.
-				continue
-			}
-			s.recordSchedulingFailure(job.Name, err)
-			continue
+		if !state.IsConflict(err) {
+			// A conflict is another replica (or a cancel) winning the job
+			// between snapshot and bind — expected, not a failure.
+			s.State.RecordEvent("Job", job.Name, failureReason(err), err.Error())
 		}
-		bound++
 	}
-	return bound
+	return 0
 }
 
-// headroom is the scheduler's pass-local view of a node's free capacity.
-type headroom struct {
-	slots    int
-	cpu, mem int64
-}
-
-// batchedPass ranks pending jobs in parallel against one node snapshot —
-// limit at a time, pulling weighted-fair chunks until limit jobs are
-// bound or the queue is exhausted, so unschedulable jobs at the head
-// cannot starve feasible jobs behind them (the serial loop's guarantee).
-// The fair order is generated lazily: in the common case only the first
-// chunk of a deep backlog is ever interleaved. Binding is greedy in
-// chunk order with local slot/resource bookkeeping to keep the walk from
-// double-booking a node within the pass; BindJob's own capacity check
-// remains the authoritative guard against races with kubelets and other
-// actors.
+// batchedPass dispatches pending jobs against one node snapshot — limit
+// at a time, pulling weighted-fair chunks until limit jobs are bound or
+// the queue is exhausted, so unschedulable jobs at the head cannot starve
+// feasible jobs behind them (the serial loop's guarantee). The fair order
+// is generated lazily: in the common case only the first chunk of a deep
+// backlog is ever interleaved. Ranking, the greedy walk and the pass-local
+// headroom that keeps it from double-booking a node are Dispatch's;
+// BindJobAt's own capacity check remains the authoritative guard against
+// races with kubelets and other actors.
 func (s *Scheduler) batchedPass(pending []api.QuantumJob, limit int) int {
 	if s.Framework == nil {
 		return 0
 	}
 	nodes, epoch := s.fleetNodes()
-	free := make(map[string]*headroom, len(nodes))
-	for _, n := range nodes {
-		free[n.Name] = &headroom{
-			slots: n.ContainerSlots() - len(n.Status.RunningJobs),
-			cpu:   n.Spec.CPUMillis - n.Status.CPUMillisInUse,
-			mem:   n.Spec.MemoryMB - n.Status.MemoryMBInUse,
+	d := NewDispatch(nodes, s.Framework.Rank, func(job *api.QuantumJob, node string, score float64) BindOutcome {
+		err := s.bind(job, node, score)
+		switch {
+		case err == nil:
+			s.chargeBind(job)
+			return Bound
+		case state.IsCapacity(err):
+			return NodeUnavailable
 		}
+		return JobMoved // ConflictError, or the job no longer exists
+	})
+	d.record = func(jobName, reason, message string) {
+		s.State.RecordEvent("Job", jobName, reason, message)
 	}
-	var pr *passRank
-	if s.RankReuse != RankEachJob {
-		pr = &passRank{cursors: map[uint64]int{}, spent: map[uint64]bool{}}
-		if s.RankReuse == RankReuseFleet {
-			if s.fleetRank == nil || s.fleetRankEpoch != epoch {
-				s.fleetRank = map[uint64][]NodeScore{}
-				s.fleetRankEpoch = epoch
-			}
-			pr.rankings = s.fleetRank
-		} else {
-			pr.rankings = map[uint64][]NodeScore{}
+	if s.Framework.static() {
+		if s.fleetRank == nil || s.fleetRankEpoch != epoch {
+			s.fleetRank, s.fleetRankEpoch = map[uint64][]NodeScore{}, epoch
 		}
+		d.rankings = s.fleetRank
+	} else {
+		s.fleetRank = nil
 	}
 	next := s.fairOrderer(pending)
 	bound := 0
@@ -324,259 +247,16 @@ func (s *Scheduler) batchedPass(pending []api.QuantumJob, limit int) int {
 		if len(chunk) == 0 {
 			break
 		}
-		if pr != nil {
-			bound += s.dispatchChunkShared(chunk, limit-bound, nodes, free, pr)
-		} else {
-			bound += s.dispatchChunk(chunk, limit-bound, nodes, free)
-		}
+		bound += d.Place(chunk, limit-bound)
 	}
 	return bound
-}
-
-// dispatchChunk ranks one chunk of jobs in parallel and binds at most
-// budget of them greedily against the shared pass-local headroom.
-func (s *Scheduler) dispatchChunk(chunk []api.QuantumJob, budget int, nodes []api.Node, free map[string]*headroom) int {
-	rankings := make([][]NodeScore, len(chunk))
-	rankErrs := make([]error, len(chunk))
-	workers := s.Workers
-	if workers <= 0 {
-		workers = len(chunk)
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			workers = max
-		}
-	}
-	par.ForEach(len(chunk), workers, func(i int) {
-		rankings[i], rankErrs[i] = s.Framework.Rank(chunk[i], nodes)
-	})
-
-	bound := 0
-	for i, job := range chunk {
-		if bound >= budget {
-			break
-		}
-		if rankErrs[i] != nil {
-			s.recordSchedulingFailure(job.Name, rankErrs[i])
-			continue
-		}
-		placed := false
-		for _, cand := range rankings[i] {
-			h := free[cand.Node]
-			if h == nil || h.slots <= 0 ||
-				h.cpu < job.Spec.Resources.CPUMillis || h.mem < job.Spec.Resources.MemoryMB {
-				continue
-			}
-			if err := s.bind(job.Name, cand.Node, cand.Score); err != nil {
-				if state.IsConflict(err) {
-					// Another replica took the job since the snapshot; stop
-					// trying candidates but count nothing.
-					placed = true
-					break
-				}
-				if j, _, jerr := s.State.Jobs.Get(job.Name); jerr != nil || j.Status.Phase != api.JobPending {
-					// The job itself moved on (bound elsewhere, deleted);
-					// stop trying candidates but count nothing.
-					placed = true
-					break
-				}
-				// Node-side race (kubelet, another scheduler): the local
-				// headroom was stale — drop the node for this pass.
-				h.slots = 0
-				continue
-			}
-			h.slots--
-			h.cpu -= job.Spec.Resources.CPUMillis
-			h.mem -= job.Spec.Resources.MemoryMB
-			placed = true
-			bound++
-			s.chargeBind(&job)
-			break
-		}
-		if !placed {
-			s.State.RecordEvent("Job", job.Name, "Unschedulable",
-				fmt.Sprintf("sched: job %s ranked %d nodes but all slots taken this pass",
-					job.Name, len(rankings[i])))
-		}
-	}
-	return bound
-}
-
-// passRank is one pass's shared-ranking state under a RankReuse mode:
-// rankings maps each spec-class fingerprint to its ranked candidates
-// (pass-local, or the cross-pass fleetRank cache under RankReuseFleet);
-// cursors and spent are always pass-local because they track pass-local
-// headroom consumption.
-type passRank struct {
-	rankings map[uint64][]NodeScore
-	// cursors[fp] is the first candidate not yet proven dead this pass.
-	// Jobs sharing a fingerprint share demands, and pass-local headroom
-	// only shrinks, so a candidate that fails one job of the class fails
-	// every later one — the cursor never has to back up.
-	cursors map[uint64]int
-	// spent marks classes whose candidates were exhausted this pass; the
-	// dispatcher skips their remaining jobs and coalesces the
-	// Unschedulable event to one per class per pass.
-	spent map[uint64]bool
-}
-
-// specFingerprint hashes every JobSpec field into the spec-class key.
-// Two jobs share a fingerprint only if their specs are byte-identical,
-// so sharing a ranking is exactly as correct as ranking each job
-// separately — for plugins that read only the spec.
-func specFingerprint(s *api.JobSpec) uint64 {
-	h := fnv.New64a()
-	str := func(v string) { io.WriteString(h, v); h.Write([]byte{0xff}) }
-	num := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	str(s.Tenant)
-	str(s.Image)
-	str(s.QASM)
-	str(string(s.Strategy))
-	str(s.TopologyQASM)
-	num(uint64(s.Shots))
-	num(uint64(s.Resources.CPUMillis))
-	num(uint64(s.Resources.MemoryMB))
-	num(uint64(s.Requirements.MinQubits))
-	num(math.Float64bits(s.Requirements.MaxAvg2QError))
-	num(math.Float64bits(s.Requirements.MaxReadoutErr))
-	num(math.Float64bits(s.Requirements.MinT1us))
-	num(math.Float64bits(s.Requirements.MinT2us))
-	num(math.Float64bits(s.TargetFidelity))
-	return h.Sum64()
-}
-
-// dispatchChunkShared is dispatchChunk under a RankReuse mode: it ranks
-// only the distinct spec classes the chunk introduces (in parallel),
-// then binds sequentially, walking each class's ranking behind a shared
-// cursor. A chunk of a thousand identical jobs costs one Rank call.
-func (s *Scheduler) dispatchChunkShared(chunk []api.QuantumJob, budget int, nodes []api.Node, free map[string]*headroom, pr *passRank) int {
-	fps := make([]uint64, len(chunk))
-	type classRep struct {
-		fp  uint64
-		job api.QuantumJob
-	}
-	var missing []classRep
-	have := map[uint64]bool{}
-	for i := range chunk {
-		fp := specFingerprint(&chunk[i].Spec)
-		fps[i] = fp
-		if _, ok := pr.rankings[fp]; ok || have[fp] {
-			continue
-		}
-		have[fp] = true
-		missing = append(missing, classRep{fp, chunk[i]})
-	}
-	if len(missing) > 0 {
-		ranked := make([][]NodeScore, len(missing))
-		errs := make([]error, len(missing))
-		workers := s.Workers
-		if workers <= 0 {
-			workers = len(missing)
-			if max := runtime.GOMAXPROCS(0); workers > max {
-				workers = max
-			}
-		}
-		par.ForEach(len(missing), workers, func(i int) {
-			ranked[i], errs[i] = s.Framework.Rank(missing[i].job, nodes)
-		})
-		for i, m := range missing {
-			if errs[i] != nil {
-				// The whole class is unrankable (static chain ⇒ the error is
-				// a property of the spec, not the job). Record it once, for
-				// the class's first job, and park an empty ranking so
-				// same-class jobs — this pass or, under RankReuseFleet, until
-				// the fleet changes — skip straight past.
-				pr.rankings[m.fp] = []NodeScore{}
-				pr.spent[m.fp] = true
-				s.recordSchedulingFailure(m.job.Name, errs[i])
-				continue
-			}
-			pr.rankings[m.fp] = ranked[i]
-		}
-	}
-
-	bound := 0
-	for i := range chunk {
-		if bound >= budget {
-			break
-		}
-		job := chunk[i]
-		fp := fps[i]
-		if pr.spent[fp] {
-			continue
-		}
-		ranking := pr.rankings[fp]
-		cur := pr.cursors[fp]
-		placed := false
-		for cur < len(ranking) {
-			cand := ranking[cur]
-			h := free[cand.Node]
-			if h == nil || h.slots <= 0 ||
-				h.cpu < job.Spec.Resources.CPUMillis || h.mem < job.Spec.Resources.MemoryMB {
-				// Dead for the whole class this pass: same demands, and
-				// headroom only shrinks.
-				cur++
-				continue
-			}
-			if err := s.bind(job.Name, cand.Node, cand.Score); err != nil {
-				if state.IsConflict(err) {
-					// Another replica took the job; the candidate is still
-					// live for the rest of the class.
-					placed = true
-					break
-				}
-				if j, _, jerr := s.State.Jobs.Get(job.Name); jerr != nil || j.Status.Phase != api.JobPending {
-					// The job itself moved on; the candidate is still live
-					// for the rest of the class.
-					placed = true
-					break
-				}
-				// Node-side race: stale headroom — dead for the pass.
-				h.slots = 0
-				cur++
-				continue
-			}
-			h.slots--
-			h.cpu -= job.Spec.Resources.CPUMillis
-			h.mem -= job.Spec.Resources.MemoryMB
-			placed = true
-			bound++
-			s.chargeBind(&job)
-			break
-		}
-		pr.cursors[fp] = cur
-		if !placed && cur >= len(ranking) {
-			pr.spent[fp] = true
-			s.State.RecordEvent("Job", job.Name, "Unschedulable",
-				fmt.Sprintf("sched: job %s and its spec class exhausted %d ranked nodes this pass",
-					job.Name, len(ranking)))
-		}
-	}
-	return bound
-}
-
-// recordSchedulingFailure emits the event the serial path always recorded.
-func (s *Scheduler) recordSchedulingFailure(jobName string, err error) {
-	var unsched *UnschedulableError
-	if errors.As(err, &unsched) {
-		// Leave pending; a node may free up. Record once per pass.
-		s.State.RecordEvent("Job", jobName, "Unschedulable", err.Error())
-		return
-	}
-	s.State.RecordEvent("Job", jobName, "SchedulingError", err.Error())
 }
 
 // fleetNodes returns the cached fleet view (watch-fed, with a periodic
 // re-List fallback) the pass ranks against, plus its membership epoch.
 func (s *Scheduler) fleetNodes() ([]api.Node, uint64) {
-	return s.fleet.snapshot(s.State.Nodes, s.FleetResync, s.now())
+	return s.fleet.snapshot(s.State.Nodes, s.FleetResync, clock.Now(s.Clock))
 }
-
-func (s *Scheduler) now() time.Time { return clock.Now(s.Clock) }
 
 // Stop releases the fleet cache's store watcher. Run does this on exit;
 // callers driving SchedulePass/ScheduleOne directly (tests, benchmarks,
@@ -587,7 +267,8 @@ func (s *Scheduler) Stop() {
 	s.fleet.stop()
 }
 
-// ScheduleOne runs the pipeline for a single job and binds it.
+// ScheduleOne runs the pipeline for a single job and binds it — at
+// job.ResourceVersion when the caller observed one, unconditionally at 0.
 func (s *Scheduler) ScheduleOne(job api.QuantumJob) error {
 	if s.Framework == nil {
 		return fmt.Errorf("sched: scheduler has no framework")
@@ -597,5 +278,5 @@ func (s *Scheduler) ScheduleOne(job api.QuantumJob) error {
 	if err != nil {
 		return err
 	}
-	return s.bind(job.Name, choice.Node, choice.Score)
+	return s.bind(&job, choice.Node, choice.Score)
 }

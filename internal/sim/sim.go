@@ -95,10 +95,6 @@ type Config struct {
 	// MaxPendingPerTenant bounds the per-pass queue snapshot (default
 	// 4×Concurrency; 0 keeps the default, -1 means unlimited).
 	MaxPendingPerTenant int `json:"maxPendingPerTenant,omitempty"`
-	// RankReuse selects the dispatch ranking mode: "fleet" (default —
-	// the simulator's filters and scorer are static, so cross-pass reuse
-	// is sound), "pass", or "none".
-	RankReuse string `json:"rankReuse,omitempty"`
 	// TenantWeights configures weighted-fair dispatch.
 	TenantWeights map[string]int `json:"tenantWeights,omitempty"`
 
@@ -142,9 +138,6 @@ func (c *Config) withDefaults() Config {
 	case out.MaxPendingPerTenant < 0:
 		out.MaxPendingPerTenant = 0
 	}
-	if out.RankReuse == "" {
-		out.RankReuse = "fleet"
-	}
 	if out.SweepEvery <= 0 {
 		out.SweepEvery = simload.Duration(time.Second)
 	}
@@ -163,27 +156,15 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// rankReuseMode maps the config string to the scheduler's mode.
-func rankReuseMode(s string) (sched.RankReuseMode, error) {
-	switch s {
-	case "fleet":
-		return sched.RankReuseFleet, nil
-	case "pass":
-		return sched.RankReusePass, nil
-	case "none":
-		return sched.RankEachJob, nil
-	}
-	return 0, fmt.Errorf("sim: unknown rankReuse mode %q (want fleet|pass|none)", s)
-}
-
 // labelScorer ranks nodes by their average two-qubit error label —
-// prefer the most faithful device, deterministic name tie-break. It
-// reads only static node identity (labels), which is what makes
-// RankReuseFleet sound for the simulator.
+// prefer the most faithful device, deterministic name tie-break.
 type labelScorer struct{}
 
 // Name implements sched.ScorePlugin.
 func (labelScorer) Name() string { return "SimLabelScore" }
+
+// Static implements sched.StaticPlugin: the score reads only labels.
+func (labelScorer) Static() {}
 
 // Score implements sched.ScorePlugin.
 func (labelScorer) Score(_ api.QuantumJob, n api.Node) (float64, error) {
@@ -275,10 +256,6 @@ func New(cfg Config, src simload.Source) (*Engine, error) {
 		}
 		src = stream
 	}
-	mode, err := rankReuseMode(cfg.RankReuse)
-	if err != nil {
-		return nil, err
-	}
 
 	clk := &Clock{now: Epoch}
 	st := state.New()
@@ -312,15 +289,16 @@ func New(cfg Config, src simload.Source) (*Engine, error) {
 		return nil, err
 	}
 
-	// The simulator's framework chain is static by construction: label
-	// filters plus a label scorer. NodeReady/ResourceFit are load
-	// plugins; the dispatcher's headroom bookkeeping and BindJob's
-	// authoritative capacity check cover what they filter.
+	// The simulator's framework chain is static by construction — label
+	// filters plus a label scorer, every one a sched.StaticPlugin — so
+	// the scheduler keeps each spec's ranking across passes, which is
+	// what lets a million jobs through in seconds. NodeReady/ResourceFit
+	// are load plugins; the dispatcher's headroom bookkeeping and
+	// BindJobAt's authoritative capacity check cover what they filter.
 	fw := sched.NewFramework(labelScorer{}, sched.QubitCount{}, sched.Characteristics{})
 	e.sch = sched.New(st, fw)
 	e.sch.Clock = clk
 	e.sch.Concurrency = cfg.Concurrency
-	e.sch.RankReuse = mode
 	e.sch.MaxPendingPerTenant = cfg.MaxPendingPerTenant
 	e.sch.TenantWeights = cfg.TenantWeights
 	e.sch.FleetResync = time.Minute // virtual; watch events carry the cache

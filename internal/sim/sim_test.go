@@ -178,26 +178,3 @@ func TestSimOverload(t *testing.T) {
 		t.Fatalf("backlog did not grow under overload: first=%+v last=%+v", first, last)
 	}
 }
-
-// TestRankReuseModesAgree: the simulator's three ranking modes must
-// produce identical reports — reuse is an optimisation, not a behaviour
-// change — for a drained run.
-func TestRankReuseModesAgree(t *testing.T) {
-	render := func(mode string) []byte {
-		cfg := smallConfig(42)
-		cfg.RankReuse = mode
-		rep := runReport(t, cfg)
-		var buf bytes.Buffer
-		if err := rep.WriteSummaryMarkdown(&buf, "modes"); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fleet, pass, none := render("fleet"), render("pass"), render("none")
-	if !bytes.Equal(fleet, pass) {
-		t.Fatalf("fleet vs pass diverged:\n%s\nvs\n%s", fleet, pass)
-	}
-	if !bytes.Equal(fleet, none) {
-		t.Fatalf("fleet vs none diverged:\n%s\nvs\n%s", fleet, none)
-	}
-}

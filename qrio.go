@@ -62,8 +62,10 @@
 // Every error response carries one structured envelope,
 // {"error":{"code":...,"message":...}}, with machine-readable codes:
 // "invalid" (400, malformed or rejected request), "not_found" (404),
-// "conflict" (409, duplicate submission or cancelling a finished job —
-// resident or archived), "compacted" (410, stale watch resume token),
+// "conflict" (409, duplicate submission, cancelling a finished job —
+// resident or archived — or a bind that lost the job),
+// "node_unavailable" (409, POST /v1/bind only: the node refused, the job
+// is still pending), "compacted" (410, stale watch resume token),
 // "unschedulable" (422, no device in the fleet can ever satisfy the
 // job's requirements), "quota_exceeded" (429, the tenant is over its
 // admission quota), "rate_limited" (429, the tenant is submitting faster
@@ -164,16 +166,27 @@
 //
 // The paper's architecture — one job scheduled at a time, one container
 // per node — is the default. Config exposes the concurrent pipeline:
-// Concurrency > 1 switches the scheduler to batched dispatch (rank up to
-// that many pending jobs per pass in parallel, bind greedily with
-// deterministic tie-breaking), NodeConcurrency > 1 lets each node execute
-// several containers bounded by its classical CPU capacity, and
+// Concurrency > 1 switches the scheduler to batched dispatch (take up to
+// that many pending jobs per pass, rank each distinct spec among them
+// once, bind greedily with deterministic tie-breaking),
+// NodeConcurrency > 1 lets each node execute several containers
+// bounded by its classical CPU capacity, and
 // ScoreWorkers caps concurrent scoring calls across the whole batch (a
 // shared budget, not per job). Independently, the Meta
 // Server memoises canary-simulation and subgraph-matching results per
 // (circuit fingerprint, backend, calibration generation), so repeated
 // circuits cost one simulation per fleet calibration; re-registering a
 // backend invalidates its cached scores.
+//
+// Ranking once per spec rests on the scheduler's plugin contract: a
+// filter's or scorer's verdict is a function of the job's Spec and the
+// node, never of the job's name, UID or timestamps, so jobs with
+// byte-identical specs share one ranking. The same placement loop
+// (sched.Dispatch) runs in the embedded scheduler, under the
+// virtual-time simulator and in the out-of-process qrio-sched replica;
+// every bind is conditional on the resource version the scheduler
+// observed, and ends one of three ways — bound, job moved ("conflict"),
+// node unavailable ("node_unavailable").
 //
 // See the examples directory for runnable end-to-end scenarios and
 // cmd/qrio-experiments for the paper's evaluation.
