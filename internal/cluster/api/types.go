@@ -57,7 +57,11 @@ type NodeSpec struct {
 
 // NodeStatus is the cluster-maintained part of a node.
 type NodeStatus struct {
-	Phase         NodePhase `json:"phase"`
+	Phase NodePhase `json:"phase"`
+	// LastHeartbeat in the STORED object is stamped only at registration,
+	// refresh and Ready↔NotReady transitions: live heartbeats go to the
+	// state layer's volatile liveness table, never through the store or
+	// the WAL. GET /v1/nodes overlays the live value (state.LiveNode).
 	LastHeartbeat time.Time `json:"lastHeartbeat,omitempty"`
 	// RunningJobs are the jobs currently bound to or executing on the node
 	// (at most ContainerSlots entries; the paper's architecture keeps this

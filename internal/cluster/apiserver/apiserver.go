@@ -56,6 +56,9 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		nodes := s.State.Nodes.List()
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+		for i := range nodes {
+			nodes[i] = s.State.LiveNode(nodes[i])
+		}
 		httpx.WriteJSON(w, http.StatusOK, nodes)
 	case http.MethodPost:
 		var b device.Backend
@@ -87,7 +90,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			httpx.WriteErr(w, err, http.StatusUnprocessableEntity, httpx.CodeInvalid)
 			return
 		}
-		httpx.WriteJSON(w, http.StatusOK, n)
+		httpx.WriteJSON(w, http.StatusOK, s.State.LiveNode(n))
 	case http.MethodDelete:
 		if err := s.State.Nodes.Delete(name); err != nil {
 			httpx.WriteErr(w, err, http.StatusUnprocessableEntity, httpx.CodeInvalid)

@@ -201,11 +201,7 @@ func (h *harness) nodeKiller(r *rand.Rand) {
 		return n, nil
 	})
 	time.Sleep(5 * time.Millisecond)
-	h.st.Nodes.Update(node, func(n api.Node) (api.Node, error) {
-		n.Status.Phase = api.NodeReady
-		n.Status.LastHeartbeat = time.Now()
-		return n, nil
-	})
+	h.st.Heartbeat(node, time.Now()) // what its kubelet does: revives it
 	time.Sleep(5 * time.Millisecond)
 }
 

@@ -87,24 +87,44 @@ func (c *Controller) ReconcileOnce() {
 
 func (c *Controller) clock() time.Time { return clock.Now(c.Clock) }
 
-// markStaleNodes flips nodes whose heartbeat stopped to NotReady.
+// markStaleNodes flips nodes whose heartbeat stopped to NotReady. Liveness
+// is read from the state layer's volatile table; the store — and with it
+// the WAL and every node watch stream — sees only the transition.
 func (c *Controller) markStaleNodes(now time.Time) {
 	timeout := c.NodeTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	stale := c.State.Nodes.ListFunc(func(n api.Node) bool {
-		return n.Status.Phase == api.NodeReady &&
-			!n.Status.LastHeartbeat.IsZero() &&
-			now.Sub(n.Status.LastHeartbeat) > timeout
+	// silentSince reports the node's last sign of life and whether that is
+	// more than the timeout ago.
+	silentSince := func(name string) (time.Time, bool) {
+		last, ok := c.State.LastHeartbeat(name)
+		return last, ok && now.Sub(last) > timeout
+	}
+	var stale []string
+	c.State.Nodes.Range(func(n api.Node, _ int64) bool {
+		if n.Status.Phase == api.NodeReady {
+			if _, silent := silentSince(n.Name); silent {
+				stale = append(stale, n.Name)
+			}
+		}
+		return true
 	})
-	for _, n := range stale {
-		name := n.Name
-		c.State.Nodes.Update(name, func(n api.Node) (api.Node, error) {
+	for _, name := range stale {
+		_, _, err := c.State.Nodes.Update(name, func(n api.Node) (api.Node, error) {
+			// Re-checked under the node's lock: a heartbeat that landed
+			// since the scan wins.
+			last, silent := silentSince(name)
+			if !silent || n.Status.Phase != api.NodeReady {
+				return n, fmt.Errorf("controller: node %s no longer stale", name)
+			}
 			n.Status.Phase = api.NodeNotReady
+			n.Status.LastHeartbeat = last // journal when it was last heard from
 			return n, nil
 		})
-		c.State.RecordEvent("Node", name, "HeartbeatLost", "marking node NotReady")
+		if err == nil {
+			c.State.RecordEvent("Node", name, "HeartbeatLost", "marking node NotReady")
+		}
 	}
 }
 

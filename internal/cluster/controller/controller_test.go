@@ -49,22 +49,80 @@ func submit(t *testing.T, st *state.Cluster, name string) {
 	}
 }
 
+// TestStaleNodeMarkedNotReady: liveness is read from the volatile table,
+// and only the transitions reach the store — a silent node costs exactly
+// one journaled NotReady and one HeartbeatLost event however many passes
+// see it, and the heartbeat that ends the silence exactly one journaled
+// Ready.
 func TestStaleNodeMarkedNotReady(t *testing.T) {
 	c, st, clk := setup(t)
-	st.Nodes.Update("n1", func(n api.Node) (api.Node, error) {
-		n.Status.LastHeartbeat = clk.Now()
-		return n, nil
-	})
-	c.ReconcileOnce()
-	n, _, _ := st.Nodes.Get("n1")
-	if n.Status.Phase != api.NodeReady {
-		t.Fatal("fresh node marked NotReady")
+	nodeEvents, cancel := st.Nodes.Watch(16)
+	defer cancel()
+	journaled := func() (phases []api.NodePhase) {
+		for {
+			select {
+			case ev := <-nodeEvents:
+				phases = append(phases, ev.Object.Status.Phase)
+			default:
+				return phases
+			}
+		}
 	}
+	lost := func() (n int) {
+		for _, e := range st.EventsAbout("n1") {
+			if e.Reason == "HeartbeatLost" {
+				n++
+			}
+		}
+		return n
+	}
+
+	lastBeat := clk.Now()
+	st.Heartbeat("n1", lastBeat)
+	c.ReconcileOnce()
+	if got := journaled(); len(got) != 0 {
+		t.Fatalf("fresh node wrote the store: %v", got)
+	}
+
 	clk.Advance(10 * time.Second)
 	c.ReconcileOnce()
-	n, _, _ = st.Nodes.Get("n1")
-	if n.Status.Phase != api.NodeNotReady {
-		t.Fatal("stale node still Ready")
+	c.ReconcileOnce()
+	c.ReconcileOnce()
+	if got := journaled(); len(got) != 1 || got[0] != api.NodeNotReady {
+		t.Fatalf("stale node journaled %v, want exactly one NotReady", got)
+	}
+	if got := lost(); got != 1 {
+		t.Fatalf("HeartbeatLost events = %d, want 1", got)
+	}
+	if n, _, _ := st.Nodes.Get("n1"); !n.Status.LastHeartbeat.Equal(lastBeat) {
+		t.Fatalf("NotReady record says last heard %v, want %v", n.Status.LastHeartbeat, lastBeat)
+	}
+
+	st.Heartbeat("n1", clk.Now())
+	st.Heartbeat("n1", clk.Now())
+	c.ReconcileOnce()
+	if got := journaled(); len(got) != 1 || got[0] != api.NodeReady {
+		t.Fatalf("revival journaled %v, want exactly one Ready", got)
+	}
+	if got := lost(); got != 1 {
+		t.Fatalf("HeartbeatLost events after revival = %d, want 1", got)
+	}
+}
+
+// TestRestartedControllerGivesNodesOneTimeoutOfGrace: a node whose only
+// liveness is its registration (nothing has beaten since boot) is treated
+// as alive as of that moment — Ready for one NodeTimeout, NotReady after.
+func TestRestartedControllerGivesNodesOneTimeoutOfGrace(t *testing.T) {
+	c, st, clk := setup(t)
+	clk.Advance(c.NodeTimeout / 2)
+	c.ReconcileOnce()
+	if n, _, _ := st.Nodes.Get("n1"); n.Status.Phase != api.NodeReady {
+		t.Fatal("node marked NotReady inside its grace period")
+	}
+	clk.Advance(c.NodeTimeout)
+	c.ReconcileOnce()
+	if n, _, _ := st.Nodes.Get("n1"); n.Status.Phase != api.NodeNotReady {
+		t.Fatal("silent node still Ready after the grace period")
 	}
 }
 
@@ -144,10 +202,7 @@ func TestFailedJobRetriesUpToBudget(t *testing.T) {
 
 func TestHealthyClusterUntouched(t *testing.T) {
 	c, st, clk := setup(t)
-	st.Nodes.Update("n1", func(n api.Node) (api.Node, error) {
-		n.Status.LastHeartbeat = clk.Now()
-		return n, nil
-	})
+	st.Heartbeat("n1", clk.Now())
 	submit(t, st, "j1")
 	st.BindJob("j1", "n1", 0)
 	c.ReconcileOnce()

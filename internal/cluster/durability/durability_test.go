@@ -12,6 +12,7 @@ import (
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/archive"
+	"qrio/internal/cluster/controller"
 	"qrio/internal/cluster/state"
 	"qrio/internal/cluster/store"
 	"qrio/internal/cluster/wal"
@@ -539,5 +540,89 @@ func TestWriterErrorSurfacesInStats(t *testing.T) {
 	st := m.Stats()
 	if !strings.Contains(st.WALError, "disk on fire") {
 		t.Fatalf("WALError = %q", st.WALError)
+	}
+}
+
+// bootClock is a hand-set time source shared by a cluster and its
+// controller.
+type bootClock struct{ now time.Time }
+
+func (b *bootClock) Now() time.Time { return b.now }
+
+// TestReplayedNodesGetOneTimeoutOfGrace is the kill-and-replay story for
+// node liveness, with the kubelets NOT coming back: heartbeats are
+// volatile, so the restarted daemon knows nothing about when a replayed
+// node was last alive — and must not trust the journaled pre-crash stamp,
+// which is arbitrarily old. Every replayed node counts as alive as of
+// boot: Ready for one NodeTimeout, then NotReady, and only then are the
+// jobs stranded on it requeued.
+func TestReplayedNodesGetOneTimeoutOfGrace(t *testing.T) {
+	dir := t.TempDir()
+	clk := &bootClock{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)}
+	c := state.New()
+	c.Clock = clk
+	m := mustOpen(t, c, dir)
+	if _, err := c.AddNode(testBackend(t, "dev-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SubmitJob(job("stranded", "alice")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BindJob("stranded", "dev-a", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	walBefore := m.Stats().WALRecords
+	c.Heartbeat("dev-a", clk.now.Add(time.Second))
+	if got := m.Stats().WALRecords; got != walBefore {
+		t.Fatalf("a heartbeat appended %d WAL records", got-walBefore)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The daemon stays down for an hour; the kubelets never return.
+	clk.now = clk.now.Add(time.Hour)
+	boot := clk.now
+	c2 := state.New()
+	c2.Clock = clk
+	m2 := mustOpen(t, c2, dir)
+	defer m2.Close()
+	if last, ok := c2.LastHeartbeat("dev-a"); !ok || !last.Equal(boot) {
+		t.Fatalf("replayed node liveness = %v %v, want seeded at boot %v", last, ok, boot)
+	}
+	ctl := controller.New(c2)
+	ctl.Clock = clk
+	ctl.NodeTimeout = 2 * time.Second
+	ctl.StuckTimeout = time.Millisecond
+
+	phaseOf := func() (api.NodePhase, api.JobPhase) {
+		n, _, err := c2.Nodes.Get("dev-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := c2.Jobs.Get("stranded")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.Status.Phase, j.Status.Phase
+	}
+	walAtBoot := m2.Stats().WALRecords
+	ctl.ReconcileOnce()
+	clk.now = boot.Add(ctl.NodeTimeout)
+	ctl.ReconcileOnce()
+	if node, jobPhase := phaseOf(); node != api.NodeReady || jobPhase != api.JobScheduled {
+		t.Fatalf("inside the grace period: node %s, job %s", node, jobPhase)
+	}
+	if got := m2.Stats().WALRecords; got != walAtBoot {
+		t.Fatalf("reconciling a quiet fleet appended %d WAL records", got-walAtBoot)
+	}
+
+	clk.now = boot.Add(ctl.NodeTimeout + time.Second)
+	ctl.ReconcileOnce()
+	if node, jobPhase := phaseOf(); node != api.NodeNotReady || jobPhase != api.JobPending {
+		t.Fatalf("after the grace period: node %s, job %s", node, jobPhase)
+	}
+	if n, _, _ := c2.Nodes.Get("dev-a"); len(n.Status.RunningJobs) != 0 {
+		t.Fatalf("requeued job still holds its slot: %v", n.Status.RunningJobs)
 	}
 }

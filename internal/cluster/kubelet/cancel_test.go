@@ -24,7 +24,6 @@ func TestCancelRunningJobAbortsAndFreesSlot(t *testing.T) {
 		close(aborted)
 		return nil, nil, ctx.Err()
 	}
-	k.Interval = time.Millisecond
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	done := make(chan struct{})

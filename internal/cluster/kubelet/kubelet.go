@@ -1,10 +1,11 @@
 // Package kubelet implements QRIO's node agent: each worker node runs one,
-// watching the cluster state for jobs bound to it, pulling the job's image
-// bundle from the registry, transpiling the bundled circuit to the node's
-// local backend file and executing it (§3.1/§3.3), then publishing the
-// result logs and releasing the node's container slot. Nodes whose spec
-// grants more than one container slot execute that many bound jobs
-// concurrently; the paper's default of one slot keeps execution serial.
+// woken by the cluster state whenever a job bound to its node changes,
+// pulling the job's image bundle from the registry, transpiling the
+// bundled circuit to the node's local backend file and executing it
+// (§3.1/§3.3), then publishing the result logs and releasing the node's
+// container slot. Nodes whose spec grants more than one container slot
+// execute that many bound jobs concurrently; the paper's default of one
+// slot keeps execution serial.
 package kubelet
 
 import (
@@ -38,9 +39,13 @@ type Kubelet struct {
 	NodeName string
 	State    *state.Cluster
 	Registry *registry.Registry
-	// Interval is the reconcile cadence (default 10ms).
+	// Interval is the heal cadence (default 1s): a level-triggered
+	// reconcile that runs even when no wake token arrived. The agent does
+	// not depend on it — the node's wake channel (state.NodeWake) carries
+	// every bind, cancel request and freed slot.
 	Interval time.Duration
-	// Heartbeat cadence for node liveness (default 250ms).
+	// Heartbeat cadence for node liveness (default 250ms). Heartbeats go to
+	// the state layer's volatile liveness table, not through the store.
 	Heartbeat time.Duration
 	// Seed makes executions reproducible per node.
 	Seed int64
@@ -68,7 +73,7 @@ func New(nodeName string, st *state.Cluster, reg *registry.Registry, seed int64)
 		NodeName:  nodeName,
 		State:     st,
 		Registry:  reg,
-		Interval:  10 * time.Millisecond,
+		Interval:  time.Second,
 		Heartbeat: 250 * time.Millisecond,
 		Seed:      seed,
 		Clock:     clock.Real{},
@@ -80,57 +85,54 @@ func New(nodeName string, st *state.Cluster, reg *registry.Registry, seed int64)
 func (k *Kubelet) now() time.Time { return clock.Now(k.Clock) }
 
 // Run reconciles until the context is cancelled, then waits for in-flight
-// containers to finish so no execution outlives the agent.
+// containers to finish so no execution outlives the agent. It sleeps
+// until its own node has work: the wake channel fires for job events that
+// name this node and for containers exiting here, nothing else.
 func (k *Kubelet) Run(ctx context.Context) {
 	interval := k.Interval
 	if interval <= 0 {
-		interval = 10 * time.Millisecond
+		interval = time.Second
 	}
 	hb := k.Heartbeat
 	if hb <= 0 {
 		hb = 250 * time.Millisecond
 	}
-	tick := time.NewTicker(interval)
+	heal := time.NewTicker(interval)
 	beat := time.NewTicker(hb)
 	defer k.jobs.Wait()
-	defer tick.Stop()
+	defer heal.Stop()
 	defer beat.Stop()
-	events, cancel := k.State.Jobs.Watch(128)
-	defer cancel()
+	wake := k.State.NodeWake(k.NodeName)
+	// Jobs bound before the channel existed (boot, WAL replay) left no token.
+	k.reconcile()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-beat.C:
-			k.heartbeat()
-		case <-events:
-			k.reapCancelled()
-			k.launch()
-		case <-tick.C:
-			k.reapCancelled()
-			k.launch()
+			k.State.Heartbeat(k.NodeName, k.now())
+		case <-wake:
+			k.reconcile()
+		case <-heal.C:
+			k.reconcile()
 		}
 	}
 }
 
-func (k *Kubelet) heartbeat() {
-	k.State.Nodes.Update(k.NodeName, func(n api.Node) (api.Node, error) {
-		n.Status.LastHeartbeat = k.now()
-		if n.Status.Phase == api.NodeNotReady {
-			n.Status.Phase = api.NodeReady
-		}
-		return n, nil
-	})
+// reconcile is one level-triggered pass: abort what the user cancelled,
+// start what is bound and fits.
+func (k *Kubelet) reconcile() {
+	k.reapCancelled()
+	k.launch()
 }
 
 // slots reads the node's container capacity from its spec (1 when the
-// node is unknown, matching the paper's serial execution).
+// node is unknown, matching the paper's serial execution) without copying
+// the node — its backend file alone is ~10 KB.
 func (k *Kubelet) slots() int {
-	n, _, err := k.State.Nodes.Get(k.NodeName)
-	if err != nil {
-		return 1
-	}
-	return n.ContainerSlots()
+	slots := 1
+	k.State.Nodes.Peek(k.NodeName, func(n api.Node, _ int64) { slots = n.ContainerSlots() })
+	return slots
 }
 
 // launch starts a container goroutine for every bound job this node has a
@@ -138,9 +140,7 @@ func (k *Kubelet) slots() int {
 // names (oldest bindings first, for determinism).
 func (k *Kubelet) launch() []string {
 	// The cluster's scheduled-by-node index answers "what is bound to me?"
-	// in O(jobs on this node), already sorted oldest-first — the previous
-	// implementation walked (and lock-touched) every job in the cluster on
-	// every launch tick.
+	// in O(jobs on this node), already sorted oldest-first.
 	runnable := k.State.ScheduledJobs(k.NodeName)
 	slots := k.slots()
 	var started []string
@@ -168,6 +168,9 @@ func (k *Kubelet) launch() []string {
 				delete(k.inflight, name)
 				k.mu.Unlock()
 				cancel()
+				// Only now is the slot free for launch: the job's terminal
+				// event (and its wake token) came before.
+				k.State.WakeNode(k.NodeName)
 			}()
 			k.runJob(ctx, name)
 		}()
@@ -176,8 +179,7 @@ func (k *Kubelet) launch() []string {
 }
 
 // reapCancelled aborts the containers of in-flight jobs whose user asked
-// for cancellation. Called from the watch/tick loop, so a dropped watch
-// event only delays the abort by one reconcile interval.
+// for cancellation.
 func (k *Kubelet) reapCancelled() {
 	k.mu.Lock()
 	names := make([]string, 0, len(k.inflight))
@@ -186,8 +188,11 @@ func (k *Kubelet) reapCancelled() {
 	}
 	k.mu.Unlock()
 	for _, name := range names {
-		j, _, err := k.State.Jobs.Get(name)
-		if err != nil || j.Status.Phase != api.JobRunning || !j.Status.CancelRequested {
+		abort := false
+		k.State.Jobs.Peek(name, func(j api.QuantumJob, _ int64) {
+			abort = j.Status.Phase == api.JobRunning && j.Status.CancelRequested
+		})
+		if !abort {
 			continue
 		}
 		k.mu.Lock()

@@ -11,7 +11,8 @@ import (
 // RefreshNode re-registers a backend over a node replayed from durable
 // state: spec and labels follow the current configuration (flags are
 // authoritative for hardware description), the node returns to Ready with
-// a fresh heartbeat, while its identity (UID, CreatedAt) and any surviving
+// a fresh heartbeat (the stamp refreshes the liveness table through the
+// node hook), while its identity (UID, CreatedAt) and any surviving
 // slot reservations are preserved. MaxContainers is reset so the caller's
 // slot policy reapplies cleanly.
 func (c *Cluster) RefreshNode(b *device.Backend) (api.Node, error) {

@@ -142,3 +142,71 @@ func TestScheduledJobsAllocs(t *testing.T) {
 		t.Fatalf("ScheduledJobs allocations = %.0f, want O(node jobs)", allocs)
 	}
 }
+
+// TestNodeWakeFiresOnlyForItsOwnNode: a node's wake channel gets a token
+// for job events that name that node — bind, cancel request on a Running
+// job, unbind — and for nothing else; tokens coalesce rather than queue.
+func TestNodeWakeFiresOnlyForItsOwnNode(t *testing.T) {
+	c := New()
+	c.AddNode(testBackend(t, "dev-a"))
+	c.AddNode(testBackend(t, "dev-b"))
+	wakeA, wakeB := c.NodeWake("dev-a"), c.NodeWake("dev-b")
+	woken := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	expect := func(step string, a, b bool) {
+		t.Helper()
+		if gotA, gotB := woken(wakeA), woken(wakeB); gotA != a || gotB != b {
+			t.Fatalf("%s: woke dev-a=%v dev-b=%v, want %v %v", step, gotA, gotB, a, b)
+		}
+	}
+
+	for _, name := range []string{"j1", "j2"} {
+		if err := c.SubmitJob(fidelityJob(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("submit", false, false)
+
+	if err := c.BindJob("j1", "dev-a", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	expect("bind to dev-a", true, false)
+
+	// Claim, then a cancel request: the owning kubelet must hear about it.
+	c.Jobs.Update("j1", func(j api.QuantumJob) (api.QuantumJob, error) {
+		j.Status.Phase = api.JobRunning
+		return j, nil
+	})
+	woken(wakeA)
+	if _, err := c.CancelJob("j1"); err != nil {
+		t.Fatal(err)
+	}
+	expect("cancel request on a Running job", true, false)
+
+	// Cancelling a Scheduled job clears its node: the node it just left
+	// is the one to wake.
+	if err := c.BindJob("j2", "dev-b", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	expect("bind to dev-b", false, true)
+	if _, err := c.CancelJob("j2"); err != nil {
+		t.Fatal(err)
+	}
+	expect("unbind from dev-b", false, true)
+
+	// Level-triggered: any number of pokes leave one token.
+	c.WakeNode("dev-a")
+	c.WakeNode("dev-a")
+	if !woken(wakeA) || woken(wakeA) {
+		t.Fatal("wake tokens queued instead of coalescing")
+	}
+	if c.NodeWake("dev-a") != wakeA {
+		t.Fatal("NodeWake minted a second channel for the same node")
+	}
+}

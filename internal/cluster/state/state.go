@@ -2,14 +2,19 @@
 // cluster's control-plane state (the API server's backing storage) and the
 // constructors that turn vendor backends into labelled cluster nodes.
 //
-// On top of the raw stores the Cluster maintains two incremental indexes,
-// fed synchronously by store mutation hooks so they can never drift from
-// the stored objects:
+// On top of the raw stores the Cluster maintains incremental indexes, fed
+// synchronously by store mutation hooks so they can never drift from the
+// stored objects — among them:
 //
 //   - a FIFO-ordered pending-job index, so the scheduler's hot path costs
-//     O(pending work) instead of O(every job ever submitted), and
+//     O(pending work) instead of O(every job ever submitted),
 //   - an About-keyed event index with a per-object ring-buffer cap, so
-//     EventsAbout no longer scans (and copies) the whole event log.
+//     EventsAbout no longer scans (and copies) the whole event log, and
+//   - a scheduled-by-node index that also wakes each node's kubelet for
+//     exactly the job events that concern it.
+//
+// Node liveness (liveness.go) is deliberately NOT stored: heartbeats land
+// in a volatile table and only Ready↔NotReady transitions are journaled.
 package state
 
 import (
@@ -89,6 +94,7 @@ type Cluster struct {
 	eventIdx   eventIndex
 	terminal   terminalIndex
 	scheduled  scheduledIndex
+	liveness   nodeLiveness
 	tenantConf tenantConfIndex
 	hub        hubRegistry
 
@@ -121,6 +127,8 @@ func New() *Cluster {
 	c.terminal.member = make(map[string]terminalEntry)
 	c.scheduled.byNode = make(map[string]map[string]api.QuantumJob)
 	c.scheduled.node = make(map[string]string)
+	c.scheduled.wake = make(map[string]chan struct{})
+	c.liveness.last = make(map[string]time.Time)
 	c.tenantConf.m = make(map[string]api.TenantConfig)
 	c.hub.streams = make(map[int]chan Notification)
 	// The hooks run under the mutated shard's lock: they may only touch the
@@ -129,6 +137,7 @@ func New() *Cluster {
 	c.Jobs.OnEvent(c.usage.onJobEvent)
 	c.Jobs.OnEvent(c.terminal.onJobEvent)
 	c.Jobs.OnEvent(c.scheduled.onJobEvent)
+	c.Nodes.OnEvent(c.onNodeEvent)
 	c.Events.OnEvent(c.eventIdx.onEventEvent)
 	c.TenantConfigs.OnEvent(c.tenantConf.onTenantEvent)
 	return c

@@ -228,6 +228,22 @@ func (s *Store[T]) Get(name string) (T, int64, error) {
 	return s.deepCopy(obj), sh.versions[name], nil
 }
 
+// Peek passes the named object and its resource version to fn without
+// copying, under the shard read lock, and reports whether the object
+// exists — the cheap path for reading one field of a large object. Like
+// Range's callback, fn must not mutate or retain the object and must not
+// call back into the store.
+func (s *Store[T]) Peek(name string, fn func(obj T, version int64)) bool {
+	sh := s.shardFor(name)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	obj, ok := sh.items[name]
+	if ok {
+		fn(obj, sh.versions[name])
+	}
+	return ok
+}
+
 // List returns copies of all objects (order unspecified, never nil — an
 // empty store lists as an empty JSON array, not null).
 func (s *Store[T]) List() []T {

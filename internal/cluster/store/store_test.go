@@ -353,6 +353,25 @@ func TestRangeCopiesNothing(t *testing.T) {
 	}
 }
 
+// TestPeekCopiesNothing: Peek hands fn the stored object and its version
+// without a deep copy, and reports a missing key without calling fn.
+func TestPeekCopiesNothing(t *testing.T) {
+	var copies atomic.Int64
+	s := countingStore(&copies)
+	v, _ := s.Create(obj{Name: "a", Value: 7})
+	copies.Store(0)
+	called := false
+	if !s.Peek("a", func(o obj, version int64) { called = o.Value == 7 && version == v }) || !called {
+		t.Fatal("Peek did not show the stored object at its version")
+	}
+	if s.Peek("zzz", func(obj, int64) { t.Fatal("fn called for a missing key") }) {
+		t.Fatal("Peek reported a missing key as present")
+	}
+	if copies.Load() != 0 {
+		t.Fatalf("Peek made %d copies, want 0", copies.Load())
+	}
+}
+
 // TestOnEventHookSeesEveryMutation: hooks observe create/update/delete in
 // per-key order with monotone versions — the contract the state-layer
 // indexes are built on.

@@ -438,9 +438,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, s.Core.State.EventsAbout(name))
 }
 
+// handleListNodes and handleGetNode answer with the LIVE last heartbeat
+// (state.LiveNode): the stored objects carry it only as of registration
+// or the last Ready↔NotReady transition.
 func (s *Server) handleListNodes(w http.ResponseWriter, r *http.Request) {
 	nodes := s.Core.State.Nodes.List()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+	for i := range nodes {
+		nodes[i] = s.Core.State.LiveNode(nodes[i])
+	}
 	httpx.WriteJSON(w, http.StatusOK, nodes)
 }
 
@@ -470,7 +476,7 @@ func (s *Server) handleGetNode(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteErr(w, err, http.StatusNotFound, httpx.CodeNotFound)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, n)
+	httpx.WriteJSON(w, http.StatusOK, s.Core.State.LiveNode(n))
 }
 
 func (s *Server) handleDeleteNode(w http.ResponseWriter, r *http.Request) {

@@ -452,6 +452,19 @@ func TestGatewayNodesAndScores(t *testing.T) {
 	if err != nil || len(nodes) != 2 {
 		t.Fatalf("nodes = %v, %v", nodes, err)
 	}
+	// Heartbeats never reach the stored node, yet both node routes answer
+	// with the live one.
+	beat := time.Now().Add(time.Hour).Truncate(time.Second)
+	q.State.Heartbeat("good", beat)
+	if stored, _, _ := q.State.Nodes.Get("good"); !stored.Status.LastHeartbeat.Before(beat) {
+		t.Fatal("heartbeat was written to the stored node")
+	}
+	nodes, _ = c.Nodes(ctx)
+	one, err := c.Node(ctx, "good")
+	if err != nil || !one.Status.LastHeartbeat.Equal(beat) || !nodes[1].Status.LastHeartbeat.Equal(beat) {
+		t.Fatalf("GET /v1/nodes lastHeartbeat = %v / %v (%v), want live %v",
+			nodes[1].Status.LastHeartbeat, one.Status.LastHeartbeat, err, beat)
+	}
 	extra, err := device.UniformBackend("extra", graph.Ring(12), 0.04, 0.005, 0.01, 500e3, 500e3)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,9 @@ const (
 	// this often, so a stale view self-heals within one resync interval.
 	defaultFleetResync = time.Second
 	// fleetWatchBuffer sizes the node watch channel. Node churn between two
-	// scheduler passes (binds, releases, heartbeats) is orders of magnitude
-	// below this on the paper's 100-device fleet; overflow just falls back
-	// to the resync path.
+	// scheduler passes (binds, releases, readiness transitions) is orders
+	// of magnitude below this on the paper's 100-device fleet; overflow
+	// just falls back to the resync path.
 	fleetWatchBuffer = 1024
 )
 
