@@ -9,10 +9,13 @@ GO ?= go
 # $(BENCH_FAST_TIME) iterations per measurement so a single cold op can't
 # dominate (at 1x, StoreContention/create measures one ~20µs op — pure
 # start-up noise); SubmitThroughput drives whole orchestrator bursts and
-# stays at 1x. The committed baseline MUST be produced with the same
+# stays at 1x, and so do the scoring engines' two records — ColdSweep (one
+# never-seen fingerprint over the 100-device fleet, ~0.4 s an op) and
+# StabilizerNoisyShots (one device's 2045 canary shots, ~3 ms an op) —
+# which guard per layer what BENCHMARK.json's cold-sweep guards end to end. The committed baseline MUST be produced with the same
 # settings (make bench-json does) so medians compare apples-to-apples.
 GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot
-GUARDED_SLOW := BenchmarkSubmitThroughput
+GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots
 # The gateway's rate-limiter fast path is guarded from its own package
 # (the limiter is internal); benchcompare keys on benchmark name, so its
 # results concatenate into the same JSON stream.

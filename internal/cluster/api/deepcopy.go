@@ -21,11 +21,13 @@ func copyTime(t *time.Time) *time.Time {
 	return &c
 }
 
-// DeepCopy returns an independent copy of the node.
+// DeepCopy returns an independent copy of the node. Spec.BackendJSON is
+// shared, not copied: it is immutable by contract (see NodeSpec), and at
+// ~10 KB it was most of what every bind, release, list and journal slot
+// copied.
 func (n Node) DeepCopy() Node {
 	out := n
 	out.ObjectMeta = copyMeta(n.ObjectMeta)
-	out.Spec.BackendJSON = append([]byte(nil), n.Spec.BackendJSON...)
 	out.Status.RunningJobs = append([]string(nil), n.Status.RunningJobs...)
 	return out
 }

@@ -43,7 +43,10 @@ type Node struct {
 
 // NodeSpec is the vendor-declared part of a node.
 type NodeSpec struct {
-	// BackendJSON is the serialized device.Backend for this node.
+	// BackendJSON is the serialized device.Backend for this node. The
+	// bytes are immutable: a calibration refresh replaces the slice
+	// wholesale (AddNode, RefreshNode, recovery) and nothing ever writes
+	// into it, which is what lets DeepCopy share it between copies.
 	BackendJSON []byte `json:"backendJSON"`
 	// CPUMillis and MemoryMB are the node's classical capacity.
 	CPUMillis int64 `json:"cpuMillis"`

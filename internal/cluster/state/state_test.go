@@ -1,8 +1,10 @@
 package state
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -770,5 +772,44 @@ func TestBindJobAtExactlyOneWinner(t *testing.T) {
 	}
 	if reserved != 1 {
 		t.Fatalf("%d nodes hold reservations, want 1", reserved)
+	}
+}
+
+// TestNodeCopySurvivesRefresh: api.Node.DeepCopy shares Spec.BackendJSON
+// instead of copying it, which is only sound because a calibration refresh
+// replaces the bytes wholesale: a copy taken before RefreshNode must still
+// decode to the old calibration afterwards.
+func TestNodeCopySurvivesRefresh(t *testing.T) {
+	c := New()
+	if _, err := c.AddNode(testBackend(t, "dev")); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := c.Nodes.Get("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := c.Nodes.List()[0]
+	recal, err := device.UniformBackend("dev", graph.Line(5), 0.4, 0.01, 0.05, 500e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RefreshNode(recal); err != nil {
+		t.Fatal(err)
+	}
+	for what, n := range map[string]api.Node{"Get": before, "List": listed, "DeepCopy": before.DeepCopy()} {
+		var b device.Backend
+		if err := json.Unmarshal(n.Spec.BackendJSON, &b); err != nil {
+			t.Fatalf("%s copy no longer decodes: %v", what, err)
+		}
+		if got := b.AvgTwoQubitErr(); math.Abs(got-0.1) > 1e-12 {
+			t.Fatalf("%s copy taken before the refresh decodes to two-qubit error %v, want the old 0.1", what, got)
+		}
+	}
+	after, err := c.Backend("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.AvgTwoQubitErr(); math.Abs(got-0.4) > 1e-12 {
+		t.Fatalf("refreshed node decodes to %v, want 0.4", got)
 	}
 }

@@ -2,7 +2,6 @@ package fidelity
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"qrio/internal/device"
@@ -74,21 +73,13 @@ func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, e
 			return nil, err
 		}
 		ex.Counts = counts
-		total := 0
-		s := 0.0
-		for _, n := range counts {
-			total += n
+		ideal, err := stabilizer.NewIdeal(compact)
+		if err != nil {
+			return nil, err
 		}
-		for bits, n := range counts {
-			p, err := stabilizer.OutcomeProbability(compact, bits)
-			if err != nil {
-				return nil, err
-			}
-			if p > 0 {
-				s += math.Sqrt(p * float64(n) / float64(total))
-			}
+		if ex.Fidelity, err = hellingerExact(counts, ideal.Probability); err != nil {
+			return nil, err
 		}
-		ex.Fidelity = s * s
 	default:
 		return nil, fmt.Errorf(
 			"fidelity: circuit touches %d qubits after routing — too wide for dense simulation and not Clifford",

@@ -21,8 +21,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"qrio/internal/device"
 	"qrio/internal/mapomatic"
@@ -38,12 +41,20 @@ import (
 // distributions given as probability maps over bitstrings.
 func Hellinger(p, q map[string]float64) float64 {
 	s := 0.0
-	for k, pv := range p {
-		if qv, ok := q[k]; ok && pv > 0 && qv > 0 {
+	for _, k := range sortedKeys(p) {
+		if pv, qv := p[k], q[k]; pv > 0 && qv > 0 {
 			s += math.Sqrt(pv * qv)
 		}
 	}
 	return s * s
+}
+
+// sortedKeys returns m's keys in ascending order. Every float sum over a
+// distribution in this package runs over sorted keys: float addition is
+// not associative, so summing in map-iteration order made the last bits of
+// a fidelity differ from run to run.
+func sortedKeys[V any](m map[string]V) []string {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // HellingerCounts compares an exact distribution with an empirical
@@ -57,9 +68,9 @@ func HellingerCounts(ideal map[string]float64, counts map[string]int) float64 {
 		return 0
 	}
 	s := 0.0
-	for k, n := range counts {
-		if p, ok := ideal[k]; ok && p > 0 {
-			s += math.Sqrt(p * float64(n) / float64(total))
+	for _, k := range sortedKeys(counts) {
+		if p := ideal[k]; p > 0 {
+			s += math.Sqrt(p * float64(counts[k]) / float64(total))
 		}
 	}
 	return s * s
@@ -187,36 +198,109 @@ func compactModel(b *device.Backend, active []int) *noise.Model {
 	return m
 }
 
+// Canaries is the device-independent half of a canary estimate, prepared
+// once per circuit and shared — concurrently — by the estimates for every
+// device: the selected Clifford ensemble, and per member a memo of the exact
+// ideal outcome probabilities looked up so far. What remains per (circuit,
+// device) is transpiling each member to the device and running its noisy
+// shots; see CanaryFidelityOn.
+type Canaries struct {
+	members []*canaryMember
+}
+
+// canaryMember is one ensemble member. The ideal distribution over
+// classical bits is device-independent (and exact: stabilizer states have
+// dyadic outcome probabilities), so it is evaluated on the logical member
+// and remembered across devices, which mostly observe the same outcomes.
+type canaryMember struct {
+	circuit *circuit.Circuit
+	ideal   *stabilizer.Ideal
+
+	mu   sync.Mutex
+	memo map[string]float64 // ideal.Probability by outcome
+}
+
+// maxIdealMemo caps one member's memo: a wide circuit on noisy devices can
+// observe a new outcome on nearly every shot. Past the cap probabilities
+// are computed and not kept.
+const maxIdealMemo = 4096
+
+// idealProb returns the exact probability that the member's noiseless run
+// produces bits.
+func (m *canaryMember) idealProb(bits string) (float64, error) {
+	m.mu.Lock()
+	p, ok := m.memo[bits]
+	m.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := m.ideal.Probability(bits)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	if len(m.memo) < maxIdealMemo {
+		m.memo[bits] = p
+	}
+	m.mu.Unlock()
+	return p, nil
+}
+
+// PrepareCanaries builds the canary ensemble for c. The ensemble is built
+// from the *logical* circuit, so every device is scored against the same
+// reference canaries; each member is transpiled to the device under test
+// later (cliffordizing after transpilation would hand every device a
+// structurally different canary and make cross-device fidelities
+// incomparable).
+func (e Estimator) PrepareCanaries(c *circuit.Circuit) (*Canaries, error) {
+	measured := ensureMeasured(c).Decompose()
+	cs := &Canaries{}
+	for _, member := range selectCanaries(measured, e.canarySize()) {
+		ideal, err := stabilizer.NewIdeal(member)
+		if err != nil {
+			return nil, err
+		}
+		cs.members = append(cs.members, &canaryMember{circuit: member, ideal: ideal, memo: make(map[string]float64)})
+	}
+	return cs, nil
+}
+
 // CanaryFidelity estimates the fidelity circuit c would achieve on backend
 // b using the Clifford canary method, averaging over a randomised-rounding
 // canary ensemble (clifford.Ensemble). It is computable for any device
-// size — the whole point of the strategy (§3.4.1).
-//
-// The ensemble is built from the *logical* circuit, so every device is
-// scored against the same reference canaries; each member is then
-// transpiled to the device under test (cliffordizing after transpilation
-// would hand every device a structurally different canary and make
-// cross-device fidelities incomparable).
+// size — the whole point of the strategy (§3.4.1). Callers scoring one
+// circuit on many devices should PrepareCanaries once and call
+// CanaryFidelityOn per device; the result is the same.
 func (e Estimator) CanaryFidelity(c *circuit.Circuit, b *device.Backend) (float64, error) {
+	cs, err := e.PrepareCanaries(c)
+	if err != nil {
+		return 0, err
+	}
+	return e.CanaryFidelityOn(cs, b)
+}
+
+// CanaryFidelityOn is the per-(circuit, device) half of CanaryFidelity:
+// each prepared member is transpiled to b, run under b's noise model and
+// compared against its exact ideal distribution; the member fidelities are
+// averaged.
+func (e Estimator) CanaryFidelityOn(cs *Canaries, b *device.Backend) (float64, error) {
 	if e.Shots <= 0 {
 		return 0, fmt.Errorf("fidelity: estimator needs positive Shots")
 	}
-	measured := ensureMeasured(c).Decompose()
-	members := selectCanaries(measured, e.canarySize())
-	shots := e.Shots / len(members)
+	shots := e.Shots / len(cs.members)
 	if shots < 128 {
 		shots = 128 // member estimates need enough shots to separate the
 		// best devices, whose fidelities differ by a few percent
 	}
 	sum := 0.0
-	for k, canary := range members {
-		f, err := e.canaryMemberFidelity(canary, b, e.Seed+int64(k)*7919, shots)
+	for k, member := range cs.members {
+		f, err := e.canaryMemberFidelity(member, b, e.Seed+int64(k)*7919, shots)
 		if err != nil {
 			return 0, err
 		}
 		sum += f
 	}
-	return sum / float64(len(members)), nil
+	return sum / float64(len(cs.members)), nil
 }
 
 // selectCanaries picks the canary ensemble for a (decomposed, measured)
@@ -297,12 +381,9 @@ func circuitSeed(c *circuit.Circuit) int64 {
 
 // canaryMemberFidelity transpiles one canary variant to the device, runs it
 // under the device noise model, and compares against the member's exact
-// ideal outcome probabilities (stabilizer states have dyadic outcome
-// probabilities, so the ideal side is exact, not sampled). The ideal
-// distribution over classical bits is device-independent, so it is
-// evaluated on the logical member.
-func (e Estimator) canaryMemberFidelity(canary *circuit.Circuit, b *device.Backend, seed int64, shots int) (float64, error) {
-	tr, err := transpile.Transpile(canary, b, e.Transpile)
+// ideal outcome probabilities.
+func (e Estimator) canaryMemberFidelity(member *canaryMember, b *device.Backend, seed int64, shots int) (float64, error) {
+	tr, err := transpile.Transpile(member.circuit, b, e.Transpile)
 	if err != nil {
 		return 0, err
 	}
@@ -315,18 +396,25 @@ func (e Estimator) canaryMemberFidelity(canary *circuit.Circuit, b *device.Backe
 	if err != nil {
 		return 0, err
 	}
+	return hellingerExact(noisy, member.idealProb)
+}
+
+// hellingerExact is HellingerCounts against an ideal distribution given as
+// a function evaluated only on the observed outcomes — the form that works
+// when the register is too wide to enumerate.
+func hellingerExact(counts map[string]int, ideal func(bits string) (float64, error)) (float64, error) {
 	total := 0
-	for _, n := range noisy {
+	for _, n := range counts {
 		total += n
 	}
 	s := 0.0
-	for bits, n := range noisy {
-		p, err := stabilizer.OutcomeProbability(canary, bits)
+	for _, bits := range sortedKeys(counts) {
+		p, err := ideal(bits)
 		if err != nil {
 			return 0, err
 		}
 		if p > 0 {
-			s += math.Sqrt(p * float64(n) / float64(total))
+			s += math.Sqrt(p * float64(counts[bits]) / float64(total))
 		}
 	}
 	return s * s, nil

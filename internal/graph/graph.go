@@ -8,14 +8,19 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 )
 
-// Graph is a simple undirected graph over vertices 0..n-1.
+// Graph is a simple undirected graph over vertices 0..n-1. Reading methods
+// are safe for concurrent use once construction (AddEdge) is over.
 type Graph struct {
 	n    int
 	adj  [][]int
 	seen map[[2]int]bool
+	// dist caches DistanceMatrix; AddEdge drops it.
+	dist atomic.Pointer[DistanceMatrix]
 }
 
 // New returns an empty graph with n vertices.
@@ -54,6 +59,7 @@ func (g *Graph) AddEdge(a, b int) error {
 	g.seen[key] = true
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
+	g.dist.Store(nil)
 	return nil
 }
 
@@ -107,7 +113,7 @@ func (g *Graph) Edges() [][2]int {
 // Copy returns a deep copy.
 func (g *Graph) Copy() *Graph {
 	c := New(g.n)
-	for e := range g.seen {
+	for _, e := range g.Edges() {
 		c.MustAddEdge(e[0], e[1])
 	}
 	return c
@@ -151,13 +157,51 @@ func (g *Graph) Distances(src int) []int {
 	return dist
 }
 
-// AllPairsDistances returns the full BFS distance matrix.
-func (g *Graph) AllPairsDistances() [][]int {
-	out := make([][]int, g.n)
-	for v := 0; v < g.n; v++ {
-		out[v] = g.Distances(v)
+// DistanceMatrix is a graph's all-pairs BFS hop counts, held flat in 16-bit
+// cells: a fleet's coupling maps live as long as the process, in more than
+// one registry, and an [][]int matrix per 100-qubit device is 80 KB.
+type DistanceMatrix struct {
+	n int
+	d []int16
+}
+
+// At returns the hop count from a to b; -1 marks unreachable.
+func (m *DistanceMatrix) At(a, b int) int { return int(m.d[a*m.n+b]) }
+
+// DistanceMatrix returns the all-pairs distance matrix, computed on first
+// use and kept until the next AddEdge (routing asks for it once per
+// transpiled circuit). It fails for graphs whose distances could overflow
+// a cell.
+func (g *Graph) DistanceMatrix() (*DistanceMatrix, error) {
+	if m := g.dist.Load(); m != nil {
+		return m, nil
 	}
-	return out
+	if g.n > math.MaxInt16 {
+		return nil, fmt.Errorf("graph: distance matrix supports at most %d vertices, have %d", math.MaxInt16, g.n)
+	}
+	m := &DistanceMatrix{n: g.n, d: make([]int16, g.n*g.n)}
+	for i := range m.d {
+		m.d[i] = -1
+	}
+	queue := make([]int, 0, g.n)
+	for src := 0; src < g.n; src++ {
+		row := m.d[src*g.n : (src+1)*g.n]
+		row[src] = 0
+		queue = append(queue[:0], src)
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range g.adj[v] {
+				if row[w] < 0 {
+					row[w] = row[v] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	// Concurrent first users may each compute it; they store equal matrices.
+	g.dist.Store(m)
+	return m, nil
 }
 
 // ShortestPath returns one shortest path from a to b inclusive, or nil if

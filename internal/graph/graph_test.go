@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +192,59 @@ func TestDegreeSequence(t *testing.T) {
 	ds := g.DegreeSequence()
 	if ds[0] != 4 || ds[1] != 1 || ds[4] != 1 {
 		t.Fatalf("star degree sequence = %v", ds)
+	}
+}
+
+// TestDistanceMatrix: the cached flat matrix agrees with per-source BFS,
+// is computed once, survives concurrent first use, and is dropped by
+// AddEdge.
+func TestDistanceMatrix(t *testing.T) {
+	g := RandomConnected(40, 0.2, 4, rand.New(rand.NewSource(4)))
+	island := New(g.NumVertices() + 2) // two extra vertices, one unreachable
+	for _, e := range g.Edges() {
+		island.MustAddEdge(e[0], e[1])
+	}
+	island.MustAddEdge(0, 40)
+	g = island
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.DistanceMatrix(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	m, err := g.DistanceMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < g.NumVertices(); src++ {
+		for dst, want := range g.Distances(src) {
+			if got := m.At(src, dst); got != want {
+				t.Fatalf("At(%d,%d) = %d, BFS says %d", src, dst, got, want)
+			}
+		}
+	}
+	if m.At(3, 41) != -1 {
+		t.Fatalf("isolated vertex reachable: %d", m.At(3, 41))
+	}
+	if again, _ := g.DistanceMatrix(); again != m {
+		t.Fatal("matrix recomputed without an edge change")
+	}
+	g.MustAddEdge(0, 40) // a duplicate changes nothing
+	if again, _ := g.DistanceMatrix(); again != m {
+		t.Fatal("duplicate edge dropped the matrix")
+	}
+	g.MustAddEdge(40, 41)
+	fresh, err := g.DistanceMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == m || fresh.At(0, 41) != 2 {
+		t.Fatalf("AddEdge did not invalidate: At(0,41) = %d", fresh.At(0, 41))
 	}
 }

@@ -162,11 +162,7 @@ func BestLayout(c *circuit.Circuit, b *device.Backend, opts Options) (Score, err
 			flat.NumQubits, b.Name, b.NumQubits)
 	}
 
-	ig := graph.New(flat.NumQubits)
-	for e := range flat.InteractionGraph() {
-		ig.MustAddEdge(e.A, e.B)
-	}
-	layouts := graph.EnumerateMonomorphisms(ig, b.Coupling, graph.MonomorphismOptions{
+	layouts := graph.EnumerateMonomorphisms(transpile.InteractionGraph(flat), b.Coupling, graph.MonomorphismOptions{
 		MaxResults: opts.maxLayouts(),
 		MaxVisits:  opts.VF2MaxVisits,
 	})

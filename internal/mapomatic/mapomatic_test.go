@@ -2,6 +2,7 @@ package mapomatic_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"qrio/internal/device"
@@ -196,5 +197,31 @@ func TestOversizedCircuitErrors(t *testing.T) {
 	b := uniform(t, "small", graph.Ring(4), 0.1)
 	if _, err := mapomatic.BestLayout(c, b, mapomatic.Options{}); err == nil {
 		t.Fatal("oversized circuit accepted")
+	}
+}
+
+// TestBestLayoutIsDeterministic: with MaxLayouts capping the enumeration,
+// which embeddings are scored depends on VF2's visiting order, and that on
+// the pattern's adjacency order — built sorted (transpile.InteractionGraph),
+// so fifty searches return one layout and one cost.
+func TestBestLayoutIsDeterministic(t *testing.T) {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fleet[3] // sim-q15-p045: a 5-ring embeds there in several ways
+	c := mapomatic.TopologyCircuit(graph.Ring(5))
+	var first mapomatic.Score
+	for i := 0; i < 50; i++ {
+		s, err := mapomatic.BestLayout(c, b, mapomatic.Options{MaxLayouts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = s
+		}
+		if !reflect.DeepEqual(s, first) {
+			t.Fatalf("search %d found %+v, the first found %+v", i, s, first)
+		}
 	}
 }

@@ -83,27 +83,64 @@ type Options struct {
 // without bound.
 const DefaultCacheMaxEntries = 65536
 
-// cacheKey identifies one memoised scoring-engine result: which backend,
-// which calibration generation of it, and the engine-input fingerprint
-// (circuit source + engine options).
-type cacheKey struct {
-	backend     string
-	gen         uint64
+// cacheRow is the score cache's unit of residency and recency: every
+// memoised result of one engine-input fingerprint (circuit source + engine
+// options), one slot per backend. A fleet sweep touches one row, not one
+// map entry and one list element per device.
+type cacheRow struct {
+	fingerprint string
+	elem        *list.Element // position in Server.lru
+	slots       []slot        // indexed by backend.slot
+	live        int           // slots holding an entry
+}
+
+// slot memoises one (fingerprint, backend) result for the calibration
+// generation it was computed against; gen 0 is empty (generations start at
+// 1). While the first scorer computes, call is set and later scorers for
+// the same generation wait on it instead of re-simulating.
+type slot struct {
+	gen  uint64
+	call *call
+	val  float64
+	err  error
+}
+
+// call is one in-flight computation.
+type call struct {
+	done chan struct{}
+	val  float64
+	err  error
+}
+
+// backend is a registered device: its current calibration, how many times
+// it has been registered, and its position in every row's slot array.
+type backend struct {
+	dev  *device.Backend
+	gen  uint64
+	slot int
+}
+
+// job is stored metadata plus the engine-input fingerprint of its circuit
+// (or topology), digested once at upload rather than on every score.
+type job struct {
+	meta        JobMeta
 	fingerprint string
 }
 
-// cacheEntry is a singleflight slot: the first scorer to claim the key
-// computes under the sync.Once; concurrent scorers for the same key block
-// on it and share the result instead of re-simulating.
-type cacheEntry struct {
-	once sync.Once
-	val  float64
-	err  error
-	// elem is the entry's recency-list position (guarded by Server.mu).
-	// An evicted entry keeps working for scorers already holding it — it
-	// just stops being findable.
-	elem *list.Element
+// prepared is a singleflight slot of the prepared table: the canary
+// ensemble of one fingerprint, built by the first scorer that needs it.
+type prepared struct {
+	fingerprint string
+	once        sync.Once
+	canaries    *fidelity.Canaries
+	err         error
 }
+
+// maxPrepared bounds the prepared table. A prepared ensemble is only
+// useful while its fingerprint's sweep is in flight (afterwards the scores
+// themselves are cached), so it needs to cover the fingerprints being
+// swept concurrently, not the working set.
+const maxPrepared = 8
 
 // Server is the Meta Server's core. It is safe for concurrent use and is
 // exposed over REST by Handler (see http.go).
@@ -111,17 +148,21 @@ type Server struct {
 	opts Options
 
 	mu       sync.RWMutex
-	backends map[string]*device.Backend
-	jobs     map[string]JobMeta
-	// generations counts calibration uploads per backend; re-registering a
-	// backend bumps it, invalidating every cached score for that device.
-	generations map[string]uint64
-	// cache memoises the expensive scoring engines (canary simulation,
-	// subgraph layout search) per (backend, generation, fingerprint),
-	// bounded by Options.CacheMaxEntries with LRU eviction; lru orders
-	// keys most-recently-used first.
-	cache map[cacheKey]*cacheEntry
-	lru   list.List // of cacheKey
+	backends map[string]*backend
+	jobs     map[string]job
+	// rows memoises the expensive scoring engines (canary simulation,
+	// subgraph layout search) per fingerprint and, inside a row, per
+	// backend and calibration generation. Options.CacheMaxEntries bounds
+	// the resident (fingerprint, backend) pairs — entries — by evicting
+	// whole least-recently-used rows; lru orders rows most recent first.
+	rows    map[string]*cacheRow
+	lru     list.List // of *cacheRow
+	entries int
+
+	// preparedMu guards the prepared table: the device-independent half of
+	// the canary estimate, most recently used first, at most maxPrepared.
+	preparedMu sync.Mutex
+	prepared   []*prepared
 
 	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations atomic.Uint64
 }
@@ -138,42 +179,50 @@ func NewServer(opts Options) *Server {
 		opts.OverTargetPenalty = 0.25
 	}
 	return &Server{
-		opts:        opts,
-		backends:    make(map[string]*device.Backend),
-		jobs:        make(map[string]JobMeta),
-		generations: make(map[string]uint64),
-		cache:       make(map[cacheKey]*cacheEntry),
+		opts:     opts,
+		backends: make(map[string]*backend),
+		jobs:     make(map[string]job),
+		rows:     make(map[string]*cacheRow),
 	}
 }
 
 // RegisterBackend stores (a copy of the pointer to) a vendor backend file.
 // Re-registering a known backend models a calibration refresh: the
-// backend's generation advances and its cached scores are dropped.
+// backend's generation advances and its cached scores are dropped — one
+// slot in each row, so the cost is O(rows), not O(entries).
 func (s *Server) RegisterBackend(b *device.Backend) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("meta: rejecting backend: %w", err)
 	}
 	s.mu.Lock()
-	s.backends[b.Name] = b
-	s.generations[b.Name]++
-	for k, e := range s.cache {
-		if k.backend == b.Name {
-			s.removeLocked(k, e)
+	defer s.mu.Unlock()
+	reg, known := s.backends[b.Name]
+	if !known {
+		s.backends[b.Name] = &backend{dev: b, gen: 1, slot: len(s.backends)}
+		return nil
+	}
+	reg.dev = b
+	reg.gen++
+	for _, row := range s.rows {
+		if reg.slot < len(row.slots) && row.slots[reg.slot].gen != 0 {
+			// A scorer still computing this slot keeps its call; finding
+			// the slot no longer its own, it will not publish the result.
+			row.slots[reg.slot] = slot{}
 			s.cacheInvalidations.Add(1)
+			s.dropEntriesLocked(row, 1)
 		}
 	}
-	s.mu.Unlock()
 	return nil
 }
 
-// removeLocked drops one cache entry and its recency-list position.
-// Calibration invalidations land here too; only LRU-cap evictions bump
-// the evictions counter (the caller does that).
-func (s *Server) removeLocked(k cacheKey, e *cacheEntry) {
-	delete(s.cache, k)
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
+// dropEntriesLocked accounts for n entries leaving row and removes the row
+// once it is empty.
+func (s *Server) dropEntriesLocked(row *cacheRow, n int) {
+	row.live -= n
+	s.entries -= n
+	if row.live == 0 {
+		delete(s.rows, row.fingerprint)
+		s.lru.Remove(row.elem)
 	}
 }
 
@@ -182,15 +231,18 @@ func (s *Server) removeLocked(k cacheKey, e *cacheEntry) {
 func (s *Server) Generation(backendName string) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.generations[backendName]
+	if reg, ok := s.backends[backendName]; ok {
+		return reg.gen
+	}
+	return 0
 }
 
 // CacheStats is the score cache's lifetime counters plus its current
-// size: Hits/Misses from lookups, Evictions from the LRU cap,
-// Invalidations from calibration refreshes (a re-registered backend
-// dropping its entries — deliberately not counted as evictions: they
-// measure calibration churn, not cache pressure), Entries resident
-// right now.
+// size, all in (fingerprint, backend) pairs: Hits/Misses from lookups,
+// Evictions from the LRU cap, Invalidations from calibration refreshes (a
+// re-registered backend dropping its entries — deliberately not counted as
+// evictions: they measure calibration churn, not cache pressure), Entries
+// resident right now.
 type CacheStats struct {
 	Hits, Misses, Evictions, Invalidations uint64
 	Entries                                int
@@ -199,7 +251,7 @@ type CacheStats struct {
 // CacheStats returns the score cache's counters.
 func (s *Server) CacheStats() CacheStats {
 	s.mu.RLock()
-	entries := len(s.cache)
+	entries := s.entries
 	s.mu.RUnlock()
 	return CacheStats{
 		Hits:          s.cacheHits.Load(),
@@ -222,68 +274,145 @@ func (s *Server) cacheCap() int {
 	}
 }
 
-// cached memoises compute under (backendName, gen, fingerprint), where
-// gen is the calibration generation the caller read together with the
-// backend. Concurrent callers for the same key compute once. A hit
-// refreshes the entry's recency; a miss that pushes the cache past the
-// LRU cap evicts the coldest entry.
-func (s *Server) cached(backendName string, gen uint64, fingerprint string, compute func() (float64, error)) (float64, error) {
+// cached memoises compute under (fingerprint, reg), where reg is the
+// backend registration — device, slot and calibration generation — the
+// caller read in one critical section and will compute against: keying
+// with exactly that generation is what keeps a concurrent re-registration
+// from caching a stale score under the fresh one. Concurrent callers for
+// the same key compute once. A lookup refreshes its row's recency; a miss
+// that pushes the cache past the LRU cap evicts the coldest rows (the row
+// just touched always stays whole).
+func (s *Server) cached(fingerprint string, reg backend, compute func() (float64, error)) (float64, error) {
 	if s.opts.DisableScoreCache {
 		return compute()
 	}
 	s.mu.Lock()
-	key := cacheKey{backend: backendName, gen: gen, fingerprint: fingerprint}
-	e, hit := s.cache[key]
-	if !hit {
-		e = &cacheEntry{}
-		s.cache[key] = e
-		e.elem = s.lru.PushFront(key)
-		if max := s.cacheCap(); max > 0 {
-			for len(s.cache) > max {
-				oldest := s.lru.Back()
-				k := oldest.Value.(cacheKey)
-				s.removeLocked(k, s.cache[k])
-				s.cacheEvictions.Add(1)
-			}
+	row := s.rows[fingerprint]
+	if row == nil {
+		row = &cacheRow{fingerprint: fingerprint}
+		row.elem = s.lru.PushFront(row)
+		s.rows[fingerprint] = row
+	} else {
+		s.lru.MoveToFront(row.elem)
+	}
+	if reg.slot >= len(row.slots) {
+		// Sized for the fleet as it is now; backends registered later
+		// grow the rows they are scored in.
+		row.slots = append(row.slots, make([]slot, len(s.backends)-len(row.slots))...)
+	}
+	sl := &row.slots[reg.slot]
+	switch {
+	case sl.gen == reg.gen && sl.call == nil:
+		val, err := sl.val, sl.err
+		s.mu.Unlock()
+		s.cacheHits.Add(1)
+		return val, err
+	case sl.gen == reg.gen:
+		c := sl.call
+		s.mu.Unlock()
+		s.cacheHits.Add(1)
+		<-c.done
+		return c.val, c.err
+	case sl.gen > reg.gen:
+		// The backend recalibrated between the caller's read and now, and
+		// a fresher scorer owns the slot: answer for the calibration the
+		// caller saw without displacing the newer entry.
+		s.mu.Unlock()
+		s.cacheMisses.Add(1)
+		return compute()
+	}
+	c := &call{done: make(chan struct{})}
+	if sl.gen == 0 {
+		row.live++
+		s.entries++
+	} else {
+		// Left by a scorer that had read the previous calibration just
+		// before RegisterBackend swept the slot: replace it.
+		s.cacheInvalidations.Add(1)
+	}
+	*sl = slot{gen: reg.gen, call: c}
+	if max := s.cacheCap(); max > 0 {
+		for s.entries > max && s.lru.Back() != row.elem {
+			coldest := s.lru.Back().Value.(*cacheRow)
+			s.cacheEvictions.Add(uint64(coldest.live))
+			s.dropEntriesLocked(coldest, coldest.live)
 		}
-	} else if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
 	}
 	s.mu.Unlock()
-	if hit {
-		s.cacheHits.Add(1)
-	} else {
-		s.cacheMisses.Add(1)
+	s.cacheMisses.Add(1)
+
+	// Pre-set the error: if compute panics, waiters and later callers
+	// would otherwise read the zero value — score 0, the best possible
+	// result. This way they get an error instead.
+	c.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", reg.dev.Name)
+	defer func() {
+		s.mu.Lock()
+		// Publish only into the slot this call still owns: the row may
+		// have been evicted or the backend recalibrated meanwhile, and a
+		// score computed against generation g must never be served at g+1.
+		if s.rows[fingerprint] == row && row.slots[reg.slot].call == c {
+			row.slots[reg.slot] = slot{gen: reg.gen, val: c.val, err: c.err}
+		}
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = compute()
+	return c.val, c.err
+}
+
+// canaries returns the prepared canary ensemble of one fingerprint,
+// building it (parse, decompose, select the ensemble) on first use. The
+// table is a convenience, not a contract: an entry evicted while a late
+// scorer still needs it is simply rebuilt, to the same ensemble.
+func (s *Server) canaries(fingerprint, circuitQASM string) (*fidelity.Canaries, error) {
+	s.preparedMu.Lock()
+	var p *prepared
+	for i, have := range s.prepared {
+		if have.fingerprint == fingerprint {
+			p = have
+			copy(s.prepared[1:i+1], s.prepared[:i])
+			break
+		}
 	}
-	e.once.Do(func() {
-		// Pre-set the error: if compute panics, the Once is spent and
-		// later callers would otherwise read the zero value — score 0,
-		// the best possible result. This way they get an error instead.
-		e.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", backendName)
-		e.val, e.err = compute()
+	if p == nil {
+		p = &prepared{fingerprint: fingerprint}
+		if len(s.prepared) < maxPrepared {
+			s.prepared = append(s.prepared, nil)
+		}
+		copy(s.prepared[1:], s.prepared)
+	}
+	s.prepared[0] = p
+	s.preparedMu.Unlock()
+	p.once.Do(func() {
+		// Pre-set, as in cached: a panic spends the Once, and scorers
+		// arriving later must find an error, not a nil ensemble.
+		p.err = fmt.Errorf("meta: preparing canaries panicked")
+		c, err := qasm.Parse(circuitQASM)
+		if err != nil {
+			p.err = err
+			return
+		}
+		p.canaries, p.err = s.opts.Estimator.PrepareCanaries(c)
 	})
-	return e.val, e.err
+	return p.canaries, p.err
 }
 
 // Backend returns a registered backend.
 func (s *Server) Backend(name string) (*device.Backend, error) {
-	b, _, err := s.backendWithGen(name)
-	return b, err
+	reg, err := s.registration(name)
+	return reg.dev, err
 }
 
-// backendWithGen returns a backend together with its current calibration
-// generation, read atomically: scorers must key the cache with the
-// generation of the exact calibration they computed against, or a
-// concurrent re-registration could cache a stale score under the fresh
-// generation.
-func (s *Server) backendWithGen(name string) (*device.Backend, uint64, error) {
+// registration returns a backend's current registration — device, slot and
+// calibration generation read atomically; see cached.
+func (s *Server) registration(name string) (backend, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b, ok := s.backends[name]
+	reg, ok := s.backends[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("meta: unknown backend %q", name)
+		return backend{}, fmt.Errorf("meta: unknown backend %q", name)
 	}
-	return b, s.generations[name], nil
+	return *reg, nil
 }
 
 // BackendNames lists registered backends.
@@ -297,7 +426,8 @@ func (s *Server) BackendNames() []string {
 	return out
 }
 
-// PutJobMeta stores job metadata (Table 1 upload).
+// PutJobMeta stores job metadata (Table 1 upload) together with the
+// fingerprint its scores are cached under.
 func (s *Server) PutJobMeta(m JobMeta) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -313,58 +443,73 @@ func (s *Server) PutJobMeta(m JobMeta) error {
 			return fmt.Errorf("meta: job %s topology does not parse: %w", m.JobName, err)
 		}
 	}
+	j := job{meta: m}
+	switch m.Strategy {
+	case api.StrategyFidelity:
+		j.fingerprint = s.opts.Estimator.CanaryFingerprint(m.CircuitQASM)
+	case api.StrategyTopology:
+		j.fingerprint = s.opts.Mapomatic.Fingerprint(m.TopologyQASM)
+	}
 	s.mu.Lock()
-	s.jobs[m.JobName] = m
+	s.jobs[m.JobName] = j
 	s.mu.Unlock()
 	return nil
 }
 
 // JobMeta returns stored metadata.
 func (s *Server) JobMeta(jobName string) (JobMeta, error) {
+	j, err := s.job(jobName)
+	return j.meta, err
+}
+
+func (s *Server) job(jobName string) (job, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, ok := s.jobs[jobName]
+	j, ok := s.jobs[jobName]
 	if !ok {
-		return JobMeta{}, fmt.Errorf("meta: no metadata for job %q", jobName)
+		return job{}, fmt.Errorf("meta: no metadata for job %q", jobName)
 	}
-	return m, nil
+	return j, nil
 }
 
 // Score answers a scoring request: the job's strategy decides the engine
 // (§3.4: "checks the database if a fidelity threshold exists for the job").
 // Lower scores are better.
 func (s *Server) Score(jobName, backendName string) (float64, error) {
-	m, err := s.JobMeta(jobName)
+	j, err := s.job(jobName)
 	if err != nil {
 		return 0, err
 	}
-	b, gen, err := s.backendWithGen(backendName)
+	reg, err := s.registration(backendName)
 	if err != nil {
 		return 0, err
 	}
-	switch m.Strategy {
+	switch j.meta.Strategy {
 	case api.StrategyFidelity:
-		return s.fidelityScore(m, b, gen)
+		return s.fidelityScore(j, reg)
 	case api.StrategyTopology:
-		return s.topologyScore(m, b, gen)
+		return s.topologyScore(j, reg)
 	}
-	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", jobName, m.Strategy)
+	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", jobName, j.meta.Strategy)
 }
 
 // fidelityScore implements the Fidelity Ranking strategy: estimate the
 // canary fidelity on the device and measure the miss against the target.
 // The canary simulation — the expensive part — is memoised per (circuit
 // fingerprint, backend, calibration generation), so jobs re-submitting the
-// same circuit pay it once per fleet calibration; the cheap target
+// same circuit pay it once per fleet calibration, and its
+// device-independent half is prepared once per fingerprint (canaries), so
+// a cold fleet sweep pays that once, not once per device. The cheap target
 // comparison stays outside the cache so jobs sharing a circuit but not a
 // target still share the simulation.
-func (s *Server) fidelityScore(m JobMeta, b *device.Backend, gen uint64) (float64, error) {
-	f, err := s.cached(b.Name, gen, s.opts.Estimator.CanaryFingerprint(m.CircuitQASM), func() (float64, error) {
-		c, err := qasm.Parse(m.CircuitQASM)
+func (s *Server) fidelityScore(j job, reg backend) (float64, error) {
+	m := j.meta
+	f, err := s.cached(j.fingerprint, reg, func() (float64, error) {
+		cs, err := s.canaries(j.fingerprint, m.CircuitQASM)
 		if err != nil {
 			return 0, err
 		}
-		return s.opts.Estimator.CanaryFidelity(c, b)
+		return s.opts.Estimator.CanaryFidelityOn(cs, reg.dev)
 	})
 	if err != nil {
 		return 0, err
@@ -378,13 +523,13 @@ func (s *Server) fidelityScore(m JobMeta, b *device.Backend, gen uint64) (float6
 // topologyScore implements the Topology Ranking strategy via Mapomatic,
 // with the subgraph search memoised per (topology fingerprint, backend,
 // calibration generation).
-func (s *Server) topologyScore(m JobMeta, b *device.Backend, gen uint64) (float64, error) {
-	cost, err := s.cached(b.Name, gen, s.opts.Mapomatic.Fingerprint(m.TopologyQASM), func() (float64, error) {
-		tc, err := qasm.Parse(m.TopologyQASM)
+func (s *Server) topologyScore(j job, reg backend) (float64, error) {
+	cost, err := s.cached(j.fingerprint, reg, func() (float64, error) {
+		tc, err := qasm.Parse(j.meta.TopologyQASM)
 		if err != nil {
 			return 0, err
 		}
-		score, err := mapomatic.BestLayout(tc, b, s.opts.Mapomatic)
+		score, err := mapomatic.BestLayout(tc, reg.dev, s.opts.Mapomatic)
 		if err != nil {
 			return 0, err
 		}
@@ -394,7 +539,7 @@ func (s *Server) topologyScore(m JobMeta, b *device.Backend, gen uint64) (float6
 		return 0, err
 	}
 	if math.IsInf(cost, 1) {
-		return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", b.Name, m.JobName)
+		return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", reg.dev.Name, j.meta.JobName)
 	}
 	return cost, nil
 }

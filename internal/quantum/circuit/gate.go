@@ -115,15 +115,18 @@ func (g Gate) Validate() error {
 	if g.Name == GateMeasure && len(g.Clbits) != 1 {
 		return fmt.Errorf("circuit: measure wants 1 clbit, got %d", len(g.Clbits))
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("circuit: gate %q has negative qubit %d", g.Name, q)
 		}
-		if seen[q] {
-			return fmt.Errorf("circuit: gate %q repeats qubit %d", g.Name, q)
+		// Operand lists are one to three qubits long (barriers aside), and
+		// every transpile and every compiled simulation validates every
+		// gate: a scan allocates nothing where a set allocated per gate.
+		for _, earlier := range g.Qubits[:i] {
+			if earlier == q {
+				return fmt.Errorf("circuit: gate %q repeats qubit %d", g.Name, q)
+			}
 		}
-		seen[q] = true
 	}
 	return nil
 }

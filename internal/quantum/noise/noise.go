@@ -17,9 +17,11 @@ import (
 type Pauli byte
 
 const (
-	PauliX Pauli = 'X'
-	PauliY Pauli = 'Y'
-	PauliZ Pauli = 'Z'
+	// PauliNone is "no error drawn" (the identity).
+	PauliNone Pauli = 0
+	PauliX    Pauli = 'X'
+	PauliY    Pauli = 'Y'
+	PauliZ    Pauli = 'Z'
 )
 
 // Error is a Pauli error on one qubit.
@@ -100,7 +102,8 @@ func NormPair(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-func (m *Model) oneQubitProb(q int) float64 {
+// OneQubitProb returns the error probability for a 1-qubit gate on q.
+func (m *Model) OneQubitProb(q int) float64 {
 	if q < len(m.OneQubit) {
 		return m.OneQubit[q]
 	}
@@ -125,54 +128,61 @@ func (m *Model) ReadoutProb(q int) float64 {
 	return 0
 }
 
-var paulis = [3]Pauli{PauliX, PauliY, PauliZ}
+// paulis is indexed by a base-4 digit: 0 is the identity.
+var paulis = [4]Pauli{PauliNone, PauliX, PauliY, PauliZ}
+
+// DrawOneQubit draws the error that follows a one-qubit gate whose
+// depolarizing probability is p: {I: 1-p, X/Y/Z: p/3 each}. It consumes one
+// rng.Float64 and, when an error fires, one rng.Intn(3) — always, even for
+// p = 0. Seeded simulators promise reproducible counts, so that order is a
+// contract: the stabilizer engine looks p up once per gate at compile time
+// and calls this per shot, and must see the stream SampleGateError would.
+func DrawOneQubit(p float64, rng *rand.Rand) Pauli {
+	if rng.Float64() >= p {
+		return PauliNone
+	}
+	return paulis[rng.Intn(3)+1]
+}
+
+// DrawTwoQubit draws the errors on (first, second) qubit after a two-qubit
+// gate with depolarizing probability p: the 15 non-identity two-qubit
+// Paulis equally likely. It consumes one rng.Float64 and, when an error
+// fires, one rng.Intn(15); see DrawOneQubit for why that is a contract.
+func DrawTwoQubit(p float64, rng *rand.Rand) (Pauli, Pauli) {
+	if rng.Float64() >= p {
+		return PauliNone, PauliNone
+	}
+	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
+	return paulis[k%4], paulis[k/4]
+}
 
 // SampleGateError draws the Pauli errors (possibly none) that follow one
-// gate application on the given qubits. One-qubit gates use the depolarizing
-// channel {I: 1-p, X/Y/Z: p/3 each}; two-qubit gates use the 16-element
-// two-qubit depolarizing channel with the 15 non-identity Paulis equally
-// likely. Gates on 3+ qubits are charged one two-qubit error per qubit pair
-// (they should have been decomposed before execution anyway).
+// gate application on the given qubits: DrawOneQubit for one-qubit gates,
+// DrawTwoQubit for two-qubit gates. Gates on 3+ qubits are charged one
+// two-qubit error per qubit pair (they should have been decomposed before
+// execution anyway).
 func (m *Model) SampleGateError(qubits []int, rng *rand.Rand) []Error {
 	if m == nil {
 		return nil
 	}
-	switch len(qubits) {
-	case 0:
-		return nil
-	case 1:
+	var errs []Error
+	add := func(q int, p Pauli) {
+		if p != PauliNone {
+			errs = append(errs, Error{Qubit: q, Pauli: p})
+		}
+	}
+	if len(qubits) == 1 {
 		q := qubits[0]
-		if rng.Float64() >= m.oneQubitProb(q) {
-			return nil
-		}
-		return []Error{{Qubit: q, Pauli: paulis[rng.Intn(3)]}}
-	case 2:
-		return m.sampleTwoQubit(qubits[0], qubits[1], rng)
-	default:
-		var errs []Error
-		for i := 0; i < len(qubits); i++ {
-			for j := i + 1; j < len(qubits); j++ {
-				errs = append(errs, m.sampleTwoQubit(qubits[i], qubits[j], rng)...)
-			}
-		}
+		add(q, DrawOneQubit(m.OneQubitProb(q), rng))
 		return errs
 	}
-}
-
-func (m *Model) sampleTwoQubit(a, b int, rng *rand.Rand) []Error {
-	p := m.TwoQubitProb(a, b)
-	if rng.Float64() >= p {
-		return nil
-	}
-	// Pick one of the 15 non-identity two-qubit Paulis uniformly.
-	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
-	pa, pb := k%4, k/4
-	var errs []Error
-	if pa > 0 {
-		errs = append(errs, Error{Qubit: a, Pauli: paulis[pa-1]})
-	}
-	if pb > 0 {
-		errs = append(errs, Error{Qubit: b, Pauli: paulis[pb-1]})
+	for i := 0; i < len(qubits); i++ {
+		for j := i + 1; j < len(qubits); j++ {
+			a, b := qubits[i], qubits[j]
+			pa, pb := DrawTwoQubit(m.TwoQubitProb(a, b), rng)
+			add(a, pa)
+			add(b, pb)
+		}
 	}
 	return errs
 }

@@ -1,0 +1,233 @@
+package stabilizer_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"qrio/internal/quantum/circuit"
+	"qrio/internal/quantum/noise"
+	"qrio/internal/quantum/stabilizer"
+)
+
+// identityCircuit draws a random Clifford circuit over the whole gate
+// vocabulary the engine lowers: named one- and two-qubit Cliffords,
+// rotations by any number of quarter turns (negative and beyond 2π
+// included), barriers, and — when mid is set — mid-circuit measurements
+// and resets (mid-circuit resets only when the circuit is not measured: a
+// measure would make it one). measured decides whether it ends in explicit
+// measurements (into shuffled clbits) or leaves measure-all to the runner.
+func identityCircuit(rng *rand.Rand, n, gates int, mid, measured bool) *circuit.Circuit {
+	c := circuit.NewWithClbits(n, n)
+	if !measured {
+		c = circuit.New(n)
+	}
+	quarter := func() float64 { return float64(rng.Intn(16)-6) * (math.Pi / 2) }
+	one := []string{circuit.GateID, circuit.GateX, circuit.GateY, circuit.GateZ,
+		circuit.GateH, circuit.GateS, circuit.GateSdg, circuit.GateSX}
+	rot := []string{circuit.GateU1, circuit.GateP, circuit.GateRZ, circuit.GateRX, circuit.GateRY}
+	two := []string{circuit.GateCX, circuit.GateCZ, circuit.GateCY, circuit.GateSwap}
+	for i := 0; i < gates; i++ {
+		q := rng.Intn(n)
+		switch k := rng.Intn(12); {
+		case k < 3:
+			c.MustAppend(circuit.Gate{Name: one[rng.Intn(len(one))], Qubits: []int{q}})
+		case k < 5:
+			c.MustAppend(circuit.Gate{Name: rot[rng.Intn(len(rot))], Qubits: []int{q}, Params: []float64{quarter()}})
+		case k == 5:
+			c.U2(q, quarter(), quarter())
+		case k == 6:
+			c.U3(q, quarter(), quarter(), quarter())
+		case k < 10 && n > 1:
+			p := rng.Intn(n - 1)
+			if p >= q {
+				p++
+			}
+			c.MustAppend(circuit.Gate{Name: two[rng.Intn(len(two))], Qubits: []int{q, p}})
+		case k == 10 && mid:
+			if measured && rng.Intn(2) == 0 {
+				c.Measure(q, rng.Intn(n))
+			} else {
+				c.Reset(q)
+			}
+		case k == 11:
+			c.Barrier(q)
+		default:
+			c.H(q)
+		}
+	}
+	if measured {
+		for q, clbit := range rng.Perm(n) {
+			if rng.Intn(4) > 0 { // leave some clbits unwritten
+				c.Measure(q, clbit)
+			}
+		}
+		if !c.HasMeasurements() {
+			c.Measure(0, 0)
+		}
+	}
+	return c
+}
+
+// identityModel draws a noise model with per-qubit and per-edge rates, some
+// of them exactly zero (a draw is still consumed), some edges left to the
+// default.
+func identityModel(rng *rand.Rand, n int) *noise.Model {
+	m := &noise.Model{NumQubits: n, TwoQubit: map[[2]int]float64{}, TwoQubitDefault: rng.Float64() * 0.5}
+	rate := func(scale float64) float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return rng.Float64() * scale
+	}
+	for q := 0; q < n; q++ {
+		m.OneQubit = append(m.OneQubit, rate(0.2))
+		m.Readout = append(m.Readout, rate(0.3))
+		for p := q + 1; p < n && p < q+4; p++ {
+			if rng.Intn(2) == 0 {
+				m.TwoQubit[noise.NormPair(q, p)] = rate(0.4)
+			}
+		}
+	}
+	return m
+}
+
+// TestEngineIdenticalToOracle is the identity property the faster engine
+// was built under: for seeded random circuits, noiseless and noisy, its
+// Counts equal the old interpreter's exactly (so it consumed the random
+// stream in the same order) and OutcomeProbability agrees on every
+// observed outcome and on random bitstrings.
+func TestEngineIdenticalToOracle(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33, 64, 65, 100, 130}
+	for _, n := range sizes {
+		for variant := 0; variant < 8; variant++ {
+			rng := rand.New(rand.NewSource(int64(1000*n + variant)))
+			mid, measured, noisy := variant&1 != 0, variant&2 != 0, variant&4 != 0
+			gates, shots := 12*n+8, 200
+			if n > 12 { // the oracle is slow on wide registers
+				gates, shots = 3*n, 12
+			}
+			c := identityCircuit(rng, n, gates, mid, measured)
+			var model *noise.Model
+			if noisy {
+				model = identityModel(rng, n)
+			}
+			name := fmt.Sprintf("n=%d/mid=%t/measured=%t/noisy=%t", n, mid, measured, noisy)
+			seed := rng.Int63()
+			want, err := oracleRunner{Model: model, Shots: shots, Seed: seed}.Counts(c)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			got, err := stabilizer.Runner{Model: model, Shots: shots, Seed: seed}.Counts(c)
+			if err != nil {
+				t.Fatalf("%s: engine: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: counts differ\n engine %v\n oracle %v", name, got, want)
+			}
+			outcomes := make([]string, 0, len(want)+4)
+			for bits := range want {
+				outcomes = append(outcomes, bits)
+			}
+			for i := 0; i < 4; i++ {
+				b := make([]byte, len(outcomes[0]))
+				for j := range b {
+					b[j] = '0' + byte(rng.Intn(2))
+				}
+				outcomes = append(outcomes, string(b))
+			}
+			for _, bits := range outcomes {
+				wantP, wantErr := oracleOutcomeProbability(c, bits)
+				gotP, gotErr := stabilizer.OutcomeProbability(c, bits)
+				if (gotErr != nil) != (wantErr != nil) || gotP != wantP {
+					t.Fatalf("%s: P(%s) = %v, %v; oracle %v, %v", name, bits, gotP, gotErr, wantP, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// TestTableauPrimitivesMatchOracle drives the exported Tableau methods
+// (the API the runner no longer goes through gate by gate) against the
+// oracle's, comparing the rendered stabilizer group after every step.
+func TestTableauPrimitivesMatchOracle(t *testing.T) {
+	for _, n := range []int{1, 3, 8, 70} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		got, want := stabilizer.New(n), newOracle(n)
+		coinsGot, coinsWant := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		for step := 0; step < 60*n; step++ {
+			a := rng.Intn(n)
+			b := (a + 1 + rng.Intn(max(n-1, 1))) % n
+			switch k := rng.Intn(12); {
+			case k == 0:
+				got.H(a)
+				want.H(a)
+			case k == 1:
+				got.S(a)
+				want.S(a)
+			case k == 2:
+				got.Sdg(a)
+				want.Sdg(a)
+			case k == 3:
+				got.SX(a)
+				want.SX(a)
+			case k == 4:
+				got.Y(a)
+				want.Y(a)
+			case k == 5 && a != b:
+				got.CZ(a, b)
+				want.CZ(a, b)
+			case k == 6 && a != b:
+				got.Swap(a, b)
+				want.Swap(a, b)
+			case k == 7:
+				if g, w := got.Measure(a, coinsGot), want.Measure(a, coinsWant); g != w {
+					t.Fatalf("n=%d step %d: Measure(%d) = %d, oracle %d", n, step, a, g, w)
+				}
+			case k == 8:
+				out := rng.Intn(2)
+				if g, w := got.ForcedMeasure(a, out), want.ForcedMeasure(a, out); g != w {
+					t.Fatalf("n=%d step %d: ForcedMeasure(%d,%d) = %v, oracle %v", n, step, a, out, g, w)
+				}
+			case k == 9:
+				got.Reset(a, coinsGot)
+				want.Reset(a, coinsWant)
+			case a != b:
+				got.CX(a, b)
+				want.CX(a, b)
+			}
+			if n <= 8 || step%n == 0 {
+				if g, w := got.Copy().String(), want.String(); g != w {
+					t.Fatalf("n=%d step %d: stabilizers differ\n%s\noracle\n%s", n, step, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleGateErrorMatchesOracle: noise.Model.SampleGateError (still the
+// dense simulator's entry point) was rebuilt on the non-allocating draws
+// the compiled engine uses; it must return what its old body — kept in the
+// oracle — returns, from the same stream.
+func TestSampleGateErrorMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := identityModel(rng, 6)
+	got, want := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	for i := 0; i < 5000; i++ {
+		qubits := rng.Perm(6)[:rng.Intn(4)]
+		g, w := m.SampleGateError(qubits, got), oracleSampleGateError(m, qubits, want)
+		if len(g) != len(w) {
+			t.Fatalf("draw %d on %v: %v, oracle %v", i, qubits, g, w)
+		}
+		for k := range g {
+			if g[k] != w[k] {
+				t.Fatalf("draw %d on %v: %v, oracle %v", i, qubits, g, w)
+			}
+		}
+	}
+	if got.Int63() != want.Int63() {
+		t.Fatal("streams diverged")
+	}
+}

@@ -9,57 +9,38 @@ import (
 	"qrio/internal/quantum/noise"
 )
 
-// ApplyGate applies a unitary Clifford gate from the circuit vocabulary.
-// Parameterised gates are accepted when their angles are multiples of π/2.
-// Non-Clifford gates return an error: callers should cliffordize first.
-func (t *Tableau) ApplyGate(g circuit.Gate) error {
-	for _, q := range g.Qubits {
-		if q < 0 || q >= t.n {
-			return fmt.Errorf("stabilizer: qubit %d out of range (n=%d)", q, t.n)
-		}
-	}
-	q := g.Qubits
-	switch g.Name {
-	case circuit.GateID, circuit.GateBarrier:
-		return nil
-	case circuit.GateX:
-		t.X(q[0])
-	case circuit.GateY:
-		t.Y(q[0])
-	case circuit.GateZ:
-		t.Z(q[0])
-	case circuit.GateH:
-		t.H(q[0])
-	case circuit.GateS:
-		t.S(q[0])
-	case circuit.GateSdg:
-		t.Sdg(q[0])
-	case circuit.GateSX:
-		t.SX(q[0])
-	case circuit.GateCX:
-		t.CX(q[0], q[1])
-	case circuit.GateCZ:
-		t.CZ(q[0], q[1])
-	case circuit.GateCY:
-		t.Sdg(q[1])
-		t.CX(q[0], q[1])
-		t.S(q[1])
-	case circuit.GateSwap:
-		t.Swap(q[0], q[1])
-	case circuit.GateU1, circuit.GateP, circuit.GateRZ:
-		return t.applyRZ(q[0], g.Params[0])
-	case circuit.GateRX:
-		return t.applyRX(q[0], g.Params[0])
-	case circuit.GateRY:
-		return t.applyRY(q[0], g.Params[0])
-	case circuit.GateU2:
-		return t.applyU3(q[0], math.Pi/2, g.Params[0], g.Params[1])
-	case circuit.GateU3:
-		return t.applyU3(q[0], g.Params[0], g.Params[1], g.Params[2])
-	default:
-		return fmt.Errorf("%w: %q", errNotClifford, g.Name)
-	}
-	return nil
+// opcode is one primitive step of a compiled circuit.
+type opcode uint8
+
+const (
+	opH opcode = iota
+	opS
+	opX
+	opY
+	opZ
+	opCX      // control a, target b
+	opNoise1  // depolarizing error of strength p after a one-qubit gate on a
+	opNoise2  // depolarizing error of strength p after a two-qubit gate on (a, b)
+	opMeasure // measure qubit a into clbit b; the readout flips with probability p
+	opReset
+)
+
+// op is one compiled step. Everything a shot would otherwise re-derive per
+// gate — the gate name, its angles as quarter turns, the noise model's
+// error probability for these qubits — was resolved when it was built.
+type op struct {
+	code opcode
+	a, b int
+	p    float64
+}
+
+// program is a circuit compiled for the tableau: a flat list of primitive
+// ops over nq qubits writing nbits classical bits.
+type program struct {
+	ops   []op
+	nq    int
+	nbits int
+	noisy bool // a noise model is attached: measurements draw a readout coin
 }
 
 // quarterTurns converts an angle to its multiple of π/2 mod 4, or errors.
@@ -76,69 +57,205 @@ func quarterTurns(a float64) (int, error) {
 	return m, nil
 }
 
-func (t *Tableau) applyRZ(q int, a float64) error {
-	m, err := quarterTurns(a)
-	if err != nil {
-		return err
+// prim is one primitive of a gate's lowering; a and b index the gate's
+// operands.
+type prim struct {
+	code opcode
+	a, b int
+}
+
+// fixedGates lowers the parameter-free Clifford gates.
+var fixedGates = map[string][]prim{
+	circuit.GateID:      nil,
+	circuit.GateBarrier: nil,
+	circuit.GateX:       {{code: opX}},
+	circuit.GateY:       {{code: opY}},
+	circuit.GateZ:       {{code: opZ}},
+	circuit.GateH:       {{code: opH}},
+	circuit.GateS:       {{code: opS}},
+	circuit.GateSdg:     {{code: opZ}, {code: opS}},
+	circuit.GateSX:      {{code: opH}, {code: opS}, {code: opH}},
+	circuit.GateCX:      {{opCX, 0, 1}},
+	circuit.GateCZ:      {{opH, 1, 1}, {opCX, 0, 1}, {opH, 1, 1}},
+	circuit.GateCY:      {{opZ, 1, 1}, {opS, 1, 1}, {opCX, 0, 1}, {opS, 1, 1}},
+	circuit.GateSwap:    {{opCX, 0, 1}, {opCX, 1, 0}, {opCX, 0, 1}},
+}
+
+// Primitive sequences, by quarter turns, of the three axis rotations (up to
+// global phase): rz = (I, S, Z, S†), rx = (I, √X, X, √X†), ry(π/2) ≅ H·Z.
+var (
+	rzTurns = [4][]opcode{nil, {opS}, {opZ}, {opZ, opS}}
+	rxTurns = [4][]opcode{nil, {opH, opS, opH}, {opX}, {opH, opZ, opS, opH}}
+	ryTurns = [4][]opcode{nil, {opZ, opH}, {opY}, {opH, opZ}}
+)
+
+// rotation is one factor of a parameterised gate: a rotation about an axis
+// by the gate's param-th angle (param < 0: a fixed quarter turn).
+type rotation struct {
+	axis  *[4][]opcode
+	param int
+}
+
+// rotationGates lowers the parameterised gates, factors in application
+// order; u3(θ,φ,λ) ≅ rz(φ)·ry(θ)·rz(λ) up to global phase and u2(φ,λ) =
+// u3(π/2,φ,λ).
+var rotationGates = map[string][]rotation{
+	circuit.GateU1: {{&rzTurns, 0}},
+	circuit.GateP:  {{&rzTurns, 0}},
+	circuit.GateRZ: {{&rzTurns, 0}},
+	circuit.GateRX: {{&rxTurns, 0}},
+	circuit.GateRY: {{&ryTurns, 0}},
+	circuit.GateU2: {{&rzTurns, 1}, {&ryTurns, -1}, {&rzTurns, 0}},
+	circuit.GateU3: {{&rzTurns, 2}, {&ryTurns, 0}, {&rzTurns, 1}},
+}
+
+// checkGate rejects a malformed gate or one reaching outside an n-qubit
+// register, so lowering and execution can index without checks.
+func checkGate(g circuit.Gate, n int) error {
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("stabilizer: %w", err)
 	}
-	switch m {
-	case 1:
-		t.S(q)
-	case 2:
-		t.Z(q)
-	case 3:
-		t.Sdg(q)
+	for _, q := range g.Qubits {
+		if q >= n {
+			return fmt.Errorf("stabilizer: qubit %d out of range (n=%d)", q, n)
+		}
 	}
 	return nil
 }
 
-func (t *Tableau) applyRX(q int, a float64) error {
-	m, err := quarterTurns(a)
-	if err != nil {
-		return err
+// appendGate lowers one (checked) unitary gate of the circuit vocabulary
+// to primitive ops. Parameterised gates are accepted when their angles are
+// multiples of π/2; non-Clifford gates return an error: callers should
+// cliffordize first.
+func appendGate(ops []op, g circuit.Gate) ([]op, error) {
+	if seq, ok := fixedGates[g.Name]; ok {
+		for _, p := range seq {
+			ops = append(ops, op{code: p.code, a: g.Qubits[p.a], b: g.Qubits[p.b]})
+		}
+		return ops, nil
 	}
-	switch m {
-	case 1: // rx(π/2) ≅ sqrt(X) = H·S·H up to global phase
-		t.H(q)
-		t.S(q)
-		t.H(q)
-	case 2:
+	factors, ok := rotationGates[g.Name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", errNotClifford, g.Name)
+	}
+	for _, f := range factors {
+		turns := 1
+		if f.param >= 0 {
+			var err error
+			if turns, err = quarterTurns(g.Params[f.param]); err != nil {
+				return nil, err
+			}
+		}
+		for _, code := range f.axis[turns] {
+			ops = append(ops, op{code: code, a: g.Qubits[0]})
+		}
+	}
+	return ops, nil
+}
+
+// apply executes one unitary primitive.
+func (t *Tableau) apply(o op) {
+	switch o.code {
+	case opH:
+		t.H(o.a)
+	case opS:
+		t.S(o.a)
+	case opX:
+		t.X(o.a)
+	case opY:
+		t.Y(o.a)
+	case opZ:
+		t.Z(o.a)
+	case opCX:
+		t.CX(o.a, o.b)
+	}
+}
+
+// pauli applies a drawn Pauli error (PauliNone does nothing).
+func (t *Tableau) pauli(q int, p noise.Pauli) {
+	switch p {
+	case noise.PauliX:
 		t.X(q)
-	case 3:
-		t.H(q)
-		t.Sdg(q)
-		t.H(q)
+	case noise.PauliY:
+		t.Y(q)
+	case noise.PauliZ:
+		t.Z(q)
 	}
-	return nil
 }
 
-func (t *Tableau) applyRY(q int, a float64) error {
-	m, err := quarterTurns(a)
+// ApplyGate applies a unitary Clifford gate from the circuit vocabulary.
+// Parameterised gates are accepted when their angles are multiples of π/2.
+// Non-Clifford gates return an error: callers should cliffordize first.
+func (t *Tableau) ApplyGate(g circuit.Gate) error {
+	if err := checkGate(g, t.n); err != nil {
+		return err
+	}
+	ops, err := appendGate(nil, g)
 	if err != nil {
 		return err
 	}
-	switch m {
-	case 1: // ry(π/2) ≅ H·Z: conjugation Z→X, X→-Z
-		t.Z(q)
-		t.H(q)
-	case 2:
-		t.Y(q)
-	case 3:
-		t.H(q)
-		t.Z(q)
+	for _, o := range ops {
+		t.apply(o)
 	}
 	return nil
 }
 
-// applyU3 uses u3(θ,φ,λ) ≅ rz(φ)·ry(θ)·rz(λ) up to global phase.
-func (t *Tableau) applyU3(q int, theta, phi, lambda float64) error {
-	if err := t.applyRZ(q, lambda); err != nil {
-		return err
+// compile lowers c to a program. With a noise model every gate except id
+// is followed by its error draw and every measurement carries its readout
+// flip probability, all looked up here, once, instead of once per shot.
+// When the circuit has no measurements every qubit is measured at the end
+// in qubit order.
+func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
+	p := &program{nq: c.NumQubits, nbits: c.NumClbits, noisy: model != nil}
+	p.ops = make([]op, 0, 2*len(c.Gates)+c.NumQubits)
+	measure := func(q, clbit int) {
+		o := op{code: opMeasure, a: q, b: clbit}
+		if model != nil {
+			o.p = model.ReadoutProb(q)
+		}
+		p.ops = append(p.ops, o)
 	}
-	if err := t.applyRY(q, theta); err != nil {
-		return err
+	hasMeasure := c.HasMeasurements()
+	if !hasMeasure {
+		p.nbits = c.NumQubits
 	}
-	return t.applyRZ(q, phi)
+	for _, g := range c.Gates {
+		if err := checkGate(g, p.nq); err != nil {
+			return nil, err
+		}
+		switch g.Name {
+		case circuit.GateBarrier:
+			continue
+		case circuit.GateReset:
+			p.ops = append(p.ops, op{code: opReset, a: g.Qubits[0]})
+			continue
+		case circuit.GateMeasure:
+			if clbit := g.Clbits[0]; clbit < 0 || clbit >= p.nbits {
+				return nil, fmt.Errorf("stabilizer: clbit %d out of range (%d clbits)", clbit, p.nbits)
+			}
+			measure(g.Qubits[0], g.Clbits[0])
+			continue
+		}
+		var err error
+		if p.ops, err = appendGate(p.ops, g); err != nil {
+			return nil, err
+		}
+		if model == nil || g.Name == circuit.GateID {
+			continue
+		}
+		switch q := g.Qubits; len(q) {
+		case 1:
+			p.ops = append(p.ops, op{code: opNoise1, a: q[0], p: model.OneQubitProb(q[0])})
+		case 2:
+			p.ops = append(p.ops, op{code: opNoise2, a: q[0], b: q[1], p: model.TwoQubitProb(q[0], q[1])})
+		}
+	}
+	if !hasMeasure {
+		for q := 0; q < c.NumQubits; q++ {
+			measure(q, q)
+		}
+	}
+	return p, nil
 }
 
 // Runner executes Clifford circuits shot-by-shot, optionally under a Pauli
@@ -153,83 +270,72 @@ type Runner struct {
 // has no measurements every qubit is measured at the end in qubit order.
 // Keys use the Qiskit convention: clbit 0 is the rightmost character.
 // Registers beyond 64 bits are supported (the fleet has 100-qubit devices).
+//
+// The circuit is compiled once and all shots run on one tableau, reset in
+// place. Counts are a function of (circuit, model, Shots, Seed) alone: one
+// rand.Rand seeded with Seed is consumed in gate order — per gate its
+// error draw (noise.DrawOneQubit / DrawTwoQubit), per measurement one
+// Intn(2) when the outcome is random and then, with a model, one Float64
+// for the readout flip — and that order never changes.
 func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if r.Shots <= 0 {
 		return nil, fmt.Errorf("stabilizer: Shots must be positive, got %d", r.Shots)
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	counts := make(map[string]int)
-	hasMeasure := c.HasMeasurements()
-	nc := c.NumClbits
-	if !hasMeasure {
-		nc = c.NumQubits
+	prog, err := compile(c, r.Model)
+	if err != nil {
+		return nil, err
 	}
-	key := make([]byte, nc)
+	rng := rand.New(rand.NewSource(r.Seed))
+	t := New(prog.nq)
+	key := make([]byte, prog.nbits)
+	// Tallies sit behind pointers so a repeated outcome is counted without
+	// allocating its key string again.
+	tally := make(map[string]*int)
 	for shot := 0; shot < r.Shots; shot++ {
+		if shot > 0 {
+			t.reset()
+		}
 		for i := range key {
 			key[i] = '0'
 		}
-		if err := r.runShot(c, hasMeasure, rng, key); err != nil {
-			return nil, err
+		prog.runShot(t, rng, key)
+		n := tally[string(key)]
+		if n == nil {
+			n = new(int)
+			tally[string(key)] = n
 		}
-		counts[string(key)]++
+		*n++
+	}
+	counts := make(map[string]int, len(tally))
+	for k, n := range tally {
+		counts[k] = *n
 	}
 	return counts, nil
 }
 
-// runShot executes one trajectory, writing outcome bits into key (bit i at
-// position len(key)-1-i).
-func (r Runner) runShot(c *circuit.Circuit, hasMeasure bool, rng *rand.Rand, key []byte) error {
-	t := New(c.NumQubits)
-	record := func(bit, pos int) {
-		if bit == 1 {
-			key[len(key)-1-pos] = '1'
-		} else {
-			key[len(key)-1-pos] = '0'
-		}
-	}
-	for _, g := range c.Gates {
-		switch g.Name {
-		case circuit.GateBarrier:
-			continue
-		case circuit.GateReset:
-			t.Reset(g.Qubits[0], rng)
-			continue
-		case circuit.GateMeasure:
-			q := g.Qubits[0]
-			bit := t.Measure(q, rng)
-			if r.Model != nil && rng.Float64() < r.Model.ReadoutProb(q) {
+// runShot executes one trajectory on a tableau in |0...0>, writing outcome
+// bits into key (bit i at position len(key)-1-i).
+func (p *program) runShot(t *Tableau, rng *rand.Rand, key []byte) {
+	for _, o := range p.ops {
+		switch o.code {
+		case opNoise1:
+			t.pauli(o.a, noise.DrawOneQubit(o.p, rng))
+		case opNoise2:
+			pa, pb := noise.DrawTwoQubit(o.p, rng)
+			t.pauli(o.a, pa)
+			t.pauli(o.b, pb)
+		case opMeasure:
+			bit := t.Measure(o.a, rng)
+			if p.noisy && rng.Float64() < o.p {
 				bit ^= 1
 			}
-			record(bit, g.Clbits[0])
-			continue
-		}
-		if err := t.ApplyGate(g); err != nil {
-			return err
-		}
-		if r.Model != nil && g.Name != circuit.GateID {
-			for _, e := range r.Model.SampleGateError(g.Qubits, rng) {
-				switch e.Pauli {
-				case noise.PauliX:
-					t.X(e.Qubit)
-				case noise.PauliY:
-					t.Y(e.Qubit)
-				case noise.PauliZ:
-					t.Z(e.Qubit)
-				}
-			}
+			key[len(key)-1-o.b] = '0' + byte(bit)
+		case opReset:
+			t.Reset(o.a, rng)
+		default:
+			t.apply(o)
 		}
 	}
-	if !hasMeasure {
-		for q := 0; q < c.NumQubits; q++ {
-			bit := t.Measure(q, rng)
-			if r.Model != nil && rng.Float64() < r.Model.ReadoutProb(q) {
-				bit ^= 1
-			}
-			record(bit, q)
-		}
-	}
-	return nil
 }
 
 // FormatBits renders a basis index as a Qiskit-style bitstring (bit 0
@@ -262,61 +368,60 @@ func ParseBits(s string) (int, error) {
 	return v, nil
 }
 
-// OutcomeProbability returns the exact probability that a noiseless run of
-// the Clifford circuit produces the given classical bitstring. For circuits
-// without measurements the bitstring covers all qubits. Probabilities of
-// stabilizer states are always of the form 2^-k (or 0), so this is exact.
-func OutcomeProbability(c *circuit.Circuit, bits string) (float64, error) {
-	hasMeasure := c.HasMeasurements()
-	if hasMeasure && len(bits) != c.NumClbits {
-		return 0, fmt.Errorf("stabilizer: bitstring length %d != %d clbits", len(bits), c.NumClbits)
+// Ideal answers exact outcome-probability queries about the noiseless run
+// of one Clifford circuit. The circuit is compiled once; every query
+// replays it on a fresh tableau with the measurement outcomes forced, so an
+// Ideal is safe for concurrent use.
+type Ideal struct {
+	prog *program
+}
+
+// NewIdeal compiles c for outcome queries.
+func NewIdeal(c *circuit.Circuit) (*Ideal, error) {
+	prog, err := compile(c, nil)
+	if err != nil {
+		return nil, err
 	}
-	if !hasMeasure && len(bits) != c.NumQubits {
-		return 0, fmt.Errorf("stabilizer: bitstring length %d != %d qubits", len(bits), c.NumQubits)
+	return &Ideal{prog: prog}, nil
+}
+
+// Probability returns the exact probability that the circuit's noiseless
+// run produces the given classical bitstring (all qubits, in qubit order,
+// for a circuit without measurements). Probabilities of stabilizer states
+// are always of the form 2^-k (or 0), so this is exact. A query that
+// reaches a reset fails: a reset's measurement has no forced value.
+func (id *Ideal) Probability(bits string) (float64, error) {
+	if len(bits) != id.prog.nbits {
+		return 0, fmt.Errorf("stabilizer: bitstring length %d != %d classical bits", len(bits), id.prog.nbits)
 	}
-	bitAt := func(pos int) (int, error) {
-		switch bits[len(bits)-1-pos] {
-		case '0':
-			return 0, nil
-		case '1':
-			return 1, nil
-		}
-		return 0, fmt.Errorf("stabilizer: bad bitstring %q", bits)
-	}
-	t := New(c.NumQubits)
+	t := New(id.prog.nq)
 	prob := 1.0
-	for _, g := range c.Gates {
-		switch g.Name {
-		case circuit.GateBarrier:
-			continue
-		case circuit.GateReset:
+	for _, o := range id.prog.ops {
+		switch o.code {
+		case opReset:
 			return 0, fmt.Errorf("stabilizer: OutcomeProbability does not support reset")
-		case circuit.GateMeasure:
-			want, err := bitAt(g.Clbits[0])
-			if err != nil {
-				return 0, err
+		case opMeasure:
+			want := int(bits[len(bits)-1-o.b]) - '0'
+			if want != 0 && want != 1 {
+				return 0, fmt.Errorf("stabilizer: bad bitstring %q", bits)
 			}
-			prob *= t.ForcedMeasure(g.Qubits[0], want)
+			prob *= t.ForcedMeasure(o.a, want)
 			if prob == 0 {
 				return 0, nil
 			}
-			continue
-		}
-		if err := t.ApplyGate(g); err != nil {
-			return 0, err
-		}
-	}
-	if !hasMeasure {
-		for q := 0; q < c.NumQubits; q++ {
-			want, err := bitAt(q)
-			if err != nil {
-				return 0, err
-			}
-			prob *= t.ForcedMeasure(q, want)
-			if prob == 0 {
-				return 0, nil
-			}
+		default:
+			t.apply(o)
 		}
 	}
 	return prob, nil
+}
+
+// OutcomeProbability is NewIdeal(c).Probability(bits) for callers with a
+// single query.
+func OutcomeProbability(c *circuit.Circuit, bits string) (float64, error) {
+	id, err := NewIdeal(c)
+	if err != nil {
+		return 0, err
+	}
+	return id.Probability(bits)
 }

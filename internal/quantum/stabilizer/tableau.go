@@ -9,18 +9,31 @@ package stabilizer
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"strings"
 )
 
-// Tableau is the stabilizer tableau of an n-qubit state. Rows 0..n-1 are
-// destabilizer generators, rows n..2n-1 stabilizer generators, and row 2n a
-// scratch row used during measurement. Bits are packed into uint64 words.
+// Tableau is the stabilizer tableau of an n-qubit state: n destabilizer
+// and n stabilizer generators (Aaronson & Gottesman, PRA 70, 052328).
+//
+// Storage is column-major: for every qubit q the X bits and the Z bits of
+// all 2n generators are one bitset each, and so are the signs. A gate on q
+// reads and writes only q's columns, so it updates every generator with a
+// handful of word operations instead of a bit-at-a-time loop over rows. A
+// bitset is `stride` words: the first half holds the destabilizers (bit i
+// = generator i), the second half the stabilizers, so "the stabilizer
+// paired with destabilizer i" is the same bit one half further on. Bits
+// past n in either half stay zero under every operation.
 type Tableau struct {
-	n     int
-	words int
-	x     [][]uint64 // X-part bits, (2n+1) rows
-	z     [][]uint64 // Z-part bits
-	r     []uint8    // sign bits (0 = +, 1 = -)
+	n      int
+	half   int      // words per half: ceil(n/64), at least 1
+	stride int      // words per bitset: 2*half
+	x, z   []uint64 // n columns of stride words each
+	r      []uint64 // sign bits (0 = +, 1 = -), stride words
+	// Measurement scratch, stride words each: the rows being multiplied
+	// and the low/high bits of their mod-4 phase counters.
+	rows, lo, hi []uint64
 }
 
 // New returns the tableau of |0...0>: destabilizers X_i, stabilizers Z_i.
@@ -28,24 +41,38 @@ func New(n int) *Tableau {
 	if n < 0 {
 		panic("stabilizer: negative qubit count")
 	}
-	words := (n + 63) / 64
-	if words == 0 {
-		words = 1
+	half := (n + 63) / 64
+	if half == 0 {
+		half = 1
 	}
-	t := &Tableau{n: n, words: words}
-	rows := 2*n + 1
-	t.x = make([][]uint64, rows)
-	t.z = make([][]uint64, rows)
-	t.r = make([]uint8, rows)
-	for i := range t.x {
-		t.x[i] = make([]uint64, words)
-		t.z[i] = make([]uint64, words)
-	}
-	for i := 0; i < n; i++ {
-		setBit(t.x[i], i)   // destabilizer i = X_i
-		setBit(t.z[i+n], i) // stabilizer i = Z_i
-	}
+	stride := 2 * half
+	// One backing array: x, z, then the four stride-sized bitsets.
+	buf := make([]uint64, 2*n*stride+4*stride)
+	t := &Tableau{n: n, half: half, stride: stride}
+	t.x, buf = buf[:n*stride:n*stride], buf[n*stride:]
+	t.z, buf = buf[:n*stride:n*stride], buf[n*stride:]
+	t.r, buf = buf[:stride:stride], buf[stride:]
+	t.rows, buf = buf[:stride:stride], buf[stride:]
+	t.lo, t.hi = buf[:stride:stride], buf[stride:]
+	t.setZeroState()
 	return t
+}
+
+// setZeroState sets the generators of |0...0> on zeroed storage.
+func (t *Tableau) setZeroState() {
+	for q := 0; q < t.n; q++ {
+		w, bit := q>>6, uint64(1)<<uint(q&63)
+		t.x[q*t.stride+w] = bit        // destabilizer q = X_q
+		t.z[q*t.stride+t.half+w] = bit // stabilizer q = Z_q
+	}
+}
+
+// reset returns the tableau to |0...0> in place.
+func (t *Tableau) reset() {
+	clear(t.x)
+	clear(t.z)
+	clear(t.r)
+	t.setZeroState()
 }
 
 // NumQubits returns the register size.
@@ -53,46 +80,35 @@ func (t *Tableau) NumQubits() int { return t.n }
 
 // Copy returns a deep copy of the tableau.
 func (t *Tableau) Copy() *Tableau {
-	c := &Tableau{n: t.n, words: t.words}
-	c.x = make([][]uint64, len(t.x))
-	c.z = make([][]uint64, len(t.z))
-	c.r = append([]uint8(nil), t.r...)
-	for i := range t.x {
-		c.x[i] = append([]uint64(nil), t.x[i]...)
-		c.z[i] = append([]uint64(nil), t.z[i]...)
-	}
+	c := New(t.n)
+	copy(c.x, t.x)
+	copy(c.z, t.z)
+	copy(c.r, t.r)
 	return c
 }
 
-func setBit(w []uint64, i int)   { w[i>>6] |= 1 << uint(i&63) }
-func clearBit(w []uint64, i int) { w[i>>6] &^= 1 << uint(i&63) }
-func getBit(w []uint64, i int) uint8 {
-	return uint8((w[i>>6] >> uint(i&63)) & 1)
-}
-func assignBit(w []uint64, i int, v uint8) {
-	if v != 0 {
-		setBit(w, i)
-	} else {
-		clearBit(w, i)
-	}
+// col returns qubit a's X and Z columns.
+func (t *Tableau) col(a int) (x, z []uint64) {
+	o := a * t.stride
+	return t.x[o : o+t.stride : o+t.stride], t.z[o : o+t.stride : o+t.stride]
 }
 
 // H applies a Hadamard on qubit a.
 func (t *Tableau) H(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		t.r[i] ^= xa & za
-		assignBit(t.x[i], a, za)
-		assignBit(t.z[i], a, xa)
+	x, z := t.col(a)
+	for w, xw := range x {
+		zw := z[w]
+		t.r[w] ^= xw & zw
+		x[w], z[w] = zw, xw
 	}
 }
 
 // S applies the phase gate diag(1, i) on qubit a.
 func (t *Tableau) S(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		t.r[i] ^= xa & za
-		assignBit(t.z[i], a, za^xa)
+	x, z := t.col(a)
+	for w, xw := range x {
+		t.r[w] ^= xw & z[w]
+		z[w] ^= xw
 	}
 }
 
@@ -104,33 +120,36 @@ func (t *Tableau) Sdg(a int) {
 
 // X applies a Pauli X on qubit a.
 func (t *Tableau) X(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.z[i], a)
+	_, z := t.col(a)
+	for w, zw := range z {
+		t.r[w] ^= zw
 	}
 }
 
 // Z applies a Pauli Z on qubit a.
 func (t *Tableau) Z(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.x[i], a)
+	x, _ := t.col(a)
+	for w, xw := range x {
+		t.r[w] ^= xw
 	}
 }
 
 // Y applies a Pauli Y on qubit a.
 func (t *Tableau) Y(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.x[i], a) ^ getBit(t.z[i], a)
+	x, z := t.col(a)
+	for w, xw := range x {
+		t.r[w] ^= xw ^ z[w]
 	}
 }
 
 // CX applies controlled-X with control a and target b.
 func (t *Tableau) CX(a, b int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		xb, zb := getBit(t.x[i], b), getBit(t.z[i], b)
-		t.r[i] ^= xa & zb & (xb ^ za ^ 1)
-		assignBit(t.x[i], b, xb^xa)
-		assignBit(t.z[i], a, za^zb)
+	xa, za := t.col(a)
+	xb, zb := t.col(b)
+	for w := range xa {
+		t.r[w] ^= xa[w] & zb[w] &^ (xb[w] ^ za[w])
+		xb[w] ^= xa[w]
+		za[w] ^= zb[w]
 	}
 }
 
@@ -155,62 +174,30 @@ func (t *Tableau) SX(a int) {
 	t.H(a)
 }
 
-// g is the phase exponent contribution when multiplying single-qubit Pauli
-// (x1,z1) into (x2,z2); see Aaronson & Gottesman, PRA 70, 052328 (2004).
-func g(x1, z1, x2, z2 uint8) int {
-	switch {
-	case x1 == 0 && z1 == 0:
-		return 0
-	case x1 == 1 && z1 == 1:
-		return int(z2) - int(x2)
-	case x1 == 1 && z1 == 0:
-		return int(z2) * (2*int(x2) - 1)
-	default: // x1 == 0 && z1 == 1
-		return int(x2) * (1 - 2*int(z2))
-	}
-}
-
-// rowsum multiplies generator row i into row h, tracking the sign.
-func (t *Tableau) rowsum(h, i int) {
-	phase := 2*int(t.r[h]) + 2*int(t.r[i])
-	for j := 0; j < t.n; j++ {
-		phase += g(getBit(t.x[i], j), getBit(t.z[i], j),
-			getBit(t.x[h], j), getBit(t.z[h], j))
-	}
-	phase = ((phase % 4) + 4) % 4
-	if phase == 0 {
-		t.r[h] = 0
-	} else {
-		t.r[h] = 1 // phase is guaranteed to be 0 or 2 for valid tableaus
-	}
-	for w := 0; w < t.words; w++ {
-		t.x[h][w] ^= t.x[i][w]
-		t.z[h][w] ^= t.z[i][w]
-	}
-}
-
-// anticommutingStabilizer returns the first stabilizer row index p in
-// [n, 2n) whose X part has bit a set, or -1 when the measurement of Z_a is
-// deterministic.
+// anticommutingStabilizer returns the first stabilizer whose X part has
+// bit a set — as its bit position within a bitset, so in the stabilizer
+// half — or -1 when the measurement of Z_a is deterministic.
 func (t *Tableau) anticommutingStabilizer(a int) int {
-	for p := t.n; p < 2*t.n; p++ {
-		if getBit(t.x[p], a) == 1 {
-			return p
+	x, _ := t.col(a)
+	for w := t.half; w < t.stride; w++ {
+		if x[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(x[w])
 		}
 	}
 	return -1
 }
 
 // Measure performs a Z-basis measurement of qubit a, collapsing the state.
-// rng supplies the coin for random outcomes.
+// rng supplies the coin for random outcomes (one rng.Intn(2), drawn only
+// when the outcome is random).
 func (t *Tableau) Measure(a int, rng *rand.Rand) int {
 	p := t.anticommutingStabilizer(a)
 	if p < 0 {
 		return t.deterministicOutcome(a)
 	}
-	out := uint8(rng.Intn(2))
+	out := rng.Intn(2)
 	t.collapse(a, p, out)
-	return int(out)
+	return out
 }
 
 // ForcedMeasure measures qubit a forcing the given outcome. It returns the
@@ -224,47 +211,112 @@ func (t *Tableau) ForcedMeasure(a, outcome int) float64 {
 		}
 		return 0
 	}
-	t.collapse(a, p, uint8(outcome))
+	t.collapse(a, p, outcome)
 	return 0.5
 }
 
-// deterministicOutcome computes the determined measurement value of Z_a
-// using the scratch row.
-func (t *Tableau) deterministicOutcome(a int) int {
-	scratch := 2 * t.n
-	for w := 0; w < t.words; w++ {
-		t.x[scratch][w] = 0
-		t.z[scratch][w] = 0
-	}
-	t.r[scratch] = 0
-	for i := 0; i < t.n; i++ {
-		if getBit(t.x[i], a) == 1 {
-			t.rowsum(scratch, i+t.n)
-		}
-	}
-	return int(t.r[scratch])
+// pauliPhase returns, for every generator at once, where multiplying the
+// single-qubit Pauli (x1,z1) into (x2,z2) contributes +1 and where −1 to
+// the product's phase exponent (Aaronson & Gottesman's g function); all
+// four arguments are one word of a column.
+func pauliPhase(x1, z1, x2, z2 uint64) (plus, minus uint64) {
+	y1, x1only, z1only := x1&z1, x1&^z1, z1&^x1
+	plus = y1&z2&^x2 | x1only&x2&z2 | z1only&x2&^z2
+	minus = y1&x2&^z2 | x1only&z2&^x2 | z1only&x2&z2
+	return plus, minus
 }
 
-// collapse performs the random-outcome measurement update: p is an
-// anticommuting stabilizer row and out the chosen outcome bit.
-func (t *Tableau) collapse(a, p int, out uint8) {
-	for i := 0; i < 2*t.n; i++ {
-		if i != p && getBit(t.x[i], a) == 1 {
-			t.rowsum(i, p)
+// deterministicOutcome computes the determined measurement value of Z_a:
+// the sign of the product, in ascending order, of the stabilizers paired
+// with the destabilizers that have X on a. Column by column, an exclusive
+// prefix-XOR over the selected rows gives the running product each factor
+// is multiplied into, so the whole phase is a few popcounts per column.
+func (t *Tableau) deterministicOutcome(a int) int {
+	xa, _ := t.col(a)
+	sel := xa[:t.half] // destabilizer half selects the paired stabilizers
+	phase := 0
+	for w, s := range sel {
+		phase += 2 * bits.OnesCount64(t.r[t.half+w]&s)
+	}
+	for q := 0; q < t.n; q++ {
+		x, z := t.col(q)
+		var carryX, carryZ uint64 // all-ones when the product so far has the bit
+		for w, s := range sel {
+			x1, z1 := x[t.half+w]&s, z[t.half+w]&s
+			x2, cx := prefixXor(x1, carryX)
+			z2, cz := prefixXor(z1, carryZ)
+			plus, minus := pauliPhase(x1, z1, x2, z2)
+			phase += bits.OnesCount64(plus) - bits.OnesCount64(minus)
+			carryX, carryZ = cx, cz
 		}
 	}
-	// Destabilizer p-n becomes the old stabilizer row p.
-	d := p - t.n
-	copy(t.x[d], t.x[p])
-	copy(t.z[d], t.z[p])
-	t.r[d] = t.r[p]
-	// Stabilizer p becomes ±Z_a with the measured sign.
-	for w := 0; w < t.words; w++ {
-		t.x[p][w] = 0
-		t.z[p][w] = 0
+	// Stabilizers commute, so the phase is 0 or 2 (mod 4).
+	if phase&3 != 0 {
+		return 1
 	}
-	setBit(t.z[p], a)
-	t.r[p] = out
+	return 0
+}
+
+// prefixXor returns the exclusive prefix XOR of v's bits (bit k of the
+// result is the parity of v's bits below k, XOR carry) and the carry into
+// the next word; carries are 0 or all-ones.
+func prefixXor(v, carry uint64) (excl, carryOut uint64) {
+	v ^= v << 1
+	v ^= v << 2
+	v ^= v << 4
+	v ^= v << 8
+	v ^= v << 16
+	v ^= v << 32
+	return v<<1 ^ carry, carry ^ -(v >> 63)
+}
+
+// collapse performs the random-outcome measurement update: p is the bit
+// position of an anticommuting stabilizer and out the chosen outcome bit.
+// Every other generator with X on a is multiplied by row p — all of them
+// at once, their mod-4 phase exponents kept bit-sliced in (lo, hi).
+func (t *Tableau) collapse(a, p, out int) {
+	pw, pbit := p>>6, uint64(1)<<uint(p&63)
+	xa, _ := t.col(a)
+	copy(t.rows, xa)
+	t.rows[pw] &^= pbit
+	clear(t.lo)
+	clear(t.hi)
+	for q := 0; q < t.n; q++ {
+		x, z := t.col(q)
+		// Row p's Pauli on q, broadcast to every row.
+		x1, z1 := -(x[pw] >> uint(p&63) & 1), -(z[pw] >> uint(p&63) & 1)
+		if x1|z1 == 0 {
+			continue
+		}
+		for w, rows := range t.rows {
+			plus, minus := pauliPhase(x1, z1, x[w], z[w])
+			plus, minus = plus&rows, minus&rows
+			t.hi[w] ^= t.lo[w]&plus | minus&^t.lo[w]
+			t.lo[w] ^= plus | minus
+			x[w] ^= x1 & rows
+			z[w] ^= z1 & rows
+		}
+	}
+	// Phase exponent = 2·r_h + 2·r_p + Σg; the new sign is "exponent ≠ 0".
+	rp := -(t.r[pw] >> uint(p&63) & 1)
+	for w, rows := range t.rows {
+		sign := t.lo[w] | (t.hi[w] ^ t.r[w] ^ rp)
+		t.r[w] = t.r[w]&^rows | sign&rows
+	}
+	// Destabilizer p-n becomes the old stabilizer row p, and stabilizer p
+	// becomes ±Z_a with the measured sign.
+	dw := pw - t.half
+	for q := 0; q < t.n; q++ {
+		x, z := t.col(q)
+		x[dw] = x[dw]&^pbit | x[pw]&pbit
+		z[dw] = z[dw]&^pbit | z[pw]&pbit
+		x[pw] &^= pbit
+		z[pw] &^= pbit
+	}
+	t.r[dw] = t.r[dw]&^pbit | t.r[pw]&pbit
+	_, za := t.col(a)
+	za[pw] |= pbit
+	t.r[pw] = t.r[pw]&^pbit | -uint64(out)&pbit
 }
 
 // Reset measures qubit a and flips it to |0> when the outcome was 1.
@@ -276,29 +328,21 @@ func (t *Tableau) Reset(a int, rng *rand.Rand) {
 
 // String renders the stabilizer generators for debugging.
 func (t *Tableau) String() string {
-	out := ""
-	for i := t.n; i < 2*t.n; i++ {
-		if t.r[i] == 1 {
-			out += "-"
+	var out strings.Builder
+	for i := 0; i < t.n; i++ {
+		w, sh := t.half+i>>6, uint(i&63)
+		if t.r[w]>>sh&1 == 1 {
+			out.WriteByte('-')
 		} else {
-			out += "+"
+			out.WriteByte('+')
 		}
-		for j := 0; j < t.n; j++ {
-			x, z := getBit(t.x[i], j), getBit(t.z[i], j)
-			switch {
-			case x == 1 && z == 1:
-				out += "Y"
-			case x == 1:
-				out += "X"
-			case z == 1:
-				out += "Z"
-			default:
-				out += "I"
-			}
+		for q := 0; q < t.n; q++ {
+			x, z := t.col(q)
+			out.WriteByte("IXZY"[x[w]>>sh&1|z[w]>>sh&1<<1])
 		}
-		out += "\n"
+		out.WriteByte('\n')
 	}
-	return out
+	return out.String()
 }
 
 var errNotClifford = fmt.Errorf("stabilizer: gate is not Clifford")

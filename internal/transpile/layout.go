@@ -8,6 +8,20 @@ import (
 	"qrio/internal/quantum/circuit"
 )
 
+// InteractionGraph builds the circuit's two-qubit interaction graph over
+// all its qubits, adding edges in sorted order. Adjacency order decides
+// which VF2 embedding is found first, so every layout search (here and in
+// mapomatic) must build its pattern through this one function: ranging
+// over circuit.InteractionGraph()'s map instead made layouts — and with
+// them canary scores — differ from run to run.
+func InteractionGraph(c *circuit.Circuit) *graph.Graph {
+	ig := graph.New(c.NumQubits)
+	for _, e := range c.InteractionEdges() {
+		ig.MustAddEdge(e.A, e.B)
+	}
+	return ig
+}
+
 // chooseLayout picks the initial logical→physical placement. It first tries
 // a VF2 perfect embedding of the circuit's interaction graph into the
 // coupling map (zero routing); otherwise it falls back to a greedy
@@ -18,27 +32,7 @@ func chooseLayout(c *circuit.Circuit, b *device.Backend, opts Options) ([]int, b
 	n := c.NumQubits
 	layout := make([]int, n)
 	interactions := c.InteractionGraph()
-
-	// Build the interaction graph over all logical qubits.
-	ig := graph.New(n)
-	type wedge struct {
-		a, b int
-		w    int
-	}
-	var wedges []wedge
-	for e, w := range interactions {
-		ig.MustAddEdge(e.A, e.B)
-		wedges = append(wedges, wedge{e.A, e.B, w})
-	}
-	sort.Slice(wedges, func(i, j int) bool {
-		if wedges[i].w != wedges[j].w {
-			return wedges[i].w > wedges[j].w
-		}
-		if wedges[i].a != wedges[j].a {
-			return wedges[i].a < wedges[j].a
-		}
-		return wedges[i].b < wedges[j].b
-	})
+	ig := InteractionGraph(c)
 
 	if !opts.DisableVF2Layout {
 		if m := graph.EnumerateMonomorphisms(ig, b.Coupling, graph.MonomorphismOptions{

@@ -13,7 +13,10 @@ import (
 // discounted look-ahead over upcoming two-qubit gates. With
 // opts.NaiveRouting it instead walks the shortest path (ablation baseline).
 func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (*circuit.Circuit, []int, int, error) {
-	dist := b.Coupling.AllPairsDistances()
+	dist, err := b.Coupling.DistanceMatrix()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("transpile: device %s: %w", b.Name, err)
+	}
 	lookahead := opts.Lookahead
 	if lookahead <= 0 {
 		lookahead = 10
@@ -96,7 +99,7 @@ func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (
 		}
 
 		a, bq := g.Qubits[0], g.Qubits[1]
-		for dist[l2p[a]][l2p[bq]] > 1 {
+		for dist.At(l2p[a], l2p[bq]) > 1 {
 			steps++
 			if steps > maxSteps {
 				return nil, nil, 0, fmt.Errorf("transpile: routing failed to converge (device %s)", b.Name)
@@ -128,13 +131,13 @@ func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (
 					}
 					return x
 				}
-				score := float64(dist[d(l2p[a])][d(l2p[bq])])
+				score := float64(dist.At(d(l2p[a]), d(l2p[bq])))
 				discount := 0.5
 				for k, f := range window {
 					if k == 0 {
 						continue // first window entry is the blocked gate itself
 					}
-					score += discount * float64(dist[d(l2p[f.a])][d(l2p[f.b])]) / float64(len(window))
+					score += discount * float64(dist.At(d(l2p[f.a]), d(l2p[f.b]))) / float64(len(window))
 				}
 				if score < bestScore-1e-12 {
 					bestScore = score
@@ -152,7 +155,7 @@ func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (
 			}
 			// Guarantee progress: if the best swap does not reduce the
 			// blocked gate's distance, step along the shortest path.
-			cur := float64(dist[pa][pb])
+			cur := float64(dist.At(pa, pb))
 			d0 := func(x, p, q int) int {
 				switch x {
 				case p:
@@ -162,7 +165,7 @@ func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (
 				}
 				return x
 			}
-			after := dist[d0(pa, bestEdge[0], bestEdge[1])][d0(pb, bestEdge[0], bestEdge[1])]
+			after := dist.At(d0(pa, bestEdge[0], bestEdge[1]), d0(pb, bestEdge[0], bestEdge[1]))
 			if float64(after) >= cur {
 				path := b.Coupling.ShortestPath(pa, pb)
 				bestEdge = [2]int{path[0], path[1]}

@@ -3,6 +3,7 @@ package transpile_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qrio/internal/device"
@@ -278,5 +279,49 @@ func TestFinalLayoutTracksSwaps(t *testing.T) {
 			t.Fatalf("final layout not injective: %v", res.FinalLayout)
 		}
 		seen[p] = true
+	}
+}
+
+// fleetDevice returns one device of the default fleet by name.
+func fleetDevice(t *testing.T, name string) *device.Backend {
+	t.Helper()
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range fleet {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("no device %q in the default fleet", name)
+	return nil
+}
+
+// TestLayoutIsDeterministic: the interaction graph is built in sorted edge
+// order, so repeated transpiles of one circuit on one backend choose one
+// layout. (It used to be built by ranging over a map; adjacency order —
+// and with it the first VF2 embedding found — changed from call to call.)
+func TestLayoutIsDeterministic(t *testing.T) {
+	// One of the default fleet's devices on which a 5-ring has several
+	// embeddings reachable from different adjacency orders.
+	b := fleetDevice(t, "sim-q15-p045")
+	c := circuit.New(5)
+	for q := 0; q < 5; q++ {
+		c.CX(q, (q+1)%5)
+	}
+	c.MeasureAll()
+	var first []int
+	for i := 0; i < 50; i++ {
+		tr, err := transpile.Transpile(c, b, transpile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = tr.InitialLayout
+		}
+		if !reflect.DeepEqual(tr.InitialLayout, first) {
+			t.Fatalf("transpile %d chose layout %v, the first chose %v", i, tr.InitialLayout, first)
+		}
 	}
 }
