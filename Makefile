@@ -39,7 +39,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -73,6 +73,15 @@ test:
 lint-http:
 	@out="$$(grep -rn '&http\.Client{' --include='*.go' --exclude='*_test.go' internal cmd client | grep -v '^internal/httpx/' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-http: construct HTTP clients via internal/httpx, not ad hoc:"; echo "$$out"; exit 1; fi
+
+# lint-routes enforces the one-front-door rule: HTTP routes are registered
+# only by the gateway (/v1), the dashboard built over it and the daemon mux
+# that mounts the two, so no component can grow a side door that skips the
+# gateway's drain, rate-limit, schedulability and quota gates. Tests and
+# examples/ (which mount the gateway on their own mux) are exempt.
+lint-routes:
+	@out="$$(grep -rnE 'http\.NewServeMux|HandleFunc\(|mux\.Handle\(' --include='*.go' --exclude='*_test.go' internal cmd client | grep -vE '^internal/(gateway|visualizer|daemon)/' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-routes: register HTTP routes in internal/gateway, not beside it:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -209,4 +218,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-http lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-http lint-routes lint-metrics test race sim-smoke

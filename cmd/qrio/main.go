@@ -2,16 +2,16 @@
 // scheduler, kubelets, Meta Server, Master Server and the web Visualizer,
 // over a generated (or user-supplied) device fleet.
 //
-// Endpoints (all on one listener, path-prefixed):
+// Endpoints (one listener, two mounts — every write enters through /v1's
+// gates, the dashboard's forms included):
 //
-//	/                — Visualizer dashboard (submit jobs, view cluster/logs)
-//	/v1/             — unified gateway: jobs (submit/batch/list/cancel),
-//	                   nodes, scores, events, SSE watch, typed health
-//	                   (/v1/health) and Prometheus metrics (/v1/metrics) —
-//	                   what qrioctl and the qrio/client package speak
-//	/apiserver/      — cluster REST API   (nodes, jobs, logs, events)
-//	/meta/           — Meta Server REST   (backends, job metadata, scoring)
-//	/master/         — Master Server REST (job submission, logs)
+//	/v1/             — the gateway: jobs (submit/batch/list/cancel), nodes,
+//	                   scores, events, SSE watch, binds, tenants, admin,
+//	                   typed health (/v1/health) and Prometheus metrics
+//	                   (/v1/metrics) — what qrioctl, qrio-sched and the
+//	                   qrio/client package speak
+//	/                — Visualizer dashboard (submit jobs, view cluster/logs),
+//	                   built over the same gateway
 //
 // Usage:
 //

@@ -192,17 +192,16 @@ func (c *Controller) requeueStrandedJobs(now time.Time) {
 	}
 }
 
+// WillRetry reports whether the next reconcile sends this job back to
+// Pending: it failed and retry budget remains.
+func (c *Controller) WillRetry(j api.QuantumJob) bool {
+	return j.Status.Phase == api.JobFailed && j.Status.Attempts <= max(c.MaxRetries, 0)
+}
+
 // retryFailedJobs sends failed jobs back to Pending while retry budget
 // remains.
 func (c *Controller) retryFailedJobs() {
-	max := c.MaxRetries
-	if max < 0 {
-		max = 0
-	}
-	failed := c.State.Jobs.ListFunc(func(j api.QuantumJob) bool {
-		return j.Status.Phase == api.JobFailed && j.Status.Attempts <= max
-	})
-	for _, j := range failed {
+	for _, j := range c.State.Jobs.ListFunc(c.WillRetry) {
 		jobName := j.Name
 		attempts := j.Status.Attempts
 		c.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
@@ -214,7 +213,7 @@ func (c *Controller) retryFailedJobs() {
 			return j, nil
 		})
 		c.State.RecordEvent("Job", jobName, "Retrying",
-			fmt.Sprintf("attempt %d of %d", attempts+1, max+1))
+			fmt.Sprintf("attempt %d of %d", attempts+1, max(c.MaxRetries, 0)+1))
 	}
 }
 

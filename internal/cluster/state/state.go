@@ -812,7 +812,10 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 			return n, refuse("at container capacity (%d/%d)", len(n.Status.RunningJobs), slots)
 		}
 		if n.Status.HasRunningJob(jobName) {
-			return n, refuse("already holds job %s", jobName)
+			// Another binder reserved this node for this very job and is
+			// between its reservation and its phase flip: the job is
+			// moving, which is a conflict on the job, not a full node.
+			return n, ConflictError{Job: jobName, Observed: version, Current: cur}
 		}
 		if free := n.Spec.CPUMillis - n.Status.CPUMillisInUse; job.Spec.Resources.CPUMillis > free {
 			return n, refuse("has %dm CPU free, job %s needs %dm", free, jobName, job.Spec.Resources.CPUMillis)

@@ -15,7 +15,8 @@ import (
 
 // TestAddBackendAtRuntime registers a new vendor device on a live
 // orchestrator (the vendor-dashboard path) and verifies jobs can land on
-// it immediately.
+// it immediately — and that removing the device and registering it again
+// leaves the node with the one kubelet it already had.
 func TestAddBackendAtRuntime(t *testing.T) {
 	seedDev, err := device.UniformBackend("seed", graph.Line(4), 0.5, 0.1, 0.1, 100e3, 100e3)
 	if err != nil {
@@ -57,6 +58,32 @@ func TestAddBackendAtRuntime(t *testing.T) {
 	}
 	if job.Status.Node != "fresh" {
 		t.Fatalf("scheduled on %s, want the runtime-added clean device", job.Status.Node)
+	}
+
+	// DELETE /v1/nodes/fresh, then POST /v1/nodes with the same backend.
+	if err := q.State.Nodes.Delete("fresh"); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AddBackend(fresh); err != nil {
+		t.Fatal(err)
+	}
+	agents := make(map[string]int)
+	for _, k := range q.Kubelets {
+		agents[k.NodeName]++
+	}
+	if agents["fresh"] != 1 || agents["seed"] != 1 || len(q.Kubelets) != 2 {
+		t.Fatalf("kubelets per node after delete and re-add = %v, want one each", agents)
+	}
+	job, _, err = q.SubmitAndWait(master.SubmitRequest{
+		JobName: "on-fresh-again", QASM: src, Shots: 64,
+		Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
+	}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status.Phase != api.JobSucceeded || job.Status.Node != "fresh" || job.Status.Attempts != 1 {
+		t.Fatalf("job on the re-added node: %s on %s after %d attempt(s) (%s)",
+			job.Status.Phase, job.Status.Node, job.Status.Attempts, job.Status.Message)
 	}
 }
 

@@ -281,23 +281,64 @@ func New(cfg Config) (*QRIO, error) {
 		q.Metrics = cfg.Metrics
 		registerMetrics(q, cfg.Metrics)
 	}
+	if dur != nil {
+		q.rederive()
+	}
 	return q, nil
+}
+
+// rederive re-runs Submit's two in-memory steps — the Meta upload and the
+// containerisation — from the stored spec of every replayed job that can
+// still be scheduled or run. Scoring metadata and images are not durable
+// state; without this a restarted daemon ranks its backlog with the
+// degraded heuristic and fails each job at image pull. A job whose spec no
+// longer rebuilds keeps its place in the queue and gets an event saying why
+// it is about to fail.
+func (q *QRIO) rederive() {
+	jobs := q.State.Jobs.ListFunc(func(j api.QuantumJob) bool {
+		return !j.Status.Phase.Terminal() || q.Controller.WillRetry(j)
+	})
+	for _, j := range jobs {
+		err := q.uploadMeta(meta.JobMeta{
+			JobName:        j.Name,
+			Strategy:       j.Spec.Strategy,
+			TargetFidelity: j.Spec.TargetFidelity,
+			CircuitQASM:    j.Spec.QASM,
+			TopologyQASM:   j.Spec.TopologyQASM,
+		})
+		if err == nil {
+			err = q.Master.Recontainerize(j)
+		}
+		if err != nil {
+			q.State.RecordEvent("Job", j.Name, "RestoreFailed", err.Error())
+		}
+	}
 }
 
 // AddBackend registers a new vendor device at runtime (the vendor
 // dashboard path): the backend becomes a labelled node, is copied to the
 // Meta Server, and gets a kubelet — started immediately when the
-// orchestrator is already running.
+// orchestrator is already running. A name that was registered before and
+// removed keeps the kubelet it had: agents outlive their node object, and a
+// second one would double the node's container slots.
 func (q *QRIO) AddBackend(b *device.Backend) error {
 	if _, err := q.State.AddNode(b); err != nil {
 		return err
 	}
 	applySlots(q.State, q.nodeConcurrency, b)
 	if err := q.Meta.RegisterBackend(b); err != nil {
+		// No node without a Meta backend: the scheduler could bind to it
+		// but never score it.
+		q.State.Nodes.Delete(b.Name)
 		return err
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for _, k := range q.Kubelets {
+		if k.NodeName == b.Name {
+			return nil
+		}
+	}
 	k := kubelet.New(b.Name, q.State, q.Registry, q.nextKubeletSeed)
 	k.Faults = q.Faults
 	if q.State.Clock != nil {
@@ -415,21 +456,27 @@ func (q *QRIO) Close() error {
 // the strategy metadata to the Meta Server first (the Visualizer's flow:
 // step 2 uploads metadata, step 3 sends the job to the master, §3).
 func (q *QRIO) Submit(req master.SubmitRequest) (api.QuantumJob, error) {
-	m := meta.JobMeta{
+	err := q.uploadMeta(meta.JobMeta{
 		JobName:        req.JobName,
 		Strategy:       req.Strategy,
 		TargetFidelity: req.TargetFidelity,
 		CircuitQASM:    req.QASM,
 		TopologyQASM:   req.TopologyQASM,
-	}
-	if req.Strategy == api.StrategyTopology {
-		m.CircuitQASM = "" // Table 1: topology uploads carry only the topology file
-		m.TargetFidelity = 0
-	}
-	if err := q.Meta.PutJobMeta(m); err != nil {
+	})
+	if err != nil {
 		return api.QuantumJob{}, err
 	}
 	return q.Master.Submit(req)
+}
+
+// uploadMeta stores a job's strategy metadata in the Meta Server in Table
+// 1's shape: topology uploads carry only the topology file.
+func (q *QRIO) uploadMeta(m meta.JobMeta) error {
+	if m.Strategy == api.StrategyTopology {
+		m.CircuitQASM = ""
+		m.TargetFidelity = 0
+	}
+	return q.Meta.PutJobMeta(m)
 }
 
 // Cancel requests cancellation of a job through the full lifecycle:

@@ -1,11 +1,10 @@
-// Package daemon wires a running orchestrator's HTTP surfaces onto one
+// Package daemon wires a running orchestrator's HTTP surface onto one
 // mux — the composition the qrio binary serves.
 package daemon
 
 import (
 	"net/http"
 
-	"qrio/internal/cluster/apiserver"
 	"qrio/internal/core"
 	"qrio/internal/gateway"
 	"qrio/internal/visualizer"
@@ -13,15 +12,13 @@ import (
 
 // Handler mounts the full QRIO HTTP surface:
 //
-//	/            — Visualizer dashboard
-//	/v1/         — unified gateway (jobs, nodes, scores, events, watch) —
-//	               the surface qrioctl and the Go client package speak
-//	/apiserver/  — cluster REST API (nodes, jobs, logs, events)
-//	/meta/       — Meta Server REST (backends, job metadata, scoring)
-//	/master/     — Master Server REST (submission, logs)
+//	/v1/  — the gateway (jobs, nodes, scores, events, watch, admin): the
+//	        API qrioctl, qrio-sched and the Go client package speak
+//	/     — Visualizer dashboard, built over the same gateway
 //
-// The /apiserver, /meta and /master prefixes remain for component-level
-// access and out-of-process deployments; new clients should prefer /v1.
+// Nothing else is mounted: every write — API call or dashboard form —
+// enters through the gateway's drain, rate-limit, schedulability and quota
+// gates.
 func Handler(q *core.QRIO) http.Handler {
 	return HandlerMaxInFlight(q, 0)
 }
@@ -34,9 +31,6 @@ func HandlerMaxInFlight(q *core.QRIO, maxInFlight int) http.Handler {
 	gw.MaxInFlight = maxInFlight
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", gw.Handler())
-	mux.Handle("/apiserver/", http.StripPrefix("/apiserver", apiserver.New(q.State).Handler()))
-	mux.Handle("/meta/", http.StripPrefix("/meta", q.Meta.Handler()))
-	mux.Handle("/master/", http.StripPrefix("/master", q.Master.Handler()))
-	mux.Handle("/", visualizer.New(q).Handler())
+	mux.Handle("/", visualizer.New(gw).Handler())
 	return mux
 }

@@ -39,8 +39,7 @@ import (
 // just a string keyspace) but reaches nothing.
 const (
 	// PointHTTPRoundTrip fails/delays every request issued through the
-	// shared httpx client transport (master, meta, apiserver, gateway
-	// clients).
+	// shared httpx client transport (the /v1 gateway client).
 	PointHTTPRoundTrip = "httpx.roundtrip"
 	// PointMetaScore fails/delays Meta-Server scoring calls — the
 	// scheduler's ranking dependency.

@@ -33,7 +33,7 @@ func TestAdminDurabilityDisabled(t *testing.T) {
 
 // TestAdminDurabilityEnabled exercises the ops loop an operator runs: read
 // the WAL lag, trigger a snapshot, watch the generation advance and the
-// lag reset, and see the same summary in healthz.
+// lag reset, and see the same summary in /v1/health.
 func TestAdminDurabilityEnabled(t *testing.T) {
 	cfg := core.Config{Durability: durability.Options{Dir: t.TempDir(), SnapshotInterval: -1}}
 	c, q := deployCfg(t, cfg, false, nil)
@@ -76,8 +76,8 @@ func TestAdminDurabilityEnabled(t *testing.T) {
 		t.Fatalf("snapshot time not reported: %+v", st)
 	}
 
-	// healthz carries the operator summary of the same facts.
-	resp, err := http.Get(c.BaseURL + "/v1/healthz")
+	// /v1/health carries the operator summary of the same facts.
+	resp, err := http.Get(c.BaseURL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAdminDurabilityEnabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !health.Durability.Enabled || !health.Durability.OK || health.Durability.Generation != 1 {
-		t.Fatalf("healthz durability = %+v", health.Durability)
+		t.Fatalf("health durability = %+v", health.Durability)
 	}
 }
 

@@ -1,16 +1,14 @@
-// Package gateway is QRIO's unified client-facing API: one versioned /v1
-// surface over the whole orchestrator, replacing the three disjoint HTTP
-// servers (master submit/logs, cluster CRUD, meta scores) users previously
-// had to stitch together. It mounts job, node, score and event routes
-// under /v1 with the shared httpx error envelope, and adds the two verbs
-// the split servers never had: DELETE /v1/jobs/{name} (full-lifecycle
-// cancellation, including aborting a running container) and GET /v1/watch
-// (server-sent events fanned out from the cluster's broadcast hub, so
-// clients observe transitions without polling).
+// Package gateway is QRIO's client-facing API and its only HTTP intake:
+// one versioned /v1 surface over the whole orchestrator — job, node, score
+// and event routes with the shared httpx error envelope, DELETE
+// /v1/jobs/{name} (full-lifecycle cancellation, including aborting a
+// running container) and GET /v1/watch (server-sent events fanned out from
+// the cluster's broadcast hub, so clients observe transitions without
+// polling). The dashboard (internal/visualizer) is built over the same
+// Server and submits through Submit, so a form post meets the gates a
+// POST /v1/jobs meets.
 //
 //	GET    /v1/health               — typed per-component health (health.go)
-//	GET    /v1/healthz              — deprecated alias for /v1/health (one
-//	                                  deprecation cycle; same payload)
 //	GET    /v1/metrics              — Prometheus text exposition of the
 //	                                  deployment registry (404 when the
 //	                                  deployment has no registry)
@@ -138,7 +136,6 @@ func New(q *core.QRIO) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/health", s.handleHealth)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealth) // deprecated alias
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs/batch", s.handleSubmitBatch)
@@ -199,11 +196,13 @@ func (s *Server) checkSchedulable(req master.SubmitRequest, minQubits int) error
 	return nil
 }
 
-// submitOne validates, admission-checks (static schedulability + tenant
-// quota) and submits one request through the orchestrator (meta upload +
-// containerisation + cluster submit). The tenant is defaulted and
-// validated here: the gateway is the multi-tenant front door.
-func (s *Server) submitOne(req master.SubmitRequest) (api.QuantumJob, error) {
+// Submit is the gated intake behind POST /v1/jobs, /v1/jobs/batch and the
+// dashboard's form: it validates, applies flow control, admission-checks
+// (static schedulability + tenant quota) and submits one request through
+// the orchestrator (meta upload + containerisation + cluster submit). The
+// tenant is defaulted and validated here: the gateway is the multi-tenant
+// front door.
+func (s *Server) Submit(req master.SubmitRequest) (api.QuantumJob, error) {
 	if req.Tenant == "" {
 		req.Tenant = api.DefaultTenant
 	}
@@ -250,7 +249,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, httpx.CodeInvalid, err)
 		return
 	}
-	job, err := s.submitOne(req)
+	job, err := s.Submit(req)
 	if err != nil {
 		httpx.WriteErr(w, err, http.StatusBadRequest, httpx.CodeInvalid)
 		return
@@ -272,7 +271,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchSubmitItem, len(reqs))
 	for i, req := range reqs {
 		items[i].Name = req.JobName
-		job, err := s.submitOne(req)
+		job, err := s.Submit(req)
 		if err != nil {
 			status, code := httpx.StatusOf(err)
 			if status == 0 {

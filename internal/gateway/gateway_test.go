@@ -4,6 +4,8 @@ package gateway_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -141,6 +143,69 @@ func TestErrorModel(t *testing.T) {
 	}
 	if _, err = c.Cancel(ctx, "dup"); !client.IsConflict(err) {
 		t.Fatalf("cancel terminal job: want conflict, got %v", err)
+	}
+}
+
+// TestRouteErrorEnvelopes pins, route by route, what the mux answers for
+// requests the typed client never sends: unknown paths and wrong methods
+// land on the catch-all envelope (the retired /v1/healthz alias among
+// them), logs of a job that has not executed are a 404, score routes
+// reject missing or unknown arguments, and the cluster-wide event list
+// filters by subject.
+func TestRouteErrorEnvelopes(t *testing.T) {
+	c, _ := deployIdle(t, nil) // no control loops: "parked" stays Pending
+	if _, err := c.Submit(context.Background(), ghzReq("parked")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		wantStatus   int
+		wantCode     string // "" = the body is an event list, not an envelope
+		wantEvents   bool
+	}{
+		{"GET", "/v1/nope", 404, "not_found", false},
+		{"GET", "/v1/healthz", 404, "not_found", false},
+		{"GET", "/v1/jobs/", 404, "not_found", false},
+		{"GET", "/v1/nodes/a/b", 404, "not_found", false},
+		{"PATCH", "/v1/nodes", 404, "not_found", false},
+		{"PUT", "/v1/jobs", 404, "not_found", false},
+		{"GET", "/v1/jobs/parked/logs", 404, "not_found", false},
+		{"GET", "/v1/score?job=parked", 400, "invalid", false},
+		{"GET", "/v1/score?job=ghost&backend=good", 422, "invalid", false},
+		{"GET", "/v1/score?job=parked&backend=ghost", 422, "invalid", false},
+		{"GET", "/v1/score/batch", 400, "invalid", false},
+		{"GET", "/v1/events", 200, "", true},
+		{"GET", "/v1/events?about=parked", 200, "", true},
+		{"GET", "/v1/events?about=ghost", 200, "", false},
+	} {
+		req, err := http.NewRequest(tc.method, c.BaseURL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error struct{ Code, Message string }
+		}
+		var events []api.Event
+		if tc.wantCode != "" {
+			err = json.NewDecoder(resp.Body).Decode(&body)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&events)
+		}
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.wantStatus || body.Error.Code != tc.wantCode {
+			t.Errorf("%s %s = %d %q (%v), want %d %q", tc.method, tc.path,
+				resp.StatusCode, body.Error.Code, err, tc.wantStatus, tc.wantCode)
+		}
+		if tc.wantCode != "" && body.Error.Message == "" {
+			t.Errorf("%s %s: envelope carries no message", tc.method, tc.path)
+		}
+		if (len(events) > 0) != tc.wantEvents {
+			t.Errorf("%s %s returned %d events", tc.method, tc.path, len(events))
+		}
 	}
 }
 
@@ -476,6 +541,12 @@ func TestGatewayNodesAndScores(t *testing.T) {
 	if len(q.Kubelets) != 3 {
 		t.Fatalf("registered node got no kubelet: %d", len(q.Kubelets))
 	}
+	if n.Labels[api.LabelQubits] != "12" {
+		t.Fatalf("registered node carries no calibration labels: %v", n.Labels)
+	}
+	if _, err := c.RegisterNode(ctx, extra); !client.IsConflict(err) {
+		t.Fatalf("duplicate node registration: want conflict, got %v", err)
+	}
 
 	if _, err := c.Submit(ctx, ghzReq("scored")); err != nil {
 		t.Fatal(err)
@@ -501,6 +572,9 @@ func TestGatewayNodesAndScores(t *testing.T) {
 	}
 	if _, err := c.Node(ctx, "extra"); !client.IsNotFound(err) {
 		t.Fatalf("deleted node still there: %v", err)
+	}
+	if err := c.DeleteNode(ctx, "extra"); !client.IsNotFound(err) {
+		t.Fatalf("double delete: want not_found, got %v", err)
 	}
 	if err := c.Healthy(ctx); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
-// Versioned health: GET /v1/health reports typed per-component statuses
-// instead of the ad-hoc /v1/healthz map. Components are the subsystems an
-// operator pages on — store, scheduler, durability, archive, scoring
-// breaker — plus the drain gate; each carries a status string and its
-// load-bearing numbers, and the top level rolls them up. /v1/healthz
-// serves the same payload as a thin alias for one deprecation cycle.
+// Versioned health: GET /v1/health reports typed per-component statuses.
+// Components are the subsystems an operator pages on — store, scheduler,
+// durability, archive, scoring breaker — plus the drain gate; each carries
+// a status string and its load-bearing numbers, and the top level rolls
+// them up.
 package gateway
 
 import (
@@ -32,9 +31,9 @@ type HealthResponse struct {
 	// degraded) or "draining" (shutdown in progress; trumps degraded — the
 	// process is leaving either way).
 	Status string `json:"status"`
-	// OK is the boolean roll-up old probes checked on /v1/healthz: true
-	// unless a component is degraded. A draining daemon with healthy
-	// components stays OK — load balancers rotate on Status instead.
+	// OK is the boolean roll-up simple probes check: true unless a
+	// component is degraded. A draining daemon with healthy components
+	// stays OK — load balancers rotate on Status instead.
 	OK       bool `json:"ok"`
 	Draining bool `json:"draining,omitempty"`
 

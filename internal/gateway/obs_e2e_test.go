@@ -1,8 +1,7 @@
 // End-to-end tests of the observability surface: /v1/metrics scraped
 // mid-lifecycle over an instrumented durable deployment, the typed
-// /v1/health payload and its /v1/healthz deprecation alias, the 404
-// behaviour of uninstrumented deployments, and the latched-WAL-error
-// clear surfacing on both ops endpoints.
+// /v1/health payload, the 404 behaviour of uninstrumented deployments, and
+// the latched-WAL-error clear surfacing on both ops endpoints.
 package gateway_test
 
 import (
@@ -191,8 +190,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 }
 
 // TestHealthTypedPayload: /v1/health reports per-component status with an
-// overall ok on a healthy deployment, and the deprecated /v1/healthz
-// alias serves the identical payload.
+// overall ok on a healthy deployment, and a plain GET decodes to the same
+// payload the typed client returns.
 func TestHealthTypedPayload(t *testing.T) {
 	cfg := core.Config{
 		Metrics:    obs.NewRegistry(),
@@ -233,22 +232,22 @@ func TestHealthTypedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One deprecation cycle: /v1/healthz serves the same typed payload.
+	// An untyped probe (curl, a load balancer) reads the same payload.
 	raw, err := c.Metrics(ctx) // instrumented deployment: metrics live
 	if err != nil || raw == "" {
 		t.Fatalf("metrics alongside health: %v", err)
 	}
-	resp, err := http.Get(c.BaseURL + "/v1/healthz")
+	resp, err := http.Get(c.BaseURL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var alias client.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&alias); err != nil {
+	var probe client.HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
 		t.Fatal(err)
 	}
-	if alias.Status != h.Status || alias.Store.Jobs != h.Store.Jobs || alias.Durability.Generation != h.Durability.Generation {
-		t.Fatalf("/v1/healthz diverged from /v1/health: %+v vs %+v", alias, h)
+	if probe.Status != h.Status || probe.Store.Jobs != h.Store.Jobs || probe.Durability.Generation != h.Durability.Generation {
+		t.Fatalf("raw /v1/health diverged from Client.Health: %+v vs %+v", probe, h)
 	}
 }
 

@@ -1,14 +1,13 @@
-// Package httpx holds the HTTP plumbing shared by every QRIO server — the
-// JSON codec helpers that were once copy-pasted across the master, cluster
-// API and meta servers, and the /v1 structured error envelope. Every error
-// response carries a machine-readable code so clients can branch on the
-// failure class instead of string-matching messages:
+// Package httpx holds the HTTP plumbing the gateway and its clients
+// share — the JSON codec helpers and the /v1 structured error envelope.
+// Every error response carries a machine-readable code so clients can
+// branch on the failure class instead of string-matching messages:
 //
 //	{"error": {"code": "not_found", "message": "store: \"bv\" not found"}}
 //
 // The defined codes are invalid, not_found, conflict, node_unavailable,
-// unschedulable, quota_exceeded, rate_limited, method_not_allowed,
-// compacted, overloaded, draining and internal.
+// unschedulable, quota_exceeded, rate_limited, compacted, overloaded,
+// draining and internal.
 package httpx
 
 import (
@@ -16,7 +15,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -28,13 +26,12 @@ import (
 
 // Machine-readable error codes of the /v1 envelope.
 const (
-	CodeInvalid          = "invalid"
-	CodeNotFound         = "not_found"
-	CodeConflict         = "conflict"
-	CodeUnschedulable    = "unschedulable"
-	CodeQuotaExceeded    = "quota_exceeded"
-	CodeMethodNotAllowed = "method_not_allowed"
-	CodeInternal         = "internal"
+	CodeInvalid       = "invalid"
+	CodeNotFound      = "not_found"
+	CodeConflict      = "conflict"
+	CodeUnschedulable = "unschedulable"
+	CodeQuotaExceeded = "quota_exceeded"
+	CodeInternal      = "internal"
 	// CodeNodeUnavailable (409) is POST /v1/bind refusing the NODE — not
 	// ready, full, or short of the job's CPU/memory — while the job is
 	// still pending: the scheduler's cue to try its next candidate, where
@@ -141,12 +138,6 @@ func WriteErr(w http.ResponseWriter, err error, fallbackStatus int, fallbackCode
 		status, code = fallbackStatus, fallbackCode
 	}
 	WriteError(w, status, code, err)
-}
-
-// MethodNotAllowed writes the 405 envelope.
-func MethodNotAllowed(w http.ResponseWriter, r *http.Request) {
-	WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-		fmt.Errorf("method %s not allowed on %s", r.Method, r.URL.Path))
 }
 
 // StatusCoder lets domain error types declare their own HTTP status and

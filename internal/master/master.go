@@ -88,7 +88,9 @@ qiskit_ibmq_provider
 qiskit_ibm_runtime
 `
 
-// Server is the Master Server core; Handler (http.go) exposes it over REST.
+// Server is the Master Server core. It has no HTTP surface of its own:
+// requests reach it through the /v1 gateway (or core.QRIO.Submit for
+// embedded callers).
 type Server struct {
 	State    *state.Cluster
 	Registry *registry.Registry
@@ -127,7 +129,11 @@ func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 		shots = api.DefaultShots
 	}
 
-	digest, imageName, err := s.containerize(req, shots)
+	imageName := req.ImageName
+	if imageName == "" {
+		imageName = "qrio/" + strings.ToLower(req.JobName) + ":latest"
+	}
+	digest, err := s.containerize(req.JobName, imageName, req.QASM, shots)
 	if err != nil {
 		return api.QuantumJob{}, err
 	}
@@ -167,15 +173,31 @@ func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 	return stored, nil
 }
 
+// Recontainerize re-pushes a stored job's image from its spec. The
+// registry is in-memory, so a restarted daemon holds none of the images
+// its replayed jobs name; the bundle is a function of the job's name,
+// image name, circuit and shots, so the rebuilt image must land under the
+// digest already recorded in Spec.Image.
+func (s *Server) Recontainerize(j api.QuantumJob) error {
+	at := strings.LastIndex(j.Spec.Image, "@")
+	if at < 0 {
+		return fmt.Errorf("master: job %s image %q carries no digest", j.Name, j.Spec.Image)
+	}
+	digest, err := s.containerize(j.Name, j.Spec.Image[:at], j.Spec.QASM, j.Spec.Shots)
+	if err != nil {
+		return err
+	}
+	if want := j.Spec.Image[at+1:]; digest != want {
+		return fmt.Errorf("master: job %s image rebuilt as %s, spec names %s", j.Name, digest, want)
+	}
+	return nil
+}
+
 // containerize builds and pushes the job image (§3.3's directory:
 // circuit QASM + generated runner + requirements.txt + Dockerfile).
-func (s *Server) containerize(req SubmitRequest, shots int) (digest, imageName string, err error) {
-	imageName = req.ImageName
-	if imageName == "" {
-		imageName = "qrio/" + strings.ToLower(req.JobName) + ":latest"
-	}
+func (s *Server) containerize(jobName, imageName, circuitQASM string, shots int) (digest string, err error) {
 	manifest := RunnerManifest{
-		JobName:     req.JobName,
+		JobName:     jobName,
 		CircuitFile: "circuit.qasm",
 		BackendFile: "backend.json",
 		Shots:       shots,
@@ -183,7 +205,7 @@ func (s *Server) containerize(req SubmitRequest, shots int) (digest, imageName s
 	}
 	rawManifest, err := json.MarshalIndent(manifest, "", "  ")
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
 	dockerfile := fmt.Sprintf(`FROM qrio/runner-base:latest
 COPY circuit.qasm /job/circuit.qasm
@@ -192,20 +214,20 @@ COPY requirements.txt /job/requirements.txt
 RUN pip install -r /job/requirements.txt
 CMD ["qrio-run", "/job/runner.json"]
 # job: %s
-`, req.JobName)
+`, jobName)
 	digest, err = s.Registry.Push(registry.Image{
 		Name: imageName,
 		Files: map[string][]byte{
-			"circuit.qasm":     []byte(req.QASM),
+			"circuit.qasm":     []byte(circuitQASM),
 			"runner.json":      rawManifest,
 			"requirements.txt": []byte(requirementsTxt),
 			"Dockerfile":       []byte(dockerfile),
 		},
 	})
 	if err != nil {
-		return "", "", fmt.Errorf("master: pushing image for %s: %w", req.JobName, err)
+		return "", fmt.Errorf("master: pushing image for %s: %w", jobName, err)
 	}
-	return digest, imageName, nil
+	return digest, nil
 }
 
 // Logs returns the execution log for a job once it has finished (§3.2:

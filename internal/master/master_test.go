@@ -2,7 +2,6 @@ package master_test
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -120,34 +119,6 @@ func TestLogsOnlyAfterExecution(t *testing.T) {
 		JobName:    "j", Node: "n", LogLines: []string{"done"},
 	})
 	res, err := m.Logs("j")
-	if err != nil || len(res.LogLines) != 1 {
-		t.Fatalf("logs = %v, %v", res, err)
-	}
-}
-
-func TestHTTPSubmitAndLogs(t *testing.T) {
-	m, st, _ := newMaster()
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-	c := master.NewClient(srv.URL)
-	job, err := c.Submit(t.Context(), fidelityReq("http-bell"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Name != "http-bell" || job.Status.Phase != api.JobPending {
-		t.Fatalf("job = %+v", job)
-	}
-	if _, err := c.Submit(t.Context(), master.SubmitRequest{}); err == nil {
-		t.Fatal("bad request accepted over HTTP")
-	}
-	if _, err := c.Logs(t.Context(), "http-bell"); err == nil {
-		t.Fatal("premature logs over HTTP")
-	}
-	st.Results.Create(api.Result{
-		ObjectMeta: api.ObjectMeta{Name: "http-bell"},
-		JobName:    "http-bell", LogLines: []string{"x"},
-	})
-	res, err := c.Logs(t.Context(), "http-bell")
 	if err != nil || len(res.LogLines) != 1 {
 		t.Fatalf("logs = %v, %v", res, err)
 	}

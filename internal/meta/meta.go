@@ -142,8 +142,8 @@ type prepared struct {
 // swept concurrently, not the working set.
 const maxPrepared = 8
 
-// Server is the Meta Server's core. It is safe for concurrent use and is
-// exposed over REST by Handler (see http.go).
+// Server is the Meta Server's core. It is safe for concurrent use; the
+// /v1 gateway serves its scores (GET /v1/score, /v1/score/batch).
 type Server struct {
 	opts Options
 
@@ -569,7 +569,7 @@ func (s *Server) ScoreBatch(jobName string, backendNames []string, workers int) 
 }
 
 // Scorer is the dependency the scheduler's ranking plugin needs: anything
-// that can score a (job, backend) pair. *Server and the HTTP Client both
+// that can score a (job, backend) pair. *Server and FaultScorer (fault.go)
 // satisfy it.
 type Scorer interface {
 	Score(jobName, backendName string) (float64, error)

@@ -2,8 +2,6 @@ package meta_test
 
 import (
 	"fmt"
-	"math"
-	"net/http/httptest"
 	"testing"
 
 	"qrio/internal/cluster/api"
@@ -297,58 +295,6 @@ func TestScoreUnknownJobOrBackend(t *testing.T) {
 	})
 	if _, err := s.Score("j", "ghost"); err == nil {
 		t.Fatal("scored unknown backend")
-	}
-}
-
-func TestHTTPRoundTrip(t *testing.T) {
-	s := meta.NewServer(meta.Options{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	c := meta.NewClient(srv.URL)
-
-	b := backend(t, "dev", graph.Line(4), 0.05)
-	if err := c.RegisterBackend(t.Context(), b); err != nil {
-		t.Fatal(err)
-	}
-	names, err := c.BackendNames(t.Context())
-	if err != nil || len(names) != 1 || names[0] != "dev" {
-		t.Fatalf("names = %v, %v", names, err)
-	}
-	got, err := c.Backend(t.Context(), "dev")
-	if err != nil || got.NumQubits != 4 {
-		t.Fatalf("backend fetch = %v, %v", got, err)
-	}
-	m := meta.JobMeta{
-		JobName: "bell", Strategy: api.StrategyFidelity,
-		TargetFidelity: 1, CircuitQASM: bellQASM,
-	}
-	if err := c.PutJobMeta(t.Context(), m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.JobMeta(t.Context(), "bell")
-	if err != nil || back.TargetFidelity != 1 {
-		t.Fatalf("meta fetch = %+v, %v", back, err)
-	}
-	score, err := c.Score("bell", "dev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(score) || score < 0 {
-		t.Fatalf("score = %v", score)
-	}
-	batch, err := c.ScoreBatch(t.Context(), "bell", nil) // nil = all registered backends
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 1 || batch[0].Backend != "dev" || batch[0].Score != score {
-		t.Fatalf("batch = %+v, want one entry matching score %v", batch, score)
-	}
-	// Server-side errors surface as client errors.
-	if _, err := c.Score("ghost", "dev"); err == nil {
-		t.Fatal("remote error swallowed")
-	}
-	if _, err := c.Backend(t.Context(), "ghost"); err == nil {
-		t.Fatal("missing backend fetch succeeded")
 	}
 }
 

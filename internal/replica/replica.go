@@ -32,9 +32,9 @@ import (
 	"qrio/internal/sched"
 )
 
-// BatchScorer ranks one job against many backends in a single call. Both
-// the gateway client (client.Client, over GET /v1/score/batch) and the
-// Meta Server's direct HTTP client (meta.Client) satisfy it.
+// BatchScorer ranks one job against many backends in a single call. The
+// gateway client (client.Client, over GET /v1/score/batch) satisfies it;
+// tests substitute their own.
 type BatchScorer interface {
 	ScoreBatch(ctx context.Context, jobName string, backendNames []string) ([]meta.BatchResult, error)
 }
@@ -57,7 +57,7 @@ type Replica struct {
 	// Client is the gateway connection (required).
 	Client *client.Client
 	// Scorer ranks candidate nodes (default: Client's batch scoring
-	// route; a direct meta.Client works too).
+	// route).
 	Scorer BatchScorer
 	// Partition is this replica's share of the pending queue (nil = own
 	// everything, the single-replica default).

@@ -82,7 +82,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	f := parseForm(r)
 	req, err := f.buildRequest()
 	if err == nil {
-		_, err = s.Core.Submit(req)
+		_, err = s.Gateway.Submit(req)
 	}
 	if err != nil {
 		s.render(w, page{Title: "Submit a Quantum Job", Error: err.Error(), Body: submitForm})
@@ -157,7 +157,7 @@ Custom edges (e.g. 0-1, 1-2, 2-3) <input name="topoEdges" size="40">
 
 // handleCluster lists nodes with their §3.1 labels.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	nodes := s.Core.State.Nodes.List()
+	nodes := s.Gateway.Core.State.Nodes.List()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	var b strings.Builder
 	b.WriteString(`<table><tr><th>Node</th><th>Phase</th><th>Qubits</th>
@@ -176,7 +176,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 // handleJobs lists all jobs and their phases.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	jobs := s.Core.State.Jobs.List()
+	jobs := s.Gateway.Core.State.Jobs.List()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].CreatedAt.After(jobs[j].CreatedAt) })
 	var b strings.Builder
 	b.WriteString(`<table><tr><th>Job</th><th>Phase</th><th>Strategy</th><th>Node</th><th>Score</th></tr>`)
@@ -199,7 +199,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobDetail(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
 	if name, ok := strings.CutSuffix(rest, "/cancel"); ok && name != "" && r.Method == http.MethodPost {
-		if _, err := s.Core.Cancel(name); err != nil {
+		if _, err := s.Gateway.Core.Cancel(name); err != nil {
 			status, _ := httpx.StatusOf(err)
 			if status == 0 {
 				status = http.StatusUnprocessableEntity
@@ -215,7 +215,7 @@ func (s *Server) handleJobDetail(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	j, _, err := s.Core.State.Jobs.Get(name)
+	j, _, err := s.Gateway.Core.State.Jobs.Get(name)
 	if err != nil {
 		http.NotFound(w, r)
 		return
@@ -242,7 +242,7 @@ try {
 } catch (e) {}
 </script>`, template.JSEscapeString(name))
 	}
-	if res, ok := s.Core.State.ResultFor(name); ok {
+	if res, ok := s.Gateway.Core.State.ResultFor(name); ok {
 		fmt.Fprintf(&b, "<h2>Logs</h2><pre>%s</pre>",
 			template.HTMLEscapeString(strings.Join(res.LogLines, "\n")))
 		fmt.Fprintf(&b, "<p>Measured fidelity: <b>%.4f</b> &middot; %d distinct outcomes &middot; %dms</p>",
@@ -251,7 +251,7 @@ try {
 		b.WriteString("<p><i>Logs are available once the job has finished execution.</i></p>")
 	}
 	b.WriteString("<h2>Events</h2><ul>")
-	for _, e := range s.Core.State.EventsAbout(name) {
+	for _, e := range s.Gateway.Core.State.EventsAbout(name) {
 		fmt.Fprintf(&b, "<li><b>%s</b>: %s</li>",
 			template.HTMLEscapeString(e.Reason), template.HTMLEscapeString(e.Message))
 	}
@@ -288,10 +288,10 @@ Node name <input name="node">
 	case "add":
 		var b device.Backend
 		if err = json.Unmarshal([]byte(r.FormValue("backend")), &b); err == nil {
-			err = s.Core.AddBackend(&b)
+			err = s.Gateway.Core.AddBackend(&b)
 		}
 	case "delete":
-		err = s.Core.State.Nodes.Delete(strings.TrimSpace(r.FormValue("node")))
+		err = s.Gateway.Core.State.Nodes.Delete(strings.TrimSpace(r.FormValue("node")))
 	default:
 		err = fmt.Errorf("visualizer: unknown vendor action")
 	}

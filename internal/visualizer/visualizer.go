@@ -5,6 +5,11 @@
 // characteristics, then a fidelity target or a topology drawn as an edge
 // list (the react-flow canvas analogue) — and the per-job log view
 // (Fig. 5). A minimal vendor page covers the paper's future-work item (1).
+//
+// The dashboard holds no path of its own into the orchestrator: it is
+// built over the /v1 gateway's Server, submits through the gateway's gated
+// intake and cancels, adds and removes devices through the calls behind
+// DELETE /v1/jobs/{name}, POST /v1/nodes and DELETE /v1/nodes/{name}.
 package visualizer
 
 import (
@@ -13,20 +18,21 @@ import (
 	"strings"
 
 	"qrio/internal/cluster/api"
-	"qrio/internal/core"
+	"qrio/internal/gateway"
 	"qrio/internal/graph"
 	"qrio/internal/mapomatic"
 	"qrio/internal/master"
 	"qrio/internal/quantum/qasm"
 )
 
-// Server renders the dashboard over a running orchestrator.
+// Server renders the dashboard over a deployment's gateway.
 type Server struct {
-	Core *core.QRIO
+	Gateway *gateway.Server
 }
 
-// New builds a visualizer for an orchestrator.
-func New(q *core.QRIO) *Server { return &Server{Core: q} }
+// New builds a visualizer over the gateway that serves /v1 on the same
+// mux, so both share one set of rate-limit buckets and quota reservations.
+func New(gw *gateway.Server) *Server { return &Server{Gateway: gw} }
 
 // formInput is the parsed three-step submission form.
 type formInput struct {

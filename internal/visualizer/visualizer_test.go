@@ -12,6 +12,7 @@ import (
 	"qrio/internal/cluster/api"
 	"qrio/internal/core"
 	"qrio/internal/device"
+	"qrio/internal/gateway"
 	"qrio/internal/graph"
 	"qrio/internal/quantum/qasm"
 	"qrio/internal/visualizer"
@@ -50,7 +51,7 @@ func newStack(t *testing.T) (*core.QRIO, *httptest.Server) {
 	}
 	q.Start()
 	t.Cleanup(q.Stop)
-	srv := httptest.NewServer(visualizer.New(q).Handler())
+	srv := httptest.NewServer(visualizer.New(gateway.New(q)).Handler())
 	t.Cleanup(srv.Close)
 	return q, srv
 }

@@ -47,7 +47,9 @@
 // cluster's broadcast hub). DELETE cancels a job at any lifecycle stage
 // — pending jobs leave the queue, scheduled jobs release their slot,
 // running jobs have their container aborted on the node — landing the
-// terminal JobCancelled phase.
+// terminal JobCancelled phase. /v1 is the only HTTP intake: the
+// dashboard (NewVisualizer) is built over the same gateway and its form
+// posts pass the same drain, rate-limit, schedulability and quota gates.
 //
 // Watch streams are resumable: every SSE event carries an opaque resume
 // token, and GET /v1/watch?resume=<token> replays exactly the
@@ -150,8 +152,7 @@
 // fault-injection fire counts — and the gateway serves the registry as
 // GET /v1/metrics in Prometheus text exposition format (deterministic:
 // families, children and labels are sorted). GET /v1/health returns the
-// typed per-component health payload (/v1/healthz stays as a deprecated
-// alias for one cycle). Client.Health, Client.Metrics and
+// typed per-component health payload. Client.Health, Client.Metrics and
 // Client.MetricFamilies, plus qrioctl health and qrioctl metrics
 // [-family], consume both. A nil Config.Metrics (the default) keeps
 // every hot path at a single branch and /v1/metrics answering 404.
@@ -195,7 +196,6 @@ package qrio
 import (
 	"qrio/client"
 	"qrio/internal/cluster/api"
-	"qrio/internal/cluster/apiserver"
 	"qrio/internal/cluster/durability"
 	"qrio/internal/cluster/state"
 	"qrio/internal/core"
@@ -392,14 +392,8 @@ type APIError = client.APIError
 // Handler method plugs into net/http. The qrio daemon mounts it at /v1.
 func NewGateway(q *Orchestrator) *gateway.Server { return gateway.New(q) }
 
-// NewVisualizer returns the web dashboard server for an orchestrator
-// (submission form, cluster and job views, vendor page); its Handler
-// method plugs into net/http.
-func NewVisualizer(q *Orchestrator) *visualizer.Server { return visualizer.New(q) }
-
-// NewAPIServer returns the cluster REST API server for an orchestrator's
-// state; its Handler method plugs into net/http.
-func NewAPIServer(q *Orchestrator) *apiserver.Server { return apiserver.New(q.State) }
-
-// NewAPIClient returns a typed client for a remote cluster API.
-func NewAPIClient(baseURL string) *apiserver.Client { return apiserver.NewClient(baseURL) }
+// NewVisualizer returns the web dashboard server (submission form, cluster
+// and job views, vendor page) over a deployment's gateway — pass the one
+// serving /v1 on the same mux; its Handler method plugs into net/http.
+// Form submissions go through the gateway's gated intake.
+func NewVisualizer(gw *gateway.Server) *visualizer.Server { return visualizer.New(gw) }

@@ -116,16 +116,16 @@ func TestPublicServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// API server + client round trip.
-	srv := httptest.NewServer(qrio.NewAPIServer(q).Handler())
+	// Gateway + client round trip.
+	gw := qrio.NewGateway(q)
+	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
-	client := qrio.NewAPIClient(srv.URL)
-	nodes, err := client.Nodes(t.Context())
+	nodes, err := qrio.NewClient(srv.URL).Nodes(t.Context())
 	if err != nil || len(nodes) != 1 || nodes[0].Name != "pub" {
 		t.Fatalf("nodes over public API = %v, %v", nodes, err)
 	}
-	// Visualizer handler serves the dashboard.
-	viz := httptest.NewServer(qrio.NewVisualizer(q).Handler())
+	// Visualizer handler serves the dashboard over the same gateway.
+	viz := httptest.NewServer(qrio.NewVisualizer(gw).Handler())
 	defer viz.Close()
 	resp, err := viz.Client().Get(viz.URL + "/cluster")
 	if err != nil {
