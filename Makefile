@@ -12,10 +12,15 @@ GO ?= go
 # stays at 1x, and so do the scoring engines' two records — ColdSweep (one
 # never-seen fingerprint over the 100-device fleet, ~0.4 s an op) and
 # StabilizerNoisyShots (one device's 2045 canary shots, ~3 ms an op) —
-# which guard per layer what BENCHMARK.json's cold-sweep guards end to end. The committed baseline MUST be produced with the same
-# settings (make bench-json does) so medians compare apples-to-apples.
+# which guard per layer what BENCHMARK.json's cold-sweep guards end to end,
+# and the execution engine's two — NoisyStatevecShots (eight jobs' shots of
+# each steady-warm family on the dense engine, 0.1–2 ms a job) and
+# ExecuteDense (one fidelity.Execute of each family, ~1 ms a job) — which
+# guard what steady-warm's run stage pays. The committed baseline MUST be
+# produced with the same settings (make bench-json does) so medians compare
+# apples-to-apples.
 GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot
-GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots
+GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense
 # The gateway's rate-limiter fast path is guarded from its own package
 # (the limiter is internal); benchcompare keys on benchmark name, so its
 # results concatenate into the same JSON stream.
@@ -101,7 +106,7 @@ lint-rand:
 lint-metrics:
 	@names="$$(grep -rhoE '"qrio_[a-z0-9_]+"' --include='*.go' --exclude='*_test.go' internal cmd client | sort -u | tr -d '"')"; \
 	if [ -z "$$names" ]; then echo "lint-metrics: found no metric family names — audit miswired"; exit 1; fi; \
-	bad="$$(echo "$$names" | grep -vE '^qrio_(sched|state|meta|gateway|watch|durability|archive|faults)_([a-z0-9]+_)*(total|seconds|bytes|jobs|entries|events|records|requests|streams|errors|generation)$$' || true)"; \
+	bad="$$(echo "$$names" | grep -vE '^qrio_(sched|state|meta|gateway|watch|durability|archive|faults|kubelet)_([a-z0-9]+_)*(total|seconds|bytes|jobs|entries|events|records|requests|streams|errors|generation)$$' || true)"; \
 	if [ -n "$$bad" ]; then echo "lint-metrics: family names must read qrio_<layer>_<name>_<unit>:"; echo "$$bad"; exit 1; fi; \
 	echo "lint-metrics: $$(echo "$$names" | wc -l) family names conform"
 

@@ -40,6 +40,7 @@ import (
 	"qrio/internal/quantum/stabilizer"
 	"qrio/internal/quantum/statevec"
 	"qrio/internal/sched"
+	"qrio/internal/simload"
 	"qrio/internal/transpile"
 	"qrio/internal/workload"
 )
@@ -863,6 +864,116 @@ func BenchmarkColdSweep(b *testing.B) {
 				b.Fatal(r.Error)
 			}
 		}
+	}
+}
+
+// lightFamily is one circuit family `steady-warm` submits, with the shot
+// count its jobs carry.
+type lightFamily struct {
+	c     *circuit.Circuit
+	shots int
+}
+
+// lightFamilies reads the six `steady-warm` families out of the load
+// generator's library, parsed from their QASM as a kubelet parses them.
+func lightFamilies(b *testing.B) []lightFamily {
+	lib, err := simload.DefaultLibrary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []lightFamily
+	for _, name := range []string{"ghz", "hsp", "rep", "qft", "grover", "circ"} {
+		fam, ok := lib[name]
+		if !ok {
+			b.Fatalf("family %q missing from simload.DefaultLibrary", name)
+		}
+		c, err := qasm.Parse(fam.QASM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Name = name
+		out = append(out, lightFamily{c, fam.Shots})
+	}
+	return out
+}
+
+// cleanestDevice returns the default fleet's device with the lowest mean
+// two-qubit error (sim-q78-p070: 2.4 % per cx, 0.7 % per one-qubit gate, 5 %
+// readout) — where the fidelity strategy sends `steady-warm` jobs, so the
+// calibration their executions actually run under.
+func cleanestDevice(b *testing.B) *device.Backend {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	best := fleet[0]
+	for _, dev := range fleet {
+		if dev.AvgTwoQubitErr() < best.AvgTwoQubitErr() {
+			best = dev
+		}
+	}
+	return best
+}
+
+// BenchmarkNoisyStatevecShots measures a job's own execution as a kubelet
+// runs it: each `steady-warm` family, transpiled to one fixed device and
+// deflated, at its own shot count under a device-sized noise model, on the
+// dense engine. One op is eight jobs (eight seeds), so the guard's single
+// timed op is milliseconds, not one 100 µs run; ns/op ÷ 8 is one job.
+func BenchmarkNoisyStatevecShots(b *testing.B) {
+	dev := cleanestDevice(b)
+	for _, fam := range lightFamilies(b) {
+		tr, err := transpile.Transpile(fam.c, dev, transpile.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		compact, active, err := mapomatic.Deflate(tr.Circuit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		model := noise.Uniform(len(active), dev.AvgOneQubitErr(), dev.AvgTwoQubitErr(), dev.AvgReadoutErr())
+		b.Run(fam.c.Name, func(b *testing.B) {
+			// One untimed run first: the guard runs this at -benchtime 1x.
+			if _, err := (statevec.Noisy{Model: model, Shots: fam.shots, Seed: -1}).Counts(compact); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for job := 0; job < 8; job++ {
+					run := statevec.Noisy{Model: model, Shots: fam.shots, Seed: int64(8*i + job)}
+					if _, err := run.Counts(compact); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExecuteDense measures fidelity.Estimator.Execute — transpile,
+// deflate, exact noise model, dense shots, ideal distribution, Hellinger
+// fidelity — the whole of what a kubelet calls per job: one op executes
+// each of the six `steady-warm` families once on one fixed device.
+func BenchmarkExecuteDense(b *testing.B) {
+	dev := cleanestDevice(b)
+	families := lightFamilies(b)
+	execute := func(seed int64) {
+		for _, fam := range families {
+			ex, err := fidelity.Estimator{Shots: fam.shots, Seed: seed}.Execute(fam.c, dev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ex.Method != "statevector" {
+				b.Fatalf("%s executed via %s", fam.c.Name, ex.Method)
+			}
+		}
+	}
+	execute(-1) // untimed: the guard runs this at -benchtime 1x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		execute(int64(i))
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"qrio/internal/cluster/api"
+	"qrio/internal/cluster/kubelet"
 	"qrio/internal/fidelity"
+	"qrio/internal/obs"
 )
 
 // TestCancelRunningJobAbortsAndFreesSlot drives the running-job
@@ -16,6 +18,8 @@ import (
 // terminal Cancelled phase, and the node slot frees for the next job.
 func TestCancelRunningJobAbortsAndFreesSlot(t *testing.T) {
 	k, st := setup(t, 0.02)
+	metrics := obs.NewRegistry()
+	k.Metrics = kubelet.NewMetrics(metrics)
 	started := make(chan struct{})
 	aborted := make(chan struct{})
 	k.Runtime = func(ctx context.Context, j api.QuantumJob) ([]string, *fidelity.Execution, error) {
@@ -65,6 +69,9 @@ func TestCancelRunningJobAbortsAndFreesSlot(t *testing.T) {
 	res, _, err := st.Results.Get("ghz")
 	if err != nil || len(res.LogLines) == 0 {
 		t.Fatalf("cancelled job has no result log: %v", err)
+	}
+	if n := runsObserved(t, metrics, "cancelled"); n != 1 {
+		t.Fatalf("cancelled runs observed = %v, want 1", n)
 	}
 	stop()
 	<-done

@@ -61,6 +61,9 @@ type Kubelet struct {
 	// executions into failures (→ controller retry), added latency or
 	// hangs (→ aborted by cancellation). Nil resolves to faults.Default.
 	Faults *faults.Registry
+	// Metrics is the optional instrumentation handle (nil = no metrics).
+	// Set once at wiring time, before Run.
+	Metrics *Metrics
 
 	mu       sync.Mutex
 	inflight map[string]context.CancelFunc
@@ -314,7 +317,7 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 		k.State.Results.Update(jobName, func(api.Result) (api.Result, error) { return res, nil })
 	}
 
-	_, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
+	done, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
 		if j.Status.Phase != api.JobRunning || j.Status.Node != k.NodeName {
 			return j, fmt.Errorf("kubelet: job no longer ours")
 		}
@@ -332,6 +335,7 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 	if err != nil {
 		return // another actor finalised the job; it owns release + events
 	}
+	k.Metrics.observeRun(done)
 	if rerr := k.State.ReleaseNode(k.NodeName, jobName); rerr != nil {
 		k.State.LatchReleaseFailure(k.NodeName, jobName, rerr)
 	}
@@ -348,7 +352,7 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 func (k *Kubelet) finishCancelled(jobName string, start time.Time) {
 	end := k.now()
 	elapsed := end.Sub(start).Milliseconds()
-	_, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
+	done, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
 		if j.Status.Phase != api.JobRunning || j.Status.Node != k.NodeName {
 			return j, fmt.Errorf("kubelet: job no longer ours")
 		}
@@ -361,6 +365,7 @@ func (k *Kubelet) finishCancelled(jobName string, start time.Time) {
 	if err != nil {
 		return // someone else finished the job first
 	}
+	k.Metrics.observeRun(done)
 	res := api.Result{
 		ObjectMeta: api.ObjectMeta{Name: jobName},
 		JobName:    jobName,

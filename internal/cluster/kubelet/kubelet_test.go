@@ -10,6 +10,7 @@ import (
 	"qrio/internal/device"
 	"qrio/internal/graph"
 	"qrio/internal/master"
+	"qrio/internal/obs"
 	"qrio/internal/registry"
 )
 
@@ -158,6 +159,22 @@ func TestIgnoresJobsForOtherNodes(t *testing.T) {
 	}
 }
 
+// runsObserved reads qrio_kubelet_run_duration_seconds' observation count
+// for one outcome off the registry.
+func runsObserved(t *testing.T, r *obs.Registry, outcome string) float64 {
+	t.Helper()
+	const family = "qrio_kubelet_run_duration_seconds"
+	if f := obs.FindFamily(r.Gather(), family); f != nil {
+		for _, s := range f.Samples {
+			if s.Name == family+"_count" && s.Get("outcome") == outcome {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no run-duration sample for outcome %q", outcome)
+	return 0
+}
+
 func TestBrokenImageFailsJob(t *testing.T) {
 	st := state.New()
 	b, _ := device.UniformBackend("node-a", graph.Line(4), 0.1, 0.01, 0.05, 100e3, 100e3)
@@ -172,6 +189,8 @@ func TestBrokenImageFailsJob(t *testing.T) {
 	})
 	st.BindJob("broken", "node-a", 0)
 	k := kubelet.New("node-a", st, reg, 1)
+	metrics := obs.NewRegistry()
+	k.Metrics = kubelet.NewMetrics(metrics)
 	k.SyncOnce()
 	j, _, _ := st.Jobs.Get("broken")
 	if j.Status.Phase != api.JobFailed {
@@ -188,6 +207,9 @@ func TestBrokenImageFailsJob(t *testing.T) {
 	n, _, _ := st.Nodes.Get("node-a")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatal("node not released after failure")
+	}
+	if failed, ok := runsObserved(t, metrics, "failed"), runsObserved(t, metrics, "succeeded"); failed != 1 || ok != 0 {
+		t.Fatalf("run durations observed: %v failed, %v succeeded; want 1 and 0", failed, ok)
 	}
 }
 

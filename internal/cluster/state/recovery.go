@@ -36,9 +36,6 @@ func (c *Cluster) RefreshNode(b *device.Backend) (api.Node, error) {
 	if err != nil {
 		return api.Node{}, err
 	}
-	c.mu.Lock()
-	delete(c.backendCache, b.Name)
-	c.mu.Unlock()
 	return n, nil
 }
 

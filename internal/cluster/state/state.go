@@ -18,6 +18,7 @@
 package state
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,9 +86,10 @@ type Cluster struct {
 	Metrics *Metrics
 
 	uid atomic.Int64
-	// backendCache avoids re-decoding node backend JSON on every access.
+	// backendCache avoids re-decoding node backend JSON on every access;
+	// a Nodes hook drops an entry when its node goes or changes device.
 	mu           sync.Mutex
-	backendCache map[string]*device.Backend
+	backendCache map[string]cachedBackend
 
 	pending    pendingIndex
 	usage      usageIndex
@@ -116,7 +118,7 @@ func New() *Cluster {
 		Events:        store.New(api.Event.DeepCopy, func(e api.Event) string { return e.Name }),
 		TenantConfigs: store.New(api.TenantConfig.DeepCopy, func(t api.TenantConfig) string { return t.Name }),
 		Archived:      archive.New(archive.Options{}),
-		backendCache:  make(map[string]*device.Backend),
+		backendCache:  make(map[string]cachedBackend),
 	}
 	c.pending.queues = make(map[string][]pendingEntry)
 	c.pending.member = make(map[string]pendingRef)
@@ -138,6 +140,7 @@ func New() *Cluster {
 	c.Jobs.OnEvent(c.terminal.onJobEvent)
 	c.Jobs.OnEvent(c.scheduled.onJobEvent)
 	c.Nodes.OnEvent(c.onNodeEvent)
+	c.Nodes.OnEvent(c.dropStaleBackend)
 	c.Events.OnEvent(c.eventIdx.onEventEvent)
 	c.TenantConfigs.OnEvent(c.tenantConf.onTenantEvent)
 	return c
@@ -561,14 +564,37 @@ func (c *Cluster) AddNode(b *device.Backend) (api.Node, error) {
 	return n, nil
 }
 
+// cachedBackend is a decoded device and the node JSON it was decoded from.
+type cachedBackend struct {
+	raw     []byte
+	backend *device.Backend
+}
+
+// dropStaleBackend is the Nodes hook behind the backend cache: a deleted
+// node takes its entry with it, and so does a node whose BackendJSON is no
+// longer the bytes the entry was decoded from (a refresh at boot, a vendor
+// deleting a device and adding another under the same name). The bytes are
+// immutable and shared between versions of a node, so the comparison of an
+// unchanged device — every slot reservation is a node event — is a pointer
+// check.
+func (c *Cluster) dropStaleBackend(ev store.WatchEvent[api.Node]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	name := ev.Object.Name
+	if cached, ok := c.backendCache[name]; ok &&
+		(ev.Type == store.Deleted || !bytes.Equal(cached.raw, ev.Object.Spec.BackendJSON)) {
+		delete(c.backendCache, name)
+	}
+}
+
 // Backend decodes (and caches) the device behind a node.
 func (c *Cluster) Backend(nodeName string) (*device.Backend, error) {
 	c.mu.Lock()
-	if b, ok := c.backendCache[nodeName]; ok {
-		c.mu.Unlock()
-		return b, nil
-	}
+	cached, ok := c.backendCache[nodeName]
 	c.mu.Unlock()
+	if ok {
+		return cached.backend, nil
+	}
 	n, _, err := c.Nodes.Get(nodeName)
 	if err != nil {
 		return nil, err
@@ -577,9 +603,16 @@ func (c *Cluster) Backend(nodeName string) (*device.Backend, error) {
 	if err := json.Unmarshal(n.Spec.BackendJSON, &b); err != nil {
 		return nil, fmt.Errorf("state: node %s backend corrupt: %w", nodeName, err)
 	}
-	c.mu.Lock()
-	c.backendCache[nodeName] = &b
-	c.mu.Unlock()
+	// Cache under the node's shard lock, and only if the node still carries
+	// the bytes just decoded: the hook runs under the same lock, so a change
+	// of device cannot slip between this check and the insert.
+	c.Nodes.Peek(nodeName, func(cur api.Node, _ int64) {
+		if bytes.Equal(cur.Spec.BackendJSON, n.Spec.BackendJSON) {
+			c.mu.Lock()
+			c.backendCache[nodeName] = cachedBackend{raw: n.Spec.BackendJSON, backend: &b}
+			c.mu.Unlock()
+		}
+	})
 	return &b, nil
 }
 

@@ -813,3 +813,53 @@ func TestNodeCopySurvivesRefresh(t *testing.T) {
 		t.Fatalf("refreshed node decodes to %v, want 0.4", got)
 	}
 }
+
+// TestBackendFollowsDeleteAndReAdd: the decoded-backend cache belongs to the
+// node object, not to the name. A vendor who deletes a device and registers
+// another under the same name must see the new one executed — and a slot
+// reservation, which rewrites the node but not its device, must not cost a
+// re-decode.
+func TestBackendFollowsDeleteAndReAdd(t *testing.T) {
+	c := New()
+	line5, err := device.UniformBackend("dev", graph.Line(5), 0.1, 0.01, 0.05, 500e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode(line5); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Backend("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Nodes.Update("dev", func(n api.Node) (api.Node, error) {
+		n.Status.RunningJobs = append(n.Status.RunningJobs, "j")
+		return n, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.Backend("dev"); again != first {
+		t.Fatal("a node update that kept the device dropped its decoded backend")
+	}
+	if err := c.Nodes.Delete("dev"); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c.Backend("dev"); err == nil {
+		t.Fatalf("deleted node still answers with a %d-qubit backend", b.NumQubits)
+	}
+	line9, err := device.UniformBackend("dev", graph.Line(9), 0.3, 0.02, 0.05, 500e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode(line9); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Backend("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NumQubits != 9 || math.Abs(b.AvgTwoQubitErr()-0.3) > 1e-12 {
+		t.Fatalf("re-added node answers %d qubits at two-qubit error %v, want the new 9-qubit device at 0.3",
+			b.NumQubits, b.AvgTwoQubitErr())
+	}
+}

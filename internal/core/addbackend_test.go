@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +16,9 @@ import (
 
 // TestAddBackendAtRuntime registers a new vendor device on a live
 // orchestrator (the vendor-dashboard path) and verifies jobs can land on
-// it immediately — and that removing the device and registering it again
-// leaves the node with the one kubelet it already had.
+// it immediately — and that removing the device and registering another
+// under its name leaves the node with the one kubelet it already had,
+// executing on the new device.
 func TestAddBackendAtRuntime(t *testing.T) {
 	seedDev, err := device.UniformBackend("seed", graph.Line(4), 0.5, 0.1, 0.1, 100e3, 100e3)
 	if err != nil {
@@ -60,8 +62,13 @@ func TestAddBackendAtRuntime(t *testing.T) {
 		t.Fatalf("scheduled on %s, want the runtime-added clean device", job.Status.Node)
 	}
 
-	// DELETE /v1/nodes/fresh, then POST /v1/nodes with the same backend.
+	// DELETE /v1/nodes/fresh, then POST /v1/nodes with the same name and a
+	// new device behind it.
 	if err := q.State.Nodes.Delete("fresh"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err = device.UniformBackend("fresh", graph.Ring(12), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := q.AddBackend(fresh); err != nil {
@@ -74,7 +81,7 @@ func TestAddBackendAtRuntime(t *testing.T) {
 	if agents["fresh"] != 1 || agents["seed"] != 1 || len(q.Kubelets) != 2 {
 		t.Fatalf("kubelets per node after delete and re-add = %v, want one each", agents)
 	}
-	job, _, err = q.SubmitAndWait(master.SubmitRequest{
+	job, res, err := q.SubmitAndWait(master.SubmitRequest{
 		JobName: "on-fresh-again", QASM: src, Shots: 64,
 		Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
 	}, 30*time.Second)
@@ -84,6 +91,11 @@ func TestAddBackendAtRuntime(t *testing.T) {
 	if job.Status.Phase != api.JobSucceeded || job.Status.Node != "fresh" || job.Status.Attempts != 1 {
 		t.Fatalf("job on the re-added node: %s on %s after %d attempt(s) (%s)",
 			job.Status.Phase, job.Status.Node, job.Status.Attempts, job.Status.Message)
+	}
+	// The kubelet executed on the device registered now, not on the decoded
+	// copy of the one the name used to carry.
+	if logs := strings.Join(res.LogLines, "\n"); !strings.Contains(logs, "backend fresh: 12 qubits") {
+		t.Fatalf("job on the re-added node ran on a stale device:\n%s", logs)
 	}
 }
 

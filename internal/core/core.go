@@ -172,6 +172,7 @@ type QRIO struct {
 	started         bool
 	draining        atomic.Bool
 	nextKubeletSeed int64
+	kubeletMetrics  *kubelet.Metrics // nil without a registry; shared by every agent
 	nodeConcurrency int
 	schedulerOff    bool
 }
@@ -341,6 +342,7 @@ func (q *QRIO) AddBackend(b *device.Backend) error {
 	}
 	k := kubelet.New(b.Name, q.State, q.Registry, q.nextKubeletSeed)
 	k.Faults = q.Faults
+	k.Metrics = q.kubeletMetrics
 	if q.State.Clock != nil {
 		k.Clock = q.State.Clock
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"qrio/internal/cluster/durability"
+	"qrio/internal/cluster/kubelet"
 	"qrio/internal/cluster/state"
 	"qrio/internal/faults"
 	"qrio/internal/obs"
@@ -11,8 +12,8 @@ import (
 )
 
 // registerMetrics threads one registry through every layer that has stats
-// to tell. Hot paths (binds, scheduling passes, WAL appends) get direct
-// handles installed before any traffic; everything that already keeps its
+// to tell. Hot paths (binds, scheduling passes, WAL appends, job runs) get
+// direct handles installed before any traffic; everything that already keeps its
 // own counters (cache stats, breaker opens, archive depth, fault fire
 // counts, durability stats) is mirrored into the registry by a scrape-time
 // hook instead — the layers stay ignorant of the registry and a scrape
@@ -20,6 +21,10 @@ import (
 func registerMetrics(q *QRIO, r *obs.Registry) {
 	q.State.Metrics = state.NewMetrics(r)
 	q.Scheduler.Metrics = sched.NewMetrics(r)
+	q.kubeletMetrics = kubelet.NewMetrics(r)
+	for _, k := range q.Kubelets {
+		k.Metrics = q.kubeletMetrics
+	}
 	if q.Durability != nil {
 		q.Durability.SetMetrics(durability.NewMetrics(r))
 	}

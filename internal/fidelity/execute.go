@@ -56,11 +56,7 @@ func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, e
 	switch {
 	case compact.NumQubits <= e.denseLimit():
 		ex.Method = "statevector"
-		ideal, err := statevec.IdealDistribution(compact)
-		if err != nil {
-			return nil, err
-		}
-		counts, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.Counts(compact)
+		counts, ideal, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.CountsAndIdeal(compact)
 		if err != nil {
 			return nil, err
 		}

@@ -436,11 +436,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 		return 0, fmt.Errorf("fidelity: oracle needs %d qubits (> %d) on %s",
 			compact.NumQubits, e.denseLimit(), b.Name)
 	}
-	ideal, err := statevec.IdealDistribution(compact)
-	if err != nil {
-		return 0, err
-	}
-	noisy, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.Counts(compact)
+	noisy, ideal, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.CountsAndIdeal(compact)
 	if err != nil {
 		return 0, err
 	}

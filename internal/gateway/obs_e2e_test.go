@@ -56,8 +56,8 @@ func sampleValue(t *testing.T, f *client.MetricFamily, suffix string, labels ...
 // TestMetricsEndToEnd runs the full observability loop an operator would:
 // deploy a durable, instrumented cluster, push jobs through it, snapshot,
 // then scrape /v1/metrics with the client and check that the exposition
-// carries live families from every layer — scheduler, state, meta cache,
-// gateway, watch hub, durability/archive and faults.
+// carries live families from every layer — scheduler, state, kubelets,
+// meta cache, gateway, watch hub, durability/archive and faults.
 func TestMetricsEndToEnd(t *testing.T) {
 	cfg := core.Config{
 		Metrics:         obs.NewRegistry(),
@@ -117,6 +117,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"qrio_state_depth_jobs",
 		"qrio_state_tenant_binds_total",
 		"qrio_state_quota_rejections_total",
+		// kubelets
+		"qrio_kubelet_run_duration_seconds",
 		// meta score cache
 		"qrio_meta_cache_events_total",
 		"qrio_meta_cache_entries",
@@ -156,6 +158,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if v := sampleValue(t, obsFamily(t, fams, "qrio_state_depth_jobs"), "", "phase", "terminal"); v != 3 {
 		t.Fatalf("terminal depth = %v, want 3", v)
+	}
+	if v := sampleValue(t, obsFamily(t, fams, "qrio_kubelet_run_duration_seconds"), "_count", "outcome", "succeeded"); v != 3 {
+		t.Fatalf("kubelet runs observed = %v, want 3 succeeded", v)
+	}
+	if v := sampleValue(t, obsFamily(t, fams, "qrio_kubelet_run_duration_seconds"), "_sum", "outcome", "succeeded"); v <= 0 {
+		t.Fatalf("kubelet run time observed = %v s, want > 0", v)
 	}
 	if v := sampleValue(t, obsFamily(t, fams, "qrio_meta_cache_events_total"), "", "event", "miss"); v < 1 {
 		t.Fatalf("meta cache misses = %v, want >= 1", v)

@@ -24,12 +24,6 @@ const (
 	PauliZ    Pauli = 'Z'
 )
 
-// Error is a Pauli error on one qubit.
-type Error struct {
-	Qubit int
-	Pauli Pauli
-}
-
 // Model holds the error rates of one device.
 //
 // The zero value is a noiseless model. All probabilities are in [0, 1).
@@ -135,8 +129,21 @@ var paulis = [4]Pauli{PauliNone, PauliX, PauliY, PauliZ}
 // depolarizing probability is p: {I: 1-p, X/Y/Z: p/3 each}. It consumes one
 // rng.Float64 and, when an error fires, one rng.Intn(3) — always, even for
 // p = 0. Seeded simulators promise reproducible counts, so that order is a
-// contract: the stabilizer engine looks p up once per gate at compile time
-// and calls this per shot, and must see the stream SampleGateError would.
+// contract: both engines look p up once per gate at compile time, call
+// this (or DrawTwoQubit) per shot, and must leave the stream where the
+// gate-by-gate interpreters they replaced left it.
+//
+// The stabilizer engine draws in gate order; a measurement's draws sit
+// where the measurement does (stabilizer.Runner.Counts). The dense engine
+// (statevec.Noisy.Counts) draws per shot: for each body gate in order — a
+// reset one Float64; a unitary gate other than id one DrawOneQubit, one
+// DrawTwoQubit, or for a gate on 3+ qubits one DrawTwoQubit per qubit pair
+// i<j in operand order; id, barrier and a nil model nothing — then one
+// Float64 for the outcome, then, with a model, one Float64 per readout:
+// every qubit in order for a circuit without measurements, else each
+// measurement in program order. Only a reset's draw depends on the state,
+// which is why the dense engine may take a reset-free shot's gate draws
+// before simulating anything.
 func DrawOneQubit(p float64, rng *rand.Rand) Pauli {
 	if rng.Float64() >= p {
 		return PauliNone
@@ -154,50 +161,6 @@ func DrawTwoQubit(p float64, rng *rand.Rand) (Pauli, Pauli) {
 	}
 	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
 	return paulis[k%4], paulis[k/4]
-}
-
-// SampleGateError draws the Pauli errors (possibly none) that follow one
-// gate application on the given qubits: DrawOneQubit for one-qubit gates,
-// DrawTwoQubit for two-qubit gates. Gates on 3+ qubits are charged one
-// two-qubit error per qubit pair (they should have been decomposed before
-// execution anyway).
-func (m *Model) SampleGateError(qubits []int, rng *rand.Rand) []Error {
-	if m == nil {
-		return nil
-	}
-	var errs []Error
-	add := func(q int, p Pauli) {
-		if p != PauliNone {
-			errs = append(errs, Error{Qubit: q, Pauli: p})
-		}
-	}
-	if len(qubits) == 1 {
-		q := qubits[0]
-		add(q, DrawOneQubit(m.OneQubitProb(q), rng))
-		return errs
-	}
-	for i := 0; i < len(qubits); i++ {
-		for j := i + 1; j < len(qubits); j++ {
-			a, b := qubits[i], qubits[j]
-			pa, pb := DrawTwoQubit(m.TwoQubitProb(a, b), rng)
-			add(a, pa)
-			add(b, pb)
-		}
-	}
-	return errs
-}
-
-// FlipReadout applies classical readout error in place: bits[i] is the
-// measured value of qubit qubits[i] and flips with Readout[qubit].
-func (m *Model) FlipReadout(qubits []int, bits []int, rng *rand.Rand) {
-	if m == nil {
-		return
-	}
-	for i, q := range qubits {
-		if rng.Float64() < m.ReadoutProb(q) {
-			bits[i] ^= 1
-		}
-	}
 }
 
 // AverageTwoQubit returns the mean two-qubit error over known edges,

@@ -5,11 +5,63 @@ import (
 	"testing"
 )
 
+// pauliError is a Pauli error on one qubit.
+type pauliError struct {
+	Qubit int
+	Pauli Pauli
+}
+
+// sampleGateError is the composition the simulators' interpreters used to
+// call (Model.SampleGateError until the dense engine was compiled too):
+// DrawOneQubit after a one-qubit gate, DrawTwoQubit after a two-qubit gate,
+// one DrawTwoQubit per qubit pair for a wider one, nothing for a nil model.
+// Both engines now lay these draws out at compile time; the tests below
+// keep checking the draws through the old shape.
+func sampleGateError(m *Model, qubits []int, rng *rand.Rand) []pauliError {
+	if m == nil {
+		return nil
+	}
+	var errs []pauliError
+	add := func(q int, p Pauli) {
+		if p != PauliNone {
+			errs = append(errs, pauliError{Qubit: q, Pauli: p})
+		}
+	}
+	if len(qubits) == 1 {
+		q := qubits[0]
+		add(q, DrawOneQubit(m.OneQubitProb(q), rng))
+		return errs
+	}
+	for i := 0; i < len(qubits); i++ {
+		for j := i + 1; j < len(qubits); j++ {
+			a, b := qubits[i], qubits[j]
+			pa, pb := DrawTwoQubit(m.TwoQubitProb(a, b), rng)
+			add(a, pa)
+			add(b, pb)
+		}
+	}
+	return errs
+}
+
+// flipReadout is the readout rule both engines compile in: the measured
+// value of qubits[i] flips with ReadoutProb(qubits[i]), one Float64 each;
+// a nil model flips and draws nothing.
+func flipReadout(m *Model, qubits []int, bits []int, rng *rand.Rand) {
+	if m == nil {
+		return
+	}
+	for i, q := range qubits {
+		if rng.Float64() < m.ReadoutProb(q) {
+			bits[i] ^= 1
+		}
+	}
+}
+
 func TestNoiselessSamplesNothing(t *testing.T) {
 	m := Noiseless(3)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		if errs := m.SampleGateError([]int{0, 1}, rng); len(errs) != 0 {
+		if errs := sampleGateError(m, []int{0, 1}, rng); len(errs) != 0 {
 			t.Fatalf("noiseless model produced errors: %v", errs)
 		}
 	}
@@ -21,7 +73,7 @@ func TestOneQubitErrorRate(t *testing.T) {
 	hits := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		if len(m.SampleGateError([]int{0}, rng)) > 0 {
+		if len(sampleGateError(m, []int{0}, rng)) > 0 {
 			hits++
 		}
 	}
@@ -37,7 +89,7 @@ func TestTwoQubitErrorUniformOverPaulis(t *testing.T) {
 	single, double := 0, 0
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		errs := m.SampleGateError([]int{0, 1}, rng)
+		errs := sampleGateError(m, []int{0, 1}, rng)
 		switch len(errs) {
 		case 1:
 			single++
@@ -75,7 +127,7 @@ func TestReadoutFlip(t *testing.T) {
 	m := Uniform(2, 0, 0, 1.0) // always flip
 	rng := rand.New(rand.NewSource(4))
 	bits := []int{0, 1}
-	m.FlipReadout([]int{0, 1}, bits, rng)
+	flipReadout(m, []int{0, 1}, bits, rng)
 	if bits[0] != 1 || bits[1] != 0 {
 		t.Fatalf("p=1 readout flip gave %v", bits)
 	}
@@ -95,7 +147,7 @@ func TestValidate(t *testing.T) {
 func TestThreeQubitGateChargedPairwise(t *testing.T) {
 	m := Uniform(3, 0, 1.0, 0)
 	rng := rand.New(rand.NewSource(5))
-	errs := m.SampleGateError([]int{0, 1, 2}, rng)
+	errs := sampleGateError(m, []int{0, 1, 2}, rng)
 	if len(errs) == 0 {
 		t.Fatal("3q gate with p=1 produced no errors")
 	}
@@ -118,11 +170,11 @@ func TestAverageTwoQubit(t *testing.T) {
 func TestNilModelIsSafe(t *testing.T) {
 	var m *Model
 	rng := rand.New(rand.NewSource(6))
-	if errs := m.SampleGateError([]int{0}, rng); errs != nil {
+	if errs := sampleGateError(m, []int{0}, rng); errs != nil {
 		t.Fatal("nil model sampled errors")
 	}
 	bits := []int{1}
-	m.FlipReadout([]int{0}, bits, rng)
+	flipReadout(m, []int{0}, bits, rng)
 	if bits[0] != 1 {
 		t.Fatal("nil model flipped readout")
 	}

@@ -207,17 +207,35 @@ func TestTableauPrimitivesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestSampleGateErrorMatchesOracle: noise.Model.SampleGateError (still the
-// dense simulator's entry point) was rebuilt on the non-allocating draws
-// the compiled engine uses; it must return what its old body — kept in the
-// oracle — returns, from the same stream.
+// TestSampleGateErrorMatchesOracle: noise.DrawOneQubit and DrawTwoQubit —
+// the non-allocating draws both compiled engines lay out per gate — return
+// what the interpreters' allocating sampler, kept in the oracle, returns,
+// from the same stream: one draw after a one-qubit gate, one per qubit pair
+// i<j after a wider one.
 func TestSampleGateErrorMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := identityModel(rng, 6)
 	got, want := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
 	for i := 0; i < 5000; i++ {
 		qubits := rng.Perm(6)[:rng.Intn(4)]
-		g, w := m.SampleGateError(qubits, got), oracleSampleGateError(m, qubits, want)
+		var g []oracleError
+		add := func(q int, p noise.Pauli) {
+			if p != noise.PauliNone {
+				g = append(g, oracleError{Qubit: q, Pauli: p})
+			}
+		}
+		if len(qubits) == 1 {
+			add(qubits[0], noise.DrawOneQubit(m.OneQubitProb(qubits[0]), got))
+		} else {
+			for j, a := range qubits {
+				for _, b := range qubits[j+1:] {
+					pa, pb := noise.DrawTwoQubit(m.TwoQubitProb(a, b), got)
+					add(a, pa)
+					add(b, pb)
+				}
+			}
+		}
+		w := oracleSampleGateError(m, qubits, want)
 		if len(g) != len(w) {
 			t.Fatalf("draw %d on %v: %v, oracle %v", i, qubits, g, w)
 		}

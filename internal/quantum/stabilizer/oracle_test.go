@@ -2,7 +2,8 @@ package stabilizer_test
 
 // The oracle: the row-major, gate-by-name tableau interpreter this package
 // shipped before the compiled column-major engine, moved here verbatim
-// (types renamed, noise.Model.SampleGateError's old body inlined) so the
+// (types renamed; noise.Model.SampleGateError, since deleted, inlined in
+// the body it had then) so the
 // identity property test below can hold the engine to it — same counts,
 // same probabilities, same consumption of the random stream. Do not
 // optimise it.
@@ -591,13 +592,19 @@ func oracleOutcomeProbability(c *circuit.Circuit, bits string) (float64, error) 
 
 var paulis = [3]noise.Pauli{noise.PauliX, noise.PauliY, noise.PauliZ}
 
+// oracleError is a Pauli error on one qubit.
+type oracleError struct {
+	Qubit int
+	Pauli noise.Pauli
+}
+
 // SampleGateError draws the Pauli errors (possibly none) that follow one
 // gate application on the given qubits. One-qubit gates use the depolarizing
 // channel {I: 1-p, X/Y/Z: p/3 each}; two-qubit gates use the 16-element
 // two-qubit depolarizing channel with the 15 non-identity Paulis equally
 // likely. Gates on 3+ qubits are charged one two-qubit error per qubit pair
 // (they should have been decomposed before execution anyway).
-func oracleSampleGateError(m *noise.Model, qubits []int, rng *rand.Rand) []noise.Error {
+func oracleSampleGateError(m *noise.Model, qubits []int, rng *rand.Rand) []oracleError {
 	if m == nil {
 		return nil
 	}
@@ -609,11 +616,11 @@ func oracleSampleGateError(m *noise.Model, qubits []int, rng *rand.Rand) []noise
 		if rng.Float64() >= m.OneQubitProb(q) {
 			return nil
 		}
-		return []noise.Error{{Qubit: q, Pauli: paulis[rng.Intn(3)]}}
+		return []oracleError{{Qubit: q, Pauli: paulis[rng.Intn(3)]}}
 	case 2:
 		return oracleSampleTwoQubit(m, qubits[0], qubits[1], rng)
 	default:
-		var errs []noise.Error
+		var errs []oracleError
 		for i := 0; i < len(qubits); i++ {
 			for j := i + 1; j < len(qubits); j++ {
 				errs = append(errs, oracleSampleTwoQubit(m, qubits[i], qubits[j], rng)...)
@@ -623,7 +630,7 @@ func oracleSampleGateError(m *noise.Model, qubits []int, rng *rand.Rand) []noise
 	}
 }
 
-func oracleSampleTwoQubit(m *noise.Model, a, b int, rng *rand.Rand) []noise.Error {
+func oracleSampleTwoQubit(m *noise.Model, a, b int, rng *rand.Rand) []oracleError {
 	p := m.TwoQubitProb(a, b)
 	if rng.Float64() >= p {
 		return nil
@@ -631,12 +638,12 @@ func oracleSampleTwoQubit(m *noise.Model, a, b int, rng *rand.Rand) []noise.Erro
 	// Pick one of the 15 non-identity two-qubit Paulis uniformly.
 	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
 	pa, pb := k%4, k/4
-	var errs []noise.Error
+	var errs []oracleError
 	if pa > 0 {
-		errs = append(errs, noise.Error{Qubit: a, Pauli: paulis[pa-1]})
+		errs = append(errs, oracleError{Qubit: a, Pauli: paulis[pa-1]})
 	}
 	if pb > 0 {
-		errs = append(errs, noise.Error{Qubit: b, Pauli: paulis[pb-1]})
+		errs = append(errs, oracleError{Qubit: b, Pauli: paulis[pb-1]})
 	}
 	return errs
 }
