@@ -44,7 +44,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -87,6 +87,18 @@ lint-http:
 lint-routes:
 	@out="$$(grep -rnE 'http\.NewServeMux|HandleFunc\(|mux\.Handle\(' --include='*.go' --exclude='*_test.go' internal cmd client | grep -vE '^internal/(gateway|visualizer|daemon)/' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-routes: register HTTP routes in internal/gateway, not beside it:"; echo "$$out"; exit 1; fi
+
+# lint-phase enforces the one-lifecycle-table rule: a job's phase is
+# written only by api.JobStatus.Apply (internal/cluster/api/lifecycle.go),
+# which every writer reaches through state.Cluster.TransitionJob — so no
+# component can grow its own phase guard, stamp bookkeeping or release
+# epilogue. The one other assignment is SubmitJob's initial Pending status.
+# Tests are exempt (they stage fixtures in arbitrary phases).
+lint-phase:
+	@out="$$(grep -rnE '\.Phase = api\.Job|Phase: *api\.Job' --include='*.go' --exclude='*_test.go' internal cmd client \
+		| grep -v '^internal/cluster/api/lifecycle\.go:' \
+		| grep -vF 'j.Status = api.JobStatus{Phase: api.JobPending}' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-phase: a phase change is a row of the lifecycle table (api.JobStatus.Apply via state.TransitionJob), not an assignment:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -223,4 +235,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-http lint-routes lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-metrics test race sim-smoke

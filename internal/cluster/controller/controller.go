@@ -131,65 +131,41 @@ func (c *Controller) markStaleNodes(now time.Time) {
 // requeueStrandedJobs resets Scheduled/Running jobs whose node is gone or
 // NotReady back to Pending so the scheduler can place them elsewhere.
 func (c *Controller) requeueStrandedJobs(now time.Time) {
-	stuck := c.StuckTimeout
-	if stuck <= 0 {
-		stuck = 5 * time.Second
-	}
 	assigned := c.State.Jobs.ListFunc(func(j api.QuantumJob) bool {
 		return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
 	})
 	for _, j := range assigned {
-		nodeName := j.Status.Node
-		node, _, err := c.State.Nodes.Get(nodeName)
-		healthy := err == nil && node.Status.Phase == api.NodeReady
-		if healthy {
-			continue
-		}
-		// Grace period: the node may just be flapping.
-		ref := j.CreatedAt
-		if j.Status.StartedAt != nil {
-			ref = *j.Status.StartedAt
-		}
-		if now.Sub(ref) < stuck {
-			continue
-		}
-		jobName := j.Name
-		cancelled := false
-		c.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
-			if j.Status.Phase != api.JobScheduled && j.Status.Phase != api.JobRunning {
-				return j, fmt.Errorf("controller: phase changed")
-			}
-			if j.Status.CancelRequested {
-				// The kubelet that would abort this container is gone;
-				// finalise the cancellation instead of resurrecting the job.
-				cancelled = true
-				t := now
-				j.Status.Phase = api.JobCancelled
-				j.Status.Node = ""
-				j.Status.FinishedAt = &t
-				j.Status.Message = fmt.Sprintf("cancelled; node %s unavailable", nodeName)
-				return j, nil
-			}
-			j.Status.Phase = api.JobPending
-			j.Status.Node = ""
-			j.Status.Message = fmt.Sprintf("requeued: node %s unavailable", nodeName)
-			return j, nil
-		})
-		if err == nil {
-			// The node is typically mid-deregistration here; a failed
-			// release is expected but must still be latched, not dropped.
-			if rerr := c.State.ReleaseNode(nodeName, jobName); rerr != nil {
-				c.State.LatchReleaseFailure(nodeName, jobName, rerr)
-			}
-		}
-		if cancelled {
-			c.State.RecordEvent("Job", jobName, "Cancelled",
-				fmt.Sprintf("node %s unavailable; cancellation finalised by the controller", nodeName))
-			continue
-		}
-		c.State.RecordEvent("Job", jobName, "Requeued",
-			fmt.Sprintf("node %s unavailable; job returned to the queue", nodeName))
+		c.requeueIfStranded(j, now)
 	}
+}
+
+// requeueIfStranded applies the stranded-job rule to one listed job. The
+// snapshot may be stale — a kubelet finished the job, a user cancelled it —
+// in which case the requeue event no longer applies and nothing happens.
+func (c *Controller) requeueIfStranded(j api.QuantumJob, now time.Time) {
+	stuck := c.StuckTimeout
+	if stuck <= 0 {
+		stuck = 5 * time.Second
+	}
+	nodeName := j.Status.Node
+	if node, _, err := c.State.Nodes.Get(nodeName); err == nil && node.Status.Phase == api.NodeReady {
+		return
+	}
+	// Grace period: the node may just be flapping.
+	ref := j.CreatedAt
+	if j.Status.StartedAt != nil {
+		ref = *j.Status.StartedAt
+	}
+	if now.Sub(ref) < stuck {
+		return
+	}
+	// A running job whose user asked for cancellation is finalised instead
+	// of resurrected (the lifecycle table's requeue rule): the kubelet that
+	// would abort its container is gone.
+	c.State.TransitionJob(j.Name, api.JobEventRequeue, state.Transition{
+		Node:    nodeName,
+		Message: fmt.Sprintf("node %s unavailable", nodeName),
+	})
 }
 
 // WillRetry reports whether the next reconcile sends this job back to
@@ -202,19 +178,16 @@ func (c *Controller) WillRetry(j api.QuantumJob) bool {
 // remains.
 func (c *Controller) retryFailedJobs() {
 	for _, j := range c.State.Jobs.ListFunc(c.WillRetry) {
-		jobName := j.Name
-		attempts := j.Status.Attempts
-		c.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
-			if j.Status.Phase != api.JobFailed {
-				return j, fmt.Errorf("controller: phase changed")
-			}
-			j.Status.Phase = api.JobPending
-			j.Status.Node = ""
-			return j, nil
-		})
-		c.State.RecordEvent("Job", jobName, "Retrying",
-			fmt.Sprintf("attempt %d of %d", attempts+1, max(c.MaxRetries, 0)+1))
+		c.retry(j)
 	}
+}
+
+// retry fires the retry event at one listed job; a stale snapshot (the
+// job is no longer Failed) changes and records nothing.
+func (c *Controller) retry(j api.QuantumJob) {
+	c.State.TransitionJob(j.Name, api.JobEventRetry, state.Transition{
+		Detail: fmt.Sprintf("attempt %d of %d", j.Status.Attempts+1, max(c.MaxRetries, 0)+1),
+	})
 }
 
 // gcEvents trims the event log to MaxEvents, dropping the oldest.

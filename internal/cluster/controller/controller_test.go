@@ -49,6 +49,14 @@ func submit(t *testing.T, st *state.Cluster, name string) {
 	}
 }
 
+// setNodePhase journals a phase for n1 behind the controller's back.
+func setNodePhase(st *state.Cluster, phase api.NodePhase) {
+	st.Nodes.Update("n1", func(n api.Node) (api.Node, error) {
+		n.Status.Phase = phase
+		return n, nil
+	})
+}
+
 // TestStaleNodeMarkedNotReady: liveness is read from the volatile table,
 // and only the transitions reach the store — a silent node costs exactly
 // one journaled NotReady and one HeartbeatLost event however many passes
@@ -133,10 +141,7 @@ func TestStrandedJobRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node dies.
-	st.Nodes.Update("n1", func(n api.Node) (api.Node, error) {
-		n.Status.Phase = api.NodeNotReady
-		return n, nil
-	})
+	setNodePhase(st, api.NodeNotReady)
 	// Inside the grace period nothing happens.
 	c.ReconcileOnce()
 	j, _, _ := st.Jobs.Get("j1")
@@ -153,6 +158,23 @@ func TestStrandedJobRequeued(t *testing.T) {
 	n, _, _ := st.Nodes.Get("n1")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("node still holds job: %+v", n.Status)
+	}
+
+	// A job stranded while Running comes back with no stamps either: a
+	// kept StartedAt would be read as the next strand's grace reference.
+	setNodePhase(st, api.NodeReady)
+	if err := st.BindJob("j1", "n1", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.TransitionJob("j1", api.JobEventClaim, state.Transition{Node: "n1"}); err != nil {
+		t.Fatal(err)
+	}
+	setNodePhase(st, api.NodeNotReady)
+	clk.Advance(time.Minute)
+	c.ReconcileOnce()
+	j, _, _ = st.Jobs.Get("j1")
+	if j.Status.Phase != api.JobPending || j.Status.Node != "" || j.Status.StartedAt != nil || j.Status.FinishedAt != nil {
+		t.Fatalf("running job requeued with leftovers: %+v", j.Status)
 	}
 }
 
@@ -175,8 +197,10 @@ func TestFailedJobRetriesUpToBudget(t *testing.T) {
 	submit(t, st, "j1")
 	fail := func(attempts int) {
 		st.Jobs.Update("j1", func(j api.QuantumJob) (api.QuantumJob, error) {
+			at := time.Now()
 			j.Status.Phase = api.JobFailed
 			j.Status.Attempts = attempts
+			j.Status.Node, j.Status.StartedAt, j.Status.FinishedAt = "n1", &at, &at
 			return j, nil
 		})
 	}
@@ -185,6 +209,9 @@ func TestFailedJobRetriesUpToBudget(t *testing.T) {
 	j, _, _ := st.Jobs.Get("j1")
 	if j.Status.Phase != api.JobPending {
 		t.Fatalf("first failure not retried: %s", j.Status.Phase)
+	}
+	if j.Status.Node != "" || j.Status.StartedAt != nil || j.Status.FinishedAt != nil {
+		t.Fatalf("retried job is pending with leftovers: %+v", j.Status)
 	}
 	fail(2)
 	c.ReconcileOnce()
@@ -197,6 +224,57 @@ func TestFailedJobRetriesUpToBudget(t *testing.T) {
 	j, _, _ = st.Jobs.Get("j1")
 	if j.Status.Phase != api.JobFailed {
 		t.Fatalf("retry budget ignored: %s", j.Status.Phase)
+	}
+}
+
+// TestStaleSnapshotChangesNothing hands each per-job rule a listing that
+// the store has moved past — a kubelet finished the job between the
+// controller's list and its write. The rule must lose quietly: no event,
+// no job write, and the reservation on the (present but NotReady) node
+// still counted.
+func TestStaleSnapshotChangesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale api.JobPhase
+		fire  func(c *Controller, j api.QuantumJob, now time.Time)
+	}{
+		{"requeue", api.JobRunning, func(c *Controller, j api.QuantumJob, now time.Time) { c.requeueIfStranded(j, now) }},
+		{"retry", api.JobFailed, func(c *Controller, j api.QuantumJob, _ time.Time) { c.retry(j) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, st, clk := setup(t)
+			submit(t, st, "j1")
+			if err := st.BindJob("j1", "n1", 0.1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.TransitionJob("j1", api.JobEventClaim, state.Transition{Node: "n1"}); err != nil {
+				t.Fatal(err)
+			}
+			snapshot, _, _ := st.Jobs.Get("j1")
+			snapshot.Status.Phase = tc.stale
+			// The store moves on: the job succeeds, but its kubelet has not
+			// released the slot yet when the node goes NotReady.
+			st.Jobs.Update("j1", func(j api.QuantumJob) (api.QuantumJob, error) {
+				j.Status.Phase = api.JobSucceeded
+				return j, nil
+			})
+			setNodePhase(st, api.NodeNotReady)
+			_, version, _ := st.Jobs.Get("j1")
+			events := len(st.EventsAbout("j1"))
+			clk.Advance(time.Minute)
+
+			tc.fire(c, snapshot, clk.Now())
+
+			if j, v, _ := st.Jobs.Get("j1"); v != version || j.Status.Phase != api.JobSucceeded {
+				t.Fatalf("lost race still wrote the job: version %d → %d, phase %s", version, v, j.Status.Phase)
+			}
+			if got := st.EventsAbout("j1"); len(got) != events {
+				t.Fatalf("lost race recorded %q", got[len(got)-1].Reason)
+			}
+			if n, _, _ := st.Nodes.Get("n1"); len(n.Status.RunningJobs) != 1 {
+				t.Fatalf("lost race released the reservation: %+v", n.Status)
+			}
+		})
 	}
 }
 

@@ -368,7 +368,7 @@ func Open(c *state.Cluster, opts Options) (*Manager, error) {
 
 	// 8. Orphan requeue: replayed Running jobs have no container behind
 	// them any more.
-	m.replay.RequeuedJobs = c.RequeueOrphanedRunning("requeued: node process restarted")
+	m.replay.RequeuedJobs = c.RequeueAll(api.JobRunning, "requeued: node process restarted")
 
 	m.replay.DurationMillis = time.Since(start).Milliseconds()
 	return m, nil

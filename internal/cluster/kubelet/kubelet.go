@@ -49,8 +49,9 @@ type Kubelet struct {
 	Heartbeat time.Duration
 	// Seed makes executions reproducible per node.
 	Seed int64
-	// Clock is the kubelet's time source (StartedAt/FinishedAt stamps,
-	// elapsed-time logs). Nil means the wall clock.
+	// Clock is the kubelet's time source (heartbeats, elapsed-time logs;
+	// StartedAt/FinishedAt are stamped by the cluster's clock inside
+	// state.TransitionJob). Nil means the wall clock.
 	Clock clock.Clock
 	// Runtime is the container runtime seam; nil selects the built-in
 	// simulator-backed executor. Tests and alternative execution backends
@@ -232,16 +233,7 @@ type execOutcome struct {
 // immediately.
 func (k *Kubelet) runJob(ctx context.Context, jobName string) {
 	start := k.now()
-	claimed, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
-		if j.Status.Phase != api.JobScheduled || j.Status.Node != k.NodeName {
-			return j, fmt.Errorf("kubelet: job no longer ours")
-		}
-		j.Status.Phase = api.JobRunning
-		j.Status.Attempts++
-		t := k.now()
-		j.Status.StartedAt = &t
-		return j, nil
-	})
+	claimed, err := k.State.TransitionJob(jobName, api.JobEventClaim, state.Transition{Node: k.NodeName})
 	if err != nil {
 		return // lost the claim; nothing to clean up
 	}
@@ -317,34 +309,20 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 		k.State.Results.Update(jobName, func(api.Result) (api.Result, error) { return res, nil })
 	}
 
-	done, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
-		if j.Status.Phase != api.JobRunning || j.Status.Node != k.NodeName {
-			return j, fmt.Errorf("kubelet: job no longer ours")
-		}
-		t := k.now()
-		j.Status.FinishedAt = &t
-		if execErr != nil {
-			j.Status.Phase = api.JobFailed
-			j.Status.Message = execErr.Error()
-		} else {
-			j.Status.Phase = api.JobSucceeded
-			j.Status.Message = fmt.Sprintf("fidelity %.4f on %s", res.Fidelity, k.NodeName)
-		}
-		return j, nil
-	})
-	if err != nil {
-		return // another actor finalised the job; it owns release + events
+	// The transition releases the slot and records the event; when another
+	// actor already finalised the job, it owned both.
+	t := state.Transition{
+		Node:    k.NodeName,
+		Message: fmt.Sprintf("fidelity %.4f on %s", res.Fidelity, k.NodeName),
+		Detail:  fmt.Sprintf("executed on %s in %dms", k.NodeName, elapsed),
 	}
-	k.Metrics.observeRun(done)
-	if rerr := k.State.ReleaseNode(k.NodeName, jobName); rerr != nil {
-		k.State.LatchReleaseFailure(k.NodeName, jobName, rerr)
-	}
-	reason := "Succeeded"
+	ev := api.JobEventSucceed
 	if execErr != nil {
-		reason = "Failed"
+		ev, t.Message = api.JobEventFail, execErr.Error()
 	}
-	k.State.RecordEvent("Job", jobName, reason,
-		fmt.Sprintf("executed on %s in %dms", k.NodeName, elapsed))
+	if done, err := k.State.TransitionJob(jobName, ev, t); err == nil {
+		k.Metrics.observeRun(done)
+	}
 }
 
 // finishCancelled lands a user-requested abort: terminal JobCancelled
@@ -352,15 +330,9 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 func (k *Kubelet) finishCancelled(jobName string, start time.Time) {
 	end := k.now()
 	elapsed := end.Sub(start).Milliseconds()
-	done, _, err := k.State.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
-		if j.Status.Phase != api.JobRunning || j.Status.Node != k.NodeName {
-			return j, fmt.Errorf("kubelet: job no longer ours")
-		}
-		t := k.now()
-		j.Status.Phase = api.JobCancelled
-		j.Status.FinishedAt = &t
-		j.Status.Message = fmt.Sprintf("cancelled by user; container aborted on %s", k.NodeName)
-		return j, nil
+	done, err := k.State.TransitionJob(jobName, api.JobEventAbort, state.Transition{
+		Node:    k.NodeName,
+		Message: fmt.Sprintf("cancelled by user; container aborted on %s after %dms", k.NodeName, elapsed),
 	})
 	if err != nil {
 		return // someone else finished the job first
@@ -379,11 +351,6 @@ func (k *Kubelet) finishCancelled(jobName string, start time.Time) {
 	if _, err := k.State.Results.Create(res); err != nil {
 		k.State.Results.Update(jobName, func(api.Result) (api.Result, error) { return res, nil })
 	}
-	if rerr := k.State.ReleaseNode(k.NodeName, jobName); rerr != nil {
-		k.State.LatchReleaseFailure(k.NodeName, jobName, rerr)
-	}
-	k.State.RecordEvent("Job", jobName, "Cancelled",
-		fmt.Sprintf("container aborted on %s after %dms", k.NodeName, elapsed))
 }
 
 // execute is the built-in runtime: it pulls the image and runs the

@@ -52,103 +52,27 @@ func (c *Cluster) EnsureUIDFloor(n int64) {
 	}
 }
 
-// RequeueUnclaimedScheduled returns every Scheduled job to the queue —
-// the graceful-drain counterpart of RequeueOrphanedRunning. On drain the
-// kubelets have exited: a job bound to a node but never claimed by its
-// kubelet would otherwise sit Scheduled forever. Returning it to Pending
-// (and releasing its slot) makes the bind re-run on the next start, so a
-// drained restart loses no accepted work. Returns how many jobs moved.
-func (c *Cluster) RequeueUnclaimedScheduled(reason string) int {
+// RequeueAll fires the requeue event at every job found in phase and
+// returns how many it moved. Two callers, both with no kubelet alive to
+// race: boot recovery requeues Running jobs (a replayed Running job's
+// container died with the old process; one whose user had asked for
+// cancellation lands in Cancelled instead) after the WAL sinks attach, so
+// a crash during recovery recovers the same way the second time; and a
+// graceful drain requeues Scheduled jobs no kubelet claimed, so the next
+// start re-binds them instead of leaving them parked forever.
+func (c *Cluster) RequeueAll(phase api.JobPhase, reason string) int {
 	var names []string
 	c.Jobs.Range(func(j api.QuantumJob, _ int64) bool {
-		if j.Status.Phase == api.JobScheduled {
+		if j.Status.Phase == phase {
 			names = append(names, j.Name)
 		}
 		return true
 	})
 	n := 0
 	for _, name := range names {
-		node := ""
-		_, _, err := c.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-			node = ""
-			if j.Status.Phase != api.JobScheduled {
-				return j, TerminalJobError{Job: name, Phase: j.Status.Phase}
-			}
-			node = j.Status.Node
-			j.Status.Phase = api.JobPending
-			j.Status.Node = ""
-			j.Status.Message = reason
-			return j, nil
-		})
-		if err != nil {
-			continue
+		if _, err := c.TransitionJob(name, api.JobEventRequeue, Transition{Message: reason}); err == nil {
+			n++
 		}
-		if node != "" {
-			if rerr := c.ReleaseNode(node, name); rerr != nil {
-				c.LatchReleaseFailure(node, name, rerr)
-			}
-		}
-		c.RecordEvent("Job", name, "Requeued", reason)
-		n++
-	}
-	return n
-}
-
-// RequeueOrphanedRunning returns every Running job to the queue (or
-// completes its cancellation) — the boot-time recovery step. A replayed
-// Running job has no live container behind it: the process that owned the
-// container died with the crash. Returns how many jobs were transitioned.
-// Called after WAL sinks attach, so the transitions themselves are logged
-// and a crash during recovery recovers correctly the second time.
-func (c *Cluster) RequeueOrphanedRunning(reason string) int {
-	var names []string
-	c.Jobs.Range(func(j api.QuantumJob, _ int64) bool {
-		if j.Status.Phase == api.JobRunning {
-			names = append(names, j.Name)
-		}
-		return true
-	})
-	n := 0
-	for _, name := range names {
-		node := ""
-		cancelled := false
-		_, _, err := c.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-			node, cancelled = "", false
-			if j.Status.Phase != api.JobRunning {
-				return j, TerminalJobError{Job: name, Phase: j.Status.Phase}
-			}
-			node = j.Status.Node
-			if j.Status.CancelRequested {
-				// The container the user wanted aborted died with the old
-				// process — the cancellation is complete, not lost.
-				cancelled = true
-				now := c.now()
-				j.Status.Phase = api.JobCancelled
-				j.Status.Node = ""
-				j.Status.FinishedAt = &now
-				j.Status.Message = reason + "; cancellation completed by restart"
-				return j, nil
-			}
-			j.Status.Phase = api.JobPending
-			j.Status.Node = ""
-			j.Status.StartedAt = nil
-			j.Status.Message = reason
-			return j, nil
-		})
-		if err != nil {
-			continue
-		}
-		if node != "" {
-			if rerr := c.ReleaseNode(node, name); rerr != nil {
-				c.LatchReleaseFailure(node, name, rerr)
-			}
-		}
-		if cancelled {
-			c.RecordEvent("Job", name, "Cancelled", reason+"; cancellation completed by restart")
-		} else {
-			c.RecordEvent("Job", name, "Requeued", reason)
-		}
-		n++
 	}
 	return n
 }

@@ -868,36 +868,19 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 	if err != nil {
 		return err
 	}
-	mutate := func(j api.QuantumJob) (api.QuantumJob, error) {
-		// Re-check under the job store's lock: a CancelJob (or any other
-		// transition) that landed between the pending check above and
-		// this update must win, not be silently overwritten.
-		if j.Status.Phase != api.JobPending {
-			return j, ConflictError{Job: jobName, Observed: version, Phase: j.Status.Phase}
-		}
-		j.Status.Phase = api.JobScheduled
-		j.Status.Node = nodeName
-		j.Status.Score = score
-		return j, nil
-	}
-	if version > 0 {
-		// The compare-and-swap: check and mutate run atomically under the
-		// job shard's lock, so no transition can slip between them.
-		_, _, err = c.Jobs.UpdateFunc(jobName, func(_ api.QuantumJob, v int64) error {
-			if v != version {
-				return ConflictError{Job: jobName, Observed: version, Current: v}
-			}
-			return nil
-		}, mutate)
-	} else {
-		_, _, err = c.Jobs.Update(jobName, mutate)
-	}
+	// The phase flip re-checks under the job shard's lock: a CancelJob (or
+	// any other transition) that landed since the pending check above
+	// wins, and with version > 0 so does any write at all.
+	_, err = c.TransitionJob(jobName, api.JobEventBind, Transition{
+		Node: nodeName, Score: score, Version: version,
+		Detail: fmt.Sprintf("bound to node %s (score %.4f)", nodeName, score),
+	})
 	if err != nil {
-		// The node reservation above is now orphaned; give it back. A
-		// rollback that itself fails (node deregistered mid-flight) must
-		// not vanish: latch it so operators can reconcile the orphan.
-		if rerr := c.ReleaseNode(nodeName, jobName); rerr != nil {
-			c.LatchReleaseFailure(nodeName, jobName, rerr)
+		// The node reservation above is now orphaned; give it back.
+		c.release(nodeName, jobName)
+		var illegal api.IllegalTransitionError
+		if errors.As(err, &illegal) {
+			return ConflictError{Job: jobName, Observed: version, Phase: illegal.Phase}
 		}
 		return err
 	}
@@ -905,9 +888,55 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 		m.SubmitToBind.Observe(c.now().Sub(job.CreatedAt).Seconds())
 		m.TenantBinds.With(TenantOf(&job)).Inc()
 	}
-	c.RecordEvent("Job", jobName, "Scheduled",
-		fmt.Sprintf("bound to node %s (score %.4f)", nodeName, score))
 	return nil
+}
+
+// Transition is what a caller of TransitionJob knows beyond the event.
+type Transition struct {
+	// Node is the node a bind assigns; for every other event a non-empty
+	// Node requires the job to still be on it (a kubelet's "still ours").
+	Node  string
+	Score float64 // bind only
+	// Version > 0 applies the event only at that resource version
+	// (compare-and-swap, ConflictError otherwise).
+	Version int64
+	Message string // the job's new Status.Message ("" = the table's default, else unchanged)
+	Detail  string // the recorded event's message ("" = the job's Status.Message)
+	NoEvent bool   // record no cluster event (the simulator's kubelet model)
+}
+
+// TransitionJob is the one writer of job phases: it applies ev through the
+// lifecycle table (api.JobStatus.Apply) atomically under the job shard's
+// lock, then releases the node the move vacated — latching a release that
+// cannot land — then records the table's event, in that order. An event
+// the table has no row for in the job's current phase writes nothing and
+// returns api.IllegalTransitionError.
+func (c *Cluster) TransitionJob(name string, ev api.JobEvent, t Transition) (api.QuantumJob, error) {
+	var move api.JobMove
+	updated, _, err := c.Jobs.UpdateFunc(name, func(_ api.QuantumJob, v int64) error {
+		if t.Version > 0 && v != t.Version {
+			return ConflictError{Job: name, Observed: t.Version, Current: v}
+		}
+		return nil
+	}, func(j api.QuantumJob) (api.QuantumJob, error) {
+		var err error
+		move, err = j.Status.Apply(ev, api.JobInput{Now: c.now(), Node: t.Node, Score: t.Score, Message: t.Message})
+		return j, err
+	})
+	if err != nil {
+		return api.QuantumJob{}, err
+	}
+	if move.Vacated != "" {
+		c.release(move.Vacated, name)
+	}
+	if move.Reason != "" && !t.NoEvent {
+		detail := t.Detail
+		if detail == "" {
+			detail = updated.Status.Message
+		}
+		c.RecordEvent("Job", name, move.Reason, detail)
+	}
+	return updated, nil
 }
 
 // TerminalJobError reports a lifecycle operation against a job that has
@@ -938,56 +967,22 @@ func (e TerminalJobError) HTTPStatus() (int, string) { return 409, "conflict" }
 // Scheduled→Running claim resolves cleanly: exactly one of the two
 // transitions wins.
 func (c *Cluster) CancelJob(name string) (api.QuantumJob, error) {
-	releasedNode := ""
-	running := false
-	updated, _, err := c.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-		releasedNode, running = "", false
-		switch j.Status.Phase {
-		case api.JobPending:
-			now := c.now()
-			j.Status.Phase = api.JobCancelled
-			j.Status.FinishedAt = &now
-			j.Status.Message = "cancelled while pending"
-		case api.JobScheduled:
-			releasedNode = j.Status.Node
-			now := c.now()
-			j.Status.Phase = api.JobCancelled
-			j.Status.Node = ""
-			j.Status.FinishedAt = &now
-			j.Status.Message = "cancelled before execution started"
-		case api.JobRunning:
-			running = true
-			j.Status.CancelRequested = true
-		default:
-			return j, TerminalJobError{Job: name, Phase: j.Status.Phase}
-		}
-		return j, nil
-	})
-	if err != nil {
-		var notFound store.ErrNotFound
-		if errors.As(err, &notFound) {
-			// Not in the hot store — the sweep may already have archived it.
-			// An archived job is terminal by construction: answer with the
-			// same typed conflict a resident terminal job gets, so the
-			// caller cannot tell (or care) which tier it rests in.
-			if entry, ok := c.Archived.Get(name); ok {
-				return api.QuantumJob{}, TerminalJobError{Job: name, Phase: entry.Job.Status.Phase}
-			}
-		}
-		return api.QuantumJob{}, err
-	}
-	if releasedNode != "" {
-		if rerr := c.ReleaseNode(releasedNode, name); rerr != nil {
-			c.LatchReleaseFailure(releasedNode, name, rerr)
+	updated, err := c.TransitionJob(name, api.JobEventCancel, Transition{})
+	var illegal api.IllegalTransitionError
+	var notFound store.ErrNotFound
+	switch {
+	case errors.As(err, &illegal): // cancel applies to every non-terminal phase
+		return api.QuantumJob{}, TerminalJobError{Job: name, Phase: illegal.Phase}
+	case errors.As(err, &notFound):
+		// Not in the hot store — the sweep may already have archived it.
+		// An archived job is terminal by construction: answer with the
+		// same typed conflict a resident terminal job gets, so the
+		// caller cannot tell (or care) which tier it rests in.
+		if entry, ok := c.Archived.Get(name); ok {
+			return api.QuantumJob{}, TerminalJobError{Job: name, Phase: entry.Job.Status.Phase}
 		}
 	}
-	if running {
-		c.RecordEvent("Job", name, "CancelRequested",
-			fmt.Sprintf("cancellation requested; aborting container on %s", updated.Status.Node))
-	} else {
-		c.RecordEvent("Job", name, "Cancelled", updated.Status.Message)
-	}
-	return updated, nil
+	return updated, err
 }
 
 // ReleaseNode frees the container slot and resource reservation a job held
@@ -997,8 +992,7 @@ func (c *Cluster) CancelJob(name string) (api.QuantumJob, error) {
 // two-tier pattern) so its CPU/memory reservation is still decremented —
 // releasing only the slot would leak classical-resource accounting until
 // the node re-registers. The returned error is the node update failing
-// (typically the node deregistered mid-release); callers that cannot
-// retry should latch it via releaseFailed.
+// (typically the node deregistered mid-release).
 func (c *Cluster) ReleaseNode(nodeName, jobName string) error {
 	job, _, jobErr := c.Jobs.Get(jobName)
 	if jobErr != nil {
@@ -1035,14 +1029,17 @@ func (c *Cluster) ReleaseNode(nodeName, jobName string) error {
 	return err
 }
 
-// LatchReleaseFailure latches a release that could not land: a
-// ReleaseFailed event on the job plus the
+// release is ReleaseNode for callers that cannot retry: a release that
+// cannot land (typically the node deregistered mid-flight) is latched as
+// a ReleaseFailed event on the job plus the
 // qrio_state_release_failures_total counter. The reservation may be
-// orphaned until the node re-registers (node registration rebuilds
-// accounting from scratch), so the failure must be visible rather than
-// silently dropped. Every ReleaseNode caller that cannot retry routes
-// its error here.
-func (c *Cluster) LatchReleaseFailure(nodeName, jobName string, err error) {
+// orphaned until the node re-registers (registration rebuilds accounting
+// from scratch), so the failure must be visible, not silently dropped.
+func (c *Cluster) release(nodeName, jobName string) {
+	err := c.ReleaseNode(nodeName, jobName)
+	if err == nil {
+		return
+	}
 	if m := c.Metrics; m != nil {
 		m.ReleaseFailures.Inc()
 	}

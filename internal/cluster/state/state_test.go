@@ -863,3 +863,42 @@ func TestBackendFollowsDeleteAndReAdd(t *testing.T) {
 			b.NumQubits, b.AvgTwoQubitErr())
 	}
 }
+
+// TestIllegalTransitionWritesNothing: an event the lifecycle table has no
+// row for — here every event there is, fired at a job that already
+// Succeeded while a reservation in its name is still on the node — leaves
+// the job's version, its event trail and the node's accounting untouched.
+func TestIllegalTransitionWritesNothing(t *testing.T) {
+	c := New()
+	c.AddNode(testBackend(t, "dev-a"))
+	scheduledJob(t, c, "j1", "dev-a")
+	for _, ev := range []api.JobEvent{api.JobEventClaim, api.JobEventSucceed} {
+		if _, err := c.TransitionJob("j1", ev, Transition{Node: "dev-a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Re-reserve what succeed released, so a wrongful release would show.
+	c.Nodes.Update("dev-a", func(n api.Node) (api.Node, error) {
+		n.Status.RunningJobs = []string{"j1"}
+		return n, nil
+	})
+	_, version, _ := c.Jobs.Get("j1")
+	events := len(c.EventsAbout("j1"))
+
+	for _, ev := range api.JobEvents {
+		_, err := c.TransitionJob("j1", ev, Transition{Node: "dev-a", Message: "must not land"})
+		var illegal api.IllegalTransitionError
+		if !errors.As(err, &illegal) || illegal.Phase != api.JobSucceeded || illegal.Event != ev {
+			t.Fatalf("%s on a Succeeded job: err = %v, want IllegalTransitionError", ev, err)
+		}
+	}
+	if _, v, _ := c.Jobs.Get("j1"); v != version {
+		t.Fatalf("illegal transitions moved the job from version %d to %d", version, v)
+	}
+	if got := len(c.EventsAbout("j1")); got != events {
+		t.Fatalf("illegal transitions recorded %d events", got-events)
+	}
+	if n, _, _ := c.Nodes.Get("dev-a"); !n.Status.HasRunningJob("j1") {
+		t.Fatal("illegal transition released the node")
+	}
+}

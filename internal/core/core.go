@@ -433,7 +433,7 @@ func (q *QRIO) Draining() bool { return q.draining.Load() }
 func (q *QRIO) Drain() (requeued int, err error) {
 	q.BeginDrain()
 	q.Stop()
-	requeued = q.State.RequeueUnclaimedScheduled(
+	requeued = q.State.RequeueAll(api.JobScheduled,
 		"requeued: daemon drained before a kubelet claimed the job")
 	if q.Durability != nil {
 		if _, serr := q.Durability.Snapshot(); serr != nil {

@@ -10,8 +10,8 @@
 //
 // The execution model replaces kubelets with events: when the scheduler
 // binds a job (observed through a Jobs store hook), the engine claims it
-// to Running exactly as a kubelet would — same phase guard, same
-// Attempts increment — and schedules a Finish event at now + the
+// to Running exactly as a kubelet would — the same row of the lifecycle
+// table (api.JobStatus.Apply) — and schedules a Finish event at now + the
 // arrival's sampled service time. Finishing releases the node slot and
 // lands the terminal phase; failed jobs flow through the real
 // controller's retry loop, and the real retention sweep archives
@@ -489,17 +489,7 @@ func (e *Engine) processBinds() {
 		if meta == nil {
 			continue
 		}
-		_, _, err := e.st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-			if j.Status.Phase != api.JobScheduled {
-				return j, fmt.Errorf("sim: job no longer scheduled")
-			}
-			j.Status.Phase = api.JobRunning
-			j.Status.Attempts++
-			t := now
-			j.Status.StartedAt = &t
-			return j, nil
-		})
-		if err != nil {
+		if _, err := e.st.TransitionJob(name, api.JobEventClaim, state.Transition{}); err != nil {
 			continue
 		}
 		meta.running = true
@@ -513,51 +503,32 @@ func (e *Engine) processBinds() {
 }
 
 // finish lands one running job's terminal phase, releasing its node —
-// the kubelet's epilogue. Failed jobs stay tracked: the real controller
-// requeues them until the retry budget runs out.
+// the kubelet's epilogue. A job the user cancelled meanwhile is aborted
+// (modelled at the end of its service time, not at the request).
 func (e *Engine) finish(name string) {
 	meta := e.jobs[name]
 	if meta == nil {
 		return
 	}
-	now := e.clk.Now()
-	node := ""
-	attempts := 0
-	_, _, err := e.st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-		if j.Status.Phase != api.JobRunning {
-			return j, fmt.Errorf("sim: job no longer running")
-		}
-		node = j.Status.Node
-		attempts = j.Status.Attempts
-		t := now
-		j.Status.FinishedAt = &t
-		if meta.fail {
-			j.Status.Phase = api.JobFailed
-			j.Status.Message = "sim: injected failure"
-		} else {
-			j.Status.Phase = api.JobSucceeded
-			j.Status.Message = "sim: executed"
-		}
-		return j, nil
-	})
-	if err != nil {
-		return // another actor finalised it (cancel path); leave to them
+	// No cluster events: a million-job run would only feed the event GC.
+	ev, t := api.JobEventSucceed, state.Transition{Message: "sim: executed", NoEvent: true}
+	if meta.fail {
+		ev, t.Message = api.JobEventFail, "sim: injected failure"
 	}
-	if node != "" {
-		if rerr := e.st.ReleaseNode(node, name); rerr != nil {
-			e.st.LatchReleaseFailure(node, name, rerr)
+	e.st.Jobs.Peek(name, func(j api.QuantumJob, _ int64) {
+		if j.Status.CancelRequested {
+			ev, t.Message = api.JobEventAbort, "sim: cancelled by user"
 		}
+	})
+	done, err := e.st.TransitionJob(name, ev, t)
+	if err != nil {
+		return // another actor finalised it; leave to them
 	}
 	meta.running = false
-	if !meta.fail {
-		e.metrics.finish(meta.tenant, true)
-		e.remaining--
-		delete(e.jobs, name)
-		return
-	}
-	if attempts > e.cfg.MaxRetries {
-		// The controller's retry rule will skip it: finally terminal.
-		e.metrics.finish(meta.tenant, false)
+	// A failed job stays tracked while the real controller's retry rule
+	// will requeue it; anything else is finally terminal.
+	if ev != api.JobEventFail || done.Status.Attempts > e.cfg.MaxRetries {
+		e.metrics.finish(meta.tenant, ev == api.JobEventSucceed)
 		e.remaining--
 		delete(e.jobs, name)
 	}
