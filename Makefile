@@ -29,6 +29,11 @@ GUARDED_GATEWAY := BenchmarkRateLimit
 # full scrape) is guarded from internal/obs: instrumentation that shows
 # up in the scheduler or gateway profiles defeats its own purpose.
 GUARDED_OBS := BenchmarkMetricsHotPath
+# The fsync'd log: one appender paying a whole fsync per record
+# (WALAppendFsync) and 1, 4, 16 appenders sharing them (WALGroupCommit).
+# These are disk-bound, so they run for a fixed time, not a fixed count.
+GUARDED_WAL := BenchmarkWALAppendFsync|BenchmarkWALGroupCommit
+BENCH_WAL_TIME ?= 200ms
 # The multi-replica scale-out bench runs with its own methodology: a
 # handful of full wave drains per measurement (each op is already a
 # 32-job wave) across -cpu $(BENCH_REPL_CPU), so the curve shows both
@@ -44,7 +49,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -99,6 +104,16 @@ lint-phase:
 		| grep -v '^internal/cluster/api/lifecycle\.go:' \
 		| grep -vF 'j.Status = api.JobStatus{Phase: api.JobPending}' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-phase: a phase change is a row of the lifecycle table (api.JobStatus.Apply via state.TransitionJob), not an assignment:"; echo "$$out"; exit 1; fi
+
+# lint-sync enforces the one-no-wait-path rule: a store's NoWait view —
+# mutators that write their log record and return ahead of the disk — is
+# taken only by the state layer, whose SubmitJob, BindJobAt and
+# TransitionJob each end in one Cluster.Sync. Everywhere else a store
+# mutation that returns is durable. Tests are exempt.
+lint-sync:
+	@out="$$(grep -rnE '\.NoWait\(\)' --include='*.go' --exclude='*_test.go' internal cmd client *.go \
+		| grep -vE '^internal/cluster/(state|store)/' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-sync: only internal/cluster/state may write ahead of the disk (store.NoWait); everyone else waits on return:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -195,6 +210,7 @@ bench:
 bench-json:
 	$(GO) test -run xxx -bench '$(GUARDED_SLOW)' -benchtime 1x -count $(BENCH_COUNT) -json . > BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_FAST)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json . >> BENCH_results.json
+	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_REPL)' -benchtime $(BENCH_REPL_TIME) -count $(BENCH_COUNT) -cpu $(BENCH_REPL_CPU) -json . >> BENCH_results.json
@@ -211,6 +227,7 @@ bench-store:
 bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_SLOW)' -benchtime 1x -count $(BENCH_COUNT) -json . > BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_FAST)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
+	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_REPL)' -benchtime $(BENCH_REPL_TIME) -count $(BENCH_COUNT) -cpu $(BENCH_REPL_CPU) -json . >> BENCH_current.json
@@ -235,4 +252,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race sim-smoke

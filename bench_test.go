@@ -730,9 +730,8 @@ func BenchmarkAblationScoreUnits(b *testing.B) {
 
 // BenchmarkAblationCanaryEnsembleSize quantifies how ensemble size buys
 // discriminative power for the canary estimator on Grover — the circuit
-// whose deterministic canary is completely blind (uniform ideal output;
-// see EXPERIMENTS.md). Both sizes benefit from concentration-based member
-// selection; the metric is the canary-fidelity spread across the fleet's
+// whose deterministic canary is completely blind (uniform ideal output).
+// Both sizes benefit from concentration-based member selection; the metric is the canary-fidelity spread across the fleet's
 // devices — a larger spread separates good devices from bad ones more
 // reliably under shot noise.
 func BenchmarkAblationCanaryEnsembleSize(b *testing.B) {
@@ -1133,8 +1132,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALAppendFsync is the machine-crash configuration: every append
-// synced to stable storage. Hardware truth, reported but not guarded (disk
-// variance across CI runners would flake a 25% envelope).
+// synced to stable storage — one appender, so one fsync per record, the
+// price BenchmarkWALGroupCommit's concurrent appenders share.
 func BenchmarkWALAppendFsync(b *testing.B) {
 	w, err := wal.OpenWriter(filepath.Join(b.TempDir(), "bench.wal"), true)
 	if err != nil {
@@ -1147,6 +1146,48 @@ func BenchmarkWALAppendFsync(b *testing.B) {
 		if err := w.Append(benchWALPayload); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWALGroupCommit is the fsync'd log under concurrent appenders:
+// each op is one record appended and durable, b.N of them spread over 1, 4
+// or 16 goroutines. Appenders that wait together share an fsync, so ns/op
+// falls as they are added while one appender pays BenchmarkWALAppendFsync's
+// full fsync per record; records/fsync reports the batch group commit found.
+func BenchmarkWALGroupCommit(b *testing.B) {
+	for _, appenders := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
+			w, err := wal.OpenWriter(filepath.Join(b.TempDir(), "bench.wal"), true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			var fsyncs atomic.Int64
+			w.SetObserver(&wal.Observer{
+				Wrote:  func(int) {},
+				Synced: func(int64, time.Duration) { fsyncs.Add(1) },
+				Waited: func(time.Duration) {},
+			})
+			b.SetBytes(int64(len(benchWALPayload) + 8))
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < appenders; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := w.Append(benchWALPayload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/float64(max(fsyncs.Load(), 1)), "records/fsync")
+		})
 	}
 }
 

@@ -36,8 +36,8 @@
 // -data-dir) a final compacted snapshot is written. -faults arms named
 // fault points for resilience rehearsal — never in production.
 //
-// With -data-dir, cluster state is durable: every mutation is written to a
-// per-shard WAL under DIR, compacted snapshots are taken every
+// With -data-dir, cluster state is durable: every mutation is written to the
+// WAL under DIR, compacted snapshots are taken every
 // -snapshot-interval, and a restart replays the directory — jobs, results,
 // events, tenant overrides and the archive come back; jobs that were
 // running when the process died are re-queued. Without -data-dir the
@@ -82,7 +82,7 @@ func main() {
 	retentionCount := flag.Int("retention-max-count", 0, "archive the oldest terminal jobs beyond this resident count (0 = unlimited)")
 	archiveSpill := flag.String("archive-spill", "", "append archived jobs as JSON lines to this file (incompatible with -data-dir, which owns its own spill)")
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + snapshots + archive spill (empty = in-memory)")
-	walFsync := flag.Bool("wal-fsync", true, "fsync every WAL append (with -data-dir; =false trades the log tail on power loss for latency)")
+	walFsync := flag.Bool("wal-fsync", true, "make every WAL write wait for an fsync covering it (with -data-dir; =false trades the log tail on power loss for latency)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "compacted snapshot period with -data-dir (0 = 5m default, negative = admin-triggered only)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-tenant submission rate limit in submissions/second (0 = unlimited; per-tenant overrides via PUT /v1/tenants/{name})")
 	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst for -rate-limit (0 = max(1, ceil(rate)))")

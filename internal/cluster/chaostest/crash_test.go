@@ -7,6 +7,9 @@
 //
 //   - every job the child acknowledged durable is in exactly one tier
 //     (hot store or archive): none lost, none duplicated,
+//   - every watch event the child handed to a client — after the barrier
+//     the HTTP surface holds its streams behind — is in the recovered
+//     state: the job is resident at that version or later, or archived,
 //   - every hook-fed index matches a from-scratch rebuild from the stores,
 //   - every resume token the child handed out either resumes cleanly or
 //     fails with the typed store.ErrCompacted (the /v1 410) — never
@@ -15,7 +18,8 @@
 //
 // Two rounds run against the same directory, so the second child boots
 // from a crashed predecessor's state and the second audit covers
-// recovery-of-a-recovery. Runs under -race via `make chaos-crash`.
+// recovery-of-a-recovery; the second child also fsyncs, so the kill lands
+// inside group commits too. Runs under -race via `make chaos-crash`.
 package chaostest
 
 import (
@@ -59,7 +63,7 @@ func TestCrashChild(t *testing.T) {
 
 func runCrashChild(t *testing.T, dir, round string) {
 	st := state.New()
-	m, err := durability.Open(st, durability.Options{Dir: dir, SnapshotInterval: -1})
+	m, err := durability.Open(st, durability.Options{Dir: dir, Fsync: round == "1", SnapshotInterval: -1})
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
@@ -91,6 +95,10 @@ func runCrashChild(t *testing.T, dir, round string) {
 		t.Fatal(err)
 	}
 	tokens, err := os.OpenFile(filepath.Join(dir, "tokens.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched, err := os.OpenFile(filepath.Join(dir, "watched.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +151,21 @@ func runCrashChild(t *testing.T, dir, round string) {
 			}
 		}()
 	}
+	// Watch client: what /v1/watch does for a remote one — receive from the
+	// hub, wait for the log (Sync is the HTTP barrier), only then let the
+	// event out of the process. Every line must survive the kill.
+	notes, _ := st.Subscribe(256)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := range notes {
+			if n.Job == nil {
+				continue
+			}
+			st.Sync()
+			fmt.Fprintf(watched, "%s %d\n", n.Job.Name, n.Version)
+		}
+	}()
 	// Binder, executor, canceller, reconciler: the lifecycle churn.
 	loop(func(r *rand.Rand) {
 		for _, j := range st.PendingJobs() {
@@ -332,6 +355,29 @@ func auditRecovery(t *testing.T, dir string, round int) {
 		case inHot && inArchive:
 			t.Errorf("round %d: acked job %s duplicated across tiers", round, name)
 		}
+	}
+
+	// 1b. Watch audit: an event a client received is never missing — the
+	// job is resident at that version or a later one, or rests in the
+	// archive (the only way a job leaves the hot store).
+	watchedLines := readLines(t, filepath.Join(dir, "watched.log"))
+	if len(watchedLines) == 0 {
+		t.Fatalf("round %d: no watch events to audit", round)
+	}
+	for _, line := range watchedLines {
+		var name string
+		var seen int64
+		if n, _ := fmt.Sscanf(line, "%s %d", &name, &seen); n != 2 {
+			continue // the kill tore the last line
+		}
+		_, have, err := st.Jobs.Get(name)
+		if (err != nil || have < seen) && !st.Archived.Has(name) {
+			t.Errorf("round %d: a client saw job %s at version %d; recovery has it at %d (err %v) and not archived",
+				round, name, seen, have, err)
+		}
+	}
+	if err := os.Truncate(filepath.Join(dir, "watched.log"), 0); err != nil {
+		t.Fatal(err)
 	}
 
 	// 2. Index audit: every hook-fed index must equal a rebuild from the

@@ -1,25 +1,44 @@
 // Package durability makes QRIO's cluster state survive a crash. Every
-// store mutation is appended — through the same hook mechanism that feeds
-// the in-memory indexes — to a per-(store,shard) write-ahead log, and a
-// periodic snapshot compacts the logs into one atomically-replaced file.
-// On boot the manager restores the snapshot, replays the logs past it,
-// reloads the archive spill file, and re-queues jobs whose containers died
-// with the old process. Because replay re-fires the store hooks, every
-// derived index (pending queues, tenant usage, terminal set, event ring,
+// store mutation is written — under the mutated shard's lock, before any
+// hook or watcher sees it — to one totally ordered write-ahead log, and a
+// periodic snapshot compacts the log into one atomically-replaced file. On
+// boot the manager restores the snapshot, replays the log past it, reloads
+// the archive spill file, and re-queues jobs whose containers died with
+// the old process. Because replay re-fires the store hooks, every derived
+// index (pending queues, tenant usage, terminal set, event ring,
 // scheduled-by-node) is rebuilt by the exact code that built it live — the
 // recovered process is behaviourally indistinguishable from one that never
 // crashed, except that Running jobs are back in the queue.
 //
 // Layout under the data directory:
 //
-//	snapshot.json                 one CRC-framed, atomically-replaced snapshot
-//	archive.jsonl                 terminal-job archive spill (JSONL, appended)
-//	wal/<store>-s<shard>-g<gen>.wal  append logs, rotated per snapshot generation
+//	snapshot.json     one CRC-framed, atomically-replaced snapshot
+//	archive.jsonl     terminal-job archive spill (JSONL, appended)
+//	wal/g<gen>.wal    the log, one file per snapshot generation; each
+//	                  record is tagged with the store and shard it mutates
 //
-// The snapshot protocol is rotate-then-dump: all writers rotate to
-// generation g+1 first, then each shard is dumped under its lock. Any
-// record left in a generation-g file therefore has a version at or below
-// that shard's dump mark, so boot replays every log at generation ≥ the
+// Writes become durable by group commit (wal.Writer): a writer waits until
+// an fsync covers its record, and the first waiter runs that fsync for
+// everything written so far. Three invariants hold, each pinned by the test
+// named beside it:
+//
+//  1. A mutating call that returns has its records on disk. Store mutators
+//     wait on return; the state layer's submit, bind and transition write
+//     their records back to back and wait once, in Cluster.Sync.
+//     (TestMutationReturnsDurable)
+//  2. A byte on the wire means everything it could have read is on disk.
+//     In-process observers — hooks, watches, kubelet wake channels — may
+//     see a write up to one fsync before the disk does; they die with the
+//     process. The HTTP surface waits for the log before its first byte
+//     and before every streamed event. (gateway.TestNoByteAheadOfTheLog)
+//  3. Recovered state is a prefix of the pre-crash write order, across
+//     stores: one log, written in lock order, replayed in file order.
+//     (TestRecoveryIsAPrefixAcrossStores)
+//
+// The snapshot protocol is rotate-then-dump: the log rotates to generation
+// g+1 first — syncing and closing generation g — then each shard is dumped
+// under its lock. Any record left in generation g therefore has a version
+// at or below its shard's dump mark, so boot replays every generation ≥ the
 // snapshot's and skips records the snapshot already covers. A crash at any
 // point between rotate, snapshot write and old-generation removal recovers
 // to the same state.
@@ -32,7 +51,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,9 +74,10 @@ const DefaultSnapshotInterval = 5 * time.Minute
 type Options struct {
 	// Dir is the data directory. Empty disables durability.
 	Dir string
-	// Fsync syncs every WAL append. Turning it off trades the tail of the
-	// log on power loss for append latency; a process crash (as opposed to
-	// kernel or power failure) loses nothing either way.
+	// Fsync makes every WAL write wait for an fsync that covers it. Turning
+	// it off trades the tail of the log on power loss for write latency; a
+	// process crash (as opposed to kernel or power failure) loses nothing
+	// either way.
 	Fsync bool
 	// SnapshotInterval is the background compaction period. Zero means
 	// DefaultSnapshotInterval; negative disables the background loop
@@ -94,7 +114,7 @@ type Stats struct {
 	Fsync   bool   `json:"fsync,omitempty"`
 	// Generation is the current WAL generation (bumped by each snapshot).
 	Generation int64 `json:"generation"`
-	// WALRecords / WALBytes count appends across all live writers — i.e.
+	// WALRecords / WALBytes count appends to the current generation — i.e.
 	// the log volume since the last snapshot: the replay debt a crash right
 	// now would pay. This is the "WAL lag" an operator watches.
 	WALRecords int64 `json:"walRecords"`
@@ -118,13 +138,13 @@ type Stats struct {
 	LastWALErrorClearedAt time.Time `json:"lastWALErrorClearedAt,omitempty"`
 }
 
-// Manager owns the WAL writers, the snapshot loop and the archive spill
-// file for one cluster.
+// Manager owns the log, the snapshot loop and the archive spill file for
+// one cluster.
 type Manager struct {
 	opts    Options
 	cluster *state.Cluster
 	shims   []storeShim
-	writers map[string][]*wal.Writer // store name → per-shard writers
+	log     *wal.Writer
 
 	// snapMu serialises snapshots (admin-triggered and periodic).
 	snapMu sync.Mutex
@@ -142,51 +162,58 @@ type Manager struct {
 }
 
 // Metrics is the durability layer's instrumentation handle: the hot-path
-// families fed by the WAL writers' append observers. Gauge-like families
-// (lag, snapshot age, latched errors) are mirrored from Stats at scrape
-// time by the core wiring instead.
+// families fed by the log's observer. Gauge-like families (lag, snapshot
+// age, latched errors) are mirrored from Stats at scrape time by the core
+// wiring instead.
 type Metrics struct {
-	// Appends counts successful WAL appends across all writers.
+	// Appends counts records written to the log.
 	Appends *obs.Counter
-	// FsyncSeconds observes per-append fsync latency (only when the
-	// writers fsync — without it appends never sync and nothing is
-	// observed here).
+	// FsyncSeconds observes each fsync (only when the log fsyncs — without
+	// it nothing syncs and nothing is observed here).
 	FsyncSeconds *obs.Histogram
+	// CommitRecords observes how many records each fsync covered, and
+	// CommitWait how long a caller (or the HTTP barrier) that found its
+	// record not yet durable waited for the fsync that covered it.
+	CommitRecords *obs.Histogram
+	CommitWait    *obs.Histogram
 }
 
 // NewMetrics registers the durability hot-path families on a registry.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Appends: r.Counter("qrio_durability_wal_appends_total",
-			"Successful WAL appends across all writers.").With(),
+			"Records written to the WAL.").With(),
 		FsyncSeconds: r.Histogram("qrio_durability_fsync_duration_seconds",
-			"Per-append fsync latency (empty when the WAL does not fsync).", nil).With(),
+			"Latency of each WAL fsync (empty when the WAL does not fsync).", nil).With(),
+		CommitRecords: r.Histogram("qrio_durability_commit_records",
+			"Records covered by each WAL fsync (the group-commit batch size).",
+			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 32, 64}).With(),
+		CommitWait: r.Histogram("qrio_durability_commit_wait_seconds",
+			"How long a writer or the HTTP barrier waited for the fsync covering its records.", nil).With(),
 	}
 }
 
-// SetMetrics installs append observers on every writer. Call after Open
-// and before traffic (core wires it while building the process).
+// SetMetrics installs the log's observer. Call after Open and before
+// traffic (core wires it while building the process).
 func (m *Manager) SetMetrics(mx *Metrics) {
 	if mx == nil {
 		return
 	}
-	for _, ws := range m.writers {
-		for _, w := range ws {
-			w.SetObserver(func(frameBytes int, fsync time.Duration) {
-				mx.Appends.Inc()
-				if fsync >= 0 {
-					mx.FsyncSeconds.Observe(fsync.Seconds())
-				}
-			})
-		}
-	}
+	m.log.SetObserver(&wal.Observer{
+		Wrote: func(int) { mx.Appends.Inc() },
+		Synced: func(records int64, took time.Duration) {
+			mx.FsyncSeconds.Observe(took.Seconds())
+			mx.CommitRecords.Observe(float64(records))
+		},
+		Waited: func(took time.Duration) { mx.CommitWait.Observe(took.Seconds()) },
+	})
 }
 
 func (m *Manager) snapshotPath() string { return filepath.Join(m.opts.Dir, "snapshot.json") }
 func (m *Manager) archivePath() string  { return filepath.Join(m.opts.Dir, "archive.jsonl") }
 func (m *Manager) walDir() string       { return filepath.Join(m.opts.Dir, "wal") }
-func (m *Manager) walPath(storeName string, shard int, gen int64) string {
-	return filepath.Join(m.walDir(), fmt.Sprintf("%s-s%d-g%d.wal", storeName, shard, gen))
+func (m *Manager) walPath(gen int64) string {
+	return filepath.Join(m.walDir(), fmt.Sprintf("g%d.wal", gen))
 }
 
 // snapshotFile is the on-disk snapshot: one JSON document inside one CRC
@@ -218,16 +245,13 @@ func Open(c *state.Cluster, opts Options) (*Manager, error) {
 		return nil, errors.New("durability: no data directory configured")
 	}
 	start := time.Now()
-	m := &Manager{
-		opts:    opts,
-		cluster: c,
-		writers: make(map[string][]*wal.Writer),
-	}
+	m := &Manager{opts: opts, cluster: c}
 	m.shims = []storeShim{
 		&typedShim[api.QuantumJob]{label: "jobs", s: c.Jobs,
 			uid: func(j api.QuantumJob) (string, string) { return j.UID, j.Name }},
 		&typedShim[api.Node]{label: "nodes", s: c.Nodes,
-			uid: func(n api.Node) (string, string) { return n.UID, n.Name }},
+			uid:  func(n api.Node) (string, string) { return n.UID, n.Name },
+			slim: slimNodes(c.Nodes.Shards()), fill: fillNode},
 		&typedShim[api.Result]{label: "results", s: c.Results,
 			uid: func(r api.Result) (string, string) { return r.UID, r.Name }},
 		&typedShim[api.Event]{label: "events", s: c.Events,
@@ -273,40 +297,27 @@ func Open(c *state.Cluster, opts Options) (*Manager, error) {
 	}
 
 	// 2. Log replay: every generation at or past the snapshot's, ascending,
-	// per shard. Records the snapshot already covers (version ≤ the shard's
-	// dump mark) are skipped; torn tails are truncated to the valid prefix.
-	logs, maxGen, err := m.listLogs()
+	// each file in write order. Records the snapshot already covers (version
+	// ≤ their shard's dump mark) are skipped; a torn tail is truncated to
+	// the valid prefix. Generations behind the snapshot are fully covered (a
+	// crash between snapshot write and cleanup leaves them) and are removed.
+	gens, err := m.listLogs()
 	if err != nil {
 		return nil, err
 	}
-	if maxGen > m.gen.Load() {
-		m.gen.Store(maxGen)
-	}
+	byName := make(map[string]storeShim, len(m.shims))
 	for _, shim := range m.shims {
-		name := shim.storeName()
-		for shard := 0; shard < shim.shardCount(); shard++ {
-			floor := int64(0)
-			if sm := marks[name]; shard < len(sm) {
-				floor = sm[shard]
-			}
-			gens := logs[logKey{name, shard}]
-			sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
-			for _, g := range gens {
-				if snap != nil && g < snap.Gen {
-					continue // pre-snapshot generation, fully covered
-				}
-				if err := m.replayFile(shim, m.walPath(name, shard, g), floor); err != nil {
-					return nil, err
-				}
-			}
-		}
+		byName[shim.storeName()] = shim
 	}
-
-	// 3. Remove generations behind the snapshot (a crash between snapshot
-	// write and cleanup leaves them; they are fully covered and ignored
-	// above, so deleting them is pure housekeeping).
-	if snap != nil {
-		m.removeGensBelow(logs, snap.Gen)
+	for _, g := range gens {
+		if g < m.gen.Load() {
+			os.Remove(m.walPath(g))
+			continue
+		}
+		if err := m.replayFile(m.walPath(g), byName, marks); err != nil {
+			return nil, err
+		}
+		m.gen.Store(g)
 	}
 
 	// 4. Archive: reload the spill file, then attach it as the live spill
@@ -356,15 +367,18 @@ func Open(c *state.Cluster, opts Options) (*Manager, error) {
 	}
 	c.EnsureUIDFloor(floor)
 
-	// 7. Attach the WAL sinks. From here every mutation is logged — which
-	// is exactly why the orphan requeue below comes after: the requeue
-	// transitions must themselves survive the next crash.
-	if err := m.openWriters(); err != nil {
-		return nil, err
+	// 7. Attach the log — reusing the latest generation's file, whose torn
+	// tail replay already truncated away. From here every mutation is logged
+	// — which is exactly why the orphan requeue below comes after: the
+	// requeue transitions must themselves survive the next crash.
+	if m.log, err = wal.OpenWriter(m.walPath(m.gen.Load()), opts.Fsync); err != nil {
+		return nil, fmt.Errorf("durability: %w", err)
 	}
-	for i, shim := range m.shims {
-		shim.attachSink(m.writers[m.shims[i].storeName()], m.noteWALErr)
+	m.log.SetFaults(opts.Faults)
+	for _, shim := range m.shims {
+		shim.attachSink(m.log, m.noteWALErr)
 	}
+	c.SetSync(m.Sync)
 
 	// 8. Orphan requeue: replayed Running jobs have no container behind
 	// them any more.
@@ -396,47 +410,45 @@ func (m *Manager) readSnapshot() (*snapshotFile, error) {
 	return &snap, nil
 }
 
-type logKey struct {
-	store string
-	shard int
-}
-
-// listLogs scans the wal directory and groups generation numbers by
-// (store, shard). Unrecognised files are ignored.
-func (m *Manager) listLogs() (map[logKey][]int64, int64, error) {
+// listLogs returns the generations of the wal directory's log files,
+// ascending. Files of the per-(store, shard) layout this one replaced
+// (<store>-s<shard>-g<gen>.wal) are removed when they hold nothing the
+// snapshot does not — empty, or of a generation behind it — and refuse the
+// boot otherwise: there is no second replay path, and skipping them would
+// lose acknowledged writes silently.
+func (m *Manager) listLogs() ([]int64, error) {
 	entries, err := os.ReadDir(m.walDir())
 	if err != nil {
-		return nil, 0, fmt.Errorf("durability: %w", err)
+		return nil, fmt.Errorf("durability: %w", err)
 	}
-	logs := make(map[logKey][]int64)
-	var maxGen int64
+	var gens []int64
 	for _, e := range entries {
 		name, ok := strings.CutSuffix(e.Name(), ".wal")
 		if !ok || e.IsDir() {
 			continue
 		}
-		gi := strings.LastIndex(name, "-g")
-		si := strings.LastIndex(name[:max(gi, 0)], "-s")
-		if gi < 0 || si < 0 {
+		if g, ok := strings.CutPrefix(name, "g"); ok {
+			if gen, err := strconv.ParseInt(g, 10, 64); err == nil {
+				gens = append(gens, gen)
+			}
 			continue
 		}
-		gen, err1 := strconv.ParseInt(name[gi+2:], 10, 64)
-		shard, err2 := strconv.Atoi(name[si+2 : gi])
-		if err1 != nil || err2 != nil {
-			continue
+		gen, perr := strconv.ParseInt(name[strings.LastIndex(name, "-g")+2:], 10, 64)
+		if info, err := e.Info(); err != nil || (info.Size() > 0 && (perr != nil || gen >= m.gen.Load())) {
+			return nil, fmt.Errorf("durability: %s holds records in the per-shard WAL layout this version no longer reads: "+
+				"start the previous qrio binary on this data directory once and stop it cleanly (its drain snapshot empties these files), then start this one",
+				filepath.Join(m.walDir(), e.Name()))
 		}
-		k := logKey{store: name[:si], shard: shard}
-		logs[k] = append(logs[k], gen)
-		if gen > maxGen {
-			maxGen = gen
-		}
+		os.Remove(filepath.Join(m.walDir(), e.Name()))
 	}
-	return logs, maxGen, nil
+	slices.Sort(gens)
+	return gens, nil
 }
 
-// replayFile replays one shard log, truncating a torn tail to its valid
-// prefix so the writer can keep appending to the same file.
-func (m *Manager) replayFile(shim storeShim, path string, floor int64) error {
+// replayFile replays one generation of the log in write order, dispatching
+// each record to the store its tag names, and truncates a torn tail to the
+// valid prefix so the writer can keep appending to the same file.
+func (m *Manager) replayFile(path string, shims map[string]storeShim, marks map[string][]int64) error {
 	res, err := wal.ScanFile(path)
 	if err != nil {
 		return fmt.Errorf("durability: %s: %w", path, err)
@@ -448,11 +460,15 @@ func (m *Manager) replayFile(shim storeShim, path string, floor int64) error {
 		m.replay.TruncatedTails++
 	}
 	for _, rec := range res.Records {
-		var wr walRecord
+		var wr walRecord[json.RawMessage]
 		if err := json.Unmarshal(rec, &wr); err != nil {
 			return fmt.Errorf("durability: %s: %w", path, err)
 		}
-		if wr.V <= floor {
+		shim, ok := shims[wr.S]
+		if !ok {
+			return fmt.Errorf("durability: %s: record for unknown store %q", path, wr.S)
+		}
+		if sm := marks[wr.S]; wr.H >= 0 && wr.H < len(sm) && wr.V <= sm[wr.H] {
 			m.replay.SkippedRecords++
 			continue
 		}
@@ -462,37 +478,6 @@ func (m *Manager) replayFile(shim storeShim, path string, floor int64) error {
 		m.replay.ReplayedRecords++
 	}
 	return nil
-}
-
-// openWriters opens one appending writer per (store, shard) at the current
-// generation — reusing the latest on-disk files, whose torn tails replay
-// already truncated away.
-func (m *Manager) openWriters() error {
-	gen := m.gen.Load()
-	for _, shim := range m.shims {
-		ws := make([]*wal.Writer, shim.shardCount())
-		for i := range ws {
-			w, err := wal.OpenWriter(m.walPath(shim.storeName(), i, gen), m.opts.Fsync)
-			if err != nil {
-				return fmt.Errorf("durability: %w", err)
-			}
-			w.SetFaults(m.opts.Faults)
-			ws[i] = w
-		}
-		m.writers[shim.storeName()] = ws
-	}
-	return nil
-}
-
-// removeGensBelow deletes log files of generations before gen.
-func (m *Manager) removeGensBelow(logs map[logKey][]int64, gen int64) {
-	for k, gens := range logs {
-		for _, g := range gens {
-			if g < gen {
-				os.Remove(m.walPath(k.store, k.shard, g))
-			}
-		}
-	}
 }
 
 // uidSuffix parses the numeric tail of a "<prefix>-<n>" identifier,
@@ -509,6 +494,15 @@ func uidSuffix(s string) int64 {
 	return n
 }
 
+// Sync blocks until every record written so far is durable — the barrier
+// behind Cluster.Sync and the HTTP surface (one atomic compare when nothing
+// is pending). A failed fsync latches like a failed write.
+func (m *Manager) Sync() {
+	if err := m.log.Wait(m.log.Written()); err != nil {
+		m.noteWALErr(fmt.Errorf("durability: wal sync: %w", err))
+	}
+}
+
 func (m *Manager) noteWALErr(err error) {
 	m.mu.Lock()
 	if m.walErr == nil {
@@ -517,9 +511,9 @@ func (m *Manager) noteWALErr(err error) {
 	m.mu.Unlock()
 }
 
-// Snapshot compacts the logs: rotate every writer to the next generation,
-// dump every shard under its lock into one atomically-replaced snapshot
-// file, then delete the previous generation's logs. Safe to call from the
+// Snapshot compacts the log: rotate it to the next generation, dump every
+// shard under its lock into one atomically-replaced snapshot file, then
+// delete the previous generations. Safe to call from the
 // admin endpoint and the background loop concurrently; calls serialise.
 func (m *Manager) Snapshot() (int64, error) {
 	m.snapMu.Lock()
@@ -531,15 +525,8 @@ func (m *Manager) Snapshot() (int64, error) {
 	// successful snapshot heals the latch, and the heal itself must stay
 	// visible (ops surfaces show walErrorClears) or the episode vanishes
 	// the moment it ends. Check before Rotate — rotation clears the
-	// per-writer latches.
-	wasLatched := false
-	for _, ws := range m.writers {
-		for _, w := range ws {
-			if w.Err() != nil {
-				wasLatched = true
-			}
-		}
-	}
+	// writer's latch.
+	wasLatched := m.log.Err() != nil
 	m.mu.Lock()
 	if m.walErr != nil {
 		wasLatched = true
@@ -549,13 +536,8 @@ func (m *Manager) Snapshot() (int64, error) {
 	// Rotate first: from this point every new append lands in generation
 	// newGen. Records already in older files were emitted — under their
 	// shard's lock — before the rotation, so the dumps below cover them.
-	for _, shim := range m.shims {
-		ws := m.writers[shim.storeName()]
-		for i, w := range ws {
-			if err := w.Rotate(m.walPath(shim.storeName(), i, newGen)); err != nil {
-				return 0, fmt.Errorf("durability: rotate: %w", err)
-			}
-		}
+	if err := m.log.Rotate(m.walPath(newGen)); err != nil {
+		return 0, fmt.Errorf("durability: rotate: %w", err)
 	}
 
 	snap := snapshotFile{Gen: newGen, TakenAt: time.Now(), Stores: make(map[string]snapshotStore)}
@@ -584,8 +566,12 @@ func (m *Manager) Snapshot() (int64, error) {
 
 	// The snapshot is durable; every generation before it is dead weight
 	// (including stragglers a crashed cleanup left behind).
-	if logs, _, err := m.listLogs(); err == nil {
-		m.removeGensBelow(logs, newGen)
+	if gens, err := m.listLogs(); err == nil {
+		for _, g := range gens {
+			if g < newGen {
+				os.Remove(m.walPath(g))
+			}
+		}
 	}
 	m.mu.Lock()
 	m.lastSnap = snap.TakenAt
@@ -593,7 +579,7 @@ func (m *Manager) Snapshot() (int64, error) {
 	// A successful snapshot re-establishes durability: every object is in
 	// the snapshot file and the rotated writers start clean, so the latched
 	// "mutations since are not durable" warning no longer describes the
-	// directory. (Writer.Rotate cleared the per-writer latches above.)
+	// directory. (Writer.Rotate cleared the writer's latch above.)
 	m.walErr = nil
 	if wasLatched {
 		m.errClears++
@@ -629,18 +615,8 @@ func (m *Manager) Run(ctx context.Context) {
 
 // Stats assembles the admin-surface view.
 func (m *Manager) Stats() Stats {
-	var records, bytes int64
-	var werr error
-	for _, ws := range m.writers {
-		for _, w := range ws {
-			r, b := w.Stats()
-			records += r
-			bytes += b
-			if werr == nil {
-				werr = w.Err()
-			}
-		}
-	}
+	records, bytes := m.log.Stats()
+	werr := m.log.Err()
 	m.mu.Lock()
 	if werr == nil {
 		werr = m.walErr
@@ -671,17 +647,10 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Close flushes and closes every writer and the spill file. The cluster
-// must be quiesced first (no loops running).
+// Close flushes and closes the log and the spill file. The cluster must be
+// quiesced first (no loops running).
 func (m *Manager) Close() error {
-	var first error
-	for _, ws := range m.writers {
-		for _, w := range ws {
-			if err := w.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
+	first := m.log.Close()
 	if m.spill != nil {
 		if err := m.spill.Close(); err != nil && first == nil {
 			first = err

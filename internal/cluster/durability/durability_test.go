@@ -216,9 +216,8 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g0, _ := filepath.Glob(filepath.Join(dir, "wal", "*-g0.wal"))
-	if len(g0) != 0 {
-		t.Fatalf("generation 0 files survived the snapshot: %v", g0)
+	if _, err := os.Stat(filepath.Join(dir, "wal", "g0.wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("generation 0 log survived the snapshot (stat: %v)", err)
 	}
 
 	c2 := state.New()
@@ -304,8 +303,8 @@ func drain(ch <-chan state.Notification) {
 	}
 }
 
-// populate writes 16 jobs and closes, returning the largest jobs WAL file
-// for the corruption cases to damage.
+// populate writes 16 jobs and closes, returning the log file for the
+// corruption cases to damage.
 func populate(t *testing.T, dir string) string {
 	t.Helper()
 	c := state.New()
@@ -318,24 +317,17 @@ func populate(t *testing.T, dir string) string {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "wal", "jobs-s*-g0.wal"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no jobs wal files: %v", err)
+	log := filepath.Join(dir, "wal", "g0.wal")
+	if info, err := os.Stat(log); err != nil || info.Size() == 0 {
+		t.Fatalf("no log file: %v", err)
 	}
-	var biggest string
-	var size int64
-	for _, f := range files {
-		if info, err := os.Stat(f); err == nil && info.Size() > size {
-			biggest, size = f, info.Size()
-		}
-	}
-	return biggest
+	return log
 }
 
 // TestCorruptionRecovery drives the three crash-damage shapes the design
 // promises to absorb: a torn tail, a CRC-corrupt record, and a
 // half-written snapshot temp file. Each reopens successfully with at most
-// the damaged suffix of one shard lost.
+// the damaged suffix of the log lost.
 func TestCorruptionRecovery(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -361,8 +353,14 @@ func TestCorruptionRecovery(t *testing.T) {
 				if err != nil || len(res.Records) == 0 {
 					t.Fatalf("scan: %v (%d records)", err, len(res.Records))
 				}
+				// The last jobs record is the second to last of the log
+				// (job-15's Submitted event follows it).
+				final := len(res.Records) - 2
+				if !strings.Contains(string(res.Records[final]), `"s":"jobs"`) {
+					t.Fatalf("record %d is %s, want job-15's create", final, res.Records[final])
+				}
 				raw, _ := os.ReadFile(walFile)
-				raw[res.Offsets[len(res.Offsets)-1]+8] ^= 0xFF
+				raw[res.Offsets[final]+8] ^= 0xFF
 				if err := os.WriteFile(walFile, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"time"
@@ -304,15 +305,12 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 			res.TranspiledQASM = qasmText
 		}
 	}
-	// Results are keyed by job name; a retry overwrites the previous log.
-	if _, err := k.State.Results.Create(res); err != nil {
-		k.State.Results.Update(jobName, func(api.Result) (api.Result, error) { return res, nil })
-	}
-
-	// The transition releases the slot and records the event; when another
-	// actor already finalised the job, it owned both.
+	// The transition stores the result, releases the slot and records the
+	// event behind one wait for the disk; when another actor already
+	// finalised the job, it owned the last two.
 	t := state.Transition{
 		Node:    k.NodeName,
+		Result:  &res,
 		Message: fmt.Sprintf("fidelity %.4f on %s", res.Fidelity, k.NodeName),
 		Detail:  fmt.Sprintf("executed on %s in %dms", k.NodeName, elapsed),
 	}
@@ -351,6 +349,19 @@ func (k *Kubelet) finishCancelled(jobName string, start time.Time) {
 	if _, err := k.State.Results.Create(res); err != nil {
 		k.State.Results.Update(jobName, func(api.Result) (api.Result, error) { return res, nil })
 	}
+}
+
+// jobSeed spreads executions on one node apart: an FNV-1a hash of the job's
+// UID (its name when it has none), so two jobs — same-length names included
+// — draw different noise while one job on one node reproduces its own.
+func jobSeed(j api.QuantumJob) int64 {
+	id := j.UID
+	if id == "" {
+		id = j.Name
+	}
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return int64(h.Sum64() >> 1)
 }
 
 // execute is the built-in runtime: it pulls the image and runs the
@@ -407,7 +418,7 @@ func (k *Kubelet) execute(ctx context.Context, j api.QuantumJob) ([]string, *fid
 	if err := ctx.Err(); err != nil {
 		return logs, nil, err
 	}
-	est := fidelity.Estimator{Shots: shots, Seed: k.Seed + int64(len(j.Name))}
+	est := fidelity.Estimator{Shots: shots, Seed: k.Seed + jobSeed(j)}
 	ex, err := est.Execute(circ, backend)
 	if err != nil {
 		return logs, nil, err

@@ -1,6 +1,7 @@
 package kubelet_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -235,5 +236,56 @@ func TestOversizedCircuitFailsCleanly(t *testing.T) {
 	j, _, _ := st.Jobs.Get("big")
 	if j.Status.Phase != api.JobFailed {
 		t.Fatalf("oversized job phase = %s", j.Status.Phase)
+	}
+}
+
+// TestExecutionSeedFollowsTheJob: an execution's noise is seeded by the
+// node's kubelet seed and a hash of the job's identity, not the length of
+// its name — two jobs with same-length names on one node draw different
+// noise, and the same job on the same node reproduces its own counts.
+func TestExecutionSeedFollowsTheJob(t *testing.T) {
+	run := func() map[string]map[string]int {
+		t.Helper()
+		st := state.New()
+		b, err := device.UniformBackend("node-a", graph.Line(6), 0.2, 0.02, 0.05, 50e3, 50e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AddNode(b); err != nil {
+			t.Fatal(err)
+		}
+		reg := registry.New()
+		m := master.NewServer(st, reg)
+		k := kubelet.New("node-a", st, reg, 3)
+		counts := make(map[string]map[string]int)
+		for _, name := range []string{"ghz-a", "ghz-b"} {
+			if _, err := m.Submit(master.SubmitRequest{
+				JobName: name, QASM: ghzQASM, Shots: 2048,
+				Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BindJob(name, "node-a", 0.1); err != nil {
+				t.Fatal(err)
+			}
+			if !k.SyncOnce() {
+				t.Fatalf("kubelet did not run %s", name)
+			}
+			res, _, err := st.Results.Get(name)
+			if err != nil || len(res.Counts) == 0 {
+				t.Fatalf("no counts for %s: %v", name, err)
+			}
+			counts[name] = res.Counts
+		}
+		return counts
+	}
+	first, second := run(), run()
+	if reflect.DeepEqual(first["ghz-a"], first["ghz-b"]) {
+		t.Fatalf("two same-length job names on one node drew identical noise: %v", first["ghz-a"])
+	}
+	for _, name := range []string{"ghz-a", "ghz-b"} {
+		if !reflect.DeepEqual(first[name], second[name]) {
+			t.Fatalf("job %s did not reproduce its own counts:\n%v\n%v", name, first[name], second[name])
+		}
 	}
 }

@@ -85,6 +85,8 @@ type Cluster struct {
 	// traffic.
 	Metrics *Metrics
 
+	syncLog func() // see SetSync; nil on an in-memory cluster
+
 	uid atomic.Int64
 	// backendCache avoids re-decoding node backend JSON on every access;
 	// a Nodes hook drops an entry when its node goes or changes device.
@@ -144,6 +146,21 @@ func New() *Cluster {
 	c.Events.OnEvent(c.eventIdx.onEventEvent)
 	c.TenantConfigs.OnEvent(c.tenantConf.onTenantEvent)
 	return c
+}
+
+// SetSync installs the durable log's barrier (the durability layer, at
+// boot, before any traffic).
+func (c *Cluster) SetSync(fn func()) { c.syncLog = fn }
+
+// Sync blocks until every store write made so far — by anyone — is
+// durable: the one wait that ends a no-wait write sequence (SubmitJob,
+// BindJobAt, TransitionJob) and the barrier the HTTP surface holds every
+// response behind. One atomic compare when nothing is pending; a no-op on
+// an in-memory cluster.
+func (c *Cluster) Sync() {
+	if c.syncLog != nil {
+		c.syncLog()
+	}
 }
 
 // NextUID mints a unique object UID.
@@ -534,8 +551,13 @@ func NodeLabels(b *device.Backend) map[string]string {
 	}
 }
 
-// AddNode registers a vendor backend as a ready cluster node.
-func (c *Cluster) AddNode(b *device.Backend) (api.Node, error) {
+// AddNode registers a vendor backend as a ready cluster node with the
+// paper's one container slot.
+func (c *Cluster) AddNode(b *device.Backend) (api.Node, error) { return c.AddNodeSlots(b, 1) }
+
+// AddNodeSlots is AddNode with the node's container capacity in the same
+// record: a registration waits for the disk once.
+func (c *Cluster) AddNodeSlots(b *device.Backend, slots int) (api.Node, error) {
 	if err := b.Validate(); err != nil {
 		return api.Node{}, fmt.Errorf("state: refusing invalid backend: %w", err)
 	}
@@ -557,6 +579,9 @@ func (c *Cluster) AddNode(b *device.Backend) (api.Node, error) {
 			MemoryMB:    b.MemoryMB,
 		},
 		Status: api.NodeStatus{Phase: api.NodeReady, LastHeartbeat: now},
+	}
+	if slots > 1 {
+		n.Spec.MaxContainers = slots
 	}
 	if _, err := c.Nodes.Create(n); err != nil {
 		return api.Node{}, err
@@ -690,12 +715,17 @@ func (c *Cluster) submitGate(tenant string) *sync.Mutex {
 	return &c.submitGates[h.Sum32()%uint32(len(c.submitGates))]
 }
 
+// Note is one more event SubmitJob records about the job it stores.
+type Note struct{ Reason, Message string }
+
 // SubmitJob validates and stores a new job in the Pending phase. The
 // tenant quota policy is enforced here — the choke point every
 // submission surface (gateway, master, cluster API, visualizer) flows
 // through — under a per-tenant gate so concurrent same-tenant
-// submissions cannot overshoot the last quota slot.
-func (c *Cluster) SubmitJob(j api.QuantumJob) error {
+// submissions cannot overshoot the last quota slot. The job, its
+// Submitted event and the caller's notes (the Master Server's
+// Containerized) are written back to back and waited for once.
+func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 	if j.Spec.Shots == 0 {
 		j.Spec.Shots = api.DefaultShots
 	}
@@ -719,10 +749,11 @@ func (c *Cluster) SubmitJob(j api.QuantumJob) error {
 	j.UID = c.NextUID("job")
 	j.CreatedAt = c.now()
 	j.Status = api.JobStatus{Phase: api.JobPending}
-	created, err := c.Jobs.Create(j)
+	created, err := c.Jobs.NoWait().Create(j)
 	if err != nil {
 		return err
 	}
+	defer c.Sync()
 	// Re-check the archive AFTER the create: a sweep that was between its
 	// archive-copy and hot-delete steps when the pre-check ran makes both
 	// tiers look name-free for one window. If the name surfaced in the
@@ -742,7 +773,10 @@ func (c *Cluster) SubmitJob(j api.QuantumJob) error {
 		// Another actor already advanced the fresh job (sub-microsecond
 		// window); let the accepted submission stand.
 	}
-	c.RecordEvent("Job", j.Name, "Submitted", "job accepted by the API server")
+	c.writeEvent("Job", j.Name, "Submitted", "job accepted by the API server")
+	for _, n := range notes {
+		c.writeEvent("Job", j.Name, n.Reason, n.Message)
+	}
 	return nil
 }
 
@@ -837,7 +871,7 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 	refuse := func(format string, args ...any) error {
 		return CapacityError{Node: nodeName, Reason: fmt.Sprintf(format, args...)}
 	}
-	_, _, err = c.Nodes.Update(nodeName, func(n api.Node) (api.Node, error) {
+	_, _, err = c.Nodes.NoWait().Update(nodeName, func(n api.Node) (api.Node, error) {
 		if n.Status.Phase != api.NodeReady {
 			return n, refuse("not ready")
 		}
@@ -868,10 +902,12 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 	if err != nil {
 		return err
 	}
+	// Reservation, phase flip and event (or the give-back) are one wait.
+	defer c.Sync()
 	// The phase flip re-checks under the job shard's lock: a CancelJob (or
 	// any other transition) that landed since the pending check above
 	// wins, and with version > 0 so does any write at all.
-	_, err = c.TransitionJob(jobName, api.JobEventBind, Transition{
+	_, err = c.transition(jobName, api.JobEventBind, Transition{
 		Node: nodeName, Score: score, Version: version,
 		Detail: fmt.Sprintf("bound to node %s (score %.4f)", nodeName, score),
 	})
@@ -903,17 +939,34 @@ type Transition struct {
 	Message string // the job's new Status.Message ("" = the table's default, else unchanged)
 	Detail  string // the recorded event's message ("" = the job's Status.Message)
 	NoEvent bool   // record no cluster event (the simulator's kubelet model)
+	// Result is the execution record a kubelet publishes with a finishing
+	// event; stored first, whether or not the event applies (results are
+	// keyed by job name and a retry overwrites the previous log).
+	Result *api.Result
 }
 
 // TransitionJob is the one writer of job phases: it applies ev through the
 // lifecycle table (api.JobStatus.Apply) atomically under the job shard's
 // lock, then releases the node the move vacated — latching a release that
-// cannot land — then records the table's event, in that order. An event
-// the table has no row for in the job's current phase writes nothing and
-// returns api.IllegalTransitionError.
+// cannot land — then records the table's event, in that order, and waits
+// for the disk once, after the last of them. An event the table has no row
+// for in the job's current phase moves nothing and returns
+// api.IllegalTransitionError.
 func (c *Cluster) TransitionJob(name string, ev api.JobEvent, t Transition) (api.QuantumJob, error) {
+	defer c.Sync()
+	return c.transition(name, ev, t)
+}
+
+// transition is TransitionJob without the wait; the caller ends in Sync.
+func (c *Cluster) transition(name string, ev api.JobEvent, t Transition) (api.QuantumJob, error) {
+	if res := t.Result; res != nil {
+		results := c.Results.NoWait()
+		if _, err := results.Create(*res); err != nil {
+			results.Update(res.Name, func(api.Result) (api.Result, error) { return *res, nil })
+		}
+	}
 	var move api.JobMove
-	updated, _, err := c.Jobs.UpdateFunc(name, func(_ api.QuantumJob, v int64) error {
+	updated, _, err := c.Jobs.NoWait().UpdateFunc(name, func(_ api.QuantumJob, v int64) error {
 		if t.Version > 0 && v != t.Version {
 			return ConflictError{Job: name, Observed: t.Version, Current: v}
 		}
@@ -934,7 +987,7 @@ func (c *Cluster) TransitionJob(name string, ev api.JobEvent, t Transition) (api
 		if detail == "" {
 			detail = updated.Status.Message
 		}
-		c.RecordEvent("Job", name, move.Reason, detail)
+		c.writeEvent("Job", name, move.Reason, detail)
 	}
 	return updated, nil
 }
@@ -994,13 +1047,19 @@ func (c *Cluster) CancelJob(name string) (api.QuantumJob, error) {
 // the node re-registers. The returned error is the node update failing
 // (typically the node deregistered mid-release).
 func (c *Cluster) ReleaseNode(nodeName, jobName string) error {
+	defer c.Sync()
+	return c.releaseNode(nodeName, jobName)
+}
+
+// releaseNode is ReleaseNode without the wait; the caller ends in Sync.
+func (c *Cluster) releaseNode(nodeName, jobName string) error {
 	job, _, jobErr := c.Jobs.Get(jobName)
 	if jobErr != nil {
 		if entry, ok := c.Archived.Get(jobName); ok {
 			job, jobErr = entry.Job, nil
 		}
 	}
-	_, _, err := c.Nodes.Update(nodeName, func(n api.Node) (api.Node, error) {
+	_, _, err := c.Nodes.NoWait().Update(nodeName, func(n api.Node) (api.Node, error) {
 		if !n.Status.HasRunningJob(jobName) {
 			return n, nil
 		}
@@ -1029,29 +1088,35 @@ func (c *Cluster) ReleaseNode(nodeName, jobName string) error {
 	return err
 }
 
-// release is ReleaseNode for callers that cannot retry: a release that
+// release is releaseNode for callers that cannot retry: a release that
 // cannot land (typically the node deregistered mid-flight) is latched as
 // a ReleaseFailed event on the job plus the
 // qrio_state_release_failures_total counter. The reservation may be
 // orphaned until the node re-registers (registration rebuilds accounting
 // from scratch), so the failure must be visible, not silently dropped.
 func (c *Cluster) release(nodeName, jobName string) {
-	err := c.ReleaseNode(nodeName, jobName)
+	err := c.releaseNode(nodeName, jobName)
 	if err == nil {
 		return
 	}
 	if m := c.Metrics; m != nil {
 		m.ReleaseFailures.Inc()
 	}
-	c.RecordEvent("Job", jobName, "ReleaseFailed",
+	c.writeEvent("Job", jobName, "ReleaseFailed",
 		fmt.Sprintf("could not release reservation on node %s: %v", nodeName, err))
 }
 
-// RecordEvent appends an observability event. The timestamp is taken once
-// so CreatedAt and Time can never disagree.
+// RecordEvent appends an observability event.
 func (c *Cluster) RecordEvent(kind, about, reason, message string) {
+	c.writeEvent(kind, about, reason, message)
+	c.Sync()
+}
+
+// writeEvent is RecordEvent without the wait; the caller ends in Sync. The
+// timestamp is taken once so CreatedAt and Time can never disagree.
+func (c *Cluster) writeEvent(kind, about, reason, message string) {
 	now := c.now()
-	c.Events.Create(api.Event{
+	c.Events.NoWait().Create(api.Event{
 		ObjectMeta: api.ObjectMeta{Name: c.NextUID("event"), CreatedAt: now},
 		Kind:       kind,
 		About:      about,

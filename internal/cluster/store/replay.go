@@ -98,7 +98,8 @@ func (s *Store[T]) SetShardFloor(marks []int64) error {
 // — object map, per-key version, journal ring and hooks — minus the
 // watcher broadcast (nobody watches during boot). The shard coordinate is
 // recomputed from the key, not trusted from the log. Events must arrive
-// in per-key version order, which per-shard WAL files guarantee.
+// in per-key version order, which a log written under the shard lock
+// guarantees.
 func (s *Store[T]) Replay(ev WatchEvent[T]) error {
 	key := s.name(ev.Object)
 	if key == "" {

@@ -94,6 +94,53 @@ type Store[T any] struct {
 	// registered at construction time and never mutated afterwards, so
 	// mutation paths read them without additional locking.
 	hooks []func(WatchEvent[T])
+
+	log Log[T] // the durable journal (see SetLog); nil = purely in-memory
+}
+
+// Log is the durable journal behind a store. Write is called with every
+// mutation under the mutated shard's lock, before hooks and watchers see
+// it — so log order is version order per shard, and whatever an observer
+// writes in reaction lands later in the log — and returns the record's
+// position; Wait blocks until that position is on disk. Failures are the
+// journal's to latch and report: the in-memory mutation stands either way.
+type Log[T any] interface {
+	Write(ev WatchEvent[T]) int64
+	Wait(pos int64)
+}
+
+// SetLog attaches the journal: before the store is shared between
+// goroutines, after boot-time Replay (replayed events are not logged again).
+func (s *Store[T]) SetLog(l Log[T]) { s.log = l }
+
+// wait ends every exported mutator: a mutating call that returns is on disk.
+func (s *Store[T]) wait(pos int64) {
+	if s.log != nil {
+		s.log.Wait(pos)
+	}
+}
+
+// NoWait is a view of a store whose mutators write their log record but
+// return without waiting for the disk; the caller owns the wait and must
+// not acknowledge the writes outside the process before it. Only the state
+// layer takes one (make lint-sync), ending each sequence in Cluster.Sync.
+type NoWait[T any] struct{ s *Store[T] }
+
+func (s *Store[T]) NoWait() NoWait[T] { return NoWait[T]{s} }
+
+func (n NoWait[T]) Create(obj T) (int64, error) {
+	v, _, err := n.s.create(obj)
+	return v, err
+}
+
+func (n NoWait[T]) Update(name string, mutate func(T) (T, error)) (T, int64, error) {
+	next, v, _, err := n.s.update(name, nil, mutate)
+	return next, v, err
+}
+
+func (n NoWait[T]) UpdateFunc(name string, check func(obj T, version int64) error, mutate func(T) (T, error)) (T, int64, error) {
+	next, v, _, err := n.s.update(name, check, mutate)
+	return next, v, err
 }
 
 // New creates a store for objects of type T with DefaultShards partitions.
@@ -197,22 +244,28 @@ func (e ErrExists) Error() string { return fmt.Sprintf("store: %q already exists
 
 // Create inserts a new object and returns its resource version.
 func (s *Store[T]) Create(obj T) (int64, error) {
+	v, pos, err := s.create(obj)
+	s.wait(pos)
+	return v, err
+}
+
+func (s *Store[T]) create(obj T) (v, pos int64, err error) {
 	key := s.name(obj)
 	if key == "" {
-		return 0, fmt.Errorf("store: object has empty name")
+		return 0, 0, fmt.Errorf("store: object has empty name")
 	}
 	idx := s.shardIndex(key)
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.items[key]; ok {
-		return 0, ErrExists{key}
+		return 0, 0, ErrExists{key}
 	}
-	v := s.version.Add(1)
+	v = s.version.Add(1)
 	sh.items[key] = s.deepCopy(obj)
 	sh.versions[key] = v
-	s.emitLocked(idx, WatchEvent[T]{Type: Added, Object: s.deepCopy(obj), Version: v, Shard: idx})
-	return v, nil
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Added, Object: s.deepCopy(obj), Version: v, Shard: idx})
+	return v, pos, nil
 }
 
 // Get returns a copy of the named object.
@@ -317,29 +370,9 @@ func (s *Store[T]) Len() int {
 // into this store (other stores are fine only if no lock cycle exists —
 // prefer hoisting cross-store reads out of the callback).
 func (s *Store[T]) Update(name string, mutate func(T) (T, error)) (T, int64, error) {
-	idx := s.shardIndex(name)
-	sh := &s.shards[idx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj, ok := sh.items[name]
-	if !ok {
-		var zero T
-		return zero, 0, ErrNotFound{name}
-	}
-	next, err := mutate(s.deepCopy(obj))
-	if err != nil {
-		var zero T
-		return zero, 0, err
-	}
-	if s.name(next) != name {
-		var zero T
-		return zero, 0, fmt.Errorf("store: update may not rename %q to %q", name, s.name(next))
-	}
-	v := s.version.Add(1)
-	sh.items[name] = s.deepCopy(next)
-	sh.versions[name] = v
-	s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: s.deepCopy(next), Version: v, Shard: idx})
-	return next, v, nil
+	next, v, pos, err := s.update(name, nil, mutate)
+	s.wait(pos)
+	return next, v, err
 }
 
 // UpdateFunc applies mutate to the named object only if check accepts the
@@ -353,33 +386,39 @@ func (s *Store[T]) Update(name string, mutate func(T) (T, error)) (T, int64, err
 // atomic with respect to every concurrent writer: N scheduler replicas
 // racing the same pending job resolve to exactly one winner.
 func (s *Store[T]) UpdateFunc(name string, check func(obj T, version int64) error, mutate func(T) (T, error)) (T, int64, error) {
+	next, v, pos, err := s.update(name, check, mutate)
+	s.wait(pos)
+	return next, v, err
+}
+
+// update is the shared body of Update (nil check) and UpdateFunc.
+func (s *Store[T]) update(name string, check func(obj T, version int64) error, mutate func(T) (T, error)) (next T, v, pos int64, err error) {
+	var zero T
 	idx := s.shardIndex(name)
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	obj, ok := sh.items[name]
 	if !ok {
-		var zero T
-		return zero, 0, ErrNotFound{name}
+		return zero, 0, 0, ErrNotFound{name}
 	}
-	if err := check(obj, sh.versions[name]); err != nil {
-		var zero T
-		return zero, 0, err
+	if check != nil {
+		if err := check(obj, sh.versions[name]); err != nil {
+			return zero, 0, 0, err
+		}
 	}
-	next, err := mutate(s.deepCopy(obj))
+	next, err = mutate(s.deepCopy(obj))
 	if err != nil {
-		var zero T
-		return zero, 0, err
+		return zero, 0, 0, err
 	}
 	if s.name(next) != name {
-		var zero T
-		return zero, 0, fmt.Errorf("store: update may not rename %q to %q", name, s.name(next))
+		return zero, 0, 0, fmt.Errorf("store: update may not rename %q to %q", name, s.name(next))
 	}
-	v := s.version.Add(1)
+	v = s.version.Add(1)
 	sh.items[name] = s.deepCopy(next)
 	sh.versions[name] = v
-	s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: s.deepCopy(next), Version: v, Shard: idx})
-	return next, v, nil
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: s.deepCopy(next), Version: v, Shard: idx})
+	return next, v, pos, nil
 }
 
 // Delete removes the named object.
@@ -396,6 +435,8 @@ func (s *Store[T]) Delete(name string) error {
 // object I decided to archive" is atomic with respect to concurrent
 // cancels, retries and requeues.
 func (s *Store[T]) DeleteFunc(name string, check func(obj T, version int64) error) error {
+	var pos int64
+	defer func() { s.wait(pos) }() // deferred first, so it runs after the unlock
 	idx := s.shardIndex(name)
 	sh := &s.shards[idx]
 	sh.mu.Lock()
@@ -410,7 +451,7 @@ func (s *Store[T]) DeleteFunc(name string, check func(obj T, version int64) erro
 	delete(sh.items, name)
 	delete(sh.versions, name)
 	v := s.version.Add(1)
-	s.emitLocked(idx, WatchEvent[T]{Type: Deleted, Object: s.deepCopy(obj), Version: v, Shard: idx})
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Deleted, Object: s.deepCopy(obj), Version: v, Shard: idx})
 	return nil
 }
 
@@ -541,12 +582,16 @@ func (s *Store[T]) WatchFrom(marks []int64, buffer int) (<-chan WatchEvent[T], f
 	return out, cancel, nil
 }
 
-// emitLocked journals the event, runs hooks and broadcasts to watchers
-// while the mutated shard's lock is held. Plain watchers that fall behind
-// lose the event (they re-List); resumable watchers are closed instead so
-// their consumer reconnects from its token. Holding the shard lock across
-// delivery keeps same-key events ordered.
-func (s *Store[T]) emitLocked(idx int, ev WatchEvent[T]) {
+// emitLocked writes the event to the log (returning its position), then
+// journals it, runs hooks and broadcasts to watchers while the mutated
+// shard's lock is held. Plain watchers that fall behind lose the event
+// (they re-List); resumable watchers are closed instead so their consumer
+// reconnects from its token. Holding the shard lock across delivery keeps
+// same-key events ordered.
+func (s *Store[T]) emitLocked(idx int, ev WatchEvent[T]) (pos int64) {
+	if s.log != nil {
+		pos = s.log.Write(ev)
+	}
 	sh := &s.shards[idx]
 	s.journalAndHookLocked(sh, ev)
 	var overflowed []int
@@ -569,6 +614,7 @@ func (s *Store[T]) emitLocked(idx int, ev WatchEvent[T]) {
 		}
 		s.watchMu.Unlock()
 	}
+	return pos
 }
 
 // Version returns the store's latest resource version.

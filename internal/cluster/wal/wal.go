@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qrio/internal/faults"
@@ -52,14 +53,17 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// Writer appends framed records to one log file. Appends are serialised
-// by an internal mutex, so a Writer can be shared by concurrent
-// producers (QRIO shares one per store shard, called under that shard's
-// lock). The first I/O error is latched: later appends return it without
-// touching the file, mirroring the archive spill contract — durability
-// degrades loudly, never by silently interleaving half-written frames.
+// Writer appends framed records to one log file and makes them durable by
+// leader-based group commit: Write frames a record into the file and
+// returns its sequence number, Wait blocks until an fsync has covered it,
+// and the first waiter runs that fsync for everything written so far and
+// wakes the rest — no committer goroutine, no interval, no batch size. The
+// first I/O error, write or fsync, is latched: later writes and waits
+// return it without touching the file, mirroring the archive spill
+// contract — durability degrades loudly, never by silently interleaving
+// half-written frames.
 type Writer struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // serialises writes; guards f, path, err, the stats
 	f       *os.File
 	path    string
 	fsync   bool
@@ -72,22 +76,41 @@ type Writer struct {
 	// to faults.Default, so the daemon's -faults flag reaches production
 	// writers; tests inject private registries via SetFaults.
 	faults *faults.Registry
-	// observe, when set, is called after every successful Append with the
-	// framed byte count and the fsync duration (negative when the writer
-	// does not fsync) — the metrics seam. Set before traffic.
-	observe func(frameBytes int, fsync time.Duration)
+	obs    *Observer
+
+	// written numbers the records handed to the OS; durable is the highest
+	// one an fsync has covered (it follows written when the writer does not
+	// fsync, so Wait never blocks). commit guards syncing — an fsync is in
+	// flight, its waiters parked on synced — and syncErr, the latch of a
+	// failed one. Lock order: commit, then mu.
+	written atomic.Int64
+	durable atomic.Int64
+	commit  sync.Mutex
+	synced  *sync.Cond
+	syncing bool
+	syncErr error
+}
+
+// Observer is the writer's metrics seam: fast callbacks (Wrote runs under
+// the writer's mutex) that must not call back into the writer.
+type Observer struct {
+	Wrote  func(frameBytes int)                    // one record written
+	Synced func(records int64, took time.Duration) // one fsync, and the records it covered
+	Waited func(took time.Duration)                // one Wait that found its record not yet durable
 }
 
 // OpenWriter opens (creating if needed) a log file for appending. With
-// fsync set, every Append is synced to stable storage before returning —
-// the machine-crash guarantee; without it, records survive process death
-// (the write syscall completed) but not power loss.
+// fsync set, Wait (and so Append) returns only once the record is on
+// stable storage — the machine-crash guarantee; without it, records survive
+// process death (the write syscall completed) but not power loss.
 func OpenWriter(path string, fsync bool) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, path: path, fsync: fsync}, nil
+	w := &Writer{f: f, path: path, fsync: fsync}
+	w.synced = sync.NewCond(&w.commit)
+	return w, nil
 }
 
 // SetFaults points the writer at a fault-injection registry (tests use
@@ -98,81 +121,156 @@ func (w *Writer) SetFaults(r *faults.Registry) {
 	w.mu.Unlock()
 }
 
-// SetObserver installs the append observer (the durability manager's
-// metrics seam): fn runs under the writer's lock after every successful
-// Append with the framed byte count and fsync duration (negative when
-// the writer does not fsync), so it must be fast and must not call back
-// into the writer. Call before traffic; nil disables.
-func (w *Writer) SetObserver(fn func(frameBytes int, fsync time.Duration)) {
+// SetObserver installs the metrics seam. Call before traffic; nil disables.
+func (w *Writer) SetObserver(o *Observer) {
 	w.mu.Lock()
-	w.observe = fn
+	w.obs = o
 	w.mu.Unlock()
 }
 
-// Append writes one framed record (and syncs it, if the writer fsyncs).
+// Append writes one framed record and waits until it is durable.
 func (w *Writer) Append(payload []byte) error {
+	seq, err := w.Write(payload)
+	if err != nil {
+		return err
+	}
+	return w.Wait(seq)
+}
+
+// Write frames one record into the file and returns its sequence number
+// without waiting for the disk. Sequence order is file order.
+func (w *Writer) Write(payload []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return w.err
+		return 0, w.err
 	}
 	if len(payload) > MaxRecordBytes {
 		// Scan refuses frames above MaxRecordBytes, so writing one would
 		// poison the log: everything after it becomes unreachable.
 		w.err = fmt.Errorf("wal: record of %d bytes exceeds limit in %s", len(payload), w.path)
-		return w.err
+		return 0, w.err
 	}
 	if err := w.faults.Fire(context.Background(), faults.PointWALAppend); err != nil {
 		w.err = fmt.Errorf("wal: append to %s: %w", w.path, err)
-		return w.err
+		return 0, w.err
 	}
 	w.scratch = appendFrame(w.scratch[:0], payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
 		w.err = fmt.Errorf("wal: append to %s: %w", w.path, err)
-		return w.err
-	}
-	syncDur := time.Duration(-1)
-	if w.fsync {
-		start := time.Time{}
-		if w.observe != nil {
-			start = time.Now()
-		}
-		if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("wal: fsync %s: %w", w.path, err)
-			return w.err
-		}
-		if w.observe != nil {
-			syncDur = time.Since(start)
-		}
+		return 0, w.err
 	}
 	w.records++
 	w.bytes += int64(len(w.scratch))
-	if w.observe != nil {
-		w.observe(len(w.scratch), syncDur)
+	seq := w.written.Add(1)
+	if !w.fsync {
+		w.durable.Store(seq)
+	}
+	if w.obs != nil {
+		w.obs.Wrote(len(w.scratch))
+	}
+	return seq, nil
+}
+
+// Written returns the sequence number of the latest record written —
+// Wait(Written()) is the barrier "everything so far is durable".
+func (w *Writer) Written() int64 { return w.written.Load() }
+
+// Wait blocks until record seq is durable: one atomic compare when it
+// already is; otherwise the caller waits out the fsync in flight, and if
+// that did not cover seq runs the next one itself, for everything written
+// by then, and wakes the rest. A failed fsync fails this wait and every
+// later one — the kernel may report a lost write only once.
+func (w *Writer) Wait(seq int64) error {
+	if w.durable.Load() >= seq {
+		return nil
+	}
+	if obs := w.obs; obs != nil {
+		defer func(start time.Time) { obs.Waited(time.Since(start)) }(time.Now())
+	}
+	w.commit.Lock()
+	defer w.commit.Unlock()
+	for w.syncing && w.durable.Load() < seq {
+		w.synced.Wait()
+	}
+	if w.durable.Load() >= seq {
+		return nil
+	}
+	if w.syncErr == nil {
+		w.syncing = true
+		w.commit.Unlock()
+		err := w.sync()
+		w.commit.Lock()
+		w.syncErr, w.syncing = err, false
+		w.synced.Broadcast()
+	}
+	return w.syncErr
+}
+
+// sync is one group commit, run by the waiter that set syncing: an fsync
+// covering every record written so far.
+func (w *Writer) sync() error {
+	target := w.written.Load()
+	start := time.Now()
+	if err := w.f.Sync(); err != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if w.err == nil {
+			w.err = fmt.Errorf("wal: fsync %s: %w", w.path, err)
+		}
+		return w.err
+	}
+	covered := target - w.durable.Swap(target)
+	if w.obs != nil {
+		w.obs.Synced(covered, time.Since(start))
 	}
 	return nil
 }
 
-// Rotate atomically redirects the writer to a new file: records appended
-// before the call are fully in the old file, records after it fully in
-// the new one — the cut a snapshot relies on to know which generations
-// its marks cover. The latched error is cleared: a fresh file is a fresh
-// chance (a full disk may have been cleaned up between generations).
+// quiesce returns holding w.commit with no fsync in flight, so none starts
+// until the caller unlocks.
+func (w *Writer) quiesce() {
+	w.commit.Lock()
+	for w.syncing {
+		w.synced.Wait()
+	}
+}
+
+// Rotate atomically redirects the writer to a new file: records written
+// before the call are fully in the old file — synced, when the writer
+// fsyncs, before it is closed, so a later generation is never durable ahead
+// of an earlier one — and records after it fully in the new one: the cut a
+// snapshot relies on to know which generations its marks cover. The latched
+// error is cleared: a fresh file is a fresh chance (a full disk may have
+// been cleaned up between generations).
 func (w *Writer) Rotate(newPath string) error {
 	f, err := os.OpenFile(newPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
+	w.quiesce()
+	defer w.commit.Unlock()
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.fsync {
+		if err := w.f.Sync(); err != nil {
+			f.Close()
+			w.syncErr = fmt.Errorf("wal: fsync %s: %w", w.path, err)
+			if w.err == nil {
+				w.err = w.syncErr
+			}
+			return w.syncErr
+		}
+	}
 	old := w.f
 	w.f = f
 	w.path = newPath
-	w.err = nil
+	w.err, w.syncErr = nil, nil
+	w.durable.Store(w.written.Load())
 	// Stats count the current file — the replay debt since the last
 	// rotation — so a snapshot visibly resets the operator's WAL lag.
 	w.records = 0
 	w.bytes = 0
-	w.mu.Unlock()
 	return old.Close()
 }
 
@@ -183,7 +281,7 @@ func (w *Writer) Path() string {
 	return w.path
 }
 
-// Err returns the latched write error, if any.
+// Err returns the latched write or fsync error, if any.
 func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -197,23 +295,16 @@ func (w *Writer) Stats() (records, bytes int64) {
 	return w.records, w.bytes
 }
 
-// Sync flushes the file to stable storage regardless of the fsync mode.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return w.f.Sync()
-}
-
-// Close syncs and closes the file.
+// Close syncs and closes the file. Writers must be quiesced first.
 func (w *Writer) Close() error {
+	w.quiesce()
+	defer w.commit.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Sync(); err != nil && w.err == nil {
 		w.err = err
 	}
+	w.durable.Store(w.written.Load())
 	return w.f.Close()
 }
 

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func writeRecords(t *testing.T, path string, payloads ...[]byte) {
@@ -272,6 +276,216 @@ func TestWriterLatchesErrors(t *testing.T) {
 	w.Close()
 }
 
+// commitCounter is a test Observer: it checks, at every fsync, that the
+// records it claims to cover were written, and counts.
+type commitCounter struct {
+	wrote, fsyncs, covered, waits atomic.Int64
+}
+
+func (c *commitCounter) observer() *Observer {
+	return &Observer{
+		Wrote:  func(int) { c.wrote.Add(1) },
+		Synced: func(n int64, _ time.Duration) { c.fsyncs.Add(1); c.covered.Add(n) },
+		Waited: func(time.Duration) { c.waits.Add(1) },
+	}
+}
+
+// TestGroupCommit is the group-commit property test (run it under -race):
+// N goroutines append concurrently; each Append returns only once the
+// durable watermark has reached its record; fsyncs never outnumber appends
+// and between them cover every record exactly once; the file holds every
+// record intact.
+func TestGroupCommit(t *testing.T) {
+	const writers, each = 16, 40
+	path := filepath.Join(t.TempDir(), "group.wal")
+	w, err := OpenWriter(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cc commitCounter
+	w.SetObserver(cc.observer())
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seq, err := w.Write([]byte(fmt.Sprintf("writer-%02d-record-%03d", g, i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := w.Wait(seq); err != nil {
+					t.Error(err)
+					return
+				}
+				if d := w.durable.Load(); d < seq {
+					t.Errorf("Wait(%d) returned with the watermark at %d", seq, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := int64(writers * each)
+	if got := cc.wrote.Load(); got != total {
+		t.Fatalf("observer saw %d writes, want %d", got, total)
+	}
+	if f := cc.fsyncs.Load(); f == 0 || f > total {
+		t.Fatalf("%d fsyncs for %d appends", f, total)
+	}
+	if got := cc.covered.Load(); got != total {
+		t.Fatalf("fsyncs covered %d records, want each of %d once", got, total)
+	}
+	if w.Written() != total || w.durable.Load() != total {
+		t.Fatalf("written %d durable %d, want both %d", w.Written(), w.durable.Load(), total)
+	}
+	// Nothing is pending: the barrier is the fast path, no fsync.
+	before := cc.fsyncs.Load()
+	if err := w.Wait(w.Written()); err != nil || cc.fsyncs.Load() != before {
+		t.Fatalf("idle barrier: err=%v, fsyncs %d → %d", err, before, cc.fsyncs.Load())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ScanFile(path)
+	if err != nil || res.Truncated || int64(len(res.Records)) != total {
+		t.Fatalf("scan: %d records truncated=%v err=%v", len(res.Records), res.Truncated, err)
+	}
+	t.Logf("%d appends by %d writers: %d fsyncs, %d waits", total, writers, cc.fsyncs.Load(), cc.waits.Load())
+}
+
+// TestWriteDoesNotWait: a no-wait write is in the file but not durable
+// until someone waits; one Wait then covers every record written so far
+// with a single fsync, and a writer that does not fsync never waits at all.
+func TestWriteDoesNotWait(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(filepath.Join(dir, "a.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var cc commitCounter
+	w.SetObserver(cc.observer())
+	var last int64
+	for i := 0; i < 5; i++ {
+		if last, err = w.Write([]byte("rec")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cc.fsyncs.Load() != 0 || w.durable.Load() != 0 {
+		t.Fatalf("writes synced on their own: %d fsyncs, watermark %d", cc.fsyncs.Load(), w.durable.Load())
+	}
+	if err := w.Wait(1); err != nil {
+		t.Fatal(err)
+	}
+	if cc.fsyncs.Load() != 1 || cc.covered.Load() != 5 || w.durable.Load() != last {
+		t.Fatalf("one wait: %d fsyncs covering %d, watermark %d (want 1, 5, %d)",
+			cc.fsyncs.Load(), cc.covered.Load(), w.durable.Load(), last)
+	}
+
+	nf, err := OpenWriter(filepath.Join(dir, "b.wal"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nf.Close()
+	var nc commitCounter
+	nf.SetObserver(nc.observer())
+	for i := 0; i < 3; i++ {
+		if err := nf.Append([]byte("rec")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nc.fsyncs.Load() != 0 || nc.waits.Load() != 0 {
+		t.Fatalf("fsync=false writer touched the disk: %d fsyncs, %d waits", nc.fsyncs.Load(), nc.waits.Load())
+	}
+}
+
+// TestFsyncFailureLatches: a failed fsync fails the waiter that ran it,
+// every waiter queued behind it and every later write and wait; the error
+// shows in Err, and rotation onto a fresh file clears it.
+func TestFsyncFailureLatches(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(filepath.Join(dir, "a.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 8
+	seqs := make([]int64, waiters)
+	for i := range seqs {
+		if seqs[i], err = w.Write([]byte("doomed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Inject the failure: fsync on a closed descriptor fails.
+	w.f.Close()
+	errs := make(chan error, waiters)
+	for _, seq := range seqs {
+		go func() { errs <- w.Wait(seq) }()
+	}
+	for range seqs {
+		if err := <-errs; err == nil {
+			t.Fatal("a waiter succeeded past a failed fsync")
+		}
+	}
+	if w.Err() == nil {
+		t.Fatal("fsync failure not latched into Err")
+	}
+	if _, err := w.Write([]byte("later")); err == nil {
+		t.Fatal("write accepted after a failed fsync")
+	}
+	if err := w.Wait(seqs[0]); err == nil {
+		t.Fatal("later wait succeeded past the latch")
+	}
+	// The old descriptor is beyond saving, so is Rotate's sync of it.
+	if err := w.Rotate(filepath.Join(dir, "b.wal")); err == nil {
+		t.Fatal("rotate succeeded over an unsyncable file")
+	}
+	if w.Err() == nil {
+		t.Fatal("failed rotate cleared the latch")
+	}
+}
+
+// TestRotateSyncsOldFileFirst: records written without a wait are durable
+// by the time Rotate returns — the old generation is synced before it is
+// closed — so waiting for them afterwards costs no further fsync, and
+// records written after the rotation start from a clean watermark.
+func TestRotateSyncsOldFileFirst(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "g0.wal"), filepath.Join(dir, "g1.wal")
+	w, err := OpenWriter(a, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var cc commitCounter
+	w.SetObserver(cc.observer())
+	old, err := w.Write([]byte("old-gen"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(b); err != nil {
+		t.Fatal(err)
+	}
+	if w.durable.Load() < old {
+		t.Fatalf("rotation left record %d behind the watermark (%d)", old, w.durable.Load())
+	}
+	if err := w.Wait(old); err != nil || cc.fsyncs.Load() != 0 {
+		t.Fatalf("waiting for a rotated-out record: err=%v, %d fsyncs", err, cc.fsyncs.Load())
+	}
+	if err := w.Append([]byte("new-gen")); err != nil {
+		t.Fatal(err)
+	}
+	if cc.fsyncs.Load() != 1 || cc.covered.Load() != 1 {
+		t.Fatalf("first append of the new generation: %d fsyncs covering %d, want 1 and 1",
+			cc.fsyncs.Load(), cc.covered.Load())
+	}
+	ra, _ := ScanFile(a)
+	if len(ra.Records) != 1 || !bytes.Equal(ra.Records[0], []byte("old-gen")) {
+		t.Fatalf("old file: %+v", ra)
+	}
+}
+
 // FuzzWALReplay drives the scanner with arbitrary bytes: it must never
 // panic, must report consistent (ValidBytes, Records, Truncated), and a
 // reported-clean file must re-scan identically after a write-back.
@@ -291,6 +505,8 @@ func FuzzWALReplay(f *testing.F) {
 	damaged := seed([]byte("flip-me"))
 	damaged[frameHeader] ^= 0x01
 	f.Add(damaged)
+	// The log's own records: store- and shard-tagged, and a slim node.
+	f.Add(seed([]byte(`{"s":"jobs","h":3,"t":"ADDED","v":1,"o":{}}`), []byte(`{"s":"nodes","h":0,"t":"MODIFIED","v":2,"o":{"spec":{"backendJSON":null}}}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res := Scan(data)
 		if res.ValidBytes < 0 || res.ValidBytes > int64(len(data)) {

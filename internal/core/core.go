@@ -100,7 +100,7 @@ type Config struct {
 	// simulator and tests share one scrapeable view (QRIO.Metrics).
 	Metrics *obs.Registry
 	// Durability configures crash-recoverable cluster state: a data
-	// directory with per-shard write-ahead logs, periodic compacted
+	// directory with the write-ahead log, periodic compacted
 	// snapshots and the archive spill file. The zero value keeps the
 	// cluster fully in-memory — the pre-durability behaviour, byte for
 	// byte. With durability on, New replays the directory before anything
@@ -126,9 +126,9 @@ func containerSlots(nodeConcurrency int, b *device.Backend) int {
 	return capacity
 }
 
-// applySlots writes a backend's resolved container capacity onto its node
-// — shared by initial wiring and runtime vendor registration so the two
-// paths can never drift.
+// applySlots writes a backend's resolved container capacity back onto a
+// node RefreshNode reset; a new registration carries it in its one record
+// (AddNodeSlots).
 func applySlots(st *state.Cluster, nodeConcurrency int, b *device.Backend) {
 	if slots := containerSlots(nodeConcurrency, b); slots > 1 {
 		st.Nodes.Update(b.Name, func(n api.Node) (api.Node, error) {
@@ -203,7 +203,7 @@ func New(cfg Config) (*QRIO, error) {
 	metaSrv := meta.NewServer(cfg.Meta)
 	reg := registry.New()
 	for _, b := range cfg.Backends {
-		if _, err := st.AddNode(b); err != nil {
+		if _, err := st.AddNodeSlots(b, containerSlots(cfg.NodeConcurrency, b)); err != nil {
 			var exists store.ErrExists
 			if dur == nil || !errors.As(err, &exists) {
 				return nil, fmt.Errorf("core: adding node %s: %w", b.Name, err)
@@ -214,8 +214,8 @@ func New(cfg Config) (*QRIO, error) {
 			if _, err := st.RefreshNode(b); err != nil {
 				return nil, fmt.Errorf("core: refreshing node %s: %w", b.Name, err)
 			}
+			applySlots(st, cfg.NodeConcurrency, b)
 		}
-		applySlots(st, cfg.NodeConcurrency, b)
 		if err := metaSrv.RegisterBackend(b); err != nil {
 			return nil, fmt.Errorf("core: registering backend %s: %w", b.Name, err)
 		}
@@ -323,10 +323,9 @@ func (q *QRIO) rederive() {
 // removed keeps the kubelet it had: agents outlive their node object, and a
 // second one would double the node's container slots.
 func (q *QRIO) AddBackend(b *device.Backend) error {
-	if _, err := q.State.AddNode(b); err != nil {
+	if _, err := q.State.AddNodeSlots(b, containerSlots(q.nodeConcurrency, b)); err != nil {
 		return err
 	}
-	applySlots(q.State, q.nodeConcurrency, b)
 	if err := q.Meta.RegisterBackend(b); err != nil {
 		// No node without a Meta backend: the scheduler could bind to it
 		// but never score it.

@@ -10,6 +10,7 @@ import (
 	"qrio/internal/device"
 	"qrio/internal/graph"
 	"qrio/internal/master"
+	"qrio/internal/obs"
 )
 
 // TestIdleControlPlaneWritesNothing runs a durable deployment with its
@@ -70,4 +71,73 @@ func TestIdleControlPlaneWritesNothing(t *testing.T) {
 	}, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestJobLifecycleFsyncBudget holds the group-commit saving in place: on a
+// quiet durable deployment with fsync on, one job's whole life — submit,
+// bind, claim, finish — still journals its 11 records, but waits for the
+// disk once per stage: at most 5 fsyncs (4 when nothing else is writing;
+// one per record, 11, before the log was shared), read from the commit
+// histograms an operator would read.
+func TestJobLifecycleFsyncBudget(t *testing.T) {
+	b, err := device.UniformBackend("q1", graph.Line(6), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	q, err := core.New(core.Config{
+		Backends:   []*device.Backend{b},
+		Metrics:    reg,
+		Durability: durability.Options{Dir: t.TempDir(), Fsync: true, SnapshotInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	q.Start()
+	commits := func() (fsyncs, records, waits float64) {
+		t.Helper()
+		q.State.Sync() // in-process observers run up to one fsync ahead of the disk
+		fams := reg.Gather()
+		for _, s := range obs.FindFamily(fams, "qrio_durability_commit_records").Samples {
+			switch s.Name {
+			case "qrio_durability_commit_records_count":
+				fsyncs = s.Value
+			case "qrio_durability_commit_records_sum":
+				records = s.Value
+			}
+		}
+		for _, s := range obs.FindFamily(fams, "qrio_durability_commit_wait_seconds").Samples {
+			if s.Name == "qrio_durability_commit_wait_seconds_count" {
+				waits = s.Value
+			}
+		}
+		return fsyncs, records, waits
+	}
+	f0, r0, w0 := commits()
+	if _, _, err := q.SubmitAndWait(master.SubmitRequest{
+		JobName: "budgeted", QASM: "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n",
+		Shots: 32, Strategy: api.StrategyFidelity, TargetFidelity: 1,
+	}, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The terminal watch event is out before the finishing transition has
+	// written its release and event: let those land before the barrier.
+	written := func() float64 {
+		return obs.FindFamily(reg.Gather(), "qrio_durability_wal_appends_total").Samples[0].Value
+	}
+	for deadline := time.Now().Add(5 * time.Second); written() < r0+11 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	f1, r1, w1 := commits()
+	if r1-r0 != 11 {
+		t.Fatalf("one job journaled %v records, want 11", r1-r0)
+	}
+	if n := f1 - f0; n < 1 || n > 5 {
+		t.Fatalf("one job cost %v fsyncs, want at most 5", n)
+	}
+	if w1-w0 < f1-f0 {
+		t.Fatalf("%v fsyncs but only %v waits observed: every fsync is run by a waiter", f1-f0, w1-w0)
+	}
+	t.Logf("one job: %v records, %v fsyncs, %v waits", r1-r0, f1-f0, w1-w0)
 }

@@ -57,9 +57,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shots <= 0 {
 		// The best fleet devices differ by only a few percent in fidelity;
-		// the canary ranking needs this many shots to separate them (see
-		// EXPERIMENTS.md — at low shot counts the Clifford pick degrades
-		// towards random for the deepest circuit, Grover).
+		// the canary ranking needs this many shots to separate them: at low
+		// shot counts the Clifford pick degrades towards random for the
+		// deepest circuit, Grover.
 		c.Shots = 4096
 	}
 	if c.MaxDenseQubits <= 0 {

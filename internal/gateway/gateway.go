@@ -161,7 +161,45 @@ func (s *Server) Handler() http.Handler {
 		httpx.WriteError(w, http.StatusNotFound, httpx.CodeNotFound,
 			fmt.Errorf("no /v1 route for %s %s", r.Method, r.URL.Path))
 	})
-	return s.flowControl(s.instrument(mux))
+	return s.flowControl(s.Barrier(s.instrument(mux)))
+}
+
+// Barrier holds every response of next behind the durable log: no byte —
+// status line, body or streamed event — leaves the process before
+// everything the handler could have read is on disk (state.Cluster.Sync:
+// one atomic compare when nothing is pending). In-process observers may
+// run one fsync ahead of the disk; this is where that stops. The /v1
+// handler carries it; the dashboard wraps itself in it. A no-op without
+// durability.
+func (s *Server) Barrier(next http.Handler) http.Handler {
+	if s.Core.Durability == nil {
+		return next
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		next.ServeHTTP(&syncedWriter{ResponseWriter: w, state: s.Core.State}, r)
+	})
+}
+
+type syncedWriter struct {
+	http.ResponseWriter
+	state *state.Cluster
+}
+
+func (w *syncedWriter) WriteHeader(code int) {
+	w.state.Sync()
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *syncedWriter) Write(p []byte) (int, error) {
+	w.state.Sync()
+	return w.ResponseWriter.Write(p)
+}
+
+// Flush keeps the SSE watch handler streaming through the wrapper.
+func (w *syncedWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // staticFilters are the fleet-invariant admission filters: a job no node

@@ -161,16 +161,13 @@ func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 			TopologyQASM:   req.TopologyQASM,
 		},
 	}
-	if err := s.State.SubmitJob(job); err != nil {
-		return api.QuantumJob{}, err
-	}
-	stored, _, err := s.State.Jobs.Get(req.JobName)
+	err = s.State.SubmitJob(job, state.Note{Reason: "Containerized",
+		Message: fmt.Sprintf("image %s pushed (%s)", imageName, digest[:19])})
 	if err != nil {
 		return api.QuantumJob{}, err
 	}
-	s.State.RecordEvent("Job", req.JobName, "Containerized",
-		fmt.Sprintf("image %s pushed (%s)", imageName, digest[:19]))
-	return stored, nil
+	stored, _, err := s.State.Jobs.Get(req.JobName)
+	return stored, err
 }
 
 // Recontainerize re-pushes a stored job's image from its spec. The

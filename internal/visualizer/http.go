@@ -43,7 +43,8 @@ func (s *Server) render(w http.ResponseWriter, p page) {
 	}
 }
 
-// Handler returns the dashboard routes.
+// Handler returns the dashboard routes, held behind the durable log like
+// every /v1 response (gateway.Server.Barrier).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleHome)
@@ -52,7 +53,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/jobs/", s.handleJobDetail)
 	mux.HandleFunc("/vendor", s.handleVendor)
-	return mux
+	return s.Gateway.Barrier(mux)
 }
 
 // handleHome is the Fig. 3 front page: choose a circuit or view the cluster.

@@ -126,9 +126,10 @@
 // # Durability & restarts
 //
 // Config.Durability (the qrio daemon's -data-dir flag) makes cluster
-// state crash-recoverable. Every store mutation is appended to a
-// per-shard, CRC-framed write-ahead log; a background loop (and POST
-// /v1/admin/snapshot) periodically compacts the logs into one atomically
+// state crash-recoverable. Every store mutation is written to one
+// totally ordered, CRC-framed write-ahead log and made durable by group
+// commit; a background loop (and POST
+// /v1/admin/snapshot) periodically compacts the log into one atomically
 // replaced snapshot file; the archive tier spills to archive.jsonl in the
 // same directory. On boot, New restores the snapshot, replays the logs
 // past it (re-firing the same store hooks that feed the live indexes, so
@@ -257,8 +258,8 @@ type TenantUsage = state.TenantUsage
 type RetentionPolicy = state.RetentionPolicy
 
 // DurabilityOptions configure crash-recoverable cluster state
-// (Config.Durability): a data directory holding per-shard write-ahead
-// logs, periodic compacted snapshots and the archive spill. The zero
+// (Config.Durability): a data directory holding the write-ahead
+// log, periodic compacted snapshots and the archive spill. The zero
 // value keeps the deployment fully in-memory.
 type DurabilityOptions = durability.Options
 
