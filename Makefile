@@ -10,8 +10,8 @@ GO ?= go
 # dominate (at 1x, StoreContention/create measures one ~20µs op — pure
 # start-up noise); SubmitThroughput drives whole orchestrator bursts and
 # stays at 1x, and so do the scoring engines' two records — ColdSweep (one
-# never-seen fingerprint over the 100-device fleet, ~0.4 s an op) and
-# StabilizerNoisyShots (one device's 2045 canary shots, ~3 ms an op) —
+# never-seen fingerprint over the 100-device fleet, ~0.2 s an op) and
+# StabilizerNoisyShots (one device's 2045 canary shots, ~1.8 ms an op) —
 # which guard per layer what BENCHMARK.json's cold-sweep guards end to end,
 # and the execution engine's two — NoisyStatevecShots (eight jobs' shots of
 # each steady-warm family on the dense engine, 0.1–2 ms a job) and
@@ -49,7 +49,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -171,6 +171,21 @@ sim-check:
 # reproductions are most of it).
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke gives every Fuzz* target in the tree $(FUZZ_TIME) of real
+# fuzzing — `go test` alone only replays their seed corpora. Targets are
+# found, not listed, so a new fuzzer is covered the day it is written; go
+# fuzzes one target of one package per invocation, hence the loop. Finding
+# none means the grep is miswired, not that there is nothing to fuzz.
+FUZZ_TIME ?= 3s
+fuzz-smoke:
+	@targets="$$(grep -rnE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+\(' internal cmd client \
+		| sed -E 's|^(.*)/[^/]+:[0-9]+:func (Fuzz[A-Za-z0-9_]+)\(.*|\1 \2|')"; \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: found no Fuzz targets — audit miswired"; exit 1; fi; \
+	echo "$$targets" | while read -r dir target; do \
+		echo "fuzz-smoke: $$target ($$dir, $(FUZZ_TIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) "./$$dir" || exit 1; \
+	done
 
 # chaos-crash runs the kill -9 crash-recovery harness under the race
 # detector: a child process running a durable cluster under lifecycle

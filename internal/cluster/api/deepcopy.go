@@ -24,10 +24,11 @@ func copyTime(t *time.Time) *time.Time {
 // DeepCopy returns an independent copy of the node. Spec.BackendJSON is
 // shared, not copied: it is immutable by contract (see NodeSpec), and at
 // ~10 KB it was most of what every bind, release, list and journal slot
-// copied.
+// copied. So are the Labels, derived from those bytes and replaced whole
+// with them (state.NodeLabels): every bind and release is a node version,
+// and a map per version outweighed the rest of the record.
 func (n Node) DeepCopy() Node {
 	out := n
-	out.ObjectMeta = copyMeta(n.ObjectMeta)
 	out.Status.RunningJobs = append([]string(nil), n.Status.RunningJobs...)
 	return out
 }

@@ -35,6 +35,8 @@ const (
 // Node is a cluster member hosting one quantum device plus classical
 // compute. The vendor's backend calibration (the backend.py analogue) is
 // carried as opaque JSON; the Meta Server holds the authoritative copy.
+// A node's Labels are immutable like its BackendJSON: replace the map,
+// never write into it (DeepCopy shares both).
 type Node struct {
 	ObjectMeta
 	Spec   NodeSpec   `json:"spec"`

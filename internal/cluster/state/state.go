@@ -122,6 +122,12 @@ func New() *Cluster {
 		Archived:      archive.New(archive.Options{}),
 		backendCache:  make(map[string]cachedBackend),
 	}
+	// Only job and node watches resume from a token (hub.go); a journal
+	// ring on the other stores would keep every result and event a second
+	// time for a replay nobody can ask for.
+	c.Results.SetJournalCap(0)
+	c.Events.SetJournalCap(0)
+	c.TenantConfigs.SetJournalCap(0)
 	c.pending.queues = make(map[string][]pendingEntry)
 	c.pending.member = make(map[string]pendingRef)
 	c.usage.jobs = make(map[string]usageEntry)

@@ -26,11 +26,14 @@ func (s *Store[T]) advanceVersion(v int64) {
 // of a live emit and a boot-time replay.
 func (s *Store[T]) journalAndHookLocked(sh *shard[T], ev WatchEvent[T]) {
 	sh.lastVersion = ev.Version
-	if len(sh.journal) >= s.journalCap {
+	switch {
+	case s.journalCap == 0:
+		sh.evictedThrough = ev.Version
+	case len(sh.journal) >= s.journalCap:
 		sh.evictedThrough = sh.journal[0].Version
-		sh.journal[0] = WatchEvent[T]{} // release the evicted object copy
+		sh.journal[0] = WatchEvent[T]{} // release the evicted object
 		sh.journal = append(sh.journal[1:], ev)
-	} else {
+	default:
 		sh.journal = append(sh.journal, ev)
 	}
 	for _, hook := range s.hooks {
@@ -53,7 +56,8 @@ func (s *Store[T]) Restore(obj T, version int64) error {
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.items[key] = s.deepCopy(obj)
+	stored := s.deepCopy(obj)
+	sh.items[key] = stored
 	sh.versions[key] = version
 	s.advanceVersion(version)
 	if version > sh.lastVersion {
@@ -62,7 +66,7 @@ func (s *Store[T]) Restore(obj T, version int64) error {
 	if version > sh.evictedThrough {
 		sh.evictedThrough = version
 	}
-	ev := WatchEvent[T]{Type: Added, Object: s.deepCopy(obj), Version: version, Shard: idx}
+	ev := WatchEvent[T]{Type: Added, Object: stored, Version: version, Shard: idx}
 	for _, hook := range s.hooks {
 		hook(ev)
 	}
@@ -114,7 +118,8 @@ func (s *Store[T]) Replay(ev WatchEvent[T]) error {
 		delete(sh.items, key)
 		delete(sh.versions, key)
 	default:
-		sh.items[key] = s.deepCopy(ev.Object)
+		ev.Object = s.deepCopy(ev.Object)
+		sh.items[key] = ev.Object
 		sh.versions[key] = ev.Version
 	}
 	s.advanceVersion(ev.Version)

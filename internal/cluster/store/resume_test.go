@@ -136,6 +136,28 @@ func TestWatchFromCompacted(t *testing.T) {
 	}
 }
 
+// TestNoJournal: a store told to keep no journal (the ones nobody resumes
+// from) answers a resume from behind any mutation with ErrCompacted rather
+// than an empty replay, and still resumes at the head.
+func TestNoJournal(t *testing.T) {
+	s := newObjStore()
+	s.SetJournalCap(0)
+	mark := s.Marks()
+	s.Create(robj{Name: "k"})
+	if _, _, err := s.WatchFrom(mark, 16); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("resume behind a mutation: err = %v, want ErrCompacted", err)
+	}
+	ch, cancel, err := s.WatchFrom(s.Marks(), 16)
+	if err != nil {
+		t.Fatalf("resume at head: %v", err)
+	}
+	defer cancel()
+	s.Update("k", func(o robj) (robj, error) { o.Val = 7; return o, nil })
+	if got := collect(t, ch, 1); got[0].Object.Val != 7 {
+		t.Fatalf("live event after head resume = %+v", got[0])
+	}
+}
+
 // TestWatchFromOverflowCloses pins the resumable watcher's no-silent-loss
 // contract: a consumer that falls more than the buffer behind has its
 // stream closed (so it resumes from its token) instead of losing events.

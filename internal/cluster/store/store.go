@@ -78,7 +78,10 @@ type shard[T any] struct {
 
 // Store is a thread-safe, versioned map of named objects of one kind.
 // DeepCopy isolation: objects are copied on the way in and out, so callers
-// can never mutate stored state except through Update.
+// can never mutate stored state except through Update. An installed object
+// is never mutated in place — an update installs a fresh copy — which is
+// what lets a mutation's watch event carry the installed object itself
+// rather than a second copy, which the journal ring would keep per version.
 type Store[T any] struct {
 	shards     []shard[T]
 	version    atomic.Int64
@@ -178,14 +181,12 @@ type watcher[T any] struct {
 	closeOnDrop bool
 }
 
-// SetJournalCap resizes the per-shard version journal (minimum 1 event
-// per shard). Like OnEvent, it must be called before the store is shared
-// between goroutines; tests shrink it to force compaction cheaply.
+// SetJournalCap resizes the per-shard version journal; at 0 the store keeps
+// none and every WatchFrom behind a mutation is compacted. Like OnEvent, it
+// must be called before the store is shared between goroutines; tests
+// shrink it to force compaction cheaply.
 func (s *Store[T]) SetJournalCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.journalCap = n
+	s.journalCap = max(n, 0)
 }
 
 // shardIndex maps a key to its shard index (FNV-1a).
@@ -227,7 +228,8 @@ func (s *Store[T]) Marks() []int64 {
 // incremental indexes (the pending-job queue, the event-by-About index)
 // hang off. Hooks must be registered before the store is shared between
 // goroutines, must not call back into this store, and may retain ev.Object
-// (it is a private deep copy).
+// but never mutate it: it is the installed object, shared with the journal
+// and every watcher.
 func (s *Store[T]) OnEvent(fn func(ev WatchEvent[T])) {
 	s.hooks = append(s.hooks, fn)
 }
@@ -262,9 +264,10 @@ func (s *Store[T]) create(obj T) (v, pos int64, err error) {
 		return 0, 0, ErrExists{key}
 	}
 	v = s.version.Add(1)
-	sh.items[key] = s.deepCopy(obj)
+	stored := s.deepCopy(obj)
+	sh.items[key] = stored
 	sh.versions[key] = v
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Added, Object: s.deepCopy(obj), Version: v, Shard: idx})
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Added, Object: stored, Version: v, Shard: idx})
 	return v, pos, nil
 }
 
@@ -415,9 +418,10 @@ func (s *Store[T]) update(name string, check func(obj T, version int64) error, m
 		return zero, 0, 0, fmt.Errorf("store: update may not rename %q to %q", name, s.name(next))
 	}
 	v = s.version.Add(1)
-	sh.items[name] = s.deepCopy(next)
+	stored := s.deepCopy(next) // next goes back to the caller, who may keep changing it
+	sh.items[name] = stored
 	sh.versions[name] = v
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: s.deepCopy(next), Version: v, Shard: idx})
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: stored, Version: v, Shard: idx})
 	return next, v, pos, nil
 }
 
@@ -451,7 +455,7 @@ func (s *Store[T]) DeleteFunc(name string, check func(obj T, version int64) erro
 	delete(sh.items, name)
 	delete(sh.versions, name)
 	v := s.version.Add(1)
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Deleted, Object: s.deepCopy(obj), Version: v, Shard: idx})
+	pos = s.emitLocked(idx, WatchEvent[T]{Type: Deleted, Object: obj, Version: v, Shard: idx})
 	return nil
 }
 

@@ -74,6 +74,50 @@ func TestDeepCopyIsolation(t *testing.T) {
 	}
 }
 
+// TestEventsShareTheInstalledObject: a mutation's event carries the object
+// the store installed, not another copy — and stays intact afterwards, in the
+// journal too, because an update installs a fresh object instead of touching
+// the old one, even when its callback and its caller write through the
+// slices they were handed.
+func TestEventsShareTheInstalledObject(t *testing.T) {
+	s := newStore()
+	var hooked []WatchEvent[obj]
+	s.OnEvent(func(ev WatchEvent[obj]) { hooked = append(hooked, ev) })
+	s.Create(obj{Name: "a", Tags: []string{"v1"}})
+	s.Peek("a", func(o obj, _ int64) {
+		if &o.Tags[0] != &hooked[0].Object.Tags[0] {
+			t.Error("create copied the installed object again for its event")
+		}
+	})
+	next, _, err := s.Update("a", func(o obj) (obj, error) {
+		o.Tags[0] = "v2"
+		return o, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Tags[0] = "caller's"
+	s.Peek("a", func(o obj, _ int64) {
+		if &o.Tags[0] != &hooked[1].Object.Tags[0] {
+			t.Error("update copied the installed object again for its event")
+		}
+	})
+	replay, cancel, err := s.WatchFrom(make([]int64, s.Shards()), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	for i, want := range []string{"v1", "v2"} {
+		if got := (<-replay).Object.Tags[0]; got != want || hooked[i].Object.Tags[0] != want {
+			t.Fatalf("event %d carries %q (hook saw %q), want %q", i, got, hooked[i].Object.Tags[0], want)
+		}
+	}
+	s.Delete("a")
+	if got := hooked[2].Object.Tags[0]; got != "v2" {
+		t.Fatalf("delete event carries %q, want the last installed object", got)
+	}
+}
+
 func TestUpdateAbortsOnError(t *testing.T) {
 	s := newStore()
 	s.Create(obj{Name: "a", Value: 1})

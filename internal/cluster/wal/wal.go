@@ -63,14 +63,18 @@ func appendFrame(buf, payload []byte) []byte {
 // contract — durability degrades loudly, never by silently interleaving
 // half-written frames.
 type Writer struct {
-	mu      sync.Mutex // serialises writes; guards f, path, err, the stats
+	mu      sync.Mutex // serialises writes; guards f and path
 	f       *os.File
 	path    string
 	fsync   bool
-	err     error
-	records int64
-	bytes   int64
 	scratch []byte
+	// The latched error and the stats are written under mu but read without
+	// it: Write holds mu across the write(2) — and a wal.append latency
+	// fault — and a health probe or a metrics scrape must not queue behind
+	// a slow disk to learn that the disk is slow.
+	err     atomic.Pointer[error]
+	records atomic.Int64
+	bytes   atomic.Int64
 	// faults injects write failures ahead of real I/O (the wal.append
 	// point); injected errors latch exactly like disk errors. Nil resolves
 	// to faults.Default, so the daemon's -faults flag reaches production
@@ -142,26 +146,23 @@ func (w *Writer) Append(payload []byte) error {
 func (w *Writer) Write(payload []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return 0, w.err
+	if err := w.Err(); err != nil {
+		return 0, err
 	}
 	if len(payload) > MaxRecordBytes {
 		// Scan refuses frames above MaxRecordBytes, so writing one would
 		// poison the log: everything after it becomes unreachable.
-		w.err = fmt.Errorf("wal: record of %d bytes exceeds limit in %s", len(payload), w.path)
-		return 0, w.err
+		return 0, w.latch(fmt.Errorf("wal: record of %d bytes exceeds limit in %s", len(payload), w.path))
 	}
 	if err := w.faults.Fire(context.Background(), faults.PointWALAppend); err != nil {
-		w.err = fmt.Errorf("wal: append to %s: %w", w.path, err)
-		return 0, w.err
+		return 0, w.latch(fmt.Errorf("wal: append to %s: %w", w.path, err))
 	}
 	w.scratch = appendFrame(w.scratch[:0], payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
-		w.err = fmt.Errorf("wal: append to %s: %w", w.path, err)
-		return 0, w.err
+		return 0, w.latch(fmt.Errorf("wal: append to %s: %w", w.path, err))
 	}
-	w.records++
-	w.bytes += int64(len(w.scratch))
+	w.records.Add(1)
+	w.bytes.Add(int64(len(w.scratch)))
 	seq := w.written.Add(1)
 	if !w.fsync {
 		w.durable.Store(seq)
@@ -215,10 +216,10 @@ func (w *Writer) sync() error {
 	if err := w.f.Sync(); err != nil {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if w.err == nil {
-			w.err = fmt.Errorf("wal: fsync %s: %w", w.path, err)
+		if w.Err() == nil {
+			w.latch(fmt.Errorf("wal: fsync %s: %w", w.path, err))
 		}
-		return w.err
+		return w.Err()
 	}
 	covered := target - w.durable.Swap(target)
 	if w.obs != nil {
@@ -256,8 +257,8 @@ func (w *Writer) Rotate(newPath string) error {
 		if err := w.f.Sync(); err != nil {
 			f.Close()
 			w.syncErr = fmt.Errorf("wal: fsync %s: %w", w.path, err)
-			if w.err == nil {
-				w.err = w.syncErr
+			if w.Err() == nil {
+				w.latch(w.syncErr)
 			}
 			return w.syncErr
 		}
@@ -265,12 +266,13 @@ func (w *Writer) Rotate(newPath string) error {
 	old := w.f
 	w.f = f
 	w.path = newPath
-	w.err, w.syncErr = nil, nil
+	w.err.Store(nil)
+	w.syncErr = nil
 	w.durable.Store(w.written.Load())
 	// Stats count the current file — the replay debt since the last
 	// rotation — so a snapshot visibly resets the operator's WAL lag.
-	w.records = 0
-	w.bytes = 0
+	w.records.Store(0)
+	w.bytes.Store(0)
 	return old.Close()
 }
 
@@ -281,18 +283,26 @@ func (w *Writer) Path() string {
 	return w.path
 }
 
-// Err returns the latched write or fsync error, if any.
+// Err returns the latched write or fsync error, if any. It never blocks.
 func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
+	if p := w.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// Stats returns how many records and bytes this writer has appended.
+// latch records the writer's first I/O error (the caller holds mu and has
+// found none latched) and returns it.
+func (w *Writer) latch(err error) error {
+	w.err.Store(&err)
+	return err
+}
+
+// Stats returns how many records and bytes this writer has appended to the
+// current file. It never blocks; read beside a write in flight, the two
+// numbers may be one record apart.
 func (w *Writer) Stats() (records, bytes int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records, w.bytes
+	return w.records.Load(), w.bytes.Load()
 }
 
 // Close syncs and closes the file. Writers must be quiesced first.
@@ -301,8 +311,8 @@ func (w *Writer) Close() error {
 	defer w.commit.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Sync(); err != nil && w.err == nil {
-		w.err = err
+	if err := w.f.Sync(); err != nil && w.Err() == nil {
+		w.latch(err)
 	}
 	w.durable.Store(w.written.Load())
 	return w.f.Close()

@@ -54,20 +54,22 @@ func (b *Backend) Validate() error {
 	if b.Coupling == nil || b.Coupling.NumVertices() != b.NumQubits {
 		return fmt.Errorf("device %s: coupling map size mismatch", b.Name)
 	}
-	for _, e := range b.Coupling.Edges() {
-		if _, ok := b.TwoQubitErr[e]; !ok {
-			return fmt.Errorf("device %s: edge %v has no two-qubit error", b.Name, e)
+	// Every transpile validates its backend, so the edges are walked where
+	// they lie rather than through Edges()'s sorted copy.
+	for a := 0; a < b.NumQubits; a++ {
+		for _, c := range b.Coupling.Neighbors(a) {
+			if a > c {
+				continue
+			}
+			if _, ok := b.TwoQubitErr[[2]int{a, c}]; !ok {
+				return fmt.Errorf("device %s: edge %v has no two-qubit error", b.Name, [2]int{a, c})
+			}
 		}
 	}
-	for name, s := range map[string][]float64{
-		"one-qubit error": b.OneQubitErr,
-		"readout error":   b.ReadoutErr,
-		"readout length":  b.ReadoutLenNS,
-		"T1":              b.T1us,
-		"T2":              b.T2us,
-	} {
+	names := [...]string{"one-qubit error", "readout error", "readout length", "T1", "T2"}
+	for i, s := range [...][]float64{b.OneQubitErr, b.ReadoutErr, b.ReadoutLenNS, b.T1us, b.T2us} {
 		if len(s) != b.NumQubits {
-			return fmt.Errorf("device %s: %s has %d entries, want %d", b.Name, name, len(s), b.NumQubits)
+			return fmt.Errorf("device %s: %s has %d entries, want %d", b.Name, names[i], len(s), b.NumQubits)
 		}
 	}
 	for e, p := range b.TwoQubitErr {

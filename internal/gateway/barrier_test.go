@@ -76,8 +76,7 @@ func TestNoByteAheadOfTheLog(t *testing.T) {
 	// settled waits for the submission and checks what the window cost: the
 	// barrier's fsync (covering the job record) plus the submitter's own
 	// (covering its two events) — without a barrier there is only the
-	// second. The histogram is read outside the window: a scrape takes the
-	// writer's mutex, which the sleeping fault holds.
+	// second.
 	settled := func(submitted chan error, f0, r0 float64, what string) {
 		t.Helper()
 		if err := <-submitted; err != nil {
@@ -123,4 +122,60 @@ func TestNoByteAheadOfTheLog(t *testing.T) {
 	}
 	stillOpen(submitted, "the GET answered")
 	settled(submitted, f0, r0, "a GET answered")
+}
+
+// TestHealthAnswersBesideAHeldAppend: the log writer holds its mutex across
+// a record's write — here a wal.append latency fault sleeping inside it —
+// and /v1/health and a metrics scrape, which report the writer's record
+// count and latched error, must read those without queueing behind it: a
+// probe that stalls whenever the disk does cannot say that the disk does.
+func TestHealthAnswersBesideAHeldAppend(t *testing.T) {
+	reg := faults.NewRegistry(1)
+	c, q := deployCfg(t, core.Config{
+		Metrics:    obs.NewRegistry(),
+		Faults:     reg,
+		Durability: durability.Options{Dir: t.TempDir(), Fsync: true, SnapshotInterval: -1},
+	}, false, nil)
+	t.Cleanup(func() { q.Durability.Close() })
+	if _, err := c.Health(context.Background()); err != nil { // connection and handler warm
+		t.Fatal(err)
+	}
+
+	reg.Enable(faults.PointWALAppend, faults.Spec{Mode: faults.ModeLatency, Latency: 400 * time.Millisecond})
+	t.Cleanup(func() { reg.Disable(faults.PointWALAppend) })
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := c.Submit(context.Background(), ghzReq("held"))
+		submitted <- err
+	}()
+	// Once the job is visible its record is written and the first of its
+	// two events is asleep in the fault, inside the writer's mutex.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, err := q.State.Jobs.Get("held"); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the held job never became visible")
+		}
+	}
+	start := time.Now()
+	h, err := c.Health(context.Background())
+	healthTook := time.Since(start)
+	start = time.Now()
+	_, merr := c.Metrics(context.Background())
+	scrapeTook := time.Since(start)
+	if err != nil || merr != nil || !h.Durability.OK {
+		t.Fatalf("health %+v, %v; scrape %v", h.Durability, err, merr)
+	}
+	if healthTook > 50*time.Millisecond || scrapeTook > 50*time.Millisecond {
+		t.Fatalf("GET /v1/health took %v and GET /v1/metrics %v beside a held append, want each within 50ms", healthTook, scrapeTook)
+	}
+	select {
+	case err := <-submitted:
+		t.Fatalf("the submission returned (%v) before the probes did: no append was held open, the test proves nothing", err)
+	default:
+	}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -9,16 +9,20 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
 
 // Graph is a simple undirected graph over vertices 0..n-1. Reading methods
-// are safe for concurrent use once construction (AddEdge) is over.
+// are safe for concurrent use once construction (AddEdge) is over. The
+// adjacency lists are the only record of the edges: a fleet's coupling maps
+// live as long as the process, in more than one registry, and on
+// bounded-degree graphs a list scan beats hashing the pair anyway.
 type Graph struct {
-	n    int
-	adj  [][]int
-	seen map[[2]int]bool
+	n     int
+	edges int
+	adj   [][]int
 	// dist caches DistanceMatrix; AddEdge drops it.
 	dist atomic.Pointer[DistanceMatrix]
 }
@@ -28,21 +32,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{n: n, adj: make([][]int, n), seen: make(map[[2]int]bool)}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return len(g.seen) }
-
-func normPair(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
 // AddEdge inserts the undirected edge (a, b); duplicates are ignored.
 func (g *Graph) AddEdge(a, b int) error {
@@ -52,11 +49,10 @@ func (g *Graph) AddEdge(a, b int) error {
 	if a == b {
 		return fmt.Errorf("graph: self-loop on %d", a)
 	}
-	key := normPair(a, b)
-	if g.seen[key] {
+	if g.HasEdge(a, b) {
 		return nil
 	}
-	g.seen[key] = true
+	g.edges++
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.dist.Store(nil)
@@ -75,7 +71,10 @@ func (g *Graph) HasEdge(a, b int) bool {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		return false
 	}
-	return g.seen[normPair(a, b)]
+	if len(g.adj[a]) > len(g.adj[b]) {
+		a, b = b, a
+	}
+	return slices.Contains(g.adj[a], b)
 }
 
 // Degree returns the number of neighbours of v.
@@ -97,9 +96,13 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 
 // Edges returns all edges as normalised pairs in lexicographic order.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, len(g.seen))
-	for e := range g.seen {
-		out = append(out, e)
+	out := make([][2]int, 0, g.edges)
+	for a, nbrs := range g.adj {
+		for _, b := range nbrs {
+			if a < b {
+				out = append(out, [2]int{a, b})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
@@ -252,12 +255,14 @@ func (g *Graph) DegreeSequence() []int {
 
 // Equal reports whether two graphs have identical vertex and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
-	if g.n != h.n || len(g.seen) != len(h.seen) {
+	if g.n != h.n || g.edges != h.edges {
 		return false
 	}
-	for e := range g.seen {
-		if !h.seen[e] {
-			return false
+	for a, nbrs := range g.adj {
+		for _, b := range nbrs {
+			if a < b && !h.HasEdge(a, b) {
+				return false
+			}
 		}
 	}
 	return true
@@ -265,5 +270,5 @@ func (g *Graph) Equal(h *Graph) bool {
 
 // String renders the graph compactly for debugging.
 func (g *Graph) String() string {
-	return fmt.Sprintf("Graph(%d vertices, %d edges)", g.n, len(g.seen))
+	return fmt.Sprintf("Graph(%d vertices, %d edges)", g.n, g.edges)
 }

@@ -92,17 +92,19 @@ type cacheRow struct {
 	elem        *list.Element // position in Server.lru
 	slots       []slot        // indexed by backend.slot
 	live        int           // slots holding an entry
+	// calls holds, by slot index, what does not fit a slot: the in-flight
+	// computation later scorers wait on, and a finished one that failed
+	// (its error is the memoised result). A swept row holds neither, so it
+	// is nil then and the row costs 16 bytes a device.
+	calls map[int]*call
 }
 
-// slot memoises one (fingerprint, backend) result for the calibration
+// slot memoises one (fingerprint, backend) score for the calibration
 // generation it was computed against; gen 0 is empty (generations start at
-// 1). While the first scorer computes, call is set and later scorers for
-// the same generation wait on it instead of re-simulating.
+// 1). While row.calls has an entry for the slot, that call is the answer.
 type slot struct {
-	gen  uint64
-	call *call
-	val  float64
-	err  error
+	gen uint64
+	val float64
 }
 
 // call is one in-flight computation.
@@ -208,11 +210,19 @@ func (s *Server) RegisterBackend(b *device.Backend) error {
 			// A scorer still computing this slot keeps its call; finding
 			// the slot no longer its own, it will not publish the result.
 			row.slots[reg.slot] = slot{}
+			row.dropCall(reg.slot)
 			s.cacheInvalidations.Add(1)
 			s.dropEntriesLocked(row, 1)
 		}
 	}
 	return nil
+}
+
+// dropCall forgets the slot's call, if any.
+func (row *cacheRow) dropCall(slot int) {
+	if delete(row.calls, slot); len(row.calls) == 0 {
+		row.calls = nil
+	}
 }
 
 // dropEntriesLocked accounts for n entries leaving row and removes the row
@@ -302,16 +312,14 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 	}
 	sl := &row.slots[reg.slot]
 	switch {
-	case sl.gen == reg.gen && sl.call == nil:
-		val, err := sl.val, sl.err
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		return val, err
 	case sl.gen == reg.gen:
-		c := sl.call
+		val, c := sl.val, row.calls[reg.slot]
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
-		<-c.done
+		if c == nil {
+			return val, nil
+		}
+		<-c.done // closed already when the call is a memoised failure
 		return c.val, c.err
 	case sl.gen > reg.gen:
 		// The backend recalibrated between the caller's read and now, and
@@ -330,7 +338,11 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 		// before RegisterBackend swept the slot: replace it.
 		s.cacheInvalidations.Add(1)
 	}
-	*sl = slot{gen: reg.gen, call: c}
+	*sl = slot{gen: reg.gen}
+	if row.calls == nil {
+		row.calls = make(map[int]*call)
+	}
+	row.calls[reg.slot] = c
 	if max := s.cacheCap(); max > 0 {
 		for s.entries > max && s.lru.Back() != row.elem {
 			coldest := s.lru.Back().Value.(*cacheRow)
@@ -350,8 +362,11 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 		// Publish only into the slot this call still owns: the row may
 		// have been evicted or the backend recalibrated meanwhile, and a
 		// score computed against generation g must never be served at g+1.
-		if s.rows[fingerprint] == row && row.slots[reg.slot].call == c {
-			row.slots[reg.slot] = slot{gen: reg.gen, val: c.val, err: c.err}
+		if s.rows[fingerprint] == row && row.calls[reg.slot] == c {
+			row.slots[reg.slot].val = c.val
+			if c.err == nil {
+				row.dropCall(reg.slot)
+			}
 		}
 		s.mu.Unlock()
 		close(c.done)

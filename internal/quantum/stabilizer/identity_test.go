@@ -94,11 +94,99 @@ func identityModel(rng *rand.Rand, n int) *noise.Model {
 	return m
 }
 
-// TestEngineIdenticalToOracle is the identity property the faster engine
-// was built under: for seeded random circuits, noiseless and noisy, its
-// Counts equal the old interpreter's exactly (so it consumed the random
-// stream in the same order) and OutcomeProbability agrees on every
-// observed outcome and on random bitstrings.
+// checkAgainstOracle holds the engine to the old interpreter on one
+// (circuit, model, shots, seed): equal Counts (so it consumed the random
+// stream in the same order) and equal OutcomeProbability on every observed
+// outcome and on a few bitstrings drawn from rng.
+func checkAgainstOracle(t testing.TB, name string, rng *rand.Rand, c *circuit.Circuit, model *noise.Model, shots int, seed int64) {
+	t.Helper()
+	want, err := oracleRunner{Model: model, Shots: shots, Seed: seed}.Counts(c)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	got, err := stabilizer.Runner{Model: model, Shots: shots, Seed: seed}.Counts(c)
+	if err != nil {
+		t.Fatalf("%s: engine: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: counts differ\n engine %v\n oracle %v", name, got, want)
+	}
+	outcomes := make([]string, 0, len(want)+4)
+	for bits := range want {
+		outcomes = append(outcomes, bits)
+	}
+	for i := 0; i < 4; i++ {
+		b := make([]byte, len(outcomes[0]))
+		for j := range b {
+			b[j] = '0' + byte(rng.Intn(2))
+		}
+		outcomes = append(outcomes, string(b))
+	}
+	for _, bits := range outcomes {
+		wantP, wantErr := oracleOutcomeProbability(c, bits)
+		gotP, gotErr := stabilizer.OutcomeProbability(c, bits)
+		if (gotErr != nil) != (wantErr != nil) || gotP != wantP {
+			t.Fatalf("%s: P(%s) = %v, %v; oracle %v, %v", name, bits, gotP, gotErr, wantP, wantErr)
+		}
+	}
+}
+
+// frameShapes are small circuits aimed at what a Pauli-frame shot does
+// differently from a tableau shot: it reads outcomes off a reference run.
+func frameShapes() map[string]*circuit.Circuit {
+	shapes := map[string]*circuit.Circuit{}
+
+	// The second measurement of a qubit is deterministic in the reference
+	// and must repeat the first one's coin through the frame.
+	twice := circuit.NewWithClbits(2, 3)
+	twice.H(0)
+	twice.CX(0, 1)
+	twice.Measure(0, 0)
+	twice.Measure(0, 1)
+	twice.Measure(1, 2)
+	shapes["measured twice"] = twice
+
+	// Two measurements into one clbit: the later one wins.
+	shared := circuit.NewWithClbits(2, 1)
+	shared.H(0)
+	shared.X(1)
+	shared.Measure(0, 0)
+	shared.Measure(1, 0)
+	shapes["two measurements, one clbit"] = shared
+
+	// Resets of qubits whose reference outcome is 1 (deterministic) and of
+	// one whose outcome is a coin, each used again afterwards.
+	reset := circuit.NewWithClbits(3, 3)
+	reset.X(0)
+	reset.Reset(0)
+	reset.H(0)
+	reset.H(1)
+	reset.Reset(1)
+	reset.CX(0, 1)
+	reset.X(2)
+	reset.CX(2, 1)
+	reset.Reset(2)
+	reset.CX(1, 2)
+	reset.Measure(0, 0)
+	reset.Measure(1, 1)
+	reset.Measure(2, 2)
+	shapes["reset after outcome 1"] = reset
+
+	// A 70-qubit GHZ: the first measurement is random and its pivot row,
+	// X on every qubit, spans both words of the frame.
+	ghz := circuit.New(70)
+	ghz.H(0)
+	for q := 0; q < 69; q++ {
+		ghz.CX(q, q+1)
+	}
+	shapes["pivot row across two words"] = ghz
+	return shapes
+}
+
+// TestEngineIdenticalToOracle is the identity property the faster engines
+// were built under: for seeded random circuits, noiseless and noisy, and for
+// the frame-specific shapes, Counts equal the old interpreter's exactly and
+// OutcomeProbability agrees.
 func TestEngineIdenticalToOracle(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33, 64, 65, 100, 130}
 	for _, n := range sizes {
@@ -115,35 +203,59 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 				model = identityModel(rng, n)
 			}
 			name := fmt.Sprintf("n=%d/mid=%t/measured=%t/noisy=%t", n, mid, measured, noisy)
-			seed := rng.Int63()
-			want, err := oracleRunner{Model: model, Shots: shots, Seed: seed}.Counts(c)
-			if err != nil {
-				t.Fatalf("%s: oracle: %v", name, err)
-			}
-			got, err := stabilizer.Runner{Model: model, Shots: shots, Seed: seed}.Counts(c)
-			if err != nil {
-				t.Fatalf("%s: engine: %v", name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: counts differ\n engine %v\n oracle %v", name, got, want)
-			}
-			outcomes := make([]string, 0, len(want)+4)
-			for bits := range want {
-				outcomes = append(outcomes, bits)
-			}
-			for i := 0; i < 4; i++ {
-				b := make([]byte, len(outcomes[0]))
-				for j := range b {
-					b[j] = '0' + byte(rng.Intn(2))
-				}
-				outcomes = append(outcomes, string(b))
-			}
-			for _, bits := range outcomes {
-				wantP, wantErr := oracleOutcomeProbability(c, bits)
-				gotP, gotErr := stabilizer.OutcomeProbability(c, bits)
-				if (gotErr != nil) != (wantErr != nil) || gotP != wantP {
-					t.Fatalf("%s: P(%s) = %v, %v; oracle %v, %v", name, bits, gotP, gotErr, wantP, wantErr)
-				}
+			checkAgainstOracle(t, name, rng, c, model, shots, rng.Int63())
+		}
+	}
+	for name, c := range frameShapes() {
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		shots := 200
+		if c.NumQubits > 12 {
+			shots = 12
+		}
+		checkAgainstOracle(t, name, rng, c, nil, shots, rng.Int63())
+		checkAgainstOracle(t, name+"/noisy", rng, c, identityModel(rng, c.NumQubits), shots, rng.Int63())
+		// Zero-probability noise fires nothing, yet every draw is consumed.
+		checkAgainstOracle(t, name+"/zero noise", rng, c, noise.Uniform(c.NumQubits, 0, 0, 0), shots, rng.Int63())
+	}
+}
+
+// FuzzFrameMatchesOracle: any seed's random circuit, model and run seed
+// give the oracle's counts.
+func FuzzFrameMatchesOracle(f *testing.F) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(9)
+		if rng.Intn(8) == 0 {
+			n = 60 + rng.Intn(12) // either side of the one-word frame
+		}
+		c := identityCircuit(rng, n, 4*n+rng.Intn(8*n), rng.Intn(2) == 0, rng.Intn(2) == 0)
+		var model *noise.Model
+		if rng.Intn(3) > 0 {
+			model = identityModel(rng, n)
+		}
+		checkAgainstOracle(t, fmt.Sprintf("seed=%d", seed), rng, c, model, 16, rng.Int63())
+	})
+}
+
+// TestReseedRestartsTheStream pins what lets Runner.Counts recycle its
+// generators: Seed(s) on a used *rand.Rand leaves it where
+// rand.New(rand.NewSource(s)) starts, for every kind of draw a shot makes.
+func TestReseedRestartsTheStream(t *testing.T) {
+	used := rand.New(rand.NewSource(99))
+	for _, seed := range []int64{0, 1, -5, 7919, 1 << 50} {
+		for i := 0; i < 1000; i++ { // leave it mid-stream
+			used.Float64()
+			used.Intn(15)
+		}
+		used.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			if used.Float64() != fresh.Float64() || used.Intn(2) != fresh.Intn(2) ||
+				used.Intn(3) != fresh.Intn(3) || used.Intn(15) != fresh.Intn(15) {
+				t.Fatalf("seed %d: streams differ at draw %d", seed, i)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/noise"
@@ -27,11 +28,15 @@ const (
 
 // op is one compiled step. Everything a shot would otherwise re-derive per
 // gate — the gate name, its angles as quarter turns, the noise model's
-// error probability for these qubits — was resolved when it was built.
+// error probability for these qubits — was resolved when it was built; what
+// the reference pass learns about a measure or reset op (frame.go) sits in
+// the struct's padding.
 type op struct {
-	code opcode
-	a, b int
-	p    float64
+	code  opcode
+	ref   uint8 // measure, reset: the reference run's outcome (0 when it was random)
+	pivot int32 // measure, reset: where program.pivots holds the pivot row, -1 when deterministic
+	a, b  int
+	p     float64
 }
 
 // program is a circuit compiled for the tableau: a flat list of primitive
@@ -41,6 +46,13 @@ type program struct {
 	nq    int
 	nbits int
 	noisy bool // a noise model is attached: measurements draw a readout coin
+	nmeas int  // measure and reset ops
+
+	// Filled by reference (frame.go): the words in one n-qubit bitmask, and
+	// per random measurement the pivot stabilizer row as an n-qubit Pauli,
+	// X mask then Z mask.
+	words  int
+	pivots []uint64
 }
 
 // quarterTurns converts an angle to its multiple of π/2 mod 4, or errors.
@@ -171,18 +183,6 @@ func (t *Tableau) apply(o op) {
 	}
 }
 
-// pauli applies a drawn Pauli error (PauliNone does nothing).
-func (t *Tableau) pauli(q int, p noise.Pauli) {
-	switch p {
-	case noise.PauliX:
-		t.X(q)
-	case noise.PauliY:
-		t.Y(q)
-	case noise.PauliZ:
-		t.Z(q)
-	}
-}
-
 // ApplyGate applies a unitary Clifford gate from the circuit vocabulary.
 // Parameterised gates are accepted when their angles are multiples of π/2.
 // Non-Clifford gates return an error: callers should cliffordize first.
@@ -214,6 +214,7 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 			o.p = model.ReadoutProb(q)
 		}
 		p.ops = append(p.ops, o)
+		p.nmeas++
 	}
 	hasMeasure := c.HasMeasurements()
 	if !hasMeasure {
@@ -228,6 +229,7 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 			continue
 		case circuit.GateReset:
 			p.ops = append(p.ops, op{code: opReset, a: g.Qubits[0]})
+			p.nmeas++
 			continue
 		case circuit.GateMeasure:
 			if clbit := g.Clbits[0]; clbit < 0 || clbit >= p.nbits {
@@ -258,6 +260,11 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 	return p, nil
 }
 
+// rngs recycles generators between Counts calls: a source is 5 KB and a cold
+// sweep would make 500 of them. Seed puts a recycled generator in exactly
+// the state rand.New(rand.NewSource(seed)) starts in.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Runner executes Clifford circuits shot-by-shot, optionally under a Pauli
 // + readout noise model. It supports mid-circuit measurement and reset.
 type Runner struct {
@@ -271,12 +278,17 @@ type Runner struct {
 // Keys use the Qiskit convention: clbit 0 is the rightmost character.
 // Registers beyond 64 bits are supported (the fleet has 100-qubit devices).
 //
-// The circuit is compiled once and all shots run on one tableau, reset in
-// place. Counts are a function of (circuit, model, Shots, Seed) alone: one
+// The circuit is compiled once, one noiseless reference pass runs on a
+// tableau, and every shot is a Pauli frame over that pass (frame.go).
+// Counts are a function of (circuit, model, Shots, Seed) alone: one
 // rand.Rand seeded with Seed is consumed in gate order — per gate its
 // error draw (noise.DrawOneQubit / DrawTwoQubit), per measurement one
 // Intn(2) when the outcome is random and then, with a model, one Float64
-// for the readout flip — and that order never changes.
+// for the readout flip — and that order never changes. A frame shot
+// honours it because whether a measurement is random depends on the
+// tableau's X/Z bits only, which errors and coins never touch: the frame
+// makes the same draws at the same ops a tableau shot made, and the state
+// it tracks is the tableau shot's state.
 func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if r.Shots <= 0 {
 		return nil, fmt.Errorf("stabilizer: Shots must be positive, got %d", r.Shots)
@@ -285,20 +297,19 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	t := New(prog.nq)
+	frame := prog.reference()
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(r.Seed)
 	key := make([]byte, prog.nbits)
 	// Tallies sit behind pointers so a repeated outcome is counted without
 	// allocating its key string again.
 	tally := make(map[string]*int)
 	for shot := 0; shot < r.Shots; shot++ {
-		if shot > 0 {
-			t.reset()
-		}
 		for i := range key {
 			key[i] = '0'
 		}
-		prog.runShot(t, rng, key)
+		prog.frameShot(frame, rng, key)
 		n := tally[string(key)]
 		if n == nil {
 			n = new(int)
@@ -311,31 +322,6 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 		counts[k] = *n
 	}
 	return counts, nil
-}
-
-// runShot executes one trajectory on a tableau in |0...0>, writing outcome
-// bits into key (bit i at position len(key)-1-i).
-func (p *program) runShot(t *Tableau, rng *rand.Rand, key []byte) {
-	for _, o := range p.ops {
-		switch o.code {
-		case opNoise1:
-			t.pauli(o.a, noise.DrawOneQubit(o.p, rng))
-		case opNoise2:
-			pa, pb := noise.DrawTwoQubit(o.p, rng)
-			t.pauli(o.a, pa)
-			t.pauli(o.b, pb)
-		case opMeasure:
-			bit := t.Measure(o.a, rng)
-			if p.noisy && rng.Float64() < o.p {
-				bit ^= 1
-			}
-			key[len(key)-1-o.b] = '0' + byte(bit)
-		case opReset:
-			t.Reset(o.a, rng)
-		default:
-			t.apply(o)
-		}
-	}
 }
 
 // FormatBits renders a basis index as a Qiskit-style bitstring (bit 0

@@ -54,25 +54,12 @@ func New(n int) *Tableau {
 	t.r, buf = buf[:stride:stride], buf[stride:]
 	t.rows, buf = buf[:stride:stride], buf[stride:]
 	t.lo, t.hi = buf[:stride:stride], buf[stride:]
-	t.setZeroState()
-	return t
-}
-
-// setZeroState sets the generators of |0...0> on zeroed storage.
-func (t *Tableau) setZeroState() {
-	for q := 0; q < t.n; q++ {
+	for q := 0; q < n; q++ {
 		w, bit := q>>6, uint64(1)<<uint(q&63)
-		t.x[q*t.stride+w] = bit        // destabilizer q = X_q
-		t.z[q*t.stride+t.half+w] = bit // stabilizer q = Z_q
+		t.x[q*stride+w] = bit      // destabilizer q = X_q
+		t.z[q*stride+half+w] = bit // stabilizer q = Z_q
 	}
-}
-
-// reset returns the tableau to |0...0> in place.
-func (t *Tableau) reset() {
-	clear(t.x)
-	clear(t.z)
-	clear(t.r)
-	t.setZeroState()
+	return t
 }
 
 // NumQubits returns the register size.

@@ -55,9 +55,9 @@ type ResilientMetaScore struct {
 
 	mu       sync.Mutex
 	breaker  *resilience.Breaker // resolved from Breaker on first use
-	pairs    map[string]staleScore
-	pairRing []string // pairs' keys in insertion order, a ring once full
-	pairHead int      // the oldest key's slot in a full ring
+	pairs    map[pairKey]staleScore
+	pairRing []pairKey // pairs' keys in insertion order, a ring once full
+	pairHead int       // the oldest key's slot in a full ring
 	nodes    map[string]staleScore
 	notified int64 // breaker episode OnDegraded last fired for
 }
@@ -111,18 +111,20 @@ func (r *ResilientMetaScore) maxStale() time.Duration {
 	return defaultMaxStale
 }
 
-func pairKey(job, node string) string { return job + "\x00" + node }
+// pairKey names a (job, node) pair by the two names themselves: a live
+// score makes no key string, and the table holds none.
+type pairKey struct{ job, node string }
 
 // remember stores a live score for degraded replay. It runs on every
 // live score, under the mutex, so it is O(1): a new pair past the cap
 // overwrites the oldest one's ring slot, no scan.
 func (r *ResilientMetaScore) remember(job, node string, score float64) {
 	entry := staleScore{score: score, at: clock.Now(r.Clock)}
-	key := pairKey(job, node)
+	key := pairKey{job, node}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pairs == nil {
-		r.pairs = make(map[string]staleScore)
+		r.pairs = make(map[pairKey]staleScore)
 		r.nodes = make(map[string]staleScore)
 	}
 	if _, known := r.pairs[key]; !known {
@@ -144,7 +146,7 @@ func (r *ResilientMetaScore) degraded(j api.QuantumJob, n api.Node, cause error)
 	r.announce()
 	now := clock.Now(r.Clock)
 	r.mu.Lock()
-	pair, okPair := r.pairs[pairKey(j.Name, n.Name)]
+	pair, okPair := r.pairs[pairKey{j.Name, n.Name}]
 	node, okNode := r.nodes[n.Name]
 	r.mu.Unlock()
 	if okPair && now.Sub(pair.at) <= r.maxStale() {

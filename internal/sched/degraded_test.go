@@ -269,10 +269,10 @@ func TestCacheCap(t *testing.T) {
 	}
 	r.mu.Lock()
 	size := len(r.pairs)
-	_, oldest := r.pairs[pairKey("j0", "n1")]
-	_, evictedLast := r.pairs[pairKey(fmt.Sprintf("j%d", extra-1), "n1")]
-	_, survivor := r.pairs[pairKey(fmt.Sprintf("j%d", extra), "n1")]
-	_, newest := r.pairs[pairKey(fmt.Sprintf("j%d", maxCacheEntries+extra-1), "n1")]
+	_, oldest := r.pairs[pairKey{"j0", "n1"}]
+	_, evictedLast := r.pairs[pairKey{fmt.Sprintf("j%d", extra-1), "n1"}]
+	_, survivor := r.pairs[pairKey{fmt.Sprintf("j%d", extra), "n1"}]
+	_, newest := r.pairs[pairKey{fmt.Sprintf("j%d", maxCacheEntries+extra-1), "n1"}]
 	r.mu.Unlock()
 	if size != maxCacheEntries {
 		t.Fatalf("cache holds %d fresh pairs, want it capped at %d", size, maxCacheEntries)
@@ -286,7 +286,7 @@ func TestCacheCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.mu.Lock()
-	_, stillThere := r.pairs[pairKey(fmt.Sprintf("j%d", extra+1), "n1")]
+	_, stillThere := r.pairs[pairKey{fmt.Sprintf("j%d", extra+1), "n1"}]
 	size = len(r.pairs)
 	r.mu.Unlock()
 	if !stillThere || size != maxCacheEntries {

@@ -1,7 +1,9 @@
 package qrio_test
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -134,5 +136,67 @@ func TestPublicServers(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("visualizer /cluster = %d", resp.StatusCode)
+	}
+}
+
+// TestColdJobResidency bounds what a finished job leaves behind. Every job
+// here is a never-seen QAOA fingerprint on the default 100-device fleet
+// (bench/'s cold-sweep shape), retention is off, so each one stays resident
+// forever: its job, result, event trail and image, its Meta entry and a
+// 100-slot score-cache row. The live heap after two GCs is read at two job
+// counts; the slope is the cost of one more finished job (≈ 5.5 KB as JSON).
+func TestColdJobResidency(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs 110 cold sweeps and reads the heap: not under -short or -race")
+	}
+	fleet, err := qrio.GenerateFleet(qrio.DefaultFleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := qrio.New(qrio.Config{Backends: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	defer q.Stop()
+	// What a node builds once, the first time a job runs on it, is not a
+	// job's: decode every device and its distance matrix up front.
+	for _, b := range fleet {
+		dev, err := q.State.Backend(b.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.Coupling.DistanceMatrix(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitted := 0
+	liveAfter := func(jobs int) uint64 {
+		for ; submitted < jobs; submitted++ {
+			src, err := qrio.DumpQASM(qrio.QAOARing(5, 1, int64(7000+submitted)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, _, err := q.SubmitAndWait(qrio.SubmitRequest{
+				JobName: fmt.Sprintf("cold-%d", submitted), QASM: src, Shots: 128,
+				Strategy: qrio.StrategyFidelity, TargetFidelity: 0.9,
+			}, time.Minute)
+			if err != nil || job.Status.Phase != qrio.JobSucceeded {
+				t.Fatalf("job %d: %v (phase %s)", submitted, err, job.Status.Phase)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const warm, measured = 50, 60
+	before := liveAfter(warm)
+	after := liveAfter(warm + measured)
+	perJob := (float64(after) - float64(before)) / measured
+	t.Logf("live heap %d → %d bytes over %d jobs: %.1f KB per finished cold job", before, after, measured, perJob/1024)
+	if perJob > 16<<10 {
+		t.Fatalf("a finished cold job keeps %.1f KB of live heap, want ≤ 16 KB", perJob/1024)
 	}
 }
