@@ -10,8 +10,8 @@ GO ?= go
 # dominate (at 1x, StoreContention/create measures one ~20µs op — pure
 # start-up noise); SubmitThroughput drives whole orchestrator bursts and
 # stays at 1x, and so do the scoring engines' two records — ColdSweep (one
-# never-seen fingerprint over the 100-device fleet, ~0.2 s an op) and
-# StabilizerNoisyShots (one device's 2045 canary shots, ~1.8 ms an op) —
+# never-seen fingerprint over the 100-device fleet, ~0.1 s an op) and
+# StabilizerNoisyShots (one device's 2045 canary shots, ~0.9 ms an op) —
 # which guard per layer what BENCHMARK.json's cold-sweep guards end to end,
 # and the execution engine's two — NoisyStatevecShots (eight jobs' shots of
 # each steady-warm family on the dense engine, 0.1–2 ms a job) and
@@ -236,8 +236,10 @@ bench-store:
 
 # bench-compare runs the guarded benchmarks $(BENCH_COUNT) times into
 # BENCH_current.json and diffs their MEDIANS against the committed
-# BENCH_results.json baseline, failing on >25% throughput regression (the
-# CI guard; single noisy runs don't flake the job). Inside GitHub Actions
+# BENCH_results.json baseline, failing on >25% throughput regression or
+# >25% growth in B/op or allocs/op (the CI guard; single noisy runs don't
+# flake the job, and allocation does not drift with the host's speed as
+# ns/op does). Inside GitHub Actions
 # the delta table also lands on the workflow step summary.
 bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_SLOW)' -benchtime 1x -count $(BENCH_COUNT) -json . > BENCH_current.json

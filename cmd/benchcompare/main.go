@@ -10,8 +10,12 @@
 // several runs of one benchmark (`-count=N`), the MEDIAN throughput is
 // compared — single noisy runs stop failing CI. A benchmark regresses
 // when the median drops more than -threshold percent below the baseline.
-// Benchmarks present on only one side are reported but never fail the
-// run, so adding or retiring benches doesn't break CI.
+// Allocation is guarded too: when both sides report B/op or allocs/op, a
+// median that grows more than -threshold percent is a regression (from a
+// baseline of zero, any growth is). Allocation counts repeat run to run on
+// a shared host where ns/op does not, so this half of the guard is the
+// one that cannot flake. Benchmarks present on only one side are reported
+// but never fail the run, so adding or retiring benches doesn't break CI.
 //
 // When $GITHUB_STEP_SUMMARY is set (or -summary names a file), the delta
 // table is additionally appended there as GitHub-flavoured markdown, so
@@ -27,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -66,16 +71,21 @@ func (r result) throughput() (float64, string) {
 	return 0, ""
 }
 
-// parseFile extracts benchmark results from a test2json stream. A stream
-// produced with -count=N yields N entries per benchmark.
+// parseFile extracts benchmark results from a test2json stream file.
 func parseFile(path string) (map[string][]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return parse(f)
+}
+
+// parse extracts benchmark results from a test2json stream. A stream
+// produced with -count=N yields N entries per benchmark.
+func parse(r io.Reader) (map[string][]result, error) {
 	out := make(map[string][]result)
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	// last tracks the benchmark the stream is currently inside: with
 	// -count=N only the first run's events carry the Test field — the
@@ -134,13 +144,35 @@ func medianThroughput(runs []result) (float64, string) {
 	if len(vals) == 0 {
 		return 0, ""
 	}
+	return median(vals), unit
+}
+
+// medianMetric is the median of one reported unit (B/op, allocs/op) over
+// the runs that report it; ok is false when none does.
+func medianMetric(runs []result, unit string) (v float64, ok bool) {
+	var vals []float64
+	for _, r := range runs {
+		if v, has := r.metrics[unit]; has {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) == 0 {
+		return 0, false
+	}
+	return median(vals), true
+}
+
+func median(vals []float64) float64 {
 	sort.Float64s(vals)
 	mid := len(vals) / 2
 	if len(vals)%2 == 1 {
-		return vals[mid], unit
+		return vals[mid]
 	}
-	return (vals[mid-1] + vals[mid]) / 2, unit
+	return (vals[mid-1] + vals[mid]) / 2
 }
+
+// allocUnits are the allocation metrics -benchmem reports.
+var allocUnits = []string{"B/op", "allocs/op"}
 
 // parseBenchLine parses one benchmark result. test2json puts the name in
 // the event's Test field; for slow benchmarks the Output carries only
@@ -207,7 +239,7 @@ type row struct {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_results.json", "committed baseline (test2json stream)")
 	currentPath := flag.String("current", "BENCH_current.json", "fresh run (test2json stream)")
-	threshold := flag.Float64("threshold", 25, "max tolerated throughput drop, percent")
+	threshold := flag.Float64("threshold", 25, "max tolerated throughput drop or allocation growth, percent")
 	match := flag.String("match",
 		"BenchmarkSchedulePassWithHistory,BenchmarkSubmitThroughput,BenchmarkColdSweep,BenchmarkStabilizerNoisyShots,BenchmarkNoisyStatevecShots,BenchmarkExecuteDense,BenchmarkStoreContention,BenchmarkFairShare,BenchmarkWatchResume,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReplayBoot,BenchmarkReplicatedBind",
 		"comma-separated benchmark name prefixes to guard")
@@ -246,38 +278,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	regressions := 0
-	var rows []row
-	for _, name := range ordered {
-		b, inBase := baseline[name]
-		c, inCur := current[name]
-		switch {
-		case !inBase:
-			tp, unit := medianThroughput(c)
-			rows = append(rows, row{name: name, baseline: "(new)",
-				current: fmt.Sprintf("%.1f %s", tp, unit), delta: "-"})
-		case !inCur:
-			rows = append(rows, row{name: name, baseline: "-", current: "(missing)", delta: "-"})
-		default:
-			bt, unit := medianThroughput(b)
-			ct, _ := medianThroughput(c)
-			if bt <= 0 {
-				continue
-			}
-			delta := (ct - bt) / bt * 100
-			r := row{
-				name:     name,
-				baseline: fmt.Sprintf("%.1f %s", bt, unit),
-				current:  fmt.Sprintf("%.1f %s (median of %d)", ct, unit, len(c)),
-				delta:    fmt.Sprintf("%+.1f%%", delta),
-			}
-			if delta < -*threshold {
-				r.regressed = true
-				regressions++
-			}
-			rows = append(rows, r)
-		}
-	}
+	rows, regressions := compare(baseline, current, ordered, *threshold)
 
 	fmt.Printf("%-55s %24s %34s %10s\n", "benchmark", "baseline", "current", "delta")
 	for _, r := range rows {
@@ -289,7 +290,7 @@ func main() {
 	}
 	verdict := fmt.Sprintf("benchcompare: all guarded benchmarks within %.0f%% of the baseline", *threshold)
 	if regressions > 0 {
-		verdict = fmt.Sprintf("benchcompare: %d benchmark(s) regressed more than %.0f%% below the baseline",
+		verdict = fmt.Sprintf("benchcompare: %d benchmark metric(s) regressed more than %.0f%% against the baseline",
 			regressions, *threshold)
 	}
 	if err := writeSummary(*summaryPath, rows, verdict); err != nil {
@@ -300,6 +301,61 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(verdict)
+}
+
+// compare diffs each named benchmark's medians: throughput must not drop,
+// and B/op and allocs/op must not grow, by more than threshold percent.
+func compare(baseline, current map[string][]result, names []string, threshold float64) (rows []row, regressions int) {
+	for _, name := range names {
+		b, inBase := baseline[name]
+		c, inCur := current[name]
+		switch {
+		case !inBase:
+			tp, unit := medianThroughput(c)
+			rows = append(rows, row{name: name, baseline: "(new)",
+				current: fmt.Sprintf("%.1f %s", tp, unit), delta: "-"})
+			continue
+		case !inCur:
+			rows = append(rows, row{name: name, baseline: "-", current: "(missing)", delta: "-"})
+			continue
+		}
+		if bt, unit := medianThroughput(b); bt > 0 {
+			ct, _ := medianThroughput(c)
+			delta := (ct - bt) / bt * 100
+			rows = append(rows, row{
+				name:      name,
+				baseline:  fmt.Sprintf("%.1f %s", bt, unit),
+				current:   fmt.Sprintf("%.1f %s (median of %d)", ct, unit, len(c)),
+				delta:     fmt.Sprintf("%+.1f%%", delta),
+				regressed: delta < -threshold,
+			})
+		}
+		for _, unit := range allocUnits {
+			bm, okB := medianMetric(b, unit)
+			cm, okC := medianMetric(c, unit)
+			if !okB || !okC {
+				continue
+			}
+			r := row{
+				name:      name + " " + unit,
+				baseline:  fmt.Sprintf("%.0f %s", bm, unit),
+				current:   fmt.Sprintf("%.0f %s (median of %d)", cm, unit, len(c)),
+				delta:     "+inf%",
+				regressed: cm > 0,
+			}
+			if bm > 0 {
+				delta := (cm - bm) / bm * 100
+				r.delta, r.regressed = fmt.Sprintf("%+.1f%%", delta), delta > threshold
+			}
+			rows = append(rows, r)
+		}
+	}
+	for _, r := range rows {
+		if r.regressed {
+			regressions++
+		}
+	}
+	return rows, regressions
 }
 
 // writeSummary appends the delta table as a markdown section (the GitHub

@@ -132,7 +132,7 @@ func New() *Cluster {
 	c.pending.member = make(map[string]pendingRef)
 	c.usage.jobs = make(map[string]usageEntry)
 	c.usage.tenants = make(map[string]*TenantUsage)
-	c.eventIdx.byAbout = make(map[string][]api.Event)
+	c.eventIdx.byAbout = make(map[string][]string)
 	c.eventIdx.cap = EventIndexCap
 	c.terminal.member = make(map[string]terminalEntry)
 	c.scheduled.byNode = make(map[string]map[string]api.QuantumJob)
@@ -493,31 +493,32 @@ func (c *Cluster) TenantUsages() []TenantUsage {
 
 // --- event index --------------------------------------------------------
 
-// eventIndex maintains per-About event lists with a ring-buffer cap.
+// eventIndex maintains per-About lists of event names, in creation order,
+// with a ring-buffer cap. The events themselves live once, in the store.
 type eventIndex struct {
 	mu      sync.Mutex
-	byAbout map[string][]api.Event
+	byAbout map[string][]string
 	cap     int
 }
 
 func (x *eventIndex) onEventEvent(ev store.WatchEvent[api.Event]) {
 	switch ev.Type {
 	case store.Added:
-		x.add(ev.Object)
+		x.add(ev.Object.About, ev.Object.Name)
 	case store.Deleted:
 		x.remove(ev.Object.About, ev.Object.Name)
 	}
 }
 
-func (x *eventIndex) add(e api.Event) {
+func (x *eventIndex) add(about, name string) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	list := append(x.byAbout[e.About], e)
+	list := append(x.byAbout[about], name)
 	if x.cap > 0 && len(list) > x.cap {
 		copy(list, list[len(list)-x.cap:])
 		list = list[:x.cap]
 	}
-	x.byAbout[e.About] = list
+	x.byAbout[about] = list
 }
 
 func (x *eventIndex) remove(about, name string) {
@@ -525,7 +526,7 @@ func (x *eventIndex) remove(about, name string) {
 	defer x.mu.Unlock()
 	list := x.byAbout[about]
 	for i, e := range list {
-		if e.Name == name {
+		if e == name {
 			x.byAbout[about] = append(list[:i], list[i+1:]...)
 			if len(x.byAbout[about]) == 0 {
 				delete(x.byAbout, about)
@@ -535,11 +536,11 @@ func (x *eventIndex) remove(about, name string) {
 	}
 }
 
-// about returns a copy of the indexed events for one object.
-func (x *eventIndex) about(about string) []api.Event {
+// about returns a copy of the indexed event names for one object.
+func (x *eventIndex) about(about string) []string {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return append([]api.Event(nil), x.byAbout[about]...)
+	return append([]string(nil), x.byAbout[about]...)
 }
 
 // --- nodes --------------------------------------------------------------
@@ -746,16 +747,21 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 	if c.Archived.Has(j.Name) {
 		return store.ErrExists{Name: j.Name}
 	}
-	gate := c.submitGate(j.Spec.Tenant)
-	gate.Lock()
-	defer gate.Unlock()
-	if err := c.CheckTenantQuota(j.Spec.Tenant, j.Spec.QubitSecondsDemand()); err != nil {
-		return err
-	}
-	j.UID = c.NextUID("job")
-	j.CreatedAt = c.now()
-	j.Status = api.JobStatus{Phase: api.JobPending}
-	created, err := c.Jobs.NoWait().Create(j)
+	// The gate covers the quota check and the create only: the usage hook
+	// counts the job at create, so the next same-tenant submission may
+	// proceed while this one waits for the disk.
+	created, err := func() (int64, error) {
+		gate := c.submitGate(j.Spec.Tenant)
+		gate.Lock()
+		defer gate.Unlock()
+		if err := c.CheckTenantQuota(j.Spec.Tenant, j.Spec.QubitSecondsDemand()); err != nil {
+			return 0, err
+		}
+		j.UID = c.NextUID("job")
+		j.CreatedAt = c.now()
+		j.Status = api.JobStatus{Phase: api.JobPending}
+		return c.Jobs.NoWait().Create(j)
+	}()
 	if err != nil {
 		return err
 	}
@@ -1132,11 +1138,17 @@ func (c *Cluster) writeEvent(kind, about, reason, message string) {
 	})
 }
 
-// EventsAbout lists events for one object, oldest first, straight from the
+// EventsAbout lists events for one object, oldest first, by name from the
 // incremental index — no scan over the global event log. At most
-// EventIndexCap (the newest) are retained per object.
+// EventIndexCap (the newest) are indexed per object.
 func (c *Cluster) EventsAbout(about string) []api.Event {
-	out := c.eventIdx.about(about)
+	names := c.eventIdx.about(about)
+	out := make([]api.Event, 0, len(names))
+	for _, name := range names {
+		if e, _, err := c.Events.Get(name); err == nil { // else deleted since
+			out = append(out, e)
+		}
+	}
 	sortEventsByTime(out)
 	return out
 }

@@ -573,6 +573,47 @@ func TestSubmitJobEnforcesQuota(t *testing.T) {
 	}
 }
 
+// TestSubmitReleasesTheGateBeforeTheDiskWait: a submission waiting for its
+// log records to reach the disk does not hold its tenant's submit gate, so
+// a second same-tenant submission is created and returns meanwhile.
+func TestSubmitReleasesTheGateBeforeTheDiskWait(t *testing.T) {
+	c := New()
+	waiting, release := make(chan struct{}), make(chan struct{})
+	var syncs atomic.Int32
+	c.SetSync(func() {
+		if syncs.Add(1) == 1 { // the first submission's wait
+			close(waiting)
+			<-release
+		}
+	})
+	first := make(chan error, 1)
+	go func() { first <- c.SubmitJob(tenantFidelityJob("first", "alice", 1)) }()
+	<-waiting
+	second := make(chan error, 1)
+	go func() { second <- c.SubmitJob(tenantFidelityJob("second", "alice", 1)) }()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("second submission: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a same-tenant submission waited behind another one's disk wait")
+	}
+	if _, _, err := c.Jobs.Get("second"); err != nil {
+		t.Fatalf("second job not stored: %v", err)
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("first submission returned before its wait ended: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first submission: %v", err)
+	}
+}
+
 // scheduledJob submits a job with classical resources and binds it to the
 // named node, returning the reserved amounts for accounting assertions.
 func scheduledJob(t *testing.T, c *Cluster, name, node string) api.ResourceRequirements {

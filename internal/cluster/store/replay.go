@@ -22,19 +22,21 @@ func (s *Store[T]) advanceVersion(v int64) {
 }
 
 // journalAndHookLocked advances the shard's high-water mark, appends the
-// event to the bounded journal ring and runs the hooks — the shared core
-// of a live emit and a boot-time replay.
-func (s *Store[T]) journalAndHookLocked(sh *shard[T], ev WatchEvent[T]) {
+// event — its object held as the item it carries — to the bounded journal
+// ring and runs the hooks: the shared core of a live emit and a boot-time
+// replay.
+func (s *Store[T]) journalAndHookLocked(sh *shard[T], ev WatchEvent[T], it *item[T]) {
 	sh.lastVersion = ev.Version
+	j := journaled[T]{typ: ev.Type, it: it, version: ev.Version}
 	switch {
 	case s.journalCap == 0:
 		sh.evictedThrough = ev.Version
 	case len(sh.journal) >= s.journalCap:
-		sh.evictedThrough = sh.journal[0].Version
-		sh.journal[0] = WatchEvent[T]{} // release the evicted object
-		sh.journal = append(sh.journal[1:], ev)
+		sh.evictedThrough = sh.journal[0].version
+		sh.journal[0] = journaled[T]{} // release the evicted object
+		sh.journal = append(sh.journal[1:], j)
 	default:
-		sh.journal = append(sh.journal, ev)
+		sh.journal = append(sh.journal, j)
 	}
 	for _, hook := range s.hooks {
 		hook(ev)
@@ -56,9 +58,8 @@ func (s *Store[T]) Restore(obj T, version int64) error {
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	stored := s.deepCopy(obj)
-	sh.items[key] = stored
-	sh.versions[key] = version
+	it := &item[T]{obj: s.deepCopy(obj), version: version}
+	sh.items[key] = it
 	s.advanceVersion(version)
 	if version > sh.lastVersion {
 		sh.lastVersion = version
@@ -66,7 +67,7 @@ func (s *Store[T]) Restore(obj T, version int64) error {
 	if version > sh.evictedThrough {
 		sh.evictedThrough = version
 	}
-	ev := WatchEvent[T]{Type: Added, Object: stored, Version: version, Shard: idx}
+	ev := WatchEvent[T]{Type: Added, Object: it.obj, Version: version, Shard: idx}
 	for _, hook := range s.hooks {
 		hook(ev)
 	}
@@ -113,18 +114,16 @@ func (s *Store[T]) Replay(ev WatchEvent[T]) error {
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	it := &item[T]{obj: s.deepCopy(ev.Object), version: ev.Version}
 	switch ev.Type {
 	case Deleted:
 		delete(sh.items, key)
-		delete(sh.versions, key)
 	default:
-		ev.Object = s.deepCopy(ev.Object)
-		sh.items[key] = ev.Object
-		sh.versions[key] = ev.Version
+		sh.items[key] = it
 	}
 	s.advanceVersion(ev.Version)
-	ev.Shard = idx
-	s.journalAndHookLocked(sh, ev)
+	ev.Object, ev.Shard = it.obj, idx
+	s.journalAndHookLocked(sh, ev, it)
 	return nil
 }
 
@@ -139,8 +138,8 @@ func (s *Store[T]) DumpShard(i int, fn func(obj T, version int64)) int64 {
 	sh := &s.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for key, obj := range sh.items {
-		fn(obj, sh.versions[key])
+	for _, it := range sh.items {
+		fn(it.obj, it.version)
 	}
 	return sh.lastVersion
 }

@@ -63,17 +63,32 @@ var ErrCompacted = errors.New("store: watch history compacted; re-List required"
 
 // shard is one lock-protected partition of the key space.
 type shard[T any] struct {
-	mu       sync.RWMutex
-	items    map[string]T
-	versions map[string]int64
+	mu    sync.RWMutex
+	items map[string]*item[T]
 	// journal is the shard's bounded ring of recent watch events, in
 	// version order (versions are assigned under this shard's lock).
 	// evictedThrough is the highest version dropped from the ring — a
 	// WatchFrom below it cannot replay exactly and gets ErrCompacted.
 	// lastVersion is the shard's emission high-water mark.
-	journal        []WatchEvent[T]
+	journal        []journaled[T]
 	evictedThrough int64
 	lastVersion    int64
+}
+
+// item is an installed object at its resource version. It is never
+// mutated: an update installs a fresh item, so the shard's map and the
+// journal entries of every version share their objects.
+type item[T any] struct {
+	obj     T
+	version int64
+}
+
+// journaled is one journal entry: a watch event whose object is held by
+// reference.
+type journaled[T any] struct {
+	typ     EventType
+	it      *item[T]
+	version int64 // the event's; a deletion's is newer than its item's
 }
 
 // Store is a thread-safe, versioned map of named objects of one kind.
@@ -81,7 +96,7 @@ type shard[T any] struct {
 // can never mutate stored state except through Update. An installed object
 // is never mutated in place — an update installs a fresh copy — which is
 // what lets a mutation's watch event carry the installed object itself
-// rather than a second copy, which the journal ring would keep per version.
+// rather than a second copy, and the journal ring keep each version once.
 type Store[T any] struct {
 	shards     []shard[T]
 	version    atomic.Int64
@@ -165,8 +180,7 @@ func NewSharded[T any](deepCopy func(T) T, name func(T) string, shards int) *Sto
 		watchers:   make(map[int]*watcher[T]),
 	}
 	for i := range s.shards {
-		s.shards[i].items = make(map[string]T)
-		s.shards[i].versions = make(map[string]int64)
+		s.shards[i].items = make(map[string]*item[T])
 	}
 	return s
 }
@@ -264,10 +278,9 @@ func (s *Store[T]) create(obj T) (v, pos int64, err error) {
 		return 0, 0, ErrExists{key}
 	}
 	v = s.version.Add(1)
-	stored := s.deepCopy(obj)
-	sh.items[key] = stored
-	sh.versions[key] = v
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Added, Object: stored, Version: v, Shard: idx})
+	it := &item[T]{obj: s.deepCopy(obj), version: v}
+	sh.items[key] = it
+	pos = s.emitLocked(idx, Added, it, v)
 	return v, pos, nil
 }
 
@@ -276,12 +289,12 @@ func (s *Store[T]) Get(name string) (T, int64, error) {
 	sh := s.shardFor(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	obj, ok := sh.items[name]
+	it, ok := sh.items[name]
 	if !ok {
 		var zero T
 		return zero, 0, ErrNotFound{name}
 	}
-	return s.deepCopy(obj), sh.versions[name], nil
+	return s.deepCopy(it.obj), it.version, nil
 }
 
 // Peek passes the named object and its resource version to fn without
@@ -293,9 +306,9 @@ func (s *Store[T]) Peek(name string, fn func(obj T, version int64)) bool {
 	sh := s.shardFor(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	obj, ok := sh.items[name]
+	it, ok := sh.items[name]
 	if ok {
-		fn(obj, sh.versions[name])
+		fn(it.obj, it.version)
 	}
 	return ok
 }
@@ -307,8 +320,8 @@ func (s *Store[T]) List() []T {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, obj := range sh.items {
-			out = append(out, s.deepCopy(obj))
+		for _, it := range sh.items {
+			out = append(out, s.deepCopy(it.obj))
 		}
 		sh.mu.RUnlock()
 	}
@@ -325,9 +338,9 @@ func (s *Store[T]) ListFunc(keep func(T) bool) []T {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, obj := range sh.items {
-			if keep(obj) {
-				out = append(out, s.deepCopy(obj))
+		for _, it := range sh.items {
+			if keep(it.obj) {
+				out = append(out, s.deepCopy(it.obj))
 			}
 		}
 		sh.mu.RUnlock()
@@ -345,8 +358,8 @@ func (s *Store[T]) Range(fn func(obj T, version int64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for key, obj := range sh.items {
-			if !fn(obj, sh.versions[key]) {
+		for _, it := range sh.items {
+			if !fn(it.obj, it.version) {
 				sh.mu.RUnlock()
 				return
 			}
@@ -401,16 +414,16 @@ func (s *Store[T]) update(name string, check func(obj T, version int64) error, m
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	obj, ok := sh.items[name]
+	cur, ok := sh.items[name]
 	if !ok {
 		return zero, 0, 0, ErrNotFound{name}
 	}
 	if check != nil {
-		if err := check(obj, sh.versions[name]); err != nil {
+		if err := check(cur.obj, cur.version); err != nil {
 			return zero, 0, 0, err
 		}
 	}
-	next, err = mutate(s.deepCopy(obj))
+	next, err = mutate(s.deepCopy(cur.obj))
 	if err != nil {
 		return zero, 0, 0, err
 	}
@@ -418,10 +431,10 @@ func (s *Store[T]) update(name string, check func(obj T, version int64) error, m
 		return zero, 0, 0, fmt.Errorf("store: update may not rename %q to %q", name, s.name(next))
 	}
 	v = s.version.Add(1)
-	stored := s.deepCopy(next) // next goes back to the caller, who may keep changing it
-	sh.items[name] = stored
-	sh.versions[name] = v
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Modified, Object: stored, Version: v, Shard: idx})
+	// next goes back to the caller, who may keep changing it.
+	it := &item[T]{obj: s.deepCopy(next), version: v}
+	sh.items[name] = it
+	pos = s.emitLocked(idx, Modified, it, v)
 	return next, v, pos, nil
 }
 
@@ -445,17 +458,15 @@ func (s *Store[T]) DeleteFunc(name string, check func(obj T, version int64) erro
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	obj, ok := sh.items[name]
+	it, ok := sh.items[name]
 	if !ok {
 		return ErrNotFound{name}
 	}
-	if err := check(obj, sh.versions[name]); err != nil {
+	if err := check(it.obj, it.version); err != nil {
 		return err
 	}
 	delete(sh.items, name)
-	delete(sh.versions, name)
-	v := s.version.Add(1)
-	pos = s.emitLocked(idx, WatchEvent[T]{Type: Deleted, Object: obj, Version: v, Shard: idx})
+	pos = s.emitLocked(idx, Deleted, it, s.version.Add(1))
 	return nil
 }
 
@@ -532,9 +543,9 @@ func (s *Store[T]) WatchFrom(marks []int64, buffer int) (<-chan WatchEvent[T], f
 			}
 			return nil, nil, ErrCompacted
 		}
-		for _, ev := range sh.journal {
-			if ev.Version > marks[i] {
-				replay = append(replay, ev)
+		for _, j := range sh.journal {
+			if j.version > marks[i] {
+				replay = append(replay, WatchEvent[T]{Type: j.typ, Object: j.it.obj, Version: j.version, Shard: i})
 			}
 		}
 		sh.mu.RUnlock()
@@ -592,12 +603,13 @@ func (s *Store[T]) WatchFrom(marks []int64, buffer int) (<-chan WatchEvent[T], f
 // (they re-List); resumable watchers are closed instead so their consumer
 // reconnects from its token. Holding the shard lock across delivery keeps
 // same-key events ordered.
-func (s *Store[T]) emitLocked(idx int, ev WatchEvent[T]) (pos int64) {
+func (s *Store[T]) emitLocked(idx int, typ EventType, it *item[T], v int64) (pos int64) {
+	ev := WatchEvent[T]{Type: typ, Object: it.obj, Version: v, Shard: idx}
 	if s.log != nil {
 		pos = s.log.Write(ev)
 	}
 	sh := &s.shards[idx]
-	s.journalAndHookLocked(sh, ev)
+	s.journalAndHookLocked(sh, ev, it)
 	var overflowed []int
 	s.watchMu.RLock()
 	for id, w := range s.watchers {

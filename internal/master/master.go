@@ -212,14 +212,12 @@ RUN pip install -r /job/requirements.txt
 CMD ["qrio-run", "/job/runner.json"]
 # job: %s
 `, jobName)
-	digest, err = s.Registry.Push(registry.Image{
-		Name: imageName,
-		Files: map[string][]byte{
-			"circuit.qasm":     []byte(circuitQASM),
-			"runner.json":      rawManifest,
-			"requirements.txt": []byte(requirementsTxt),
-			"Dockerfile":       []byte(dockerfile),
-		},
+	// As strings, the circuit is the spec's QASM text itself, not a copy.
+	digest, err = s.Registry.PushFiles(imageName, map[string]string{
+		"circuit.qasm":     circuitQASM,
+		"runner.json":      string(rawManifest),
+		"requirements.txt": requirementsTxt,
+		"Dockerfile":       dockerfile,
 	})
 	if err != nil {
 		return "", fmt.Errorf("master: pushing image for %s: %w", jobName, err)

@@ -90,22 +90,21 @@ const DefaultCacheMaxEntries = 65536
 type cacheRow struct {
 	fingerprint string
 	elem        *list.Element // position in Server.lru
-	slots       []slot        // indexed by backend.slot
-	live        int           // slots holding an entry
+	// vals and held are indexed by backend.slot: a held slot's score was
+	// computed against its backend's current calibration (RegisterBackend
+	// releases the slot when the calibration changes). While calls has an
+	// entry for a held slot, that call is the answer.
+	vals []float64
+	held []uint64 // bitset
+	live int      // held slots
 	// calls holds, by slot index, what does not fit a slot: the in-flight
 	// computation later scorers wait on, and a finished one that failed
 	// (its error is the memoised result). A swept row holds neither, so it
-	// is nil then and the row costs 16 bytes a device.
+	// is nil then and the row costs 8 bytes and a bit a device.
 	calls map[int]*call
 }
 
-// slot memoises one (fingerprint, backend) score for the calibration
-// generation it was computed against; gen 0 is empty (generations start at
-// 1). While row.calls has an entry for the slot, that call is the answer.
-type slot struct {
-	gen uint64
-	val float64
-}
+func (row *cacheRow) holds(slot int) bool { return row.held[slot>>6]>>(slot&63)&1 != 0 }
 
 // call is one in-flight computation.
 type call struct {
@@ -206,10 +205,10 @@ func (s *Server) RegisterBackend(b *device.Backend) error {
 	reg.dev = b
 	reg.gen++
 	for _, row := range s.rows {
-		if reg.slot < len(row.slots) && row.slots[reg.slot].gen != 0 {
+		if reg.slot < len(row.vals) && row.holds(reg.slot) {
 			// A scorer still computing this slot keeps its call; finding
 			// the slot no longer its own, it will not publish the result.
-			row.slots[reg.slot] = slot{}
+			row.held[reg.slot>>6] &^= 1 << (reg.slot & 63)
 			row.dropCall(reg.slot)
 			s.cacheInvalidations.Add(1)
 			s.dropEntriesLocked(row, 1)
@@ -286,17 +285,25 @@ func (s *Server) cacheCap() int {
 
 // cached memoises compute under (fingerprint, reg), where reg is the
 // backend registration — device, slot and calibration generation — the
-// caller read in one critical section and will compute against: keying
-// with exactly that generation is what keeps a concurrent re-registration
-// from caching a stale score under the fresh one. Concurrent callers for
-// the same key compute once. A lookup refreshes its row's recency; a miss
-// that pushes the cache past the LRU cap evicts the coldest rows (the row
-// just touched always stays whole).
+// caller read in one critical section and will compute against: caching
+// only when that generation is still the backend's current one is what
+// keeps a concurrent re-registration from caching a stale score under the
+// fresh one. Concurrent callers for the same key compute once. A lookup
+// refreshes its row's recency; a miss that pushes the cache past the LRU
+// cap evicts the coldest rows (the row just touched always stays whole).
 func (s *Server) cached(fingerprint string, reg backend, compute func() (float64, error)) (float64, error) {
 	if s.opts.DisableScoreCache {
 		return compute()
 	}
 	s.mu.Lock()
+	if reg.gen != s.backends[reg.dev.Name].gen {
+		// The backend recalibrated between the caller's read and now: answer
+		// for the calibration the caller saw, and leave the slot to scorers
+		// of the current one.
+		s.mu.Unlock()
+		s.cacheMisses.Add(1)
+		return compute()
+	}
 	row := s.rows[fingerprint]
 	if row == nil {
 		row = &cacheRow{fingerprint: fingerprint}
@@ -305,15 +312,14 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 	} else {
 		s.lru.MoveToFront(row.elem)
 	}
-	if reg.slot >= len(row.slots) {
+	if reg.slot >= len(row.vals) {
 		// Sized for the fleet as it is now; backends registered later
 		// grow the rows they are scored in.
-		row.slots = append(row.slots, make([]slot, len(s.backends)-len(row.slots))...)
+		row.vals = append(row.vals, make([]float64, len(s.backends)-len(row.vals))...)
+		row.held = append(row.held, make([]uint64, (len(s.backends)+63)/64-len(row.held))...)
 	}
-	sl := &row.slots[reg.slot]
-	switch {
-	case sl.gen == reg.gen:
-		val, c := sl.val, row.calls[reg.slot]
+	if row.holds(reg.slot) {
+		val, c := row.vals[reg.slot], row.calls[reg.slot]
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
 		if c == nil {
@@ -321,24 +327,11 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 		}
 		<-c.done // closed already when the call is a memoised failure
 		return c.val, c.err
-	case sl.gen > reg.gen:
-		// The backend recalibrated between the caller's read and now, and
-		// a fresher scorer owns the slot: answer for the calibration the
-		// caller saw without displacing the newer entry.
-		s.mu.Unlock()
-		s.cacheMisses.Add(1)
-		return compute()
 	}
 	c := &call{done: make(chan struct{})}
-	if sl.gen == 0 {
-		row.live++
-		s.entries++
-	} else {
-		// Left by a scorer that had read the previous calibration just
-		// before RegisterBackend swept the slot: replace it.
-		s.cacheInvalidations.Add(1)
-	}
-	*sl = slot{gen: reg.gen}
+	row.held[reg.slot>>6] |= 1 << (reg.slot & 63)
+	row.live++
+	s.entries++
 	if row.calls == nil {
 		row.calls = make(map[int]*call)
 	}
@@ -363,7 +356,7 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 		// have been evicted or the backend recalibrated meanwhile, and a
 		// score computed against generation g must never be served at g+1.
 		if s.rows[fingerprint] == row && row.calls[reg.slot] == c {
-			row.slots[reg.slot].val = c.val
+			row.vals[reg.slot] = c.val
 			if c.err == nil {
 				row.dropCall(reg.slot)
 			}

@@ -201,7 +201,7 @@ func TestColdSweepResidency(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", st.Entries, 300*devices)
 	}
 	perFingerprint := (float64(at300) - float64(at50)) / 250
-	// A row is 40 B per backend plus its key; the job's metadata is its
+	// A row is 8 B and a bit per backend plus its key; the job's metadata is its
 	// QASM plus two small structs. The map-and-list layout this replaced
 	// cost ~300 B per pair, 3.6 KB per fingerprint here.
 	if limit := 1800.0; perFingerprint > limit {

@@ -129,12 +129,15 @@ var paulis = [4]Pauli{PauliNone, PauliX, PauliY, PauliZ}
 // depolarizing probability is p: {I: 1-p, X/Y/Z: p/3 each}. It consumes one
 // rng.Float64 and, when an error fires, one rng.Intn(3) — always, even for
 // p = 0. Seeded simulators promise reproducible counts, so that order is a
-// contract: both engines look p up once per gate at compile time, call
-// this (or DrawTwoQubit) per shot, and must leave the stream where the
-// gate-by-gate interpreters they replaced left it.
+// contract: both engines look p up once per gate at compile time, draw
+// per shot, and must leave the stream where the gate-by-gate interpreters
+// they replaced left it.
 //
 // The stabilizer engine draws in gate order; a measurement's draws sit
-// where the measurement does (stabilizer.Runner.Counts). The dense engine
+// where the measurement does (stabilizer.Runner.Counts). It honours this
+// contract inline rather than by calling this function: its draw kernel
+// reads math/rand's output stream directly and makes exactly these
+// Float64 and Intn(3) / Intn(15) draws, redraws included. The dense engine
 // (statevec.Noisy.Counts) draws per shot: for each body gate in order — a
 // reset one Float64; a unitary gate other than id one DrawOneQubit, one
 // DrawTwoQubit, or for a gate on 3+ qubits one DrawTwoQubit per qubit pair

@@ -131,9 +131,10 @@ func checkAgainstOracle(t testing.TB, name string, rng *rand.Rand, c *circuit.Ci
 	}
 }
 
-// frameShapes are small circuits aimed at what a Pauli-frame shot does
-// differently from a tableau shot: it reads outcomes off a reference run.
-func frameShapes() map[string]*circuit.Circuit {
+// kernelShapes are small circuits aimed at what a kernel shot does
+// differently from a tableau shot: it reads outcomes off a reference run
+// and XORs in outcome masks a backward pass computed.
+func kernelShapes() map[string]*circuit.Circuit {
 	shapes := map[string]*circuit.Circuit{}
 
 	// The second measurement of a qubit is deterministic in the reference
@@ -180,12 +181,50 @@ func frameShapes() map[string]*circuit.Circuit {
 		ghz.CX(q, q+1)
 	}
 	shapes["pivot row across two words"] = ghz
+
+	// More than 64 clbits, so every mask spans two words; each qubit's last
+	// gate is followed straight by its error site and its measurement.
+	wide := circuit.NewWithClbits(70, 72)
+	for q := 0; q < 70; q += 3 {
+		wide.H(q)
+	}
+	for q := 0; q+1 < 70; q += 2 {
+		wide.CX(q, q+1)
+	}
+	for q := 0; q < 70; q++ {
+		wide.Measure(q, (5*q+1)%72)
+	}
+	shapes["72 clbits"] = wide
+
+	// Clbit 0 is written first by a random measurement, then by a
+	// deterministic one, which alone decides it.
+	overwrite := circuit.NewWithClbits(2, 2)
+	overwrite.H(0)
+	overwrite.Measure(0, 0)
+	overwrite.X(1)
+	overwrite.Measure(1, 0)
+	overwrite.CX(0, 1)
+	overwrite.Measure(1, 1)
+	shapes["random then deterministic writer"] = overwrite
+
+	// Resets right after a coin: of the measured qubit and of its partner,
+	// both deterministic in the reference, then a fresh coin on each.
+	coinReset := circuit.NewWithClbits(2, 2)
+	coinReset.H(0)
+	coinReset.CX(0, 1)
+	coinReset.Measure(0, 0)
+	coinReset.Reset(0)
+	coinReset.Reset(1)
+	coinReset.H(1)
+	coinReset.CX(1, 0)
+	coinReset.Measure(0, 1)
+	shapes["reset after a coin"] = coinReset
 	return shapes
 }
 
 // TestEngineIdenticalToOracle is the identity property the faster engines
 // were built under: for seeded random circuits, noiseless and noisy, and for
-// the frame-specific shapes, Counts equal the old interpreter's exactly and
+// the kernel-specific shapes, Counts equal the old interpreter's exactly and
 // OutcomeProbability agrees.
 func TestEngineIdenticalToOracle(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33, 64, 65, 100, 130}
@@ -206,7 +245,7 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 			checkAgainstOracle(t, name, rng, c, model, shots, rng.Int63())
 		}
 	}
-	for name, c := range frameShapes() {
+	for name, c := range kernelShapes() {
 		rng := rand.New(rand.NewSource(int64(len(name))))
 		shots := 200
 		if c.NumQubits > 12 {
@@ -229,7 +268,7 @@ func FuzzFrameMatchesOracle(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(9)
 		if rng.Intn(8) == 0 {
-			n = 60 + rng.Intn(12) // either side of the one-word frame
+			n = 60 + rng.Intn(12) // either side of one-word masks
 		}
 		c := identityCircuit(rng, n, 4*n+rng.Intn(8*n), rng.Intn(2) == 0, rng.Intn(2) == 0)
 		var model *noise.Model
@@ -240,8 +279,8 @@ func FuzzFrameMatchesOracle(f *testing.F) {
 	})
 }
 
-// TestReseedRestartsTheStream pins what lets Runner.Counts recycle its
-// generators: Seed(s) on a used *rand.Rand leaves it where
+// TestReseedRestartsTheStream pins what lets Runner.Counts recycle the
+// source its stream seeds from: Seed(s) on a used generator leaves it where
 // rand.New(rand.NewSource(s)) starts, for every kind of draw a shot makes.
 func TestReseedRestartsTheStream(t *testing.T) {
 	used := rand.New(rand.NewSource(99))
@@ -320,7 +359,8 @@ func TestTableauPrimitivesMatchOracle(t *testing.T) {
 }
 
 // TestSampleGateErrorMatchesOracle: noise.DrawOneQubit and DrawTwoQubit —
-// the non-allocating draws both compiled engines lay out per gate — return
+// the draws the dense engine makes per gate, and the stabilizer kernel
+// inlines (TestKernelRarePaths holds it to them) — return
 // what the interpreters' allocating sampler, kept in the oracle, returns,
 // from the same stream: one draw after a one-qubit gate, one per qubit pair
 // i<j after a wider one.

@@ -1,9 +1,10 @@
 package stabilizer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"sync"
 
 	"qrio/internal/quantum/circuit"
@@ -29,12 +30,12 @@ const (
 // op is one compiled step. Everything a shot would otherwise re-derive per
 // gate — the gate name, its angles as quarter turns, the noise model's
 // error probability for these qubits — was resolved when it was built; what
-// the reference pass learns about a measure or reset op (frame.go) sits in
+// the reference pass learns about a measure or reset op (kernel.go) sits in
 // the struct's padding.
 type op struct {
 	code  opcode
 	ref   uint8 // measure, reset: the reference run's outcome (0 when it was random)
-	pivot int32 // measure, reset: where program.pivots holds the pivot row, -1 when deterministic
+	pivot int32 // measure, reset: where the kernel's slab holds the pivot row, -1 when deterministic
 	a, b  int
 	p     float64
 }
@@ -47,12 +48,6 @@ type program struct {
 	nbits int
 	noisy bool // a noise model is attached: measurements draw a readout coin
 	nmeas int  // measure and reset ops
-
-	// Filled by reference (frame.go): the words in one n-qubit bitmask, and
-	// per random measurement the pivot stabilizer row as an n-qubit Pauli,
-	// X mask then Z mask.
-	words  int
-	pivots []uint64
 }
 
 // quarterTurns converts an angle to its multiple of π/2 mod 4, or errors.
@@ -204,10 +199,10 @@ func (t *Tableau) ApplyGate(g circuit.Gate) error {
 // is followed by its error draw and every measurement carries its readout
 // flip probability, all looked up here, once, instead of once per shot.
 // When the circuit has no measurements every qubit is measured at the end
-// in qubit order.
-func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
+// in qubit order. The ops are appended to ops[:0].
+func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error) {
 	p := &program{nq: c.NumQubits, nbits: c.NumClbits, noisy: model != nil}
-	p.ops = make([]op, 0, 2*len(c.Gates)+c.NumQubits)
+	p.ops = slices.Grow(ops[:0], 2*len(c.Gates)+c.NumQubits)
 	measure := func(q, clbit int) {
 		o := op{code: opMeasure, a: q, b: clbit}
 		if model != nil {
@@ -260,10 +255,19 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 	return p, nil
 }
 
-// rngs recycles generators between Counts calls: a source is 5 KB and a cold
-// sweep would make 500 of them. Seed puts a recycled generator in exactly
-// the state rand.New(rand.NewSource(seed)) starts in.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// scratch is what a Counts call uses and does not return, recycled between
+// calls (a cold sweep makes 500): the stream, the compiled ops, the
+// kernel's slab and the tally of packed outcomes.
+type scratch struct {
+	s     stream
+	k     kernel
+	ops   []op
+	key   []byte
+	tally map[string]int32 // packed outcome → its index in hits
+	hits  []int
+}
+
+var scratches = sync.Pool{New: func() any { return &scratch{tally: make(map[string]int32)} }}
 
 // Runner executes Clifford circuits shot-by-shot, optionally under a Pauli
 // + readout noise model. It supports mid-circuit measurement and reset.
@@ -278,49 +282,60 @@ type Runner struct {
 // Keys use the Qiskit convention: clbit 0 is the rightmost character.
 // Registers beyond 64 bits are supported (the fleet has 100-qubit devices).
 //
-// The circuit is compiled once, one noiseless reference pass runs on a
-// tableau, and every shot is a Pauli frame over that pass (frame.go).
-// Counts are a function of (circuit, model, Shots, Seed) alone: one
-// rand.Rand seeded with Seed is consumed in gate order — per gate its
-// error draw (noise.DrawOneQubit / DrawTwoQubit), per measurement one
-// Intn(2) when the outcome is random and then, with a model, one Float64
-// for the readout flip — and that order never changes. A frame shot
-// honours it because whether a measurement is random depends on the
-// tableau's X/Z bits only, which errors and coins never touch: the frame
-// makes the same draws at the same ops a tableau shot made, and the state
-// it tracks is the tableau shot's state.
+// The circuit is compiled once, one noiseless reference pass and one
+// backward pass turn it into a list of random events with an outcome mask
+// per draw (kernel.go), and a shot is the reference outcome XOR the masks
+// its draws select. Counts are a function of (circuit, model, Shots, Seed)
+// alone: the random stream is rand.New(rand.NewSource(Seed))'s, consumed in
+// gate order — per gate its error draw (noise.DrawOneQubit /
+// DrawTwoQubit), per measurement one Intn(2) when the outcome is random and
+// then, with a model, one Float64 for the readout flip — and that order
+// never changes. The kernel honours it because whether a measurement is
+// random depends on the tableau's X/Z bits only, which errors and coins
+// never touch, and it reads the stream (stream.go) exactly as those
+// rand.Rand calls would.
 func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if r.Shots <= 0 {
 		return nil, fmt.Errorf("stabilizer: Shots must be positive, got %d", r.Shots)
 	}
-	prog, err := compile(c, r.Model)
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	prog, err := compile(c, r.Model, sc.ops)
 	if err != nil {
 		return nil, err
 	}
-	frame := prog.reference()
-	rng := rngs.Get().(*rand.Rand)
-	defer rngs.Put(rng)
-	rng.Seed(r.Seed)
-	key := make([]byte, prog.nbits)
-	// Tallies sit behind pointers so a repeated outcome is counted without
-	// allocating its key string again.
-	tally := make(map[string]*int)
+	sc.ops = prog.ops
+	k := &sc.k
+	prog.kernel(k)
+	sc.s.seed(r.Seed)
+	// An outcome is tallied by its packed bytes and formatted once, in the
+	// same buffer.
+	n := max(8*k.words, prog.nbits)
+	key := slices.Grow(sc.key[:0], n)[:n]
+	nbytes := (prog.nbits + 7) / 8
+	clear(sc.tally)
+	hits := sc.hits[:0]
 	for shot := 0; shot < r.Shots; shot++ {
-		for i := range key {
-			key[i] = '0'
+		k.shot(&sc.s)
+		for w, v := range k.out {
+			binary.LittleEndian.PutUint64(key[8*w:], v)
 		}
-		prog.frameShot(frame, rng, key)
-		n := tally[string(key)]
-		if n == nil {
-			n = new(int)
-			tally[string(key)] = n
+		i, ok := sc.tally[string(key[:nbytes])]
+		if !ok {
+			i = int32(len(hits))
+			sc.tally[string(key[:nbytes])] = i
+			hits = append(hits, 0)
 		}
-		*n++
+		hits[i]++
 	}
-	counts := make(map[string]int, len(tally))
-	for k, n := range tally {
-		counts[k] = *n
+	counts := make(map[string]int, len(hits))
+	for packed, i := range sc.tally {
+		for b := range key[:prog.nbits] {
+			key[prog.nbits-1-b] = '0' + packed[b>>3]>>(b&7)&1
+		}
+		counts[string(key[:prog.nbits])] = hits[i]
 	}
+	sc.key, sc.hits = key, hits
 	return counts, nil
 }
 
@@ -364,7 +379,7 @@ type Ideal struct {
 
 // NewIdeal compiles c for outcome queries.
 func NewIdeal(c *circuit.Circuit) (*Ideal, error) {
-	prog, err := compile(c, nil)
+	prog, err := compile(c, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"io"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -23,26 +25,22 @@ type Image struct {
 	Files map[string][]byte `json:"files"`
 }
 
-// DeepCopy returns an independent copy.
-func (im Image) DeepCopy() Image {
-	out := Image{Name: im.Name, Digest: im.Digest, Files: make(map[string][]byte, len(im.Files))}
-	for k, v := range im.Files {
-		out.Files[k] = append([]byte(nil), v...)
-	}
-	return out
+// stored is an image as the registry keeps it: its files in path order,
+// contents as strings, so a pusher's strings (a job's circuit is its spec's
+// QASM text) are shared rather than copied.
+type stored struct {
+	name  string
+	files []file
 }
 
-// computeDigest hashes the canonicalised file set.
-func computeDigest(im Image) string {
+type file struct{ path, content string }
+
+// computeDigest hashes the canonicalised (path-ordered) file set.
+func computeDigest(files []file) string {
 	h := sha256.New()
-	paths := make([]string, 0, len(im.Files))
-	for p := range im.Files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		fmt.Fprintf(h, "%s\x00%d\x00", p, len(im.Files[p]))
-		h.Write(im.Files[p])
+	for _, f := range files {
+		fmt.Fprintf(h, "%s\x00%d\x00", f.path, len(f.content))
+		io.WriteString(h, f.content)
 	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
@@ -50,43 +48,64 @@ func computeDigest(im Image) string {
 // Registry stores images by tag and digest.
 type Registry struct {
 	mu       sync.RWMutex
-	byDigest map[string]Image
+	byDigest map[string]stored
 	byName   map[string]string // tag -> digest (latest push wins)
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{byDigest: make(map[string]Image), byName: make(map[string]string)}
+	return &Registry{byDigest: make(map[string]stored), byName: make(map[string]string)}
 }
 
 // Push stores an image and returns its digest.
 func (r *Registry) Push(im Image) (string, error) {
-	if im.Name == "" {
-		return "", fmt.Errorf("registry: image needs a name")
+	files := make(map[string]string, len(im.Files))
+	for p, b := range im.Files {
+		files[p] = string(b)
 	}
-	if len(im.Files) == 0 {
-		return "", fmt.Errorf("registry: image %q has no files", im.Name)
-	}
-	im = im.DeepCopy()
-	im.Digest = computeDigest(im)
-	r.mu.Lock()
-	r.byDigest[im.Digest] = im
-	r.byName[im.Name] = im.Digest
-	r.mu.Unlock()
-	return im.Digest, nil
+	return r.PushFiles(im.Name, files)
 }
 
-// Pull fetches an image by digest ("sha256:...") or tag.
+// PushFiles is Push for an image whose files are strings, which the
+// registry keeps as they are.
+func (r *Registry) PushFiles(name string, files map[string]string) (string, error) {
+	if name == "" {
+		return "", fmt.Errorf("registry: image needs a name")
+	}
+	if len(files) == 0 {
+		return "", fmt.Errorf("registry: image %q has no files", name)
+	}
+	st := stored{name: name, files: make([]file, 0, len(files))}
+	for _, p := range slices.Sorted(maps.Keys(files)) {
+		st.files = append(st.files, file{p, files[p]})
+	}
+	digest := computeDigest(st.files)
+	r.mu.Lock()
+	r.byDigest[digest] = st
+	r.byName[name] = digest
+	r.mu.Unlock()
+	return digest, nil
+}
+
+// Pull fetches an image by digest ("sha256:...") or tag. The files are the
+// caller's own copies.
 func (r *Registry) Pull(ref string) (Image, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if im, ok := r.byDigest[ref]; ok {
-		return im.DeepCopy(), nil
+	digest := ref
+	st, ok := r.byDigest[digest]
+	if !ok {
+		digest = r.byName[ref]
+		st, ok = r.byDigest[digest]
 	}
-	if digest, ok := r.byName[ref]; ok {
-		return r.byDigest[digest].DeepCopy(), nil
+	if !ok {
+		return Image{}, fmt.Errorf("registry: no image %q", ref)
 	}
-	return Image{}, fmt.Errorf("registry: no image %q", ref)
+	im := Image{Name: st.name, Digest: digest, Files: make(map[string][]byte, len(st.files))}
+	for _, f := range st.files {
+		im.Files[f.path] = []byte(f.content)
+	}
+	return im, nil
 }
 
 // List returns all stored tags with their digests.

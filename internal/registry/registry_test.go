@@ -92,3 +92,25 @@ func TestListAndLen(t *testing.T) {
 		t.Fatalf("List = %v", tags)
 	}
 }
+
+// TestDigestIsStable: a bundle's digest is part of every stored job's
+// spec.image and must be rebuilt identically after a restart, whichever
+// way the files were pushed.
+func TestDigestIsStable(t *testing.T) {
+	const want = "sha256:2053fcd186890920bfb3ad9eedd63978caa13f959799e94d3990b881fa08b680"
+	files := map[string]string{
+		"circuit.qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", "runner.json": `{"shots":1024}`,
+		"requirements.txt": "qiskit\n", "Dockerfile": "FROM x\n",
+	}
+	asBytes := make(map[string][]byte)
+	for p, c := range files {
+		asBytes[p] = []byte(c)
+	}
+	r := New()
+	if d, err := r.Push(Image{Name: "qrio/j:latest", Files: asBytes}); err != nil || d != want {
+		t.Fatalf("Push digest %s, %v; want %s", d, err, want)
+	}
+	if d, err := r.PushFiles("qrio/j:latest", files); err != nil || d != want {
+		t.Fatalf("PushFiles digest %s, %v; want %s", d, err, want)
+	}
+}

@@ -196,7 +196,7 @@ func TestColdJobResidency(t *testing.T) {
 	after := liveAfter(warm + measured)
 	perJob := (float64(after) - float64(before)) / measured
 	t.Logf("live heap %d → %d bytes over %d jobs: %.1f KB per finished cold job", before, after, measured, perJob/1024)
-	if perJob > 16<<10 {
-		t.Fatalf("a finished cold job keeps %.1f KB of live heap, want ≤ 16 KB", perJob/1024)
+	if perJob > 12<<10 {
+		t.Fatalf("a finished cold job keeps %.1f KB of live heap, want ≤ 12 KB", perJob/1024)
 	}
 }
