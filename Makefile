@@ -10,7 +10,8 @@ GO ?= go
 # dominate (at 1x, StoreContention/create measures one ~20µs op — pure
 # start-up noise); SubmitThroughput drives whole orchestrator bursts and
 # stays at 1x, and so do the scoring engines' two records — ColdSweep (one
-# never-seen fingerprint over the 100-device fleet, ~0.1 s an op) and
+# never-seen fingerprint over the 100-device fleet, ~0.1 s, 16 MB and
+# 100 k allocations an op) and
 # StabilizerNoisyShots (one device's 2045 canary shots, ~0.9 ms an op) —
 # which guard per layer what BENCHMARK.json's cold-sweep guards end to end,
 # and the execution engine's two — NoisyStatevecShots (eight jobs' shots of

@@ -604,36 +604,6 @@ func BenchmarkAblationAnalyticVsCanary(b *testing.B) {
 	b.ReportMetric(analyticPick, "analytic-pick-fidelity")
 }
 
-// BenchmarkAblationRouting compares SABRE-lite against naive shortest-path
-// routing: swap overhead of QFT-8 across the reduced fleet.
-func BenchmarkAblationRouting(b *testing.B) {
-	fleet, err := device.GenerateFleet(benchFleetSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := workload.QFT(8)
-	var sabre, naive float64
-	for i := 0; i < b.N; i++ {
-		sabre, naive = 0, 0
-		for _, dev := range fleet {
-			rs, err := transpile.Transpile(c, dev, transpile.Options{DisableVF2Layout: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn, err := transpile.Transpile(c, dev, transpile.Options{DisableVF2Layout: true, NaiveRouting: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sabre += float64(rs.AddedSwaps)
-			naive += float64(rn.AddedSwaps)
-		}
-		sabre /= float64(len(fleet))
-		naive /= float64(len(fleet))
-	}
-	b.ReportMetric(sabre, "sabre-avg-swaps")
-	b.ReportMetric(naive, "naive-avg-swaps")
-}
-
 // BenchmarkAblationMapomaticFallback measures what the routed fallback
 // buys: how many devices can host a ring-7 request only via routing.
 func BenchmarkAblationMapomaticFallback(b *testing.B) {
@@ -982,22 +952,6 @@ func BenchmarkStatevec16Q(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (statevec.Noisy{Shots: 1, Seed: int64(i)}).Counts(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTranspileBV10 measures the full transpilation pipeline onto a
-// sparse 50-qubit device.
-func BenchmarkTranspileBV10(b *testing.B) {
-	dev, err := device.GenerateBackend("bench", 50, 0.15, device.DefaultFleetSpec(), 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := workload.BernsteinVazirani(10, 0b101101101)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := transpile.Transpile(c, dev, transpile.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -282,7 +282,9 @@ func (e Estimator) CanaryFidelity(c *circuit.Circuit, b *device.Backend) (float6
 // CanaryFidelityOn is the per-(circuit, device) half of CanaryFidelity:
 // each prepared member is transpiled to b, run under b's noise model and
 // compared against its exact ideal distribution; the member fidelities are
-// averaged.
+// averaged. Members share a skeleton and so, mostly, their active qubits: a
+// member whose active set equals the previous member's reuses its compact
+// noise model.
 func (e Estimator) CanaryFidelityOn(cs *Canaries, b *device.Backend) (float64, error) {
 	if e.Shots <= 0 {
 		return 0, fmt.Errorf("fidelity: estimator needs positive Shots")
@@ -292,9 +294,26 @@ func (e Estimator) CanaryFidelityOn(cs *Canaries, b *device.Backend) (float64, e
 		shots = 128 // member estimates need enough shots to separate the
 		// best devices, whose fidelities differ by a few percent
 	}
+	var active []int
+	var model *noise.Model
 	sum := 0.0
 	for k, member := range cs.members {
-		f, err := e.canaryMemberFidelity(member, b, e.Seed+int64(k)*7919, shots)
+		tr, err := transpile.Transpile(member.circuit, b, e.Transpile)
+		if err != nil {
+			return 0, err
+		}
+		compact, act, err := mapomatic.Deflate(tr.Circuit)
+		if err != nil {
+			return 0, err
+		}
+		if model == nil || !slices.Equal(act, active) {
+			active, model = act, compactModel(b, act)
+		}
+		noisy, err := stabilizer.Runner{Model: model, Shots: shots, Seed: e.Seed + int64(k)*7919}.Counts(compact)
+		if err != nil {
+			return 0, err
+		}
+		f, err := hellingerExact(noisy, member.idealProb)
 		if err != nil {
 			return 0, err
 		}
@@ -377,26 +396,6 @@ func circuitSeed(c *circuit.Circuit) int64 {
 		}
 	}
 	return h
-}
-
-// canaryMemberFidelity transpiles one canary variant to the device, runs it
-// under the device noise model, and compares against the member's exact
-// ideal outcome probabilities.
-func (e Estimator) canaryMemberFidelity(member *canaryMember, b *device.Backend, seed int64, shots int) (float64, error) {
-	tr, err := transpile.Transpile(member.circuit, b, e.Transpile)
-	if err != nil {
-		return 0, err
-	}
-	compact, active, err := mapomatic.Deflate(tr.Circuit)
-	if err != nil {
-		return 0, err
-	}
-	model := compactModel(b, active)
-	noisy, err := stabilizer.Runner{Model: model, Shots: shots, Seed: seed}.Counts(compact)
-	if err != nil {
-		return 0, err
-	}
-	return hellingerExact(noisy, member.idealProb)
 }
 
 // hellingerExact is HellingerCounts against an ideal distribution given as

@@ -7,6 +7,8 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -23,8 +25,10 @@ type Graph struct {
 	n     int
 	edges int
 	adj   [][]int
-	// dist caches DistanceMatrix; AddEdge drops it.
-	dist atomic.Pointer[DistanceMatrix]
+	// dist caches DistanceMatrix and digest caches Digest; AddEdge drops
+	// both.
+	dist   atomic.Pointer[DistanceMatrix]
+	digest atomic.Pointer[[sha256.Size]byte]
 }
 
 // New returns an empty graph with n vertices.
@@ -56,6 +60,7 @@ func (g *Graph) AddEdge(a, b int) error {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.dist.Store(nil)
+	g.digest.Store(nil)
 	return nil
 }
 
@@ -205,6 +210,26 @@ func (g *Graph) DistanceMatrix() (*DistanceMatrix, error) {
 	// Concurrent first users may each compute it; they store equal matrices.
 	g.dist.Store(m)
 	return m, nil
+}
+
+// Digest returns a SHA-256 over the vertex count and every adjacency list
+// in order, kept until the next AddEdge. Searches that walk adjacency lists
+// (VF2's first embedding, routing's neighbour scan) depend on that order,
+// so one edge set in another order (a JSON round trip sorts it) differs.
+func (g *Graph) Digest() [sha256.Size]byte {
+	if d := g.digest.Load(); d != nil {
+		return *d
+	}
+	buf := binary.AppendUvarint(nil, uint64(g.n))
+	for _, nbrs := range g.adj {
+		buf = binary.AppendUvarint(buf, uint64(len(nbrs)))
+		for _, w := range nbrs {
+			buf = binary.AppendUvarint(buf, uint64(w))
+		}
+	}
+	d := sha256.Sum256(buf)
+	g.digest.Store(&d)
+	return d
 }
 
 // ShortestPath returns one shortest path from a to b inclusive, or nil if

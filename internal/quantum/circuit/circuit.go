@@ -312,8 +312,8 @@ func (c *Circuit) Decompose() *Circuit {
 	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
 	var expand func(g Gate)
 	expand = func(g Gate) {
-		sub := g.Decompose()
-		if len(sub) == 1 && sub[0].Name == g.Name {
+		sub := g.rewrite()
+		if sub == nil {
 			out.Gates = append(out.Gates, g.Copy())
 			return
 		}

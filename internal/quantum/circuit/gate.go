@@ -283,6 +283,19 @@ func (g Gate) MustMatrix1Q() Matrix2 {
 // Measure, reset and barrier are returned unchanged. The decompositions are
 // the textbook ones (e.g. Nielsen & Chuang fig. 4.9 for ccx).
 func (g Gate) Decompose() []Gate {
+	if sub := g.rewrite(); sub != nil {
+		return sub
+	}
+	return []Gate{g}
+}
+
+// Decomposes reports whether Decompose rewrites the gate. Both read one
+// rule, rewrite, which allocates nothing for a gate it leaves alone.
+func (g Gate) Decomposes() bool { return g.rewrite() != nil }
+
+// rewrite is Decompose's rule: the gate's decomposition, or nil when it is
+// already over {1q, cx}, or is measure, reset or barrier.
+func (g Gate) rewrite() []Gate {
 	q := g.Qubits
 	switch g.Name {
 	case GateCZ:
@@ -370,7 +383,7 @@ func (g Gate) Decompose() []Gate {
 		out = append(out, Gate{Name: GateCX, Qubits: []int{c, b}})
 		return out
 	}
-	return []Gate{g}
+	return nil
 }
 
 // String renders the gate in QASM-like syntax for debugging.

@@ -48,14 +48,13 @@ func cliffordize(g circuit.Gate) []circuit.Gate {
 		return []circuit.Gate{ng}
 	}
 	// Parameter-free non-Clifford (ccx and friends): decompose, then round.
-	sub := g.Decompose()
-	if len(sub) == 1 && sub[0].Name == g.Name {
+	if !g.Decomposes() {
 		// No decomposition available; drop the gate rather than fail — the
 		// canary is an approximation by definition.
 		return nil
 	}
 	var out []circuit.Gate
-	for _, s := range sub {
+	for _, s := range g.Decompose() {
 		out = append(out, cliffordize(s)...)
 	}
 	return out
@@ -121,12 +120,11 @@ func cliffordizeRandom(g circuit.Gate, rng *rand.Rand) []circuit.Gate {
 		}
 		return []circuit.Gate{{Name: name, Qubits: append([]int(nil), g.Qubits...)}}
 	}
-	sub := g.Decompose()
-	if len(sub) == 1 && sub[0].Name == g.Name {
+	if !g.Decomposes() {
 		return nil
 	}
 	var out []circuit.Gate
-	for _, s := range sub {
+	for _, s := range g.Decompose() {
 		out = append(out, cliffordizeRandom(s, rng)...)
 	}
 	return out

@@ -259,15 +259,16 @@ func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error)
 // calls (a cold sweep makes 500): the stream, the compiled ops, the
 // kernel's slab and the tally of packed outcomes.
 type scratch struct {
-	s     stream
-	k     kernel
-	ops   []op
-	key   []byte
-	tally map[string]int32 // packed outcome → its index in hits
-	hits  []int
+	s      stream
+	k      kernel
+	ops    []op
+	key    []byte
+	tally  map[string]int32 // packed outcome → its index in hits
+	tally1 map[uint64]int32 // the same for outcomes of one word
+	hits   []int
 }
 
-var scratches = sync.Pool{New: func() any { return &scratch{tally: make(map[string]int32)} }}
+var scratches = sync.Pool{New: func() any { return &scratch{tally: map[string]int32{}, tally1: map[uint64]int32{}} }}
 
 // Runner executes Clifford circuits shot-by-shot, optionally under a Pauli
 // + readout noise model. It supports mid-circuit measurement and reset.
@@ -308,15 +309,26 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	k := &sc.k
 	prog.kernel(k)
 	sc.s.seed(r.Seed)
-	// An outcome is tallied by its packed bytes and formatted once, in the
-	// same buffer.
+	// An outcome is tallied by its packed word — or, past 64 clbits, its
+	// packed bytes — and formatted once, in the same buffer.
 	n := max(8*k.words, prog.nbits)
 	key := slices.Grow(sc.key[:0], n)[:n]
 	nbytes := (prog.nbits + 7) / 8
 	clear(sc.tally)
+	clear(sc.tally1)
 	hits := sc.hits[:0]
 	for shot := 0; shot < r.Shots; shot++ {
 		k.shot(&sc.s)
+		if k.words == 1 {
+			i, ok := sc.tally1[k.out[0]]
+			if !ok {
+				i = int32(len(hits))
+				sc.tally1[k.out[0]] = i
+				hits = append(hits, 0)
+			}
+			hits[i]++
+			continue
+		}
 		for w, v := range k.out {
 			binary.LittleEndian.PutUint64(key[8*w:], v)
 		}
@@ -329,6 +341,12 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 		hits[i]++
 	}
 	counts := make(map[string]int, len(hits))
+	for v, i := range sc.tally1 {
+		for b := range key[:prog.nbits] {
+			key[prog.nbits-1-b] = '0' + byte(v>>b&1)
+		}
+		counts[string(key[:prog.nbits])] = hits[i]
+	}
 	for packed, i := range sc.tally {
 		for b := range key[:prog.nbits] {
 			key[prog.nbits-1-b] = '0' + packed[b>>3]>>(b&7)&1

@@ -107,11 +107,10 @@ func appendGate(ops []op, g circuit.Gate) ([]op, error) {
 		}
 		return append(ops, matrixOp(g.Qubits[0], m)), nil
 	}
-	sub := g.Decompose()
-	if len(sub) == 1 && sub[0].Name == g.Name {
+	if !g.Decomposes() {
 		return nil, fmt.Errorf("statevec: cannot apply gate %q", g.Name)
 	}
-	for _, sg := range sub {
+	for _, sg := range g.Decompose() {
 		var err error
 		if ops, err = appendGate(ops, sg); err != nil {
 			return nil, err

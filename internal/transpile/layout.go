@@ -35,9 +35,7 @@ func chooseLayout(c *circuit.Circuit, b *device.Backend, opts Options) ([]int, b
 	ig := InteractionGraph(c)
 
 	if !opts.DisableVF2Layout {
-		if m := graph.EnumerateMonomorphisms(ig, b.Coupling, graph.MonomorphismOptions{
-			MaxResults: 1, MaxVisits: opts.VF2MaxVisits,
-		}); len(m) == 1 {
+		if m := graph.EnumerateMonomorphisms(ig, b.Coupling, graph.MonomorphismOptions{MaxResults: 1}); len(m) == 1 {
 			copy(layout, m[0])
 			return layout, true
 		}

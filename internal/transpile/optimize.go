@@ -1,13 +1,16 @@
 package transpile
 
 import (
+	"slices"
+
 	"qrio/internal/quantum/circuit"
 )
 
 // optimize performs physical-circuit peephole optimisation: adjacent
 // one-qubit gates on the same qubit are fused into a single u gate, exact
 // cx-cx pairs cancel, and identity rotations disappear. Iterates until a
-// fixed point (cancelling a cx pair can make 1q gates adjacent).
+// fixed point (cancelling a cx pair can make 1q gates adjacent). Gates the
+// passes keep move over as they are: the pipeline owns them.
 func optimize(c *circuit.Circuit) *circuit.Circuit {
 	cur := c
 	for i := 0; i < 20; i++ { // fixed-point iteration with a hard cap
@@ -29,18 +32,20 @@ func isUGate(name string) bool {
 // A gate stream per qubit is interrupted by any multi-qubit gate, measure,
 // reset or barrier touching that qubit.
 func fuseOneQubitRuns(c *circuit.Circuit) *circuit.Circuit {
-	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
-	// pending[q] holds the accumulated matrix for qubit q, or nil.
-	pending := make([]*circuit.Matrix2, c.NumQubits)
+	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits,
+		Gates: slices.Grow([]circuit.Gate(nil), len(c.Gates))}
+	// pending[q] holds the accumulated matrix for qubit q when open[q].
+	pending := make([]circuit.Matrix2, c.NumQubits)
+	open := make([]bool, c.NumQubits)
 
 	flush := func(q int) {
-		if pending[q] == nil {
+		if !open[q] {
 			return
 		}
-		if g, ok := synthesizeU(q, *pending[q]); ok {
+		if g, ok := synthesizeU(q, pending[q]); ok {
 			out.Gates = append(out.Gates, g)
 		}
-		pending[q] = nil
+		open[q] = false
 	}
 	flushAll := func() {
 		for q := range pending {
@@ -52,11 +57,10 @@ func fuseOneQubitRuns(c *circuit.Circuit) *circuit.Circuit {
 		if isUGate(g.Name) && len(g.Qubits) == 1 {
 			q := g.Qubits[0]
 			m := g.MustMatrix1Q()
-			if pending[q] == nil {
-				pending[q] = &m
+			if !open[q] {
+				pending[q], open[q] = m, true
 			} else {
-				fused := mul2(m, *pending[q]) // later gate multiplies on the left
-				pending[q] = &fused
+				pending[q] = mul2(m, pending[q]) // later gate multiplies on the left
 			}
 			continue
 		}
@@ -67,7 +71,7 @@ func fuseOneQubitRuns(c *circuit.Circuit) *circuit.Circuit {
 				flush(q)
 			}
 		}
-		out.Gates = append(out.Gates, g.Copy())
+		out.Gates = append(out.Gates, g)
 	}
 	flushAll()
 	return out
@@ -76,7 +80,8 @@ func fuseOneQubitRuns(c *circuit.Circuit) *circuit.Circuit {
 // cancelCXPairs removes immediately adjacent identical cx gates (no
 // intervening gate on either qubit).
 func cancelCXPairs(c *circuit.Circuit) *circuit.Circuit {
-	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
+	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits,
+		Gates: slices.Grow([]circuit.Gate(nil), len(c.Gates))}
 	// lastCX[q] is the index in out.Gates of the trailing cx touching q,
 	// valid only if nothing touched q since.
 	lastCX := make([]int, c.NumQubits)
@@ -107,7 +112,7 @@ func cancelCXPairs(c *circuit.Circuit) *circuit.Circuit {
 					continue
 				}
 			}
-			out.Gates = append(out.Gates, g.Copy())
+			out.Gates = append(out.Gates, g)
 			lastCX[a] = len(out.Gates) - 1
 			lastCX[b] = len(out.Gates) - 1
 			continue
@@ -119,7 +124,7 @@ func cancelCXPairs(c *circuit.Circuit) *circuit.Circuit {
 		} else {
 			invalidate(g.Qubits)
 		}
-		out.Gates = append(out.Gates, g.Copy())
+		out.Gates = append(out.Gates, g)
 	}
 	return out
 }

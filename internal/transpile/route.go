@@ -1,147 +1,106 @@
 package transpile
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 
 	"qrio/internal/device"
 	"qrio/internal/quantum/circuit"
 )
 
-// route makes every two-qubit gate act on a coupling edge by inserting
-// swaps (emitted as cx triples). It implements a SABRE-lite heuristic:
-// candidate swaps are scored by the distance of the blocked gate plus a
-// discounted look-ahead over upcoming two-qubit gates. With
-// opts.NaiveRouting it instead walks the shortest path (ablation baseline).
-func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (*circuit.Circuit, []int, int, error) {
+// plan is what placement and routing decided for one (skeleton, coupling
+// map, Options). Plans are shared between calls and never modified.
+type plan struct {
+	layout  []int      // layout[l] is the physical qubit initially holding logical l
+	perfect bool       // the layout embeds the interaction graph
+	swaps   [][2]int32 // every routing swap in order; one per routing step
+	ends    []int32    // swaps[ends[k]:ends[k+1]] go before the k-th two-qubit gate
+}
+
+// DisconnectedError reports a two-qubit gate whose qubits the layout placed
+// in different components of a coupling map: no swaps can bring them
+// together.
+type DisconnectedError struct {
+	Device string
+	P, Q   int // the physical qubits
+}
+
+func (e *DisconnectedError) Error() string {
+	return fmt.Sprintf("transpile: qubits %d,%d disconnected on %s", e.P, e.Q, e.Device)
+}
+
+// twoQubit is the one test for "a gate routing must make adjacent": the
+// skeleton, the plan builder and replay all read it.
+func twoQubit(g circuit.Gate) bool { return g.IsUnitary() && len(g.Qubits) == 2 }
+
+// stepCap bounds the routing steps (swaps) spent on c.
+func stepCap(c *circuit.Circuit, b *device.Backend) int {
+	return 10 * (len(c.Gates) + 1) * (b.NumQubits + 1)
+}
+
+// swapped is where physical qubit v sits after swapping x and y.
+func swapped(v, x, y int) int {
+	switch v {
+	case x:
+		return y
+	case y:
+		return x
+	}
+	return v
+}
+
+// applySwap moves the logical qubits on x and y in the layout l2p.
+func applySwap(l2p []int, x, y int) {
+	for l, v := range l2p {
+		l2p[l] = swapped(v, x, y)
+	}
+}
+
+// route builds c's plan on b: a layout (chooseLayout), then, while a
+// two-qubit gate's qubits are not adjacent, a swap scored by a SABRE-lite
+// heuristic — the distance of the blocked gate plus a discounted look-ahead
+// over upcoming two-qubit gates. It reads only the skeleton of c, and it
+// emits no gates: replay does.
+func route(c *circuit.Circuit, b *device.Backend, opts Options) (*plan, error) {
 	dist, err := b.Coupling.DistanceMatrix()
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("transpile: device %s: %w", b.Name, err)
+		return nil, fmt.Errorf("transpile: device %s: %w", b.Name, err)
 	}
-	lookahead := opts.Lookahead
-	if lookahead <= 0 {
-		lookahead = 10
-	}
-
-	l2p := append([]int(nil), initial...)
-	p2l := make([]int, b.NumQubits)
-	for i := range p2l {
-		p2l[i] = -1
-	}
-	for l, p := range l2p {
-		p2l[p] = l
-	}
-
-	out := &circuit.Circuit{
-		Name:      c.Name,
-		NumQubits: b.NumQubits,
-		NumClbits: c.NumClbits,
-	}
-	swaps := 0
-
-	// Upcoming two-qubit gate pairs (logical), indexed per gate position,
-	// for the lookahead term.
-	type pair struct{ a, b int }
-	var future []pair
-	futureAt := make([]int, len(c.Gates)) // index into future for gate i
-	for i, g := range c.Gates {
-		futureAt[i] = len(future)
-		if g.IsUnitary() && len(g.Qubits) == 2 {
-			future = append(future, pair{g.Qubits[0], g.Qubits[1]})
+	layout, perfect := chooseLayout(c, b, opts)
+	p := &plan{layout: layout, perfect: perfect, ends: []int32{0}}
+	var pairs [][]int
+	for _, g := range c.Gates {
+		if twoQubit(g) {
+			pairs = append(pairs, g.Qubits)
 		}
 	}
-
-	applySwap := func(p, q int) {
-		out.Gates = append(out.Gates,
-			circuit.Gate{Name: circuit.GateCX, Qubits: []int{p, q}},
-			circuit.Gate{Name: circuit.GateCX, Qubits: []int{q, p}},
-			circuit.Gate{Name: circuit.GateCX, Qubits: []int{p, q}},
-		)
-		la, lb := p2l[p], p2l[q]
-		p2l[p], p2l[q] = lb, la
-		if la >= 0 {
-			l2p[la] = q
-		}
-		if lb >= 0 {
-			l2p[lb] = p
-		}
-		swaps++
-	}
-
-	maxSteps := 10 * (len(c.Gates) + 1) * (b.NumQubits + 1)
-	steps := 0
-
-	for gi, g := range c.Gates {
-		switch {
-		case g.Name == circuit.GateBarrier:
-			qs := make([]int, len(g.Qubits))
-			for i, q := range g.Qubits {
-				qs[i] = l2p[q]
+	l2p := append([]int(nil), layout...)
+	maxSteps := stepCap(c, b)
+	for k, g := range pairs {
+		for {
+			pa, pb := l2p[g[0]], l2p[g[1]]
+			if d := dist.At(pa, pb); d < 0 {
+				return nil, &DisconnectedError{Device: b.Name, P: pa, Q: pb}
+			} else if d <= 1 {
+				break
 			}
-			out.Gates = append(out.Gates, circuit.Gate{Name: circuit.GateBarrier, Qubits: qs})
-			continue
-		case g.Name == circuit.GateMeasure:
-			out.Gates = append(out.Gates, circuit.Gate{
-				Name: circuit.GateMeasure, Qubits: []int{l2p[g.Qubits[0]]},
-				Clbits: append([]int(nil), g.Clbits...),
-			})
-			continue
-		case g.Name == circuit.GateReset:
-			out.Gates = append(out.Gates, circuit.Gate{
-				Name: circuit.GateReset, Qubits: []int{l2p[g.Qubits[0]]}})
-			continue
-		case len(g.Qubits) == 1:
-			ng := g.Copy()
-			ng.Qubits[0] = l2p[g.Qubits[0]]
-			out.Gates = append(out.Gates, ng)
-			continue
-		case len(g.Qubits) != 2:
-			return nil, nil, 0, fmt.Errorf("transpile: %d-qubit gate %q survived decomposition", len(g.Qubits), g.Name)
-		}
-
-		a, bq := g.Qubits[0], g.Qubits[1]
-		for dist.At(l2p[a], l2p[bq]) > 1 {
-			steps++
-			if steps > maxSteps {
-				return nil, nil, 0, fmt.Errorf("transpile: routing failed to converge (device %s)", b.Name)
+			if len(p.swaps) >= maxSteps {
+				return nil, fmt.Errorf("transpile: routing failed to converge (device %s)", b.Name)
 			}
-			pa, pb := l2p[a], l2p[bq]
-			if opts.NaiveRouting {
-				path := b.Coupling.ShortestPath(pa, pb)
-				if len(path) < 2 {
-					return nil, nil, 0, fmt.Errorf("transpile: qubits %d,%d disconnected on %s", pa, pb, b.Name)
-				}
-				applySwap(path[0], path[1])
-				continue
-			}
-			// SABRE-lite: score every swap adjacent to either endpoint.
-			window := future[futureAt[gi]:]
-			if len(window) > lookahead {
-				window = window[:lookahead]
-			}
-			bestEdge := [2]int{-1, -1}
-			bestScore := 1e18
-			consider := func(p, q int) {
-				// Simulate the swap's effect on distances.
-				d := func(x int) int {
-					switch x {
-					case p:
-						return q
-					case q:
-						return p
-					}
-					return x
-				}
-				score := float64(dist.At(d(l2p[a]), d(l2p[bq])))
-				discount := 0.5
-				for k, f := range window {
-					if k == 0 {
-						continue // first window entry is the blocked gate itself
-					}
-					score += discount * float64(dist.At(d(l2p[f.a]), d(l2p[f.b]))) / float64(len(window))
+			// SABRE-lite: score every swap adjacent to either endpoint (they
+			// are connected, and apart) over a window of the next ten gates.
+			window := pairs[k:min(k+10, len(pairs))]
+			best, bestScore := [2]int{}, 1e18
+			consider := func(x, y int) {
+				score := float64(dist.At(swapped(pa, x, y), swapped(pb, x, y)))
+				for _, f := range window[1:] { // window[0] is the blocked gate itself
+					score += 0.5 * float64(dist.At(swapped(l2p[f[0]], x, y), swapped(l2p[f[1]], x, y))) / float64(len(window))
 				}
 				if score < bestScore-1e-12 {
-					bestScore = score
-					bestEdge = [2]int{p, q}
+					best, bestScore = [2]int{x, y}, score
 				}
 			}
 			for _, nb := range b.Coupling.Neighbors(pa) {
@@ -150,32 +109,131 @@ func route(c *circuit.Circuit, b *device.Backend, initial []int, opts Options) (
 			for _, nb := range b.Coupling.Neighbors(pb) {
 				consider(pb, nb)
 			}
-			if bestEdge[0] < 0 {
-				return nil, nil, 0, fmt.Errorf("transpile: no swap candidates on %s", b.Name)
-			}
 			// Guarantee progress: if the best swap does not reduce the
 			// blocked gate's distance, step along the shortest path.
-			cur := float64(dist.At(pa, pb))
-			d0 := func(x, p, q int) int {
-				switch x {
-				case p:
-					return q
-				case q:
-					return p
-				}
-				return x
-			}
-			after := dist.At(d0(pa, bestEdge[0], bestEdge[1]), d0(pb, bestEdge[0], bestEdge[1]))
-			if float64(after) >= cur {
+			if dist.At(swapped(pa, best[0], best[1]), swapped(pb, best[0], best[1])) >= dist.At(pa, pb) {
 				path := b.Coupling.ShortestPath(pa, pb)
-				bestEdge = [2]int{path[0], path[1]}
+				best = [2]int{path[0], path[1]}
 			}
-			applySwap(bestEdge[0], bestEdge[1])
+			p.swaps = append(p.swaps, [2]int32{int32(best[0]), int32(best[1])})
+			applySwap(l2p, best[0], best[1])
 		}
-		out.Gates = append(out.Gates, circuit.Gate{
-			Name: g.Name, Qubits: []int{l2p[a], l2p[bq]},
-			Params: append([]float64(nil), g.Params...),
-		})
+		p.ends = append(p.ends, int32(len(p.swaps)))
 	}
-	return out, l2p, swaps, nil
+	return p, nil
+}
+
+// replay emits c on b's physical qubits as the plan says: each gate
+// relabelled through the current layout, and before each two-qubit gate its
+// planned swaps as cx triples. It returns the routed circuit and the final
+// layout, and is the only code that emits routed gates. Every emitted
+// slice is fresh, so later stages own the gates and need not copy them.
+func (p *plan) replay(c *circuit.Circuit, b *device.Backend) (*circuit.Circuit, []int, error) {
+	if len(p.swaps) > stepCap(c, b) {
+		return nil, nil, fmt.Errorf("transpile: routing failed to converge (device %s)", b.Name)
+	}
+	l2p := append([]int(nil), p.layout...)
+	// One backing array holds every emitted gate's qubits.
+	n := 6 * len(p.swaps)
+	for _, g := range c.Gates {
+		n += len(g.Qubits)
+	}
+	qs := make([]int, 0, n)
+	take := func(k int) []int { return qs[len(qs)-k : len(qs) : len(qs)] }
+	out := &circuit.Circuit{Name: c.Name, NumQubits: b.NumQubits, NumClbits: c.NumClbits,
+		Gates: slices.Grow([]circuit.Gate(nil), len(c.Gates)+3*len(p.swaps))}
+	k := 0
+	for _, g := range c.Gates {
+		ng := circuit.Gate{Name: g.Name}
+		switch {
+		case g.Name == circuit.GateBarrier, g.Name == circuit.GateReset:
+		case g.Name == circuit.GateMeasure:
+			ng.Clbits = append([]int(nil), g.Clbits...)
+		case twoQubit(g):
+			for _, s := range p.swaps[p.ends[k]:p.ends[k+1]] {
+				x, y := int(s[0]), int(s[1])
+				for _, cx := range [3][2]int{{x, y}, {y, x}, {x, y}} {
+					qs = append(qs, cx[0], cx[1])
+					out.Gates = append(out.Gates, circuit.Gate{Name: circuit.GateCX, Qubits: take(2)})
+				}
+				applySwap(l2p, x, y)
+			}
+			k++
+			ng.Params = append([]float64(nil), g.Params...)
+		case len(g.Qubits) == 1:
+			ng.Params = append([]float64(nil), g.Params...)
+			ng.Clbits = append([]int(nil), g.Clbits...)
+		default:
+			return nil, nil, fmt.Errorf("transpile: %d-qubit gate %q survived decomposition", len(g.Qubits), g.Name)
+		}
+		if len(g.Qubits) > 0 {
+			for _, l := range g.Qubits {
+				qs = append(qs, l2p[l])
+			}
+			ng.Qubits = take(len(g.Qubits))
+		}
+		out.Gates = append(out.Gates, ng)
+	}
+	return out, l2p, nil
+}
+
+// planKey identifies a plan by everything placement and routing read.
+type planKey struct {
+	opts     Options
+	coupling [sha256.Size]byte // the coupling map's graph.Digest
+	skeleton string            // see appendSkeleton
+}
+
+// appendSkeleton appends c's two-qubit skeleton to buf: the register size,
+// then each two-qubit gate's (a, b) in order, as uvarints.
+func appendSkeleton(buf []byte, c *circuit.Circuit) []byte {
+	buf = binary.AppendUvarint(buf, uint64(c.NumQubits))
+	for _, g := range c.Gates {
+		if twoQubit(g) {
+			buf = binary.AppendUvarint(buf, uint64(g.Qubits[0]))
+			buf = binary.AppendUvarint(buf, uint64(g.Qubits[1]))
+		}
+	}
+	return buf
+}
+
+// maxPlans bounds the memo, which is emptied when full. A canary's plan is
+// a few hundred bytes, so a full memo is about a megabyte; a cold sweep of
+// the 100-device fleet needs 100 plans, the steady-warm families about a
+// thousand.
+const maxPlans = 4096
+
+// plans memoises route plans across calls and goroutines. No result depends
+// on what it holds, so one memo serves the process. Errors are never stored.
+var plans = struct {
+	sync.Mutex
+	m map[planKey]*plan
+}{m: make(map[planKey]*plan)}
+
+// planFor returns c's plan on b, from the memo or built and memoised.
+func planFor(c *circuit.Circuit, b *device.Backend, opts Options) (*plan, error) {
+	var buf [128]byte
+	skel := appendSkeleton(buf[:0], c)
+	digest := b.Coupling.Digest()
+	plans.Lock()
+	p := plans.m[planKey{opts, digest, string(skel)}] // a lookup builds no string
+	plans.Unlock()
+	if p == nil {
+		var err error
+		if p, err = route(c, b, opts); err != nil {
+			return nil, err
+		}
+		memoise(planKey{opts, digest, string(skel)}, p)
+	}
+	return p, nil
+}
+
+// memoise stores a plan, emptying a full memo first.
+func memoise(k planKey, p *plan) {
+	plans.Lock()
+	defer plans.Unlock()
+	if len(plans.m) >= maxPlans {
+		clear(plans.m)
+	}
+	plans.m[k] = p
 }

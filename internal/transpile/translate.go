@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"qrio/internal/quantum/circuit"
 )
 
 // translate rewrites every one-qubit gate into the device basis
 // {u1, u2, u3} (cx passes through), choosing the cheapest form: u1 for
-// phase-only gates, u2 for θ=π/2, u3 otherwise.
+// phase-only gates, u2 for θ=π/2, u3 otherwise. Gates already in the basis
+// move over as they are: replay emitted them for this pipeline alone.
 func translate(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
+	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits,
+		Gates: slices.Grow([]circuit.Gate(nil), len(c.Gates))}
 	for _, g := range c.Gates {
 		switch g.Name {
 		case circuit.GateCX, circuit.GateMeasure, circuit.GateBarrier, circuit.GateReset,
 			circuit.GateU1, circuit.GateU2, circuit.GateU3:
-			out.Gates = append(out.Gates, g.Copy())
+			out.Gates = append(out.Gates, g)
 			continue
 		case circuit.GateID:
 			continue

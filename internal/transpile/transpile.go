@@ -3,10 +3,19 @@
 // the paper attributes to the Qiskit transpiler (§2.3): gate decomposition,
 // placement on physical qubits, routing on the restricted topology,
 // translation to basis gates, and physical-circuit optimisation.
+//
+// Placement and routing read only the circuit's two-qubit skeleton (its
+// register size and the ordered pairs of its two-qubit gates), the coupling
+// graph and the Options — never an error rate. So route builds a plan (the
+// layout and the swaps before each two-qubit gate) once per (skeleton,
+// coupling digest, Options), kept in a bounded memo, and replay is the one
+// code path that emits routed gates. Canary members share a skeleton, and a
+// recalibrated backend keeps its coupling map, so they share plans.
 package transpile
 
 import (
 	"fmt"
+	"slices"
 
 	"qrio/internal/device"
 	"qrio/internal/quantum/circuit"
@@ -14,19 +23,11 @@ import (
 
 // Options tunes the pipeline. The zero value gives the default pipeline.
 type Options struct {
-	// Lookahead is the routing heuristic's window of upcoming 2-qubit
-	// gates (0 means the default of 10).
-	Lookahead int
 	// DisableVF2Layout skips the perfect-embedding layout search
 	// (ablation: greedy placement only).
 	DisableVF2Layout bool
-	// NaiveRouting replaces the SABRE-lite heuristic with plain
-	// shortest-path swapping (ablation baseline).
-	NaiveRouting bool
 	// SkipOptimize disables the peephole optimisation stage.
 	SkipOptimize bool
-	// VF2MaxVisits caps the embedding search (0 = package default).
-	VF2MaxVisits int
 }
 
 // Result is a transpiled circuit plus its qubit mappings.
@@ -62,14 +63,20 @@ func Transpile(c *circuit.Circuit, b *device.Backend, opts Options) (*Result, er
 			b.Name, b.BasisGates)
 	}
 
-	// Stage 1-2: virtual optimisation + 3+ qubit gate decomposition.
-	flat := c.Decompose()
+	// Stage 1-2: 3+ qubit gate decomposition, when some gate needs it (the
+	// stages below only read c, so a flat c is not copied).
+	flat := c
+	if slices.ContainsFunc(c.Gates, circuit.Gate.Decomposes) {
+		flat = c.Decompose()
+	}
 
-	// Stage 3: placement on physical qubits.
-	layout, perfect := chooseLayout(flat, b, opts)
-
-	// Stage 4: routing on the restricted topology.
-	routed, finalLayout, swaps, err := route(flat, b, layout, opts)
+	// Stages 3-4: placement and routing, planned once per skeleton and
+	// coupling map, replayed here.
+	p, err := planFor(flat, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	routed, finalLayout, err := p.replay(flat, b)
 	if err != nil {
 		return nil, err
 	}
@@ -89,20 +96,16 @@ func Transpile(c *circuit.Circuit, b *device.Backend, opts Options) (*Result, er
 	}
 	return &Result{
 		Circuit:       translated,
-		InitialLayout: layout,
+		InitialLayout: slices.Clone(p.layout),
 		FinalLayout:   finalLayout,
-		AddedSwaps:    swaps,
-		PerfectLayout: perfect,
+		AddedSwaps:    len(p.swaps),
+		PerfectLayout: p.perfect,
 	}, nil
 }
 
 func supportsBasis(b *device.Backend) bool {
-	have := map[string]bool{}
-	for _, g := range b.BasisGates {
-		have[g] = true
-	}
-	for _, want := range []string{"u1", "u2", "u3", "cx"} {
-		if !have[want] {
+	for _, want := range [...]string{"u1", "u2", "u3", "cx"} {
+		if !slices.Contains(b.BasisGates, want) {
 			return false
 		}
 	}

@@ -157,9 +157,8 @@ func TestRandomCircuitsOnRandomDevices(t *testing.T) {
 	optVariants := []transpile.Options{
 		{},
 		{DisableVF2Layout: true},
-		{NaiveRouting: true},
 		{SkipOptimize: true},
-		{DisableVF2Layout: true, NaiveRouting: true, SkipOptimize: true},
+		{DisableVF2Layout: true, SkipOptimize: true},
 	}
 	for trial := 0; trial < 12; trial++ {
 		n := 3 + rng.Intn(3)
