@@ -17,10 +17,12 @@ GO ?= go
 # and the execution engine's two — NoisyStatevecShots (eight jobs' shots of
 # each steady-warm family on the dense engine, 0.1–2 ms a job) and
 # ExecuteDense (one fidelity.Execute of each family, ~1 ms a job) — which
-# guard what steady-warm's run stage pays. The committed baseline MUST be
-# produced with the same settings (make bench-json does) so medians compare
-# apples-to-apples.
-GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot
+# guard what steady-warm's run stage pays. SubmitIntake (the six
+# steady-warm families plus a topology job through gateway.Server.Submit,
+# ~0.1 ms an op) guards what a job pays before it exists. The committed
+# baseline MUST be produced with the same settings (make bench-json does)
+# so medians compare apples-to-apples.
+GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot|BenchmarkSubmitIntake
 GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense
 # The gateway's rate-limiter fast path is guarded from its own package
 # (the limiter is internal); benchcompare keys on benchmark name, so its

@@ -946,6 +946,60 @@ func BenchmarkExecuteDense(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitIntake measures what a job pays before it exists: one op
+// is gateway.Server.Submit of each `steady-warm` family plus one topology
+// job, under fresh names, into an unstarted in-memory deployment of the
+// default 100-device fleet — validation, width check, admission, Meta
+// upload, containerisation and the store write, with no scheduler or
+// kubelet running. Its allocs/op catch a parse, a lexer map or a fleet copy
+// coming back.
+func BenchmarkSubmitIntake(b *testing.B) {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := qrio.New(qrio.Config{Backends: fleet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gw := qrio.NewGateway(q)
+	lib, err := simload.DefaultLibrary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := qasm.Dump(mapomatic.TopologyCircuit(graph.Line(4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []master.SubmitRequest
+	for _, name := range []string{"ghz", "hsp", "rep", "qft", "grover", "circ"} {
+		fam := lib[name]
+		reqs = append(reqs, master.SubmitRequest{
+			QASM: fam.QASM, Shots: fam.Shots, CPUMillis: 250, MemoryMB: 128,
+			Requirements: api.DeviceRequirements{MinQubits: fam.MinQubits},
+			Strategy:     api.StrategyFidelity, TargetFidelity: 1,
+		})
+	}
+	reqs = append(reqs, master.SubmitRequest{
+		QASM: lib["ghz"].QASM, Shots: 512, CPUMillis: 250, MemoryMB: 128,
+		Strategy: api.StrategyTopology, TopologyQASM: topo,
+	})
+	submit := func(i int) {
+		for j, req := range reqs {
+			req.JobName = fmt.Sprintf("intake-%d-%d", i, j)
+			if _, err := gw.Submit(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	submit(-1) // untimed: the first submission of each text
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(i)
+	}
+}
+
 // BenchmarkStatevec16Q measures dense simulation: a 16-qubit GHZ shot.
 func BenchmarkStatevec16Q(b *testing.B) {
 	c := workload.GHZ(16)

@@ -7,9 +7,11 @@
 package controller
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"qrio/internal/clock"
@@ -190,23 +192,67 @@ func (c *Controller) retry(j api.QuantumJob) {
 	})
 }
 
-// gcEvents trims the event log to MaxEvents, dropping the oldest.
+// gcEvents trims the event log to MaxEvents, dropping the oldest by
+// (Time, creation sequence). Once the log is full this runs every pass to
+// drop the few events recorded since, so it walks the log in place and
+// keeps only the k oldest in a bounded heap: the log is neither listed
+// (a deep copy) nor sorted.
 func (c *Controller) gcEvents() {
 	cap := c.MaxEvents
 	if cap <= 0 {
 		cap = 2048
 	}
-	// Len is a cheap shard-count sum; the full List (one deep copy of the
-	// event log) only happens on the rare passes that actually trim.
-	if c.State.Events.Len() <= cap {
+	k := c.State.Events.Len() - cap
+	if k <= 0 {
 		return
 	}
-	events := c.State.Events.List()
-	if len(events) <= cap {
-		return
+	oldest := make(eventHeap, 0, k)
+	c.State.Events.Range(func(e api.Event, _ int64) bool {
+		key := eventKey{e.Time, e.Name}
+		if len(oldest) < k {
+			heap.Push(&oldest, key)
+		} else if key.before(oldest[0]) {
+			oldest[0] = key
+			heap.Fix(&oldest, 0)
+		}
+		return true
+	})
+	for _, e := range oldest {
+		c.State.Events.Delete(e.name)
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
-	for _, e := range events[:len(events)-cap] {
-		c.State.Events.Delete(e.Name)
+}
+
+// eventKey orders events for trimming: by time, then by the sequence number
+// their name was minted with, so events recorded within one clock tick go
+// in creation order.
+type eventKey struct {
+	time time.Time
+	name string
+}
+
+func (a eventKey) before(b eventKey) bool {
+	if a.time.Equal(b.time) {
+		return eventSeq(a.name) < eventSeq(b.name)
 	}
+	return a.time.Before(b.time)
+}
+
+// eventSeq reads the counter out of an event's name. State.NextUID mints
+// every one as "event-<n>", so the parse cannot fail.
+func eventSeq(name string) int64 {
+	n, _ := strconv.ParseInt(name[strings.LastIndexByte(name, '-')+1:], 10, 64)
+	return n
+}
+
+// eventHeap is a max-heap: its root is the newest of the events kept.
+type eventHeap []eventKey
+
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return h[j].before(h[i]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(eventKey)) }
+func (h *eventHeap) Pop() any {
+	x := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return x
 }

@@ -301,3 +301,48 @@ func TestEventGC(t *testing.T) {
 		t.Fatalf("events not trimmed: %d", got)
 	}
 }
+
+// TestEventGCDropsExactlyTheOldest: a log at cap + 3 loses exactly its three
+// oldest events by timestamp, whatever order they were recorded in, and
+// among equal timestamps (a virtual clock) the lowest sequence goes first.
+func TestEventGCDropsExactlyTheOldest(t *testing.T) {
+	const cap = 8
+	// offsets[i] is the i-th recorded event's time; the three earliest are
+	// e3, e6 and e9, not the three recorded first.
+	offsets := []int{5, 7, 4, 0, 9, 8, 1, 10, 6, 2, 3}
+	for _, tc := range []struct {
+		name    string
+		tick    time.Duration
+		dropped []string
+	}{
+		{"distinct times", time.Second, []string{"e3", "e6", "e9"}},
+		{"one clock tick", 0, []string{"e0", "e1", "e2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := state.New()
+			base := time.Unix(1_700_000_000, 0)
+			clk := &fakeClock{now: base}
+			st.Clock = clk
+			c := New(st)
+			c.Clock = clk
+			c.MaxEvents = cap
+			for i, off := range offsets {
+				clk.now = base.Add(time.Duration(off) * tc.tick)
+				st.RecordEvent("Job", fmt.Sprintf("e%d", i), "Test", "spam")
+			}
+			c.gcEvents()
+			kept := map[string]bool{}
+			for _, e := range st.Events.List() {
+				kept[e.About] = true
+			}
+			if len(kept) != cap {
+				t.Fatalf("%d events kept, want %d", len(kept), cap)
+			}
+			for _, about := range tc.dropped {
+				if kept[about] {
+					t.Errorf("%s kept; want %v dropped", about, tc.dropped)
+				}
+			}
+		})
+	}
+}

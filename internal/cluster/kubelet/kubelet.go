@@ -402,10 +402,11 @@ func (k *Kubelet) execute(ctx context.Context, j api.QuantumJob) ([]string, *fid
 		shots = 1024
 	}
 
-	circ, err := qasm.Parse(string(qasmSrc))
+	parsed, err := qasm.ParseShared(string(qasmSrc))
 	if err != nil {
 		return logs, nil, fmt.Errorf("bundled circuit does not parse: %w", err)
 	}
+	circ := *parsed // shared with every job of this text: rename a copy
 	circ.Name = j.Name
 
 	backend, err := k.State.Backend(k.NodeName)
@@ -419,7 +420,7 @@ func (k *Kubelet) execute(ctx context.Context, j api.QuantumJob) ([]string, *fid
 		return logs, nil, err
 	}
 	est := fidelity.Estimator{Shots: shots, Seed: k.Seed + jobSeed(j)}
-	ex, err := est.Execute(circ, backend)
+	ex, err := est.Execute(&circ, backend)
 	if err != nil {
 		return logs, nil, err
 	}

@@ -1,17 +1,21 @@
 package kubelet_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/kubelet"
 	"qrio/internal/cluster/state"
 	"qrio/internal/device"
+	"qrio/internal/fidelity"
 	"qrio/internal/graph"
 	"qrio/internal/master"
 	"qrio/internal/obs"
+	"qrio/internal/quantum/qasm"
 	"qrio/internal/registry"
 )
 
@@ -287,5 +291,84 @@ func TestExecutionSeedFollowsTheJob(t *testing.T) {
 		if !reflect.DeepEqual(first[name], second[name]) {
 			t.Fatalf("job %s did not reproduce its own counts:\n%v\n%v", name, first[name], second[name])
 		}
+	}
+}
+
+// TestSharedCircuitStaysUnmodified: the kubelet executes the circuit
+// qasm.ParseShared hands every job of one text, and Meta prepares canaries
+// from the same one. Four jobs running at once on one node, beside four
+// canary preparations, must leave it equal to a fresh parse (and, under
+// -race, must only read it).
+func TestSharedCircuitStaysUnmodified(t *testing.T) {
+	// A 4-qubit ring on a line: routing inserts swaps, and measure is
+	// present, so Execute passes the shared circuit itself to transpile.
+	const src = `OPENQASM 2.0;
+// shared circuit stays unmodified
+qreg q[4];
+creg c[4];
+h q[0];
+cx q[0],q[1];
+cx q[1],q[2];
+cx q[2],q[3];
+cx q[3],q[0];
+rz(0.3) q[2];
+measure q -> c;
+`
+	st := state.New()
+	b, err := device.UniformBackend("wide", graph.Line(6), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddNode(b); err != nil {
+		t.Fatal(err)
+	}
+	st.Nodes.Update("wide", func(n api.Node) (api.Node, error) {
+		n.Spec.MaxContainers = 4
+		return n, nil
+	})
+	reg := registry.New()
+	m := master.NewServer(st, reg)
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("ring-%d", i)
+		if _, err := m.Submit(master.SubmitRequest{
+			JobName: name, QASM: src, Shots: 256,
+			Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.BindJob(name, "wide", 0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared, err := qasm.ParseShared(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := (fidelity.Estimator{Shots: 256, Seed: int64(i)}).PrepareCanaries(shared); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	if !kubelet.New("wide", st, reg, 5).SyncOnce() {
+		t.Fatal("kubelet did not run the bound jobs")
+	}
+	wg.Wait()
+	for i := 0; i < 4; i++ {
+		j, _, _ := st.Jobs.Get(fmt.Sprintf("ring-%d", i))
+		if j.Status.Phase != api.JobSucceeded {
+			t.Fatalf("%s phase = %s (%s)", j.Name, j.Status.Phase, j.Status.Message)
+		}
+	}
+	fresh, err := qasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := qasm.ParseShared(src); again != shared || !reflect.DeepEqual(shared, fresh) {
+		t.Fatalf("the shared circuit changed under its readers:\nshared %+v\nfresh  %+v", shared, fresh)
 	}
 }

@@ -215,11 +215,9 @@ func staticFilters() []sched.FilterPlugin {
 // including the circuit-derived qubit demand the Master Server will later
 // impose (a 40-qubit circuit is never schedulable on a 27-qubit fleet
 // even with no explicit MinQubits). minQubits carries that derived width.
+// It stops at the first node that passes, copying none; only a rejection
+// lists the fleet, to say why each node refused.
 func (s *Server) checkSchedulable(req master.SubmitRequest, minQubits int) error {
-	nodes := s.Core.State.Nodes.List()
-	if len(nodes) == 0 {
-		return nil // an empty fleet queues jobs until vendors register
-	}
 	reqs := req.Requirements
 	reqs.MinQubits = minQubits
 	probe := api.QuantumJob{
@@ -227,8 +225,17 @@ func (s *Server) checkSchedulable(req master.SubmitRequest, minQubits int) error
 		Spec:       api.JobSpec{Requirements: reqs},
 	}
 	fw := sched.Framework{Filters: staticFilters()}
-	feasible, rejected := fw.FilterNodes(probe, nodes)
-	if len(feasible) == 0 {
+	fits := false
+	s.Core.State.Nodes.Range(func(n api.Node, _ int64) bool {
+		fits = fw.Reject(probe, n) == ""
+		return !fits
+	})
+	if fits {
+		return nil
+	}
+	// An empty fleet rejects nothing: it queues jobs until vendors register.
+	feasible, rejected := fw.FilterNodes(probe, s.Core.State.Nodes.List())
+	if len(feasible) == 0 && len(rejected) > 0 {
 		return &sched.UnschedulableError{Job: req.JobName, Rejected: rejected}
 	}
 	return nil
@@ -262,7 +269,7 @@ func (s *Server) Submit(req master.SubmitRequest) (api.QuantumJob, error) {
 	// the quota accounting. Unparseable QASM is left for the Master
 	// Server's intake, which rejects it with the invalid code.
 	minQubits := req.Requirements.MinQubits
-	if circ, err := qasm.Parse(req.QASM); err == nil && minQubits < circ.NumQubits {
+	if circ, err := qasm.ParseShared(req.QASM); err == nil && minQubits < circ.NumQubits {
 		minQubits = circ.NumQubits
 	}
 	if err := s.checkSchedulable(req, minQubits); err != nil {

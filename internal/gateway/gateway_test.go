@@ -70,7 +70,7 @@ func ghzReq(name string) client.SubmitRequest {
 // requirements → 422 unschedulable — all machine-readable through the
 // client's error helpers.
 func TestErrorModel(t *testing.T) {
-	c, _ := deploy(t, twoNodeFleet(t), nil)
+	c, q := deploy(t, twoNodeFleet(t), nil)
 	ctx := context.Background()
 
 	if _, err := c.Submit(ctx, ghzReq("dup")); err != nil {
@@ -143,6 +143,16 @@ func TestErrorModel(t *testing.T) {
 	}
 	if _, err = c.Cancel(ctx, "dup"); !client.IsConflict(err) {
 		t.Fatalf("cancel terminal job: want conflict, got %v", err)
+	}
+
+	// An empty fleet rejects nothing: jobs queue until vendors register.
+	for _, n := range []string{"good", "bad"} {
+		if err := q.State.Nodes.Delete(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err = c.Submit(ctx, impossible); err != nil {
+		t.Fatalf("impossible requirements on an empty fleet: want queued, got %v", err)
 	}
 }
 

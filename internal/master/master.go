@@ -115,12 +115,12 @@ func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 	if _, _, err := s.State.Jobs.Get(req.JobName); err == nil {
 		return api.QuantumJob{}, fmt.Errorf("master: %w", store.ErrExists{Name: req.JobName})
 	}
-	circ, err := qasm.Parse(req.QASM)
+	circ, err := qasm.ParseShared(req.QASM)
 	if err != nil {
 		return api.QuantumJob{}, fmt.Errorf("master: job %s circuit rejected: %w", req.JobName, err)
 	}
 	if req.Strategy == api.StrategyTopology {
-		if _, err := qasm.Parse(req.TopologyQASM); err != nil {
+		if _, err := qasm.ParseShared(req.TopologyQASM); err != nil {
 			return api.QuantumJob{}, fmt.Errorf("master: job %s topology rejected: %w", req.JobName, err)
 		}
 	}

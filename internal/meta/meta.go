@@ -395,7 +395,7 @@ func (s *Server) canaries(fingerprint, circuitQASM string) (*fidelity.Canaries, 
 		// Pre-set, as in cached: a panic spends the Once, and scorers
 		// arriving later must find an error, not a nil ensemble.
 		p.err = fmt.Errorf("meta: preparing canaries panicked")
-		c, err := qasm.Parse(circuitQASM)
+		c, err := qasm.ParseShared(circuitQASM)
 		if err != nil {
 			p.err = err
 			return
@@ -442,12 +442,12 @@ func (s *Server) PutJobMeta(m JobMeta) error {
 	}
 	// The QASM payloads must parse — reject garbage at the door.
 	if m.CircuitQASM != "" {
-		if _, err := qasm.Parse(m.CircuitQASM); err != nil {
+		if _, err := qasm.ParseShared(m.CircuitQASM); err != nil {
 			return fmt.Errorf("meta: job %s circuit does not parse: %w", m.JobName, err)
 		}
 	}
 	if m.TopologyQASM != "" {
-		if _, err := qasm.Parse(m.TopologyQASM); err != nil {
+		if _, err := qasm.ParseShared(m.TopologyQASM); err != nil {
 			return fmt.Errorf("meta: job %s topology does not parse: %w", m.JobName, err)
 		}
 	}
@@ -533,7 +533,7 @@ func (s *Server) fidelityScore(j job, reg backend) (float64, error) {
 // calibration generation).
 func (s *Server) topologyScore(j job, reg backend) (float64, error) {
 	cost, err := s.cached(j.fingerprint, reg, func() (float64, error) {
-		tc, err := qasm.Parse(j.meta.TopologyQASM)
+		tc, err := qasm.ParseShared(j.meta.TopologyQASM)
 		if err != nil {
 			return 0, err
 		}

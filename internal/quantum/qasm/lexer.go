@@ -121,15 +121,18 @@ scan:
 		return token{tokArrow, "->", l.line}, nil
 	}
 	l.pos++
-	simple := map[byte]tokenKind{
-		'[': tokLBracket, ']': tokRBracket, '(': tokLParen, ')': tokRParen,
-		'{': tokLBrace, '}': tokRBrace, ';': tokSemi, ',': tokComma,
-		'+': tokPlus, '-': tokMinus, '*': tokStar, '/': tokSlash, '^': tokCaret,
-	}
-	if k, ok := simple[ch]; ok {
-		return token{k, string(ch), l.line}, nil
+	if k := punct[ch]; k != tokEOF {
+		return token{k, l.src[start:l.pos], l.line}, nil
 	}
 	return token{}, l.error("unexpected character %q", string(ch))
+}
+
+// punct is the kind of every one-character token; tokEOF marks the bytes
+// that are not one.
+var punct = [256]tokenKind{
+	'[': tokLBracket, ']': tokRBracket, '(': tokLParen, ')': tokRParen,
+	'{': tokLBrace, '}': tokRBrace, ';': tokSemi, ',': tokComma,
+	'+': tokPlus, '-': tokMinus, '*': tokStar, '/': tokSlash, '^': tokCaret,
 }
 
 func isIdentChar(c byte) bool {
@@ -150,18 +153,4 @@ func tokenize(src string) ([]token, error) {
 			return toks, nil
 		}
 	}
-}
-
-// ValidIdent reports whether s is a valid QASM identifier; the writer uses
-// it to guard register names.
-func ValidIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isIdentChar(s[i]) {
-			return false
-		}
-	}
-	return !unicode.IsDigit(rune(s[0]))
 }

@@ -3,14 +3,19 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"qrio/internal/quantum/circuit"
 )
+
+// parses counts Parse calls, so tests can hold a path to its parse budget.
+var parses atomic.Int64
 
 // Parse reads OpenQASM 2.0 source and returns the flattened circuit.
 // All quantum registers are concatenated into one logical qubit space in
 // declaration order, and likewise for classical registers.
 func Parse(src string) (*circuit.Circuit, error) {
+	parses.Add(1)
 	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err

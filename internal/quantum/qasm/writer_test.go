@@ -96,16 +96,6 @@ func TestDumpIdempotent(t *testing.T) {
 	}
 }
 
-func TestValidIdent(t *testing.T) {
-	for ident, want := range map[string]bool{
-		"q": true, "my_reg2": true, "": false, "2q": false, "a-b": false,
-	} {
-		if got := ValidIdent(ident); got != want {
-			t.Errorf("ValidIdent(%q) = %v, want %v", ident, got, want)
-		}
-	}
-}
-
 func TestLexerScientificAndStrings(t *testing.T) {
 	src := `OPENQASM 2.0;
 qreg q[2];

@@ -116,20 +116,25 @@ func (f *Framework) FilterNodes(job api.QuantumJob, nodes []api.Node) ([]api.Nod
 	feasible := make([]api.Node, 0, len(nodes))
 	rejected := make(map[string]string)
 	for _, n := range nodes {
-		ok := true
-		for _, p := range f.Filters {
-			if pass, reason := p.Filter(job, n); !pass {
-				rejected[n.Name] = fmt.Sprintf("%s: %s", p.Name(), reason)
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if why := f.Reject(job, n); why != "" {
+			rejected[n.Name] = why
+		} else {
 			feasible = append(feasible, n)
 		}
 	}
 	sort.Slice(feasible, func(i, j int) bool { return feasible[i].Name < feasible[j].Name })
 	return feasible, rejected
+}
+
+// Reject returns the reason the first failing plugin gives for node n, or
+// "" when n passes every filter.
+func (f *Framework) Reject(job api.QuantumJob, n api.Node) string {
+	for _, p := range f.Filters {
+		if pass, reason := p.Filter(job, n); !pass {
+			return fmt.Sprintf("%s: %s", p.Name(), reason)
+		}
+	}
+	return ""
 }
 
 // Select runs the full pipeline and returns the chosen node.
