@@ -52,7 +52,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -65,6 +65,13 @@ vet:
 # fmt fails when any file needs reformatting (CI), and prints the offenders.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints the code-size figure ROADMAP quotes: lines (as wc -l counts
+# them) of non-test Go outside bench/, over tracked and untracked,
+# non-ignored files. Report only, no gate.
+loc:
+	@n="$$(git ls-files --cached --others --exclude-standard -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs cat | wc -l)"; \
+	echo "loc: $$n lines of non-test Go outside bench/"
 
 # lint runs staticcheck when it is installed (CI installs it; local runs
 # without it skip with a note instead of failing).
@@ -117,6 +124,20 @@ lint-sync:
 	@out="$$(grep -rnE '\.NoWait\(\)' --include='*.go' --exclude='*_test.go' internal cmd client *.go \
 		| grep -vE '^internal/cluster/(state|store)/' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-sync: only internal/cluster/state may write ahead of the disk (store.NoWait); everyone else waits on return:"; echo "$$out"; exit 1; fi
+
+# lint-bind enforces the one-placement-loop rule: state.Cluster.BindJobAt
+# (and its BindJob wrapper) is called only by the embedded scheduler's
+# Dispatch (Scheduler.bind in internal/sched/scheduler.go), by the
+# POST /v1/bind handler a remote replica's Dispatch drives
+# (internal/gateway/bind.go) and by the state layer itself — so no second
+# filter/score/bind loop can grow beside Dispatch unnoticed. Tests and
+# bench/ are exempt (they stage bound jobs directly). Finding no call at
+# all means the grep is miswired, not that the code is clean.
+lint-bind:
+	@all="$$(grep -rnE '\.BindJob(At)?\(' --include='*.go' --exclude='*_test.go' internal cmd client examples *.go || true)"; \
+	if [ -z "$$all" ]; then echo "lint-bind: found no BindJobAt call — audit miswired"; exit 1; fi; \
+	out="$$(echo "$$all" | grep -vE '^(internal/sched/scheduler\.go|internal/gateway/bind\.go|internal/cluster/state/[^:]+\.go):' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-bind: place jobs through sched.Dispatch (Scheduler.bind or POST /v1/bind), not beside it:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -272,4 +293,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke

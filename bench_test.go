@@ -173,13 +173,11 @@ func BenchmarkFig5EndToEnd(b *testing.B) {
 
 // BenchmarkSubmitThroughput measures multi-job dispatch on the full
 // 100-device fleet: a burst of same-circuit jobs through the complete
-// control plane. Three configurations: conc=1/nocache is the seed's
-// serial path (one job per pass, every job re-simulates the fleet sweep);
-// conc=1 adds the Meta-Server score cache; conc=8 adds batched dispatch,
-// parallel ranking and multi-container nodes on top. jobs/s is the
-// headline metric; the conc=8 vs conc=1/nocache gap is what this
-// pipeline buys (on multi-core hosts conc=8 also beats conc=1, since the
-// first fleet sweep itself parallelises).
+// control plane. Three configurations: conc=1/nocache binds one job per
+// pass and every job re-simulates the fleet sweep; conc=1 adds the
+// Meta-Server score cache; conc=8 adds an eight-job bind budget and
+// multi-container nodes on top. jobs/s is the headline metric; the
+// conc=8 vs conc=1/nocache gap is what this pipeline buys.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
 	if err != nil {
@@ -190,13 +188,12 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	const jobs = 16
-	run := func(b *testing.B, conc, nodeConc, scoreWorkers int, noCache bool) {
+	run := func(b *testing.B, conc, nodeConc int, noCache bool) {
 		for i := 0; i < b.N; i++ {
 			q, err := qrio.New(qrio.Config{
 				Backends:        fleet,
 				Concurrency:     conc,
 				NodeConcurrency: nodeConc,
-				ScoreWorkers:    scoreWorkers,
 				KubeletSeed:     int64(i),
 				Meta: meta.Options{
 					Estimator:         fidelity.Estimator{Shots: 640, Seed: 1},
@@ -231,9 +228,9 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
-	b.Run("conc=1/nocache", func(b *testing.B) { run(b, 1, 1, 1, true) })
-	b.Run("conc=1", func(b *testing.B) { run(b, 1, 1, 1, false) })
-	b.Run("conc=8", func(b *testing.B) { run(b, 8, 4, 0, false) })
+	b.Run("conc=1/nocache", func(b *testing.B) { run(b, 1, 1, true) })
+	b.Run("conc=1", func(b *testing.B) { run(b, 1, 1, false) })
+	b.Run("conc=8", func(b *testing.B) { run(b, 8, 4, false) })
 }
 
 // BenchmarkSchedulePassWithHistory isolates the scheduler's hot path as
@@ -1263,11 +1260,11 @@ func BenchmarkReplayBoot(b *testing.B) {
 // replicatedBindScorer prices ranking the way production does: each
 // (job, node) score is a Meta Server round trip — a fixed modelled RTT —
 // plus a cheap analytic estimate from the device's calibration data.
-// The paper's serial scheduler is therefore RTT-bound, which is exactly
-// the bottleneck scheduler replication buys back: replicas overlap their
-// scoring waits, so aggregate bound-jobs/s scales with the replica count
-// at every -cpu level (the wait, not the core, is the scarce resource).
-// Lower is better (LowestScore picker): the score is a pseudo-infidelity.
+// A scheduler is therefore RTT-bound, which is exactly the bottleneck
+// scheduler replication buys back: replicas overlap their scoring waits,
+// so aggregate bound-jobs/s scales with the replica count at every -cpu
+// level (the wait, not the core, is the scarce resource). Lower is better:
+// the score is a pseudo-infidelity.
 type replicatedBindScorer struct {
 	rtt  time.Duration
 	devs map[string]*device.Backend
@@ -1290,7 +1287,7 @@ func (s replicatedBindScorer) Score(_ api.QuantumJob, n api.Node) (float64, erro
 }
 
 // BenchmarkReplicatedBind measures scheduler scale-out: R in-process
-// replicas — each the paper's serial scheduler (one ranking thread) owning
+// replicas — each binding one job per pass (the default budget) and owning
 // a hash(job) mod R shard of one pending queue, binding with optimistic
 // version-conditional CAS — drain a wave together. Aggregate bound-jobs/s
 // is the scale-out curve; run with -cpu 1,4,8 to confirm the scaling is

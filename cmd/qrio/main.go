@@ -16,7 +16,7 @@
 // Usage:
 //
 //	qrio [-addr :8080] [-fleet fleet.json] [-small] [-concurrency N]
-//	     [-scheduler=false] [-node-concurrency N] [-score-workers N]
+//	     [-scheduler=false] [-node-concurrency N]
 //	     [-tenant-weights a=3,b=1] [-quota-pending N] [-quota-active N]
 //	     [-quota-qubit-seconds F]
 //	     [-rate-limit F] [-rate-burst N] [-max-in-flight N]
@@ -70,10 +70,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	fleetPath := flag.String("fleet", "", "JSON fleet file (default: generate the Table 2 fleet)")
 	small := flag.Bool("small", false, "generate a reduced 30-device fleet")
-	concurrency := flag.Int("concurrency", 1, "scheduler jobs per pass (1 = paper behaviour, >1 = batched dispatch)")
+	concurrency := flag.Int("concurrency", 1, "scheduler bind budget per pass (1 = paper behaviour: one job at a time)")
 	scheduler := flag.Bool("scheduler", true, "run the embedded scheduler (=false for a gateway-only deployment driven by external qrio-sched replicas)")
 	nodeConcurrency := flag.Int("node-concurrency", 1, "containers per node (1 = paper behaviour; >1 bounded by node CPU capacity)")
-	scoreWorkers := flag.Int("score-workers", 0, "total concurrent Meta-Server scoring calls across the ranked batch (0 = GOMAXPROCS)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-share weights as tenant=weight pairs, e.g. alice=3,bob=1 (unlisted tenants weigh 1)")
 	quotaPending := flag.Int("quota-pending", 0, "per-tenant admission cap on pending jobs (0 = unlimited)")
 	quotaActive := flag.Int("quota-active", 0, "per-tenant admission cap on jobs holding node resources (0 = unlimited)")
@@ -113,7 +112,6 @@ func main() {
 		Concurrency:      *concurrency,
 		DisableScheduler: !*scheduler,
 		NodeConcurrency:  *nodeConcurrency,
-		ScoreWorkers:     *scoreWorkers,
 		TenantWeights:    weights,
 		TenantQuotas: api.TenantQuotaPolicy{
 			Default: api.TenantQuota{

@@ -35,10 +35,10 @@ type Config struct {
 	Backends []*device.Backend
 	// Meta tunes the Meta Server's scoring engines.
 	Meta meta.Options
-	// Concurrency is the scheduler's jobs-per-pass cap (default 1, the
-	// paper's single-job architecture; >1 selects batched dispatch, the
-	// §5 extension: the pass ranks that many pending jobs in parallel and
-	// binds them greedily to free container slots).
+	// Concurrency is the scheduler's per-pass bind budget (default 1, the
+	// paper's one job at a time; larger values are the §5 extension: the
+	// pass ranks that many pending jobs in parallel and binds them greedily
+	// to free container slots).
 	Concurrency int
 	// DisableScheduler wires the deployment without running the in-process
 	// scheduling loop: the gateway, controller and kubelets run as usual
@@ -51,18 +51,13 @@ type Config struct {
 	// additionally bounded per node by its classical CPU capacity: a node
 	// never gets more slots than max(1, CPUMillis/1000).
 	NodeConcurrency int
-	// ScoreWorkers bounds concurrent Meta-Server scoring calls fleet-wide
-	// during batched dispatch — a single budget shared by every job being
-	// ranked, not a per-job pool (0 = GOMAXPROCS).
-	ScoreWorkers int
 	// KubeletSeed seeds node execution RNGs for reproducible runs.
 	KubeletSeed int64
 	// MaxRetries bounds automatic retries of failed jobs.
 	MaxRetries int
 	// TenantWeights skews the scheduler's weighted fair queue: while
 	// several tenants are backlogged, binds are shared proportionally to
-	// their weights (missing tenants weigh 1). Only batched dispatch
-	// (Concurrency > 1) consults it; the serial path stays strict FIFO.
+	// their weights (missing tenants weigh 1), at every Concurrency.
 	TenantWeights map[string]int
 	// TenantQuotas bounds each tenant's admitted-but-unfinished work; the
 	// gateway's admission layer enforces it on every submission. The zero
@@ -237,7 +232,6 @@ func New(cfg Config) (*QRIO, error) {
 		},
 	}
 	fw := sched.NewFramework(scorer, sched.DefaultFilters()...)
-	fw.ScoreParallelism = cfg.ScoreWorkers
 	scheduler := sched.New(st, fw)
 	if cfg.Concurrency > 0 {
 		scheduler.Concurrency = cfg.Concurrency

@@ -46,9 +46,9 @@ type headroom struct {
 
 // Dispatch is one scheduling pass's placement state, and Place the one
 // function in the tree that walks ranked candidates against headroom and
-// binds: the embedded scheduler's batched pass, the simulator (which
-// drives that scheduler) and the out-of-process replica all call it,
-// differing only in the RankFunc and BindFunc they supply.
+// binds: the embedded scheduler's every pass, the simulator (which drives
+// that scheduler) and the out-of-process replica all call it, differing
+// only in the RankFunc and BindFunc they supply.
 //
 // Jobs with byte-identical specs form a spec class and share one
 // ranking — sound because plugins are functions of job.Spec and the node

@@ -1,14 +1,13 @@
-// Weighted fair queueing across tenants. The batched dispatcher no longer
-// walks the pending backlog in raw global-FIFO order: jobs are grouped
+// Weighted fair queueing across tenants. A scheduling pass does not walk
+// the pending backlog in raw global-FIFO order: jobs are grouped
 // into per-tenant FIFO sub-queues and interleaved by smooth weighted
 // round-robin (the nginx algorithm), so one tenant flooding the queue
 // cannot starve the others — with equal weights, two backlogged tenants
 // converge to a 50/50 share of binds regardless of their submission
 // rates, and weights skew that share proportionally.
 //
-// The paper-faithful paths are untouched: with a single tenant the
-// interleaving degenerates to the exact global FIFO order, and the serial
-// scheduler (Concurrency == 1) never consults the fair queue at all.
+// With a single tenant the interleaving degenerates to the exact global
+// FIFO order.
 package sched
 
 import (

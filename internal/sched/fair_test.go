@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -149,33 +150,33 @@ func TestSingleTenantBatchedKeepsFIFO(t *testing.T) {
 	}
 }
 
-// TestSerialPathIgnoresFairQueue pins the second degenerate case: with
-// Concurrency == 1 the scheduler stays strict global FIFO even across
-// tenants — the paper's serial architecture is untouched by tenancy.
-func TestSerialPathIgnoresFairQueue(t *testing.T) {
+// TestWeightsApplyAtDefaultBudget: Concurrency == 1 drains the same
+// weighted fair queue as any other budget — the heavily weighted drip
+// tenant is served ahead of the flood that arrived before it, and each
+// tenant stays FIFO.
+func TestWeightsApplyAtDefaultBudget(t *testing.T) {
 	st := state.New()
 	node(t, st, "dev", 4, 0.1)
 	base := time.Now()
-	var want []string
+	var flood, drip []string
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
 			name := fmt.Sprintf("flood-%d-%d", round, i)
-			tenantJob(t, st, name, "flood", len(want), base)
-			want = append(want, name)
+			tenantJob(t, st, name, "flood", len(flood)+len(drip), base)
+			flood = append(flood, name)
 		}
 		name := fmt.Sprintf("drip-%d", round)
-		tenantJob(t, st, name, "drip", len(want), base)
-		want = append(want, name)
+		tenantJob(t, st, name, "drip", len(flood)+len(drip), base)
+		drip = append(drip, name)
 	}
 	s := New(st, NewFramework(nil, DefaultFilters()...))
 	t.Cleanup(s.Stop)
 	s.Concurrency = 1
 	s.TenantWeights = map[string]int{"drip": 100}
+	want := append(drip, flood...)
 	binds := driveBindSequence(t, st, s, len(want))
-	for i := range want {
-		if binds[i] != want[i] {
-			t.Fatalf("serial bind order %v, want strict FIFO %v", binds, want)
-		}
+	if !reflect.DeepEqual(binds, want) {
+		t.Fatalf("bind order %v, want weighted %v", binds, want)
 	}
 }
 

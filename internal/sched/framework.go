@@ -7,8 +7,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -20,7 +18,7 @@ import (
 //
 // Plugin contract (filters and scorers alike): the verdict is a function
 // of job.Spec and the node — never of the job's name, UID or timestamps.
-// Batched dispatch relies on it: jobs with byte-identical specs are
+// Dispatch relies on it: jobs with byte-identical specs are
 // ranked once per pass and share the result (see Dispatch). A plugin may
 // pass job.Name to a service that resolves it back to the spec, as
 // MetaScore does — identical specs have identical circuits.
@@ -56,40 +54,23 @@ type NodeScore struct {
 	Score float64
 }
 
-// Picker chooses the target node among feasible candidates. score lazily
-// evaluates a node (so baselines that ignore scores don't pay for them).
-type Picker interface {
-	Name() string
-	Pick(job api.QuantumJob, feasible []api.Node, score func(api.Node) (float64, error)) (NodeScore, error)
-}
-
-// Framework runs the filter → score → pick pipeline.
+// Framework runs the filter → score pipeline; Dispatch binds.
 type Framework struct {
 	Filters []FilterPlugin
 	Scorer  ScorePlugin
-	Picker  Picker
-	// ScoreParallelism bounds concurrent Score calls across ALL Rank
-	// invocations sharing this framework — the batched scheduler ranks
-	// many jobs at once, and without a global bound the per-job pools
-	// would multiply into jobs×workers simultaneous simulations. 0 means
-	// GOMAXPROCS; 1 scores serially. Set it before the first Rank call.
-	// Select always scores serially, preserving the paper's behaviour.
-	ScoreParallelism int
 
+	// scoreSem bounds concurrent Score calls across ALL Rank invocations
+	// sharing this framework to GOMAXPROCS — a pass ranks many spec
+	// classes at once, and without a global bound the per-class pools
+	// would multiply into classes×nodes simultaneous simulations.
 	semOnce  sync.Once
 	scoreSem chan struct{}
 }
 
 // scoreSlots returns the framework-wide scoring semaphore, sized on first
-// use from ScoreParallelism.
+// use.
 func (f *Framework) scoreSlots() chan struct{} {
-	f.semOnce.Do(func() {
-		n := f.ScoreParallelism
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		f.scoreSem = make(chan struct{}, n)
-	})
+	f.semOnce.Do(func() { f.scoreSem = make(chan struct{}, runtime.GOMAXPROCS(0)) })
 	return f.scoreSem
 }
 
@@ -105,9 +86,9 @@ func (f *Framework) static() bool {
 	return ok || f.Scorer == nil
 }
 
-// NewFramework assembles a framework with the default lowest-score picker.
+// NewFramework assembles a framework.
 func NewFramework(scorer ScorePlugin, filters ...FilterPlugin) *Framework {
-	return &Framework{Filters: filters, Scorer: scorer, Picker: LowestScore{}}
+	return &Framework{Filters: filters, Scorer: scorer}
 }
 
 // FilterNodes returns the feasible nodes and, for the rest, the reason the
@@ -137,31 +118,13 @@ func (f *Framework) Reject(job api.QuantumJob, n api.Node) string {
 	return ""
 }
 
-// Select runs the full pipeline and returns the chosen node.
-func (f *Framework) Select(job api.QuantumJob, nodes []api.Node) (NodeScore, error) {
-	feasible, rejected := f.FilterNodes(job, nodes)
-	if len(feasible) == 0 {
-		return NodeScore{}, &UnschedulableError{Job: job.Name, Rejected: rejected}
-	}
-	picker := f.Picker
-	if picker == nil {
-		picker = LowestScore{}
-	}
-	scoreFn := func(n api.Node) (float64, error) {
-		if f.Scorer == nil {
-			return 0, nil
-		}
-		return f.Scorer.Score(job, n)
-	}
-	return picker.Pick(job, feasible, scoreFn)
-}
-
 // Rank runs filtering and then scores every feasible node — concurrently,
-// bounded by ScoreParallelism — returning candidates sorted best-first
-// (score ascending, deterministic tie-break on node name). Nodes whose
-// scoring fails are skipped, like LowestScore does. This is the embedded
-// scheduler's RankFunc: Dispatch walks the ranking until a node with
-// headroom accepts the job.
+// at most GOMAXPROCS at a time across the framework — returning candidates
+// sorted best-first (score ascending, deterministic tie-break on node
+// name). Nodes whose scoring fails are skipped; only when every one fails
+// is the first failure returned. This is the embedded scheduler's
+// RankFunc: Dispatch walks the ranking until a node with headroom accepts
+// the job.
 func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, error) {
 	feasible, rejected := f.FilterNodes(job, nodes)
 	if len(feasible) == 0 {
@@ -231,65 +194,3 @@ func (e *UnschedulableError) Error() string {
 // HTTPStatus implements httpx.StatusCoder: unschedulable jobs map to 422
 // with the "unschedulable" envelope code.
 func (e *UnschedulableError) HTTPStatus() (int, string) { return 422, "unschedulable" }
-
-// LowestScore scores every feasible node and picks the minimum
-// (deterministic tie-break on name) — QRIO's default ranking behaviour.
-type LowestScore struct{}
-
-// Name implements Picker.
-func (LowestScore) Name() string { return "LowestScore" }
-
-// Pick implements Picker.
-func (LowestScore) Pick(job api.QuantumJob, feasible []api.Node, score func(api.Node) (float64, error)) (NodeScore, error) {
-	best := NodeScore{Score: math.Inf(1)}
-	var firstErr error
-	scored := 0
-	for _, n := range feasible {
-		s, err := score(n)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sched: scoring %s for %s: %w", n.Name, job.Name, err)
-			}
-			continue
-		}
-		scored++
-		if s < best.Score || (s == best.Score && n.Name < best.Node) {
-			best = NodeScore{Node: n.Name, Score: s}
-		}
-	}
-	if scored == 0 {
-		if firstErr != nil {
-			return NodeScore{}, firstErr
-		}
-		return NodeScore{}, fmt.Errorf("sched: no nodes scored for %s", job.Name)
-	}
-	return best, nil
-}
-
-// RandomPicker is the paper's baseline scheduler (§4.2): it picks a
-// feasible node uniformly at random, then reports that node's score so
-// experiments can compare against QRIO's choice.
-type RandomPicker struct {
-	Rng *rand.Rand
-	// SkipScore leaves Score as NaN instead of evaluating the choice.
-	SkipScore bool
-}
-
-// Name implements Picker.
-func (p *RandomPicker) Name() string { return "Random" }
-
-// Pick implements Picker.
-func (p *RandomPicker) Pick(job api.QuantumJob, feasible []api.Node, score func(api.Node) (float64, error)) (NodeScore, error) {
-	if len(feasible) == 0 {
-		return NodeScore{}, fmt.Errorf("sched: random picker has no candidates")
-	}
-	n := feasible[p.Rng.Intn(len(feasible))]
-	if p.SkipScore {
-		return NodeScore{Node: n.Name, Score: math.NaN()}, nil
-	}
-	s, err := score(n)
-	if err != nil {
-		return NodeScore{Node: n.Name, Score: math.NaN()}, nil
-	}
-	return NodeScore{Node: n.Name, Score: s}, nil
-}

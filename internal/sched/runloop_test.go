@@ -2,8 +2,7 @@ package sched
 
 import (
 	"context"
-	"math"
-	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -52,60 +51,18 @@ func TestRunLoopBindsOnWatchEvent(t *testing.T) {
 	}
 }
 
-func TestRandomPickerSkipScore(t *testing.T) {
-	st := state.New()
-	node(t, st, "a", 5, 0.1)
-	fw := &Framework{
-		Filters: DefaultFilters(),
-		Picker:  &RandomPicker{Rng: rand.New(rand.NewSource(2)), SkipScore: true},
-	}
-	pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(pick.Score) {
-		t.Fatalf("SkipScore picker returned score %v, want NaN", pick.Score)
-	}
-	if pick.Node != "a" {
-		t.Fatalf("picked %s", pick.Node)
-	}
-}
-
-func TestRandomPickerEmptyFeasible(t *testing.T) {
-	p := &RandomPicker{Rng: rand.New(rand.NewSource(1))}
-	if _, err := p.Pick(api.QuantumJob{}, nil, nil); err == nil {
-		t.Fatal("empty candidate list accepted")
-	}
-}
-
-func TestFrameworkNilPickerDefaultsToLowest(t *testing.T) {
-	st := state.New()
-	node(t, st, "a", 5, 0.1)
-	node(t, st, "b", 5, 0.1)
-	fw := &Framework{
-		Filters: DefaultFilters(),
-		Scorer:  MetaScore{Scorer: mapScorer{"a": 2, "b": 1}},
-		// Picker left nil on purpose.
-	}
-	pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pick.Node != "b" {
-		t.Fatalf("nil picker chose %s, want lowest-score b", pick.Node)
-	}
-}
-
 func TestNilScorerScoresZero(t *testing.T) {
 	st := state.New()
+	node(t, st, "b", 5, 0.1)
 	node(t, st, "a", 5, 0.1)
 	fw := NewFramework(nil, DefaultFilters()...)
-	pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
+	ranked, err := fw.Rank(job("j", 0, 0), st.Nodes.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pick.Score != 0 {
-		t.Fatalf("nil scorer gave %v", pick.Score)
+	want := []NodeScore{{Node: "a"}, {Node: "b"}}
+	if !reflect.DeepEqual(ranked, want) {
+		t.Fatalf("nil scorer ranked %v, want zero scores in name order %v", ranked, want)
 	}
 }
 
@@ -113,14 +70,7 @@ func TestMetaScoreWithoutScorerErrors(t *testing.T) {
 	st := state.New()
 	node(t, st, "a", 5, 0.1)
 	fw := NewFramework(MetaScore{}, DefaultFilters()...)
-	if _, err := fw.Select(job("j", 0, 0), st.Nodes.List()); err == nil {
+	if _, err := fw.Rank(job("j", 0, 0), st.Nodes.List()); err == nil {
 		t.Fatal("MetaScore without a scorer must fail")
-	}
-}
-
-func TestScheduleOneWithoutFramework(t *testing.T) {
-	s := &Scheduler{State: state.New()}
-	if err := s.ScheduleOne(api.QuantumJob{}); err == nil {
-		t.Fatal("nil framework accepted")
 	}
 }

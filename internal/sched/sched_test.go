@@ -3,8 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"qrio/internal/cluster/api"
@@ -120,16 +120,18 @@ func TestNodeReadyFilter(t *testing.T) {
 
 func TestLowestScorePick(t *testing.T) {
 	st := state.New()
-	node(t, st, "a", 5, 0.1)
-	node(t, st, "b", 5, 0.1)
-	node(t, st, "c", 5, 0.1)
-	fw := NewFramework(MetaScore{Scorer: mapScorer{"a": 3, "b": 1, "c": 2}}, DefaultFilters()...)
-	pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
+	for _, name := range []string{"a", "b", "c", "d"} {
+		node(t, st, name, 5, 0.1)
+	}
+	fw := NewFramework(MetaScore{Scorer: mapScorer{"a": 3, "b": 1, "c": 2, "d": 1}}, DefaultFilters()...)
+	ranked, err := fw.Rank(job("j", 0, 0), st.Nodes.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pick.Node != "b" || pick.Score != 1 {
-		t.Fatalf("pick = %+v, want b/1", pick)
+	// Best (lowest) score first; b and d tie and break on name.
+	want := []NodeScore{{"b", 1}, {"d", 1}, {"c", 2}, {"a", 3}}
+	if !reflect.DeepEqual(ranked, want) {
+		t.Fatalf("ranked %v, want %v", ranked, want)
 	}
 }
 
@@ -138,12 +140,17 @@ func TestLowestScoreSkipsFailingNodes(t *testing.T) {
 	node(t, st, "a", 5, 0.1)
 	node(t, st, "b", 5, 0.1)
 	fw := NewFramework(MetaScore{Scorer: mapScorer{"b": 7}}, DefaultFilters()...)
-	pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
+	ranked, err := fw.Rank(job("j", 0, 0), st.Nodes.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pick.Node != "b" {
-		t.Fatalf("pick = %+v", pick)
+	if want := []NodeScore{{"b", 7}}; !reflect.DeepEqual(ranked, want) {
+		t.Fatalf("ranked %v, want %v", ranked, want)
+	}
+	// Every node failing to score is an error, not an empty ranking.
+	fw = NewFramework(MetaScore{Scorer: mapScorer{}}, DefaultFilters()...)
+	if ranked, err := fw.Rank(job("j", 0, 0), st.Nodes.List()); err == nil {
+		t.Fatalf("ranked %v with every node failing to score", ranked)
 	}
 }
 
@@ -151,38 +158,13 @@ func TestUnschedulableError(t *testing.T) {
 	st := state.New()
 	node(t, st, "small", 2, 0.1)
 	fw := NewFramework(nil, DefaultFilters()...)
-	_, err := fw.Select(job("j", 50, 0), st.Nodes.List())
+	_, err := fw.Rank(job("j", 50, 0), st.Nodes.List())
 	var unsched *UnschedulableError
 	if !errors.As(err, &unsched) {
 		t.Fatalf("err = %v, want UnschedulableError", err)
 	}
 	if len(unsched.Rejected) != 1 {
 		t.Fatalf("rejected = %v", unsched.Rejected)
-	}
-}
-
-func TestRandomPickerReportsScore(t *testing.T) {
-	st := state.New()
-	node(t, st, "a", 5, 0.1)
-	node(t, st, "b", 5, 0.1)
-	fw := &Framework{
-		Filters: DefaultFilters(),
-		Scorer:  MetaScore{Scorer: mapScorer{"a": 3, "b": 1}},
-		Picker:  &RandomPicker{Rng: rand.New(rand.NewSource(1))},
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 40; i++ {
-		pick, err := fw.Select(job("j", 0, 0), st.Nodes.List())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[pick.Node] = true
-		if math.IsNaN(pick.Score) {
-			t.Fatal("random picker lost the score")
-		}
-	}
-	if !seen["a"] || !seen["b"] {
-		t.Fatalf("random picker not random: %v", seen)
 	}
 }
 
@@ -326,7 +308,7 @@ func TestBatchedDispatchMoreJobsThanNodes(t *testing.T) {
 // TestBatchedDispatchSkipsStarvedHead: unschedulable jobs at the head of
 // the FIFO queue must not starve a feasible job queued behind them — the
 // pass walks past the full batch width until it binds or exhausts the
-// queue (the serial path's guarantee).
+// queue.
 func TestBatchedDispatchSkipsStarvedHead(t *testing.T) {
 	st := state.New()
 	node(t, st, "tiny", 5, 0.1)
@@ -373,5 +355,52 @@ func TestBatchedDispatchFillsMultiSlotNode(t *testing.T) {
 	n, _, _ := st.Nodes.Get("wide")
 	if len(n.Status.RunningJobs) != 3 {
 		t.Fatalf("node runs %v, want 3 containers", n.Status.RunningJobs)
+	}
+}
+
+// slotThief scores like mapScorer, but while ranking fills the victim
+// node's only slot behind the pass's back — the kubelet or another
+// replica winning the race between snapshot and bind.
+type slotThief struct {
+	mapScorer
+	st     *state.Cluster
+	victim string
+	once   sync.Once
+}
+
+func (*slotThief) Name() string { return "slotThief" }
+
+func (s *slotThief) Score(_ api.QuantumJob, n api.Node) (float64, error) {
+	if n.Name == s.victim {
+		s.once.Do(func() {
+			s.st.Nodes.Update(s.victim, func(n api.Node) (api.Node, error) {
+				n.Status.RunningJobs = append(n.Status.RunningJobs, "squatter")
+				return n, nil
+			})
+		})
+	}
+	return s.mapScorer.Score("", n.Name)
+}
+
+// TestRefusedNodeFallsThroughAtBudgetOne: at the default budget, a node
+// that refuses the bind sends the job to its next-ranked candidate in the
+// same pass instead of giving it up until the next one.
+func TestRefusedNodeFallsThroughAtBudgetOne(t *testing.T) {
+	st := state.New()
+	node(t, st, "best", 5, 0.1)
+	node(t, st, "second", 5, 0.1)
+	scorer := &slotThief{mapScorer: mapScorer{"best": 1, "second": 2}, st: st, victim: "best"}
+	s := New(st, NewFramework(scorer, DefaultFilters()...))
+	t.Cleanup(s.Stop)
+	s.Concurrency = 1
+	if err := st.SubmitJob(job("j", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if bound := s.SchedulePass(); bound != 1 {
+		t.Fatalf("bound %d, want 1 (fall through to the second-ranked node)", bound)
+	}
+	j, _, _ := st.Jobs.Get("j")
+	if j.Status.Phase != api.JobScheduled || j.Status.Node != "second" || j.Status.Score != 2 {
+		t.Fatalf("job %s on %q score %v, want Scheduled on second/2", j.Status.Phase, j.Status.Node, j.Status.Score)
 	}
 }

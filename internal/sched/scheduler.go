@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"qrio/internal/clock"
@@ -11,38 +10,34 @@ import (
 )
 
 // Scheduler drives the cluster's scheduling loop: it watches for pending
-// jobs, runs the framework's filter/score pipeline, and binds each job to
-// the winning node. By default it processes one job at a time in FIFO
-// order, matching the paper's current architecture (§5); Concurrency > 1
-// enables the future-work extension: each pass collects up to Concurrency
-// pending jobs, ranks each distinct spec among them against the fleet
-// once (in parallel, calling Framework.Rank), and binds greedily — FIFO
-// job order, best-score-first candidates, deterministic name tie-breaks —
-// so no node slot is ever double-booked (see Dispatch). Every bind, on
-// either path, is conditional on the resource version the pass observed
-// the job at, so any number of schedulers can share one pending queue:
-// exactly one wins each job. When jobs from several tenants are queued,
-// batched dispatch walks them in weighted-fair order instead of raw FIFO
-// (see fair.go and TenantWeights); plugins see the owning tenant on every
-// job via Spec.Tenant.
+// jobs and, each pass, binds up to Concurrency of them through one
+// pipeline — snapshot the pending queue, cap each tenant at its active
+// budget, walk the jobs in weighted-fair order (FIFO within a tenant, and
+// globally with one tenant; see fair.go), rank each distinct spec against
+// the fleet once (Framework.Rank) and bind greedily, best score first
+// with deterministic name tie-breaks, so no node slot is ever
+// double-booked (see Dispatch). A budget of 1 is a batch of one. Every
+// bind is conditional on the resource version the pass observed the job
+// at, so any number of schedulers can share one pending queue: exactly
+// one wins each job. Plugins see the owning tenant on every job via
+// Spec.Tenant.
 type Scheduler struct {
 	State     *state.Cluster
 	Framework *Framework
 	// Interval is the reconcile cadence (default 10ms; in-process stores
 	// make this cheap).
 	Interval time.Duration
-	// Concurrency caps jobs dispatched per pass (default 1 = paper's
-	// serial path; >1 selects batched dispatch).
+	// Concurrency is the per-pass bind budget (default 1, the paper's
+	// one job at a time).
 	Concurrency int
 	// FleetResync is the level-triggered fallback cadence at which the
 	// node snapshot cache re-Lists the store, healing dropped watch events
 	// (default 1s). Tests shrink it to force relists.
 	FleetResync time.Duration
-	// TenantWeights skews the weighted fair queue that batched dispatch
-	// drains: a tenant with weight 3 receives three binds for every one a
-	// weight-1 tenant gets while both are backlogged. Missing tenants
-	// weigh 1; nil means every tenant competes equally. The serial path
-	// (Concurrency == 1) ignores weights and stays strictly FIFO.
+	// TenantWeights skews the weighted fair queue every pass drains: a
+	// tenant with weight 3 receives three binds for every one a weight-1
+	// tenant gets while both are backlogged. Missing tenants weigh 1; nil
+	// means every tenant competes equally.
 	TenantWeights map[string]int
 	// TenantQuotas lets the scheduler enforce the MaxActive bound at
 	// dispatch time: a pass never considers more of a tenant's queue than
@@ -118,9 +113,15 @@ func (s *Scheduler) Run(ctx context.Context) {
 	}
 }
 
-// SchedulePass schedules up to Concurrency pending jobs, oldest first.
-// It returns the number of jobs bound. Concurrency == 1 runs the
-// paper-faithful serial pipeline; larger values dispatch a batch.
+// SchedulePass binds up to Concurrency pending jobs and returns the
+// number bound. It pulls weighted-fair chunks until the budget is bound or
+// the queue is exhausted, so unschedulable jobs at the head cannot starve
+// feasible jobs behind them. The fair order is generated lazily: in the
+// common case only the first chunk of a deep backlog is ever interleaved.
+// Ranking, the greedy walk and the pass-local headroom that keeps it from
+// double-booking a node are Dispatch's; BindJobAt's own capacity check
+// remains the authoritative guard against races with kubelets and other
+// actors.
 func (s *Scheduler) SchedulePass() int {
 	limit := s.Concurrency
 	if limit <= 0 {
@@ -129,7 +130,7 @@ func (s *Scheduler) SchedulePass() int {
 	// The incremental pending index makes this O(pending work): terminal
 	// jobs resident in the store are never touched, let alone deep-copied.
 	pending := s.capActiveBudget(s.snapshotPending())
-	if len(pending) == 0 {
+	if len(pending) == 0 || s.Framework == nil {
 		return 0
 	}
 	// Pass duration is real compute, so it reads the wall clock even when
@@ -139,12 +140,15 @@ func (s *Scheduler) SchedulePass() int {
 	if m != nil {
 		start = time.Now()
 	}
-	var bound int
-	if limit == 1 {
-		// Paper-faithful serial path: strict global FIFO, no fair queue.
-		bound = s.serialPass(pending)
-	} else {
-		bound = s.batchedPass(pending, limit)
+	d := s.newDispatch()
+	next := s.fairOrderer(pending)
+	bound := 0
+	for bound < limit {
+		chunk := next(limit)
+		if len(chunk) == 0 {
+			break
+		}
+		bound += d.Place(chunk, limit-bound)
 	}
 	if m != nil {
 		m.PassSeconds.Observe(time.Since(start).Seconds())
@@ -186,37 +190,9 @@ func (s *Scheduler) bind(job *api.QuantumJob, nodeName string, score float64) er
 	return err
 }
 
-// serialPass is the paper's architecture: one job at a time through the
-// full filter/score/pick pipeline — the first job in FIFO order that can
-// be scheduled is bound, and the pass ends.
-func (s *Scheduler) serialPass(pending []api.QuantumJob) int {
-	for _, job := range pending {
-		err := s.ScheduleOne(job)
-		if err == nil {
-			return 1
-		}
-		if !state.IsConflict(err) {
-			// A conflict is another replica (or a cancel) winning the job
-			// between snapshot and bind — expected, not a failure.
-			s.State.RecordEvent("Job", job.Name, failureReason(err), err.Error())
-		}
-	}
-	return 0
-}
-
-// batchedPass dispatches pending jobs against one node snapshot — limit
-// at a time, pulling weighted-fair chunks until limit jobs are bound or
-// the queue is exhausted, so unschedulable jobs at the head cannot starve
-// feasible jobs behind them (the serial loop's guarantee). The fair order
-// is generated lazily: in the common case only the first chunk of a deep
-// backlog is ever interleaved. Ranking, the greedy walk and the pass-local
-// headroom that keeps it from double-booking a node are Dispatch's;
-// BindJobAt's own capacity check remains the authoritative guard against
-// races with kubelets and other actors.
-func (s *Scheduler) batchedPass(pending []api.QuantumJob, limit int) int {
-	if s.Framework == nil {
-		return 0
-	}
+// newDispatch starts the pass's placement over the cached fleet: rank is
+// Framework.Rank, bind is BindJobAt at the observed version.
+func (s *Scheduler) newDispatch() *Dispatch {
 	nodes, epoch := s.fleetNodes()
 	d := NewDispatch(nodes, s.Framework.Rank, func(job *api.QuantumJob, node string, score float64) BindOutcome {
 		err := s.bind(job, node, score)
@@ -240,16 +216,7 @@ func (s *Scheduler) batchedPass(pending []api.QuantumJob, limit int) int {
 	} else {
 		s.fleetRank = nil
 	}
-	next := s.fairOrderer(pending)
-	bound := 0
-	for bound < limit {
-		chunk := next(limit)
-		if len(chunk) == 0 {
-			break
-		}
-		bound += d.Place(chunk, limit-bound)
-	}
-	return bound
+	return d
 }
 
 // fleetNodes returns the cached fleet view (watch-fed, with a periodic
@@ -259,24 +226,10 @@ func (s *Scheduler) fleetNodes() ([]api.Node, uint64) {
 }
 
 // Stop releases the fleet cache's store watcher. Run does this on exit;
-// callers driving SchedulePass/ScheduleOne directly (tests, benchmarks,
+// callers driving SchedulePass directly (tests, benchmarks,
 // library embeddings) should Stop a scheduler they abandon so the store
 // isn't left broadcasting to a channel nobody drains. The scheduler
 // remains usable afterwards — the next pass resubscribes.
 func (s *Scheduler) Stop() {
 	s.fleet.stop()
-}
-
-// ScheduleOne runs the pipeline for a single job and binds it — at
-// job.ResourceVersion when the caller observed one, unconditionally at 0.
-func (s *Scheduler) ScheduleOne(job api.QuantumJob) error {
-	if s.Framework == nil {
-		return fmt.Errorf("sched: scheduler has no framework")
-	}
-	nodes, _ := s.fleetNodes()
-	choice, err := s.Framework.Select(job, nodes)
-	if err != nil {
-		return err
-	}
-	return s.bind(&job, choice.Node, choice.Score)
 }

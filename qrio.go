@@ -111,9 +111,8 @@
 // — pending jobs, active jobs, estimated qubit-seconds in flight — and
 // the gateway rejects over-quota submissions with the quota_exceeded
 // envelope. Config.TenantWeights skews the scheduler's weighted fair
-// queue: with batched dispatch, backlogged tenants share binds in
-// proportion to their weights regardless of submission rates, and the
-// serial scheduler stays strict FIFO. GET /v1/tenants (Client.Tenants,
+// queue: backlogged tenants share binds in proportion to their weights
+// regardless of submission rates. GET /v1/tenants (Client.Tenants,
 // qrioctl tenants) reports per-tenant usage, weight and quota.
 //
 // Weights, quotas and rate limits hot-reload: PUT /v1/tenants/{name}
@@ -168,13 +167,11 @@
 //
 // The paper's architecture — one job scheduled at a time, one container
 // per node — is the default. Config exposes the concurrent pipeline:
-// Concurrency > 1 switches the scheduler to batched dispatch (take up to
-// that many pending jobs per pass, rank each distinct spec among them
-// once, bind greedily with deterministic tie-breaking),
+// Concurrency is the scheduler's per-pass bind budget (every pass ranks
+// each distinct spec among its pending jobs once, scoring feasible nodes
+// in parallel, and binds greedily with deterministic tie-breaking), and
 // NodeConcurrency > 1 lets each node execute several containers
-// bounded by its classical CPU capacity, and
-// ScoreWorkers caps concurrent scoring calls across the whole batch (a
-// shared budget, not per job). Independently, the Meta
+// bounded by its classical CPU capacity. Independently, the Meta
 // Server memoises canary-simulation and subgraph-matching results per
 // (circuit fingerprint, backend, calibration generation), so repeated
 // circuits cost one simulation per fleet calibration; re-registering a
