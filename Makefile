@@ -52,7 +52,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -147,6 +147,15 @@ lint-bind:
 lint-rand:
 	@out="$$(grep -rnE '\brand\.(Intn|Int63n?|Int31n?|Float64|Float32|Perm|Shuffle|ExpFloat64|NormFloat64|Uint32|Uint64|Seed)\(' --include='*.go' internal cmd client 2>/dev/null || true)"; \
 	if [ -n "$$out" ]; then echo "lint-rand: package-global math/rand use breaks sim determinism:"; echo "$$out"; exit 1; fi
+
+# lint-draw enforces the one-draw-path rule: both simulators draw through
+# noise.Stream.Draw, so no non-test file under internal/quantum/stabilizer
+# or internal/quantum/statevec builds its own generator (rand.New) or calls
+# the rand.Rand reference draws (noise.DrawOneQubit/DrawTwoQubit), which
+# only the oracles keep.
+lint-draw:
+	@out="$$(grep -rnE 'rand\.New\(|noise\.Draw(One|Two)Qubit\(' --include='*.go' --exclude='*_test.go' internal/quantum/stabilizer internal/quantum/statevec || true)"; \
+	if [ -n "$$out" ]; then echo "lint-draw: the simulators draw through noise.Stream.Draw, not a second path:"; echo "$$out"; exit 1; fi
 
 # lint-metrics enforces the metric naming contract: every family literal
 # ("qrio_..." strings in non-test code) must read
@@ -293,4 +302,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-draw lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke

@@ -37,13 +37,8 @@ func (c *Circuit) Copy() *Circuit {
 // Append validates g and adds it to the circuit, growing the qubit register
 // if needed.
 func (c *Circuit) Append(g Gate) error {
-	if err := g.Validate(); err != nil {
+	if err := g.ValidateOn(c.NumQubits); err != nil {
 		return err
-	}
-	for _, q := range g.Qubits {
-		if q >= c.NumQubits {
-			return fmt.Errorf("circuit: qubit %d out of range (%d qubits)", q, c.NumQubits)
-		}
 	}
 	for _, b := range g.Clbits {
 		if b < 0 || b >= c.NumClbits {

@@ -131,6 +131,21 @@ func (g Gate) Validate() error {
 	return nil
 }
 
+// ValidateOn is Validate plus a check that every operand lies in an
+// n-qubit register, so code that lowers or executes the gate can index
+// without checks.
+func (g Gate) ValidateOn(n int) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	for _, q := range g.Qubits {
+		if q >= n {
+			return fmt.Errorf("circuit: qubit %d out of range (%d qubits)", q, n)
+		}
+	}
+	return nil
+}
+
 // IsUnitary reports whether the gate is a unitary operation (as opposed to
 // measure, reset, or barrier).
 func (g Gate) IsUnitary() bool {

@@ -11,6 +11,8 @@ package noise
 import (
 	"fmt"
 	"math/rand"
+
+	"qrio/internal/quantum/circuit"
 )
 
 // Pauli identifies a single-qubit Pauli error.
@@ -26,7 +28,7 @@ const (
 
 // Model holds the error rates of one device.
 //
-// The zero value is a noiseless model. All probabilities are in [0, 1).
+// The zero value is a noiseless model. All probabilities are in [0, 1].
 type Model struct {
 	NumQubits int
 	// OneQubit[q] is the depolarizing probability after a 1-qubit gate on q.
@@ -128,25 +130,8 @@ var paulis = [4]Pauli{PauliNone, PauliX, PauliY, PauliZ}
 // DrawOneQubit draws the error that follows a one-qubit gate whose
 // depolarizing probability is p: {I: 1-p, X/Y/Z: p/3 each}. It consumes one
 // rng.Float64 and, when an error fires, one rng.Intn(3) — always, even for
-// p = 0. Seeded simulators promise reproducible counts, so that order is a
-// contract: both engines look p up once per gate at compile time, draw
-// per shot, and must leave the stream where the gate-by-gate interpreters
-// they replaced left it.
-//
-// The stabilizer engine draws in gate order; a measurement's draws sit
-// where the measurement does (stabilizer.Runner.Counts). It honours this
-// contract inline rather than by calling this function: its draw kernel
-// reads math/rand's output stream directly and makes exactly these
-// Float64 and Intn(3) / Intn(15) draws, redraws included. The dense engine
-// (statevec.Noisy.Counts) draws per shot: for each body gate in order — a
-// reset one Float64; a unitary gate other than id one DrawOneQubit, one
-// DrawTwoQubit, or for a gate on 3+ qubits one DrawTwoQubit per qubit pair
-// i<j in operand order; id, barrier and a nil model nothing — then one
-// Float64 for the outcome, then, with a model, one Float64 per readout:
-// every qubit in order for a circuit without measurements, else each
-// measurement in program order. Only a reset's draw depends on the state,
-// which is why the dense engine may take a reset-free shot's gate draws
-// before simulating anything.
+// p = 0. It is the reference Stream.Draw's OneQubitError reproduces: the
+// simulators' oracles draw through it from a real rand.Rand.
 func DrawOneQubit(p float64, rng *rand.Rand) Pauli {
 	if rng.Float64() >= p {
 		return PauliNone
@@ -157,13 +142,41 @@ func DrawOneQubit(p float64, rng *rand.Rand) Pauli {
 // DrawTwoQubit draws the errors on (first, second) qubit after a two-qubit
 // gate with depolarizing probability p: the 15 non-identity two-qubit
 // Paulis equally likely. It consumes one rng.Float64 and, when an error
-// fires, one rng.Intn(15); see DrawOneQubit for why that is a contract.
+// fires, one rng.Intn(15); Stream.Draw's TwoQubitError reproduces it.
 func DrawTwoQubit(p float64, rng *rand.Rand) (Pauli, Pauli) {
 	if rng.Float64() >= p {
 		return PauliNone, PauliNone
 	}
 	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
 	return paulis[k%4], paulis[k/4]
+}
+
+// Site is one gate-error draw: a OneQubitError on qubit A or a
+// TwoQubitError on the pair (A, B), firing with probability P.
+type Site struct {
+	Kind Kind
+	A, B int
+	P    float64
+}
+
+// Sites calls site, in draw order, for each error draw that follows gate
+// g: one OneQubitError after a one-qubit gate, one TwoQubitError after a
+// two-qubit gate and one per qubit pair i<j, in operand order, after a
+// wider one. id, barrier, measure, reset and a nil model draw none. Both
+// simulators lower a gate's noise through it, once, at compile time.
+func (m *Model) Sites(g circuit.Gate, site func(Site)) {
+	if m == nil || !g.IsUnitary() || g.Name == circuit.GateID {
+		return
+	}
+	if q := g.Qubits; len(q) == 1 {
+		site(Site{Kind: OneQubitError, A: q[0], P: m.OneQubitProb(q[0])})
+		return
+	}
+	for i, a := range g.Qubits {
+		for _, b := range g.Qubits[i+1:] {
+			site(Site{Kind: TwoQubitError, A: a, B: b, P: m.TwoQubitProb(a, b)})
+		}
+	}
 }
 
 // AverageTwoQubit returns the mean two-qubit error over known edges,

@@ -15,8 +15,9 @@ type pauliError struct {
 // call (Model.SampleGateError until the dense engine was compiled too):
 // DrawOneQubit after a one-qubit gate, DrawTwoQubit after a two-qubit gate,
 // one DrawTwoQubit per qubit pair for a wider one, nothing for a nil model.
-// Both engines now lay these draws out at compile time; the tests below
-// keep checking the draws through the old shape.
+// Both engines now lay these draws out at compile time (Model.Sites,
+// pinned to this shape in stream_test.go); the tests below keep checking
+// the draws through the old shape.
 func sampleGateError(m *Model, qubits []int, rng *rand.Rand) []pauliError {
 	if m == nil {
 		return nil

@@ -279,27 +279,6 @@ func FuzzFrameMatchesOracle(f *testing.F) {
 	})
 }
 
-// TestReseedRestartsTheStream pins what lets Runner.Counts recycle the
-// source its stream seeds from: Seed(s) on a used generator leaves it where
-// rand.New(rand.NewSource(s)) starts, for every kind of draw a shot makes.
-func TestReseedRestartsTheStream(t *testing.T) {
-	used := rand.New(rand.NewSource(99))
-	for _, seed := range []int64{0, 1, -5, 7919, 1 << 50} {
-		for i := 0; i < 1000; i++ { // leave it mid-stream
-			used.Float64()
-			used.Intn(15)
-		}
-		used.Seed(seed)
-		fresh := rand.New(rand.NewSource(seed))
-		for i := 0; i < 2000; i++ {
-			if used.Float64() != fresh.Float64() || used.Intn(2) != fresh.Intn(2) ||
-				used.Intn(3) != fresh.Intn(3) || used.Intn(15) != fresh.Intn(15) {
-				t.Fatalf("seed %d: streams differ at draw %d", seed, i)
-			}
-		}
-	}
-}
-
 // TestTableauPrimitivesMatchOracle drives the exported Tableau methods
 // (the API the runner no longer goes through gate by gate) against the
 // oracle's, comparing the rendered stabilizer group after every step.
@@ -359,8 +338,7 @@ func TestTableauPrimitivesMatchOracle(t *testing.T) {
 }
 
 // TestSampleGateErrorMatchesOracle: noise.DrawOneQubit and DrawTwoQubit —
-// the draws the dense engine makes per gate, and the stabilizer kernel
-// inlines (TestKernelRarePaths holds it to them) — return
+// the reference noise.Stream.Draw reproduces for both engines — return
 // what the interpreters' allocating sampler, kept in the oracle, returns,
 // from the same stream: one draw after a one-qubit gate, one per qubit pair
 // i<j after a wider one.

@@ -3,6 +3,8 @@ package stabilizer
 import (
 	"math/bits"
 	"slices"
+
+	"qrio/internal/quantum/noise"
 )
 
 // A shot never replays the tableau. Pauli errors and measurement coins only
@@ -20,21 +22,11 @@ import (
 // event drew. One backward pass over the program computes every mask; a
 // shot is then its draws alone.
 
-// evKind is what a random event draws, in rand.Rand calls.
-type evKind uint8
-
-const (
-	evCoin    evKind = iota // a random measurement or reset: Intn(2); masks for 0, 1
-	evReadout               // a readout flip: Float64 < p; masks for no flip, flip
-	evError1                // noise.DrawOneQubit: masks for I, X, Y, Z
-	evError2                // noise.DrawTwoQubit: 16 masks, indexed by its k
-)
-
 // event is one random event of a shot, in program order.
 type event struct {
 	p    float64
 	mask int32 // kernel.masks[mask:] holds the event's masks, words apiece
-	kind evKind
+	kind noise.Kind
 }
 
 // kernel is a program compiled down to its draws.
@@ -113,7 +105,7 @@ func (p *program) kernel(k *kernel) {
 	// nq+q), the clbits it would flip if toggled at the current op.
 	comp := func(c int) []uint64 { return sens[c*wb : (c+1)*wb] }
 	e, m := nev, nmask*wb
-	table := func(kind evKind, prob float64, n int) []uint64 {
+	table := func(kind noise.Kind, prob float64, n int) []uint64 {
 		e, m = e-1, m-n*wb
 		k.events[e] = event{p: prob, mask: int32(m), kind: kind}
 		return k.masks[m : m+n*wb]
@@ -132,12 +124,12 @@ func (p *program) kernel(k *kernel) {
 			xorInto(xa, comp(o.b))
 			xorInto(comp(p.nq+o.b), za)
 		case opNoise1:
-			tab := table(evError1, o.p, 4)
+			tab := table(noise.OneQubitError, o.p, 4)
 			for d := 1; d < 4; d++ {
 				addPauli(tab[d*wb:(d+1)*wb], xa, za, d)
 			}
 		case opNoise2:
-			tab := table(evError2, o.p, 16)
+			tab := table(noise.TwoQubitError, o.p, 16)
 			for d := 1; d < 16; d++ {
 				addPauli(tab[d*wb:(d+1)*wb], xa, za, d%4)
 				addPauli(tab[d*wb:(d+1)*wb], comp(o.b), comp(p.nq+o.b), d/4)
@@ -152,7 +144,7 @@ func (p *program) kernel(k *kernel) {
 					written[w] |= bit
 				}
 				if p.noisy {
-					table(evReadout, o.p, 2)[wb+w] = bit
+					table(noise.Readout, o.p, 2)[wb+w] = bit
 				}
 			} else {
 				clear(xa)
@@ -172,7 +164,7 @@ func (p *program) kernel(k *kernel) {
 				}
 			}
 			xorInto(xa, acc)
-			tab := table(evCoin, 0, 2)[wb:]
+			tab := table(noise.Coin, 0, 2)[wb:]
 			copy(tab, acc)
 			tab[w] ^= bit
 		}
@@ -188,7 +180,7 @@ func xorInto(dst, src []uint64) {
 }
 
 // addPauli XORs into dst the masks of the Pauli with base-4 digit d (0 I,
-// 1 X, 2 Y, 3 Z, as noise.DrawOneQubit numbers them) on a qubit whose X
+// 1 X, 2 Y, 3 Z, as noise.Stream.Draw numbers them) on a qubit whose X
 // and Z components have masks x and z.
 func addPauli(dst, x, z []uint64, d int) {
 	if d == 1 || d == 2 {
@@ -201,30 +193,13 @@ func addPauli(dst, x, z []uint64, d int) {
 
 // shot draws one shot and leaves its outcome in k.out: the reference
 // outcome XOR, per event, the mask its draw selects.
-func (k *kernel) shot(s *stream) {
+func (k *kernel) shot(s *noise.Stream) {
 	copy(k.out, k.base)
 	for e := range k.events {
 		ev := &k.events[e]
-		tab := k.masks[int(ev.mask)+ev.draw(s)*len(k.out):]
+		tab := k.masks[int(ev.mask)+s.Draw(ev.kind, ev.p)*len(k.out):]
 		for w := range k.out {
 			k.out[w] ^= tab[w]
 		}
 	}
-}
-
-// draw makes the event's rand.Rand calls on the stream — the ones
-// noise.DrawOneQubit, noise.DrawTwoQubit, a coin or a readout makes — and
-// returns the selection they pick.
-func (ev *event) draw(s *stream) int {
-	switch {
-	case ev.kind == evCoin:
-		return s.intn(2)
-	case s.float64() >= ev.p:
-		return 0
-	case ev.kind == evError1:
-		return 1 + s.intn(3)
-	case ev.kind == evError2:
-		return 1 + s.intn(15)
-	}
-	return 1
 }

@@ -116,20 +116,6 @@ var rotationGates = map[string][]rotation{
 	circuit.GateU3: {{&rzTurns, 2}, {&ryTurns, 0}, {&rzTurns, 1}},
 }
 
-// checkGate rejects a malformed gate or one reaching outside an n-qubit
-// register, so lowering and execution can index without checks.
-func checkGate(g circuit.Gate, n int) error {
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("stabilizer: %w", err)
-	}
-	for _, q := range g.Qubits {
-		if q >= n {
-			return fmt.Errorf("stabilizer: qubit %d out of range (n=%d)", q, n)
-		}
-	}
-	return nil
-}
-
 // appendGate lowers one (checked) unitary gate of the circuit vocabulary
 // to primitive ops. Parameterised gates are accepted when their angles are
 // multiples of π/2; non-Clifford gates return an error: callers should
@@ -182,8 +168,8 @@ func (t *Tableau) apply(o op) {
 // Parameterised gates are accepted when their angles are multiples of π/2.
 // Non-Clifford gates return an error: callers should cliffordize first.
 func (t *Tableau) ApplyGate(g circuit.Gate) error {
-	if err := checkGate(g, t.n); err != nil {
-		return err
+	if err := g.ValidateOn(t.n); err != nil {
+		return fmt.Errorf("stabilizer: %w", err)
 	}
 	ops, err := appendGate(nil, g)
 	if err != nil {
@@ -195,11 +181,11 @@ func (t *Tableau) ApplyGate(g circuit.Gate) error {
 	return nil
 }
 
-// compile lowers c to a program. With a noise model every gate except id
-// is followed by its error draw and every measurement carries its readout
-// flip probability, all looked up here, once, instead of once per shot.
-// When the circuit has no measurements every qubit is measured at the end
-// in qubit order. The ops are appended to ops[:0].
+// compile lowers c to a program. With a noise model every gate is followed
+// by its error draws (noise.Model.Sites) and every measurement carries its
+// readout flip probability, all looked up here, once, instead of once per
+// shot. When the circuit has no measurements every qubit is measured at the
+// end in qubit order. The ops are appended to ops[:0].
 func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error) {
 	p := &program{nq: c.NumQubits, nbits: c.NumClbits, noisy: model != nil}
 	p.ops = slices.Grow(ops[:0], 2*len(c.Gates)+c.NumQubits)
@@ -216,8 +202,8 @@ func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error)
 		p.nbits = c.NumQubits
 	}
 	for _, g := range c.Gates {
-		if err := checkGate(g, p.nq); err != nil {
-			return nil, err
+		if err := g.ValidateOn(p.nq); err != nil {
+			return nil, fmt.Errorf("stabilizer: %w", err)
 		}
 		switch g.Name {
 		case circuit.GateBarrier:
@@ -237,15 +223,13 @@ func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error)
 		if p.ops, err = appendGate(p.ops, g); err != nil {
 			return nil, err
 		}
-		if model == nil || g.Name == circuit.GateID {
-			continue
-		}
-		switch q := g.Qubits; len(q) {
-		case 1:
-			p.ops = append(p.ops, op{code: opNoise1, a: q[0], p: model.OneQubitProb(q[0])})
-		case 2:
-			p.ops = append(p.ops, op{code: opNoise2, a: q[0], b: q[1], p: model.TwoQubitProb(q[0], q[1])})
-		}
+		model.Sites(g, func(s noise.Site) {
+			code := opNoise1
+			if s.Kind == noise.TwoQubitError {
+				code = opNoise2
+			}
+			p.ops = append(p.ops, op{code: code, a: s.A, b: s.B, p: s.P})
+		})
 	}
 	if !hasMeasure {
 		for q := 0; q < c.NumQubits; q++ {
@@ -259,7 +243,7 @@ func compile(c *circuit.Circuit, model *noise.Model, ops []op) (*program, error)
 // calls (a cold sweep makes 500): the stream, the compiled ops, the
 // kernel's slab and the tally of packed outcomes.
 type scratch struct {
-	s      stream
+	s      noise.Stream
 	k      kernel
 	ops    []op
 	key    []byte
@@ -287,14 +271,9 @@ type Runner struct {
 // backward pass turn it into a list of random events with an outcome mask
 // per draw (kernel.go), and a shot is the reference outcome XOR the masks
 // its draws select. Counts are a function of (circuit, model, Shots, Seed)
-// alone: the random stream is rand.New(rand.NewSource(Seed))'s, consumed in
-// gate order — per gate its error draw (noise.DrawOneQubit /
-// DrawTwoQubit), per measurement one Intn(2) when the outcome is random and
-// then, with a model, one Float64 for the readout flip — and that order
-// never changes. The kernel honours it because whether a measurement is
-// random depends on the tableau's X/Z bits only, which errors and coins
-// never touch, and it reads the stream (stream.go) exactly as those
-// rand.Rand calls would.
+// alone: the draws follow the order noise.Stream.Draw sets out, and the
+// kernel honours it because whether a measurement is random depends on the
+// tableau's X/Z bits only, which errors and coins never touch.
 func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if r.Shots <= 0 {
 		return nil, fmt.Errorf("stabilizer: Shots must be positive, got %d", r.Shots)
@@ -308,7 +287,7 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	sc.ops = prog.ops
 	k := &sc.k
 	prog.kernel(k)
-	sc.s.seed(r.Seed)
+	sc.s.Seed(r.Seed)
 	// An outcome is tallied by its packed word — or, past 64 clbits, its
 	// packed bytes — and formatted once, in the same buffer.
 	n := max(8*k.words, prog.nbits)
@@ -355,36 +334,6 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	}
 	sc.key, sc.hits = key, hits
 	return counts, nil
-}
-
-// FormatBits renders a basis index as a Qiskit-style bitstring (bit 0
-// rightmost); identical convention to package statevec.
-func FormatBits(index, nbits int) string {
-	b := make([]byte, nbits)
-	for i := 0; i < nbits; i++ {
-		if index&(1<<uint(i)) != 0 {
-			b[nbits-1-i] = '1'
-		} else {
-			b[nbits-1-i] = '0'
-		}
-	}
-	return string(b)
-}
-
-// ParseBits inverts FormatBits.
-func ParseBits(s string) (int, error) {
-	v := 0
-	for i := 0; i < len(s); i++ {
-		bit := s[len(s)-1-i]
-		switch bit {
-		case '1':
-			v |= 1 << uint(i)
-		case '0':
-		default:
-			return 0, fmt.Errorf("stabilizer: bad bitstring %q", s)
-		}
-	}
-	return v, nil
 }
 
 // Ideal answers exact outcome-probability queries about the noiseless run

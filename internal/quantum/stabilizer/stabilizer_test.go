@@ -250,22 +250,6 @@ func TestResetInRunner(t *testing.T) {
 	}
 }
 
-func TestParseFormatBitsRoundTrip(t *testing.T) {
-	for _, v := range []int{0, 1, 5, 127, 1 << 10} {
-		s := stabilizer.FormatBits(v, 12)
-		got, err := stabilizer.ParseBits(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != v {
-			t.Fatalf("round trip %d -> %s -> %d", v, s, got)
-		}
-	}
-	if _, err := stabilizer.ParseBits("01x"); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
 func TestLargeRegisterSmoke(t *testing.T) {
 	// 100-qubit GHZ: far beyond dense simulation, trivial for the tableau.
 	const n = 100

@@ -185,12 +185,6 @@ func TestEngineErrorsWhereOracleDoes(t *testing.T) {
 	}
 }
 
-// fixedSource makes rand.Rand.Float64 return v/2^53.
-type fixedSource struct{ v int64 }
-
-func (f fixedSource) Int63() int64 { return f.v }
-func (fixedSource) Seed(int64)     {}
-
 // TestSampleSumsMatchesSampleIndex holds the binary search over running
 // sums to the linear scan at the draws where they could part: exactly on a
 // running sum (a run of equal sums included — outcomes of probability
@@ -218,9 +212,8 @@ func TestSampleSumsMatchesSampleIndex(t *testing.T) {
 			if v < 0 || v >= one {
 				continue
 			}
-			rng := rand.New(fixedSource{v})
-			r := rng.Float64()
-			if got, want := sampleSums(sums, r), s.SampleIndex(rng); got != want {
+			r := float64(v) / one // a Float64 draw
+			if got, want := sampleSums(sums, r), s.SampleIndex(r); got != want {
 				t.Fatalf("probs %v, draw %v: sampleSums = %d, SampleIndex = %d", probs, r, got, want)
 			}
 		}

@@ -2,7 +2,6 @@ package statevec
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/noise"
@@ -25,14 +24,13 @@ const checkpointBytes = 1 << 20
 // (or over all qubits when the circuit has no measurements).
 //
 // The circuit is compiled once and all shots run on one state. Counts are a
-// function of (circuit, model, Shots, Seed) alone: one rand.Rand seeded
-// with Seed is consumed in the order noise.DrawOneQubit documents, and
-// that order never changes. A shot's gate errors do not depend on the
-// quantum state, so they are drawn before anything is simulated; a shot
-// that drew none is sampled from the noiseless final state instead of
-// being simulated, and one that did replays with its errors injected.
-// Circuits with a reset, whose draw does depend on the state, run gate by
-// gate.
+// function of (circuit, model, Shots, Seed) alone: the draws follow the
+// order noise.Stream.Draw sets out, which never changes. A shot's gate
+// errors do not depend on the quantum state, so they are drawn before
+// anything is simulated; a shot that drew none is sampled from the
+// noiseless final state instead of being simulated, and one that did
+// replays with its errors injected. Circuits with a reset, whose draw does
+// depend on the state, run gate by gate.
 func (r Noisy) Counts(c *circuit.Circuit) (map[string]int, error) {
 	counts, _, err := r.run(c, false)
 	return counts, err
@@ -59,7 +57,9 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 	if err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
+	var st noise.Stream
+	st.Seed(r.Seed)
+	defer st.Release()
 	// Integer keys: a bitstring is formatted once per distinct outcome.
 	tally := make(map[int]int)
 	var ideal map[string]float64
@@ -68,8 +68,8 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 			if shot > 0 {
 				s.reset()
 			}
-			prog.runShot(s, rng)
-			tally[prog.readout(s.SampleIndex(rng), rng)]++
+			prog.runShot(s, &st)
+			tally[prog.readout(s.SampleIndex(st.Float64()), &st)]++
 		}
 	} else {
 		checkpoints := prog.runNoiseless(s)
@@ -80,9 +80,9 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 		size := len(s.amps)
 		hits := make([]hit, 0, len(prog.sites))
 		for shot := 0; shot < r.Shots; shot++ {
-			hits = prog.drawErrors(rng, hits[:0])
+			hits = prog.drawErrors(&st, hits[:0])
 			if len(hits) == 0 {
-				tally[prog.readout(sampleSums(sums, rng.Float64()), rng)]++
+				tally[prog.readout(sampleSums(sums, st.Float64()), &st)]++
 				continue
 			}
 			from := 0
@@ -94,7 +94,7 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 				s.reset()
 			}
 			prog.replay(s, from, hits)
-			tally[prog.readout(s.SampleIndex(rng), rng)]++
+			tally[prog.readout(s.SampleIndex(st.Float64()), &st)]++
 		}
 	}
 	counts := make(map[string]int, len(tally))
@@ -115,7 +115,7 @@ func (p *program) runNoiseless(s *State) (checkpoints []complex128) {
 	}
 	for i := range p.ops {
 		switch o := &p.ops[i]; o.code {
-		case opNoise1, opNoise2:
+		case opNoise:
 			if checkpoints != nil {
 				checkpoints = append(checkpoints, s.amps...)
 			}

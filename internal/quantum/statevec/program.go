@@ -2,7 +2,6 @@ package statevec
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/noise"
@@ -12,14 +11,13 @@ import (
 type opcode uint8
 
 const (
-	op1Q     opcode = iota // the 2x2 unitary m on qubit a
-	opDiag                 // the same when m is diagonal
-	opCX                   // control a, target b
-	opCZ                   // on the pair (a, b)
-	opSwap                 // exchanges a and b
-	opNoise1               // depolarizing error of strength p after a one-qubit gate on a
-	opNoise2               // depolarizing error of strength p after a gate on (a, b)
-	opReset                // measure a (one Float64) and flip it back to |0>
+	op1Q    opcode = iota // the 2x2 unitary m on qubit a
+	opDiag                // the same when m is diagonal
+	opCX                  // control a, target b
+	opCZ                  // on the pair (a, b)
+	opSwap                // exchanges a and b
+	opNoise               // an error draw of kind kind and strength p after a gate on a, or on (a, b)
+	opReset               // measure a (one Float64) and flip it back to |0>
 )
 
 // op is one compiled step. Everything a shot would otherwise re-derive per
@@ -28,6 +26,7 @@ const (
 // resolved when it was built.
 type op struct {
 	code opcode
+	kind noise.Kind // opNoise: noise.OneQubitError or noise.TwoQubitError
 	a, b int
 	p    float64
 	m    circuit.Matrix2
@@ -63,27 +62,14 @@ func matrixOp(q int, m circuit.Matrix2) op {
 	return op{code: op1Q, a: q, m: m}
 }
 
-// The Pauli errors, compiled once. They are the x, y and z gates' own
-// matrices, last bits of cos(π/2) included, because the engine must
-// compute the amplitudes a shot with that error always had.
+// The Pauli errors X, Y, Z, compiled once and indexed by their base-4
+// digit less one. They are the x, y and z gates' own matrices, last bits
+// of cos(π/2) included, because the engine must compute the amplitudes a
+// shot with that error always had.
 var pauliOps = [...]op{
-	noise.PauliX - noise.PauliX: matrixOp(0, circuit.Gate{Name: circuit.GateX}.MustMatrix1Q()),
-	noise.PauliY - noise.PauliX: matrixOp(0, circuit.Gate{Name: circuit.GateY}.MustMatrix1Q()),
-	noise.PauliZ - noise.PauliX: matrixOp(0, circuit.Gate{Name: circuit.GateZ}.MustMatrix1Q()),
-}
-
-// checkGate rejects a malformed gate or one reaching outside an n-qubit
-// register, so lowering and execution can index without checks.
-func checkGate(g circuit.Gate, n int) error {
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("statevec: %w", err)
-	}
-	for _, q := range g.Qubits {
-		if q >= n {
-			return fmt.Errorf("statevec: qubit %d out of range (n=%d)", q, n)
-		}
-	}
-	return nil
+	matrixOp(0, circuit.Gate{Name: circuit.GateX}.MustMatrix1Q()),
+	matrixOp(0, circuit.Gate{Name: circuit.GateY}.MustMatrix1Q()),
+	matrixOp(0, circuit.Gate{Name: circuit.GateZ}.MustMatrix1Q()),
 }
 
 // appendGate lowers one (checked) unitary gate of the circuit vocabulary
@@ -120,10 +106,9 @@ func appendGate(ops []op, g circuit.Gate) ([]op, error) {
 }
 
 // compile lowers c to a program. Measurements must be terminal. With a
-// noise model every unitary gate except id is followed by its error draw —
-// one for a one- or two-qubit gate, one per qubit pair i<j for a wider one
-// — and every measurement carries its readout flip probability, all looked
-// up here, once, instead of once per shot. When the circuit has no
+// noise model every unitary gate is followed by its error draws
+// (noise.Model.Sites) and every measurement carries its readout flip
+// probability, all looked up here, once, instead of once per shot. When the circuit has no
 // measurements every qubit is measured at the end in qubit order.
 func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 	qubits, clbits, err := terminalMeasurements(c)
@@ -152,8 +137,8 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 	}
 	p.ops = make([]op, 0, 2*len(c.Gates))
 	for _, g := range c.Gates {
-		if err := checkGate(g, p.nq); err != nil {
-			return nil, err
+		if err := g.ValidateOn(p.nq); err != nil {
+			return nil, fmt.Errorf("statevec: %w", err)
 		}
 		switch g.Name {
 		case circuit.GateBarrier, circuit.GateMeasure:
@@ -166,20 +151,10 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 		if p.ops, err = appendGate(p.ops, g); err != nil {
 			return nil, err
 		}
-		if model == nil || g.Name == circuit.GateID {
-			continue
-		}
-		if q := g.Qubits; len(q) == 1 {
+		model.Sites(g, func(s noise.Site) {
 			p.sites = append(p.sites, len(p.ops))
-			p.ops = append(p.ops, op{code: opNoise1, a: q[0], p: model.OneQubitProb(q[0])})
-			continue
-		}
-		for i, a := range g.Qubits {
-			for _, b := range g.Qubits[i+1:] {
-				p.sites = append(p.sites, len(p.ops))
-				p.ops = append(p.ops, op{code: opNoise2, a: a, b: b, p: model.TwoQubitProb(a, b)})
-			}
-		}
+			p.ops = append(p.ops, op{code: opNoise, kind: s.Kind, a: s.A, b: s.B, p: s.P})
+		})
 	}
 	return p, nil
 }
@@ -196,10 +171,17 @@ func (s *State) apply(o *op) {
 	}
 }
 
-// pauli applies a drawn Pauli error (PauliNone does nothing).
-func (s *State) pauli(q int, p noise.Pauli) {
-	if p != noise.PauliNone {
-		o := pauliOps[p-noise.PauliX]
+// inject applies error draw d (noise.Stream.Draw's selection) at noise op
+// o: Pauli digit d%4 on o.a, d/4 on o.b.
+func (s *State) inject(o *op, d int) {
+	s.pauli(o.a, d%4)
+	s.pauli(o.b, d/4)
+}
+
+// pauli applies the Pauli with base-4 digit d (0 I, 1 X, 2 Y, 3 Z) to q.
+func (s *State) pauli(q, d int) {
+	if d != 0 {
+		o := pauliOps[d-1]
 		o.a = q
 		s.apply(&o)
 	}
@@ -211,28 +193,21 @@ func (s *State) reset() {
 	s.amps[0] = 1
 }
 
-// hit is one gate error a shot drew: the Paulis to inject at the program's
-// site-th noise op.
+// hit is one gate error a shot drew: the draw's selection at the
+// program's site-th noise op.
 type hit struct {
-	site   int
-	pa, pb noise.Pauli
+	site, d int
 }
 
 // drawErrors draws one shot's gate errors, site by site in circuit order,
 // and appends the ones that fired to hits. No draw depends on the quantum
 // state (the program has no reset), so the stream is consumed exactly as a
 // shot that interleaved the draws with its gates would consume it.
-func (p *program) drawErrors(rng *rand.Rand, hits []hit) []hit {
+func (p *program) drawErrors(st *noise.Stream, hits []hit) []hit {
 	for site, at := range p.sites {
 		o := &p.ops[at]
-		if o.code == opNoise1 {
-			if pa := noise.DrawOneQubit(o.p, rng); pa != noise.PauliNone {
-				hits = append(hits, hit{site: site, pa: pa})
-			}
-			continue
-		}
-		if pa, pb := noise.DrawTwoQubit(o.p, rng); pa != noise.PauliNone || pb != noise.PauliNone {
-			hits = append(hits, hit{site: site, pa: pa, pb: pb})
+		if d := st.Draw(o.kind, o.p); d != 0 {
+			hits = append(hits, hit{site: site, d: d})
 		}
 	}
 	return hits
@@ -243,15 +218,12 @@ func (p *program) drawErrors(rng *rand.Rand, hits []hit) []hit {
 func (p *program) replay(s *State, from int, hits []hit) {
 	for i := from; i < len(p.ops); i++ {
 		o := &p.ops[i]
-		switch o.code {
-		case opNoise1, opNoise2:
-			if len(hits) > 0 && p.sites[hits[0].site] == i {
-				s.pauli(o.a, hits[0].pa)
-				s.pauli(o.b, hits[0].pb)
-				hits = hits[1:]
-			}
-		default:
+		switch {
+		case o.code != opNoise:
 			s.apply(o)
+		case len(hits) > 0 && p.sites[hits[0].site] == i:
+			s.inject(o, hits[0].d)
+			hits = hits[1:]
 		}
 	}
 }
@@ -259,18 +231,14 @@ func (p *program) replay(s *State, from int, hits []hit) {
 // runShot executes one trajectory in program order, drawing as it goes —
 // the loop for programs with a reset, whose draw picks a branch of the
 // state and so cannot be taken ahead of the gates before it.
-func (p *program) runShot(s *State, rng *rand.Rand) {
+func (p *program) runShot(s *State, st *noise.Stream) {
 	for i := range p.ops {
 		o := &p.ops[i]
 		switch o.code {
-		case opNoise1:
-			s.pauli(o.a, noise.DrawOneQubit(o.p, rng))
-		case opNoise2:
-			pa, pb := noise.DrawTwoQubit(o.p, rng)
-			s.pauli(o.a, pa)
-			s.pauli(o.b, pb)
+		case opNoise:
+			s.inject(o, st.Draw(o.kind, o.p))
 		case opReset:
-			s.ResetQubit(o.a, rng)
+			s.ResetQubit(o.a, st.Float64())
 		default:
 			s.apply(o)
 		}
@@ -278,13 +246,13 @@ func (p *program) runShot(s *State, rng *rand.Rand) {
 }
 
 // readout maps a sampled basis index to its classical-register key: each
-// measured qubit's bit, flipped by its readout coin (noisy programs only,
-// one Float64 per measurement in program order), onto its classical bit.
-func (p *program) readout(idx int, rng *rand.Rand) int {
+// measured qubit's bit, flipped by its readout draw (noisy programs only,
+// one per measurement in program order), onto its classical bit.
+func (p *program) readout(idx int, st *noise.Stream) int {
 	key := 0
 	for _, m := range p.measures {
 		one := idx&m.qmask != 0
-		if p.noisy && rng.Float64() < m.p {
+		if p.noisy && st.Draw(noise.Readout, m.p) == 1 {
 			one = !one
 		}
 		if one {

@@ -59,7 +59,7 @@ func TestMeasurementPreservesNormalization(t *testing.T) {
 		}
 		s.ApplyCX(0, 1)
 		s.ApplyCX(1, 2)
-		s.MeasureQubit(rng.Intn(n), rng)
+		s.MeasureQubit(rng.Intn(n), rng.Float64())
 		norm := 0.0
 		for _, p := range s.Probabilities() {
 			norm += p
@@ -112,7 +112,7 @@ func TestSampleIndexMatchesDistribution(t *testing.T) {
 	counts := make([]int, 4)
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		counts[s.SampleIndex(rng)]++
+		counts[s.SampleIndex(rng.Float64())]++
 	}
 	for i, p := range probs {
 		got := float64(counts[i]) / trials

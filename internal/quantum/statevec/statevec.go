@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"qrio/internal/quantum/circuit"
-	"qrio/internal/quantum/noise"
 )
 
 // MaxQubits bounds the register size to keep allocations sane (2^24 amps).
@@ -121,8 +119,8 @@ func (s *State) ApplyGate(g circuit.Gate) error {
 	if !g.IsUnitary() {
 		return fmt.Errorf("statevec: gate %q is not unitary", g.Name)
 	}
-	if err := checkGate(g, s.n); err != nil {
-		return err
+	if err := g.ValidateOn(s.n); err != nil {
+		return fmt.Errorf("statevec: %w", err)
 	}
 	ops, err := appendGate(nil, g)
 	if err != nil {
@@ -155,12 +153,13 @@ func (s *State) ProbOne(q int) float64 {
 	return p
 }
 
-// MeasureQubit projects qubit q, returning the observed bit.
-func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
+// MeasureQubit projects qubit q, returning the observed bit: 1 when the
+// uniform draw r in [0, 1) falls below the probability of a one.
+func (s *State) MeasureQubit(q int, r float64) int {
 	p1 := s.ProbOne(q)
 	bit := 1 << uint(q)
 	out := 0
-	if rng.Float64() < p1 {
+	if r < p1 {
 		out = 1
 	}
 	var norm float64
@@ -182,16 +181,17 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 	return out
 }
 
-// ResetQubit measures q and flips it back to |0> if needed.
-func (s *State) ResetQubit(q int, rng *rand.Rand) {
-	if s.MeasureQubit(q, rng) == 1 {
-		s.pauli(q, noise.PauliX)
+// ResetQubit measures q with the draw r and flips it back to |0> if needed.
+func (s *State) ResetQubit(q int, r float64) {
+	if s.MeasureQubit(q, r) == 1 {
+		s.pauli(q, 1) // X
 	}
 }
 
-// SampleIndex draws one basis-state index from the state's distribution.
-func (s *State) SampleIndex(rng *rand.Rand) int {
-	r := rng.Float64()
+// SampleIndex returns the basis-state index the uniform draw r in [0, 1)
+// selects from the state's distribution: the first whose running
+// probability sum exceeds r.
+func (s *State) SampleIndex(r float64) int {
 	acc := 0.0
 	last := 0
 	for i, a := range s.amps {

@@ -148,7 +148,7 @@ func TestMeasureQubitStatistics(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		s, _ := New(1)
 		s.Apply1Q(0, circuit.Gate{Name: circuit.GateH}.MustMatrix1Q())
-		ones += s.MeasureQubit(0, rng)
+		ones += s.MeasureQubit(0, rng.Float64())
 	}
 	frac := float64(ones) / trials
 	if frac < 0.45 || frac > 0.55 {
@@ -161,7 +161,7 @@ func TestMeasureCollapses(t *testing.T) {
 	s, _ := New(2)
 	s.Apply1Q(0, circuit.Gate{Name: circuit.GateH}.MustMatrix1Q())
 	s.ApplyCX(0, 1)
-	out := s.MeasureQubit(0, rng)
+	out := s.MeasureQubit(0, rng.Float64())
 	// After measuring qubit 0 of a Bell pair, qubit 1 must agree.
 	if got := s.ProbOne(1); !approxEq(got, float64(out), 1e-9) {
 		t.Fatalf("collapse broken: out=%d P(q1=1)=%v", out, got)
@@ -234,7 +234,7 @@ func TestResetQubit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s, _ := New(1)
 		s.Apply1Q(0, circuit.Gate{Name: circuit.GateH}.MustMatrix1Q())
-		s.ResetQubit(0, rng)
+		s.ResetQubit(0, rng.Float64())
 		if !approxEq(s.ProbOne(0), 0, 1e-12) {
 			t.Fatal("reset did not return qubit to |0>")
 		}
