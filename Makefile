@@ -52,7 +52,7 @@ BENCH_REPL_CPU ?= 1,4,8
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -156,6 +156,13 @@ lint-rand:
 lint-draw:
 	@out="$$(grep -rnE 'rand\.New\(|noise\.Draw(One|Two)Qubit\(' --include='*.go' --exclude='*_test.go' internal/quantum/stabilizer internal/quantum/statevec || true)"; \
 	if [ -n "$$out" ]; then echo "lint-draw: the simulators draw through noise.Stream.Draw, not a second path:"; echo "$$out"; exit 1; fi
+
+# lint-poll enforces the edge-triggered scheduler: non-test code under
+# internal/sched wakes on job events and on a retry timer armed only while
+# a job waits, never on a ticker (time.NewTicker, time.Tick).
+lint-poll:
+	@out="$$(grep -rnE 'time\.(NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' internal/sched || true)"; \
+	if [ -n "$$out" ]; then echo "lint-poll: the scheduler wakes on edges and a retry timer, not a ticker:"; echo "$$out"; exit 1; fi
 
 # lint-metrics enforces the metric naming contract: every family literal
 # ("qrio_..." strings in non-test code) must read
@@ -302,4 +309,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-draw lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke

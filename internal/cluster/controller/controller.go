@@ -36,8 +36,6 @@ type Controller struct {
 	// archive tier. The zero policy keeps everything resident — the
 	// pre-archive behaviour.
 	Retention state.RetentionPolicy
-	// Interval is the reconcile cadence (default 100ms).
-	Interval time.Duration
 	// Clock is the controller's time source — injectable for tests and
 	// the virtual-time simulator. Nil means the wall clock.
 	Clock clock.Clock
@@ -51,18 +49,14 @@ func New(st *state.Cluster) *Controller {
 		NodeTimeout:  2 * time.Second,
 		StuckTimeout: 5 * time.Second,
 		MaxEvents:    2048,
-		Interval:     100 * time.Millisecond,
 		Clock:        clock.Real{},
 	}
 }
 
-// Run reconciles until the context is cancelled.
+// Run reconciles every 100 ms until the context is cancelled.
 func (c *Controller) Run(ctx context.Context) {
-	interval := c.Interval
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	const reconcileEvery = 100 * time.Millisecond
+	tick := time.NewTicker(reconcileEvery)
 	defer tick.Stop()
 	for {
 		select {

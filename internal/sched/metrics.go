@@ -10,8 +10,7 @@ import "qrio/internal/obs"
 // time as qrio_sched_degraded_episodes_total.
 type Metrics struct {
 	// PassSeconds observes the wall time of each non-empty scheduling
-	// pass (empty idle passes would drown the histogram at the 10ms
-	// reconcile cadence and measure nothing).
+	// pass (an empty one measures nothing).
 	PassSeconds *obs.Histogram
 	// PassJobs counts per-pass work by outcome: "ranked" (pending jobs
 	// the pass considered) and "bound" (jobs it placed). The gap between

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"qrio/internal/clock"
@@ -9,13 +10,13 @@ import (
 	"qrio/internal/cluster/state"
 )
 
-// Scheduler drives the cluster's scheduling loop: it watches for pending
-// jobs and, each pass, binds up to Concurrency of them through one
-// pipeline — snapshot the pending queue, cap each tenant at its active
-// budget, walk the jobs in weighted-fair order (FIFO within a tenant, and
-// globally with one tenant; see fair.go), rank each distinct spec against
-// the fleet once (Framework.Rank) and bind greedily, best score first
-// with deterministic name tie-breaks, so no node slot is ever
+// Scheduler drives the cluster's scheduling loop: it sleeps until a job
+// event (see Run) and, each pass, binds up to Concurrency pending jobs
+// through one pipeline — snapshot the pending queue, cap each tenant at
+// its active budget, walk the jobs in weighted-fair order (FIFO within a
+// tenant, and globally with one tenant; see fair.go), rank each distinct
+// spec against the fleet once (Framework.Rank) and bind greedily, best
+// score first with deterministic name tie-breaks, so no node slot is ever
 // double-booked (see Dispatch). A budget of 1 is a batch of one. Every
 // bind is conditional on the resource version the pass observed the job
 // at, so any number of schedulers can share one pending queue: exactly
@@ -24,9 +25,6 @@ import (
 type Scheduler struct {
 	State     *state.Cluster
 	Framework *Framework
-	// Interval is the reconcile cadence (default 10ms; in-process stores
-	// make this cheap).
-	Interval time.Duration
 	// Concurrency is the per-pass bind budget (default 1, the paper's
 	// one job at a time).
 	Concurrency int
@@ -83,32 +81,38 @@ type Scheduler struct {
 	// Accessed only from SchedulePass, like wrrCredit.
 	fleetRank      map[uint64][]NodeScore
 	fleetRankEpoch uint64
+	// passes counts SchedulePass calls (tests hold Run to its wake-ups).
+	passes atomic.Int64
 }
 
 // New assembles a scheduler over cluster state.
 func New(st *state.Cluster, fw *Framework) *Scheduler {
-	return &Scheduler{State: st, Framework: fw, Interval: 10 * time.Millisecond, Concurrency: 1}
+	return &Scheduler{State: st, Framework: fw, Concurrency: 1}
 }
 
-// Run reconciles until the context is cancelled.
+// Run schedules until the context is cancelled: one pass at start (jobs
+// Pending since boot or WAL replay), one per burst of job events, and one
+// every 10 ms while a job waits, since a node, a slot, a tenant budget or
+// the scorer's breaker can open without a job event. Idle, it sleeps.
 func (s *Scheduler) Run(ctx context.Context) {
-	interval := s.Interval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	const retryEvery = 10 * time.Millisecond
 	events, cancel := s.State.Jobs.Watch(128)
 	defer cancel()
 	defer s.fleet.stop()
 	for {
+		s.SchedulePass()
+		var retry <-chan time.Time // nil: never fires
+		if s.State.PendingCount() > 0 {
+			retry = time.After(retryEvery)
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-events:
-			s.SchedulePass()
-		case <-ticker.C:
-			s.SchedulePass()
+			for len(events) > 0 {
+				<-events
+			}
+		case <-retry:
 		}
 	}
 }
@@ -123,6 +127,7 @@ func (s *Scheduler) Run(ctx context.Context) {
 // remains the authoritative guard against races with kubelets and other
 // actors.
 func (s *Scheduler) SchedulePass() int {
+	s.passes.Add(1)
 	limit := s.Concurrency
 	if limit <= 0 {
 		limit = 1

@@ -87,7 +87,7 @@ type Config struct {
 	Profile simload.Profile `json:"profile"`
 
 	// PassEvery is the scheduler cadence in virtual time (default 10ms —
-	// the live scheduler's default Interval).
+	// the live scheduler's re-poll cadence while a job waits).
 	PassEvery simload.Duration `json:"passEvery,omitempty"`
 	// Concurrency is the scheduler's per-pass dispatch budget (default
 	// 256; the simulator always runs the batched path).
