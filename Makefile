@@ -37,15 +37,8 @@ GUARDED_OBS := BenchmarkMetricsHotPath
 # These are disk-bound, so they run for a fixed time, not a fixed count.
 GUARDED_WAL := BenchmarkWALAppendFsync|BenchmarkWALGroupCommit
 BENCH_WAL_TIME ?= 200ms
-# The multi-replica scale-out bench runs with its own methodology: a
-# handful of full wave drains per measurement (each op is already a
-# 32-job wave) across -cpu $(BENCH_REPL_CPU), so the curve shows both
-# the replica axis and the core axis.
-GUARDED_REPL := BenchmarkReplicatedBind
 BENCH_COUNT ?= 3
 BENCH_FAST_TIME ?= 20x
-BENCH_REPL_TIME ?= 5x
-BENCH_REPL_CPU ?= 1,4,8
 
 # Total-coverage floor: the coverage job fails when the current total
 # drops below the committed baseline (COVERAGE_baseline.txt) minus this
@@ -126,18 +119,17 @@ lint-sync:
 	if [ -n "$$out" ]; then echo "lint-sync: only internal/cluster/state may write ahead of the disk (store.NoWait); everyone else waits on return:"; echo "$$out"; exit 1; fi
 
 # lint-bind enforces the one-placement-loop rule: state.Cluster.BindJobAt
-# (and its BindJob wrapper) is called only by the embedded scheduler's
-# Dispatch (Scheduler.bind in internal/sched/scheduler.go), by the
-# POST /v1/bind handler a remote replica's Dispatch drives
-# (internal/gateway/bind.go) and by the state layer itself — so no second
-# filter/score/bind loop can grow beside Dispatch unnoticed. Tests and
+# (and its BindJob wrapper) is called only by the scheduler's Dispatch
+# (Scheduler.bind in internal/sched/scheduler.go) and by the state layer
+# itself — so no second filter/score/bind loop, in-process or behind an
+# HTTP route, can grow beside Dispatch unnoticed. Tests and
 # bench/ are exempt (they stage bound jobs directly). Finding no call at
 # all means the grep is miswired, not that the code is clean.
 lint-bind:
 	@all="$$(grep -rnE '\.BindJob(At)?\(' --include='*.go' --exclude='*_test.go' internal cmd client examples *.go || true)"; \
 	if [ -z "$$all" ]; then echo "lint-bind: found no BindJobAt call — audit miswired"; exit 1; fi; \
-	out="$$(echo "$$all" | grep -vE '^(internal/sched/scheduler\.go|internal/gateway/bind\.go|internal/cluster/state/[^:]+\.go):' || true)"; \
-	if [ -n "$$out" ]; then echo "lint-bind: place jobs through sched.Dispatch (Scheduler.bind or POST /v1/bind), not beside it:"; echo "$$out"; exit 1; fi
+	out="$$(echo "$$all" | grep -vE '^(internal/sched/scheduler\.go|internal/cluster/state/[^:]+\.go):' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-bind: place jobs through sched.Dispatch (Scheduler.bind), not beside it:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -247,10 +239,10 @@ chaos-faults:
 	$(GO) test -race -count=1 -run 'TestFaultStorm' ./internal/cluster/chaostest
 
 # chaos-replicas runs the concurrent-bind storm under the race detector:
-# K scheduler replicas race one pending queue with optimistic
+# K concurrent binders race one pending queue with optimistic
 # version-conditional binds while executors drain the fleet and a
 # retention sweeper archives terminal jobs mid-release. Asserts
-# exactly-once binds, coherent per-replica win/conflict counters, and
+# exactly-once binds, coherent per-binder win/conflict counters, and
 # node accounting draining to zero. -count=1 defeats the test cache: the
 # storm's value is in fresh interleavings each run.
 chaos-replicas:
@@ -268,7 +260,6 @@ bench-json:
 	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_results.json
-	$(GO) test -run xxx -bench '$(GUARDED_REPL)' -benchtime $(BENCH_REPL_TIME) -count $(BENCH_COUNT) -cpu $(BENCH_REPL_CPU) -json . >> BENCH_results.json
 
 # bench-store exercises the sharded store's lock scaling across core counts.
 bench-store:
@@ -287,7 +278,6 @@ bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_current.json
-	$(GO) test -run xxx -bench '$(GUARDED_REPL)' -benchtime $(BENCH_REPL_TIME) -count $(BENCH_COUNT) -cpu $(BENCH_REPL_CPU) -json . >> BENCH_current.json
 	$(GO) run ./cmd/benchcompare -baseline BENCH_results.json -current BENCH_current.json -threshold 25
 
 # bench-harness vets and tests the end-to-end benchmark harness. bench/ is

@@ -11,7 +11,6 @@ package qrio_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1253,151 +1252,6 @@ func BenchmarkReplayBoot(b *testing.B) {
 				}
 			}
 			b.ReportMetric(benchBootJobs, "jobs/boot")
-		})
-	}
-}
-
-// replicatedBindScorer prices ranking the way production does: each
-// (job, node) score is a Meta Server round trip — a fixed modelled RTT —
-// plus a cheap analytic estimate from the device's calibration data.
-// A scheduler is therefore RTT-bound, which is exactly the bottleneck
-// scheduler replication buys back: replicas overlap their scoring waits,
-// so aggregate bound-jobs/s scales with the replica count at every -cpu
-// level (the wait, not the core, is the scarce resource). Lower is better:
-// the score is a pseudo-infidelity.
-type replicatedBindScorer struct {
-	rtt  time.Duration
-	devs map[string]*device.Backend
-}
-
-func (s replicatedBindScorer) Name() string { return "bench-meta-rtt" }
-
-func (s replicatedBindScorer) Score(_ api.QuantumJob, n api.Node) (float64, error) {
-	time.Sleep(s.rtt)
-	dev := s.devs[n.Name]
-	sum, cnt := 0.0, 0
-	for _, e := range dev.TwoQubitErr {
-		sum += e
-		cnt++
-	}
-	if cnt == 0 {
-		return 1, nil
-	}
-	return 1 - math.Exp(-11*sum/float64(cnt)), nil
-}
-
-// BenchmarkReplicatedBind measures scheduler scale-out: R in-process
-// replicas — each binding one job per pass (the default budget) and owning
-// a hash(job) mod R shard of one pending queue, binding with optimistic
-// version-conditional CAS — drain a wave together. Aggregate bound-jobs/s
-// is the scale-out curve; run with -cpu 1,4,8 to confirm the scaling is
-// latency overlap, not core count. The per-wave audit fails on any
-// double bind or lost job, so the number is only reported for correct
-// executions.
-func BenchmarkReplicatedBind(b *testing.B) {
-	const scoreRTT = 50 * time.Microsecond
-	qasmSrc, err := qasm.Dump(workload.GHZ(12))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, replicas := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			fleet, err := device.GenerateFleet(benchFleetSpec())
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := state.New()
-			devs := make(map[string]*device.Backend, len(fleet))
-			for _, dev := range fleet {
-				if _, err := st.AddNode(dev); err != nil {
-					b.Fatal(err)
-				}
-				st.Nodes.Update(dev.Name, func(n api.Node) (api.Node, error) {
-					n.Spec.MaxContainers = 4 // 30 devices × 4 slots ≥ one 32-job wave
-					return n, nil
-				})
-				devs[dev.Name] = dev
-			}
-			parts := make([]*sched.Partition, replicas)
-			scheds := make([]*sched.Scheduler, replicas)
-			for i := range scheds {
-				part, err := sched.NewPartition(replicas, i)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := sched.New(st, sched.NewFramework(replicatedBindScorer{rtt: scoreRTT, devs: devs}, sched.DefaultFilters()...))
-				s.Partition = part
-				parts[i], scheds[i] = part, s
-				defer s.Stop()
-			}
-			base := time.Now()
-			mkJob := func(name string, seq int) api.QuantumJob {
-				return api.QuantumJob{
-					ObjectMeta: api.ObjectMeta{Name: name, CreatedAt: base.Add(time.Duration(seq) * time.Microsecond)},
-					Spec:       api.JobSpec{QASM: qasmSrc, Strategy: api.StrategyFidelity, TargetFidelity: 1},
-					Status:     api.JobStatus{Phase: api.JobPending},
-				}
-			}
-			const wave = 32
-			bound := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				names := make([]string, wave)
-				targets := make([]int, replicas)
-				for j := 0; j < wave; j++ {
-					names[j] = fmt.Sprintf("rwave-%d-%d", i, j)
-					if _, err := st.Jobs.Create(mkJob(names[j], i*wave+j)); err != nil {
-						b.Fatal(err)
-					}
-					for ri, part := range parts {
-						if part.Owns(names[j]) {
-							targets[ri]++
-						}
-					}
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for ri, s := range scheds {
-					wg.Add(1)
-					go func(s *sched.Scheduler, target int) {
-						defer wg.Done()
-						for done := 0; done < target; {
-							n := s.SchedulePass()
-							done += n
-							if n == 0 {
-								runtime.Gosched() // transient capacity squeeze
-							}
-						}
-					}(s, targets[ri])
-				}
-				wg.Wait()
-				b.StopTimer()
-				// Audit, then retire the wave so the next starts from a free
-				// fleet. A double bind would strand a sibling job Pending and
-				// hang the drain loop; a lost job fails here.
-				for _, name := range names {
-					j, _, err := st.Jobs.Get(name)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if j.Status.Phase != api.JobScheduled {
-						b.Fatalf("wave %d: %s is %s after drain", i, name, j.Status.Phase)
-					}
-					nodeName := j.Status.Node
-					st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
-						j.Status.Phase = api.JobSucceeded
-						return j, nil
-					})
-					if rerr := st.ReleaseNode(nodeName, name); rerr != nil {
-						b.Fatal(rerr)
-					}
-				}
-				bound += wave
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(bound)/b.Elapsed().Seconds(), "bound-jobs/s")
 		})
 	}
 }

@@ -58,8 +58,6 @@ type (
 	JobList = gateway.JobList
 	// BatchSubmitItem is one per-job outcome of a batch submission.
 	BatchSubmitItem = gateway.BatchSubmitItem
-	// BindRequest is the POST /v1/bind body (see Client.Bind).
-	BindRequest = gateway.BindRequest
 	// ScoreResult is one backend's score in a batch scoring response.
 	ScoreResult = meta.BatchResult
 	// TenantStatus is one tenant's usage, fair-share weight and quota as
@@ -121,11 +119,6 @@ func IsNotFound(err error) bool { return code(err) == httpx.CodeNotFound }
 // IsConflict reports whether err is the gateway's conflict error
 // (duplicate submission, cancel of an already-terminal job).
 func IsConflict(err error) bool { return code(err) == httpx.CodeConflict }
-
-// IsNodeUnavailable reports whether err is POST /v1/bind's
-// node_unavailable error: the node refused the job (not ready, no free
-// slot, CPU or memory) but the job is still pending — bind it elsewhere.
-func IsNodeUnavailable(err error) bool { return code(err) == httpx.CodeNodeUnavailable }
 
 // IsInvalid reports whether err is the gateway's invalid error
 // (malformed or rejected request).
@@ -358,23 +351,6 @@ func (c *Client) Get(ctx context.Context, name string) (Job, error) {
 func (c *Client) Cancel(ctx context.Context, name string) (Job, error) {
 	var out Job
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(name), nil, &out)
-	return out, err
-}
-
-// Bind places a pending job on a node through POST /v1/bind — the
-// scheduler-replica verb. version > 0 makes the bind version-conditional
-// (optimistic concurrency): it commits only if the job's resource
-// version, as observed in this replica's watch feed, is unchanged, and
-// returns a conflict error (IsConflict) when another replica won the job
-// first — skip the job and move on. A node that cannot take the job
-// answers IsNodeUnavailable instead: the job is still pending, try the
-// next candidate. Bind is deliberately NOT retried by
-// the client's retry policy: a replayed bind either conflicts (harmless)
-// or masks a lost race.
-func (c *Client) Bind(ctx context.Context, job, node string, score float64, version int64) (Job, error) {
-	var out Job
-	err := c.do(ctx, http.MethodPost, "/v1/bind",
-		gateway.BindRequest{Job: job, Node: node, Score: score, Version: version}, &out)
 	return out, err
 }
 

@@ -19,7 +19,6 @@ func TestErrorHelpers(t *testing.T) {
 	}{
 		{"not_found", IsNotFound},
 		{"conflict", IsConflict},
-		{"node_unavailable", IsNodeUnavailable},
 		{"invalid", IsInvalid},
 		{"unschedulable", IsUnschedulable},
 	}

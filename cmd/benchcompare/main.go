@@ -241,7 +241,7 @@ func main() {
 	currentPath := flag.String("current", "BENCH_current.json", "fresh run (test2json stream)")
 	threshold := flag.Float64("threshold", 25, "max tolerated throughput drop or allocation growth, percent")
 	match := flag.String("match",
-		"BenchmarkSchedulePassWithHistory,BenchmarkSubmitThroughput,BenchmarkColdSweep,BenchmarkStabilizerNoisyShots,BenchmarkNoisyStatevecShots,BenchmarkExecuteDense,BenchmarkStoreContention,BenchmarkFairShare,BenchmarkWatchResume,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReplayBoot,BenchmarkReplicatedBind,BenchmarkSubmitIntake",
+		"BenchmarkSchedulePassWithHistory,BenchmarkSubmitThroughput,BenchmarkColdSweep,BenchmarkStabilizerNoisyShots,BenchmarkNoisyStatevecShots,BenchmarkExecuteDense,BenchmarkStoreContention,BenchmarkFairShare,BenchmarkWatchResume,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReplayBoot,BenchmarkSubmitIntake",
 		"comma-separated benchmark name prefixes to guard")
 	summaryPath := flag.String("summary", os.Getenv("GITHUB_STEP_SUMMARY"),
 		"append the delta table as markdown to this file (default: $GITHUB_STEP_SUMMARY when set)")

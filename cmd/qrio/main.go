@@ -6,27 +6,23 @@
 // gates, the dashboard's forms included):
 //
 //	/v1/             — the gateway: jobs (submit/batch/list/cancel), nodes,
-//	                   scores, events, SSE watch, binds, tenants, admin,
-//	                   typed health (/v1/health) and Prometheus metrics
-//	                   (/v1/metrics) — what qrioctl, qrio-sched and the
-//	                   qrio/client package speak
+//	                   scores, events, SSE watch, tenants, admin, typed
+//	                   health (/v1/health) and Prometheus metrics
+//	                   (/v1/metrics) — what qrioctl and the qrio/client
+//	                   package speak
 //	/                — Visualizer dashboard (submit jobs, view cluster/logs),
 //	                   built over the same gateway
 //
 // Usage:
 //
 //	qrio [-addr :8080] [-fleet fleet.json] [-small] [-concurrency N]
-//	     [-scheduler=false] [-node-concurrency N]
+//	     [-node-concurrency N]
 //	     [-tenant-weights a=3,b=1] [-quota-pending N] [-quota-active N]
 //	     [-quota-qubit-seconds F]
 //	     [-rate-limit F] [-rate-burst N] [-max-in-flight N]
 //	     [-retention-max-age D] [-retention-max-count N] [-archive-spill F]
 //	     [-data-dir DIR] [-wal-fsync=false] [-snapshot-interval D]
 //	     [-faults point:mode[:prob[:latency]],...]
-//
-// -scheduler=false starts a gateway-only deployment: jobs are accepted and
-// executed but never placed until external scheduler replicas (qrio-sched)
-// bind them through POST /v1/bind — see README "Scaling out".
 //
 // -rate-limit bounds each tenant's submission arrival rate (token bucket,
 // 429 rate_limited + Retry-After); -max-in-flight sheds excess concurrent
@@ -71,7 +67,6 @@ func main() {
 	fleetPath := flag.String("fleet", "", "JSON fleet file (default: generate the Table 2 fleet)")
 	small := flag.Bool("small", false, "generate a reduced 30-device fleet")
 	concurrency := flag.Int("concurrency", 1, "scheduler bind budget per pass (1 = paper behaviour: one job at a time)")
-	scheduler := flag.Bool("scheduler", true, "run the embedded scheduler (=false for a gateway-only deployment driven by external qrio-sched replicas)")
 	nodeConcurrency := flag.Int("node-concurrency", 1, "containers per node (1 = paper behaviour; >1 bounded by node CPU capacity)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-share weights as tenant=weight pairs, e.g. alice=3,bob=1 (unlisted tenants weigh 1)")
 	quotaPending := flag.Int("quota-pending", 0, "per-tenant admission cap on pending jobs (0 = unlimited)")
@@ -107,12 +102,11 @@ func main() {
 		log.Printf("WARNING: fault injection armed for %s — this daemon will misbehave on purpose", strings.Join(armed, ", "))
 	}
 	q, err := qrio.New(qrio.Config{
-		Backends:         fleet,
-		Metrics:          qrio.NewMetricsRegistry(),
-		Concurrency:      *concurrency,
-		DisableScheduler: !*scheduler,
-		NodeConcurrency:  *nodeConcurrency,
-		TenantWeights:    weights,
+		Backends:        fleet,
+		Metrics:         qrio.NewMetricsRegistry(),
+		Concurrency:     *concurrency,
+		NodeConcurrency: *nodeConcurrency,
+		TenantWeights:   weights,
 		TenantQuotas: api.TenantQuotaPolicy{
 			Default: api.TenantQuota{
 				MaxPending:      *quotaPending,
@@ -156,9 +150,6 @@ func main() {
 	q.Start()
 	defer q.Close()
 
-	if !*scheduler {
-		log.Print("embedded scheduler disabled: jobs wait for external qrio-sched replicas on POST /v1/bind")
-	}
 	log.Printf("QRIO up: %d nodes, visualizer at http://localhost%s/", len(fleet), *addr)
 	srv := &http.Server{Addr: *addr, Handler: daemon.HandlerMaxInFlight(q, *maxInFlight)}
 	go func() {

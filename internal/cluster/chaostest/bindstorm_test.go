@@ -1,16 +1,16 @@
-// Concurrent-bind storm: K scheduler replicas race one pending queue
-// with optimistic (version-conditional) binds while executors drain the
-// fleet and a retention sweeper archives terminal jobs out from under
-// them. The invariants under fire:
+// Concurrent-bind storm: K concurrent version-conditional binders
+// (State.BindJobAt at the version each observed) race one pending queue
+// while executors drain the fleet and a retention sweeper archives
+// terminal jobs out from under them. The invariants under fire:
 //
-//   - every job is bound exactly once — K racing replicas never double
+//   - every job is bound exactly once — K racing binders never double
 //     place, and the winners sum to the job count,
 //   - every bind attempt resolves to exactly one of win / typed
 //     conflict / typed capacity error — anything else fails the test —
-//     so the replicas' counters are a complete account of the race,
+//     so the binders' counters are a complete account of the race,
 //   - node slot and CPU/memory accounting drains to zero after the
 //     storm — including releases that land after the job was archived
-//     (the release-after-archival leak this PR fixes).
+//     (the release-after-archival leak).
 //
 // Runs under -race via `make chaos-replicas`.
 package chaostest
@@ -60,23 +60,23 @@ func stormFleet(t *testing.T, st *state.Cluster, nodes, slots int) []string {
 	return names
 }
 
-// replicaTally is one racing replica's account of its bind attempts.
-type replicaTally struct {
+// binderTally is one racing binder's account of its bind attempts.
+type binderTally struct {
 	attempts, wins, conflicts, capacity atomic.Uint64
 }
 
-// TestConcurrentBindStorm is the K-replica race.
+// TestConcurrentBindStorm is the K-binder race.
 func TestConcurrentBindStorm(t *testing.T) {
 	st := state.New()
 	nodes := stormFleet(t, st, 4, 3)
 
-	const replicas = 6
+	const binders = 6
 	total := 240
 	if testing.Short() {
 		total = 60
 	}
 
-	// Prologue: a deterministic single-job race. All K replicas observe
+	// Prologue: a deterministic single-job race. All K binders observe
 	// the same version and bind concurrently from a barrier — the CAS
 	// must admit exactly one winner and type every loss as a conflict.
 	if err := st.SubmitJob(stormJob("contended")); err != nil {
@@ -90,7 +90,7 @@ func TestConcurrentBindStorm(t *testing.T) {
 	var barrier, raced sync.WaitGroup
 	var wins, conflicts atomic.Int32
 	barrier.Add(1)
-	for i := 0; i < replicas; i++ {
+	for i := 0; i < binders; i++ {
 		raced.Add(1)
 		node := nodes[i%len(nodes)]
 		go func() {
@@ -108,12 +108,12 @@ func TestConcurrentBindStorm(t *testing.T) {
 	}
 	barrier.Done()
 	raced.Wait()
-	if wins.Load() != 1 || conflicts.Load() != replicas-1 {
+	if wins.Load() != 1 || conflicts.Load() != binders-1 {
 		t.Fatalf("contended race: %d wins / %d conflicts, want 1 / %d",
-			wins.Load(), conflicts.Load(), replicas-1)
+			wins.Load(), conflicts.Load(), binders-1)
 	}
 
-	// The storm proper: a submitter feeds the queue while K replicas race
+	// The storm proper: a submitter feeds the queue while K binders race
 	// versioned snapshots, executors run and release, and a sweeper
 	// archives terminal jobs mid-flight (so some releases take the
 	// archive-tier fallthrough).
@@ -141,11 +141,11 @@ func TestConcurrentBindStorm(t *testing.T) {
 		}
 	}()
 
-	tallies := make([]*replicaTally, replicas)
+	tallies := make([]*binderTally, binders)
 	for i := range tallies {
-		tallies[i] = &replicaTally{}
+		tallies[i] = &binderTally{}
 		wg.Add(1)
-		go func(tally *replicaTally, seed int64) { // racing replica
+		go func(tally *binderTally, seed int64) { // racing binder
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for {
@@ -264,7 +264,7 @@ func TestConcurrentBindStorm(t *testing.T) {
 		aggConflicts += c
 		aggCapacity += k
 		if w+c+k != a {
-			t.Errorf("replica %d counters leak: %d attempts vs %d+%d+%d outcomes", i, a, w, c, k)
+			t.Errorf("binder %d counters leak: %d attempts vs %d+%d+%d outcomes", i, a, w, c, k)
 		}
 	}
 	if aggWins != uint64(total) {

@@ -794,10 +794,10 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 
 // ConflictError reports a bind that lost the job: between the caller's
 // observation and the bind transaction the job's resource version moved
-// (another scheduler replica, a cancel, a kubelet transition won the
-// race) or, for an unconditional bind, the job left Pending. The caller
-// should skip the job, not retry or alarm — and the node it tried is
-// still as good a candidate as it was.
+// (a cancel, a requeue, an archival or another binder won the race) or,
+// for an unconditional bind, the job left Pending. The caller should skip
+// the job, not retry or alarm — and the node it tried is still as good a
+// candidate as it was.
 type ConflictError struct {
 	Job      string
 	Observed int64        // the version the caller bound against (0 = unconditional)
@@ -836,11 +836,6 @@ func (e CapacityError) Error() string {
 	return fmt.Sprintf("state: node %s %s", e.Node, e.Reason)
 }
 
-// HTTPStatus implements httpx.StatusCoder: still a 409, but under its
-// own envelope code so a remote scheduler can tell "try the next node"
-// from ConflictError's "drop the job".
-func (e CapacityError) HTTPStatus() (int, string) { return 409, "node_unavailable" }
-
 // IsCapacity reports whether err is (or wraps) a node-side bind refusal.
 func IsCapacity(err error) bool {
 	var c CapacityError
@@ -858,10 +853,11 @@ func (c *Cluster) BindJob(jobName, nodeName string, score float64) error {
 // BindJobAt is BindJob with optimistic concurrency: when version > 0 the
 // bind commits only if the job's resource version still equals version at
 // the phase-transition step (compare-and-swap under the job shard's
-// lock). Racing scheduler replicas each bind at the version they observed
-// in their pending snapshot, so exactly one wins per job and the losers
-// learn cheaply. version 0 skips the check — the form for callers that
-// hold no observation.
+// lock). The scheduler binds at the version it observed in its pending
+// snapshot: if a cancel, requeue or archival moved the job since, the
+// bind loses cheaply, and any number of concurrent version-conditional
+// binders resolve to exactly one winner per job. version 0 skips the
+// check — the form for callers that hold no observation.
 //
 // Every refusal is typed, so no caller decides by message or by
 // re-reading the job: ConflictError means the job moved (stale version,

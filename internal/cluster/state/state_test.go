@@ -736,7 +736,7 @@ func TestBindJobAtConflicts(t *testing.T) {
 	if err := c.BindJobAt("j1", "dev-a", 0.5, v); err != nil {
 		t.Fatalf("bind at observed version failed: %v", err)
 	}
-	// A second replica still holding the pre-bind observation must lose
+	// A second binder still holding the pre-bind observation must lose
 	// with the typed conflict — and learn on the fast path (the job is no
 	// longer pending, but the version check fires first).
 	err := c.BindJobAt("j1", "dev-b", 0.5, v)
@@ -759,7 +759,7 @@ func TestBindJobAtConflicts(t *testing.T) {
 	}
 }
 
-// TestBindJobAtExactlyOneWinner races replicas binding one job at the same
+// TestBindJobAtExactlyOneWinner races binders placing one job at the same
 // observed version toward different nodes: exactly one bind commits, every
 // loser sees a typed refusal, and node accounting reflects one reservation.
 func TestBindJobAtExactlyOneWinner(t *testing.T) {

@@ -399,8 +399,8 @@ func (s *Store[T]) Update(name string, mutate func(T) (T, error)) (T, int64, err
 // unchanged, so callers can type their own conflict. Like Update's
 // callback, neither function may mutate or retain the pre-copy object nor
 // call back into this store. "Bind iff the job's version is unchanged" is
-// atomic with respect to every concurrent writer: N scheduler replicas
-// racing the same pending job resolve to exactly one winner.
+// atomic with respect to every concurrent writer: N version-conditional
+// binders racing the same pending job resolve to exactly one winner.
 func (s *Store[T]) UpdateFunc(name string, check func(obj T, version int64) error, mutate func(T) (T, error)) (T, int64, error) {
 	next, v, pos, err := s.update(name, check, mutate)
 	s.wait(pos)

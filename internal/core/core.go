@@ -40,12 +40,6 @@ type Config struct {
 	// pass ranks that many pending jobs in parallel and binds them greedily
 	// to free container slots).
 	Concurrency int
-	// DisableScheduler wires the deployment without running the in-process
-	// scheduling loop: the gateway, controller and kubelets run as usual
-	// but binding is left to out-of-process scheduler replicas driving
-	// POST /v1/bind (cmd/qrio-sched). The Scheduler field is still built —
-	// tests and tooling can drive passes manually — it just never Runs.
-	DisableScheduler bool
 	// NodeConcurrency caps how many job containers a single node executes
 	// at once (default 1 = the paper's serial node). Values > 1 are
 	// additionally bounded per node by its classical CPU capacity: a node
@@ -169,7 +163,6 @@ type QRIO struct {
 	nextKubeletSeed int64
 	kubeletMetrics  *kubelet.Metrics // nil without a registry; shared by every agent
 	nodeConcurrency int
-	schedulerOff    bool
 }
 
 // New wires a QRIO deployment from the config. Backends are registered
@@ -271,7 +264,6 @@ func New(cfg Config) (*QRIO, error) {
 	}
 	q.nextKubeletSeed = cfg.KubeletSeed + int64(len(cfg.Backends))
 	q.nodeConcurrency = cfg.NodeConcurrency
-	q.schedulerOff = cfg.DisableScheduler
 	if cfg.Metrics != nil {
 		q.Metrics = cfg.Metrics
 		registerMetrics(q, cfg.Metrics)
@@ -363,13 +355,11 @@ func (q *QRIO) Start() {
 	q.ctx = ctx
 	q.cancel = cancel
 	q.started = true
-	if !q.schedulerOff {
-		q.wg.Add(1)
-		go func() {
-			defer q.wg.Done()
-			q.Scheduler.Run(ctx)
-		}()
-	}
+	q.wg.Add(1)
+	go func() {
+		defer q.wg.Done()
+		q.Scheduler.Run(ctx)
+	}()
 	q.wg.Add(1)
 	go func() {
 		defer q.wg.Done()

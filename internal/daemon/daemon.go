@@ -13,7 +13,7 @@ import (
 // Handler mounts the full QRIO HTTP surface:
 //
 //	/v1/  — the gateway (jobs, nodes, scores, events, watch, admin): the
-//	        API qrioctl, qrio-sched and the Go client package speak
+//	        API qrioctl and the Go client package speak
 //	/     — Visualizer dashboard, built over the same gateway
 //
 // Nothing else is mounted: every write — API call or dashboard form —

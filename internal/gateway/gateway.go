@@ -39,10 +39,6 @@
 //	                                  stream's token instead of snapshotting;
 //	                                  every event carries the object's
 //	                                  resource version
-//	POST   /v1/bind                 — version-conditional bind (BindRequest);
-//	                                  409 conflict when another scheduler
-//	                                  replica won the job, the scale-out
-//	                                  contract for out-of-process schedulers
 //	GET    /v1/admin/durability     — WAL lag, snapshot age, replay stats,
 //	                                  latched WAL/spill errors
 //	POST   /v1/admin/snapshot       — force a compacted snapshot now
@@ -154,7 +150,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /v1/tenants/{name}", s.handleSetTenant)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
-	mux.HandleFunc("POST /v1/bind", s.handleBind)
 	mux.HandleFunc("GET /v1/admin/durability", s.handleAdminDurability)
 	mux.HandleFunc("POST /v1/admin/snapshot", s.handleAdminSnapshot)
 	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {

@@ -158,10 +158,10 @@ func TestErrorModel(t *testing.T) {
 
 // TestRouteErrorEnvelopes pins, route by route, what the mux answers for
 // requests the typed client never sends: unknown paths and wrong methods
-// land on the catch-all envelope (the retired /v1/healthz alias among
-// them), logs of a job that has not executed are a 404, score routes
-// reject missing or unknown arguments, and the cluster-wide event list
-// filters by subject.
+// land on the catch-all envelope (the retired /v1/healthz alias and bind
+// route among them), logs of a job that has not executed are a 404,
+// score routes reject missing or unknown arguments, and the cluster-wide
+// event list filters by subject.
 func TestRouteErrorEnvelopes(t *testing.T) {
 	c, _ := deployIdle(t, nil) // no control loops: "parked" stays Pending
 	if _, err := c.Submit(context.Background(), ghzReq("parked")); err != nil {
@@ -175,6 +175,7 @@ func TestRouteErrorEnvelopes(t *testing.T) {
 	}{
 		{"GET", "/v1/nope", 404, "not_found", false},
 		{"GET", "/v1/healthz", 404, "not_found", false},
+		{"POST", "/v1/bind", 404, "not_found", false},
 		{"GET", "/v1/jobs/", 404, "not_found", false},
 		{"GET", "/v1/nodes/a/b", 404, "not_found", false},
 		{"PATCH", "/v1/nodes", 404, "not_found", false},

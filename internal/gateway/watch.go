@@ -102,8 +102,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if !resuming {
 		// SYNC snapshot, stamped with the stream's starting token (a client
 		// that drops before the first live event resumes from here) and each
-		// object's resource version — the observation an out-of-process
-		// scheduler's version-conditional POST /v1/bind binds against.
+		// object's resource version, so a client can tell a replayed
+		// object from a live transition it has already seen.
 		if kind == "" || kind == state.KindJob {
 			s.Core.State.Jobs.Range(func(j api.QuantumJob, v int64) bool {
 				n := state.Notification{Kind: state.KindJob, Type: SyncEvent, Job: &j, Version: v, Resume: start.String()}

@@ -13,8 +13,7 @@ import (
 )
 
 // BindOutcome is what one bind attempt told the dispatcher — the only
-// three things a bind can mean to a scheduler, whether it was
-// State.BindJobAt in-process or POST /v1/bind across the network.
+// three things a State.BindJobAt call can mean to a scheduler.
 type BindOutcome int
 
 const (
@@ -30,8 +29,8 @@ const (
 	NodeUnavailable
 )
 
-// RankFunc orders the nodes that can host a job, best first: the embedded
-// scheduler's is Framework.Rank, a remote replica's is ScoreBatch + sort.
+// RankFunc orders the nodes that can host a job, best first: the
+// scheduler's is Framework.Rank; tests substitute fakes.
 type RankFunc func(job api.QuantumJob, nodes []api.Node) ([]NodeScore, error)
 
 // BindFunc attempts one placement at the version the job was observed at
@@ -46,9 +45,9 @@ type headroom struct {
 
 // Dispatch is one scheduling pass's placement state, and Place the one
 // function in the tree that walks ranked candidates against headroom and
-// binds: the embedded scheduler's every pass, the simulator (which drives
-// that scheduler) and the out-of-process replica all call it, differing
-// only in the RankFunc and BindFunc they supply.
+// binds: the scheduler's every pass calls it, live and under the
+// simulator (which drives the same scheduler), through the RankFunc and
+// BindFunc the scheduler supplies.
 //
 // Jobs with byte-identical specs form a spec class and share one
 // ranking — sound because plugins are functions of job.Spec and the node

@@ -165,13 +165,13 @@ func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, err
 		}
 		return nil, fmt.Errorf("sched: no nodes scored for %s", job.Name)
 	}
-	SortRanking(ranked)
+	sortRanking(ranked)
 	return ranked, nil
 }
 
-// SortRanking orders candidates best-first: score ascending (lower is
+// sortRanking orders candidates best-first: score ascending (lower is
 // better), ties broken by node name so every scheduler agrees.
-func SortRanking(ranked []NodeScore) {
+func sortRanking(ranked []NodeScore) {
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].Score != ranked[j].Score {
 			return ranked[i].Score < ranked[j].Score

@@ -16,10 +16,9 @@ type Metrics struct {
 	// the pass considered) and "bound" (jobs it placed). The gap between
 	// the two is the backlog the fleet couldn't absorb.
 	PassJobs *obs.CounterVec
-	// BindConflicts counts optimistic binds lost to another replica (or
-	// a racing cancel) — the replica-contention signal. A high rate
-	// relative to binds means the partition is misconfigured (replicas
-	// draining overlapping shards) or takeover left two owners.
+	// BindConflicts counts version-conditional binds lost because another
+	// writer — a cancel, a requeue or the archiver — moved the job between
+	// the pass's snapshot and its bind; the pass leaves the job alone.
 	BindConflicts *obs.Counter
 }
 
@@ -31,6 +30,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		PassJobs: r.Counter("qrio_sched_pass_jobs_total",
 			"Jobs considered (ranked) and placed (bound) by scheduling passes.", "outcome"),
 		BindConflicts: r.Counter("qrio_sched_bind_conflicts_total",
-			"Optimistic binds lost to another scheduler replica.").With(),
+			"Version-conditional binds lost to a concurrent cancel, requeue or archival.").With(),
 	}
 }

@@ -359,8 +359,8 @@ func TestBatchedDispatchFillsMultiSlotNode(t *testing.T) {
 }
 
 // slotThief scores like mapScorer, but while ranking fills the victim
-// node's only slot behind the pass's back — the kubelet or another
-// replica winning the race between snapshot and bind.
+// node's only slot behind the pass's back — another binder winning the
+// race between snapshot and bind.
 type slotThief struct {
 	mapScorer
 	st     *state.Cluster

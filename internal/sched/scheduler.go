@@ -19,9 +19,9 @@ import (
 // score first with deterministic name tie-breaks, so no node slot is ever
 // double-booked (see Dispatch). A budget of 1 is a batch of one. Every
 // bind is conditional on the resource version the pass observed the job
-// at, so any number of schedulers can share one pending queue: exactly
-// one wins each job. Plugins see the owning tenant on every job via
-// Spec.Tenant.
+// at, so a cancel, requeue or archival that lands mid-pass makes the bind
+// lose cleanly instead of overwriting it. Plugins see the owning tenant
+// on every job via Spec.Tenant.
 type Scheduler struct {
 	State     *state.Cluster
 	Framework *Framework
@@ -52,10 +52,6 @@ type Scheduler struct {
 	// the cap trims only the tail — so a pass under deep overload costs
 	// O(tenants × cap) instead of O(total backlog).
 	MaxPendingPerTenant int
-	// Partition restricts this scheduler to its share of an N-way
-	// replica partition of the pending queue (nil = own everything, the
-	// single-replica default). See Partition for the takeover protocol.
-	Partition *Partition
 	// Metrics is the optional instrumentation handle (nil = no metrics,
 	// the zero-overhead default). Set once at wiring time.
 	Metrics *Metrics
@@ -134,7 +130,10 @@ func (s *Scheduler) SchedulePass() int {
 	}
 	// The incremental pending index makes this O(pending work): terminal
 	// jobs resident in the store are never touched, let alone deep-copied.
-	pending := s.capActiveBudget(s.snapshotPending())
+	// Each job copy carries the resource version it was read at
+	// (ObjectMeta.ResourceVersion) — the observation its bind is
+	// conditioned on.
+	pending := s.capActiveBudget(s.State.PendingJobsCapped(s.MaxPendingPerTenant))
 	if len(pending) == 0 || s.Framework == nil {
 		return 0
 	}
@@ -163,27 +162,9 @@ func (s *Scheduler) SchedulePass() int {
 	return bound
 }
 
-// snapshotPending builds the pass's work queue: the pending index capped
-// per tenant and filtered to this replica's partition. Each job copy
-// carries the resource version it was read at (ObjectMeta.ResourceVersion)
-// — the observation its bind is conditioned on.
-func (s *Scheduler) snapshotPending() []api.QuantumJob {
-	pending := s.State.PendingJobsCapped(s.MaxPendingPerTenant)
-	if s.Partition == nil {
-		return pending
-	}
-	owned := pending[:0]
-	for _, j := range pending {
-		if s.Partition.Owns(j.Name) {
-			owned = append(owned, j)
-		}
-	}
-	return owned
-}
-
 // bind places one job at the version it was observed at. A ConflictError
-// means another actor moved the job since the snapshot — count it (the
-// replica-contention signal) and pass it up for the caller to treat as
+// means another writer (a cancel, requeue or archival) moved the job since
+// the snapshot — count it and pass it up for the caller to treat as
 // "job moved on", not as a scheduling failure.
 func (s *Scheduler) bind(job *api.QuantumJob, nodeName string, score float64) error {
 	err := s.State.BindJobAt(job.Name, nodeName, score, job.ResourceVersion)

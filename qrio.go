@@ -65,9 +65,7 @@
 // {"error":{"code":...,"message":...}}, with machine-readable codes:
 // "invalid" (400, malformed or rejected request), "not_found" (404),
 // "conflict" (409, duplicate submission, cancelling a finished job —
-// resident or archived — or a bind that lost the job),
-// "node_unavailable" (409, POST /v1/bind only: the node refused, the job
-// is still pending), "compacted" (410, stale watch resume token),
+// resident or archived), "compacted" (410, stale watch resume token),
 // "unschedulable" (422, no device in the fleet can ever satisfy the
 // job's requirements), "quota_exceeded" (429, the tenant is over its
 // admission quota), "rate_limited" (429, the tenant is submitting faster
@@ -181,11 +179,11 @@
 // filter's or scorer's verdict is a function of the job's Spec and the
 // node, never of the job's name, UID or timestamps, so jobs with
 // byte-identical specs share one ranking. The same placement loop
-// (sched.Dispatch) runs in the embedded scheduler, under the
-// virtual-time simulator and in the out-of-process qrio-sched replica;
-// every bind is conditional on the resource version the scheduler
-// observed, and ends one of three ways — bound, job moved ("conflict"),
-// node unavailable ("node_unavailable").
+// (sched.Dispatch) runs in the embedded scheduler and under the
+// virtual-time simulator; every bind is conditional on the resource
+// version the scheduler observed, and ends one of three ways — bound,
+// job moved (a cancel, requeue or archival won), node unavailable (try
+// the job's next candidate).
 //
 // See the examples directory for runnable end-to-end scenarios and
 // cmd/qrio-experiments for the paper's evaluation.
