@@ -45,7 +45,7 @@ BENCH_FAST_TIME ?= 20x
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -130,6 +130,17 @@ lint-bind:
 	if [ -z "$$all" ]; then echo "lint-bind: found no BindJobAt call — audit miswired"; exit 1; fi; \
 	out="$$(echo "$$all" | grep -vE '^(internal/sched/scheduler\.go|internal/cluster/state/[^:]+\.go):' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-bind: place jobs through sched.Dispatch (Scheduler.bind), not beside it:"; echo "$$out"; exit 1; fi
+
+# lint-index enforces the one-job-order rule: every ordered job index in
+# internal/cluster/state (pending, scheduled by node, terminal) is a key
+# function over jobOrder (order.go), so no hand-rolled sorted slice with
+# its own binary search grows beside it. Tests are exempt. Finding no
+# sort.Search at all means the grep is miswired, not that the code is clean.
+lint-index:
+	@all="$$(grep -rn 'sort\.Search' --include='*.go' --exclude='*_test.go' internal/cluster/state || true)"; \
+	if [ -z "$$all" ]; then echo "lint-index: found no sort.Search — audit miswired"; exit 1; fi; \
+	out="$$(echo "$$all" | grep -v '^internal/cluster/state/order\.go:' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-index: an ordered job index is a key function over jobOrder (order.go), not a second sorted slice:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -299,4 +310,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-metrics test race sim-smoke

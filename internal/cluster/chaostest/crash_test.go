@@ -381,23 +381,16 @@ func auditRecovery(t *testing.T, dir string, round int) {
 	}
 
 	// 2. Index audit: every hook-fed index must equal a rebuild from the
-	// recovered store contents.
-	jobs := st.Jobs.List()
-	wantPending := map[string]bool{}
-	wantSched := map[string]map[string]bool{} // node → names
+	// recovered store contents — the job orders (pending, scheduled by
+	// node, terminal: names, groups and order) through CheckIndexes, the
+	// usage index against a recount here.
+	if err := st.CheckIndexes(); err != nil {
+		t.Errorf("round %d: %v", round, err)
+	}
 	wantUsage := map[string]*state.TenantUsage{}
-	for _, j := range jobs {
+	for _, j := range st.Jobs.List() {
 		if j.Status.Phase == api.JobRunning {
 			t.Errorf("round %d: job %s still Running after recovery (orphan requeue missed)", round, j.Name)
-		}
-		if j.Status.Phase == api.JobPending {
-			wantPending[j.Name] = true
-		}
-		if j.Status.Phase == api.JobScheduled && j.Status.Node != "" {
-			if wantSched[j.Status.Node] == nil {
-				wantSched[j.Status.Node] = map[string]bool{}
-			}
-			wantSched[j.Status.Node][j.Name] = true
 		}
 		if !j.Status.Phase.Terminal() {
 			tenant := j.Spec.Tenant
@@ -411,27 +404,6 @@ func auditRecovery(t *testing.T, dir string, round int) {
 			}
 			if j.Status.Phase == api.JobScheduled {
 				u.Active++
-			}
-		}
-	}
-	gotPending := st.PendingJobs()
-	if len(gotPending) != len(wantPending) {
-		t.Errorf("round %d: pending index has %d jobs, rebuild says %d", round, len(gotPending), len(wantPending))
-	}
-	for _, j := range gotPending {
-		if !wantPending[j.Name] {
-			t.Errorf("round %d: pending index holds non-pending job %s", round, j.Name)
-		}
-	}
-	for _, n := range st.Nodes.List() {
-		got := st.ScheduledJobs(n.Name)
-		if len(got) != len(wantSched[n.Name]) {
-			t.Errorf("round %d: scheduled index for %s has %d jobs, rebuild says %d",
-				round, n.Name, len(got), len(wantSched[n.Name]))
-		}
-		for _, j := range got {
-			if !wantSched[n.Name][j.Name] {
-				t.Errorf("round %d: scheduled index maps %s to %s, store disagrees", round, j.Name, n.Name)
 			}
 		}
 	}

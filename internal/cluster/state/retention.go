@@ -2,13 +2,10 @@ package state
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/archive"
-	"qrio/internal/cluster/store"
 )
 
 // RetentionPolicy bounds how long terminal (Succeeded/Failed/Cancelled)
@@ -29,117 +26,6 @@ func (p RetentionPolicy) Enabled() bool {
 	return p.MaxTerminalAge > 0 || p.MaxTerminalCount > 0
 }
 
-// terminalEntry is one terminal job, ordered by (finished, name) — the
-// archive sweep's oldest-first order.
-type terminalEntry struct {
-	name     string
-	finished time.Time
-}
-
-// terminalIndex tracks resident terminal jobs incrementally, fed by the
-// same store hook chain as the pending and usage indexes, so the archive
-// sweep is O(candidates) instead of a scan over every resident job.
-type terminalIndex struct {
-	mu      sync.Mutex
-	entries []terminalEntry          // sorted by (finished, name)
-	member  map[string]terminalEntry // job name → its position key
-}
-
-// terminalTimeOf is the retention clock for one job: when it finished,
-// falling back to creation time for terminal objects that never recorded
-// a FinishedAt (e.g. jobs seeded directly into the store).
-func terminalTimeOf(j *api.QuantumJob) time.Time {
-	if j.Status.FinishedAt != nil {
-		return *j.Status.FinishedAt
-	}
-	return j.CreatedAt
-}
-
-func (t *terminalIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
-	j := ev.Object
-	if ev.Type != store.Deleted && j.Status.Phase.Terminal() {
-		t.add(j.Name, terminalTimeOf(&j))
-		return
-	}
-	t.remove(j.Name)
-}
-
-// terminalSlot returns the sorted position of (finished, name).
-func terminalSlot(entries []terminalEntry, name string, finished time.Time) int {
-	return sort.Search(len(entries), func(i int) bool {
-		e := entries[i]
-		if !e.finished.Equal(finished) {
-			return e.finished.After(finished)
-		}
-		return e.name >= name
-	})
-}
-
-func (t *terminalIndex) add(name string, finished time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.member[name]; ok {
-		return
-	}
-	i := terminalSlot(t.entries, name, finished)
-	t.entries = append(t.entries, terminalEntry{})
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = terminalEntry{name: name, finished: finished}
-	t.member[name] = t.entries[i]
-}
-
-func (t *terminalIndex) remove(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ref, ok := t.member[name]
-	if !ok {
-		return
-	}
-	delete(t.member, name)
-	i := terminalSlot(t.entries, name, ref.finished)
-	if i < len(t.entries) && t.entries[i].name == name {
-		if i == 0 {
-			// The archive sweep always removes oldest-first, so this is the
-			// hot case: slide the head forward instead of copying the whole
-			// tail down — O(1) instead of O(residents) per archived job.
-			t.entries[0] = terminalEntry{}
-			t.entries = t.entries[1:]
-		} else {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-		}
-	}
-}
-
-// count reports the resident terminal-job count.
-func (t *terminalIndex) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
-
-// expired snapshots the names the policy wants archived, oldest first:
-// everything past the age bound plus the oldest overflow past the count
-// bound.
-func (t *terminalIndex) expired(now time.Time, p RetentionPolicy) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	overflow := 0
-	if p.MaxTerminalCount > 0 && len(t.entries) > p.MaxTerminalCount {
-		overflow = len(t.entries) - p.MaxTerminalCount
-	}
-	var out []string
-	for i, e := range t.entries {
-		if i < overflow || (p.MaxTerminalAge > 0 && now.Sub(e.finished) > p.MaxTerminalAge) {
-			out = append(out, e.name)
-			continue
-		}
-		// Entries are sorted oldest-first: past the count overflow, the
-		// first non-expired entry means every later one is younger still.
-		break
-	}
-	return out
-}
-
 // ResultFor resolves a job's execution result (logs included) across
 // both tiers: the hot Results store first, then the retired copy inside
 // the job's archive entry. Every log/result read path goes through this,
@@ -156,9 +42,7 @@ func (c *Cluster) ResultFor(name string) (api.Result, bool) {
 
 // TerminalCount reports how many terminal jobs remain resident in the hot
 // store — the figure retention keeps flat.
-func (c *Cluster) TerminalCount() int {
-	return c.terminal.count()
-}
+func (c *Cluster) TerminalCount() int { return c.terminal.len() }
 
 // ArchiveTerminal runs one retention sweep: terminal jobs the policy no
 // longer keeps resident move, with their indexed event trails, into the
@@ -174,8 +58,15 @@ func (c *Cluster) ArchiveTerminal(now time.Time, policy RetentionPolicy) int {
 	if !policy.Enabled() {
 		return 0
 	}
+	// Everything past the age bound plus the oldest overflow past the count
+	// bound, oldest first: past the overflow, the first entry young enough
+	// to keep means every later one is younger still.
+	overflow := c.terminal.len() - policy.MaxTerminalCount
+	expired := c.terminal.group("", func(i int, at time.Time) bool {
+		return (policy.MaxTerminalCount > 0 && i < overflow) || (policy.MaxTerminalAge > 0 && now.Sub(at) > policy.MaxTerminalAge)
+	})
 	archived := 0
-	for _, name := range c.terminal.expired(now, policy) {
+	for _, name := range expired {
 		job, version, err := c.Jobs.Get(name)
 		if err != nil || !job.Status.Phase.Terminal() {
 			continue // already gone or resurrected since the snapshot

@@ -4,14 +4,12 @@
 //
 // On top of the raw stores the Cluster maintains incremental indexes, fed
 // synchronously by store mutation hooks so they can never drift from the
-// stored objects — among them:
-//
-//   - a FIFO-ordered pending-job index, so the scheduler's hot path costs
-//     O(pending work) instead of O(every job ever submitted),
-//   - an About-keyed event index with a per-object ring-buffer cap, so
-//     EventsAbout no longer scans (and copies) the whole event log, and
-//   - a scheduled-by-node index that also wakes each node's kubelet for
-//     exactly the job events that concern it.
+// stored objects. The ordered ones are one type, jobOrder (order.go), and
+// each is only a key function: the pending queue (per tenant, FIFO), the
+// scheduled-by-node lists that also wake each node's kubelet, and the
+// terminal jobs the archive sweep takes oldest first. CheckIndexes holds
+// them to a rebuild. An About-keyed event ring, capped per object, serves
+// EventsAbout without scanning the whole event log.
 //
 // Node liveness (liveness.go) is deliberately NOT stored: heartbeats land
 // in a volatile table and only Ready↔NotReady transitions are journaled.
@@ -93,11 +91,11 @@ type Cluster struct {
 	mu           sync.Mutex
 	backendCache map[string]cachedBackend
 
-	pending    pendingIndex
+	pending    *jobOrder // tenant → Pending jobs by (CreatedAt, name)
+	terminal   *jobOrder // one group of terminal jobs by (finish time, name)
+	scheduled  scheduledIndex
 	usage      usageIndex
 	eventIdx   eventIndex
-	terminal   terminalIndex
-	scheduled  scheduledIndex
 	liveness   nodeLiveness
 	tenantConf tenantConfIndex
 	hub        hubRegistry
@@ -128,24 +126,21 @@ func New() *Cluster {
 	c.Results.SetJournalCap(0)
 	c.Events.SetJournalCap(0)
 	c.TenantConfigs.SetJournalCap(0)
-	c.pending.queues = make(map[string][]pendingEntry)
-	c.pending.member = make(map[string]pendingRef)
+	c.pending = newJobOrder(pendingKey)
+	c.terminal = newJobOrder(terminalKey)
+	c.scheduled = scheduledIndex{jobOrder: newJobOrder(scheduledKey), wake: make(map[string]chan struct{})}
 	c.usage.jobs = make(map[string]usageEntry)
 	c.usage.tenants = make(map[string]*TenantUsage)
 	c.eventIdx.byAbout = make(map[string][]string)
 	c.eventIdx.cap = EventIndexCap
-	c.terminal.member = make(map[string]terminalEntry)
-	c.scheduled.byNode = make(map[string]map[string]api.QuantumJob)
-	c.scheduled.node = make(map[string]string)
-	c.scheduled.wake = make(map[string]chan struct{})
 	c.liveness.last = make(map[string]time.Time)
 	c.tenantConf.m = make(map[string]api.TenantConfig)
 	c.hub.streams = make(map[int]chan Notification)
 	// The hooks run under the mutated shard's lock: they may only touch the
 	// index mutexes (never a store), keeping the lock order store→index.
-	c.Jobs.OnEvent(c.pending.onJobEvent)
+	c.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) { c.pending.onJobEvent(ev) })
 	c.Jobs.OnEvent(c.usage.onJobEvent)
-	c.Jobs.OnEvent(c.terminal.onJobEvent)
+	c.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) { c.terminal.onJobEvent(ev) })
 	c.Jobs.OnEvent(c.scheduled.onJobEvent)
 	c.Nodes.OnEvent(c.onNodeEvent)
 	c.Nodes.OnEvent(c.dropStaleBackend)
@@ -177,7 +172,7 @@ func (c *Cluster) NextUID(prefix string) string {
 // now reads the cluster's clock (wall clock when none is injected).
 func (c *Cluster) now() time.Time { return clock.Now(c.Clock) }
 
-// --- pending-job index --------------------------------------------------
+// --- pending jobs -------------------------------------------------------
 
 // TenantOf returns the job's quota/fairness principal, normalising the
 // pre-tenancy empty field to the default tenant.
@@ -186,150 +181,6 @@ func TenantOf(j *api.QuantumJob) string {
 		return api.DefaultTenant
 	}
 	return j.Spec.Tenant
-}
-
-// pendingEntry is one queued job, ordered by (CreatedAt, Name) — the FIFO
-// order within a tenant's sub-queue.
-type pendingEntry struct {
-	name    string
-	created time.Time
-}
-
-// pendingRef locates a queued job for O(log n) removal.
-type pendingRef struct {
-	tenant  string
-	created time.Time
-}
-
-// pendingIndex is the incrementally maintained pending-job queue, kept as
-// per-tenant FIFO sub-queues (the weighted-fair scheduler drains tenants
-// against each other; within one tenant order is strictly FIFO). Every
-// job mutation flows through onJobEvent (a store hook), covering not just
-// SubmitJob/BindJob/CancelJob but also the controller's requeue/retry
-// transitions and any future writer — the index cannot go stale.
-type pendingIndex struct {
-	mu     sync.Mutex
-	queues map[string][]pendingEntry // tenant → entries sorted by (created, name)
-	member map[string]pendingRef     // job name → its sub-queue position key
-	count  int
-}
-
-func (p *pendingIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
-	j := ev.Object
-	if ev.Type != store.Deleted && j.Status.Phase == api.JobPending {
-		p.add(j.Name, TenantOf(&j), j.CreatedAt)
-		return
-	}
-	p.remove(j.Name)
-}
-
-// slot returns the sorted position of (created, name) in one sub-queue.
-func slot(entries []pendingEntry, name string, created time.Time) int {
-	return sort.Search(len(entries), func(i int) bool {
-		e := entries[i]
-		if !e.created.Equal(created) {
-			return e.created.After(created)
-		}
-		return e.name >= name
-	})
-}
-
-func (p *pendingIndex) add(name, tenant string, created time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.member[name]; ok {
-		return
-	}
-	q := p.queues[tenant]
-	i := slot(q, name, created)
-	q = append(q, pendingEntry{})
-	copy(q[i+1:], q[i:])
-	q[i] = pendingEntry{name: name, created: created}
-	p.queues[tenant] = q
-	p.member[name] = pendingRef{tenant: tenant, created: created}
-	p.count++
-}
-
-func (p *pendingIndex) remove(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ref, ok := p.member[name]
-	if !ok {
-		return
-	}
-	delete(p.member, name)
-	q := p.queues[ref.tenant]
-	i := slot(q, name, ref.created)
-	if i < len(q) && q[i].name == name {
-		q = append(q[:i], q[i+1:]...)
-		if len(q) == 0 {
-			delete(p.queues, ref.tenant)
-		} else {
-			p.queues[ref.tenant] = q
-		}
-		p.count--
-	}
-}
-
-// names snapshots the queued job names in global FIFO order — the merge
-// of every tenant sub-queue by (created, name), which is exactly the
-// pre-tenancy single-queue order.
-func (p *pendingIndex) names() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, p.count)
-	if len(p.queues) == 1 {
-		// Single tenant (the dominant case): its sub-queue already is the
-		// global order — no merge, no sort.
-		for _, q := range p.queues {
-			for _, e := range q {
-				out = append(out, e.name)
-			}
-		}
-		return out
-	}
-	merged := make([]pendingEntry, 0, p.count)
-	for _, q := range p.queues {
-		merged = append(merged, q...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if !merged[i].created.Equal(merged[j].created) {
-			return merged[i].created.Before(merged[j].created)
-		}
-		return merged[i].name < merged[j].name
-	})
-	for _, e := range merged {
-		out = append(out, e.name)
-	}
-	return out
-}
-
-// namesCapped snapshots at most perTenant queued names per tenant, in
-// the same global FIFO merge order names() produces for what it keeps.
-// Each sub-queue is FIFO, so the cap trims only the tail: under deep
-// overload a pass still sees the oldest work of every tenant, at
-// O(tenants × perTenant) cost instead of O(total backlog).
-func (p *pendingIndex) namesCapped(perTenant int) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	merged := make([]pendingEntry, 0, min(p.count, len(p.queues)*perTenant))
-	for _, q := range p.queues {
-		if len(q) > perTenant {
-			q = q[:perTenant]
-		}
-		merged = append(merged, q...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if !merged[i].created.Equal(merged[j].created) {
-			return merged[i].created.Before(merged[j].created)
-		}
-		return merged[i].name < merged[j].name
-	})
-	out := make([]string, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e.name)
-	}
-	return out
 }
 
 // PendingJobs returns copies of the pending jobs oldest-first (stable on
@@ -341,7 +192,7 @@ func (p *pendingIndex) namesCapped(perTenant int) []string {
 // (index lock is never held across a store lock), so a job racing to a
 // new phase is simply filtered by the per-job re-check.
 func (c *Cluster) PendingJobs() []api.QuantumJob {
-	return c.pendingByName(c.pending.names())
+	return c.PendingJobsCapped(0)
 }
 
 // PendingJobsCapped is PendingJobs bounded to the oldest perTenant jobs
@@ -351,17 +202,18 @@ func (c *Cluster) PendingJobs() []api.QuantumJob {
 // once the head drains. The virtual-time simulator relies on this to
 // push million-job open-loop traces through real scheduling passes.
 func (c *Cluster) PendingJobsCapped(perTenant int) []api.QuantumJob {
-	if perTenant <= 0 {
-		return c.PendingJobs()
-	}
-	return c.pendingByName(c.pending.namesCapped(perTenant))
+	return c.jobsNamed(c.pending.names(perTenant), func(j *api.QuantumJob) bool {
+		return j.Status.Phase == api.JobPending
+	})
 }
 
-func (c *Cluster) pendingByName(names []string) []api.QuantumJob {
+// jobsNamed reads the named jobs from the store, each stamped with the
+// version it was read at, keeping those still where the index filed them.
+func (c *Cluster) jobsNamed(names []string, still func(*api.QuantumJob) bool) []api.QuantumJob {
 	out := make([]api.QuantumJob, 0, len(names))
 	for _, name := range names {
 		j, v, err := c.Jobs.Get(name)
-		if err == nil && j.Status.Phase == api.JobPending {
+		if err == nil && still(&j) {
 			j.ResourceVersion = v
 			out = append(out, j)
 		}
@@ -370,11 +222,7 @@ func (c *Cluster) pendingByName(names []string) []api.QuantumJob {
 }
 
 // PendingCount reports the queued-job count without copying anything.
-func (c *Cluster) PendingCount() int {
-	c.pending.mu.Lock()
-	defer c.pending.mu.Unlock()
-	return c.pending.count
-}
+func (c *Cluster) PendingCount() int { return c.pending.len() }
 
 // ActiveCount reports how many jobs currently hold node resources
 // (Scheduled or Running), summed across tenants from the usage index —

@@ -1,12 +1,15 @@
-// Fuzzers for the gateway's client-supplied tokens: the /v1/jobs
-// continue/limit/archived parameters and the /v1/watch resume token.
-// Contract: malformed input is a 400 with the invalid envelope (the watch
-// token additionally 410s once valid-but-stale), and no input ever
-// panics a handler.
+// Fuzzers for the gateway's client-supplied tokens and bodies: the
+// /v1/jobs continue/limit/archived parameters, the /v1/watch resume token
+// and PUT /v1/tenants/{name}. Contract: malformed input is a 400 with the
+// invalid envelope (the watch token additionally 410s once
+// valid-but-stale, a well-formed but invalid tenant config 422s), and no
+// input ever panics a handler.
 package gateway_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,6 +130,63 @@ func FuzzWatchResumeToken(f *testing.F) {
 		default:
 			t.Fatalf("status %d for resume=%q", rec.Code, token)
 		}
+	})
+}
+
+// FuzzTenantConfigPut throws arbitrary tenant names and bodies at
+// PUT /v1/tenants/{name}. Every answer must be a 200, a 400 (malformed
+// body) or a 422 (invalid name or bounds), the refusals with the invalid
+// envelope; a 200's config must read back the same through GET
+// /v1/tenants. Nothing panics.
+func FuzzTenantConfigPut(f *testing.F) {
+	f.Add("alice", []byte(`{"weight":5,"quota":{"maxPending":2,"maxActive":1,"maxQubitSeconds":3.5}}`))
+	f.Add("bob-2", []byte(`{"rateLimit":{"submitPerSecond":0.25,"burst":3}}`))
+	f.Add("carol", []byte(`null`))
+	f.Add("bad name!", []byte(`{"weight":1}`))
+	f.Add("dave", []byte(`{"weight":-3}`))
+	f.Add("erin", []byte(`{"weight":"heavy"}`))
+	f.Add("frank", []byte(`{"quota":{"maxQubitSeconds":1e400}}`))
+	f.Add("a/b", []byte(`{`))
+	f.Fuzz(func(t *testing.T, name string, body []byte) {
+		if name == "" || name == "." || name == ".." {
+			return // the mux never routes these to the handler
+		}
+		handler, _ := fuzzServer()
+		req := httptest.NewRequest(http.MethodPut, "/v1/tenants/"+url.PathEscape(name), bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req) // a panic fails the fuzz run
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+			code, _, ok := httpx.DecodeErrorBody(rec.Body.Bytes())
+			if !ok || code != httpx.CodeInvalid {
+				t.Fatalf("%d without invalid envelope: %s", rec.Code, rec.Body.String())
+			}
+			return
+		default:
+			t.Fatalf("status %d for name=%q body=%q", rec.Code, name, body)
+		}
+		var cfg api.TenantConfig
+		if err := json.Unmarshal(rec.Body.Bytes(), &cfg); err != nil || cfg.Name != name {
+			t.Fatalf("200 body for %q is not its config (%v): %s", name, err, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tenants", nil))
+		var rows []gateway.TenantStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &rows); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET /v1/tenants: %d %v", rec.Code, err)
+		}
+		wantWeight := max(cfg.Weight, 1)
+		for _, row := range rows {
+			if row.Tenant != name {
+				continue
+			}
+			if row.Weight != wantWeight || row.Quota != cfg.Quota || row.RateLimit != cfg.RateLimit {
+				t.Fatalf("tenant %q reads back %+v, PUT answered %+v", name, row, cfg)
+			}
+			return
+		}
+		t.Fatalf("tenant %q missing from GET /v1/tenants", name)
 	})
 }
 
