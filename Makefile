@@ -152,13 +152,15 @@ lint-rand:
 	if [ -n "$$out" ]; then echo "lint-rand: package-global math/rand use breaks sim determinism:"; echo "$$out"; exit 1; fi
 
 # lint-draw enforces the one-draw-path rule: both simulators draw through
-# noise.Stream.Draw, so no non-test file under internal/quantum/stabilizer
-# or internal/quantum/statevec builds its own generator (rand.New) or calls
+# noise.Stream, so no non-test file under internal/quantum/stabilizer or
+# internal/quantum/statevec builds its own generator (rand.New) or calls
 # the rand.Rand reference draws (noise.DrawOneQubit/DrawTwoQubit), which
-# only the oracles keep.
+# only the oracles keep; and the dense engine draws only through the
+# threshold forms (Stream.DrawAt, Stream.Quiet), never Stream.Draw.
 lint-draw:
-	@out="$$(grep -rnE 'rand\.New\(|noise\.Draw(One|Two)Qubit\(' --include='*.go' --exclude='*_test.go' internal/quantum/stabilizer internal/quantum/statevec || true)"; \
-	if [ -n "$$out" ]; then echo "lint-draw: the simulators draw through noise.Stream.Draw, not a second path:"; echo "$$out"; exit 1; fi
+	@out="$$( { grep -rnE 'rand\.New\(|noise\.Draw(One|Two)Qubit\(' --include='*.go' --exclude='*_test.go' internal/quantum/stabilizer internal/quantum/statevec; \
+		grep -rnF '.Draw(' --include='*.go' --exclude='*_test.go' internal/quantum/statevec; } || true)"; \
+	if [ -n "$$out" ]; then echo "lint-draw: the simulators draw through noise.Stream (the dense engine through DrawAt/Quiet only), not a second path:"; echo "$$out"; exit 1; fi
 
 # lint-poll enforces the edge-triggered scheduler: non-test code under
 # internal/sched wakes on job events and on a retry timer armed only while

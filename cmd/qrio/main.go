@@ -22,7 +22,7 @@
 //	     [-rate-limit F] [-rate-burst N] [-max-in-flight N]
 //	     [-retention-max-age D] [-retention-max-count N] [-archive-spill F]
 //	     [-data-dir DIR] [-wal-fsync=false] [-snapshot-interval D]
-//	     [-faults point:mode[:prob[:latency]],...]
+//	     [-faults point:mode[:prob[:latency]],...] [-debug-addr ADDR]
 //
 // -rate-limit bounds each tenant's submission arrival rate (token bucket,
 // 429 rate_limited + Retry-After); -max-in-flight sheds excess concurrent
@@ -31,6 +31,8 @@
 // containers finish, unclaimed scheduled jobs are requeued, and (with
 // -data-dir) a final compacted snapshot is written. -faults arms named
 // fault points for resilience rehearsal — never in production.
+// -debug-addr serves net/http/pprof on a listener of its own (never on the
+// API's), for CPU and heap profiles of a live daemon; empty serves nothing.
 //
 // With -data-dir, cluster state is durable: every mutation is written to the
 // WAL under DIR, compacted snapshots are taken every
@@ -82,6 +84,7 @@ func main() {
 	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst for -rate-limit (0 = max(1, ceil(rate)))")
 	maxInFlight := flag.Int("max-in-flight", 0, "global cap on concurrent /v1 requests; excess sheds with 503 overloaded (0 = uncapped)")
 	faultSpec := flag.String("faults", "", "DEV ONLY: arm fault points as point:mode[:probability[:latency]] entries, comma-separated, e.g. meta.score:error:0.5 (modes: error, latency, hang)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this address, apart from -addr (empty = off)")
 	flag.Parse()
 
 	if *dataDir != "" && *archiveSpill != "" {
@@ -157,6 +160,13 @@ func main() {
 			log.Fatalf("serving: %v", err)
 		}
 	}()
+
+	if *debugAddr != "" {
+		go func() {
+			log.Printf("profiler at http://%s/debug/pprof/", *debugAddr)
+			log.Printf("debug listener: %v", http.ListenAndServe(*debugAddr, daemon.DebugHandler()))
+		}()
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,14 +2,20 @@ package kubelet_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/kubelet"
+	"qrio/internal/cluster/state"
+	"qrio/internal/device"
 	"qrio/internal/fidelity"
+	"qrio/internal/graph"
+	"qrio/internal/master"
 	"qrio/internal/obs"
+	"qrio/internal/registry"
 )
 
 // TestCancelRunningJobAbortsAndFreesSlot drives the running-job
@@ -94,5 +100,71 @@ func TestCancelScheduledJobBeatsKubelet(t *testing.T) {
 	n, _, _ := st.Nodes.Get("node-a")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("slot not freed: %v", n.Status.RunningJobs)
+	}
+}
+
+// TestCancelStopsDenseSimulation: cancelling a running job on the built-in
+// runtime stops its simulation, not only its record. A 16-qubit GHZ at
+// 400,000 shots simulates for minutes; once the cancel lands, the
+// container goroutine must return within 2 s (the dense engine checks the
+// container context between shot blocks).
+func TestCancelStopsDenseSimulation(t *testing.T) {
+	st := state.New()
+	b, err := device.UniformBackend("node-a", graph.Line(16), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddNode(b); err != nil {
+		t.Fatal(err)
+	}
+	src := "OPENQASM 2.0;\nqreg q[16];\ncreg c[16];\nh q[0];\n"
+	for q := 1; q < 16; q++ {
+		src += fmt.Sprintf("cx q[%d],q[%d];\n", q-1, q)
+	}
+	src += "measure q -> c;\n"
+	reg := registry.New()
+	if _, err := master.NewServer(st, reg).Submit(master.SubmitRequest{
+		JobName: "ghz16", QASM: src, Shots: 400000,
+		Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BindJob("ghz16", "node-a", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	k := kubelet.New("node-a", st, reg, 3)
+	started, exited := make(chan struct{}), make(chan error, 1)
+	k.Runtime = func(ctx context.Context, j api.QuantumJob) ([]string, *fidelity.Execution, error) {
+		close(started)
+		logs, ex, err := k.BuiltinRuntime(ctx, j)
+		exited <- err
+		return logs, ex, err
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	go k.Run(ctx)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("kubelet never started the bound job")
+	}
+	time.Sleep(300 * time.Millisecond) // well into the shots
+	if _, err := st.CancelJob("ghz16"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if j, _, _ := st.Jobs.Get("ghz16"); j.Status.Phase == api.JobCancelled {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("cancel never landed: phase %s", j.Status.Phase)
+		}
+	}
+	select {
+	case err := <-exited:
+		if err != context.Canceled {
+			t.Fatalf("runtime returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the simulation kept running 2 s after the cancel")
 	}
 }

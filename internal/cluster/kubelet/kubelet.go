@@ -419,7 +419,7 @@ func (k *Kubelet) execute(ctx context.Context, j api.QuantumJob) ([]string, *fid
 	if err := ctx.Err(); err != nil {
 		return logs, nil, err
 	}
-	est := fidelity.Estimator{Shots: shots, Seed: k.Seed + jobSeed(j)}
+	est := fidelity.Estimator{Shots: shots, Seed: k.Seed + jobSeed(j), Context: ctx}
 	ex, err := est.Execute(&circ, backend)
 	if err != nil {
 		return logs, nil, err

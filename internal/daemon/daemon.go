@@ -4,6 +4,7 @@ package daemon
 
 import (
 	"net/http"
+	"net/http/pprof"
 
 	"qrio/internal/core"
 	"qrio/internal/gateway"
@@ -32,5 +33,18 @@ func HandlerMaxInFlight(q *core.QRIO, maxInFlight int) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", gw.Handler())
 	mux.Handle("/", visualizer.New(gw).Handler())
+	return mux
+}
+
+// DebugHandler serves net/http/pprof's profiles under /debug/pprof/. It is
+// for a listener of its own (qrio -debug-addr), never mounted beside
+// Handler's surface, whose gates it does not pass.
+func DebugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -242,7 +242,8 @@ func TestDashboardSubmitIsAdmissionChecked(t *testing.T) {
 }
 
 // TestOnlyTwoMounts: the component REST prefixes and the /v1/healthz alias
-// are gone — there is no way in beside /v1 and the dashboard.
+// are gone — there is no way in beside /v1 and the dashboard, and the
+// profiler is not on this mux.
 func TestOnlyTwoMounts(t *testing.T) {
 	_, srv, _ := serve(t, core.Config{}, false)
 	for _, tc := range []struct{ method, path string }{
@@ -255,6 +256,8 @@ func TestOnlyTwoMounts(t *testing.T) {
 		{"POST", "/meta/v1/jobs/x/meta"},
 		{"GET", "/meta/v1/score/batch?job=x"},
 		{"GET", "/v1/healthz"},
+		{"GET", "/debug/pprof/"},
+		{"GET", "/debug/pprof/goroutine"},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader("{}"))
 		if err != nil {
@@ -267,6 +270,24 @@ func TestOnlyTwoMounts(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s %s = %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestDebugHandlerServesProfiles: the profiler's own mux answers its index
+// and a named profile.
+func TestDebugHandlerServesProfiles(t *testing.T) {
+	srv := httptest.NewServer(daemon.DebugHandler())
+	defer srv.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+			t.Errorf("GET %s = %d: %.80q", path, resp.StatusCode, body)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"qrio/internal/mapomatic"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/stabilizer"
-	"qrio/internal/quantum/statevec"
 	"qrio/internal/transpile"
 )
 
@@ -56,7 +55,7 @@ func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, e
 	switch {
 	case compact.NumQubits <= e.denseLimit():
 		ex.Method = "statevector"
-		counts, ideal, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.CountsAndIdeal(compact)
+		counts, ideal, err := e.dense(model).CountsAndIdeal(compact)
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,7 @@
 package fidelity
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -108,6 +109,10 @@ type Estimator struct {
 	// averaged by CanaryFidelity (0 = 5; 1 = single deterministic canary).
 	// See clifford.Ensemble for why a single canary can be blind.
 	CanaryEnsemble int
+	// Context, when set, cancels dense simulation (statevec.Noisy checks it
+	// between shot blocks); nil means never cancelled. The stabilizer
+	// engine does not consult it.
+	Context context.Context
 }
 
 // canarySize resolves the canary ensemble size.
@@ -124,6 +129,11 @@ func (e Estimator) denseLimit() int {
 		return e.MaxDenseQubits
 	}
 	return statevec.MaxQubits
+}
+
+// dense is the estimator's dense simulation run under model.
+func (e Estimator) dense(model *noise.Model) statevec.Noisy {
+	return statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed, Context: e.Context}
 }
 
 // NewEstimator returns an estimator with sensible defaults.
@@ -435,7 +445,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 		return 0, fmt.Errorf("fidelity: oracle needs %d qubits (> %d) on %s",
 			compact.NumQubits, e.denseLimit(), b.Name)
 	}
-	noisy, ideal, err := statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed}.CountsAndIdeal(compact)
+	noisy, ideal, err := e.dense(model).CountsAndIdeal(compact)
 	if err != nil {
 		return 0, err
 	}

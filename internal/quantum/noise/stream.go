@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -173,4 +174,87 @@ func (s *Stream) Draw(k Kind, p float64) int {
 		return 1 + s.Intn(15)
 	}
 	return 1
+}
+
+// Threshold is a probability as the draws see it: the least 63-bit output
+// whose Float64 is at least p. An output below it fires; one at or above
+// roundsToOne is a Float64 of 1.0, which rand.Float64 draws again.
+type Threshold uint64
+
+const roundsToOne = 1<<63 - 1<<9 // the least 63-bit x with float64(x) == 2^63
+
+// ThresholdOf returns p's Threshold: 0 when p ≤ 0, roundsToOne when p ≥ 1
+// (or NaN — every draw fires, as Float64() >= p never holds).
+func ThresholdOf(p float64) Threshold {
+	switch q := p * (1 << 63); { // exact: a power-of-two scaling
+	case !(p < 1):
+		return roundsToOne
+	case p <= 0:
+		return 0
+	case q <= 1<<53: // every integer here is a float64, so float64(x) ≥ q is x ≥ q
+		return Threshold(math.Ceil(q))
+	default:
+		// q is an integer float; below it float64(x) rounds to q from the
+		// midpoint to the next float down, and at that midpoint to whichever
+		// of the two is even.
+		mid := uint64(q) - uint64(q-math.Nextafter(q, 0))/2
+		if float64(mid) < q {
+			mid++
+		}
+		return Threshold(mid)
+	}
+}
+
+// quiet reports whether the 63-bit output x neither fires at t nor rounds
+// to one: t ≤ x < roundsToOne, in one unsigned compare.
+func quiet(x uint64, t Threshold) bool {
+	return x-uint64(t) < roundsToOne-uint64(t)
+}
+
+// DrawAt returns what Draw(k, p) returns for t = ThresholdOf(p), reading
+// the same outputs (see Draw for the contract they follow).
+func (s *Stream) DrawAt(k Kind, t Threshold) int {
+	if k == Coin {
+		return s.Intn(2)
+	}
+	for {
+		x := uint64(s.int63())
+		if quiet(x, t) {
+			return 0
+		}
+		if x < uint64(t) {
+			break
+		}
+	}
+	switch k {
+	case OneQubitError:
+		return 1 + s.Intn(3)
+	case TwoQubitError:
+		return 1 + s.Intn(15)
+	}
+	return 1
+}
+
+// Quiet makes the draws at ts in order while none fires and returns how
+// many it made: len(ts), or the index of the first that would fire or
+// round to one, left unread for DrawAt. Every draw it makes selects 0, as
+// Draw's would (see Draw for the order they follow).
+func (s *Stream) Quiet(ts []Threshold) int {
+	n := 0
+	for n < len(ts) {
+		if s.i == len(s.buf) {
+			s.refill()
+		}
+		next := s.buf[s.i:min(len(s.buf), s.i+len(ts)-n)]
+		at := ts[n : n+len(next)]
+		for j, x := range next {
+			if !quiet(x&mask63, at[j]) {
+				s.i += j
+				return n + j
+			}
+		}
+		s.i += len(next)
+		n += len(next)
+	}
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -125,42 +126,126 @@ func TestReseedRestartsTheStream(t *testing.T) {
 // digit is a Pauli's base-4 digit, as Stream.Draw numbers it.
 func digit(p Pauli) int { return slices.Index(paulis[:], p) }
 
-// TestDrawRarePaths drives Draw from crafted first outputs and holds every
-// selection to the rand.Rand calls it stands for — a coin's Intn(2), a
-// readout's Float64, DrawOneQubit, DrawTwoQubit — on rand.New over a source
-// that yields the same values: Draw consumes the stream as rand.Rand does,
-// redraws included, through several block refills.
+// TestDrawRarePaths drives Draw, DrawAt and Quiet from crafted first
+// outputs and holds every selection to the rand.Rand calls it stands for —
+// a coin's Intn(2), a readout's Float64, DrawOneQubit, DrawTwoQubit — on
+// rand.New over a source that yields the same values: each consumes the
+// stream as rand.Rand does, redraws included, through several block
+// refills. Some probabilities are the Float64 of the next output itself,
+// or a float either side of it, so a threshold lands exactly on an output.
 func TestDrawRarePaths(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		first := craftedOutputs(rng)
 		s := Stream{buf: append(make([]uint64, 0, blockLen), first...)}
 		want := rand.New(&fibSource{out: slices.Clone(first)})
-		for d := 0; d < 20000; d++ {
-			k, p := Kind(rng.Intn(4)), rng.Float64()
-			if rng.Intn(8) == 0 {
-				p = float64(rng.Intn(2)) // never fires, always fires
-			}
-			var exp int
+		draw := func(k Kind, p float64) int { // rand.Rand's draw of kind k
 			switch k {
 			case Coin:
-				exp = want.Intn(2)
+				return want.Intn(2)
 			case Readout:
 				if want.Float64() < p {
-					exp = 1
+					return 1
 				}
+				return 0
 			case OneQubitError:
-				exp = digit(DrawOneQubit(p, want))
-			case TwoQubitError:
-				pa, pb := DrawTwoQubit(p, want)
-				exp = digit(pa) + 4*digit(pb)
+				return digit(DrawOneQubit(p, want))
 			}
-			if got := s.Draw(k, p); got != exp {
-				t.Fatalf("trial %d draw %d: Draw(%d, %v) = %d, rand.Rand %d", trial, d, k, p, got, exp)
+			pa, pb := DrawTwoQubit(p, want)
+			return digit(pa) + 4*digit(pb)
+		}
+		prob := func() float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return float64(rng.Intn(2)) // never fires, always fires
+			case 1, 2: // on the next output, or an ulp either side of it
+				if s.i == len(s.buf) {
+					s.refill()
+				}
+				p := float64(s.buf[s.i]&mask63) / (1 << 63)
+				return []float64{p, math.Nextafter(p, 0), math.Nextafter(p, 1)}[rng.Intn(3)]
+			}
+			return rng.Float64()
+		}
+		for d := 0; d < 20000; d++ {
+			k, p := Kind(rng.Intn(4)), prob()
+			switch form := rng.Intn(3); {
+			case form == 2 && k != Coin: // a run of draws, quiet while none fires
+				ks, ps, ts := []Kind{k}, []float64{p}, []Threshold{ThresholdOf(p)}
+				for len(ts) < 1+rng.Intn(12) {
+					k, p := Kind(1+rng.Intn(3)), prob()
+					ks, ps, ts = append(ks, k), append(ps, p), append(ts, ThresholdOf(p))
+				}
+				n := s.Quiet(ts)
+				for j := 0; j < n; j++ {
+					if exp := draw(ks[j], ps[j]); exp != 0 {
+						t.Fatalf("trial %d draw %d: Quiet passed draw %d of %d, rand.Rand selects %d", trial, d, j, len(ts), exp)
+					}
+				}
+				if n < len(ts) {
+					if s.i == len(s.buf) {
+						s.refill()
+					}
+					if x := s.buf[s.i] & mask63; quiet(x, ts[n]) {
+						t.Fatalf("trial %d draw %d: Quiet stopped at %d of %d on a quiet output %d (threshold %d)", trial, d, n, len(ts), x, ts[n])
+					}
+					if got, exp := s.DrawAt(ks[n], ts[n]), draw(ks[n], ps[n]); got != exp {
+						t.Fatalf("trial %d draw %d: DrawAt after Quiet = %d, rand.Rand %d", trial, d, got, exp)
+					}
+				}
+			case form == 1:
+				if got, exp := s.DrawAt(k, ThresholdOf(p)), draw(k, p); got != exp {
+					t.Fatalf("trial %d draw %d: DrawAt(%d, ThresholdOf(%v)) = %d, rand.Rand %d", trial, d, k, p, got, exp)
+				}
+			default:
+				if got, exp := s.Draw(k, p), draw(k, p); got != exp {
+					t.Fatalf("trial %d draw %d: Draw(%d, %v) = %d, rand.Rand %d", trial, d, k, p, got, exp)
+				}
 			}
 		}
 		if got, exp := s.int63(), want.Int63(); got != exp {
 			t.Fatalf("trial %d: streams diverged after the draws: %d, %d", trial, got, exp)
+		}
+	}
+}
+
+// TestThresholdOf holds ThresholdOf(p) to its definition, the least 63-bit
+// output whose Float64 is at least p (roundsToOne when none is), at the
+// boundaries — p of zero and one, the smallest subnormal, the largest float
+// below one, p·2^63 past 2^53 where outputs round — and against a binary
+// search of the definition on random p.
+func TestThresholdOf(t *testing.T) {
+	float := func(x uint64) float64 { return float64(x) / (1 << 63) }
+	search := func(p float64) Threshold {
+		return Threshold(sort.Search(roundsToOne, func(x int) bool { return float(uint64(x)) >= p }))
+	}
+	for _, tc := range []struct {
+		p    float64
+		want Threshold
+	}{
+		{0, 0},
+		{-0.5, 0},
+		{1, roundsToOne},
+		{1.5, roundsToOne},
+		{math.NaN(), roundsToOne}, // Float64() >= NaN never holds: every draw fires
+		{math.SmallestNonzeroFloat64, 1},
+		{math.Nextafter(1, 0), 1<<63 - 1535},
+		{0.75, 3<<61 - 1<<9},                        // the midpoint below rounds to the even 3·2^61
+		{math.Nextafter(0.75, 1), 3<<61 + 1<<9 + 1}, // the midpoint below rounds down, to even
+	} {
+		if got := ThresholdOf(tc.p); got != tc.want || got != search(tc.p) {
+			t.Errorf("ThresholdOf(%v) = %d, want %d (search %d)", tc.p, got, tc.want, search(tc.p))
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		p := rng.Float64() * math.Pow(2, -float64(rng.Intn(70)))
+		got := ThresholdOf(p)
+		if got != search(p) {
+			t.Fatalf("ThresholdOf(%v) = %d, search %d", p, got, search(p))
+		}
+		if float(uint64(got)) < p || got > 0 && float(uint64(got)-1) >= p {
+			t.Fatalf("ThresholdOf(%v) = %d is not the least output at or above p", p, got)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qrio/internal/quantum/circuit"
@@ -109,18 +110,19 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 			for regime, model := range identityModels(rng, n) {
 				if prog, err := compile(c, model); err != nil {
 					t.Fatal(err)
-				} else if s, _ := New(n); !prog.hasReset && len(prog.sites) > 0 {
-					if prog.runNoiseless(s) != nil {
+				} else if !prog.hasReset && len(prog.sites) > 0 {
+					if cp, _ := prog.layout(1 << n); cp > 0 {
 						checkpointed++
 					} else {
 						fromStart++
 					}
 				}
-				for _, shots := range []int{1, 7, 512} {
+				for _, shots := range []int{1, 7, 512, 2*shotBlock + 3} {
 					// The oracle costs gates × 2^n per shot. On the wide registers
 					// 512 shots go to the regime that mixes all three paths; where
-					// every shot takes the same one, 7 of them said it all.
-					if shots == 512 && n > 6 && regime != "device" {
+					// every shot takes the same one, 7 of them said it all. Runs
+					// that cross shot blocks stay on small registers.
+					if shots == 512 && n > 6 && regime != "device" || shots > shotBlock && n > 3 {
 						continue
 					}
 					name := fmt.Sprintf("n=%d/resets=%t/measured=%t/%s/shots=%d", n, resets, measured, regime, shots)
@@ -155,6 +157,78 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 	}
 	if checkpointed == 0 || fromStart == 0 {
 		t.Fatalf("%d runs resumed from checkpoints, %d replayed from gate 0: both must be exercised", checkpointed, fromStart)
+	}
+}
+
+// TestSimulateMatchesReplay holds the sharing of states between error
+// patterns to the plain replay: after any earlier patterns, in sorted
+// order or not, simulate leaves exactly the amplitudes of the noiseless
+// circuit run from gate 0 with the pattern's Paulis injected — with every
+// site's checkpoint or none, and room for every saved state, one or none.
+func TestSimulateMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(5)
+		c := identityCircuit(rng, n, 4+rng.Intn(8*n), false, false)
+		prog, err := compile(c, noise.Uniform(n, 0.1, 0.1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := len(prog.sites)
+		if sites == 0 {
+			continue
+		}
+		// Patterns that often share a prefix: a suffix of the last one redrawn.
+		var pats [][]uint64
+		for k := 0; k < 120; k++ {
+			var pat []uint64
+			from := 0
+			if len(pats) > 0 && rng.Intn(4) > 0 {
+				last := pats[rng.Intn(len(pats))]
+				keep := rng.Intn(len(last) + 1)
+				pat = slices.Clone(last[:keep])
+				if keep > 0 {
+					from = int(last[keep-1]>>4) + 1
+				}
+			}
+			for site := from; site < sites; site++ {
+				if rng.Intn(3) == 0 {
+					d := 1 + rng.Intn(3)
+					if prog.errs.kind[site] == noise.TwoQubitError {
+						d = 1 + rng.Intn(15)
+					}
+					pat = append(pat, uint64(site)<<4|uint64(d))
+				}
+			}
+			if len(pat) > 0 {
+				pats = append(pats, pat)
+			}
+		}
+		if trial%2 == 0 {
+			slices.SortFunc(pats, slices.Compare)
+		}
+		for _, layout := range [][2]int{{sites, sites - 1}, {0, sites}, {sites, 1}, {0, 1}, {sites, 0}, {0, 0}} {
+			s, _ := New(n)
+			e := newTrajectories(prog, s, new(workspace), layout[0], layout[1])
+			for k, pat := range pats {
+				e.simulate(pat)
+				want, _ := New(n)
+				site := 0
+				for i := range prog.ops {
+					if o := &prog.ops[i]; o.code != opNoise {
+						want.apply(o)
+						continue
+					}
+					if j := slices.IndexFunc(pat, func(h uint64) bool { return int(h>>4) == site }); j >= 0 {
+						want.inject(&prog.ops[i], int(pat[j]&15))
+					}
+					site++
+				}
+				if !slices.Equal(s.amps, want.amps) {
+					t.Fatalf("trial %d, layout %v, pattern %d %v: simulate left %v, replay %v", trial, layout, k, pat, s.amps, want.amps)
+				}
+			}
+		}
 	}
 }
 

@@ -16,27 +16,54 @@ const (
 	opCX                  // control a, target b
 	opCZ                  // on the pair (a, b)
 	opSwap                // exchanges a and b
-	opNoise               // an error draw of kind kind and strength p after a gate on a, or on (a, b)
+	opNoise               // a gate-error draw (its site's errs entry) after a gate on a, or on (a, b)
 	opReset               // measure a (one Float64) and flip it back to |0>
 )
 
 // op is one compiled step. Everything a shot would otherwise re-derive per
 // gate — its decomposition, its 2x2 matrix (a cmplx.Exp and two cosines
-// each), the noise model's error probability for these qubits — was
-// resolved when it was built.
+// each) — was resolved when it was built. A noise op's draw is the
+// program's errs entry of its site.
 type op struct {
 	code opcode
-	kind noise.Kind // opNoise: noise.OneQubitError or noise.TwoQubitError
 	a, b int
-	p    float64
 	m    circuit.Matrix2
 }
 
 // measurement is one measured qubit: outcome bit qmask of the sampled
-// index lands on classical bit cmask, flipped with probability p.
+// index lands on classical bit cmask.
 type measurement struct {
 	qmask, cmask int
-	p            float64
+}
+
+// draws is a run of draws a shot makes in order: draw i is of kind kind[i]
+// at threshold t[i].
+type draws struct {
+	t    []noise.Threshold
+	kind []noise.Kind
+}
+
+// newDraws returns an empty run with room for n draws.
+func newDraws(n int) draws {
+	return draws{t: make([]noise.Threshold, 0, n), kind: make([]noise.Kind, 0, n)}
+}
+
+// add appends a draw of kind k that fires with probability p.
+func (ds *draws) add(k noise.Kind, p float64) {
+	ds.t, ds.kind = append(ds.t, noise.ThresholdOf(p)), append(ds.kind, k)
+}
+
+// fire makes the draws in order and appends i<<4 | d for each draw i whose
+// selection d is not 0 — a run of quiet draws costs a compare each.
+func (ds *draws) fire(st *noise.Stream, out []uint64) []uint64 {
+	for i := 0; ; i++ {
+		if i += st.Quiet(ds.t[i:]); i == len(ds.t) {
+			return out
+		}
+		if d := st.DrawAt(ds.kind[i], ds.t[i]); d != 0 {
+			out = append(out, uint64(i)<<4|uint64(d))
+		}
+	}
 }
 
 // program is a circuit compiled for the dense engine: a flat list of
@@ -47,11 +74,14 @@ type program struct {
 	measures []measurement
 	nq       int
 	nbits    int
-	noisy    bool // a noise model is attached: measurements draw a readout coin
 	hasReset bool
 	// sites are the indices of the noise ops, in order: the places a shot
-	// draws a gate error.
+	// draws a gate error, errs[i] at sites[i].
 	sites []int
+	errs  draws
+	// reads are the measurements' readout draws, one each in order; none
+	// without a noise model.
+	reads draws
 }
 
 // matrixOp compiles a 2x2 unitary on qubit q.
@@ -118,22 +148,25 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 	if c.NumQubits < 0 || c.NumQubits > MaxQubits {
 		return nil, fmt.Errorf("statevec: %d qubits out of range [0,%d]", c.NumQubits, MaxQubits)
 	}
-	p := &program{nq: c.NumQubits, nbits: c.NumClbits, noisy: model != nil}
+	p := &program{nq: c.NumQubits, nbits: c.NumClbits}
 	if len(qubits) == 0 {
 		p.nbits = c.NumQubits
 		for q := 0; q < c.NumQubits; q++ {
 			qubits, clbits = append(qubits, q), append(clbits, q)
 		}
 	}
+	if model != nil {
+		// A unitary gate has one site, a three-qubit gate three.
+		p.sites, p.errs, p.reads = make([]int, 0, len(c.Gates)), newDraws(len(c.Gates)), newDraws(len(qubits))
+	}
 	for i, q := range qubits {
 		if clbits[i] < 0 || clbits[i] >= p.nbits {
 			return nil, fmt.Errorf("statevec: clbit %d out of range (%d clbits)", clbits[i], p.nbits)
 		}
-		m := measurement{qmask: 1 << uint(q), cmask: 1 << uint(clbits[i])}
+		p.measures = append(p.measures, measurement{qmask: 1 << uint(q), cmask: 1 << uint(clbits[i])})
 		if model != nil {
-			m.p = model.ReadoutProb(q)
+			p.reads.add(noise.Readout, model.ReadoutProb(q))
 		}
-		p.measures = append(p.measures, m)
 	}
 	p.ops = make([]op, 0, 2*len(c.Gates))
 	for _, g := range c.Gates {
@@ -153,7 +186,8 @@ func compile(c *circuit.Circuit, model *noise.Model) (*program, error) {
 		}
 		model.Sites(g, func(s noise.Site) {
 			p.sites = append(p.sites, len(p.ops))
-			p.ops = append(p.ops, op{code: opNoise, kind: s.Kind, a: s.A, b: s.B, p: s.P})
+			p.ops = append(p.ops, op{code: opNoise, a: s.A, b: s.B})
+			p.errs.add(s.Kind, s.P)
 		})
 	}
 	return p, nil
@@ -168,6 +202,15 @@ func (s *State) apply(o *op) {
 		s.applyDiagonal(o.a, o.m[0][0], o.m[1][1])
 	case opCX, opCZ, opSwap:
 		s.apply2Q(o.code, o.a, o.b)
+	}
+}
+
+// advance executes the unitary ops in ops[from:to], injecting nothing.
+func (p *program) advance(s *State, from, to int) {
+	for i := from; i < to; i++ {
+		if o := &p.ops[i]; o.code != opNoise {
+			s.apply(o)
+		}
 	}
 }
 
@@ -193,50 +236,17 @@ func (s *State) reset() {
 	s.amps[0] = 1
 }
 
-// hit is one gate error a shot drew: the draw's selection at the
-// program's site-th noise op.
-type hit struct {
-	site, d int
-}
-
-// drawErrors draws one shot's gate errors, site by site in circuit order,
-// and appends the ones that fired to hits. No draw depends on the quantum
-// state (the program has no reset), so the stream is consumed exactly as a
-// shot that interleaved the draws with its gates would consume it.
-func (p *program) drawErrors(st *noise.Stream, hits []hit) []hit {
-	for site, at := range p.sites {
-		o := &p.ops[at]
-		if d := st.Draw(o.kind, o.p); d != 0 {
-			hits = append(hits, hit{site: site, d: d})
-		}
-	}
-	return hits
-}
-
-// replay executes ops[from:] with the drawn errors injected at their
-// sites; hits are in site order and none sits before from.
-func (p *program) replay(s *State, from int, hits []hit) {
-	for i := from; i < len(p.ops); i++ {
-		o := &p.ops[i]
-		switch {
-		case o.code != opNoise:
-			s.apply(o)
-		case len(hits) > 0 && p.sites[hits[0].site] == i:
-			s.inject(o, hits[0].d)
-			hits = hits[1:]
-		}
-	}
-}
-
 // runShot executes one trajectory in program order, drawing as it goes —
 // the loop for programs with a reset, whose draw picks a branch of the
 // state and so cannot be taken ahead of the gates before it.
 func (p *program) runShot(s *State, st *noise.Stream) {
+	site := 0
 	for i := range p.ops {
 		o := &p.ops[i]
 		switch o.code {
 		case opNoise:
-			s.inject(o, st.Draw(o.kind, o.p))
+			s.inject(o, st.DrawAt(p.errs.kind[site], p.errs.t[site]))
+			site++
 		case opReset:
 			s.ResetQubit(o.a, st.Float64())
 		default:
@@ -245,15 +255,15 @@ func (p *program) runShot(s *State, st *noise.Stream) {
 	}
 }
 
-// readout maps a sampled basis index to its classical-register key: each
-// measured qubit's bit, flipped by its readout draw (noisy programs only,
-// one per measurement in program order), onto its classical bit.
-func (p *program) readout(idx int, st *noise.Stream) int {
+// key maps a sampled basis index to its classical-register key: each
+// measured qubit's bit, flipped where the shot's readout draw fired (flips:
+// reads.fire's entries), onto its classical bit.
+func (p *program) key(idx int, flips []uint64) int {
 	key := 0
-	for _, m := range p.measures {
+	for i, m := range p.measures {
 		one := idx&m.qmask != 0
-		if p.noisy && st.Draw(noise.Readout, m.p) == 1 {
-			one = !one
+		if len(flips) > 0 && flips[0]>>4 == uint64(i) {
+			one, flips = !one, flips[1:]
 		}
 		if one {
 			key |= m.cmask

@@ -53,10 +53,11 @@ func (s *State) Apply1Q(q int, m circuit.Matrix2) {
 	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
 	bit := 1 << uint(q)
 	for base := 0; base < len(amps); base += bit << 1 {
-		for i := base; i < base+bit; i++ {
-			a0, a1 := amps[i], amps[i|bit]
-			amps[i] = m00*a0 + m01*a1
-			amps[i|bit] = m10*a0 + m11*a1
+		zero, one := amps[base:base+bit], amps[base+bit:base+bit<<1]
+		for i, a0 := range zero {
+			a1 := one[i]
+			zero[i] = m00*a0 + m01*a1
+			one[i] = m10*a0 + m11*a1
 		}
 	}
 }
@@ -69,14 +70,15 @@ func (s *State) Apply1Q(q int, m circuit.Matrix2) {
 func (s *State) applyDiagonal(q int, d0, d1 complex128) {
 	amps := s.amps
 	bit := 1 << uint(q)
+	scaleZero := d0 != 1
 	for base := 0; base < len(amps); base += bit << 1 {
-		if d0 != 1 {
-			for i := base; i < base+bit; i++ {
-				amps[i] = d0 * amps[i]
+		if scaleZero {
+			for i, a := range amps[base : base+bit] {
+				amps[base+i] = d0 * a
 			}
 		}
-		for i := base + bit; i < base+bit<<1; i++ {
-			amps[i] = d1 * amps[i]
+		for i, a := range amps[base+bit : base+bit<<1] {
+			amps[base+bit+i] = d1 * a
 		}
 	}
 }
@@ -90,13 +92,17 @@ func (s *State) apply2Q(code opcode, a, b int) {
 	lo, hi := min(ab, bb), max(ab, bb)
 	for top := 0; top < len(amps); top += hi << 1 {
 		for mid := top; mid < top+hi; mid += lo << 1 {
-			for i := mid; i < mid+lo; i++ {
-				switch code {
-				case opCX:
+			switch code {
+			case opCX:
+				for i := mid; i < mid+lo; i++ {
 					amps[i|ab], amps[i|ab|bb] = amps[i|ab|bb], amps[i|ab]
-				case opCZ:
+				}
+			case opCZ:
+				for i := mid; i < mid+lo; i++ {
 					amps[i|ab|bb] = -amps[i|ab|bb]
-				case opSwap:
+				}
+			case opSwap:
+				for i := mid; i < mid+lo; i++ {
 					amps[i|ab], amps[i|bb] = amps[i|bb], amps[i|ab]
 				}
 			}
@@ -301,6 +307,6 @@ func IdealDistribution(c *circuit.Circuit) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog.runNoiseless(s)
+	prog.runNoiseless(s, nil)
 	return prog.distribution(s), nil
 }

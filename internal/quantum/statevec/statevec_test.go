@@ -1,8 +1,11 @@
 package statevec
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qrio/internal/quantum/circuit"
@@ -217,6 +220,52 @@ func TestNoisyCountsGateErrorDegradesFidelity(t *testing.T) {
 	}
 	if float64(bad)/4000 > 0.5 {
 		t.Fatalf("noise overwhelming: %v", counts)
+	}
+}
+
+// cancelAt is a context that turns cancelled at the n-th look.
+type cancelAt struct {
+	context.Context
+	looks, n int
+}
+
+func (c *cancelAt) Err() error {
+	if c.looks++; c.looks >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestNoisyCancelledMidway: a run whose context is cancelled while shots
+// remain stops at the next shot block and returns context.Canceled, on
+// both the sampled and the gate-by-gate loop; a context never cancelled
+// changes no count.
+func TestNoisyCancelledMidway(t *testing.T) {
+	c := circuit.New(3)
+	c.H(0)
+	c.CX(0, 1)
+	c.CX(1, 2)
+	withReset := circuit.New(3)
+	withReset.H(0)
+	withReset.Reset(0)
+	withReset.CX(1, 2)
+	m := noise.Uniform(3, 0.01, 0.05, 0.02)
+	for name, c := range map[string]*circuit.Circuit{"sampled": c, "reset": withReset} {
+		ctx := &cancelAt{Context: context.Background(), n: 3}
+		if _, err := (Noisy{Model: m, Shots: 5 * shotBlock, Seed: 3, Context: ctx}).Counts(c); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled run returned %v", name, err)
+		}
+		if ctx.looks != 3 {
+			t.Fatalf("%s: the run looked at its context %d times, want 3 (one per block until cancelled)", name, ctx.looks)
+		}
+		want, err := Noisy{Model: m, Shots: 5 * shotBlock, Seed: 3}.Counts(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Noisy{Model: m, Shots: 5 * shotBlock, Seed: 3, Context: context.Background()}.Counts(c)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: with a live context %v, %v; without %v", name, got, err, want)
+		}
 	}
 }
 
