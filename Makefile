@@ -45,7 +45,7 @@ BENCH_FAST_TIME ?= 20x
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -141,6 +141,20 @@ lint-index:
 	if [ -z "$$all" ]; then echo "lint-index: found no sort.Search — audit miswired"; exit 1; fi; \
 	out="$$(echo "$$all" | grep -v '^internal/cluster/state/order\.go:' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-index: an ordered job index is a key function over jobOrder (order.go), not a second sorted slice:"; echo "$$out"; exit 1; fi
+
+# lint-watch enforces the hook-fed-index rule: a view derived from a store
+# (the node table, the job orders, tenant usage) is fed by the store's
+# OnEvent hook, which sees every mutation, never by a store watch, which
+# drops events when its buffer fills and must re-List to heal. Two watches
+# remain: the state hub's streams (hub.go), which serve watch clients and
+# resume from tokens, and the scheduler's job-event wake-up channel in
+# internal/sched/scheduler.go, which carries no data. Tests are exempt.
+# Finding no watch at all means the grep is miswired.
+lint-watch:
+	@all="$$(grep -rnE '\.Watch(From)?\(' --include='*.go' --exclude='*_test.go' internal *.go || true)"; \
+	if [ -z "$$all" ]; then echo "lint-watch: found no store watch — audit miswired"; exit 1; fi; \
+	out="$$(echo "$$all" | grep -vE '^internal/cluster/state/hub\.go:|^internal/sched/scheduler\.go:[0-9]+:.*\.State\.Jobs\.Watch\(' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-watch: a derived view is a hook-fed index (store.OnEvent), not a store watch:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -312,4 +326,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-metrics test race sim-smoke

@@ -236,8 +236,8 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 // terminal history accumulates: 64 pending jobs are dispatched by batched
 // passes (Concurrency=8, nil scorer so ranking cost is pure scheduler
 // machinery) against a 30-device fleet with 0, 1k or 10k terminal jobs
-// resident in the job store. Before the incremental pending index and the
-// watch-fed fleet cache, every pass deep-copied every job ever submitted
+// resident in the job store. Before the incremental pending index and a
+// cached fleet view, every pass deep-copied every job ever submitted
 // plus the whole fleet, so bound-jobs/s decayed with cluster history; now
 // the three history sizes should land within noise of each other.
 func BenchmarkSchedulePassWithHistory(b *testing.B) {
@@ -294,7 +294,6 @@ func BenchmarkSchedulePassWithHistory(b *testing.B) {
 				}
 			}
 			s := sched.New(st, sched.NewFramework(nil, sched.DefaultFilters()...))
-			defer s.Stop()
 			s.Concurrency = 8
 			const wave = 32
 			bound := 0
@@ -483,7 +482,6 @@ func BenchmarkFairShare(b *testing.B) {
 			b.StartTimer()
 		}
 		b.StopTimer()
-		s.Stop()
 		bound += total
 		share = float64(dripBound) / float64(total)
 		if share < 0.35 || share > 0.65 {

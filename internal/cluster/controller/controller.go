@@ -83,9 +83,9 @@ func (c *Controller) ReconcileOnce() {
 
 func (c *Controller) clock() time.Time { return clock.Now(c.Clock) }
 
-// markStaleNodes flips nodes whose heartbeat stopped to NotReady. Liveness
-// is read from the state layer's volatile table; the store — and with it
-// the WAL and every node watch stream — sees only the transition.
+// markStaleNodes flips nodes whose heartbeat stopped to NotReady. Phase and
+// liveness are read from the state layer's node table; the store — and
+// with it the WAL and every node watch stream — sees only the transition.
 func (c *Controller) markStaleNodes(now time.Time) {
 	timeout := c.NodeTimeout
 	if timeout <= 0 {
@@ -97,16 +97,12 @@ func (c *Controller) markStaleNodes(now time.Time) {
 		last, ok := c.State.LastHeartbeat(name)
 		return last, ok && now.Sub(last) > timeout
 	}
-	var stale []string
-	c.State.Nodes.Range(func(n api.Node, _ int64) bool {
-		if n.Status.Phase == api.NodeReady {
-			if _, silent := silentSince(n.Name); silent {
-				stale = append(stale, n.Name)
-			}
+	nodes, _ := c.State.Fleet()
+	for _, n := range nodes {
+		name := n.Name
+		if _, silent := silentSince(name); !silent || n.Status.Phase != api.NodeReady {
+			continue
 		}
-		return true
-	})
-	for _, name := range stale {
 		_, _, err := c.State.Nodes.Update(name, func(n api.Node) (api.Node, error) {
 			// Re-checked under the node's lock: a heartbeat that landed
 			// since the scan wins.
@@ -144,7 +140,9 @@ func (c *Controller) requeueIfStranded(j api.QuantumJob, now time.Time) {
 		stuck = 5 * time.Second
 	}
 	nodeName := j.Status.Node
-	if node, _, err := c.State.Nodes.Get(nodeName); err == nil && node.Status.Phase == api.NodeReady {
+	ready := false
+	c.State.Nodes.Peek(nodeName, func(n api.Node, _ int64) { ready = n.Status.Phase == api.NodeReady })
+	if ready {
 		return
 	}
 	// Grace period: the node may just be flapping.

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"qrio/internal/cluster/api"
+	"qrio/internal/device"
+	"qrio/internal/graph"
 )
 
 // stepClock is a hand-advanced time source.
@@ -40,10 +42,16 @@ func livenessCluster(t *testing.T, nodes ...string) (*Cluster, *stepClock) {
 	return c, clk
 }
 
-func livenessEntries(c *Cluster) int {
-	c.liveness.mu.Lock()
-	defer c.liveness.mu.Unlock()
-	return len(c.liveness.last)
+// livenessEntries counts the node table's entries, first holding the
+// table to a rebuild from the store.
+func livenessEntries(t *testing.T, c *Cluster) int {
+	t.Helper()
+	if err := c.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	c.fleet.mu.Lock()
+	defer c.fleet.mu.Unlock()
+	return len(c.fleet.entries)
 }
 
 // TestHeartbeatStaysOutOfTheStore: a heartbeat moves the liveness table
@@ -111,11 +119,11 @@ func TestHeartbeatRevivesThroughTheStore(t *testing.T) {
 // the controller's next tick.
 func TestLivenessTableHoldsExactlyTheRegisteredNodes(t *testing.T) {
 	c, clk := livenessCluster(t, "dev-a", "dev-b")
-	if got := livenessEntries(c); got != 2 {
+	if got := livenessEntries(t, c); got != 2 {
 		t.Fatalf("entries = %d, want 2", got)
 	}
 	c.Heartbeat("ghost", clk.Now())
-	if got := livenessEntries(c); got != 2 {
+	if got := livenessEntries(t, c); got != 2 {
 		t.Fatalf("heartbeat for an unregistered node created an entry (%d)", got)
 	}
 
@@ -125,8 +133,8 @@ func TestLivenessTableHoldsExactlyTheRegisteredNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Heartbeat("dev-a", clk.advance(time.Second)) // its kubelet is still running
-	if _, ok := c.LastHeartbeat("dev-a"); ok || livenessEntries(c) != 1 {
-		t.Fatalf("deleted node still has a liveness entry (%d entries)", livenessEntries(c))
+	if _, ok := c.LastHeartbeat("dev-a"); ok || livenessEntries(t, c) != 1 {
+		t.Fatalf("deleted node still has a liveness entry (%d entries)", livenessEntries(t, c))
 	}
 
 	back := clk.advance(time.Hour)
@@ -144,17 +152,23 @@ func TestLivenessTableHoldsExactlyTheRegisteredNodes(t *testing.T) {
 	if last, _ := c.LastHeartbeat("dev-b"); !last.Equal(refreshed) {
 		t.Fatalf("refreshed node liveness = %v, want %v", last, refreshed)
 	}
-	if got := livenessEntries(c); got != 2 {
+	if got := livenessEntries(t, c); got != 2 {
 		t.Fatalf("entries = %d, want 2", got)
 	}
 }
 
-// TestHeartbeatsRaceRegistration hammers one node name with heartbeats
-// while it is deleted and re-registered; the table must end holding
-// exactly the registered set (run under -race).
+// TestHeartbeatsRaceRegistration hammers one node name with heartbeats,
+// device decodes and fleet reads while it is deleted, re-registered and
+// refreshed onto another device; the table must end holding exactly the
+// registered set, with no device decoded from stale bytes (run under
+// -race).
 func TestHeartbeatsRaceRegistration(t *testing.T) {
 	c, _ := livenessCluster(t, "steady")
 	b := testBackend(t, "flapper")
+	wider, err := device.UniformBackend("flapper", graph.Line(7), 0.1, 0.01, 0.05, 500e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -168,6 +182,8 @@ func TestHeartbeatsRaceRegistration(t *testing.T) {
 				default:
 					c.Heartbeat("flapper", time.Now())
 					c.LastHeartbeat("flapper")
+					c.Backend("flapper")
+					c.Fleet()
 				}
 			}
 		}()
@@ -176,13 +192,19 @@ func TestHeartbeatsRaceRegistration(t *testing.T) {
 		if _, err := c.AddNode(b); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := c.RefreshNode(wider); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Nodes.Delete("flapper"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if _, ok := c.LastHeartbeat("flapper"); ok || livenessEntries(c) != 1 {
-		t.Fatalf("table out of step with the registered set: %d entries", livenessEntries(c))
+	if _, ok := c.LastHeartbeat("flapper"); ok || livenessEntries(t, c) != 1 {
+		t.Fatalf("table out of step with the registered set: %d entries", livenessEntries(t, c))
 	}
 }

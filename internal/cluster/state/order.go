@@ -201,8 +201,9 @@ func (o *jobOrder) diff(want *jobOrder) error {
 
 // CheckIndexes rebuilds every job order (pending, scheduled-by-node,
 // terminal) from the stored jobs through its own key function and reports
-// the first difference in names, groups or order. Only valid on a
-// quiescent cluster: a write racing the rebuild reads as a difference.
+// the first difference in names, groups or order, then holds the node
+// table to the stored nodes (checkNodes). Only valid on a quiescent
+// cluster: a write racing the rebuild reads as a difference.
 func (c *Cluster) CheckIndexes() error {
 	jobs := c.Jobs.List()
 	for name, o := range map[string]*jobOrder{"pending": c.pending, "scheduled": c.scheduled.jobOrder, "terminal": c.terminal} {
@@ -213,6 +214,9 @@ func (c *Cluster) CheckIndexes() error {
 		if err := o.diff(fresh); err != nil {
 			return fmt.Errorf("state: %s index: %w", name, err)
 		}
+	}
+	if err := c.checkNodes(); err != nil {
+		return fmt.Errorf("state: node table: %w", err)
 	}
 	return nil
 }

@@ -11,12 +11,14 @@
 // them to a rebuild. An About-keyed event ring, capped per object, serves
 // EventsAbout without scanning the whole event log.
 //
-// Node liveness (liveness.go) is deliberately NOT stored: heartbeats land
-// in a volatile table and only Ready↔NotReady transitions are journaled.
+// Everything kept per node beside the stored object — the fleet view the
+// scheduler ranks against, the last heartbeat and the decoded device — is
+// one hook-fed table (nodes.go), which CheckIndexes also holds to the
+// store. Heartbeats are deliberately NOT stored: only Ready↔NotReady
+// transitions are journaled.
 package state
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,17 +88,13 @@ type Cluster struct {
 	syncLog func() // see SetSync; nil on an in-memory cluster
 
 	uid atomic.Int64
-	// backendCache avoids re-decoding node backend JSON on every access;
-	// a Nodes hook drops an entry when its node goes or changes device.
-	mu           sync.Mutex
-	backendCache map[string]cachedBackend
 
 	pending    *jobOrder // tenant → Pending jobs by (CreatedAt, name)
 	terminal   *jobOrder // one group of terminal jobs by (finish time, name)
 	scheduled  scheduledIndex
 	usage      usageIndex
 	eventIdx   eventIndex
-	liveness   nodeLiveness
+	fleet      nodeTable
 	tenantConf tenantConfIndex
 	hub        hubRegistry
 
@@ -118,7 +116,6 @@ func New() *Cluster {
 		Events:        store.New(api.Event.DeepCopy, func(e api.Event) string { return e.Name }),
 		TenantConfigs: store.New(api.TenantConfig.DeepCopy, func(t api.TenantConfig) string { return t.Name }),
 		Archived:      archive.New(archive.Options{}),
-		backendCache:  make(map[string]cachedBackend),
 	}
 	// Only job and node watches resume from a token (hub.go); a journal
 	// ring on the other stores would keep every result and event a second
@@ -133,7 +130,7 @@ func New() *Cluster {
 	c.usage.tenants = make(map[string]*TenantUsage)
 	c.eventIdx.byAbout = make(map[string][]string)
 	c.eventIdx.cap = EventIndexCap
-	c.liveness.last = make(map[string]time.Time)
+	c.fleet.entries = make(map[string]*nodeEntry)
 	c.tenantConf.m = make(map[string]api.TenantConfig)
 	c.hub.streams = make(map[int]chan Notification)
 	// The hooks run under the mutated shard's lock: they may only touch the
@@ -143,7 +140,6 @@ func New() *Cluster {
 	c.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) { c.terminal.onJobEvent(ev) })
 	c.Jobs.OnEvent(c.scheduled.onJobEvent)
 	c.Nodes.OnEvent(c.onNodeEvent)
-	c.Nodes.OnEvent(c.dropStaleBackend)
 	c.Events.OnEvent(c.eventIdx.onEventEvent)
 	c.TenantConfigs.OnEvent(c.tenantConf.onTenantEvent)
 	return c
@@ -442,58 +438,6 @@ func (c *Cluster) AddNodeSlots(b *device.Backend, slots int) (api.Node, error) {
 		return api.Node{}, err
 	}
 	return n, nil
-}
-
-// cachedBackend is a decoded device and the node JSON it was decoded from.
-type cachedBackend struct {
-	raw     []byte
-	backend *device.Backend
-}
-
-// dropStaleBackend is the Nodes hook behind the backend cache: a deleted
-// node takes its entry with it, and so does a node whose BackendJSON is no
-// longer the bytes the entry was decoded from (a refresh at boot, a vendor
-// deleting a device and adding another under the same name). The bytes are
-// immutable and shared between versions of a node, so the comparison of an
-// unchanged device — every slot reservation is a node event — is a pointer
-// check.
-func (c *Cluster) dropStaleBackend(ev store.WatchEvent[api.Node]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	name := ev.Object.Name
-	if cached, ok := c.backendCache[name]; ok &&
-		(ev.Type == store.Deleted || !bytes.Equal(cached.raw, ev.Object.Spec.BackendJSON)) {
-		delete(c.backendCache, name)
-	}
-}
-
-// Backend decodes (and caches) the device behind a node.
-func (c *Cluster) Backend(nodeName string) (*device.Backend, error) {
-	c.mu.Lock()
-	cached, ok := c.backendCache[nodeName]
-	c.mu.Unlock()
-	if ok {
-		return cached.backend, nil
-	}
-	n, _, err := c.Nodes.Get(nodeName)
-	if err != nil {
-		return nil, err
-	}
-	var b device.Backend
-	if err := json.Unmarshal(n.Spec.BackendJSON, &b); err != nil {
-		return nil, fmt.Errorf("state: node %s backend corrupt: %w", nodeName, err)
-	}
-	// Cache under the node's shard lock, and only if the node still carries
-	// the bytes just decoded: the hook runs under the same lock, so a change
-	// of device cannot slip between this check and the insert.
-	c.Nodes.Peek(nodeName, func(cur api.Node, _ int64) {
-		if bytes.Equal(cur.Spec.BackendJSON, n.Spec.BackendJSON) {
-			c.mu.Lock()
-			c.backendCache[nodeName] = cachedBackend{raw: n.Spec.BackendJSON, backend: &b}
-			c.mu.Unlock()
-		}
-	})
-	return &b, nil
 }
 
 // QuotaExceededError reports a submission rejected by the deployment's

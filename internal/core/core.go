@@ -231,9 +231,6 @@ func New(cfg Config) (*QRIO, error) {
 	}
 	scheduler.TenantWeights = cfg.TenantWeights
 	scheduler.TenantQuotas = cfg.TenantQuotas
-	if cfg.Clock != nil {
-		scheduler.Clock = cfg.Clock
-	}
 	ctl := controller.New(st)
 	if cfg.MaxRetries > 0 {
 		ctl.MaxRetries = cfg.MaxRetries

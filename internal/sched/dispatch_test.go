@@ -6,10 +6,11 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
+	"qrio/internal/device"
+	"qrio/internal/graph"
 )
 
 // staticScore scores by node name from a fixed table and carries the
@@ -121,8 +122,6 @@ func TestDispatchMatchesPerJobOracle(t *testing.T) {
 			}
 			s := New(st, chain())
 			s.Concurrency = 64
-			s.FleetResync = time.Hour
-			defer s.Stop()
 
 			// Each pass is checked against an oracle run on the state the
 			// pass starts from. Between passes every placed job finishes,
@@ -174,8 +173,6 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 	scorer := staticScore{scores: map[string]float64{"old": 1, "new": 2}}
 	s := New(st, NewFramework(scorer, QubitCount{}, Characteristics{}))
 	s.Concurrency = 4
-	s.FleetResync = time.Hour
-	defer s.Stop()
 
 	if err := st.SubmitJob(job("warm", 2, 0)); err != nil {
 		t.Fatal(err)
@@ -184,7 +181,7 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 		t.Fatal("warm-up job not bound")
 	}
 	// A bigger node joins; a job only it can host must be schedulable even
-	// though its spec class is new and the fleet cache was already warm.
+	// though its spec class is new and the kept rankings were already warm.
 	node(t, st, "new", 8, 0.05)
 	if _, _, err := st.Nodes.Update("new", func(n api.Node) (api.Node, error) {
 		n.Spec.MaxContainers = 4 // room for both the redirect and the warm class
@@ -219,6 +216,45 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 	}
 }
 
+// TestKeptRankingsSeeDeviceChanges: a static chain ranks on a node's
+// registration-time identity, and a refresh that swaps the device under
+// the same name changes that identity. A job the new device is too small
+// for must not bind there on a ranking kept from the old one.
+func TestKeptRankingsSeeDeviceChanges(t *testing.T) {
+	st := state.New()
+	node(t, st, "dev", 8, 0.05)
+	s := New(st, NewFramework(staticScore{scores: map[string]float64{"dev": 1}}, QubitCount{}, Characteristics{}))
+	if err := st.SubmitJob(job("warm", 5, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if s.SchedulePass() != 1 {
+		t.Fatal("warm-up job not bound")
+	}
+	if _, _, err := st.Jobs.Update("warm", func(j api.QuantumJob) (api.QuantumJob, error) {
+		j.Status.Phase = api.JobSucceeded
+		return j, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ReleaseNode("dev", "warm"); err != nil {
+		t.Fatal(err)
+	}
+	small, err := device.UniformBackend("dev", graph.Line(3), 0.05, 0.01, 0.05, 500e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RefreshNode(small); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SubmitJob(job("too-big", 5, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if bound := s.SchedulePass(); bound != 0 {
+		j, _, _ := st.Jobs.Get("too-big")
+		t.Fatalf("a 5-qubit job bound to %s, now a 3-qubit device, on a ranking kept from before the refresh", j.Status.Node)
+	}
+}
+
 // TestOnlyStaticChainsKeepRankingsAcrossPasses: cross-pass reuse is
 // selected by what the chain declares, not by a setting. The all-static
 // chain scores a spec class once and never again while the fleet holds;
@@ -240,8 +276,6 @@ func TestOnlyStaticChainsKeepRankingsAcrossPasses(t *testing.T) {
 			scorer := staticScore{scores: map[string]float64{"a": 1, "b": 2}, calls: &calls}
 			s := New(st, NewFramework(scorer, tc.filters...))
 			s.Concurrency = 4
-			s.FleetResync = time.Hour
-			defer s.Stop()
 
 			var perPass []int64
 			for pass := 0; pass < 2; pass++ {

@@ -62,7 +62,6 @@ func fairTestScheduler(t *testing.T, st *state.Cluster) *Scheduler {
 	t.Helper()
 	s := New(st, NewFramework(nil, DefaultFilters()...))
 	s.Concurrency = 4
-	t.Cleanup(s.Stop)
 	return s
 }
 
@@ -170,7 +169,6 @@ func TestWeightsApplyAtDefaultBudget(t *testing.T) {
 		drip = append(drip, name)
 	}
 	s := New(st, NewFramework(nil, DefaultFilters()...))
-	t.Cleanup(s.Stop)
 	s.Concurrency = 1
 	s.TenantWeights = map[string]int{"drip": 100}
 	want := append(drip, flood...)
@@ -191,7 +189,6 @@ func TestFairOrderSmoothInterleave(t *testing.T) {
 		tenantJob(t, st, fmt.Sprintf("b-%02d", i), "tenant-b", i*2+1, base)
 	}
 	s := New(st, nil)
-	t.Cleanup(s.Stop)
 	s.TenantWeights = map[string]int{"tenant-a": 3, "tenant-b": 1}
 	order := s.fairOrder(st.PendingJobs())
 	if len(order) != 16 {
@@ -246,7 +243,6 @@ func TestDispatchRespectsMaxActiveQuota(t *testing.T) {
 		tenantJob(t, st, fmt.Sprintf("burst-%d", i), "capped", i, base)
 	}
 	s := New(st, NewFramework(nil, DefaultFilters()...))
-	t.Cleanup(s.Stop)
 	s.Concurrency = 4
 	s.TenantQuotas = api.TenantQuotaPolicy{
 		Tenants: map[string]api.TenantQuota{"capped": {MaxActive: 2}},

@@ -391,7 +391,6 @@ func TestRefusedNodeFallsThroughAtBudgetOne(t *testing.T) {
 	node(t, st, "second", 5, 0.1)
 	scorer := &slotThief{mapScorer: mapScorer{"best": 1, "second": 2}, st: st, victim: "best"}
 	s := New(st, NewFramework(scorer, DefaultFilters()...))
-	t.Cleanup(s.Stop)
 	s.Concurrency = 1
 	if err := st.SubmitJob(job("j", 0, 0)); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qrio/internal/clock"
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
 )
@@ -28,10 +27,6 @@ type Scheduler struct {
 	// Concurrency is the per-pass bind budget (default 1, the paper's
 	// one job at a time).
 	Concurrency int
-	// FleetResync is the level-triggered fallback cadence at which the
-	// node snapshot cache re-Lists the store, healing dropped watch events
-	// (default 1s). Tests shrink it to force relists.
-	FleetResync time.Duration
 	// TenantWeights skews the weighted fair queue every pass drains: a
 	// tenant with weight 3 receives three binds for every one a weight-1
 	// tenant gets while both are backlogged. Missing tenants weigh 1; nil
@@ -43,10 +38,6 @@ type Scheduler struct {
 	// was idle still cannot exceed the cap once bound. The zero policy
 	// disables the check (byte-identical pre-tenancy behaviour).
 	TenantQuotas api.TenantQuotaPolicy
-	// Clock is the scheduler's time source — the fleet cache's resync
-	// cadence reads it, so the virtual-time simulator can drive relists
-	// on virtual time. Nil means the wall clock.
-	Clock clock.Clock
 	// MaxPendingPerTenant bounds how much of each tenant's queue a pass
 	// snapshots (0 = unlimited). Within-tenant FIFO order is preserved —
 	// the cap trims only the tail — so a pass under deep overload costs
@@ -66,15 +57,11 @@ type Scheduler struct {
 	passTenants     []string
 	passTotalWeight int
 
-	// fleet is the watch-fed node snapshot cache: passes rank against this
-	// cached view instead of deep-copying the whole fleet each pass.
-	fleet fleetCache
-
 	// fleetRank keeps spec-class rankings ACROSS passes while the
-	// framework's chain is static (Framework.static) and the fleet
-	// membership epoch it was built against still holds: a static chain
-	// ranks the same spec the same way until a node joins or leaves.
-	// Accessed only from SchedulePass, like wrrCredit.
+	// framework's chain is static (Framework.static) and the fleet epoch
+	// it was built against (state.Cluster.Fleet) still holds: a static
+	// chain ranks the same spec the same way until a node joins, leaves
+	// or changes device. Accessed only from SchedulePass, like wrrCredit.
 	fleetRank      map[uint64][]NodeScore
 	fleetRankEpoch uint64
 	// passes counts SchedulePass calls (tests hold Run to its wake-ups).
@@ -94,7 +81,6 @@ func (s *Scheduler) Run(ctx context.Context) {
 	const retryEvery = 10 * time.Millisecond
 	events, cancel := s.State.Jobs.Watch(128)
 	defer cancel()
-	defer s.fleet.stop()
 	for {
 		s.SchedulePass()
 		var retry <-chan time.Time // nil: never fires
@@ -137,8 +123,8 @@ func (s *Scheduler) SchedulePass() int {
 	if len(pending) == 0 || s.Framework == nil {
 		return 0
 	}
-	// Pass duration is real compute, so it reads the wall clock even when
-	// a virtual Clock drives the cadence.
+	// Pass duration is real compute, so it reads the wall clock even under
+	// the simulator's virtual time.
 	m := s.Metrics
 	var start time.Time
 	if m != nil {
@@ -176,10 +162,10 @@ func (s *Scheduler) bind(job *api.QuantumJob, nodeName string, score float64) er
 	return err
 }
 
-// newDispatch starts the pass's placement over the cached fleet: rank is
-// Framework.Rank, bind is BindJobAt at the observed version.
+// newDispatch starts the pass's placement over the state's node table:
+// rank is Framework.Rank, bind is BindJobAt at the observed version.
 func (s *Scheduler) newDispatch() *Dispatch {
-	nodes, epoch := s.fleetNodes()
+	nodes, epoch := s.State.Fleet()
 	d := NewDispatch(nodes, s.Framework.Rank, func(job *api.QuantumJob, node string, score float64) BindOutcome {
 		err := s.bind(job, node, score)
 		switch {
@@ -203,19 +189,4 @@ func (s *Scheduler) newDispatch() *Dispatch {
 		s.fleetRank = nil
 	}
 	return d
-}
-
-// fleetNodes returns the cached fleet view (watch-fed, with a periodic
-// re-List fallback) the pass ranks against, plus its membership epoch.
-func (s *Scheduler) fleetNodes() ([]api.Node, uint64) {
-	return s.fleet.snapshot(s.State.Nodes, s.FleetResync, clock.Now(s.Clock))
-}
-
-// Stop releases the fleet cache's store watcher. Run does this on exit;
-// callers driving SchedulePass directly (tests, benchmarks,
-// library embeddings) should Stop a scheduler they abandon so the store
-// isn't left broadcasting to a channel nobody drains. The scheduler
-// remains usable afterwards — the next pass resubscribes.
-func (s *Scheduler) Stop() {
-	s.fleet.stop()
 }

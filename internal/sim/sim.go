@@ -297,11 +297,9 @@ func New(cfg Config, src simload.Source) (*Engine, error) {
 	// BindJobAt's authoritative capacity check cover what they filter.
 	fw := sched.NewFramework(labelScorer{}, sched.QubitCount{}, sched.Characteristics{})
 	e.sch = sched.New(st, fw)
-	e.sch.Clock = clk
 	e.sch.Concurrency = cfg.Concurrency
 	e.sch.MaxPendingPerTenant = cfg.MaxPendingPerTenant
 	e.sch.TenantWeights = cfg.TenantWeights
-	e.sch.FleetResync = time.Minute // virtual; watch events carry the cache
 
 	e.ctl = controller.New(st)
 	e.ctl.Clock = clk
@@ -365,7 +363,6 @@ func (e *Engine) schedule(at time.Time, fn func()) {
 
 // Run executes the simulation to completion and returns its report.
 func (e *Engine) Run() (*Report, error) {
-	defer e.sch.Stop()
 	heap.Init(&e.events)
 
 	// Prime the recurring machinery and the first arrival.

@@ -158,8 +158,7 @@ Custom edges (e.g. 0-1, 1-2, 2-3) <input name="topoEdges" size="40">
 
 // handleCluster lists nodes with their §3.1 labels.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	nodes := s.Gateway.Core.State.Nodes.List()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+	nodes, _ := s.Gateway.Core.State.Fleet()
 	var b strings.Builder
 	b.WriteString(`<table><tr><th>Node</th><th>Phase</th><th>Qubits</th>
 <th>Avg 2q error</th><th>Avg readout</th><th>T1 (µs)</th><th>CPU</th><th>Memory</th><th>Running</th></tr>`)
