@@ -142,19 +142,19 @@ lint-index:
 	out="$$(echo "$$all" | grep -v '^internal/cluster/state/order\.go:' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-index: an ordered job index is a key function over jobOrder (order.go), not a second sorted slice:"; echo "$$out"; exit 1; fi
 
-# lint-watch enforces the hook-fed-index rule: a view derived from a store
-# (the node table, the job orders, tenant usage) is fed by the store's
-# OnEvent hook, which sees every mutation, never by a store watch, which
-# drops events when its buffer fills and must re-List to heal. Two watches
-# remain: the state hub's streams (hub.go), which serve watch clients and
-# resume from tokens, and the scheduler's job-event wake-up channel in
-# internal/sched/scheduler.go, which carries no data. Tests are exempt.
-# Finding no watch at all means the grep is miswired.
+# lint-watch enforces the one-watch-site rule: a view derived from a store
+# (the node table, the job orders, tenant usage, the kubelets' and the
+# scheduler's wake channels) is fed by the store's OnEvent hook, which
+# sees every mutation under the shard lock. The one store watch left is
+# the state hub's (hub.go): the resumable streams behind /v1/watch and
+# WaitForJobCtx, which start at a position and close, never thin, when
+# their consumer falls behind. Tests are exempt. Finding no watch at all
+# means the grep is miswired.
 lint-watch:
-	@all="$$(grep -rnE '\.Watch(From)?\(' --include='*.go' --exclude='*_test.go' internal *.go || true)"; \
+	@all="$$(grep -rnE '\.Watch\(' --include='*.go' --exclude='*_test.go' internal *.go || true)"; \
 	if [ -z "$$all" ]; then echo "lint-watch: found no store watch — audit miswired"; exit 1; fi; \
-	out="$$(echo "$$all" | grep -vE '^internal/cluster/state/hub\.go:|^internal/sched/scheduler\.go:[0-9]+:.*\.State\.Jobs\.Watch\(' || true)"; \
-	if [ -n "$$out" ]; then echo "lint-watch: a derived view is a hook-fed index (store.OnEvent), not a store watch:"; echo "$$out"; exit 1; fi
+	out="$$(echo "$$all" | grep -v '^internal/cluster/state/hub\.go:' || true)"; \
+	if [ -n "$$out" ]; then echo "lint-watch: a derived view is a hook-fed index (store.OnEvent); the only store watch is the hub's (internal/cluster/state/hub.go):"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state

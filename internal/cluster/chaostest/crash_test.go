@@ -153,17 +153,29 @@ func runCrashChild(t *testing.T, dir, round string) {
 	}
 	// Watch client: what /v1/watch does for a remote one — receive from the
 	// hub, wait for the log (Sync is the HTTP barrier), only then let the
-	// event out of the process. Every line must survive the kill.
-	notes, _ := st.Subscribe(256)
+	// event out of the process. Every line must survive the kill. When it
+	// falls behind and its stream closes, it resumes from its last token,
+	// as client.Watch with Reconnect does (from now, if compacted).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for n := range notes {
-			if n.Job == nil {
-				continue
+		var from state.ResumeToken
+		for {
+			notes, start, cancel, err := st.Subscribe(256, from)
+			if err != nil {
+				notes, start, cancel, _ = st.Subscribe(256, state.ResumeToken{})
 			}
-			st.Sync()
-			fmt.Fprintf(watched, "%s %d\n", n.Job.Name, n.Version)
+			last := start.String()
+			for n := range notes {
+				last = n.Resume
+				if n.Job == nil {
+					continue
+				}
+				st.Sync()
+				fmt.Fprintf(watched, "%s %d\n", n.Job.Name, n.Version)
+			}
+			cancel()
+			from, _ = state.ParseResumeToken(last)
 		}
 	}()
 	// Binder, executor, canceller, reconciler: the lifecycle churn.
@@ -232,7 +244,7 @@ func runCrashChild(t *testing.T, dir, round string) {
 	// Token minter: every handed-out token must survive the crash as
 	// "resumes or typed 410" — never a malformed position.
 	loop(func(*rand.Rand) {
-		_, tok, cancel := st.SubscribeWithToken(1)
+		_, tok, cancel, _ := st.Subscribe(1, state.ResumeToken{})
 		cancel()
 		ackMu.Lock()
 		fmt.Fprintln(tokens, tok.String())
@@ -429,7 +441,7 @@ func auditRecovery(t *testing.T, dir string, round int) {
 			t.Errorf("round %d: child emitted unparseable token %q: %v", round, line, err)
 			continue
 		}
-		ch, cancel, err := st.SubscribeFrom(8, tok)
+		ch, _, cancel, err := st.Subscribe(8, tok)
 		switch {
 		case err == nil:
 			cancel()

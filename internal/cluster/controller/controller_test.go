@@ -64,12 +64,15 @@ func setNodePhase(st *state.Cluster, phase api.NodePhase) {
 // Ready.
 func TestStaleNodeMarkedNotReady(t *testing.T) {
 	c, st, clk := setup(t)
-	nodeEvents, cancel := st.Nodes.Watch(16)
+	nodeEvents, _, cancel, _ := st.Nodes.Watch(nil, 16)
 	defer cancel()
 	journaled := func() (phases []api.NodePhase) {
 		for {
 			select {
-			case ev := <-nodeEvents:
+			case ev, ok := <-nodeEvents:
+				if !ok {
+					t.Fatal("node watch closed: the test fell behind its buffer")
+				}
 				phases = append(phases, ev.Object.Status.Phase)
 			default:
 				return phases

@@ -245,14 +245,14 @@ func TestResumeTokens(t *testing.T) {
 	dir := t.TempDir()
 	c := state.New()
 	m := mustOpen(t, c, dir)
-	_, early, cancel := c.SubscribeWithToken(8)
+	_, early, cancel, _ := c.Subscribe(8, state.ResumeToken{})
 	cancel()
 	for i := 0; i < 8; i++ {
 		if err := c.SubmitJob(job("j"+strconv.Itoa(i), "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, atClose, cancel2 := c.SubscribeWithToken(8)
+	_, atClose, cancel2, _ := c.Subscribe(8, state.ResumeToken{})
 	cancel2()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestResumeTokens(t *testing.T) {
 	c2 := state.New()
 	m2 := mustOpen(t, c2, dir)
 	for _, tok := range []state.ResumeToken{early, atClose} {
-		ch, stop, err := c2.SubscribeFrom(8, tok)
+		ch, _, stop, err := c2.Subscribe(8, tok)
 		if err != nil {
 			t.Fatalf("token %s after log replay: %v", tok, err)
 		}
@@ -281,10 +281,10 @@ func TestResumeTokens(t *testing.T) {
 	c3 := state.New()
 	m3 := mustOpen(t, c3, dir)
 	defer m3.Close()
-	if _, _, err := c3.SubscribeFrom(8, early); !errors.Is(err, store.ErrCompacted) {
+	if _, _, _, err := c3.Subscribe(8, early); !errors.Is(err, store.ErrCompacted) {
 		t.Fatalf("early token after snapshot: err=%v, want ErrCompacted", err)
 	}
-	ch, stop, err := c3.SubscribeFrom(8, atClose)
+	ch, _, stop, err := c3.Subscribe(8, atClose)
 	if err != nil {
 		t.Fatalf("at-close token after snapshot: %v", err)
 	}

@@ -3,6 +3,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,8 +21,8 @@ const (
 // Notification is one cluster change fanned out by Subscribe: a job or
 // node transition with the store's watch metadata attached. Exactly one of
 // Job/Node is set, matching Kind. Resume is the cumulative position token
-// as of this notification — hand it back to SubscribeFrom (or
-// GET /v1/watch?resume=) to continue the stream after a drop without
+// as of this notification — hand it back to Subscribe (or
+// GET /v1/watch?resume=) to continue the stream after a break without
 // missing or repeating a transition. Treat it as opaque.
 type Notification struct {
 	Kind    string          `json:"kind"`
@@ -113,88 +114,47 @@ func parseMarks(s string) ([]int64, error) {
 }
 
 // Subscribe is the cluster's broadcast hub: it merges the job and node
-// stores' watch streams into one ordered channel of typed notifications —
-// the feed behind WaitForJob, the /v1/watch SSE endpoint, qrioctl watch
-// and the visualizer's live job view. The returned cancel function stops
-// the stream and closes the channel.
+// stores' watch streams into one channel of typed notifications — the
+// feed behind WaitForJobCtx and the /v1/watch SSE endpoint (client.Watch,
+// qrioctl watch). Each notification carries the cumulative resume token
+// as of itself.
 //
-// Delivery semantics are the store's: a subscriber that falls more than
-// the buffer behind loses events, so consumers needing certainty must
-// re-List on their own cadence (level-triggered reconciliation) — or
-// resume from the notification tokens via SubscribeFrom, which replays
-// exactly what a drop skipped.
-func (c *Cluster) Subscribe(buffer int) (<-chan Notification, func()) {
+// A zero token starts the stream now, and Subscribe returns the exact
+// start token: the position to resume from if the stream breaks before
+// any notification arrives. A token from an earlier stream replays every
+// job and node transition after it from the stores' journals, then
+// continues live; if either store has compacted past it — or it predates
+// a different shard layout — Subscribe returns store.ErrCompacted and the
+// consumer must start over from a zero token and a re-List. A stream is
+// never thinned: a consumer that falls more than buffer behind has its
+// channel closed, and resumes from its last token. cancel stops the
+// stream and closes the channel.
+func (c *Cluster) Subscribe(buffer int, from ResumeToken) (<-chan Notification, ResumeToken, func(), error) {
 	if buffer <= 0 {
 		buffer = 128
 	}
-	// Internal consumers (WaitForJob, the visualizer feed) never read
-	// Resume, so this path skips both the mark snapshot and the per-event
-	// token rendering.
-	jobCh, cancelJobs := c.Jobs.Watch(buffer)
-	nodeCh, cancelNodes := c.Nodes.Watch(buffer)
-	out, cancel := c.mergeStreams(jobCh, nodeCh, cancelJobs, cancelNodes, ResumeToken{}, buffer, false, false)
-	return out, cancel
-}
-
-// SubscribeWithToken is Subscribe plus the stream's starting position:
-// the token a consumer should resume from if the connection breaks before
-// any notification arrives. Notifications carry cumulative tokens from
-// there on.
-func (c *Cluster) SubscribeWithToken(buffer int) (<-chan Notification, ResumeToken, func()) {
-	if buffer <= 0 {
-		buffer = 128
-	}
-	// Snapshot the marks BEFORE registering the watches: an event landing
-	// in between carries a version above its shard's mark, so a resume
-	// from this token replays rather than skips it. Tokens must err low,
-	// never high. The merge loop advances its own clone; the returned
-	// snapshot stays immutable (callers stamp SYNC events with it
-	// concurrently, and a SYNC token must never advance past an event the
-	// client has not been written yet).
-	start := ResumeToken{Jobs: c.Jobs.Marks(), Nodes: c.Nodes.Marks()}
-	work := ResumeToken{
-		Jobs:  append([]int64(nil), start.Jobs...),
-		Nodes: append([]int64(nil), start.Nodes...),
-	}
-	jobCh, cancelJobs := c.Jobs.Watch(buffer)
-	nodeCh, cancelNodes := c.Nodes.Watch(buffer)
-	out, cancel := c.mergeStreams(jobCh, nodeCh, cancelJobs, cancelNodes, work, buffer, false, true)
-	return out, start, cancel
-}
-
-// SubscribeFrom resumes the merged stream from a token: every job and
-// node transition after the token's marks is replayed from the stores'
-// journals, then the stream continues live. If either store has already
-// compacted past the token — or the token predates a different shard
-// layout — SubscribeFrom returns store.ErrCompacted and the consumer must
-// fall back to a fresh Subscribe plus re-List. Unlike Subscribe, a
-// resumed stream never drops events silently: if the consumer falls too
-// far behind the channel closes, and it resumes again from its last
-// token.
-func (c *Cluster) SubscribeFrom(buffer int, token ResumeToken) (<-chan Notification, func(), error) {
-	if buffer <= 0 {
-		buffer = 128
-	}
-	jobCh, cancelJobs, err := c.Jobs.WatchFrom(token.Jobs, buffer)
+	resuming := from.Jobs != nil || from.Nodes != nil
+	jobCh, jobMarks, cancelJobs, err := c.Jobs.Watch(from.Jobs, buffer)
 	if err != nil {
 		c.countResume(err)
-		return nil, nil, err
+		return nil, ResumeToken{}, nil, err
 	}
-	nodeCh, cancelNodes, err := c.Nodes.WatchFrom(token.Nodes, buffer)
+	nodeCh, nodeMarks, cancelNodes, err := c.Nodes.Watch(from.Nodes, buffer)
 	if err != nil {
 		cancelJobs()
 		c.countResume(err)
-		return nil, nil, err
+		return nil, ResumeToken{}, nil, err
 	}
-	c.countResume(nil)
-	// Clone the marks: the merge loop advances them in place, and the
-	// caller's token must stay readable (error paths, retries).
-	token = ResumeToken{
-		Jobs:  append([]int64(nil), token.Jobs...),
-		Nodes: append([]int64(nil), token.Nodes...),
+	if resuming {
+		c.countResume(nil)
 	}
-	out, cancel := c.mergeStreams(jobCh, nodeCh, cancelJobs, cancelNodes, token, buffer, true, true)
-	return out, cancel, nil
+	// The merge loop advances its own copy of the marks; the start token
+	// stays immutable (callers stamp SYNC events with it while the stream
+	// runs, and a SYNC token must never pass an event not yet written).
+	start := ResumeToken{Jobs: jobMarks, Nodes: nodeMarks}
+	work := ResumeToken{Jobs: slices.Clone(jobMarks), Nodes: slices.Clone(nodeMarks)}
+	out, cancel := c.mergeStreams(jobCh, nodeCh, cancelJobs, cancelNodes, work, buffer)
+	return out, start, cancel, nil
 }
 
 // countResume records a resume attempt's outcome: nil means the journal
@@ -249,18 +209,16 @@ func (c *Cluster) WatchHubStats() (streams, backlog int) {
 	return len(c.hub.streams), backlog
 }
 
-// mergeStreams fans the two store streams into one Notification channel.
-// With stamp set, each notification carries the cumulative resume token
-// (token must be a private clone — it is advanced in place); without it,
-// Resume stays empty and no per-event token string is rendered. When
-// closeOnEither is set (resumed streams), one source closing ends the
-// merged stream — the close means events were missed, and only a resume
-// can heal that; plain streams keep draining the surviving source.
+// mergeStreams fans the two store streams into one Notification channel,
+// stamping each notification with the cumulative resume token (advanced
+// in place, so token must be a private copy). Either source closing ends
+// the merged stream: the close means the consumer fell behind, and only a
+// resume from its last token can heal that.
 func (c *Cluster) mergeStreams(
 	jobCh <-chan store.WatchEvent[api.QuantumJob],
 	nodeCh <-chan store.WatchEvent[api.Node],
 	cancelJobs, cancelNodes func(),
-	token ResumeToken, buffer int, closeOnEither, stamp bool,
+	token ResumeToken, buffer int,
 ) (<-chan Notification, func()) {
 	out := make(chan Notification, buffer)
 	done := make(chan struct{})
@@ -276,43 +234,25 @@ func (c *Cluster) mergeStreams(
 	go func() {
 		defer c.hub.unregister(id)
 		defer close(out)
-		for jobCh != nil || nodeCh != nil {
+		for {
 			var n Notification
 			select {
 			case <-done:
 				return
 			case ev, ok := <-jobCh:
 				if !ok {
-					if closeOnEither {
-						return
-					}
-					jobCh = nil
-					continue
+					return
 				}
 				j := ev.Object
-				n = Notification{Kind: KindJob, Type: ev.Type, Job: &j, Version: ev.Version}
-				if stamp {
-					if ev.Shard < len(token.Jobs) && ev.Version > token.Jobs[ev.Shard] {
-						token.Jobs[ev.Shard] = ev.Version
-					}
-					n.Resume = token.String()
-				}
+				token.Jobs[ev.Shard] = ev.Version
+				n = Notification{Kind: KindJob, Type: ev.Type, Job: &j, Version: ev.Version, Resume: token.String()}
 			case ev, ok := <-nodeCh:
 				if !ok {
-					if closeOnEither {
-						return
-					}
-					nodeCh = nil
-					continue
+					return
 				}
 				nd := ev.Object
-				n = Notification{Kind: KindNode, Type: ev.Type, Node: &nd, Version: ev.Version}
-				if stamp {
-					if ev.Shard < len(token.Nodes) && ev.Version > token.Nodes[ev.Shard] {
-						token.Nodes[ev.Shard] = ev.Version
-					}
-					n.Resume = token.String()
-				}
+				token.Nodes[ev.Shard] = ev.Version
+				n = Notification{Kind: KindNode, Type: ev.Type, Node: &nd, Version: ev.Version, Resume: token.String()}
 			}
 			select {
 			case out <- n:

@@ -55,7 +55,7 @@ func TestResumeTokenRoundTrip(t *testing.T) {
 func TestSubscribeFromReplaysExactly(t *testing.T) {
 	c := New()
 	// First stream: observe the submit, then die.
-	sub1, tok, cancel1 := c.SubscribeWithToken(16)
+	sub1, _, cancel1, _ := c.Subscribe(16, ResumeToken{})
 	if err := c.SubmitJob(fidelityJob("lifecycle")); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,6 @@ func TestSubscribeFromReplaysExactly(t *testing.T) {
 		t.Fatalf("notification token %q: %v", first[0].Resume, err)
 	}
 	cancel1()
-	_ = tok
 
 	// Offline transitions the dead stream never saw.
 	for _, phase := range []api.JobPhase{api.JobScheduled, api.JobRunning, api.JobSucceeded} {
@@ -78,7 +77,7 @@ func TestSubscribeFromReplaysExactly(t *testing.T) {
 		}
 	}
 
-	sub2, cancel2, err := c.SubscribeFrom(16, lastToken)
+	sub2, _, cancel2, err := c.Subscribe(16, lastToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestSubscribeFromCompacted(t *testing.T) {
 	if err := c.SubmitJob(fidelityJob("churner")); err != nil {
 		t.Fatal(err)
 	}
-	_, tok, cancel := c.SubscribeWithToken(16)
+	_, tok, cancel, _ := c.Subscribe(16, ResumeToken{})
 	cancel()
 	for i := 0; i < 50; i++ {
 		if _, _, err := c.Jobs.Update("churner", func(j api.QuantumJob) (api.QuantumJob, error) {
@@ -125,7 +124,87 @@ func TestSubscribeFromCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.SubscribeFrom(16, tok); !errors.Is(err, store.ErrCompacted) {
+	if _, _, _, err := c.Subscribe(16, tok); !errors.Is(err, store.ErrCompacted) {
 		t.Fatalf("stale resume err = %v, want ErrCompacted", err)
+	}
+}
+
+// TestStreamNeverHidesADrop: a fresh stream's consumer stalls through a
+// burst of submissions, then reads paced cancels one at a time. Every
+// token the stream delivers must cover only job transitions it delivered
+// — a resume from it skips the rest — and a stream that did not deliver
+// every transition must have closed, so its consumer knows to resume.
+func TestStreamNeverHidesADrop(t *testing.T) {
+	c := New()
+	sub, start, cancel, err := c.Subscribe(1, ResumeToken{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	const n = 40
+	name := func(i int) string { return fmt.Sprintf("burst-%02d", i) }
+	for i := 0; i < n; i++ { // the consumer stalls
+		if err := c.SubmitJob(fidelityJob(name(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var delivered []Notification
+	closed := false
+	for i := 0; i < n && !closed; i++ { // then keeps up, one write at a time
+		if _, err := c.CancelJob(name(i)); err != nil {
+			t.Fatal(err)
+		}
+	read: // until this cancel arrives, the stream closes or it goes quiet
+		for {
+			select {
+			case nt, ok := <-sub:
+				if closed = !ok; closed {
+					break read
+				}
+				delivered = append(delivered, nt)
+				if nt.Job != nil && nt.Job.Name == name(i) && nt.Job.Status.Phase == api.JobCancelled {
+					break read
+				}
+			case <-time.After(100 * time.Millisecond):
+				break read
+			}
+		}
+	}
+
+	// Every job transition after the start token, with its shard.
+	all, _, stop, err := c.Jobs.Watch(start.Jobs, 4*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	var history []store.WatchEvent[api.QuantumJob]
+	for ev := range all {
+		history = append(history, ev)
+	}
+	seen := map[int64]bool{}
+	jobs := 0
+	for _, nt := range delivered {
+		if nt.Kind != KindJob {
+			continue
+		}
+		jobs++
+		seen[nt.Version] = true
+		tok, err := ParseResumeToken(nt.Resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hidden := 0
+		for _, ev := range history {
+			if ev.Version <= tok.Jobs[ev.Shard] && !seen[ev.Version] {
+				hidden++
+			}
+		}
+		if hidden > 0 {
+			t.Fatalf("job event %d delivered (of %d written) carries token %s, which covers %d undelivered events: a resume from it never replays them (stream closed: %v)",
+				jobs, len(history), nt.Resume, hidden, closed)
+		}
+	}
+	if !closed && jobs != len(history) {
+		t.Fatalf("stream delivered %d of %d job events and never closed", jobs, len(history))
 	}
 }

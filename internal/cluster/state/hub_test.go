@@ -36,7 +36,7 @@ func TestSubscribeMergesJobAndNodeStreams(t *testing.T) {
 	if _, err := c.AddNode(testBackend(t, "hub-node")); err != nil {
 		t.Fatal(err)
 	}
-	sub, cancel := c.Subscribe(32)
+	sub, _, cancel, _ := c.Subscribe(32, ResumeToken{})
 	defer cancel()
 
 	if err := c.SubmitJob(fidelityJob("hub-job")); err != nil {

@@ -62,7 +62,7 @@ func TestHeartbeatStaysOutOfTheStore(t *testing.T) {
 	if last, ok := c.LastHeartbeat("dev-a"); !ok || !last.Equal(registered) {
 		t.Fatalf("fresh node liveness = %v %v, want seeded at registration", last, ok)
 	}
-	events, cancel := c.Nodes.Watch(8)
+	events, _, cancel, _ := c.Nodes.Watch(nil, 8)
 	defer cancel()
 	version := c.Nodes.Version()
 

@@ -9,12 +9,15 @@ import (
 
 // scheduledIndex is the scheduled-by-node job order (node → Scheduled
 // jobs by (CreatedAt, name)) plus the wake channels it feeds: every job
-// event that concerns a node wakes that node's kubelet, so a kubelet runs
-// only when it has work, instead of polling or watching every job in the
-// cluster.
+// event wakes the scheduler, and every one that concerns a node wakes that
+// node's kubelet, so each runs only when it has work, instead of polling
+// or watching every job in the cluster.
 type scheduledIndex struct {
 	*jobOrder
-	wakeMu sync.Mutex
+	// schedWake is the scheduler's capacity-1 wake channel (SchedulerWake),
+	// level-triggered like the kubelets' below.
+	schedWake chan struct{}
+	wakeMu    sync.Mutex
 	// wake holds one capacity-1 channel per node whose kubelet asked for
 	// one (NodeWake). The token is level-triggered — "something about your
 	// node changed since you last looked" — so a poke that finds the
@@ -25,6 +28,10 @@ type scheduledIndex struct {
 
 func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
 	prev := x.jobOrder.onJobEvent(ev)
+	select {
+	case x.schedWake <- struct{}{}:
+	default:
+	}
 	if ev.Type == store.Deleted {
 		return // archival of a finished job: nothing for a kubelet to do
 	}
@@ -47,6 +54,12 @@ func (x *scheduledIndex) pokeLocked(node string) {
 		}
 	}
 }
+
+// SchedulerWake returns the scheduler's wake channel. It receives a token
+// after every job event; a token that finds the channel full is covered by
+// the one already in it. It has one consumer, the scheduler's loop; the
+// channel exists from New, so it may hold a token from before the loop.
+func (c *Cluster) SchedulerWake() <-chan struct{} { return c.scheduled.schedWake }
 
 // NodeWake returns the node's wake channel, creating it on first use. It
 // receives a token after any job event whose Status.Node is — or, for a

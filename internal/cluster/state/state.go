@@ -125,7 +125,11 @@ func New() *Cluster {
 	c.TenantConfigs.SetJournalCap(0)
 	c.pending = newJobOrder(pendingKey)
 	c.terminal = newJobOrder(terminalKey)
-	c.scheduled = scheduledIndex{jobOrder: newJobOrder(scheduledKey), wake: make(map[string]chan struct{})}
+	c.scheduled = scheduledIndex{
+		jobOrder:  newJobOrder(scheduledKey),
+		schedWake: make(chan struct{}, 1),
+		wake:      make(map[string]chan struct{}),
+	}
 	c.usage.jobs = make(map[string]usageEntry)
 	c.usage.tenants = make(map[string]*TenantUsage)
 	c.eventIdx.byAbout = make(map[string][]string)

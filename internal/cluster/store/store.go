@@ -1,8 +1,8 @@
 // Package store provides the versioned, watchable, in-memory object store
 // backing the QRIO API server — the role etcd plays under a Kubernetes API
 // server. Every mutation bumps a monotonically increasing resource version
-// and is broadcast to watchers, giving controllers, the scheduler and
-// kubelets level- and edge-triggered views of cluster state.
+// and is handed to synchronous hooks (the state layer's hook-fed indexes)
+// and broadcast to watchers (the watch hub's resumable streams).
 //
 // The store is hash-partitioned into shards, each with its own lock, so
 // mutations of different objects proceed in parallel — the single global
@@ -55,10 +55,10 @@ const DefaultShards = 16
 // full re-List.
 const DefaultJournalCap = 1024
 
-// ErrCompacted signals that a WatchFrom position has aged out of the
-// version journal: events after fromVersion were already evicted, so an
-// exact replay is impossible and the caller must fall back to a full
-// re-List (the Kubernetes "410 Gone" contract).
+// ErrCompacted signals that a Watch position has aged out of the version
+// journal: events after its marks were already evicted, so an exact
+// replay is impossible and the caller must fall back to a full re-List
+// (the Kubernetes "410 Gone" contract).
 var ErrCompacted = errors.New("store: watch history compacted; re-List required")
 
 // shard is one lock-protected partition of the key space.
@@ -68,7 +68,7 @@ type shard[T any] struct {
 	// journal is the shard's bounded ring of recent watch events, in
 	// version order (versions are assigned under this shard's lock).
 	// evictedThrough is the highest version dropped from the ring — a
-	// WatchFrom below it cannot replay exactly and gets ErrCompacted.
+	// Watch from below it cannot replay exactly and gets ErrCompacted.
 	// lastVersion is the shard's emission high-water mark.
 	journal        []journaled[T]
 	evictedThrough int64
@@ -105,7 +105,7 @@ type Store[T any] struct {
 	journalCap int
 
 	watchMu  sync.RWMutex
-	watchers map[int]*watcher[T]
+	watchers map[int]chan WatchEvent[T]
 	nextWID  int
 
 	// hooks are synchronous per-mutation callbacks (see OnEvent). They are
@@ -177,7 +177,7 @@ func NewSharded[T any](deepCopy func(T) T, name func(T) string, shards int) *Sto
 		deepCopy:   deepCopy,
 		name:       name,
 		journalCap: DefaultJournalCap,
-		watchers:   make(map[int]*watcher[T]),
+		watchers:   make(map[int]chan WatchEvent[T]),
 	}
 	for i := range s.shards {
 		s.shards[i].items = make(map[string]*item[T])
@@ -185,18 +185,8 @@ func NewSharded[T any](deepCopy func(T) T, name func(T) string, shards int) *Sto
 	return s
 }
 
-// watcher is one registered watch consumer. Plain Watch consumers keep
-// the historical drop-on-overflow contract (they re-List on their own
-// cadence); WatchFrom consumers instead have their channel closed on
-// overflow, turning a silent gap into an explicit stream break the client
-// heals by resuming from its last token.
-type watcher[T any] struct {
-	ch          chan WatchEvent[T]
-	closeOnDrop bool
-}
-
 // SetJournalCap resizes the per-shard version journal; at 0 the store keeps
-// none and every WatchFrom behind a mutation is compacted. Like OnEvent, it
+// none and every Watch from behind a mutation is compacted. Like OnEvent, it
 // must be called before the store is shared between goroutines; tests
 // shrink it to force compaction cheaply.
 func (s *Store[T]) SetJournalCap(n int) {
@@ -219,23 +209,8 @@ func (s *Store[T]) shardFor(key string) *shard[T] {
 }
 
 // Shards returns the store's shard count — the length of a resume-mark
-// vector (see Marks and WatchFrom).
+// vector (see Watch).
 func (s *Store[T]) Shards() int { return len(s.shards) }
-
-// Marks snapshots the per-shard emission high-water marks — the "from
-// now" resume position. The snapshot is not atomic across shards; each
-// mark can only err low, which makes a resume replay an event the caller
-// also saw live (deduped by version), never skip one.
-func (s *Store[T]) Marks() []int64 {
-	out := make([]int64, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out[i] = sh.lastVersion
-		sh.mu.RUnlock()
-	}
-	return out
-}
 
 // OnEvent registers a synchronous hook invoked for every mutation, under
 // the mutated shard's lock and before watchers are notified — the seam
@@ -470,139 +445,100 @@ func (s *Store[T]) DeleteFunc(name string, check func(obj T, version int64) erro
 	return nil
 }
 
-// Watch returns a buffered channel of future change events plus a cancel
-// function. The channel merges every shard's stream. Watchers that fall
-// more than the buffer behind lose events — consumers are expected to
-// re-List on their own cadence (level-triggered reconciliation), exactly
-// as Kubernetes clients do.
-func (s *Store[T]) Watch(buffer int) (<-chan WatchEvent[T], func()) {
-	ch, cancel := s.register(buffer, false)
-	return ch, cancel
-}
-
-// register adds a watcher and returns its channel plus a cancel function.
-func (s *Store[T]) register(buffer int, closeOnDrop bool) (chan WatchEvent[T], func()) {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	ch := make(chan WatchEvent[T], buffer)
-	s.watchMu.Lock()
-	id := s.nextWID
-	s.nextWID++
-	s.watchers[id] = &watcher[T]{ch: ch, closeOnDrop: closeOnDrop}
-	s.watchMu.Unlock()
-	cancel := func() {
-		s.watchMu.Lock()
-		if w, ok := s.watchers[id]; ok {
-			delete(s.watchers, id)
-			close(w.ch)
-		}
-		s.watchMu.Unlock()
-	}
-	return ch, cancel
-}
-
-// WatchFrom returns a stream that first replays, from the per-shard
-// journals, every event beyond the given per-shard marks (as produced by
-// Marks and advanced per received event via WatchEvent.Shard), then
-// continues live — the resume primitive behind /v1/watch tokens. Marks
-// are per shard because cross-shard delivery order is not version order:
-// a single scalar position could skip a slow shard's older event. If any
-// shard has already evicted events past its mark — or the mark vector's
-// length does not match the store's shard count — the exact replay is
-// impossible and WatchFrom returns ErrCompacted; the caller must fall
-// back to a full re-List. Unlike Watch, a WatchFrom stream never drops
-// events silently: a consumer that falls more than the buffer behind has
-// its channel closed instead, and resumes from its last marks.
+// Watch returns a stream of change events starting at a position, plus
+// the per-shard marks it starts at and a cancel function. Given marks (as
+// returned here and advanced per received event via WatchEvent.Shard), it
+// first replays, from the per-shard journals, every event beyond them —
+// the resume primitive behind /v1/watch tokens; given nil, it starts now
+// and returns the exact marks of "now". Marks are per shard because
+// cross-shard delivery order is not version order: a single scalar
+// position could skip a slow shard's older event. If a shard has already
+// evicted events past its mark — or the vector's length does not match the
+// shard count — the exact replay is impossible and Watch returns
+// ErrCompacted; the caller must fall back to a full re-List.
 //
-// Events for different keys may interleave out of version order on the
-// live tail (the Watch contract); the replayed prefix is sorted by
-// version, and per-key order is preserved throughout.
-func (s *Store[T]) WatchFrom(marks []int64, buffer int) (<-chan WatchEvent[T], func(), error) {
+// A stream never thins: a consumer that falls more than buffer events
+// behind the live tail has its channel closed, and resumes from its last
+// marks. The replayed prefix is in version order; on the live tail events
+// for different keys may interleave out of version order, per-key (and
+// per-shard) order is preserved throughout.
+func (s *Store[T]) Watch(from []int64, buffer int) (<-chan WatchEvent[T], []int64, func(), error) {
 	if buffer <= 0 {
 		buffer = 256
 	}
-	if len(marks) != len(s.shards) {
-		return nil, nil, ErrCompacted
+	if from != nil && len(from) != len(s.shards) {
+		return nil, nil, nil, ErrCompacted
 	}
-	// Register the live watcher first, then snapshot the journals: an
-	// event landing between the two shows up in both and is deduped below
-	// by its globally unique version; an event after the snapshot shows up
-	// only live. Nothing can fall through the gap.
-	live, cancelLive := s.register(buffer, true)
-	var replay []WatchEvent[T]
+	// Every shard's read lock is held from the first journal read until
+	// the watcher is registered: no event can be emitted in between, so
+	// the replay and the live tail meet exactly, with no gap and no
+	// overlap.
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		if sh.evictedThrough > marks[i] {
-			sh.mu.RUnlock()
-			cancelLive()
-			// Drain anything the registered watcher already buffered so the
-			// events' object copies become collectable immediately.
-			for range live {
-			}
-			return nil, nil, ErrCompacted
-		}
-		for _, j := range sh.journal {
-			if j.version > marks[i] {
-				replay = append(replay, WatchEvent[T]{Type: j.typ, Object: j.it.obj, Version: j.version, Shard: i})
-			}
-		}
-		sh.mu.RUnlock()
+		s.shards[i].mu.RLock()
 	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].Version < replay[j].Version })
-	replayed := make(map[int64]struct{}, len(replay))
-	for _, ev := range replay {
-		replayed[ev.Version] = struct{}{}
-	}
-	out := make(chan WatchEvent[T], buffer)
-	done := make(chan struct{})
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			close(done)
-			cancelLive()
-		})
-	}
-	go func() {
-		defer close(out)
-		for _, ev := range replay {
-			select {
-			case out <- ev:
-			case <-done:
-				return
-			}
-		}
-		for {
-			select {
-			case <-done:
-				return
-			case ev, ok := <-live:
-				if !ok {
-					// Overflow close: end the stream so the consumer resumes
-					// from its last token instead of silently missing events.
-					return
-				}
-				if _, dup := replayed[ev.Version]; dup {
-					continue
-				}
-				select {
-				case out <- ev:
-				case <-done:
-					return
-				}
-			}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.RUnlock()
 		}
 	}()
-	return out, cancel, nil
+	marks := make([]int64, len(s.shards))
+	next := make([]int, len(s.shards)) // per shard: first journal entry to replay
+	total := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if from == nil {
+			marks[i] = sh.lastVersion
+			next[i] = len(sh.journal)
+			continue
+		}
+		if sh.evictedThrough > from[i] {
+			return nil, nil, nil, ErrCompacted
+		}
+		marks[i] = from[i]
+		next[i] = sort.Search(len(sh.journal), func(k int) bool { return sh.journal[k].version > from[i] })
+		total += len(sh.journal) - next[i]
+	}
+	ch := make(chan WatchEvent[T], total+buffer)
+	// Merge the shards' journal tails, each already in version order.
+	for ; total > 0; total-- {
+		best := -1
+		for i := range s.shards {
+			if next[i] < len(s.shards[i].journal) && (best < 0 ||
+				s.shards[i].journal[next[i]].version < s.shards[best].journal[next[best]].version) {
+				best = i
+			}
+		}
+		j := s.shards[best].journal[next[best]]
+		next[best]++
+		ch <- WatchEvent[T]{Type: j.typ, Object: j.it.obj, Version: j.version, Shard: best}
+	}
+	s.watchMu.Lock()
+	id := s.nextWID
+	s.nextWID++
+	s.watchers[id] = ch
+	s.watchMu.Unlock()
+	cancel := func() {
+		s.watchMu.Lock()
+		s.dropLocked(id)
+		s.watchMu.Unlock()
+	}
+	return ch, marks, cancel, nil
+}
+
+// dropLocked unregisters and closes a watcher if it is still registered.
+// The caller holds watchMu for writing.
+func (s *Store[T]) dropLocked(id int) {
+	if ch, ok := s.watchers[id]; ok {
+		delete(s.watchers, id)
+		close(ch)
+	}
 }
 
 // emitLocked writes the event to the log (returning its position), then
 // journals it, runs hooks and broadcasts to watchers while the mutated
-// shard's lock is held. Plain watchers that fall behind lose the event
-// (they re-List); resumable watchers are closed instead so their consumer
-// reconnects from its token. Holding the shard lock across delivery keeps
-// same-key events ordered.
+// shard's lock is held. A watcher whose buffer is full is closed, so its
+// consumer resumes from its marks rather than silently missing the event.
+// Holding the shard lock across delivery keeps same-key events ordered.
 func (s *Store[T]) emitLocked(idx int, typ EventType, it *item[T], v int64) (pos int64) {
 	ev := WatchEvent[T]{Type: typ, Object: it.obj, Version: v, Shard: idx}
 	if s.log != nil {
@@ -612,21 +548,18 @@ func (s *Store[T]) emitLocked(idx int, typ EventType, it *item[T], v int64) (pos
 	s.journalAndHookLocked(sh, ev, it)
 	var overflowed []int
 	s.watchMu.RLock()
-	for id, w := range s.watchers {
+	for id, ch := range s.watchers {
 		select {
-		case w.ch <- ev:
-		default: // watcher too slow
-			if w.closeOnDrop {
-				overflowed = append(overflowed, id)
-			}
+		case ch <- ev:
+		default:
+			overflowed = append(overflowed, id)
 		}
 	}
 	s.watchMu.RUnlock()
-	for _, id := range overflowed {
+	if overflowed != nil {
 		s.watchMu.Lock()
-		if w, ok := s.watchers[id]; ok {
-			delete(s.watchers, id)
-			close(w.ch)
+		for _, id := range overflowed {
+			s.dropLocked(id)
 		}
 		s.watchMu.Unlock()
 	}

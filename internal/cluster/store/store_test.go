@@ -102,7 +102,7 @@ func TestEventsShareTheInstalledObject(t *testing.T) {
 			t.Error("update copied the installed object again for its event")
 		}
 	})
-	replay, cancel, err := s.WatchFrom(make([]int64, s.Shards()), 4)
+	replay, _, cancel, err := s.Watch(make([]int64, s.Shards()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestVersionsIncrease(t *testing.T) {
 
 func TestWatchDeliversEvents(t *testing.T) {
 	s := newStore()
-	ch, cancel := s.Watch(16)
+	ch, _, cancel, _ := s.Watch(nil, 16)
 	defer cancel()
 	s.Create(obj{Name: "a", Value: 1})
 	s.Update("a", func(o obj) (obj, error) { o.Value = 2; return o, nil })
@@ -178,7 +178,7 @@ func TestWatchDeliversEvents(t *testing.T) {
 
 func TestWatchCancelCloses(t *testing.T) {
 	s := newStore()
-	ch, cancel := s.Watch(1)
+	ch, _, cancel, _ := s.Watch(nil, 1)
 	cancel()
 	if _, ok := <-ch; ok {
 		t.Fatal("channel not closed after cancel")
@@ -187,23 +187,24 @@ func TestWatchCancelCloses(t *testing.T) {
 	s.Create(obj{Name: "a"}) // must not panic with cancelled watcher
 }
 
-func TestSlowWatcherDropsNotBlocks(t *testing.T) {
+// TestSlowWatcherClosedNotBlocks: a watcher that falls more than its
+// buffer behind is closed, never thinned, and writers never wait on it.
+func TestSlowWatcherClosedNotBlocks(t *testing.T) {
 	s := newStore()
-	_, cancel := s.Watch(1)
+	ch, _, cancel, _ := s.Watch(nil, 1)
 	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			s.Create(obj{Name: fmt.Sprintf("n%d", i)})
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-make(chan struct{}): // unreachable; compile-time placeholder
+	for i := 0; i < 100; i++ { // returns only if no write blocks
+		s.Create(obj{Name: fmt.Sprintf("n%d", i)})
 	}
 	if s.Len() != 100 {
-		t.Fatalf("writes blocked by slow watcher: %d stored", s.Len())
+		t.Fatalf("%d stored, want 100", s.Len())
+	}
+	delivered := 0
+	for range ch {
+		delivered++
+	}
+	if delivered != 1 {
+		t.Fatalf("closed watcher delivered %d events, want its buffer's 1", delivered)
 	}
 }
 
@@ -250,7 +251,7 @@ func TestShardedConcurrentCreateUpdateWatch(t *testing.T) {
 	const writers = 8
 	const keys = 64
 	const updates = 25
-	ch, cancel := s.Watch(writers * keys * (updates + 1))
+	ch, _, cancel, _ := s.Watch(nil, writers*keys*(updates+1))
 	defer cancel()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -305,12 +306,13 @@ func TestShardedConcurrentCreateUpdateWatch(t *testing.T) {
 	}
 }
 
-// TestWatcherDropThenRelistRecovers: a watcher that falls behind loses
-// events (never blocks writers) but recovers the full state via re-List —
-// the level-triggered contract consumers like the scheduler cache rely on.
-func TestWatcherDropThenRelistRecovers(t *testing.T) {
+// TestOverflowedWatcherResumesFromLastMarks: a watcher that falls behind
+// is closed (writers never block), and a watch from the marks of the last
+// event it received delivers exactly the rest — the heal path every
+// consumer of the one watch contract takes.
+func TestOverflowedWatcherResumesFromLastMarks(t *testing.T) {
 	s := newStore()
-	ch, cancel := s.Watch(4)
+	ch, marks, cancel, _ := s.Watch(nil, 4)
 	defer cancel()
 	const total = 100
 	for i := 0; i < total; i++ {
@@ -318,31 +320,28 @@ func TestWatcherDropThenRelistRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delivered := 0
-	for {
-		select {
-		case <-ch:
-			delivered++
-			continue
-		default:
+	seen := map[string]bool{}
+	for ev := range ch { // ends: the overflow closed the channel
+		seen[ev.Object.Name] = true
+		marks[ev.Shard] = ev.Version
+	}
+	if len(seen) >= total {
+		t.Fatalf("expected a close with buffer 4, got all %d events", len(seen))
+	}
+	rest, _, cancelRest, err := s.Watch(marks, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelRest()
+	for len(seen) < total {
+		ev := <-rest
+		if seen[ev.Object.Name] {
+			t.Fatalf("resume redelivered %s", ev.Object.Name)
 		}
-		break
+		seen[ev.Object.Name] = true
 	}
-	if delivered >= total {
-		t.Fatalf("expected drops with buffer 4, got all %d events", delivered)
-	}
-	if got := len(s.List()); got != total {
-		t.Fatalf("re-List after drops returned %d objects, want %d", got, total)
-	}
-	// The drained watcher keeps receiving future events.
-	s.Create(obj{Name: "late"})
-	select {
-	case ev := <-ch:
-		if ev.Object.Name != "late" {
-			t.Fatalf("post-drop event = %+v", ev.Object)
-		}
-	default:
-		t.Fatal("watcher dead after drops")
+	if len(rest) != 0 {
+		t.Fatalf("resume delivered %d events beyond the %d written", len(rest), total)
 	}
 }
 

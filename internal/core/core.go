@@ -483,42 +483,49 @@ func (q *QRIO) WaitForJob(jobName string, timeout time.Duration) (api.QuantumJob
 }
 
 // WaitForJobCtx blocks until the job reaches a terminal phase or the
-// context ends. It subscribes to the cluster's broadcast hub instead of
-// polling: the hot loop of the old implementation (a 5ms sleep-poll) is
-// replaced by event delivery, with a coarse re-check tick only as a guard
-// against dropped notifications (the hub's documented slow-consumer
-// behaviour). On context expiry the job's last observed state is returned
-// alongside the context error.
+// context ends. It follows the job on the cluster's broadcast hub instead
+// of polling; a stream closed because the waiter fell behind is replaced
+// by a fresh one and the job re-read, so no transition goes unseen. On
+// context expiry the job's last observed state is returned alongside the
+// context error.
 func (q *QRIO) WaitForJobCtx(ctx context.Context, jobName string) (api.QuantumJob, error) {
-	sub, cancel := q.State.Subscribe(256)
-	defer cancel()
-	// Check after subscribing so a transition between Get and Subscribe
-	// cannot be missed.
-	last, _, err := q.State.Jobs.Get(jobName)
+	var last api.QuantumJob
+	for {
+		sub, _, cancel, _ := q.State.Subscribe(256, state.ResumeToken{}) // from now: cannot fail
+		j, done, err := q.followJob(ctx, sub, jobName, last)
+		cancel()
+		if done {
+			return j, err
+		}
+		last = j
+	}
+}
+
+// followJob reads the job once the stream is open — so a transition
+// between the two cannot be missed — then follows it on sub. done is
+// false only when sub closed first; the caller re-subscribes.
+func (q *QRIO) followJob(ctx context.Context, sub <-chan state.Notification, jobName string, last api.QuantumJob) (_ api.QuantumJob, done bool, _ error) {
+	j, _, err := q.State.Jobs.Get(jobName)
 	if err != nil {
 		// An archived job already finished; report its terminal state.
 		if entry, ok := q.State.Archived.Get(jobName); ok {
-			return entry.Job, nil
+			return entry.Job, true, nil
 		}
-		return api.QuantumJob{}, err
+		return last, true, err
 	}
-	if last.Status.Phase.Terminal() {
-		return last, nil
-	}
-	recheck := time.NewTicker(250 * time.Millisecond)
-	defer recheck.Stop()
-	for {
+	last = j
+	for !last.Status.Phase.Terminal() {
 		select {
 		case <-ctx.Done():
 			if j, _, err := q.State.Jobs.Get(jobName); err == nil {
 				last = j
 			}
-			return last, ctx.Err()
+			return last, true, ctx.Err()
 		case n, ok := <-sub:
 			if !ok {
-				return last, fmt.Errorf("core: watch stream closed while waiting for %s", jobName)
+				return last, false, nil
 			}
-			if n.Kind != state.KindJob || n.Job == nil || n.Job.Name != jobName {
+			if n.Kind != state.KindJob || n.Job.Name != jobName {
 				continue
 			}
 			if n.Type == store.Deleted {
@@ -526,28 +533,14 @@ func (q *QRIO) WaitForJobCtx(ctx context.Context, jobName string) (api.QuantumJo
 				// store when it archives them; that is a normal end of the
 				// lifecycle, not the job vanishing.
 				if n.Job.Status.Phase.Terminal() {
-					return *n.Job, nil
+					return *n.Job, true, nil
 				}
-				return *n.Job, store.ErrNotFound{Name: jobName}
+				return *n.Job, true, store.ErrNotFound{Name: jobName}
 			}
 			last = *n.Job
-			if last.Status.Phase.Terminal() {
-				return last, nil
-			}
-		case <-recheck.C:
-			j, _, err := q.State.Jobs.Get(jobName)
-			if err != nil {
-				if entry, ok := q.State.Archived.Get(jobName); ok {
-					return entry.Job, nil
-				}
-				return last, err
-			}
-			last = j
-			if last.Status.Phase.Terminal() {
-				return last, nil
-			}
 		}
 	}
+	return last, true, nil
 }
 
 // SubmitAndWait is the end-to-end convenience: submit, wait, fetch logs.

@@ -38,7 +38,7 @@ func TestIdleControlPlaneWritesNothing(t *testing.T) {
 	for _, k := range q.Kubelets {
 		k.Heartbeat = 10 * time.Millisecond // ~100 beats per node in the window
 	}
-	nodeEvents, cancel := q.State.Nodes.Watch(64)
+	nodeEvents, _, cancel, _ := q.State.Nodes.Watch(nil, 64)
 	defer cancel()
 	q.Start()
 

@@ -28,10 +28,9 @@ import (
 // the SYNC snapshot — the reconnect path for dropped SSE clients. A
 // malformed token is 400 invalid; a token whose position has aged out of
 // the server's version journal is 410 compacted, and the client must fall
-// back to a fresh watch. The stream runs until the client disconnects; a
-// resumed stream also ends (cleanly) if the client falls too far behind,
-// so it reconnects from its latest token rather than silently missing
-// transitions.
+// back to a fresh watch. The stream runs until the client disconnects, or
+// ends (cleanly) if the client falls too far behind, so it reconnects from
+// its latest token rather than silently missing transitions.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	kind := r.URL.Query().Get("kind")
 	if kind != "" && kind != state.KindJob && kind != state.KindNode {
@@ -40,10 +39,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Query().Get("name")
-	resume, resuming := "", false
-	if raw := r.URL.Query().Get("resume"); raw != "" {
-		resume, resuming = raw, true
-	}
+	resume := r.URL.Query().Get("resume")
+	resuming := resume != ""
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpx.WriteError(w, http.StatusInternalServerError, httpx.CodeInternal,
@@ -51,31 +48,25 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		sub    <-chan state.Notification
-		start  state.ResumeToken
-		cancel func()
-	)
+	var from state.ResumeToken // zero: a fresh stream
 	if resuming {
-		token, err := state.ParseResumeToken(resume)
-		if err != nil {
+		var err error
+		if from, err = state.ParseResumeToken(resume); err != nil {
 			httpx.WriteError(w, http.StatusBadRequest, httpx.CodeInvalid, err)
 			return
 		}
-		var serr error
-		sub, cancel, serr = s.Core.State.SubscribeFrom(256, token)
-		if serr != nil {
-			if errors.Is(serr, store.ErrCompacted) {
-				httpx.WriteError(w, http.StatusGone, httpx.CodeCompacted, serr)
-				return
-			}
-			httpx.WriteError(w, http.StatusInternalServerError, httpx.CodeInternal, serr)
+	}
+	// A fresh stream opens before the SYNC snapshot is read, so no
+	// transition between the two is lost; duplicates are fine (watch
+	// consumers are level-triggered).
+	sub, start, cancel, err := s.Core.State.Subscribe(256, from)
+	if err != nil {
+		if errors.Is(err, store.ErrCompacted) {
+			httpx.WriteError(w, http.StatusGone, httpx.CodeCompacted, err)
 			return
 		}
-	} else {
-		// Subscribe before snapshotting so no transition between the two is
-		// lost; duplicates are fine (watch consumers are level-triggered).
-		sub, start, cancel = s.Core.State.SubscribeWithToken(256)
+		httpx.WriteError(w, http.StatusInternalServerError, httpx.CodeInternal, err)
+		return
 	}
 	defer cancel()
 

@@ -30,8 +30,8 @@ func runScheduler(t *testing.T, s *Scheduler) {
 	})
 }
 
-// waitPasses blocks until s has run at least n passes. Run installs its
-// watch before its first pass, so one pass means the loop is listening.
+// waitPasses blocks until s has run at least n passes. Run drains its wake
+// channel before its first pass, so after one pass any job event wakes it.
 func waitPasses(t *testing.T, s *Scheduler, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -68,7 +68,7 @@ func assertPending(t *testing.T, st *state.Cluster, name string) {
 }
 
 // TestRunLoopBindsOnWatchEvent: with nothing pending the loop sleeps, and
-// a submission wakes it.
+// a submission's job event wakes it.
 func TestRunLoopBindsOnWatchEvent(t *testing.T) {
 	st := state.New()
 	node(t, st, "live", 5, 0.1)

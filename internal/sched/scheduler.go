@@ -74,13 +74,17 @@ func New(st *state.Cluster, fw *Framework) *Scheduler {
 }
 
 // Run schedules until the context is cancelled: one pass at start (jobs
-// Pending since boot or WAL replay), one per burst of job events, and one
-// every 10 ms while a job waits, since a node, a slot, a tenant budget or
-// the scorer's breaker can open without a job event. Idle, it sleeps.
+// Pending since boot or WAL replay), one per burst of job events (the
+// state's SchedulerWake token), and one every 10 ms while a job waits,
+// since a node, a slot, a tenant budget or the scorer's breaker can open
+// without a job event. Idle, it sleeps.
 func (s *Scheduler) Run(ctx context.Context) {
 	const retryEvery = 10 * time.Millisecond
-	events, cancel := s.State.Jobs.Watch(128)
-	defer cancel()
+	wake := s.State.SchedulerWake()
+	select {
+	case <-wake: // the first pass covers every event before Run
+	default:
+	}
 	for {
 		s.SchedulePass()
 		var retry <-chan time.Time // nil: never fires
@@ -90,10 +94,7 @@ func (s *Scheduler) Run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-events:
-			for len(events) > 0 {
-				<-events
-			}
+		case <-wake:
 		case <-retry:
 		}
 	}
