@@ -176,12 +176,15 @@ lint-draw:
 		grep -rnF '.Draw(' --include='*.go' --exclude='*_test.go' internal/quantum/statevec; } || true)"; \
 	if [ -n "$$out" ]; then echo "lint-draw: the simulators draw through noise.Stream (the dense engine through DrawAt/Quiet only), not a second path:"; echo "$$out"; exit 1; fi
 
-# lint-poll enforces the edge-triggered scheduler: non-test code under
+# lint-poll enforces the edge-triggered control loops: non-test code under
 # internal/sched wakes on job events and on a retry timer armed only while
-# a job waits, never on a ticker (time.NewTicker, time.Tick).
+# a job waits; non-test code under internal/cluster/controller wakes on
+# its state wake token (a job failed, a node joined, left or changed
+# phase) and on a one-shot timer armed at the next deadline, capped by a
+# 1 s backstop. Neither runs a ticker (time.NewTicker, time.Tick).
 lint-poll:
-	@out="$$(grep -rnE 'time\.(NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' internal/sched || true)"; \
-	if [ -n "$$out" ]; then echo "lint-poll: the scheduler wakes on edges and a retry timer, not a ticker:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'time\.(NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' internal/sched internal/cluster/controller || true)"; \
+	if [ -n "$$out" ]; then echo "lint-poll: the scheduler and the controller wake on edges and one-shot timers, not a ticker:"; echo "$$out"; exit 1; fi
 
 # lint-metrics enforces the metric naming contract: every family literal
 # ("qrio_..." strings in non-test code) must read
@@ -192,7 +195,7 @@ lint-poll:
 lint-metrics:
 	@names="$$(grep -rhoE '"qrio_[a-z0-9_]+"' --include='*.go' --exclude='*_test.go' internal cmd client | sort -u | tr -d '"')"; \
 	if [ -z "$$names" ]; then echo "lint-metrics: found no metric family names — audit miswired"; exit 1; fi; \
-	bad="$$(echo "$$names" | grep -vE '^qrio_(sched|state|meta|gateway|watch|durability|archive|faults|kubelet)_([a-z0-9]+_)*(total|seconds|bytes|jobs|entries|events|records|requests|streams|errors|generation)$$' || true)"; \
+	bad="$$(echo "$$names" | grep -vE '^qrio_(sched|state|meta|gateway|watch|durability|archive|faults|kubelet|controller)_([a-z0-9]+_)*(total|seconds|bytes|jobs|entries|events|records|requests|streams|errors|generation)$$' || true)"; \
 	if [ -n "$$bad" ]; then echo "lint-metrics: family names must read qrio_<layer>_<name>_<unit>:"; echo "$$bad"; exit 1; fi; \
 	echo "lint-metrics: $$(echo "$$names" | wc -l) family names conform"
 

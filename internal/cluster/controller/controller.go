@@ -2,8 +2,11 @@
 // reconciliation loop that gives QRIO the self-healing Kubernetes
 // properties the paper claims (§3.1 — "QRIO can self-restart nodes and
 // jobs if they are down"). It requeues jobs stranded on dead nodes,
-// retries failed jobs up to a budget, marks stale nodes NotReady, and
-// garbage-collects old events.
+// retries failed jobs up to a budget, marks stale nodes NotReady, archives
+// terminal jobs past retention and garbage-collects old events. It sleeps
+// until one of those can be due: each pass reads the state's hook-fed
+// indexes (the node table, the placed and failed job orders), never a
+// listing of every job.
 package controller
 
 import (
@@ -17,6 +20,7 @@ import (
 	"qrio/internal/clock"
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
+	"qrio/internal/obs"
 )
 
 // Controller reconciles cluster state.
@@ -39,6 +43,9 @@ type Controller struct {
 	// Clock is the controller's time source — injectable for tests and
 	// the virtual-time simulator. Nil means the wall clock.
 	Clock clock.Clock
+	// Metrics is the optional instrumentation handle (nil = no metrics).
+	// Set once at wiring time, before Run.
+	Metrics *Metrics
 }
 
 // New builds a controller with defaults.
@@ -53,61 +60,120 @@ func New(st *state.Cluster) *Controller {
 	}
 }
 
-// Run reconciles every 100 ms until the context is cancelled.
+// Metrics is the controller's instrumentation handle. Nil (the default)
+// costs one branch per pass and per action: controllers built without a
+// registry (the simulator, tests) pay nothing.
+type Metrics struct{ passes, actions *obs.CounterVec }
+
+// NewMetrics registers the controller families on a registry.
+func NewMetrics(r *obs.Registry) *Metrics {
+	return &Metrics{
+		passes: r.Counter("qrio_controller_passes_total",
+			"Controller passes, by what started them: start, wake, deadline or backstop.", "cause"),
+		actions: r.Counter("qrio_controller_actions_total",
+			"Objects the controller changed, by rule: stale, requeue, retry, archive or event_gc.", "rule"),
+	}
+}
+
+func (m *Metrics) pass(cause string) {
+	if m != nil {
+		m.passes.With(cause).Inc()
+	}
+}
+
+func (m *Metrics) act(rule string, n int) {
+	if m != nil && n > 0 {
+		m.actions.With(rule).Add(uint64(n))
+	}
+}
+
+// backstop is the longest Run sleeps: a level-triggered pass for what no
+// edge or deadline announces — the event cap, count retention, a write
+// that raced the last pass.
+const backstop = time.Second
+
+// Run reconciles once at start, then sleeps until the state wakes it (a
+// job entered Failed; a node joined, left or changed phase — see
+// state.ControllerWake), until the earliest deadline the last pass found
+// (a heartbeat expiry, a stranded job's grace end, a retention age), or
+// for one backstop at most, and reconciles again. It returns when the
+// context is cancelled.
 func (c *Controller) Run(ctx context.Context) {
-	const reconcileEvery = 100 * time.Millisecond
-	tick := time.NewTicker(reconcileEvery)
-	defer tick.Stop()
+	wake := c.State.ControllerWake()
+	select {
+	case <-wake: // left before the loop started: the first pass covers it
+	default:
+	}
+	timer := time.NewTimer(backstop)
+	defer timer.Stop()
+	cause := "start"
 	for {
+		c.Metrics.pass(cause)
+		sleep, timed := backstop, "backstop"
+		if next := c.reconcile(c.clock()); !next.IsZero() {
+			if d := next.Sub(c.clock()); d < backstop {
+				// A deadline due now still waits a moment: the rules
+				// compare strictly, so a pass at that instant does nothing.
+				sleep, timed = max(d, time.Millisecond), "deadline"
+			}
+		}
+		timer.Reset(sleep)
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C:
-			c.ReconcileOnce()
+		case <-wake:
+			cause = "wake"
+		case <-timer.C:
+			cause = timed
 		}
 	}
 }
 
-// ReconcileOnce runs one pass of every reconciliation rule. The archive
-// sweep runs after the retry rule so a Failed job with retry budget left
-// is resurrected before it can age out (a sweep racing the retry anyway
+// ReconcileOnce runs one pass of every reconciliation rule.
+func (c *Controller) ReconcileOnce() { c.reconcile(c.clock()) }
+
+// reconcile runs one pass of every rule and returns the earliest instant
+// a timed rule can next act (zero when none is pending). The archive sweep
+// runs after the retry rule so a Failed job with retry budget left is
+// resurrected before it can age out (a sweep racing the retry anyway
 // resolves safely: the conditional delete loses to any phase change).
-func (c *Controller) ReconcileOnce() {
-	now := c.clock()
-	c.markStaleNodes(now)
-	c.requeueStrandedJobs(now)
+func (c *Controller) reconcile(now time.Time) time.Time {
+	next := earliest(c.markStaleNodes(now), c.requeueStrandedJobs(now))
 	c.retryFailedJobs()
-	c.State.ArchiveTerminal(now, c.Retention)
+	c.Metrics.act("archive", c.State.ArchiveTerminal(now, c.Retention))
+	if oldest, ok := c.State.OldestTerminal(); ok && c.Retention.MaxTerminalAge > 0 {
+		next = earliest(next, oldest.Add(c.Retention.MaxTerminalAge))
+	}
 	c.gcEvents()
+	return next
+}
+
+// earliest returns the earlier of two deadlines, zero meaning none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
 }
 
 func (c *Controller) clock() time.Time { return clock.Now(c.Clock) }
 
-// markStaleNodes flips nodes whose heartbeat stopped to NotReady. Phase and
+// markStaleNodes flips nodes whose heartbeat stopped to NotReady and
+// returns the next heartbeat expiry among the Ready nodes left. Phase and
 // liveness are read from the state layer's node table; the store — and
 // with it the WAL and every node watch stream — sees only the transition.
-func (c *Controller) markStaleNodes(now time.Time) {
+func (c *Controller) markStaleNodes(now time.Time) time.Time {
 	timeout := c.NodeTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	// silentSince reports the node's last sign of life and whether that is
-	// more than the timeout ago.
-	silentSince := func(name string) (time.Time, bool) {
-		last, ok := c.State.LastHeartbeat(name)
-		return last, ok && now.Sub(last) > timeout
-	}
-	nodes, _ := c.State.Fleet()
-	for _, n := range nodes {
-		name := n.Name
-		if _, silent := silentSince(name); !silent || n.Status.Phase != api.NodeReady {
-			continue
-		}
+	silent, next := c.State.SilentNodes(now, timeout)
+	for _, name := range silent {
 		_, _, err := c.State.Nodes.Update(name, func(n api.Node) (api.Node, error) {
 			// Re-checked under the node's lock: a heartbeat that landed
 			// since the scan wins.
-			last, silent := silentSince(name)
-			if !silent || n.Status.Phase != api.NodeReady {
+			last, ok := c.State.LastHeartbeat(name)
+			if !ok || now.Sub(last) <= timeout || n.Status.Phase != api.NodeReady {
 				return n, fmt.Errorf("controller: node %s no longer stale", name)
 			}
 			n.Status.Phase = api.NodeNotReady
@@ -116,25 +182,30 @@ func (c *Controller) markStaleNodes(now time.Time) {
 		})
 		if err == nil {
 			c.State.RecordEvent("Node", name, "HeartbeatLost", "marking node NotReady")
+			c.Metrics.act("stale", 1)
 		}
 	}
+	return next
 }
 
 // requeueStrandedJobs resets Scheduled/Running jobs whose node is gone or
-// NotReady back to Pending so the scheduler can place them elsewhere.
-func (c *Controller) requeueStrandedJobs(now time.Time) {
-	assigned := c.State.Jobs.ListFunc(func(j api.QuantumJob) bool {
-		return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
-	})
-	for _, j := range assigned {
-		c.requeueIfStranded(j, now)
+// NotReady back to Pending so the scheduler can place them elsewhere, and
+// returns the earliest grace end still ahead. Only the jobs placed on
+// such nodes are read.
+func (c *Controller) requeueStrandedJobs(now time.Time) (next time.Time) {
+	for _, node := range c.State.StrandedNodes() {
+		for _, j := range c.State.PlacedJobs(node) {
+			next = earliest(next, c.requeueIfStranded(j, now))
+		}
 	}
+	return next
 }
 
-// requeueIfStranded applies the stranded-job rule to one listed job. The
-// snapshot may be stale — a kubelet finished the job, a user cancelled it —
+// requeueIfStranded applies the stranded-job rule to one read job and
+// returns its grace end while that is still ahead (zero otherwise). The
+// copy may be stale — a kubelet finished the job, a user cancelled it —
 // in which case the requeue event no longer applies and nothing happens.
-func (c *Controller) requeueIfStranded(j api.QuantumJob, now time.Time) {
+func (c *Controller) requeueIfStranded(j api.QuantumJob, now time.Time) time.Time {
 	stuck := c.StuckTimeout
 	if stuck <= 0 {
 		stuck = 5 * time.Second
@@ -143,23 +214,27 @@ func (c *Controller) requeueIfStranded(j api.QuantumJob, now time.Time) {
 	ready := false
 	c.State.Nodes.Peek(nodeName, func(n api.Node, _ int64) { ready = n.Status.Phase == api.NodeReady })
 	if ready {
-		return
+		return time.Time{}
 	}
 	// Grace period: the node may just be flapping.
 	ref := j.CreatedAt
 	if j.Status.StartedAt != nil {
 		ref = *j.Status.StartedAt
 	}
-	if now.Sub(ref) < stuck {
-		return
+	if due := ref.Add(stuck); now.Before(due) {
+		return due
 	}
 	// A running job whose user asked for cancellation is finalised instead
 	// of resurrected (the lifecycle table's requeue rule): the kubelet that
 	// would abort its container is gone.
-	c.State.TransitionJob(j.Name, api.JobEventRequeue, state.Transition{
+	_, err := c.State.TransitionJob(j.Name, api.JobEventRequeue, state.Transition{
 		Node:    nodeName,
 		Message: fmt.Sprintf("node %s unavailable", nodeName),
 	})
+	if err == nil {
+		c.Metrics.act("requeue", 1)
+	}
+	return time.Time{}
 }
 
 // WillRetry reports whether the next reconcile sends this job back to
@@ -171,17 +246,20 @@ func (c *Controller) WillRetry(j api.QuantumJob) bool {
 // retryFailedJobs sends failed jobs back to Pending while retry budget
 // remains.
 func (c *Controller) retryFailedJobs() {
-	for _, j := range c.State.Jobs.ListFunc(c.WillRetry) {
+	for _, j := range c.State.FailedJobs(func(j *api.QuantumJob) bool { return c.WillRetry(*j) }) {
 		c.retry(j)
 	}
 }
 
-// retry fires the retry event at one listed job; a stale snapshot (the
-// job is no longer Failed) changes and records nothing.
+// retry fires the retry event at one read job; a stale copy (the job is
+// no longer Failed) changes and records nothing.
 func (c *Controller) retry(j api.QuantumJob) {
-	c.State.TransitionJob(j.Name, api.JobEventRetry, state.Transition{
+	_, err := c.State.TransitionJob(j.Name, api.JobEventRetry, state.Transition{
 		Detail: fmt.Sprintf("attempt %d of %d", j.Status.Attempts+1, max(c.MaxRetries, 0)+1),
 	})
+	if err == nil {
+		c.Metrics.act("retry", 1)
+	}
 }
 
 // gcEvents trims the event log to MaxEvents, dropping the oldest by
@@ -212,6 +290,7 @@ func (c *Controller) gcEvents() {
 	for _, e := range oldest {
 		c.State.Events.Delete(e.name)
 	}
+	c.Metrics.act("event_gc", len(oldest))
 }
 
 // eventKey orders events for trimming: by time, then by the sequence number

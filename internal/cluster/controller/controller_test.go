@@ -1,14 +1,17 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
+	"qrio/internal/cluster/store"
 	"qrio/internal/device"
 	"qrio/internal/graph"
+	"qrio/internal/obs"
 )
 
 // fakeClock is a controllable time source.
@@ -278,6 +281,69 @@ func TestStaleSnapshotChangesNothing(t *testing.T) {
 				t.Fatalf("lost race released the reservation: %+v", n.Status)
 			}
 		})
+	}
+}
+
+// TestRunActsAtDeadlines runs the controller's own loop on the wall clock
+// over a node that never beats: it is marked NotReady at its heartbeat
+// expiry, and its stranded job is requeued at the job's grace end, each
+// within the slack — though no job or node event announces either
+// deadline, and the backstop alone would be late by most of a second.
+func TestRunActsAtDeadlines(t *testing.T) {
+	const timeout, stuck, slack = 300 * time.Millisecond, 600 * time.Millisecond, 150 * time.Millisecond
+	c, st, _ := setup(t)
+	c.Clock = nil // the wall clock, which the loop's timer runs on
+	c.NodeTimeout, c.StuckTimeout = timeout, stuck
+	reg := obs.NewRegistry()
+	c.Metrics = NewMetrics(reg)
+	submit(t, st, "j1")
+	if err := st.BindJob("j1", "n1", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(ch chan time.Time) {
+		select {
+		case ch <- time.Now():
+		default:
+		}
+	}
+	notReady, requeued := make(chan time.Time, 1), make(chan time.Time, 1)
+	st.Nodes.OnEvent(func(ev store.WatchEvent[api.Node]) {
+		if ev.Object.Status.Phase == api.NodeNotReady {
+			stamp(notReady)
+		}
+	})
+	st.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) {
+		if ev.Object.Status.Phase == api.JobPending {
+			stamp(requeued)
+		}
+	})
+	last, _ := st.LastHeartbeat("n1")
+	j, _, _ := st.Jobs.Get("j1")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { c.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	within := func(what string, ch chan time.Time, due time.Time) {
+		t.Helper()
+		select {
+		case at := <-ch:
+			if at.Before(due) || at.After(due.Add(slack)) {
+				t.Fatalf("%s at %v past its deadline, want within [0, %v]", what, at.Sub(due), slack)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never happened", what)
+		}
+	}
+	within("NotReady", notReady, last.Add(timeout))
+	within("requeue", requeued, j.CreatedAt.Add(stuck))
+
+	actions := reg.Counter("qrio_controller_actions_total", "", "rule")
+	if s, r := actions.With("stale").Value(), actions.With("requeue").Value(); s != 1 || r != 1 {
+		t.Fatalf("actions stale=%d requeue=%d, want 1 and 1", s, r)
+	}
+	if d := reg.Counter("qrio_controller_passes_total", "", "cause").With("deadline").Value(); d < 2 {
+		t.Fatalf("%d deadline passes, want one per deadline at least", d)
 	}
 }
 

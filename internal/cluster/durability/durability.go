@@ -6,7 +6,7 @@
 // the archive spill file, and re-queues jobs whose containers died with
 // the old process. Because replay re-fires the store hooks, every derived
 // index (pending queues, tenant usage, terminal set, event ring,
-// scheduled-by-node) is rebuilt by the exact code that built it live — the
+// placed-by-node, failed) is rebuilt by the exact code that built it live — the
 // recovered process is behaviourally indistinguishable from one that never
 // crashed, except that Running jobs are back in the queue.
 //

@@ -40,13 +40,12 @@ type Kubelet struct {
 	NodeName string
 	State    *state.Cluster
 	Registry *registry.Registry
-	// Interval is the heal cadence (default 1s): a level-triggered
+	// Heartbeat cadence for node liveness (default 250ms). Heartbeats go to
+	// the state layer's volatile liveness table, not through the store.
+	// Every ⌈1s / Heartbeat⌉-th beat also heals: a level-triggered
 	// reconcile that runs even when no wake token arrived. The agent does
 	// not depend on it — the node's wake channel (state.NodeWake) carries
 	// every bind, cancel request and freed slot.
-	Interval time.Duration
-	// Heartbeat cadence for node liveness (default 250ms). Heartbeats go to
-	// the state layer's volatile liveness table, not through the store.
 	Heartbeat time.Duration
 	// Seed makes executions reproducible per node.
 	Seed int64
@@ -78,7 +77,6 @@ func New(nodeName string, st *state.Cluster, reg *registry.Registry, seed int64)
 		NodeName:  nodeName,
 		State:     st,
 		Registry:  reg,
-		Interval:  time.Second,
 		Heartbeat: 250 * time.Millisecond,
 		Seed:      seed,
 		Clock:     clock.Real{},
@@ -92,33 +90,30 @@ func (k *Kubelet) now() time.Time { return clock.Now(k.Clock) }
 // Run reconciles until the context is cancelled, then waits for in-flight
 // containers to finish so no execution outlives the agent. It sleeps
 // until its own node has work: the wake channel fires for job events that
-// name this node and for containers exiting here, nothing else.
+// name this node and for containers exiting here, nothing else — bar the
+// heal that rides the heartbeat about once a second.
 func (k *Kubelet) Run(ctx context.Context) {
-	interval := k.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
 	hb := k.Heartbeat
 	if hb <= 0 {
 		hb = 250 * time.Millisecond
 	}
-	heal := time.NewTicker(interval)
+	healEvery := int((time.Second + hb - 1) / hb) // beats per heal, ≥ 1
 	beat := time.NewTicker(hb)
 	defer k.jobs.Wait()
-	defer heal.Stop()
 	defer beat.Stop()
 	wake := k.State.NodeWake(k.NodeName)
 	// Jobs bound before the channel existed (boot, WAL replay) left no token.
 	k.reconcile()
-	for {
+	for beats := 0; ; {
 		select {
 		case <-ctx.Done():
 			return
 		case <-beat.C:
 			k.State.Heartbeat(k.NodeName, k.now())
+			if beats++; beats%healEvery == 0 {
+				k.reconcile()
+			}
 		case <-wake:
-			k.reconcile()
-		case <-heal.C:
 			k.reconcile()
 		}
 	}
@@ -144,7 +139,7 @@ func (k *Kubelet) slots() int {
 // free slot for, without waiting for them, and returns the launched job
 // names (oldest bindings first, for determinism).
 func (k *Kubelet) launch() []string {
-	// The cluster's scheduled-by-node index answers "what is bound to me?"
+	// The cluster's placed-by-node index answers "what is bound to me?"
 	// in O(jobs on this node), already sorted oldest-first.
 	runnable := k.State.ScheduledJobs(k.NodeName)
 	slots := k.slots()

@@ -17,7 +17,7 @@ import (
 )
 
 // TestRunLoopExecutesAndHeartbeats drives the kubelet through its own Run
-// loop (wake + heal tick + heartbeat) rather than SyncOnce. Heartbeats
+// loop (wake + heartbeat, which also heals) rather than SyncOnce. Heartbeats
 // must advance the state layer's liveness table and leave the stored node
 // alone.
 func TestRunLoopExecutesAndHeartbeats(t *testing.T) {
@@ -149,8 +149,8 @@ func TestHeartbeatRevivesNotReadyNode(t *testing.T) {
 	}
 }
 
-// TestWakeAloneDrivesTheKubelet turns the heal tick (and the heartbeat)
-// off in all but name — one hour — and checks that the node's wake channel
+// TestWakeAloneDrivesTheKubelet turns the heartbeat, and with it the heal
+// that rides it, off in all but name — one hour — and checks that the node's wake channel
 // is sufficient on its own: a job bound before the agent started runs, a
 // second job launches the instant the first frees the node's only slot,
 // and a cancel request aborts a Running container.
@@ -188,7 +188,6 @@ func TestWakeAloneDrivesTheKubelet(t *testing.T) {
 	}
 
 	k := kubelet.New("solo", st, reg, 1)
-	k.Interval = time.Hour
 	k.Heartbeat = time.Hour
 	started := make(chan string, 2) // one send per job in this test
 	finish := make(chan struct{})

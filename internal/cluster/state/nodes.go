@@ -52,6 +52,8 @@ type nodeEntry struct {
 // drops the decoded device and moves the epoch. The bytes are immutable
 // and shared between versions of a node, so the check on an unchanged
 // device — every slot reservation is a node event — is a pointer compare.
+// A join, a delete or a change of phase wakes the controller
+// (ControllerWake); slot accounting does not.
 func (c *Cluster) onNodeEvent(ev store.WatchEvent[api.Node]) {
 	t := &c.fleet
 	n := ev.Object
@@ -64,6 +66,7 @@ func (c *Cluster) onNodeEvent(ev store.WatchEvent[api.Node]) {
 			delete(t.entries, n.Name)
 			t.epoch++
 			t.sorted = nil
+			poke(c.ctlWake)
 		}
 		return
 	case !ok:
@@ -74,6 +77,9 @@ func (c *Cluster) onNodeEvent(ev store.WatchEvent[api.Node]) {
 	case !bytes.Equal(e.node.Spec.BackendJSON, n.Spec.BackendJSON):
 		e.backend, e.raw = nil, nil
 		t.epoch++
+	}
+	if e.node.Status.Phase != n.Status.Phase {
+		poke(c.ctlWake) // a join lands here too: its entry starts empty
 	}
 	e.node, e.version = n, ev.Version
 	if n.Status.LastHeartbeat.After(e.last) {
@@ -141,6 +147,27 @@ func (c *Cluster) LastHeartbeat(node string) (last time.Time, ok bool) {
 		return e.last, true
 	}
 	return time.Time{}, false
+}
+
+// SilentNodes names the Ready nodes not heard from for more than timeout
+// as of now, and reports the earliest instant another Ready node would go
+// silent if nothing is heard from it (zero when no Ready node is left).
+// One walk of the table under its lock; no node is copied.
+func (c *Cluster) SilentNodes(now time.Time, timeout time.Duration) (silent []string, next time.Time) {
+	c.fleet.mu.Lock()
+	defer c.fleet.mu.Unlock()
+	for name, e := range c.fleet.entries {
+		if e.node.Status.Phase != api.NodeReady {
+			continue
+		}
+		if now.Sub(e.last) > timeout {
+			silent = append(silent, name)
+		} else if expiry := e.last.Add(timeout); next.IsZero() || expiry.Before(next) {
+			next = expiry
+		}
+	}
+	sort.Strings(silent) // mark, and journal, in name order
+	return silent, next
 }
 
 // LiveNode overlays the live heartbeat onto a node copy bound for an API

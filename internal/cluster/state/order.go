@@ -14,14 +14,20 @@ import (
 // it sorts by, and whether the order holds it at all.
 type orderKey func(j *api.QuantumJob) (group string, at time.Time, ok bool)
 
-// The three job orders the cluster keeps. A new ordered view of the jobs
+// The four job orders the cluster keeps. A new ordered view of the jobs
 // is one more key function, not one more index type.
 func pendingKey(j *api.QuantumJob) (string, time.Time, bool) {
 	return TenantOf(j), j.CreatedAt, j.Status.Phase == api.JobPending
 }
 
-func scheduledKey(j *api.QuantumJob) (string, time.Time, bool) {
-	return j.Status.Node, j.CreatedAt, j.Status.Phase == api.JobScheduled && j.Status.Node != ""
+// placedKey files the jobs holding a node (Scheduled or Running) under
+// it: the kubelet launches from it, the controller requeues from it.
+func placedKey(j *api.QuantumJob) (string, time.Time, bool) {
+	return j.Status.Node, j.CreatedAt, placed(j) && j.Status.Node != ""
+}
+
+func placed(j *api.QuantumJob) bool {
+	return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
 }
 
 // terminalKey orders by the retention clock: when the job finished,
@@ -33,6 +39,13 @@ func terminalKey(j *api.QuantumJob) (string, time.Time, bool) {
 		at = *j.Status.FinishedAt
 	}
 	return "", at, j.Status.Phase.Terminal()
+}
+
+// failedKey holds the Failed jobs in terminal order: the controller's
+// retry rule reads them instead of listing every job.
+func failedKey(j *api.QuantumJob) (string, time.Time, bool) {
+	_, at, _ := terminalKey(j)
+	return "", at, j.Status.Phase == api.JobFailed
 }
 
 // orderEntry is one job at its place in a group.
@@ -144,6 +157,17 @@ func (o *jobOrder) group(g string, take func(i int, at time.Time) bool) []string
 	return out
 }
 
+// groupNames snapshots the groups the order holds jobs under.
+func (o *jobOrder) groupNames() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]string, 0, len(o.groups))
+	for g := range o.groups {
+		out = append(out, g)
+	}
+	return out
+}
+
 // names snapshots at most perGroup names of each group (perGroup <= 0
 // means all), merged across groups in (at, name) order. Each group is
 // ordered, so a cap trims only its tail: under deep overload a caller
@@ -199,14 +223,14 @@ func (o *jobOrder) diff(want *jobOrder) error {
 	return nil
 }
 
-// CheckIndexes rebuilds every job order (pending, scheduled-by-node,
-// terminal) from the stored jobs through its own key function and reports
-// the first difference in names, groups or order, then holds the node
-// table to the stored nodes (checkNodes). Only valid on a quiescent
+// CheckIndexes rebuilds every job order (pending, placed-by-node,
+// terminal, failed) from the stored jobs through its own key function and
+// reports the first difference in names, groups or order, then holds the
+// node table to the stored nodes (checkNodes). Only valid on a quiescent
 // cluster: a write racing the rebuild reads as a difference.
 func (c *Cluster) CheckIndexes() error {
 	jobs := c.Jobs.List()
-	for name, o := range map[string]*jobOrder{"pending": c.pending, "scheduled": c.scheduled.jobOrder, "terminal": c.terminal} {
+	for name, o := range map[string]*jobOrder{"pending": c.pending, "placed": c.scheduled.jobOrder, "terminal": c.terminal, "failed": c.failed} {
 		fresh := newJobOrder(o.key)
 		for _, j := range jobs {
 			fresh.onJobEvent(store.WatchEvent[api.QuantumJob]{Type: store.Added, Object: j})

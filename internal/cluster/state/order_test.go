@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,12 +101,23 @@ func randomJobMoves(t *testing.T, seed int64, frozen bool, steps int) {
 		case 9:
 			did = move([]api.JobPhase{api.JobScheduled, api.JobRunning}[rng.Intn(2)], api.JobEventRequeue)
 		case 10:
-			// Node delete: its jobs stay filed under it until the requeue
-			// (the controller's part) lands — only some of them here.
+			// Node delete or a flip of its phase: its jobs stay filed under
+			// it until the requeue (the controller's part) lands — only
+			// some of them here.
 			n := nodes[rng.Intn(len(nodes))]
 			did = "re-add " + n
-			if _, _, err := c.Nodes.Get(n); err != nil {
+			node, _, err := c.Nodes.Get(n)
+			if err != nil {
 				addNode(n)
+				break
+			}
+			if rng.Intn(2) == 0 {
+				phase := map[api.NodePhase]api.NodePhase{api.NodeReady: api.NodeNotReady, api.NodeNotReady: api.NodeReady}[node.Status.Phase]
+				c.Nodes.Update(n, func(node api.Node) (api.Node, error) {
+					node.Status.Phase = phase
+					return node, nil
+				})
+				did = fmt.Sprintf("mark %s %s", n, phase)
 				break
 			}
 			c.Nodes.Delete(n)
@@ -125,19 +137,69 @@ func randomJobMoves(t *testing.T, seed int64, frozen bool, steps int) {
 	}
 }
 
-// checkReaders holds PendingJobs, ScheduledJobs, PendingCount and
-// TerminalCount to the store: the same jobs, in (CreatedAt, name) order.
+// TestCheckIndexesCoversEveryOrder drops one job from each hook-fed order
+// behind its hook's back: CheckIndexes must name that order.
+func TestCheckIndexesCoversEveryOrder(t *testing.T) {
+	for _, tc := range []struct {
+		index string
+		order func(c *Cluster) *jobOrder
+	}{
+		{"pending", func(c *Cluster) *jobOrder { return c.pending }},
+		{"placed", func(c *Cluster) *jobOrder { return c.scheduled.jobOrder }},
+		{"terminal", func(c *Cluster) *jobOrder { return c.terminal }},
+		{"failed", func(c *Cluster) *jobOrder { return c.failed }},
+	} {
+		t.Run(tc.index, func(t *testing.T) {
+			c := New()
+			if _, err := c.AddNodeSlots(testBackend(t, "dev-a"), 4); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"waits", "runs", "fails"} {
+				if err := c.SubmitJob(tenantFidelityJob(name, "alice", 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range []string{"runs", "fails"} {
+				if err := c.BindJob(name, "dev-a", 0.5); err != nil {
+					t.Fatal(err)
+				}
+				c.TransitionJob(name, api.JobEventClaim, Transition{Node: "dev-a"})
+			}
+			c.TransitionJob("fails", api.JobEventFail, Transition{Node: "dev-a"})
+			if err := c.CheckIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			o := tc.order(c)
+			o.mu.Lock()
+			for name, ref := range o.member {
+				o.removeLocked(name, ref)
+				break
+			}
+			o.mu.Unlock()
+			if err := c.CheckIndexes(); err == nil || !strings.Contains(err.Error(), tc.index+" index") {
+				t.Fatalf("CheckIndexes after dropping a %s job = %v", tc.index, err)
+			}
+		})
+	}
+}
+
+// checkReaders holds PendingJobs, ScheduledJobs, PlacedJobs, FailedJobs,
+// StrandedNodes, PendingCount and TerminalCount to the store: the same
+// jobs, in the order each promises.
 func checkReaders(t *testing.T, c *Cluster, nodes []string, at string) {
 	t.Helper()
-	want := func(keep func(api.QuantumJob) bool) []string {
+	byTime := func(keep func(api.QuantumJob) bool, at func(api.QuantumJob) time.Time) []string {
 		jobs := c.Jobs.ListFunc(keep)
 		sort.Slice(jobs, func(a, b int) bool {
-			if !jobs[a].CreatedAt.Equal(jobs[b].CreatedAt) {
-				return jobs[a].CreatedAt.Before(jobs[b].CreatedAt)
+			if ta, tb := at(jobs[a]), at(jobs[b]); !ta.Equal(tb) {
+				return ta.Before(tb)
 			}
 			return jobs[a].Name < jobs[b].Name
 		})
 		return jobNames(jobs)
+	}
+	want := func(keep func(api.QuantumJob) bool) []string {
+		return byTime(keep, func(j api.QuantumJob) time.Time { return j.CreatedAt })
 	}
 	same := func(what string, got []api.QuantumJob, want []string) {
 		t.Helper()
@@ -154,6 +216,35 @@ func checkReaders(t *testing.T, c *Cluster, nodes []string, at string) {
 		same("ScheduledJobs("+n+")", c.ScheduledJobs(n), want(func(j api.QuantumJob) bool {
 			return j.Status.Phase == api.JobScheduled && j.Status.Node == n
 		}))
+		same("PlacedJobs("+n+")", c.PlacedJobs(n), want(func(j api.QuantumJob) bool {
+			return (j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning) && j.Status.Node == n
+		}))
+	}
+	failed := func(j api.QuantumJob) bool { return j.Status.Phase == api.JobFailed }
+	same("FailedJobs", c.FailedJobs(func(*api.QuantumJob) bool { return true }), byTime(failed, func(j api.QuantumJob) time.Time {
+		if j.Status.FinishedAt != nil {
+			return *j.Status.FinishedAt
+		}
+		return j.CreatedAt
+	}))
+	stranded := map[string]bool{}
+	for _, j := range c.Jobs.ListFunc(func(j api.QuantumJob) bool {
+		return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
+	}) {
+		n, _, err := c.Nodes.Get(j.Status.Node)
+		stranded[j.Status.Node] = err != nil || n.Status.Phase != api.NodeReady
+	}
+	got := c.StrandedNodes()
+	sort.Strings(got)
+	var wantStranded []string
+	for n, s := range stranded {
+		if s {
+			wantStranded = append(wantStranded, n)
+		}
+	}
+	sort.Strings(wantStranded)
+	if fmt.Sprint(got) != fmt.Sprint(wantStranded) {
+		t.Fatalf("%s: StrandedNodes = %v, store says %v", at, got, wantStranded)
 	}
 	if got, want := c.TerminalCount(), len(c.Jobs.ListFunc(func(j api.QuantumJob) bool { return j.Status.Phase.Terminal() })); got != want {
 		t.Fatalf("%s: TerminalCount = %d, store says %d", at, got, want)

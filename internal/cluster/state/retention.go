@@ -44,6 +44,16 @@ func (c *Cluster) ResultFor(name string) (api.Result, bool) {
 // store — the figure retention keeps flat.
 func (c *Cluster) TerminalCount() int { return c.terminal.len() }
 
+// OldestTerminal reports the retention clock (FinishedAt, else CreatedAt)
+// of the oldest resident terminal job; ok is false when there is none.
+func (c *Cluster) OldestTerminal() (at time.Time, ok bool) {
+	c.terminal.group("", func(_ int, t time.Time) bool {
+		at, ok = t, true
+		return false // the head is all we read
+	})
+	return at, ok
+}
+
 // ArchiveTerminal runs one retention sweep: terminal jobs the policy no
 // longer keeps resident move, with their indexed event trails, into the
 // archive tier. Per job the order is (1) copy into the archive, (2)

@@ -7,11 +7,11 @@ import (
 	"qrio/internal/cluster/store"
 )
 
-// scheduledIndex is the scheduled-by-node job order (node → Scheduled
-// jobs by (CreatedAt, name)) plus the wake channels it feeds: every job
-// event wakes the scheduler, and every one that concerns a node wakes that
-// node's kubelet, so each runs only when it has work, instead of polling
-// or watching every job in the cluster.
+// scheduledIndex is the placed-by-node job order (node → Scheduled and
+// Running jobs by (CreatedAt, name)) plus the wake channels it feeds:
+// every job event wakes the scheduler, and every one that concerns a node
+// wakes that node's kubelet, so each runs only when it has work, instead
+// of polling or watching every job in the cluster.
 type scheduledIndex struct {
 	*jobOrder
 	// schedWake is the scheduler's capacity-1 wake channel (SchedulerWake),
@@ -26,12 +26,17 @@ type scheduledIndex struct {
 	wake map[string]chan struct{}
 }
 
-func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
-	prev := x.jobOrder.onJobEvent(ev)
+// poke leaves a token in a capacity-1 wake channel unless one is there.
+func poke(ch chan struct{}) {
 	select {
-	case x.schedWake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
+}
+
+func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
+	prev := x.jobOrder.onJobEvent(ev)
+	poke(x.schedWake)
 	if ev.Type == store.Deleted {
 		return // archival of a finished job: nothing for a kubelet to do
 	}
@@ -48,10 +53,7 @@ func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
 // pokeLocked leaves a wake token for the node's kubelet, if one listens.
 func (x *scheduledIndex) pokeLocked(node string) {
 	if ch, ok := x.wake[node]; ok {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+		poke(ch)
 	}
 }
 
@@ -60,6 +62,13 @@ func (x *scheduledIndex) pokeLocked(node string) {
 // the one already in it. It has one consumer, the scheduler's loop; the
 // channel exists from New, so it may hold a token from before the loop.
 func (c *Cluster) SchedulerWake() <-chan struct{} { return c.scheduled.schedWake }
+
+// ControllerWake returns the controller's wake channel. It receives a
+// token when a job enters Failed and when a node joins, leaves or changes
+// phase — the edges the controller's retry and stranded-job rules act on;
+// slot accounting and heartbeats leave none. Like SchedulerWake it has one
+// consumer and may hold a token from before its loop started.
+func (c *Cluster) ControllerWake() <-chan struct{} { return c.ctlWake }
 
 // NodeWake returns the node's wake channel, creating it on first use. It
 // receives a token after any job event whose Status.Node is — or, for a
@@ -93,5 +102,36 @@ func (c *Cluster) WakeNode(node string) {
 func (c *Cluster) ScheduledJobs(node string) []api.QuantumJob {
 	return c.jobsNamed(c.scheduled.group(node, nil), func(j *api.QuantumJob) bool {
 		return j.Status.Phase == api.JobScheduled && j.Status.Node == node
+	})
+}
+
+// PlacedJobs returns copies of the jobs holding one node — Scheduled or
+// Running on it — oldest first. O(jobs on this node).
+func (c *Cluster) PlacedJobs(node string) []api.QuantumJob {
+	return c.jobsNamed(c.scheduled.group(node, nil), func(j *api.QuantumJob) bool {
+		return placed(j) && j.Status.Node == node
+	})
+}
+
+// StrandedNodes names the nodes that hold placed jobs but are not Ready
+// or no longer registered. O(nodes holding jobs); no job is read.
+func (c *Cluster) StrandedNodes() []string {
+	held := c.scheduled.groupNames()
+	c.fleet.mu.Lock()
+	defer c.fleet.mu.Unlock()
+	out := held[:0]
+	for _, n := range held {
+		if e := c.fleet.entries[n]; e == nil || e.node.Status.Phase != api.NodeReady {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// FailedJobs returns copies of the Failed jobs keep accepts, oldest
+// failure first; rejected jobs are not copied. O(failed jobs resident).
+func (c *Cluster) FailedJobs(keep func(*api.QuantumJob) bool) []api.QuantumJob {
+	return c.jobsNamed(c.failed.group("", nil), func(j *api.QuantumJob) bool {
+		return j.Status.Phase == api.JobFailed && keep(j)
 	})
 }

@@ -6,10 +6,11 @@
 // synchronously by store mutation hooks so they can never drift from the
 // stored objects. The ordered ones are one type, jobOrder (order.go), and
 // each is only a key function: the pending queue (per tenant, FIFO), the
-// scheduled-by-node lists that also wake each node's kubelet, and the
-// terminal jobs the archive sweep takes oldest first. CheckIndexes holds
-// them to a rebuild. An About-keyed event ring, capped per object, serves
-// EventsAbout without scanning the whole event log.
+// placed-by-node lists that also wake each node's kubelet, the terminal
+// jobs the archive sweep takes oldest first, and the failed jobs the
+// controller retries. CheckIndexes holds them to a rebuild. An
+// About-keyed event ring, capped per object, serves EventsAbout without
+// scanning the whole event log.
 //
 // Everything kept per node beside the stored object — the fleet view the
 // scheduler ranks against, the last heartbeat and the decoded device — is
@@ -91,7 +92,9 @@ type Cluster struct {
 
 	pending    *jobOrder // tenant → Pending jobs by (CreatedAt, name)
 	terminal   *jobOrder // one group of terminal jobs by (finish time, name)
+	failed     *jobOrder // one group of Failed jobs by (finish time, name)
 	scheduled  scheduledIndex
+	ctlWake    chan struct{} // see ControllerWake
 	usage      usageIndex
 	eventIdx   eventIndex
 	fleet      nodeTable
@@ -125,8 +128,10 @@ func New() *Cluster {
 	c.TenantConfigs.SetJournalCap(0)
 	c.pending = newJobOrder(pendingKey)
 	c.terminal = newJobOrder(terminalKey)
+	c.failed = newJobOrder(failedKey)
+	c.ctlWake = make(chan struct{}, 1)
 	c.scheduled = scheduledIndex{
-		jobOrder:  newJobOrder(scheduledKey),
+		jobOrder:  newJobOrder(placedKey),
 		schedWake: make(chan struct{}, 1),
 		wake:      make(map[string]chan struct{}),
 	}
@@ -143,6 +148,11 @@ func New() *Cluster {
 	c.Jobs.OnEvent(c.usage.onJobEvent)
 	c.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) { c.terminal.onJobEvent(ev) })
 	c.Jobs.OnEvent(c.scheduled.onJobEvent)
+	c.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) {
+		if c.failed.onJobEvent(ev); ev.Type != store.Deleted && ev.Object.Status.Phase == api.JobFailed {
+			poke(c.ctlWake)
+		}
+	})
 	c.Nodes.OnEvent(c.onNodeEvent)
 	c.Events.OnEvent(c.eventIdx.onEventEvent)
 	c.TenantConfigs.OnEvent(c.tenantConf.onTenantEvent)
@@ -207,16 +217,19 @@ func (c *Cluster) PendingJobsCapped(perTenant int) []api.QuantumJob {
 	})
 }
 
-// jobsNamed reads the named jobs from the store, each stamped with the
-// version it was read at, keeping those still where the index filed them.
+// jobsNamed copies the named jobs out of the store, each stamped with the
+// version it was read at, keeping those still where the index filed them;
+// a job still refuses is never copied.
 func (c *Cluster) jobsNamed(names []string, still func(*api.QuantumJob) bool) []api.QuantumJob {
 	out := make([]api.QuantumJob, 0, len(names))
 	for _, name := range names {
-		j, v, err := c.Jobs.Get(name)
-		if err == nil && still(&j) {
-			j.ResourceVersion = v
-			out = append(out, j)
-		}
+		c.Jobs.Peek(name, func(j api.QuantumJob, v int64) {
+			if still(&j) {
+				j = j.DeepCopy()
+				j.ResourceVersion = v
+				out = append(out, j)
+			}
+		})
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"qrio/internal/cluster/controller"
 	"qrio/internal/cluster/durability"
 	"qrio/internal/cluster/kubelet"
 	"qrio/internal/cluster/state"
@@ -21,6 +22,7 @@ import (
 func registerMetrics(q *QRIO, r *obs.Registry) {
 	q.State.Metrics = state.NewMetrics(r)
 	q.Scheduler.Metrics = sched.NewMetrics(r)
+	q.Controller.Metrics = controller.NewMetrics(r)
 	q.kubeletMetrics = kubelet.NewMetrics(r)
 	for _, k := range q.Kubelets {
 		k.Metrics = q.kubeletMetrics

@@ -141,3 +141,37 @@ func TestJobLifecycleFsyncBudget(t *testing.T) {
 	}
 	t.Logf("one job: %v records, %v fsyncs, %v waits", r1-r0, f1-f0, w1-w0)
 }
+
+// TestIdleControllerSleeps starts a deployment on a healthy fleet and
+// counts the controller's passes over 3 s: with no job failing, no node
+// joining, leaving or changing phase and every heartbeat expiry further
+// off than the backstop, it passes once at start and then once per
+// backstop second — not once per poll.
+func TestIdleControllerSleeps(t *testing.T) {
+	var fleet []*device.Backend
+	for _, name := range []string{"q1", "q2", "q3", "q4"} {
+		b, err := device.UniformBackend(name, graph.Line(6), 0.02, 0.005, 0.01, 500e3, 500e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = append(fleet, b)
+	}
+	reg := obs.NewRegistry()
+	q, err := core.New(core.Config{Backends: fleet, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	passes := reg.Counter("qrio_controller_passes_total", "", "cause")
+	q.Start()
+	time.Sleep(3 * time.Second)
+	q.Stop()
+	total := uint64(0)
+	for _, cause := range []string{"start", "wake", "deadline", "backstop"} {
+		total += passes.With(cause).Value()
+	}
+	if total > 4 || passes.With("start").Value() != 1 {
+		t.Fatalf("controller made %d passes in 3 s idle (start %d, wake %d, deadline %d, backstop %d), want at most 4, one at start",
+			total, passes.With("start").Value(), passes.With("wake").Value(), passes.With("deadline").Value(), passes.With("backstop").Value())
+	}
+}
