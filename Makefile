@@ -19,10 +19,12 @@ GO ?= go
 # ExecuteDense (one fidelity.Execute of each family, ~1 ms a job) — which
 # guard what steady-warm's run stage pays. SubmitIntake (the six
 # steady-warm families plus a topology job through gateway.Server.Submit,
-# ~0.1 ms an op) guards what a job pays before it exists. The committed
-# baseline MUST be produced with the same settings (make bench-json does)
-# so medians compare apples-to-apples.
-GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot|BenchmarkSubmitIntake
+# ~0.1 ms an op) guards what a job pays before it exists, and RankWarm
+# (one 100-node rank of a cached circuit through core's scorer chain,
+# ~0.06 ms and ~9 allocations an op) what a warm job pays to be placed.
+# The committed baseline MUST be produced with the same settings (make
+# bench-json does) so medians compare apples-to-apples.
+GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot|BenchmarkSubmitIntake|BenchmarkRankWarm
 GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense
 # The gateway's rate-limiter fast path is guarded from its own package
 # (the limiter is internal); benchcompare keys on benchmark name, so its

@@ -1116,6 +1116,58 @@ func BenchmarkResilientScore(b *testing.B) {
 // mutation as the store hook marshals it.
 var benchWALPayload = []byte(`{"t":"MODIFIED","v":123456,"o":{"metadata":{"name":"job-0042","uid":"job-77","resourceVersion":7},"spec":{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];","strategy":"fidelity","targetFidelity":0.9,"shots":1024,"tenant":"alice"},"status":{"phase":"Running","node":"dev-3"}}}`)
 
+// BenchmarkRankWarm measures one Framework.Rank of a cached circuit over
+// the default 100-device fleet through the scorer chain core.New wires
+// (ResilientMetaScore over FaultScorer over the Meta Server): every score
+// a cache hit, the steady-warm workload's common case. Each op ranks a
+// new job name of the same circuit, as resubmissions do; the untimed
+// warm-up pushes the breaker's fallback cache past its cap, so every op
+// evicts as many remembered scores as it adds and allocs/op does not
+// depend on b.N.
+func BenchmarkRankWarm(b *testing.B) {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := qrio.New(qrio.Config{Backends: fleet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib, err := simload.DefaultLibrary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fam := lib["ghz"]
+	jobs := make([]api.QuantumJob, 64)
+	for i := range jobs {
+		jobs[i] = api.QuantumJob{
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("warm-%d", i)},
+			Spec: api.JobSpec{QASM: fam.QASM, Shots: fam.Shots, Strategy: api.StrategyFidelity,
+				TargetFidelity: 1, Requirements: api.DeviceRequirements{MinQubits: fam.MinQubits}},
+		}
+		if err := q.Meta.PutJobMeta(meta.JobMeta{JobName: jobs[i].Name, Strategy: api.StrategyFidelity,
+			TargetFidelity: 1, CircuitQASM: fam.QASM}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nodes, _ := q.State.Fleet()
+	fw := q.Scheduler.Framework
+	rank := func(i int) {
+		ranked, err := fw.Rank(jobs[i%len(jobs)], nodes)
+		if err != nil || len(ranked) == 0 {
+			b.Fatalf("rank: %d candidates, %v", len(ranked), err)
+		}
+	}
+	for i := 0; i < 2*len(jobs); i++ {
+		rank(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rank(i)
+	}
+}
+
 // BenchmarkWALAppend measures the per-mutation durability tax in the
 // default process-crash configuration (no fsync): one framed, checksummed
 // append through the writer's mutex. This is the overhead every store

@@ -83,7 +83,7 @@ func main() {
 	rateLimit := flag.Float64("rate-limit", 0, "per-tenant submission rate limit in submissions/second (0 = unlimited; per-tenant overrides via PUT /v1/tenants/{name})")
 	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst for -rate-limit (0 = max(1, ceil(rate)))")
 	maxInFlight := flag.Int("max-in-flight", 0, "global cap on concurrent /v1 requests; excess sheds with 503 overloaded (0 = uncapped)")
-	faultSpec := flag.String("faults", "", "DEV ONLY: arm fault points as point:mode[:probability[:latency]] entries, comma-separated, e.g. meta.score:error:0.5 (modes: error, latency, hang)")
+	faultSpec := flag.String("faults", "", "DEV ONLY: arm fault points as point:mode[:probability[:latency]] entries, comma-separated, e.g. meta.score:error:0.5 (modes: error, latency, hang; meta.score fires once per node scored, so a latency fault adds up along one rank)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this address, apart from -addr (empty = off)")
 	flag.Parse()
 

@@ -283,27 +283,117 @@ func (s *Server) cacheCap() int {
 	}
 }
 
-// cached memoises compute under (fingerprint, reg), where reg is the
-// backend registration — device, slot and calibration generation — the
-// caller read in one critical section and will compute against: caching
-// only when that generation is still the backend's current one is what
-// keeps a concurrent re-registration from caching a stale score under the
-// fresh one. Concurrent callers for the same key compute once. A lookup
-// refreshes its row's recency; a miss that pushes the cache past the LRU
-// cap evicts the coldest rows (the row just touched always stays whole).
-func (s *Server) cached(fingerprint string, reg backend, compute func() (float64, error)) (float64, error) {
-	if s.opts.DisableScoreCache {
-		return compute()
-	}
+// claim is a backend of a ScoreEach request the cache could not answer
+// on the spot: the request computes it into slot (dev set) or waits on
+// another scorer's call.
+type claim struct {
+	i    int // index into the request
+	dev  *device.Backend
+	slot int
+	c    *call
+}
+
+// ScoreEach answers one job's scoring request against each named backend:
+// scores[i] and errs[i] are backendNames[i]'s outcome, lower scores being
+// better. The job's strategy decides the engine (§3.4: "checks the
+// database if a fidelity threshold exists for the job").
+//
+// The expensive engines — canary simulation, subgraph layout search — are
+// memoised per (engine-input fingerprint, backend, calibration
+// generation), so jobs re-submitting a circuit pay them once per fleet
+// calibration. The job, every backend's registration and the job's cache
+// row are read in one critical section, which claims each missing slot
+// and refreshes the row's recency once; a fully cached request therefore
+// costs one lock and starts no goroutine. Only the misses this request
+// claimed are computed, through fanout; slots another scorer is computing
+// are waited for, so concurrent requests compute each entry once. The
+// miss that pushes the cache past its LRU cap evicts the coldest rows (the
+// row just touched always stays whole). CacheStats counts one hit or miss
+// per backend scored.
+func (s *Server) ScoreEach(jobName string, backendNames []string, fanout Fanout) ([]float64, []error) {
+	scores := make([]float64, len(backendNames))
+	errs := make([]error, len(backendNames))
 	s.mu.Lock()
-	if reg.gen != s.backends[reg.dev.Name].gen {
-		// The backend recalibrated between the caller's read and now: answer
-		// for the calibration the caller saw, and leave the slot to scorers
-		// of the current one.
+	j, ok := s.jobs[jobName]
+	if !ok {
 		s.mu.Unlock()
-		s.cacheMisses.Add(1)
-		return compute()
+		err := fmt.Errorf("meta: no metadata for job %q", jobName)
+		for i := range errs {
+			errs[i] = err
+		}
+		return scores, errs
 	}
+	var row *cacheRow
+	var owned, waits []claim
+	hits := 0
+	for i, name := range backendNames {
+		reg, ok := s.backends[name]
+		if !ok {
+			errs[i] = fmt.Errorf("meta: unknown backend %q", name)
+			continue
+		}
+		if s.opts.DisableScoreCache {
+			owned = append(owned, claim{i: i, dev: reg.dev, c: &call{}})
+			continue
+		}
+		if row == nil {
+			row = s.touchRowLocked(j.fingerprint)
+		}
+		if row.holds(reg.slot) {
+			hits++
+			if c := row.calls[reg.slot]; c != nil {
+				waits = append(waits, claim{i: i, c: c})
+			} else {
+				scores[i] = row.vals[reg.slot]
+			}
+			continue
+		}
+		c := &call{done: make(chan struct{})}
+		row.held[reg.slot>>6] |= 1 << (reg.slot & 63)
+		row.live++
+		s.entries++
+		if row.calls == nil {
+			row.calls = make(map[int]*call)
+		}
+		row.calls[reg.slot] = c
+		owned = append(owned, claim{i: i, dev: reg.dev, slot: reg.slot, c: c})
+	}
+	if row != nil && len(owned) > 0 {
+		if max := s.cacheCap(); max > 0 {
+			for s.entries > max && s.lru.Back() != row.elem {
+				coldest := s.lru.Back().Value.(*cacheRow)
+				s.cacheEvictions.Add(uint64(coldest.live))
+				s.dropEntriesLocked(coldest, coldest.live)
+			}
+		}
+	}
+	s.mu.Unlock()
+	if row != nil {
+		s.cacheHits.Add(uint64(hits))
+		s.cacheMisses.Add(uint64(len(owned)))
+	}
+
+	fanout.run(len(owned), func(k int) { s.compute(j, row, owned[k]) })
+	for _, cl := range append(owned, waits...) {
+		if cl.c.done != nil {
+			<-cl.c.done // closed already when the call is a memoised failure
+		}
+		scores[cl.i], errs[cl.i] = cl.c.val, cl.c.err
+	}
+	for i := range backendNames {
+		if errs[i] != nil {
+			scores[i] = 0
+		} else {
+			scores[i], errs[i] = s.finish(j, backendNames[i], scores[i])
+		}
+	}
+	return scores, errs
+}
+
+// touchRowLocked returns the cache row of one fingerprint, created if
+// absent, as the most recently used, with a slot for every registered
+// backend.
+func (s *Server) touchRowLocked(fingerprint string) *cacheRow {
 	row := s.rows[fingerprint]
 	if row == nil {
 		row = &cacheRow{fingerprint: fingerprint}
@@ -312,60 +402,40 @@ func (s *Server) cached(fingerprint string, reg backend, compute func() (float64
 	} else {
 		s.lru.MoveToFront(row.elem)
 	}
-	if reg.slot >= len(row.vals) {
+	if n := len(s.backends); len(row.vals) < n {
 		// Sized for the fleet as it is now; backends registered later
 		// grow the rows they are scored in.
-		row.vals = append(row.vals, make([]float64, len(s.backends)-len(row.vals))...)
-		row.held = append(row.held, make([]uint64, (len(s.backends)+63)/64-len(row.held))...)
+		row.vals = append(row.vals, make([]float64, n-len(row.vals))...)
+		row.held = append(row.held, make([]uint64, (n+63)/64-len(row.held))...)
 	}
-	if row.holds(reg.slot) {
-		val, c := row.vals[reg.slot], row.calls[reg.slot]
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		if c == nil {
-			return val, nil
-		}
-		<-c.done // closed already when the call is a memoised failure
-		return c.val, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	row.held[reg.slot>>6] |= 1 << (reg.slot & 63)
-	row.live++
-	s.entries++
-	if row.calls == nil {
-		row.calls = make(map[int]*call)
-	}
-	row.calls[reg.slot] = c
-	if max := s.cacheCap(); max > 0 {
-		for s.entries > max && s.lru.Back() != row.elem {
-			coldest := s.lru.Back().Value.(*cacheRow)
-			s.cacheEvictions.Add(uint64(coldest.live))
-			s.dropEntriesLocked(coldest, coldest.live)
-		}
-	}
-	s.mu.Unlock()
-	s.cacheMisses.Add(1)
+	return row
+}
 
-	// Pre-set the error: if compute panics, waiters and later callers
+// compute runs the job's engine for one claimed backend and, when row is
+// the cache, publishes the result — only into the slot the claim still
+// owns: the row may have been evicted or the backend recalibrated
+// meanwhile, and a score computed against generation g must never be
+// served at g+1.
+func (s *Server) compute(j job, row *cacheRow, cl claim) {
+	c := cl.c
+	// Pre-set the error: if the engine panics, waiters and later callers
 	// would otherwise read the zero value — score 0, the best possible
 	// result. This way they get an error instead.
-	c.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", reg.dev.Name)
-	defer func() {
-		s.mu.Lock()
-		// Publish only into the slot this call still owns: the row may
-		// have been evicted or the backend recalibrated meanwhile, and a
-		// score computed against generation g must never be served at g+1.
-		if s.rows[fingerprint] == row && row.calls[reg.slot] == c {
-			row.vals[reg.slot] = c.val
-			if c.err == nil {
-				row.dropCall(reg.slot)
+	c.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", cl.dev.Name)
+	if row != nil {
+		defer func() {
+			s.mu.Lock()
+			if s.rows[j.fingerprint] == row && row.calls[cl.slot] == c {
+				row.vals[cl.slot] = c.val
+				if c.err == nil {
+					row.dropCall(cl.slot)
+				}
 			}
-		}
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	c.val, c.err = compute()
-	return c.val, c.err
+			s.mu.Unlock()
+			close(c.done)
+		}()
+	}
+	c.val, c.err = s.engine(j, cl.dev)
 }
 
 // canaries returns the prepared canary ensemble of one fingerprint,
@@ -407,20 +477,13 @@ func (s *Server) canaries(fingerprint, circuitQASM string) (*fidelity.Canaries, 
 
 // Backend returns a registered backend.
 func (s *Server) Backend(name string) (*device.Backend, error) {
-	reg, err := s.registration(name)
-	return reg.dev, err
-}
-
-// registration returns a backend's current registration — device, slot and
-// calibration generation read atomically; see cached.
-func (s *Server) registration(name string) (backend, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	reg, ok := s.backends[name]
 	if !ok {
-		return backend{}, fmt.Errorf("meta: unknown backend %q", name)
+		return nil, fmt.Errorf("meta: unknown backend %q", name)
 	}
-	return *reg, nil
+	return reg.dev, nil
 }
 
 // BackendNames lists registered backends.
@@ -480,76 +543,57 @@ func (s *Server) job(jobName string) (job, error) {
 	return j, nil
 }
 
-// Score answers a scoring request: the job's strategy decides the engine
-// (§3.4: "checks the database if a fidelity threshold exists for the job").
-// Lower scores are better.
+// Score answers one (job, backend) scoring request: a one-backend
+// ScoreEach.
 func (s *Server) Score(jobName, backendName string) (float64, error) {
-	j, err := s.job(jobName)
-	if err != nil {
-		return 0, err
-	}
-	reg, err := s.registration(backendName)
-	if err != nil {
-		return 0, err
-	}
-	switch j.meta.Strategy {
-	case api.StrategyFidelity:
-		return s.fidelityScore(j, reg)
-	case api.StrategyTopology:
-		return s.topologyScore(j, reg)
-	}
-	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", jobName, j.meta.Strategy)
+	scores, errs := s.ScoreEach(jobName, []string{backendName}, nil)
+	return scores[0], errs[0]
 }
 
-// fidelityScore implements the Fidelity Ranking strategy: estimate the
-// canary fidelity on the device and measure the miss against the target.
-// The canary simulation — the expensive part — is memoised per (circuit
-// fingerprint, backend, calibration generation), so jobs re-submitting the
-// same circuit pay it once per fleet calibration, and its
-// device-independent half is prepared once per fingerprint (canaries), so
-// a cold fleet sweep pays that once, not once per device. The cheap target
-// comparison stays outside the cache so jobs sharing a circuit but not a
-// target still share the simulation.
-func (s *Server) fidelityScore(j job, reg backend) (float64, error) {
-	m := j.meta
-	f, err := s.cached(j.fingerprint, reg, func() (float64, error) {
-		cs, err := s.canaries(j.fingerprint, m.CircuitQASM)
+// engine runs the job's strategy engine on one device; its result is what
+// the cache memoises. The Fidelity Ranking strategy estimates the canary
+// fidelity on the device; its device-independent half is prepared once
+// per fingerprint (canaries), so a cold fleet sweep pays that once, not
+// once per device. The Topology Ranking strategy runs Mapomatic's
+// subgraph search.
+func (s *Server) engine(j job, dev *device.Backend) (float64, error) {
+	switch j.meta.Strategy {
+	case api.StrategyFidelity:
+		cs, err := s.canaries(j.fingerprint, j.meta.CircuitQASM)
 		if err != nil {
 			return 0, err
 		}
-		return s.opts.Estimator.CanaryFidelityOn(cs, reg.dev)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if f >= m.TargetFidelity {
-		return (f - m.TargetFidelity) * s.opts.OverTargetPenalty, nil
-	}
-	return m.TargetFidelity - f, nil
-}
-
-// topologyScore implements the Topology Ranking strategy via Mapomatic,
-// with the subgraph search memoised per (topology fingerprint, backend,
-// calibration generation).
-func (s *Server) topologyScore(j job, reg backend) (float64, error) {
-	cost, err := s.cached(j.fingerprint, reg, func() (float64, error) {
+		return s.opts.Estimator.CanaryFidelityOn(cs, dev)
+	case api.StrategyTopology:
 		tc, err := qasm.ParseShared(j.meta.TopologyQASM)
 		if err != nil {
 			return 0, err
 		}
-		score, err := mapomatic.BestLayout(tc, reg.dev, s.opts.Mapomatic)
+		score, err := mapomatic.BestLayout(tc, dev, s.opts.Mapomatic)
 		if err != nil {
 			return 0, err
 		}
 		return score.Cost, nil
-	})
-	if err != nil {
-		return 0, err
 	}
-	if math.IsInf(cost, 1) {
-		return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", reg.dev.Name, j.meta.JobName)
+	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", j.meta.JobName, j.meta.Strategy)
+}
+
+// finish turns an engine result into the job's score. A fidelity job
+// scores its miss against the target — outside the cache, so jobs sharing
+// a circuit but not a target still share the simulation. A topology job
+// scores the layout cost; a device with no layout cannot host it.
+func (s *Server) finish(j job, backendName string, v float64) (float64, error) {
+	m := j.meta
+	if m.Strategy == api.StrategyTopology {
+		if math.IsInf(v, 1) {
+			return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", backendName, m.JobName)
+		}
+		return v, nil
 	}
-	return cost, nil
+	if v >= m.TargetFidelity {
+		return (v - m.TargetFidelity) * s.opts.OverTargetPenalty, nil
+	}
+	return m.TargetFidelity - v, nil
 }
 
 // BatchResult is one backend's outcome in a ScoreBatch call.
@@ -559,28 +603,65 @@ type BatchResult struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// ScoreBatch scores one job against many candidate backends concurrently
-// (bounded by workers; 0 = GOMAXPROCS) and returns results in input order.
-// Combined with the score cache this turns fleet-wide ranking from
-// |fleet| serial simulations into one parallel sweep whose repeats are
-// free until the next calibration upload.
+// ScoreBatch is ScoreEach in the /v1/score/batch route's shape: results
+// in input order, misses computed on at most workers goroutines (0 =
+// GOMAXPROCS). Combined with the score cache this turns fleet-wide
+// ranking from |fleet| serial simulations into one parallel sweep whose
+// repeats are free until the next calibration upload.
 func (s *Server) ScoreBatch(jobName string, backendNames []string, workers int) []BatchResult {
+	scores, errs := s.ScoreEach(jobName, backendNames, func(n int, fn func(int)) { par.ForEach(n, workers, fn) })
 	out := make([]BatchResult, len(backendNames))
-	par.ForEach(len(backendNames), workers, func(i int) {
-		score, err := s.Score(jobName, backendNames[i])
-		out[i] = BatchResult{Backend: backendNames[i], Score: score}
-		if err != nil {
-			out[i].Error = err.Error()
+	for i, name := range backendNames {
+		out[i] = BatchResult{Backend: name, Score: scores[i]}
+		if errs[i] != nil {
+			out[i].Error = errs[i].Error()
 		}
-	})
+	}
 	return out
 }
 
 // Scorer is the dependency the scheduler's ranking plugin needs: anything
 // that can score a (job, backend) pair. *Server and FaultScorer (fault.go)
-// satisfy it.
+// satisfy it, and BatchScorer too.
 type Scorer interface {
 	Score(jobName, backendName string) (float64, error)
 }
 
-var _ Scorer = (*Server)(nil)
+// BatchScorer is a Scorer that also scores one job against many backends
+// in one call; ScoreEach finds it by interface assertion.
+type BatchScorer interface {
+	Scorer
+	ScoreEach(jobName string, backendNames []string, fanout Fanout) ([]float64, []error)
+}
+
+// Fanout runs fn(k) for every k in [0, n), possibly concurrently, and
+// returns once every call has returned. A nil Fanout runs the calls in
+// order on the caller.
+type Fanout func(n int, fn func(k int))
+
+func (f Fanout) run(n int, fn func(k int)) {
+	if f == nil {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	if n > 0 {
+		f(n, fn)
+	}
+}
+
+// ScoreEach scores one job against each named backend through sc: in one
+// call when sc is a BatchScorer, else one Score call per backend through
+// fanout.
+func ScoreEach(sc Scorer, jobName string, backendNames []string, fanout Fanout) ([]float64, []error) {
+	if b, ok := sc.(BatchScorer); ok {
+		return b.ScoreEach(jobName, backendNames, fanout)
+	}
+	scores := make([]float64, len(backendNames))
+	errs := make([]error, len(backendNames))
+	fanout.run(len(backendNames), func(i int) { scores[i], errs[i] = sc.Score(jobName, backendNames[i]) })
+	return scores, errs
+}
+
+var _ BatchScorer = (*Server)(nil)

@@ -116,6 +116,28 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Record(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.record(err)
+}
+
+// RecordEach reports, in order, the outcomes of a batch Allow admitted as
+// one call. A closed circuit counts each outcome as Record would, so
+// enough consecutive failures inside one batch open it. A half-open batch
+// is one probe: its first outcome settles the probe, as if the rest had
+// not been admitted.
+func (b *Breaker) RecordEach(errs []error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, err := range errs {
+		probe := b.state == HalfOpen
+		b.record(err)
+		if probe {
+			return
+		}
+	}
+}
+
+// record applies one outcome under b.mu.
+func (b *Breaker) record(err error) {
 	switch b.state {
 	case Closed:
 		if err == nil {

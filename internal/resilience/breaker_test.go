@@ -171,3 +171,42 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordEach: a batch admitted by one Allow records its outcomes in
+// order — a success resets the closed circuit's failure run, and enough
+// consecutive failures inside one batch open it — while a half-open
+// batch is one probe, settled by its first outcome.
+func TestRecordEach(t *testing.T) {
+	fc := newFakeClock()
+	b := &Breaker{Clock: fc, HalfOpenProbes: 2}
+	b.Allow()
+	b.RecordEach([]error{errDown, errDown, errDown, errDown, nil, errDown, errDown})
+	if b.State() != Closed {
+		t.Fatalf("state after a batch with no run of 5 failures = %v, want closed", b.State())
+	}
+	b.Allow()
+	b.RecordEach([]error{errDown, errDown, errDown, nil, nil})
+	if b.State() != Open || b.Opens() != 1 {
+		t.Fatalf("state = %v after %d opens; the earlier batch's 2 failures plus 3 should open it", b.State(), b.Opens())
+	}
+
+	fc.Advance(5 * time.Second)
+	if !b.Allow() {
+		t.Fatal("no half-open admission after the cool-down")
+	}
+	b.RecordEach([]error{errDown, nil, nil})
+	if b.State() != Open || b.Opens() != 2 {
+		t.Fatalf("half-open batch failing first left %v after %d opens, want reopened", b.State(), b.Opens())
+	}
+	fc.Advance(5 * time.Second)
+	b.Allow()
+	b.RecordEach([]error{nil, errDown, nil})
+	if b.State() != HalfOpen {
+		t.Fatalf("one successful half-open batch = %v; it is one probe of the 2 needed", b.State())
+	}
+	b.Allow()
+	b.RecordEach([]error{nil})
+	if b.State() != Closed {
+		t.Fatalf("state after the second successful probe = %v, want closed", b.State())
+	}
+}

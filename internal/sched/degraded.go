@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,10 +24,11 @@ const (
 
 // ResilientMetaScore wraps the Meta-Server scoring dependency in a
 // circuit breaker so a dead scorer degrades scheduling instead of
-// starving it. While the circuit is closed every score flows through the
-// live scorer and is remembered; once consecutive failures open it,
-// passes are served from the fallback chain without touching the
-// dependency:
+// starving it. Framework.Rank hands it a whole rank at once (ScoreEach),
+// and the rank is one breaker admission. While the circuit is closed
+// every score flows through the live scorer and is remembered; once
+// consecutive failures open it, passes are served from the fallback chain
+// without touching the dependency:
 //
 //  1. the stale cache entry for this exact (job, node) pair, if one was
 //     scored within MaxStale;
@@ -34,10 +37,11 @@ const (
 //     neighbouring job's score beats a blind guess);
 //  3. a local heuristic from the node's calibration labels.
 //
-// After OpenTimeout the breaker admits half-open probes; the first
-// successful probe closes it and live scoring resumes. OnDegraded fires
-// once per open episode (not once per call), letting the scheduler emit
-// a single SchedulingDegraded event per outage.
+// After OpenTimeout the breaker admits half-open probes — a rank is one
+// probe — and the first successful probe closes it and live scoring
+// resumes. OnDegraded fires once per open episode (not once per call),
+// letting the scheduler emit a single SchedulingDegraded event per
+// outage.
 type ResilientMetaScore struct {
 	// Scorer is the live dependency (required).
 	Scorer meta.Scorer
@@ -70,24 +74,39 @@ type staleScore struct {
 // Name implements ScorePlugin.
 func (*ResilientMetaScore) Name() string { return "ResilientMetaScore" }
 
-// Score implements ScorePlugin. Nodes are named after their backends, so
-// the node name doubles as the backend key (same convention as
-// MetaScore).
+// Score implements ScorePlugin: a one-node ScoreEach.
 func (r *ResilientMetaScore) Score(j api.QuantumJob, n api.Node) (float64, error) {
+	scores, errs := r.ScoreEach(j, []api.Node{n}, nil)
+	return scores[0], errs[0]
+}
+
+// errCircuitOpen is the cause a node's fallback reports when the breaker
+// did not admit its batch.
+var errCircuitOpen = errors.New("meta scorer circuit open")
+
+// ScoreEach implements BatchScorePlugin. A batch is one breaker
+// admission: admitted, every node goes to the live scorer in one call
+// (nodes are named after their backends, so a node's name is its backend
+// key), the outcomes are recorded in node order — a dead scorer still
+// opens the circuit within one rank — and the live scores are remembered
+// under one lock. A node the scorer failed, and every node while the
+// circuit is open, is served from the fallback chain.
+func (r *ResilientMetaScore) ScoreEach(j api.QuantumJob, nodes []api.Node, fanout meta.Fanout) ([]float64, []error) {
 	if r.Scorer == nil {
-		return 0, fmt.Errorf("sched: ResilientMetaScore has no meta scorer")
+		return failEach(len(nodes), fmt.Errorf("sched: ResilientMetaScore has no meta scorer"))
 	}
 	br := r.circuit()
 	if !br.Allow() {
-		return r.degraded(j, n, nil)
+		scores, errs := failEach(len(nodes), errCircuitOpen)
+		r.degraded(j, nodes, scores, errs)
+		return scores, errs
 	}
-	score, err := r.Scorer.Score(j.Name, n.Name)
-	br.Record(err)
-	if err == nil {
-		r.remember(j.Name, n.Name, score)
-		return score, nil
-	}
-	return r.degraded(j, n, err)
+	names := nodeNames(nodes)
+	scores, errs := meta.ScoreEach(r.Scorer, j.Name, names, fanout)
+	br.RecordEach(errs)
+	r.remember(j.Name, names, scores, errs)
+	r.degraded(j, nodes, scores, errs)
+	return scores, errs
 }
 
 // circuit resolves the breaker once so concurrent scoring shares one.
@@ -115,53 +134,62 @@ func (r *ResilientMetaScore) maxStale() time.Duration {
 // score makes no key string, and the table holds none.
 type pairKey struct{ job, node string }
 
-// remember stores a live score for degraded replay. It runs on every
-// live score, under the mutex, so it is O(1): a new pair past the cap
-// overwrites the oldest one's ring slot, no scan.
-func (r *ResilientMetaScore) remember(job, node string, score float64) {
-	entry := staleScore{score: score, at: clock.Now(r.Clock)}
-	key := pairKey{job, node}
+// remember stores a batch's live scores for degraded replay, under one
+// lock. Each pair is O(1): a new pair past the cap overwrites the oldest
+// one's ring slot, no scan.
+func (r *ResilientMetaScore) remember(job string, names []string, scores []float64, errs []error) {
+	entry := staleScore{at: clock.Now(r.Clock)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pairs == nil {
 		r.pairs = make(map[pairKey]staleScore)
 		r.nodes = make(map[string]staleScore)
 	}
-	if _, known := r.pairs[key]; !known {
-		if len(r.pairRing) < maxCacheEntries {
-			r.pairRing = append(r.pairRing, key)
-		} else {
-			delete(r.pairs, r.pairRing[r.pairHead])
-			r.pairRing[r.pairHead] = key
-			r.pairHead = (r.pairHead + 1) % maxCacheEntries
+	for i, node := range names {
+		if errs[i] != nil {
+			continue
 		}
+		entry.score = scores[i]
+		key := pairKey{job, node}
+		if _, known := r.pairs[key]; !known {
+			if len(r.pairRing) < maxCacheEntries {
+				r.pairRing = append(r.pairRing, key)
+			} else {
+				delete(r.pairs, r.pairRing[r.pairHead])
+				r.pairRing[r.pairHead] = key
+				r.pairHead = (r.pairHead + 1) % maxCacheEntries
+			}
+		}
+		r.pairs[key] = entry
+		r.nodes[node] = entry
 	}
-	r.pairs[key] = entry
-	r.nodes[node] = entry
 }
 
-// degraded serves the fallback chain; cause is the live error when the
-// breaker admitted the call but the dependency failed.
-func (r *ResilientMetaScore) degraded(j api.QuantumJob, n api.Node, cause error) (float64, error) {
+// degraded serves the fallback chain to every node whose errs entry is
+// set, in place: the cause is the live error, or errCircuitOpen when the
+// breaker refused the batch. A node with no fallback keeps an error.
+func (r *ResilientMetaScore) degraded(j api.QuantumJob, nodes []api.Node, scores []float64, errs []error) {
+	if !slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		return
+	}
 	r.announce()
 	now := clock.Now(r.Clock)
 	r.mu.Lock()
-	pair, okPair := r.pairs[pairKey{j.Name, n.Name}]
-	node, okNode := r.nodes[n.Name]
-	r.mu.Unlock()
-	if okPair && now.Sub(pair.at) <= r.maxStale() {
-		return pair.score, nil
+	defer r.mu.Unlock()
+	for i, n := range nodes {
+		if errs[i] == nil {
+			continue
+		}
+		if pair, ok := r.pairs[pairKey{j.Name, n.Name}]; ok && now.Sub(pair.at) <= r.maxStale() {
+			scores[i], errs[i] = pair.score, nil
+		} else if node, ok := r.nodes[n.Name]; ok && now.Sub(node.at) <= r.maxStale() {
+			scores[i], errs[i] = node.score, nil
+		} else if score, ok := heuristicScore(n); ok {
+			scores[i], errs[i] = score, nil
+		} else {
+			errs[i] = fmt.Errorf("sched: no degraded score for %s on %s: %w", j.Name, n.Name, errs[i])
+		}
 	}
-	if okNode && now.Sub(node.at) <= r.maxStale() {
-		return node.score, nil
-	}
-	if score, ok := heuristicScore(n); ok {
-		return score, nil
-	}
-	if cause == nil {
-		cause = fmt.Errorf("meta scorer circuit open")
-	}
-	return 0, fmt.Errorf("sched: no degraded score for %s on %s: %w", j.Name, n.Name, cause)
 }
 
 // announce fires OnDegraded once per breaker open episode.
@@ -196,4 +224,22 @@ func heuristicScore(n api.Node) (float64, bool) {
 	return 10*twoQ + readout, true
 }
 
-var _ ScorePlugin = (*ResilientMetaScore)(nil)
+// nodeNames lists the nodes' names, which are their backends' names.
+func nodeNames(nodes []api.Node) []string {
+	names := make([]string, len(nodes))
+	for i := range nodes {
+		names[i] = nodes[i].Name
+	}
+	return names
+}
+
+// failEach is a batch of n outcomes that all failed with err.
+func failEach(n int, err error) ([]float64, []error) {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return make([]float64, n), errs
+}
+
+var _ BatchScorePlugin = (*ResilientMetaScore)(nil)

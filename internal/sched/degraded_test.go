@@ -3,11 +3,14 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"qrio/internal/cluster/api"
+	"qrio/internal/device"
+	"qrio/internal/faults"
 	"qrio/internal/resilience"
 )
 
@@ -291,5 +294,60 @@ func TestCacheCap(t *testing.T) {
 	r.mu.Unlock()
 	if !stillThere || size != maxCacheEntries {
 		t.Fatalf("re-scoring a cached pair evicted a neighbour (size %d)", size)
+	}
+}
+
+// TestDeadScorerOnTheBatchPath: a rank is one breaker admission. A dead
+// scorer opens the circuit within one 100-node rank, whose every node the
+// meta.score point saw and the fallback chain still ranked; the outage
+// records one SchedulingDegraded event; ranks while the circuit is open
+// touch no backend; and one successful half-open rank closes it.
+func TestDeadScorerOnTheBatchPath(t *testing.T) {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := fleetNodes(t, fleet)
+	fc := newStubClock()
+	s := newRankStack(t, fleet, fc, 0, false)
+	job := s.put(t, fidelityMeta("bell", "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];"))
+	live, err := s.fw.Rank(job, nodes)
+	if err != nil || len(live) != len(nodes) {
+		t.Fatalf("healthy rank: %d of %d nodes, %v", len(live), len(nodes), err)
+	}
+
+	s.faults.Enable(faults.PointMetaScore, faults.Spec{})
+	degraded, err := s.fw.Rank(job, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.breaker.State(); got != resilience.Open {
+		t.Fatalf("breaker %v after a dead scorer's rank, want open", got)
+	}
+	if fired := s.faults.Fired(faults.PointMetaScore); fired != int64(len(nodes)) {
+		t.Fatalf("meta.score fired %d times in one rank, want once per node (%d)", fired, len(nodes))
+	}
+	// Every node falls back to the score it had a rank ago.
+	if !reflect.DeepEqual(degraded, live) {
+		t.Fatalf("degraded ranking differs from the remembered live one")
+	}
+	other := s.put(t, fidelityMeta("unseen", "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0],q[1];"))
+	if ranked, err := s.fw.Rank(other, nodes); err != nil || len(ranked) != len(nodes) {
+		t.Fatalf("open-circuit rank: %d of %d nodes, %v", len(ranked), len(nodes), err)
+	}
+	if fired := s.faults.Fired(faults.PointMetaScore); fired != int64(len(nodes)) {
+		t.Fatalf("an open circuit scored %d backends", fired-int64(len(nodes)))
+	}
+	if n := s.degraded.Load(); n != 1 {
+		t.Fatalf("SchedulingDegraded announced %d times in one outage, want 1", n)
+	}
+
+	s.faults.Disable(faults.PointMetaScore)
+	fc.Advance(time.Minute)
+	if ranked, err := s.fw.Rank(job, nodes); err != nil || !reflect.DeepEqual(ranked, live) {
+		t.Fatalf("half-open rank: %v", err)
+	}
+	if got := s.breaker.State(); got != resilience.Closed || s.breaker.Opens() != 1 {
+		t.Fatalf("breaker %v after %d opens, want closed after 1", got, s.breaker.Opens())
 	}
 }

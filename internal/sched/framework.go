@@ -8,10 +8,12 @@ package sched
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"qrio/internal/cluster/api"
+	"qrio/internal/meta"
 )
 
 // FilterPlugin decides whether a node can host a job at all.
@@ -34,6 +36,16 @@ type FilterPlugin interface {
 type ScorePlugin interface {
 	Name() string
 	Score(job api.QuantumJob, node api.Node) (float64, error)
+}
+
+// BatchScorePlugin is a ScorePlugin that scores a rank's feasible nodes
+// in one call; Rank finds it by interface assertion, and its verdicts
+// must equal Score's node by node. scores[i] and errs[i] are nodes[i]'s
+// outcome. fanout runs the calls that need parallelism under the
+// framework's bound on concurrent scoring.
+type BatchScorePlugin interface {
+	ScorePlugin
+	ScoreEach(job api.QuantumJob, nodes []api.Node, fanout meta.Fanout) ([]float64, []error)
 }
 
 // StaticPlugin is the marker a filter or scorer carries when its verdict
@@ -59,10 +71,11 @@ type Framework struct {
 	Filters []FilterPlugin
 	Scorer  ScorePlugin
 
-	// scoreSem bounds concurrent Score calls across ALL Rank invocations
-	// sharing this framework to GOMAXPROCS — a pass ranks many spec
-	// classes at once, and without a global bound the per-class pools
-	// would multiply into classes×nodes simultaneous simulations.
+	// scoreSem bounds the scoring calls fanout runs across ALL Rank
+	// invocations sharing this framework to GOMAXPROCS — a pass ranks
+	// many spec classes at once, and without a global bound the per-class
+	// fan-outs would multiply into classes×nodes simultaneous
+	// simulations.
 	semOnce  sync.Once
 	scoreSem chan struct{}
 }
@@ -72,6 +85,32 @@ type Framework struct {
 func (f *Framework) scoreSlots() chan struct{} {
 	f.semOnce.Do(func() { f.scoreSem = make(chan struct{}, runtime.GOMAXPROCS(0)) })
 	return f.scoreSem
+}
+
+// fanout runs fn(k) for every k in [0, n), each call holding one of the
+// framework's scoring slots: on a goroutine of its own, or in order on
+// the caller when one slot or one call leaves nothing to overlap.
+func (f *Framework) fanout(n int, fn func(k int)) {
+	sem := f.scoreSlots()
+	if n == 1 || cap(sem) == 1 {
+		for k := 0; k < n; k++ {
+			sem <- struct{}{}
+			fn(k)
+			<-sem
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fn(k)
+		}(k)
+	}
+	wg.Wait()
 }
 
 // static reports whether every plugin in the chain is a StaticPlugin (a
@@ -103,7 +142,7 @@ func (f *Framework) FilterNodes(job api.QuantumJob, nodes []api.Node) ([]api.Nod
 			feasible = append(feasible, n)
 		}
 	}
-	sort.Slice(feasible, func(i, j int) bool { return feasible[i].Name < feasible[j].Name })
+	slices.SortFunc(feasible, func(a, b api.Node) int { return strings.Compare(a.Name, b.Name) })
 	return feasible, rejected
 }
 
@@ -118,35 +157,32 @@ func (f *Framework) Reject(job api.QuantumJob, n api.Node) string {
 	return ""
 }
 
-// Rank runs filtering and then scores every feasible node — concurrently,
-// at most GOMAXPROCS at a time across the framework — returning candidates
-// sorted best-first (score ascending, deterministic tie-break on node
-// name). Nodes whose scoring fails are skipped; only when every one fails
-// is the first failure returned. This is the embedded scheduler's
-// RankFunc: Dispatch walks the ranking until a node with headroom accepts
-// the job.
+// Rank runs filtering and then scores every feasible node, returning
+// candidates sorted best-first (score ascending, deterministic tie-break
+// on node name). A BatchScorePlugin scores the whole rank in one call, so
+// a rank whose scores are all cached starts no goroutine; only its work
+// that needs it (Meta-Server misses) fans out. Any other scorer is called
+// once per node, concurrently. Either way at most GOMAXPROCS scoring calls
+// run at a time across the framework. Nodes whose scoring fails are
+// skipped; only when every one fails is the first failure returned. This
+// is the embedded scheduler's RankFunc: Dispatch walks the ranking until
+// a node with headroom accepts the job.
 func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, error) {
 	feasible, rejected := f.FilterNodes(job, nodes)
 	if len(feasible) == 0 {
 		return nil, &UnschedulableError{Job: job.Name, Rejected: rejected}
 	}
-	scores := make([]float64, len(feasible))
-	errs := make([]error, len(feasible))
-	if f.Scorer == nil {
+	var scores []float64
+	var errs []error
+	switch sc := f.Scorer.(type) {
+	case nil:
 		// All-zero scores: the ranking degenerates to name order.
-	} else {
-		sem := f.scoreSlots()
-		var wg sync.WaitGroup
-		for i := range feasible {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				scores[i], errs[i] = f.Scorer.Score(job, feasible[i])
-			}(i)
-		}
-		wg.Wait()
+		scores, errs = make([]float64, len(feasible)), make([]error, len(feasible))
+	case BatchScorePlugin:
+		scores, errs = sc.ScoreEach(job, feasible, f.fanout)
+	default:
+		scores, errs = make([]float64, len(feasible)), make([]error, len(feasible))
+		f.fanout(len(feasible), func(i int) { scores[i], errs[i] = sc.Score(job, feasible[i]) })
 	}
 	ranked := make([]NodeScore, 0, len(feasible))
 	var firstErr error
@@ -172,11 +208,14 @@ func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, err
 // sortRanking orders candidates best-first: score ascending (lower is
 // better), ties broken by node name so every scheduler agrees.
 func sortRanking(ranked []NodeScore) {
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score < ranked[j].Score
+	slices.SortFunc(ranked, func(a, b NodeScore) int {
+		if a.Score != b.Score {
+			if a.Score < b.Score {
+				return -1
+			}
+			return 1
 		}
-		return ranked[i].Node < ranked[j].Node
+		return strings.Compare(a.Node, b.Node)
 	})
 }
 
