@@ -47,7 +47,7 @@ BENCH_FAST_TIME ?= 20x
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-fanout lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -157,6 +157,19 @@ lint-watch:
 	if [ -z "$$all" ]; then echo "lint-watch: found no store watch — audit miswired"; exit 1; fi; \
 	out="$$(echo "$$all" | grep -v '^internal/cluster/state/hub\.go:' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-watch: a derived view is a hook-fed index (store.OnEvent); the only store watch is the hub's (internal/cluster/state/hub.go):"; echo "$$out"; exit 1; fi
+
+# lint-fanout enforces the one-fan-out rule: the scoring path (non-test
+# code under internal/sched and internal/meta) starts no goroutine of its
+# own — the Meta Server's misses, a rank's per-node scores and the
+# dispatcher's spec classes all fan out through par.ForEach, whose shared
+# Limit is what bounds concurrent scoring. Finding no go statement in
+# internal/par means the grep is miswired, not that the code is clean.
+GO_STMT := ^[[:space:]]*go[[:space:]]+[[:alnum:]_(]
+lint-fanout:
+	@all="$$(grep -rnE '$(GO_STMT)' --include='*.go' --exclude='*_test.go' internal/par || true)"; \
+	if [ -z "$$all" ]; then echo "lint-fanout: found no go statement in internal/par — audit miswired"; exit 1; fi; \
+	out="$$(grep -rnE '$(GO_STMT)' --include='*.go' --exclude='*_test.go' internal/sched internal/meta || true)"; \
+	if [ -n "$$out" ]; then echo "lint-fanout: the scoring path fans out through par.ForEach, not its own goroutines:"; echo "$$out"; exit 1; fi
 
 # lint-rand is the simulator's determinism audit: package-global math/rand
 # calls (rand.Intn, rand.Float64, ...) draw from shared process-wide state
@@ -331,4 +344,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-metrics test race sim-smoke
+ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-fanout lint-metrics test race sim-smoke

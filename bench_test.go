@@ -172,11 +172,11 @@ func BenchmarkFig5EndToEnd(b *testing.B) {
 
 // BenchmarkSubmitThroughput measures multi-job dispatch on the full
 // 100-device fleet: a burst of same-circuit jobs through the complete
-// control plane. Three configurations: conc=1/nocache binds one job per
-// pass and every job re-simulates the fleet sweep; conc=1 adds the
-// Meta-Server score cache; conc=8 adds an eight-job bind budget and
-// multi-container nodes on top. jobs/s is the headline metric; the
-// conc=8 vs conc=1/nocache gap is what this pipeline buys.
+// control plane. Two configurations: conc=1 binds one job per pass, with
+// the Meta-Server score cache answering every job after the first; conc=8
+// adds an eight-job bind budget and multi-container nodes on top. jobs/s
+// is the headline metric; the conc=8 vs conc=1 gap is what batched
+// dispatch buys.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
 	if err != nil {
@@ -187,17 +187,14 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	const jobs = 16
-	run := func(b *testing.B, conc, nodeConc int, noCache bool) {
+	run := func(b *testing.B, conc, nodeConc int) {
 		for i := 0; i < b.N; i++ {
 			q, err := qrio.New(qrio.Config{
 				Backends:        fleet,
 				Concurrency:     conc,
 				NodeConcurrency: nodeConc,
 				KubeletSeed:     int64(i),
-				Meta: meta.Options{
-					Estimator:         fidelity.Estimator{Shots: 640, Seed: 1},
-					DisableScoreCache: noCache,
-				},
+				Meta:            meta.Options{Estimator: fidelity.Estimator{Shots: 640, Seed: 1}},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -227,9 +224,8 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
-	b.Run("conc=1/nocache", func(b *testing.B) { run(b, 1, 1, true) })
-	b.Run("conc=1", func(b *testing.B) { run(b, 1, 1, false) })
-	b.Run("conc=8", func(b *testing.B) { run(b, 8, 4, false) })
+	b.Run("conc=1", func(b *testing.B) { run(b, 1, 1) })
+	b.Run("conc=8", func(b *testing.B) { run(b, 8, 4) })
 }
 
 // BenchmarkSchedulePassWithHistory isolates the scheduler's hot path as
@@ -1118,12 +1114,12 @@ var benchWALPayload = []byte(`{"t":"MODIFIED","v":123456,"o":{"metadata":{"name"
 
 // BenchmarkRankWarm measures one Framework.Rank of a cached circuit over
 // the default 100-device fleet through the scorer chain core.New wires
-// (ResilientMetaScore over FaultScorer over the Meta Server): every score
-// a cache hit, the steady-warm workload's common case. Each op ranks a
-// new job name of the same circuit, as resubmissions do; the untimed
-// warm-up pushes the breaker's fallback cache past its cap, so every op
-// evicts as many remembered scores as it adds and allocs/op does not
-// depend on b.N.
+// (ResilientMetaScore over the Meta Server, which passes each backend
+// through the meta.score fault point): every score a cache hit, the
+// steady-warm workload's common case. Each op ranks a new job name of the
+// same circuit, as resubmissions do; the untimed warm-up pushes the
+// breaker's fallback cache past its cap, so every op evicts as many
+// remembered scores as it adds and allocs/op does not depend on b.N.
 func BenchmarkRankWarm(b *testing.B) {
 	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
 	if err != nil {

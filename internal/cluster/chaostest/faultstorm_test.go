@@ -105,7 +105,6 @@ func newStorm(t *testing.T) *storm {
 		Breaker: &resilience.Breaker{
 			FailureThreshold: 3,
 			OpenTimeout:      30 * time.Second,
-			HalfOpenProbes:   1,
 			Clock:            s.vclock,
 		},
 		Retention:  state.RetentionPolicy{MaxTerminalCount: 20},

@@ -47,8 +47,6 @@ type Config struct {
 	NodeConcurrency int
 	// KubeletSeed seeds node execution RNGs for reproducible runs.
 	KubeletSeed int64
-	// MaxRetries bounds automatic retries of failed jobs.
-	MaxRetries int
 	// TenantWeights skews the scheduler's weighted fair queue: while
 	// several tenants are backlogged, binds are shared proportionally to
 	// their weights (missing tenants weigh 1), at every Concurrency.
@@ -72,7 +70,7 @@ type Config struct {
 	// outage cool-downs in virtual time.
 	Clock clock.Clock
 	// Breaker overrides the Meta-scoring circuit breaker configuration
-	// (nil = defaults: 5 consecutive failures, 5s cool-down, 1 probe).
+	// (nil = defaults: 5 consecutive failures, 5s cool-down).
 	Breaker *resilience.Breaker
 	// Retention bounds how long terminal jobs stay resident in the hot
 	// store: the controller's sweep moves older/overflowing ones (with
@@ -189,6 +187,7 @@ func New(cfg Config) (*QRIO, error) {
 		}
 	}
 	metaSrv := meta.NewServer(cfg.Meta)
+	metaSrv.Faults = cfg.Faults
 	reg := registry.New()
 	for _, b := range cfg.Backends {
 		if _, err := st.AddNodeSlots(b, containerSlots(cfg.NodeConcurrency, b)); err != nil {
@@ -208,7 +207,7 @@ func New(cfg Config) (*QRIO, error) {
 			return nil, fmt.Errorf("core: registering backend %s: %w", b.Name, err)
 		}
 	}
-	// The scoring path is circuit-broken: the live scorer (behind the
+	// The scoring path is circuit-broken: the Meta Server (which fires the
 	// meta.score fault point) feeds ResilientMetaScore, which degrades to
 	// stale-cache / heuristic scoring when the Meta Server is down and
 	// records one SchedulingDegraded event per outage.
@@ -217,7 +216,7 @@ func New(cfg Config) (*QRIO, error) {
 		breaker = &resilience.Breaker{Clock: cfg.Clock}
 	}
 	scorer := &sched.ResilientMetaScore{
-		Scorer:  meta.FaultScorer{Scorer: metaSrv, Faults: cfg.Faults},
+		Scorer:  metaSrv,
 		Breaker: breaker,
 		Clock:   cfg.Clock,
 		OnDegraded: func(detail string) {
@@ -232,9 +231,6 @@ func New(cfg Config) (*QRIO, error) {
 	scheduler.TenantWeights = cfg.TenantWeights
 	scheduler.TenantQuotas = cfg.TenantQuotas
 	ctl := controller.New(st)
-	if cfg.MaxRetries > 0 {
-		ctl.MaxRetries = cfg.MaxRetries
-	}
 	ctl.Retention = cfg.Retention
 	if cfg.Clock != nil {
 		ctl.Clock = cfg.Clock

@@ -154,10 +154,11 @@ func TestFailedJobRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.New(core.Config{Backends: []*device.Backend{b}, MaxRetries: 1})
+	q, err := core.New(core.Config{Backends: []*device.Backend{b}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Controller.MaxRetries = 1
 	src, err := qasm.Dump(workload.GHZ(3))
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,10 @@ const (
 	// PointHTTPRoundTrip fails/delays every request issued through the
 	// shared httpx client transport (the /v1 gateway client).
 	PointHTTPRoundTrip = "httpx.roundtrip"
-	// PointMetaScore fails/delays Meta-Server scoring calls — the
-	// scheduler's ranking dependency.
+	// PointMetaScore fails/delays Meta-Server scoring: meta.Server fires
+	// it once per backend a request scores, before taking its lock, on
+	// every scoring surface (the scheduler's ranks, GET /v1/score and
+	// /v1/score/batch).
 	PointMetaScore = "meta.score"
 	// PointKubeletRuntime fails/delays container runtime invocations on
 	// every node.

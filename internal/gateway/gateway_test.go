@@ -15,6 +15,7 @@ import (
 	"qrio/internal/cluster/api"
 	"qrio/internal/core"
 	"qrio/internal/device"
+	"qrio/internal/faults"
 	"qrio/internal/fidelity"
 	"qrio/internal/gateway"
 	"qrio/internal/graph"
@@ -217,6 +218,61 @@ func TestRouteErrorEnvelopes(t *testing.T) {
 		if (len(events) > 0) != tc.wantEvents {
 			t.Errorf("%s %s returned %d events", tc.method, tc.path, len(events))
 		}
+	}
+}
+
+// TestScoreRoutesFireMetaScore: the score routes pass every backend they
+// score through the meta.score fault point, as ranking does — armed on
+// the deployment's registry, GET /v1/score answers an error envelope and
+// /v1/score/batch fires once per backend and reports each one failed.
+func TestScoreRoutesFireMetaScore(t *testing.T) {
+	reg := faults.NewRegistry(1)
+	q, err := core.New(core.Config{Backends: twoNodeFleet(t), Faults: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gateway.New(q).Handler())
+	t.Cleanup(srv.Close)
+	if _, err := client.New(srv.URL).Submit(context.Background(), ghzReq("scored")); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string, into any) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode
+	}
+	var score map[string]float64
+	if code := get("/v1/score?job=scored&backend=good", &score); code != http.StatusOK {
+		t.Fatalf("disarmed GET /v1/score = %d", code)
+	}
+
+	reg.Enable(faults.PointMetaScore, faults.Spec{})
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if code := get("/v1/score?job=scored&backend=good", &env); code == http.StatusOK ||
+		!strings.Contains(env.Error.Message, faults.PointMetaScore) {
+		t.Fatalf("armed GET /v1/score = %d %+v, want an envelope naming %s", code, env.Error, faults.PointMetaScore)
+	}
+	before := reg.Fired(faults.PointMetaScore)
+	var batch []struct{ Backend, Error string }
+	if code := get("/v1/score/batch?job=scored", &batch); code != http.StatusOK || len(batch) != 2 {
+		t.Fatalf("armed GET /v1/score/batch = %d, %d results", code, len(batch))
+	}
+	for _, r := range batch {
+		if !strings.Contains(r.Error, faults.PointMetaScore) {
+			t.Errorf("armed batch scored %s: error %q", r.Backend, r.Error)
+		}
+	}
+	if fired := reg.Fired(faults.PointMetaScore) - before; fired != 2 {
+		t.Fatalf("one batch over 2 backends fired meta.score %d times, want 2", fired)
 	}
 }
 

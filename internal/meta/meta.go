@@ -8,6 +8,7 @@ package meta
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/device"
+	"qrio/internal/faults"
 	"qrio/internal/fidelity"
 	"qrio/internal/mapomatic"
 	"qrio/internal/par"
@@ -57,25 +59,18 @@ func (m JobMeta) Validate() error {
 
 // Options tunes the server's scoring engines.
 type Options struct {
-	// Estimator drives canary simulation (zero value = 256 shots, seed 1).
+	// Estimator drives canary simulation (zero value = 2048 shots, seed 1).
 	Estimator fidelity.Estimator
-	// Mapomatic bounds the topology layout search.
-	Mapomatic mapomatic.Options
-	// OverTargetPenalty discounts fidelity overshoot: a device whose
-	// canary fidelity exceeds the target scores (F−target)·penalty so
-	// "loosely matching" devices are preferred over wastefully good ones
-	// with penalty < 1 (§3.4.1's "loosely match"). Default 0.25.
-	OverTargetPenalty float64
-	// DisableScoreCache recomputes every scoring request from scratch —
-	// the seed's per-job behaviour, kept as an ablation/benchmark baseline.
-	DisableScoreCache bool
-	// CacheMaxEntries bounds the score cache with LRU eviction. Before
-	// the cap, entries lived until the backend recalibrated — a fleet
-	// seeing many distinct circuits grew the cache without bound. 0 means
-	// the generous default (DefaultCacheMaxEntries); negative disables
-	// the cap entirely. Evictions surface in CacheStats.
+	// CacheMaxEntries bounds the score cache with LRU eviction (0 = the
+	// generous DefaultCacheMaxEntries). Evictions surface in CacheStats.
 	CacheMaxEntries int
 }
+
+// overTargetPenalty discounts fidelity overshoot: a device whose canary
+// fidelity exceeds the target scores (F−target)·penalty, so "loosely
+// matching" devices are preferred over wastefully good ones (§3.4.1's
+// "loosely match").
+const overTargetPenalty = 0.25
 
 // DefaultCacheMaxEntries is the score cache's default LRU capacity —
 // roomy enough that a fleet-wide sweep of hundreds of distinct circuits
@@ -146,6 +141,10 @@ const maxPrepared = 8
 // Server is the Meta Server's core. It is safe for concurrent use; the
 // /v1 gateway serves its scores (GET /v1/score, /v1/score/batch).
 type Server struct {
+	// Faults is the registry the meta.score fault point resolves to (nil
+	// = faults.Default); set it before the server scores.
+	Faults *faults.Registry
+
 	opts Options
 
 	mu       sync.RWMutex
@@ -175,9 +174,6 @@ func NewServer(opts Options) *Server {
 		// canary fidelity; the ranking needs a healthy shot budget to
 		// separate them (stabilizer shots are cheap).
 		opts.Estimator = fidelity.Estimator{Shots: 2048, Seed: 1}
-	}
-	if opts.OverTargetPenalty <= 0 {
-		opts.OverTargetPenalty = 0.25
 	}
 	return &Server{
 		opts:     opts,
@@ -271,16 +267,12 @@ func (s *Server) CacheStats() CacheStats {
 	}
 }
 
-// cacheCap resolves the configured LRU capacity (0 = default, <0 = off).
+// cacheCap resolves the configured LRU capacity.
 func (s *Server) cacheCap() int {
-	switch {
-	case s.opts.CacheMaxEntries > 0:
+	if s.opts.CacheMaxEntries > 0 {
 		return s.opts.CacheMaxEntries
-	case s.opts.CacheMaxEntries < 0:
-		return 0
-	default:
-		return DefaultCacheMaxEntries
 	}
+	return DefaultCacheMaxEntries
 }
 
 // claim is a backend of a ScoreEach request the cache could not answer
@@ -298,6 +290,10 @@ type claim struct {
 // better. The job's strategy decides the engine (§3.4: "checks the
 // database if a fidelity threshold exists for the job").
 //
+// Every backend first passes the meta.score fault point (s.Faults), once,
+// in request order and before the lock is taken, so a latency or hang
+// fault never holds it; a backend whose point fires is not scored.
+//
 // The expensive engines — canary simulation, subgraph layout search — are
 // memoised per (engine-input fingerprint, backend, calibration
 // generation), so jobs re-submitting a circuit pay them once per fleet
@@ -305,21 +301,26 @@ type claim struct {
 // row are read in one critical section, which claims each missing slot
 // and refreshes the row's recency once; a fully cached request therefore
 // costs one lock and starts no goroutine. Only the misses this request
-// claimed are computed, through fanout; slots another scorer is computing
-// are waited for, so concurrent requests compute each entry once. The
-// miss that pushes the cache past its LRU cap evicts the coldest rows (the
-// row just touched always stays whole). CacheStats counts one hit or miss
-// per backend scored.
-func (s *Server) ScoreEach(jobName string, backendNames []string, fanout Fanout) ([]float64, []error) {
+// claimed are computed, under lim; slots another scorer is computing are
+// waited for, so concurrent requests compute each entry once. The miss
+// that pushes the cache past its LRU cap evicts the coldest rows (the row
+// just touched always stays whole). CacheStats counts one hit or miss per
+// backend scored.
+func (s *Server) ScoreEach(jobName string, backendNames []string, lim par.Limit) ([]float64, []error) {
 	scores := make([]float64, len(backendNames))
 	errs := make([]error, len(backendNames))
+	for i := range backendNames {
+		errs[i] = s.Faults.Fire(context.Background(), faults.PointMetaScore)
+	}
 	s.mu.Lock()
 	j, ok := s.jobs[jobName]
 	if !ok {
 		s.mu.Unlock()
 		err := fmt.Errorf("meta: no metadata for job %q", jobName)
 		for i := range errs {
-			errs[i] = err
+			if errs[i] == nil {
+				errs[i] = err
+			}
 		}
 		return scores, errs
 	}
@@ -327,13 +328,12 @@ func (s *Server) ScoreEach(jobName string, backendNames []string, fanout Fanout)
 	var owned, waits []claim
 	hits := 0
 	for i, name := range backendNames {
+		if errs[i] != nil {
+			continue
+		}
 		reg, ok := s.backends[name]
 		if !ok {
 			errs[i] = fmt.Errorf("meta: unknown backend %q", name)
-			continue
-		}
-		if s.opts.DisableScoreCache {
-			owned = append(owned, claim{i: i, dev: reg.dev, c: &call{}})
 			continue
 		}
 		if row == nil {
@@ -358,26 +358,20 @@ func (s *Server) ScoreEach(jobName string, backendNames []string, fanout Fanout)
 		row.calls[reg.slot] = c
 		owned = append(owned, claim{i: i, dev: reg.dev, slot: reg.slot, c: c})
 	}
-	if row != nil && len(owned) > 0 {
-		if max := s.cacheCap(); max > 0 {
-			for s.entries > max && s.lru.Back() != row.elem {
-				coldest := s.lru.Back().Value.(*cacheRow)
-				s.cacheEvictions.Add(uint64(coldest.live))
-				s.dropEntriesLocked(coldest, coldest.live)
-			}
+	if len(owned) > 0 {
+		for max := s.cacheCap(); s.entries > max && s.lru.Back() != row.elem; {
+			coldest := s.lru.Back().Value.(*cacheRow)
+			s.cacheEvictions.Add(uint64(coldest.live))
+			s.dropEntriesLocked(coldest, coldest.live)
 		}
 	}
 	s.mu.Unlock()
-	if row != nil {
-		s.cacheHits.Add(uint64(hits))
-		s.cacheMisses.Add(uint64(len(owned)))
-	}
+	s.cacheHits.Add(uint64(hits))
+	s.cacheMisses.Add(uint64(len(owned)))
 
-	fanout.run(len(owned), func(k int) { s.compute(j, row, owned[k]) })
+	par.ForEach(len(owned), lim, func(k int) { s.compute(j, row, owned[k]) })
 	for _, cl := range append(owned, waits...) {
-		if cl.c.done != nil {
-			<-cl.c.done // closed already when the call is a memoised failure
-		}
+		<-cl.c.done // closed already when the call is a memoised failure
 		scores[cl.i], errs[cl.i] = cl.c.val, cl.c.err
 	}
 	for i := range backendNames {
@@ -411,30 +405,27 @@ func (s *Server) touchRowLocked(fingerprint string) *cacheRow {
 	return row
 }
 
-// compute runs the job's engine for one claimed backend and, when row is
-// the cache, publishes the result — only into the slot the claim still
-// owns: the row may have been evicted or the backend recalibrated
-// meanwhile, and a score computed against generation g must never be
-// served at g+1.
+// compute runs the job's engine for one claimed backend and publishes
+// the result — only into the slot the claim still owns: the row may have
+// been evicted or the backend recalibrated meanwhile, and a score
+// computed against generation g must never be served at g+1.
 func (s *Server) compute(j job, row *cacheRow, cl claim) {
 	c := cl.c
 	// Pre-set the error: if the engine panics, waiters and later callers
 	// would otherwise read the zero value — score 0, the best possible
 	// result. This way they get an error instead.
 	c.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", cl.dev.Name)
-	if row != nil {
-		defer func() {
-			s.mu.Lock()
-			if s.rows[j.fingerprint] == row && row.calls[cl.slot] == c {
-				row.vals[cl.slot] = c.val
-				if c.err == nil {
-					row.dropCall(cl.slot)
-				}
+	defer func() {
+		s.mu.Lock()
+		if s.rows[j.fingerprint] == row && row.calls[cl.slot] == c {
+			row.vals[cl.slot] = c.val
+			if c.err == nil {
+				row.dropCall(cl.slot)
 			}
-			s.mu.Unlock()
-			close(c.done)
-		}()
-	}
+		}
+		s.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = s.engine(j, cl.dev)
 }
 
@@ -462,7 +453,7 @@ func (s *Server) canaries(fingerprint, circuitQASM string) (*fidelity.Canaries, 
 	s.prepared[0] = p
 	s.preparedMu.Unlock()
 	p.once.Do(func() {
-		// Pre-set, as in cached: a panic spends the Once, and scorers
+		// Pre-set, as in compute: a panic spends the Once, and scorers
 		// arriving later must find an error, not a nil ensemble.
 		p.err = fmt.Errorf("meta: preparing canaries panicked")
 		c, err := qasm.ParseShared(circuitQASM)
@@ -519,7 +510,7 @@ func (s *Server) PutJobMeta(m JobMeta) error {
 	case api.StrategyFidelity:
 		j.fingerprint = s.opts.Estimator.CanaryFingerprint(m.CircuitQASM)
 	case api.StrategyTopology:
-		j.fingerprint = s.opts.Mapomatic.Fingerprint(m.TopologyQASM)
+		j.fingerprint = mapomatic.Options{}.Fingerprint(m.TopologyQASM)
 	}
 	s.mu.Lock()
 	s.jobs[m.JobName] = j
@@ -569,7 +560,7 @@ func (s *Server) engine(j job, dev *device.Backend) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		score, err := mapomatic.BestLayout(tc, dev, s.opts.Mapomatic)
+		score, err := mapomatic.BestLayout(tc, dev, mapomatic.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -591,7 +582,7 @@ func (s *Server) finish(j job, backendName string, v float64) (float64, error) {
 		return v, nil
 	}
 	if v >= m.TargetFidelity {
-		return (v - m.TargetFidelity) * s.opts.OverTargetPenalty, nil
+		return (v - m.TargetFidelity) * overTargetPenalty, nil
 	}
 	return m.TargetFidelity - v, nil
 }
@@ -609,7 +600,7 @@ type BatchResult struct {
 // ranking from |fleet| serial simulations into one parallel sweep whose
 // repeats are free until the next calibration upload.
 func (s *Server) ScoreBatch(jobName string, backendNames []string, workers int) []BatchResult {
-	scores, errs := s.ScoreEach(jobName, backendNames, func(n int, fn func(int)) { par.ForEach(n, workers, fn) })
+	scores, errs := s.ScoreEach(jobName, backendNames, par.NewLimit(workers))
 	out := make([]BatchResult, len(backendNames))
 	for i, name := range backendNames {
 		out[i] = BatchResult{Backend: name, Score: scores[i]}
@@ -621,8 +612,8 @@ func (s *Server) ScoreBatch(jobName string, backendNames []string, workers int) 
 }
 
 // Scorer is the dependency the scheduler's ranking plugin needs: anything
-// that can score a (job, backend) pair. *Server and FaultScorer (fault.go)
-// satisfy it, and BatchScorer too.
+// that can score a (job, backend) pair. *Server satisfies it, and
+// BatchScorer too.
 type Scorer interface {
 	Score(jobName, backendName string) (float64, error)
 }
@@ -631,36 +622,19 @@ type Scorer interface {
 // in one call; ScoreEach finds it by interface assertion.
 type BatchScorer interface {
 	Scorer
-	ScoreEach(jobName string, backendNames []string, fanout Fanout) ([]float64, []error)
-}
-
-// Fanout runs fn(k) for every k in [0, n), possibly concurrently, and
-// returns once every call has returned. A nil Fanout runs the calls in
-// order on the caller.
-type Fanout func(n int, fn func(k int))
-
-func (f Fanout) run(n int, fn func(k int)) {
-	if f == nil {
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
-		return
-	}
-	if n > 0 {
-		f(n, fn)
-	}
+	ScoreEach(jobName string, backendNames []string, lim par.Limit) ([]float64, []error)
 }
 
 // ScoreEach scores one job against each named backend through sc: in one
-// call when sc is a BatchScorer, else one Score call per backend through
-// fanout.
-func ScoreEach(sc Scorer, jobName string, backendNames []string, fanout Fanout) ([]float64, []error) {
+// call when sc is a BatchScorer, else one Score call per backend under
+// lim.
+func ScoreEach(sc Scorer, jobName string, backendNames []string, lim par.Limit) ([]float64, []error) {
 	if b, ok := sc.(BatchScorer); ok {
-		return b.ScoreEach(jobName, backendNames, fanout)
+		return b.ScoreEach(jobName, backendNames, lim)
 	}
 	scores := make([]float64, len(backendNames))
 	errs := make([]error, len(backendNames))
-	fanout.run(len(backendNames), func(i int) { scores[i], errs[i] = sc.Score(jobName, backendNames[i]) })
+	par.ForEach(len(backendNames), lim, func(i int) { scores[i], errs[i] = sc.Score(jobName, backendNames[i]) })
 	return scores, errs
 }
 

@@ -2,6 +2,7 @@ package meta_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"qrio/internal/cluster/api"
@@ -70,27 +71,25 @@ func TestFidelityScoringPrefersCleanDevice(t *testing.T) {
 func TestOverTargetPenaltyPrefersLooseMatch(t *testing.T) {
 	// Target 0.9: an excellent device (~0.97 canary fidelity) overshoots
 	// slightly; a terrible one misses by a lot. The overshoot must (a)
-	// still beat the big miss and (b) be discounted relative to an
-	// undíscounted |F−target| metric.
-	discounted := meta.NewServer(meta.Options{OverTargetPenalty: 0.25})
-	flat := meta.NewServer(meta.Options{OverTargetPenalty: 1.0})
-	excellent := backend(t, "excellent", graph.Line(4), 0.005)
-	terrible := backend(t, "terrible", graph.Line(4), 0.7)
-	for _, s := range []*meta.Server{discounted, flat} {
-		s.RegisterBackend(excellent)
-		s.RegisterBackend(terrible)
+	// still beat the big miss and (b) be discounted to a quarter of the
+	// undiscounted F−target, which a target-1 job of the same circuit
+	// (sharing the cached simulation) reveals as 1 − its score.
+	s := meta.NewServer(meta.Options{})
+	s.RegisterBackend(backend(t, "excellent", graph.Line(4), 0.005))
+	s.RegisterBackend(backend(t, "terrible", graph.Line(4), 0.7))
+	for name, target := range map[string]float64{"loose": 0.9, "exact": 1} {
 		if err := s.PutJobMeta(meta.JobMeta{
-			JobName: "loose", Strategy: api.StrategyFidelity,
-			TargetFidelity: 0.9, CircuitQASM: bellQASM,
+			JobName: name, Strategy: api.StrategyFidelity,
+			TargetFidelity: target, CircuitQASM: bellQASM,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	se, err := discounted.Score("loose", "excellent")
+	se, err := s.Score("loose", "excellent")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := discounted.Score("loose", "terrible")
+	st, err := s.Score("loose", "terrible")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +99,16 @@ func TestOverTargetPenaltyPrefersLooseMatch(t *testing.T) {
 	if se < 0 || st < 0 {
 		t.Fatalf("negative scores: %v %v", se, st)
 	}
-	seFlat, err := flat.Score("loose", "excellent")
+	miss, err := s.Score("exact", "excellent")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se >= seFlat {
-		t.Fatalf("penalty 0.25 did not discount overshoot: %v vs flat %v", se, seFlat)
+	overshoot := 1 - miss - 0.9
+	if overshoot <= 0 {
+		t.Fatalf("excellent device fidelity %v does not overshoot 0.9", 1-miss)
+	}
+	if want := 0.25 * overshoot; math.Abs(se-want) > 1e-12 {
+		t.Fatalf("overshoot %v scored %v, want a quarter of it (%v)", overshoot, se, want)
 	}
 }
 

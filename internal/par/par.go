@@ -1,46 +1,70 @@
-// Package par provides the bounded fan-out primitive the concurrent
-// scheduling pipeline uses wherever it processes an indexed batch in
-// parallel (Meta-Server batch scoring, batched dispatch ranking).
+// Package par provides the one bounded fan-out of the concurrent
+// scheduling pipeline: the Meta Server's misses, the scheduler's ranks
+// and per-node scores, and the dispatcher's spec classes all run through
+// ForEach.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// (0 means GOMAXPROCS) and returns when all calls have completed. fn must
-// write results into caller-owned, index-disjoint slots.
-func ForEach(n, workers int, fn func(int)) {
+// Limit is a pool of slots shared by every ForEach that runs under it:
+// together they hold at most cap(l) calls at once.
+type Limit chan struct{}
+
+// NewLimit returns a limit of n slots (n <= 0 means GOMAXPROCS).
+func NewLimit(n int) Limit {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return make(Limit, n)
+}
+
+// ForEach runs fn(k) for every k in [0, n) and returns when all calls have
+// returned; fn must write only caller-owned, index-disjoint slots. Each
+// call holds one of lim's slots (a nil lim is a limit of GOMAXPROCS slots
+// of this call's own). When there is one call or one slot, the calls run
+// in order on the caller; otherwise on at most min(n, cap(lim))
+// goroutines.
+func ForEach(n int, lim Limit, fn func(k int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if lim == nil {
+		if n == 1 {
+			fn(0)
+			return
+		}
+		lim = NewLimit(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(n, cap(lim))
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for k := 0; k < n; k++ {
+			hold(lim, fn, k)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
+	var run struct {
+		wg   sync.WaitGroup
+		next atomic.Int64
+	}
+	run.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
+			defer run.wg.Done()
+			for k := int(run.next.Add(1)) - 1; k < n; k = int(run.next.Add(1)) - 1 {
+				hold(lim, fn, k)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	run.wg.Wait()
+}
+
+// hold runs fn(k) holding one of lim's slots.
+func hold(lim Limit, fn func(int), k int) {
+	lim <- struct{}{}
+	defer func() { <-lim }()
+	fn(k)
 }

@@ -39,13 +39,12 @@ func fail(t *testing.T, b *Breaker, n int) {
 		if !b.Allow() {
 			t.Fatalf("Allow refused before threshold (failure %d)", i)
 		}
-		b.Record(errDown)
+		b.RecordEach([]error{errDown})
 	}
 }
 
 // TestFullCycle walks closed → open → half-open → closed with the
-// zero-value defaults (5 failures, 5s cool-down, 1 probe) on a virtual
-// clock.
+// zero-value defaults (5 failures, 5s cool-down) on a virtual clock.
 func TestFullCycle(t *testing.T) {
 	fc := newFakeClock()
 	b := &Breaker{Clock: fc}
@@ -76,9 +75,9 @@ func TestFullCycle(t *testing.T) {
 		t.Fatalf("state during probe = %v, want half-open", b.State())
 	}
 	if b.Allow() {
-		t.Fatal("half-open admitted a second call beyond the probe cap")
+		t.Fatal("half-open admitted a second call while its probe is out")
 	}
-	b.Record(nil)
+	b.RecordEach([]error{nil})
 	if b.State() != Closed {
 		t.Fatalf("state after successful probe = %v, want closed", b.State())
 	}
@@ -100,7 +99,7 @@ func TestFailedProbeReopens(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("probe refused after cool-down")
 	}
-	b.Record(errDown)
+	b.RecordEach([]error{errDown})
 	if b.State() != Open {
 		t.Fatalf("state after failed probe = %v, want open", b.State())
 	}
@@ -117,7 +116,7 @@ func TestFailedProbeReopens(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("restarted cool-down expired but probe refused")
 	}
-	b.Record(nil)
+	b.RecordEach([]error{nil})
 	if b.State() != Closed {
 		t.Fatalf("state = %v, want closed", b.State())
 	}
@@ -132,34 +131,10 @@ func TestSuccessResetsFailureStreak(t *testing.T) {
 		if !b.Allow() {
 			t.Fatal("closed circuit refused")
 		}
-		b.Record(nil)
+		b.RecordEach([]error{nil})
 	}
 	if b.State() != Closed {
 		t.Fatalf("interleaved failures opened the circuit: %v", b.State())
-	}
-}
-
-// TestMultiProbeHalfOpen: HalfOpenProbes bounds concurrent probes and
-// sets the consecutive successes required to close.
-func TestMultiProbeHalfOpen(t *testing.T) {
-	fc := newFakeClock()
-	b := &Breaker{FailureThreshold: 1, OpenTimeout: time.Second, HalfOpenProbes: 2, Clock: fc}
-
-	fail(t, b, 1)
-	fc.Advance(time.Second)
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("half-open refused its two probes")
-	}
-	if b.Allow() {
-		t.Fatal("half-open admitted a third probe")
-	}
-	b.Record(nil)
-	if b.State() != HalfOpen {
-		t.Fatalf("one of two successes closed the circuit early: %v", b.State())
-	}
-	b.Record(nil)
-	if b.State() != Closed {
-		t.Fatalf("state after both probes succeeded = %v, want closed", b.State())
 	}
 }
 
@@ -175,10 +150,10 @@ func TestStateStrings(t *testing.T) {
 // TestRecordEach: a batch admitted by one Allow records its outcomes in
 // order — a success resets the closed circuit's failure run, and enough
 // consecutive failures inside one batch open it — while a half-open
-// batch is one probe, settled by its first outcome.
+// batch is the one probe, settled by its first outcome.
 func TestRecordEach(t *testing.T) {
 	fc := newFakeClock()
-	b := &Breaker{Clock: fc, HalfOpenProbes: 2}
+	b := &Breaker{Clock: fc}
 	b.Allow()
 	b.RecordEach([]error{errDown, errDown, errDown, errDown, nil, errDown, errDown})
 	if b.State() != Closed {
@@ -199,14 +174,20 @@ func TestRecordEach(t *testing.T) {
 		t.Fatalf("half-open batch failing first left %v after %d opens, want reopened", b.State(), b.Opens())
 	}
 	fc.Advance(5 * time.Second)
-	b.Allow()
-	b.RecordEach([]error{nil, errDown, nil})
-	if b.State() != HalfOpen {
-		t.Fatalf("one successful half-open batch = %v; it is one probe of the 2 needed", b.State())
+	if !b.Allow() {
+		t.Fatal("no half-open admission after the second cool-down")
 	}
-	b.Allow()
-	b.RecordEach([]error{nil})
+	if b.Allow() {
+		t.Fatal("half-open admitted a second batch while its probe is out")
+	}
+	b.RecordEach([]error{nil, errDown, errDown, errDown, errDown})
 	if b.State() != Closed {
-		t.Fatalf("state after the second successful probe = %v, want closed", b.State())
+		t.Fatalf("state after a half-open batch succeeding first = %v, want closed", b.State())
+	}
+	// The probe's later outcomes were not counted: one more failure is the
+	// closed circuit's first.
+	b.RecordEach([]error{errDown})
+	if b.State() != Closed {
+		t.Fatalf("a probe's unsettled outcomes counted towards reopening: %v", b.State())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
@@ -12,13 +13,14 @@ import (
 	"qrio/internal/graph"
 	"qrio/internal/mapomatic"
 	"qrio/internal/meta"
+	"qrio/internal/par"
 	"qrio/internal/quantum/qasm"
 	"qrio/internal/resilience"
 )
 
 // rankStack is the scorer chain core.New wires — ResilientMetaScore over
-// FaultScorer over a real Meta Server — under a framework with the
-// default filters.
+// a real Meta Server firing meta.score on its own registry — under a
+// framework with the default filters.
 type rankStack struct {
 	srv      *meta.Server
 	faults   *faults.Registry
@@ -40,13 +42,14 @@ func newRankStack(t *testing.T, fleet []*device.Backend, fc *stubClock, threshol
 		faults:  faults.NewRegistry(7),
 		breaker: &resilience.Breaker{FailureThreshold: threshold, Clock: fc},
 	}
+	s.srv.Faults = s.faults
 	for _, dev := range fleet {
 		if err := s.srv.RegisterBackend(dev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var sc ScorePlugin = &ResilientMetaScore{
-		Scorer:     meta.FaultScorer{Scorer: s.srv, Faults: s.faults},
+		Scorer:     s.srv,
 		Breaker:    s.breaker,
 		Clock:      fc,
 		OnDegraded: func(string) { s.degraded.Add(1) },
@@ -57,7 +60,7 @@ func newRankStack(t *testing.T, fleet []*device.Backend, fc *stubClock, threshol
 	s.fw = NewFramework(sc, DefaultFilters()...)
 	// One scoring slot: the per-node path then scores in node order, so
 	// both paths draw the seeded faults for the same nodes.
-	s.fw.semOnce.Do(func() { s.fw.scoreSem = make(chan struct{}, 1) })
+	s.fw.scoring = par.NewLimit(1)
 	return s
 }
 
@@ -203,7 +206,9 @@ func TestBatchRankMatchesPerNode(t *testing.T) {
 
 // TestWarmBatchDoesNotFanOut: ResilientMetaScore's batch form hands its
 // misses, and only its misses, to the fan-out — the one place scoring
-// starts goroutines — so a rank whose scores are all cached starts none.
+// holds a slot of the framework's limit — so a rank whose scores are all
+// cached takes no slot: it completes while every slot is held elsewhere,
+// where a cold rank waits for one.
 func TestWarmBatchDoesNotFanOut(t *testing.T) {
 	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
 	if err != nil {
@@ -213,27 +218,42 @@ func TestWarmBatchDoesNotFanOut(t *testing.T) {
 	s := newRankStack(t, fleet, newStubClock(), 0, false)
 	rms := s.fw.Scorer.(*ResilientMetaScore)
 	job := s.put(t, fidelityMeta("bell", "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];"))
-	var calls, fanned int
-	fanout := func(n int, fn func(int)) {
-		calls++
-		fanned += n
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
+	lim := par.NewLimit(1)
+	score := func() <-chan []error {
+		done := make(chan []error, 1)
+		go func() {
+			_, errs := rms.ScoreEach(job, nodes, lim)
+			done <- errs
+		}()
+		return done
 	}
-	for _, want := range []struct {
-		row          string
-		calls, nodes int
-	}{{"cold", 1, len(nodes)}, {"warm", 0, 0}} {
-		calls, fanned = 0, 0
-		_, errs := rms.ScoreEach(job, nodes, fanout)
+	check := func(row string, errs []error) {
 		for i, err := range errs {
 			if err != nil {
-				t.Fatalf("%s row: %s: %v", want.row, nodes[i].Name, err)
+				t.Fatalf("%s row: %s: %v", row, nodes[i].Name, err)
 			}
 		}
-		if calls != want.calls || fanned != want.nodes {
-			t.Fatalf("%s row: %d fan-outs over %d nodes, want %d over %d", want.row, calls, fanned, want.calls, want.nodes)
-		}
 	}
+
+	lim <- struct{}{} // every slot held elsewhere
+	cold := score()
+	select {
+	case <-cold:
+		t.Fatal("cold row: scored its misses without a slot")
+	case <-time.After(50 * time.Millisecond):
+	}
+	<-lim
+	check("cold", <-cold)
+	if st := s.srv.CacheStats(); st.Misses != uint64(len(nodes)) {
+		t.Fatalf("cold row: %+v, want %d misses", st, len(nodes))
+	}
+
+	lim <- struct{}{}
+	select {
+	case errs := <-score():
+		check("warm", errs)
+	case <-time.After(10 * time.Second):
+		t.Fatal("warm row: waited for a scoring slot")
+	}
+	<-lim
 }

@@ -10,15 +10,16 @@ import (
 	"qrio/internal/clock"
 	"qrio/internal/cluster/api"
 	"qrio/internal/meta"
+	"qrio/internal/par"
 	"qrio/internal/resilience"
 )
 
-// Degraded-score cache bounds: entries older than the staleness window
-// never serve, and the pair cache never holds more than the entry cap —
-// past it each new pair evicts the oldest-inserted one, so neither steady
-// traffic nor a long outage with heavy churn can grow it.
+// Degraded-score cache bounds: entries older than maxStale never serve,
+// and the pair cache never holds more than the entry cap — past it each
+// new pair evicts the oldest-inserted one, so neither steady traffic nor a
+// long outage with heavy churn can grow it.
 const (
-	defaultMaxStale = 5 * time.Minute
+	maxStale        = 5 * time.Minute
 	maxCacheEntries = 4096
 )
 
@@ -31,28 +32,24 @@ const (
 // without touching the dependency:
 //
 //  1. the stale cache entry for this exact (job, node) pair, if one was
-//     scored within MaxStale;
-//  2. the node's most recent score for any job within MaxStale (circuit
+//     scored within maxStale (5 min);
+//  2. the node's most recent score for any job within maxStale (circuit
 //     quality dominates the score far more than the job, so a
 //     neighbouring job's score beats a blind guess);
 //  3. a local heuristic from the node's calibration labels.
 //
-// After OpenTimeout the breaker admits half-open probes — a rank is one
-// probe — and the first successful probe closes it and live scoring
-// resumes. OnDegraded fires once per open episode (not once per call),
-// letting the scheduler emit a single SchedulingDegraded event per
-// outage.
+// After OpenTimeout the breaker admits one half-open probe — a rank —
+// and if it succeeds the circuit closes and live scoring resumes.
+// OnDegraded fires once per open episode (not once per call), letting the
+// scheduler emit a single SchedulingDegraded event per outage.
 type ResilientMetaScore struct {
 	// Scorer is the live dependency (required).
 	Scorer meta.Scorer
 	// Breaker guards the dependency; nil gets a zero-value breaker with
-	// its defaults (5 consecutive failures, 5s cool-down, 1 probe).
+	// its defaults (5 consecutive failures, 5s cool-down).
 	Breaker *resilience.Breaker
 	// Clock bounds cache staleness (nil = wall clock).
 	Clock clock.Clock
-	// MaxStale caps how old a cached score may be and still serve a
-	// degraded pass (default 5m).
-	MaxStale time.Duration
 	// OnDegraded, when set, is called once per breaker open episode the
 	// first time a degraded score is served.
 	OnDegraded func(detail string)
@@ -91,7 +88,7 @@ var errCircuitOpen = errors.New("meta scorer circuit open")
 // opens the circuit within one rank — and the live scores are remembered
 // under one lock. A node the scorer failed, and every node while the
 // circuit is open, is served from the fallback chain.
-func (r *ResilientMetaScore) ScoreEach(j api.QuantumJob, nodes []api.Node, fanout meta.Fanout) ([]float64, []error) {
+func (r *ResilientMetaScore) ScoreEach(j api.QuantumJob, nodes []api.Node, lim par.Limit) ([]float64, []error) {
 	if r.Scorer == nil {
 		return failEach(len(nodes), fmt.Errorf("sched: ResilientMetaScore has no meta scorer"))
 	}
@@ -102,7 +99,7 @@ func (r *ResilientMetaScore) ScoreEach(j api.QuantumJob, nodes []api.Node, fanou
 		return scores, errs
 	}
 	names := nodeNames(nodes)
-	scores, errs := meta.ScoreEach(r.Scorer, j.Name, names, fanout)
+	scores, errs := meta.ScoreEach(r.Scorer, j.Name, names, lim)
 	br.RecordEach(errs)
 	r.remember(j.Name, names, scores, errs)
 	r.degraded(j, nodes, scores, errs)
@@ -121,13 +118,6 @@ func (r *ResilientMetaScore) circuit() *resilience.Breaker {
 		}
 	}
 	return r.breaker
-}
-
-func (r *ResilientMetaScore) maxStale() time.Duration {
-	if r.MaxStale > 0 {
-		return r.MaxStale
-	}
-	return defaultMaxStale
 }
 
 // pairKey names a (job, node) pair by the two names themselves: a live
@@ -180,9 +170,9 @@ func (r *ResilientMetaScore) degraded(j api.QuantumJob, nodes []api.Node, scores
 		if errs[i] == nil {
 			continue
 		}
-		if pair, ok := r.pairs[pairKey{j.Name, n.Name}]; ok && now.Sub(pair.at) <= r.maxStale() {
+		if pair, ok := r.pairs[pairKey{j.Name, n.Name}]; ok && now.Sub(pair.at) <= maxStale {
 			scores[i], errs[i] = pair.score, nil
-		} else if node, ok := r.nodes[n.Name]; ok && now.Sub(node.at) <= r.maxStale() {
+		} else if node, ok := r.nodes[n.Name]; ok && now.Sub(node.at) <= maxStale {
 			scores[i], errs[i] = node.score, nil
 		} else if score, ok := heuristicScore(n); ok {
 			scores[i], errs[i] = score, nil

@@ -142,13 +142,12 @@ func TestFallbackOrdering(t *testing.T) {
 	}
 }
 
-// TestMaxStaleBound: cache entries past MaxStale stop serving and the
-// chain falls through to the heuristic/error.
+// TestMaxStaleBound: cache entries older than maxStale (5 min) stop
+// serving and the chain falls through to the heuristic/error.
 func TestMaxStaleBound(t *testing.T) {
 	fc := newStubClock()
 	scorer := &flipScorer{scores: map[string]float64{"a/n1": 1.5}}
 	r := resilient(scorer, fc, nil)
-	r.MaxStale = time.Minute
 
 	if _, err := r.Score(jobNamed("a"), nodeNamed("n1", nil)); err != nil {
 		t.Fatal(err)
@@ -157,9 +156,13 @@ func TestMaxStaleBound(t *testing.T) {
 	if _, err := r.Score(jobNamed("a"), nodeNamed("n1", nil)); err != nil {
 		t.Fatalf("fresh stale entry refused: %v", err)
 	}
-	fc.Advance(2 * time.Minute)
+	fc.Advance(maxStale - time.Second)
+	if _, err := r.Score(jobNamed("a"), nodeNamed("n1", nil)); err != nil {
+		t.Fatalf("entry inside maxStale refused: %v", err)
+	}
+	fc.Advance(2 * time.Second)
 	if _, err := r.Score(jobNamed("a"), nodeNamed("n1", nil)); err == nil {
-		t.Fatal("entry older than MaxStale still served")
+		t.Fatal("entry older than maxStale still served")
 	}
 }
 
@@ -256,7 +259,7 @@ func TestNoScorerErrors(t *testing.T) {
 }
 
 // TestCacheCap: the pair cache is bounded even when every entry is
-// fresh — steady traffic inside MaxStale, where nothing ever expires —
+// fresh — steady traffic inside maxStale, where nothing ever expires —
 // and it is the oldest-inserted pairs that make room.
 func TestCacheCap(t *testing.T) {
 	fc := newStubClock()
@@ -268,7 +271,7 @@ func TestCacheCap(t *testing.T) {
 		if _, err := r.Score(jobNamed(fmt.Sprintf("j%d", i)), nodeNamed("n1", nil)); err != nil {
 			t.Fatal(err)
 		}
-		fc.Advance(time.Millisecond) // all well inside the 5m MaxStale
+		fc.Advance(time.Millisecond) // all well inside the 5m maxStale
 	}
 	r.mu.Lock()
 	size := len(r.pairs)

@@ -112,7 +112,7 @@ func (d *Dispatch) Place(chunk []api.QuantumJob, budget int) int {
 	}
 	ranked := make([][]NodeScore, len(unranked))
 	errs := make([]error, len(unranked))
-	par.ForEach(len(unranked), 0, func(k int) {
+	par.ForEach(len(unranked), nil, func(k int) {
 		ranked[k], errs[k] = d.rank(chunk[unranked[k]], d.nodes)
 	})
 	for k, i := range unranked {

@@ -7,13 +7,11 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"qrio/internal/cluster/api"
-	"qrio/internal/meta"
+	"qrio/internal/par"
 )
 
 // FilterPlugin decides whether a node can host a job at all.
@@ -41,11 +39,11 @@ type ScorePlugin interface {
 // BatchScorePlugin is a ScorePlugin that scores a rank's feasible nodes
 // in one call; Rank finds it by interface assertion, and its verdicts
 // must equal Score's node by node. scores[i] and errs[i] are nodes[i]'s
-// outcome. fanout runs the calls that need parallelism under the
+// outcome. The calls that need parallelism run under lim, the
 // framework's bound on concurrent scoring.
 type BatchScorePlugin interface {
 	ScorePlugin
-	ScoreEach(job api.QuantumJob, nodes []api.Node, fanout meta.Fanout) ([]float64, []error)
+	ScoreEach(job api.QuantumJob, nodes []api.Node, lim par.Limit) ([]float64, []error)
 }
 
 // StaticPlugin is the marker a filter or scorer carries when its verdict
@@ -71,46 +69,12 @@ type Framework struct {
 	Filters []FilterPlugin
 	Scorer  ScorePlugin
 
-	// scoreSem bounds the scoring calls fanout runs across ALL Rank
-	// invocations sharing this framework to GOMAXPROCS — a pass ranks
-	// many spec classes at once, and without a global bound the per-class
-	// fan-outs would multiply into classes×nodes simultaneous
-	// simulations.
-	semOnce  sync.Once
-	scoreSem chan struct{}
-}
-
-// scoreSlots returns the framework-wide scoring semaphore, sized on first
-// use.
-func (f *Framework) scoreSlots() chan struct{} {
-	f.semOnce.Do(func() { f.scoreSem = make(chan struct{}, runtime.GOMAXPROCS(0)) })
-	return f.scoreSem
-}
-
-// fanout runs fn(k) for every k in [0, n), each call holding one of the
-// framework's scoring slots: on a goroutine of its own, or in order on
-// the caller when one slot or one call leaves nothing to overlap.
-func (f *Framework) fanout(n int, fn func(k int)) {
-	sem := f.scoreSlots()
-	if n == 1 || cap(sem) == 1 {
-		for k := 0; k < n; k++ {
-			sem <- struct{}{}
-			fn(k)
-			<-sem
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(k)
-		}(k)
-	}
-	wg.Wait()
+	// scoring bounds the scoring calls of ALL Rank invocations sharing
+	// this framework to GOMAXPROCS — a pass ranks many spec classes at
+	// once, and without a shared bound the per-class fan-outs would
+	// multiply into classes×nodes simultaneous simulations. NewFramework
+	// sets it; a framework built as a literal bounds each Rank on its own.
+	scoring par.Limit
 }
 
 // static reports whether every plugin in the chain is a StaticPlugin (a
@@ -127,7 +91,7 @@ func (f *Framework) static() bool {
 
 // NewFramework assembles a framework.
 func NewFramework(scorer ScorePlugin, filters ...FilterPlugin) *Framework {
-	return &Framework{Filters: filters, Scorer: scorer}
+	return &Framework{Filters: filters, Scorer: scorer, scoring: par.NewLimit(0)}
 }
 
 // FilterNodes returns the feasible nodes and, for the rest, the reason the
@@ -179,10 +143,10 @@ func (f *Framework) Rank(job api.QuantumJob, nodes []api.Node) ([]NodeScore, err
 		// All-zero scores: the ranking degenerates to name order.
 		scores, errs = make([]float64, len(feasible)), make([]error, len(feasible))
 	case BatchScorePlugin:
-		scores, errs = sc.ScoreEach(job, feasible, f.fanout)
+		scores, errs = sc.ScoreEach(job, feasible, f.scoring)
 	default:
 		scores, errs = make([]float64, len(feasible)), make([]error, len(feasible))
-		f.fanout(len(feasible), func(i int) { scores[i], errs[i] = sc.Score(job, feasible[i]) })
+		par.ForEach(len(feasible), f.scoring, func(i int) { scores[i], errs[i] = sc.Score(job, feasible[i]) })
 	}
 	ranked := make([]NodeScore, 0, len(feasible))
 	var firstErr error
