@@ -14,10 +14,12 @@ GO ?= go
 # 100 k allocations an op) and
 # StabilizerNoisyShots (one device's 2045 canary shots, ~0.9 ms an op) —
 # which guard per layer what BENCHMARK.json's cold-sweep guards end to end,
-# and the execution engine's two — NoisyStatevecShots (eight jobs' shots of
-# each steady-warm family on the dense engine, 0.1–2 ms a job) and
-# ExecuteDense (one fidelity.Execute of each family, ~1 ms a job) — which
-# guard what steady-warm's run stage pays. SubmitIntake (the six
+# and the execution engine's three — ExactDistribution (one density-matrix
+# evolution of each steady-warm family, what a memo miss pays),
+# NoisyStatevecShots (eight jobs' shots of each family on the trajectory
+# engine, which runs what is wider than 8 qubits) and ExecuteDense (one
+# fidelity.Execute of each family, a memo hit) — which guard what
+# steady-warm's run stage pays. SubmitIntake (the six
 # steady-warm families plus a topology job through gateway.Server.Submit,
 # ~0.1 ms an op) guards what a job pays before it exists, and RankWarm
 # (one 100-node rank of a cached circuit through core's scorer chain,
@@ -25,7 +27,7 @@ GO ?= go
 # The committed baseline MUST be produced with the same settings (make
 # bench-json does) so medians compare apples-to-apples.
 GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot|BenchmarkSubmitIntake|BenchmarkRankWarm
-GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense
+GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense|BenchmarkExactDistribution
 # The gateway's rate-limiter fast path is guarded from its own package
 # (the limiter is internal); benchcompare keys on benchmark name, so its
 # results concatenate into the same JSON stream.
@@ -311,7 +313,8 @@ bench-store:
 	$(GO) test -run xxx -bench BenchmarkStoreContention -benchtime 1x -cpu 1,4,8 .
 
 # bench-compare runs the guarded benchmarks $(BENCH_COUNT) times into
-# BENCH_current.json and diffs their MEDIANS against the committed
+# BENCH_current.json and diffs their MEDIANS — of exactly the benchmarks the
+# GUARDED_* patterns run, passed as benchcompare's -match — against the committed
 # BENCH_results.json baseline, failing on >25% throughput regression or
 # >25% growth in B/op or allocs/op (the CI guard; single noisy runs don't
 # flake the job, and allocation does not drift with the host's speed as
@@ -323,7 +326,8 @@ bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_current.json
-	$(GO) run ./cmd/benchcompare -baseline BENCH_results.json -current BENCH_current.json -threshold 25
+	$(GO) run ./cmd/benchcompare -baseline BENCH_results.json -current BENCH_current.json -threshold 25 \
+		-match '$(GUARDED_SLOW)|$(GUARDED_FAST)|$(GUARDED_WAL)|$(GUARDED_GATEWAY)|$(GUARDED_OBS)'
 
 # bench-harness vets and tests the end-to-end benchmark harness. bench/ is
 # its own module (qrio/bench, replace qrio => ..), so `go build ./...` and

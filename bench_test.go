@@ -364,7 +364,7 @@ func BenchmarkWatchResume(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := st.SubmitJob(api.QuantumJob{
+	if _, err := st.SubmitJob(api.QuantumJob{
 		ObjectMeta: api.ObjectMeta{Name: "churner"},
 		Spec:       api.JobSpec{QASM: qasmSrc, Strategy: api.StrategyFidelity, TargetFidelity: 1},
 	}); err != nil {
@@ -876,13 +876,19 @@ func cleanestDevice(b *testing.B) *device.Backend {
 	return best
 }
 
-// BenchmarkNoisyStatevecShots measures a job's own execution as a kubelet
-// runs it: each `steady-warm` family, transpiled to one fixed device and
-// deflated, at its own shot count under a device-sized noise model, on the
-// dense engine. One op is eight jobs (eight seeds), so the guard's single
-// timed op is milliseconds, not one 100 µs run; ns/op ÷ 8 is one job.
-func BenchmarkNoisyStatevecShots(b *testing.B) {
+// compactFamily is one `steady-warm` family transpiled to the cleanest
+// device and deflated, under a device-sized noise model: what the dense
+// engines run for its jobs.
+type compactFamily struct {
+	name    string
+	compact *circuit.Circuit
+	model   *noise.Model
+	shots   int
+}
+
+func compactFamilies(b *testing.B) []compactFamily {
 	dev := cleanestDevice(b)
+	var out []compactFamily
 	for _, fam := range lightFamilies(b) {
 		tr, err := transpile.Transpile(fam.c, dev, transpile.Options{})
 		if err != nil {
@@ -893,17 +899,31 @@ func BenchmarkNoisyStatevecShots(b *testing.B) {
 			b.Fatal(err)
 		}
 		model := noise.Uniform(len(active), dev.AvgOneQubitErr(), dev.AvgTwoQubitErr(), dev.AvgReadoutErr())
-		b.Run(fam.c.Name, func(b *testing.B) {
+		out = append(out, compactFamily{fam.c.Name, compact, model, fam.shots})
+	}
+	return out
+}
+
+// BenchmarkNoisyStatevecShots measures the trajectory engine on what a
+// kubelet runs: each `steady-warm` family, transpiled to one fixed device
+// and deflated, at its own shot count under a device-sized noise model.
+// One op is eight jobs (eight seeds), so the guard's single timed op is
+// milliseconds, not one 100 µs run; ns/op ÷ 8 is one job. (Execute runs
+// these families exactly — BenchmarkExactDistribution — so this guards
+// statevec.Noisy for the wider programs left to it.)
+func BenchmarkNoisyStatevecShots(b *testing.B) {
+	for _, fam := range compactFamilies(b) {
+		b.Run(fam.name, func(b *testing.B) {
 			// One untimed run first: the guard runs this at -benchtime 1x.
-			if _, err := (statevec.Noisy{Model: model, Shots: fam.shots, Seed: -1}).Counts(compact); err != nil {
+			if _, err := (statevec.Noisy{Model: fam.model, Shots: fam.shots, Seed: -1}).Counts(fam.compact); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for job := 0; job < 8; job++ {
-					run := statevec.Noisy{Model: model, Shots: fam.shots, Seed: int64(8*i + job)}
-					if _, err := run.Counts(compact); err != nil {
+					run := statevec.Noisy{Model: fam.model, Shots: fam.shots, Seed: int64(8*i + job)}
+					if _, err := run.Counts(fam.compact); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -912,10 +932,31 @@ func BenchmarkNoisyStatevecShots(b *testing.B) {
 	}
 }
 
+// BenchmarkExactDistribution measures statevec.Exact on the same compact
+// `steady-warm` families: one density-matrix evolution each, what a job
+// pays when its (program, calibration) misses Execute's memo.
+func BenchmarkExactDistribution(b *testing.B) {
+	for _, fam := range compactFamilies(b) {
+		b.Run(fam.name, func(b *testing.B) {
+			if _, err := statevec.Exact(fam.compact, fam.model); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := statevec.Exact(fam.compact, fam.model); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExecuteDense measures fidelity.Estimator.Execute — transpile,
-// deflate, exact noise model, dense shots, ideal distribution, Hellinger
-// fidelity — the whole of what a kubelet calls per job: one op executes
-// each of the six `steady-warm` families once on one fixed device.
+// deflate, exact noise model, the memoised exact distribution, the draw of
+// the shots, Hellinger fidelity — the whole of what a kubelet calls per
+// warm job: one op executes each of the six `steady-warm` families once on
+// one fixed device.
 func BenchmarkExecuteDense(b *testing.B) {
 	dev := cleanestDevice(b)
 	families := lightFamilies(b)
@@ -925,7 +966,7 @@ func BenchmarkExecuteDense(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ex.Method != "statevector" {
+			if ex.Method != fidelity.MethodDensityMatrix {
 				b.Fatalf("%s executed via %s", fam.c.Name, ex.Method)
 			}
 		}
@@ -1265,7 +1306,7 @@ func BenchmarkReplayBoot(b *testing.B) {
 					TargetFidelity: 0.9, Tenant: "bench",
 				},
 			}
-			if err := st.SubmitJob(j); err != nil {
+			if _, err := st.SubmitJob(j); err != nil {
 				b.Fatal(err)
 			}
 		}

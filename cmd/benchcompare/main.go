@@ -4,8 +4,10 @@
 // codebase grows. Both inputs are `go test -json` streams as produced by
 // `make bench-json` / `make bench-compare`.
 //
-// For every benchmark matching -match (comma-separated name prefixes), the
-// throughput is the benchmark's own */s metric when it reports one
+// For every benchmark whose top-level name matches -match (a regular
+// expression, as `go test -bench` reads one; `make bench-compare` passes
+// the union of the Makefile's GUARDED_* patterns, so what it runs is what
+// is compared), the throughput is the benchmark's own */s metric when it reports one
 // (jobs/s, bound-jobs/s, ...) and 1e9/ns-op otherwise. When a stream holds
 // several runs of one benchmark (`-count=N`), the MEDIAN throughput is
 // compared — single noisy runs stop failing CI. A benchmark regresses
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -220,15 +223,6 @@ func stripProcSuffix(name string) string {
 	return name
 }
 
-func matchesAny(name string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if p != "" && strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // row is one rendered comparison line, shared by the console table and
 // the markdown step summary.
 type row struct {
@@ -240,9 +234,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_results.json", "committed baseline (test2json stream)")
 	currentPath := flag.String("current", "BENCH_current.json", "fresh run (test2json stream)")
 	threshold := flag.Float64("threshold", 25, "max tolerated throughput drop or allocation growth, percent")
-	match := flag.String("match",
-		"BenchmarkSchedulePassWithHistory,BenchmarkSubmitThroughput,BenchmarkColdSweep,BenchmarkStabilizerNoisyShots,BenchmarkNoisyStatevecShots,BenchmarkExecuteDense,BenchmarkStoreContention,BenchmarkFairShare,BenchmarkWatchResume,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReplayBoot,BenchmarkSubmitIntake",
-		"comma-separated benchmark name prefixes to guard")
+	match := flag.String("match", "", "regular expression over top-level benchmark names to guard (required)")
 	summaryPath := flag.String("summary", os.Getenv("GITHUB_STEP_SUMMARY"),
 		"append the delta table as markdown to this file (default: $GITHUB_STEP_SUMMARY when set)")
 	flag.Parse()
@@ -257,7 +249,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcompare: reading current run: %v\n", err)
 		os.Exit(2)
 	}
-	prefixes := strings.Split(*match, ",")
+	guarded, err := regexp.Compile(*match)
+	if *match == "" || err != nil {
+		fmt.Fprintf(os.Stderr, "benchcompare: -match must name the guarded benchmarks as a regular expression (%q: %v)\n", *match, err)
+		os.Exit(2)
+	}
 
 	names := make(map[string]bool)
 	for n := range baseline {
@@ -268,7 +264,7 @@ func main() {
 	}
 	var ordered []string
 	for n := range names {
-		if matchesAny(n, prefixes) {
+		if top, _, _ := strings.Cut(n, "/"); guarded.MatchString(top) {
 			ordered = append(ordered, n)
 		}
 	}

@@ -79,7 +79,7 @@ func TestConcurrentBindStorm(t *testing.T) {
 	// Prologue: a deterministic single-job race. All K binders observe
 	// the same version and bind concurrently from a barrier — the CAS
 	// must admit exactly one winner and type every loss as a conflict.
-	if err := st.SubmitJob(stormJob("contended")); err != nil {
+	if _, err := st.SubmitJob(stormJob("contended")); err != nil {
 		t.Fatal(err)
 	}
 	observed := st.PendingJobs()
@@ -131,7 +131,7 @@ func TestConcurrentBindStorm(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
 			name := fmt.Sprintf("storm-%04d", i)
-			if err := st.SubmitJob(stormJob(name)); err != nil {
+			if _, err := st.SubmitJob(stormJob(name)); err != nil {
 				t.Errorf("submit %s: %v", name, err)
 				return
 			}

@@ -109,7 +109,7 @@ func (h *harness) submitter(tenant string, total int) {
 		defer h.wg.Done()
 		for i := 0; i < total; i++ {
 			name := fmt.Sprintf("%s-%04d", tenant, i)
-			if err := h.st.SubmitJob(job(name, tenant)); err != nil {
+			if _, err := h.st.SubmitJob(job(name, tenant)); err != nil {
 				h.t.Errorf("submit %s: %v", name, err)
 				return
 			}

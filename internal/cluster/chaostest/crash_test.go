@@ -141,7 +141,7 @@ func runCrashChild(t *testing.T, dir, round string) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				name := fmt.Sprintf("r%s-%s-%05d", round, tenant, i)
-				if err := st.SubmitJob(job(name, tenant)); err != nil {
+				if _, err := st.SubmitJob(job(name, tenant)); err != nil {
 					continue // quiesced archive collisions etc.; keep churning
 				}
 				ackMu.Lock()

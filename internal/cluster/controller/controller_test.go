@@ -40,7 +40,7 @@ func setup(t *testing.T) (*Controller, *state.Cluster, *fakeClock) {
 
 func submit(t *testing.T, st *state.Cluster, name string) {
 	t.Helper()
-	err := st.SubmitJob(api.QuantumJob{
+	_, err := st.SubmitJob(api.QuantumJob{
 		ObjectMeta: api.ObjectMeta{Name: name},
 		Spec: api.JobSpec{
 			QASM:     "OPENQASM 2.0;\nqreg q[1];\nh q[0];",

@@ -87,7 +87,7 @@ func TestRestartRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []string{"p1", "p2", "s1", "r1"} {
-		if err := c.SubmitJob(job(n, "alice")); err != nil {
+		if _, err := c.SubmitJob(job(n, "alice")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	c := state.New()
 	m := mustOpen(t, c, dir)
 	for i := 0; i < 5; i++ {
-		if err := c.SubmitJob(job("pre-"+strconv.Itoa(i), "a")); err != nil {
+		if _, err := c.SubmitJob(job("pre-"+strconv.Itoa(i), "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatalf("gen = %d", gen)
 	}
 	for i := 0; i < 5; i++ {
-		if err := c.SubmitJob(job("post-"+strconv.Itoa(i), "a")); err != nil {
+		if _, err := c.SubmitJob(job("post-"+strconv.Itoa(i), "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	// Version continuity: the next mutation must not reuse a replayed
 	// version (watch positions would silently alias).
 	before := c2.Jobs.Version()
-	if err := c2.SubmitJob(job("fresh", "a")); err != nil {
+	if _, err := c2.SubmitJob(job("fresh", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Jobs.Version() <= before {
@@ -248,7 +248,7 @@ func TestResumeTokens(t *testing.T) {
 	_, early, cancel, _ := c.Subscribe(8, state.ResumeToken{})
 	cancel()
 	for i := 0; i < 8; i++ {
-		if err := c.SubmitJob(job("j"+strconv.Itoa(i), "a")); err != nil {
+		if _, err := c.SubmitJob(job("j"+strconv.Itoa(i), "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func populate(t *testing.T, dir string) string {
 	c := state.New()
 	m := mustOpen(t, c, dir)
 	for i := 0; i < 16; i++ {
-		if err := c.SubmitJob(job("job-"+strconv.Itoa(i), "a")); err != nil {
+		if _, err := c.SubmitJob(job("job-"+strconv.Itoa(i), "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +390,7 @@ func TestCorruptionRecovery(t *testing.T) {
 				t.Fatalf("temp snapshot files survived boot: %v", leftover)
 			}
 			// The truncated log accepts appends again.
-			if err := c.SubmitJob(job("after-recovery", "a")); err != nil {
+			if _, err := c.SubmitJob(job("after-recovery", "a")); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -404,7 +404,7 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	c := state.New()
 	m := mustOpen(t, c, dir)
-	if err := c.SubmitJob(job("j", "a")); err != nil {
+	if _, err := c.SubmitJob(job("j", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Snapshot(); err != nil {
@@ -440,7 +440,7 @@ func TestArchiveReloadAndTombstones(t *testing.T) {
 	// "both" lives in the hot store AND the archive — the shape a crash
 	// between the sweep's archive-put and hot-delete leaves behind. Submit
 	// first: live submission refuses names the archive already holds.
-	if err := c.SubmitJob(job("both", "a")); err != nil {
+	if _, err := c.SubmitJob(job("both", "a")); err != nil {
 		t.Fatal(err)
 	}
 	both, _, err := c.Jobs.Get("both")
@@ -495,7 +495,7 @@ func TestCancelRequestedOrphanResolves(t *testing.T) {
 	if _, err := c.AddNode(testBackend(t, "dev-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(job("doomed", "a")); err != nil {
+	if _, err := c.SubmitJob(job("doomed", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("doomed", "dev-a", 0.5); err != nil {
@@ -557,7 +557,7 @@ func TestReplayedNodesGetOneTimeoutOfGrace(t *testing.T) {
 	if _, err := c.AddNode(testBackend(t, "dev-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(job("stranded", "alice")); err != nil {
+	if _, err := c.SubmitJob(job("stranded", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("stranded", "dev-a", 0.5); err != nil {

@@ -63,7 +63,8 @@ func TestMutationReturnsDurable(t *testing.T) {
 	}
 	step("AddNode", 1, func() error { _, err := c.AddNode(testBackend(t, "dev-a")); return err })
 	step("SubmitJob", 3, func() error {
-		return c.SubmitJob(job("j1", "alice"), state.Note{Reason: "Containerized", Message: "image pushed"})
+		_, err := c.SubmitJob(job("j1", "alice"), state.Note{Reason: "Containerized", Message: "image pushed"})
+		return err
 	})
 	step("BindJob", 3, func() error { return c.BindJob("j1", "dev-a", 0.5) })
 	step("claim", 1, func() error {
@@ -87,7 +88,7 @@ func TestMutationReturnsDurable(t *testing.T) {
 		return err
 	})
 	step("store Delete", 1, func() error { return c.Results.Delete("j1") })
-	if err := c.SubmitJob(job("j2", "alice")); err != nil {
+	if _, err := c.SubmitJob(job("j2", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	step("CancelJob", 2, func() error { _, err := c.CancelJob("j2"); return err })
@@ -218,7 +219,7 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("%s-%d", prefix, i)
-			if err := c.SubmitJob(job(name, "a")); err != nil {
+			if _, err := c.SubmitJob(job(name, "a")); err != nil {
 				t.Fatal(err)
 			}
 			node := []string{"dev-a", "dev-b"}[i%2]
@@ -289,7 +290,7 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 	if _, err := c2.RefreshNode(drifted); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.SubmitJob(job("after-refresh", "a")); err != nil {
+	if _, err := c2.SubmitJob(job("after-refresh", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.BindJob("after-refresh", "dev-a", 0.5); err != nil {
@@ -359,7 +360,7 @@ func TestOldLayoutRefusesLoudly(t *testing.T) {
 		dir := t.TempDir()
 		c := state.New()
 		m := mustOpen(t, c, dir)
-		if err := c.SubmitJob(job("kept", "a")); err != nil {
+		if _, err := c.SubmitJob(job("kept", "a")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.Snapshot(); err != nil { // generation 1
@@ -395,7 +396,7 @@ func TestOldLayoutEmptyFilesAreRemoved(t *testing.T) {
 	dir := t.TempDir()
 	c := state.New()
 	m := mustOpen(t, c, dir)
-	if err := c.SubmitJob(job("kept", "a")); err != nil {
+	if _, err := c.SubmitJob(job("kept", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Snapshot(); err != nil {
@@ -420,7 +421,7 @@ func TestOldLayoutEmptyFilesAreRemoved(t *testing.T) {
 	if _, _, err := c2.Jobs.Get("kept"); err != nil {
 		t.Fatalf("snapshot content lost: %v", err)
 	}
-	if err := c2.SubmitJob(job("next", "a")); err != nil {
+	if _, err := c2.SubmitJob(job("next", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err := os.ReadFile(filepath.Join(dir, "wal", "g1.wal")); err != nil || !bytes.Contains(raw, []byte(`"s":"jobs"`)) {

@@ -56,7 +56,7 @@ func TestSubscribeFromReplaysExactly(t *testing.T) {
 	c := New()
 	// First stream: observe the submit, then die.
 	sub1, _, cancel1, _ := c.Subscribe(16, ResumeToken{})
-	if err := c.SubmitJob(fidelityJob("lifecycle")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("lifecycle")); err != nil {
 		t.Fatal(err)
 	}
 	first := drainNotifications(t, sub1, 1)
@@ -111,7 +111,7 @@ func TestSubscribeFromReplaysExactly(t *testing.T) {
 func TestSubscribeFromCompacted(t *testing.T) {
 	c := New()
 	c.Jobs.SetJournalCap(4)
-	if err := c.SubmitJob(fidelityJob("churner")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("churner")); err != nil {
 		t.Fatal(err)
 	}
 	_, tok, cancel, _ := c.Subscribe(16, ResumeToken{})
@@ -144,7 +144,7 @@ func TestStreamNeverHidesADrop(t *testing.T) {
 	const n = 40
 	name := func(i int) string { return fmt.Sprintf("burst-%02d", i) }
 	for i := 0; i < n; i++ { // the consumer stalls
-		if err := c.SubmitJob(fidelityJob(name(i))); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(name(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

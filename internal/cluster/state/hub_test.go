@@ -39,7 +39,7 @@ func TestSubscribeMergesJobAndNodeStreams(t *testing.T) {
 	sub, _, cancel, _ := c.Subscribe(32, ResumeToken{})
 	defer cancel()
 
-	if err := c.SubmitJob(fidelityJob("hub-job")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("hub-job")); err != nil {
 		t.Fatal(err)
 	}
 	c.Nodes.Update("hub-node", func(n api.Node) (api.Node, error) {
@@ -84,7 +84,7 @@ func TestCancelJobLifecycle(t *testing.T) {
 	}
 
 	// Pending → Cancelled directly.
-	if err := c.SubmitJob(fidelityJob("pending-job")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("pending-job")); err != nil {
 		t.Fatal(err)
 	}
 	j, err := c.CancelJob("pending-job")
@@ -96,7 +96,7 @@ func TestCancelJobLifecycle(t *testing.T) {
 	}
 
 	// Scheduled → Cancelled, slot released.
-	if err := c.SubmitJob(fidelityJob("sched-job")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("sched-job")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("sched-job", "n1", 0.5); err != nil {
@@ -112,7 +112,7 @@ func TestCancelJobLifecycle(t *testing.T) {
 
 	// Running → CancelRequested flag, phase unchanged until the kubelet
 	// aborts.
-	if err := c.SubmitJob(fidelityJob("run-job")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("run-job")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("run-job", "n1", 0.5); err != nil {

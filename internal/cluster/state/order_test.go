@@ -75,7 +75,7 @@ func randomJobMoves(t *testing.T, seed int64, frozen bool, steps int) {
 			// Names are not in submission order, so the tie-break matters.
 			name := fmt.Sprintf("%c%03d", 'a'+rng.Intn(26), submitted)
 			submitted++
-			if err := c.SubmitJob(tenantFidelityJob(name, tenants[rng.Intn(len(tenants))], 1)); err != nil {
+			if _, err := c.SubmitJob(tenantFidelityJob(name, tenants[rng.Intn(len(tenants))], 1)); err != nil {
 				t.Fatal(err)
 			}
 			did = "submit " + name
@@ -155,7 +155,7 @@ func TestCheckIndexesCoversEveryOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range []string{"waits", "runs", "fails"} {
-				if err := c.SubmitJob(tenantFidelityJob(name, "alice", 1)); err != nil {
+				if _, err := c.SubmitJob(tenantFidelityJob(name, "alice", 1)); err != nil {
 					t.Fatal(err)
 				}
 			}

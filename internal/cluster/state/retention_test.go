@@ -34,7 +34,7 @@ func TestArchiveTerminalByAge(t *testing.T) {
 	if _, err := c.Jobs.Create(young); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(fidelityJob("live")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("live")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,7 +252,7 @@ func TestSubmitRejectsArchivedName(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ArchiveTerminal(now, RetentionPolicy{MaxTerminalAge: time.Minute})
-	err := c.SubmitJob(fidelityJob("taken"))
+	_, err := c.SubmitJob(fidelityJob("taken"))
 	var exists store.ErrExists
 	if !errors.As(err, &exists) {
 		t.Fatalf("submit over archived name err = %v, want ErrExists", err)
@@ -272,7 +272,7 @@ func TestArchiveKeepsUsageAndPendingClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SubmitJob(fidelityJob("queued")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("queued")); err != nil {
 		t.Fatal(err)
 	}
 	c.ArchiveTerminal(now, RetentionPolicy{MaxTerminalAge: time.Minute})
@@ -316,7 +316,7 @@ func TestHotStoreFlatUnderRetention(t *testing.T) {
 	}
 	// The scheduler's hot path must not scale with archived history.
 	for i := 0; i < 4; i++ {
-		if err := c.SubmitJob(fidelityJob(fmt.Sprintf("live-%d", i))); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(fmt.Sprintf("live-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ func TestScheduledIndexTracksLifecycle(t *testing.T) {
 	c := New()
 	c.AddNode(testBackend(t, "dev-a"))
 	c.AddNode(testBackend(t, "dev-b"))
-	if err := c.SubmitJob(fidelityJob("j1")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("j1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ScheduledJobs("dev-a"); len(got) != 0 {
@@ -167,7 +167,7 @@ func TestNodeWakeFiresOnlyForItsOwnNode(t *testing.T) {
 	}
 
 	for _, name := range []string{"j1", "j2"} {
-		if err := c.SubmitJob(fidelityJob(name)); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(name)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -540,8 +540,10 @@ type Note struct{ Reason, Message string }
 // through — under a per-tenant gate so concurrent same-tenant
 // submissions cannot overshoot the last quota slot. The job, its
 // Submitted event and the caller's notes (the Master Server's
-// Containerized) are written back to back and waited for once.
-func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
+// Containerized) are written back to back and waited for once. It
+// returns the job as it installed it, stamped with its create version —
+// not a re-read, which could see a bind that raced in.
+func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) (api.QuantumJob, error) {
 	if j.Spec.Shots == 0 {
 		j.Spec.Shots = api.DefaultShots
 	}
@@ -549,12 +551,12 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 		j.Spec.Tenant = api.DefaultTenant
 	}
 	if err := j.Validate(); err != nil {
-		return err
+		return api.QuantumJob{}, err
 	}
 	// Names are unique across the hot store AND the archive: letting a new
 	// job shadow an archived one would make history queries ambiguous.
 	if c.Archived.Has(j.Name) {
-		return store.ErrExists{Name: j.Name}
+		return api.QuantumJob{}, store.ErrExists{Name: j.Name}
 	}
 	// The gate covers the quota check and the create only: the usage hook
 	// counts the job at create, so the next same-tenant submission may
@@ -572,7 +574,7 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 		return c.Jobs.NoWait().Create(j)
 	}()
 	if err != nil {
-		return err
+		return api.QuantumJob{}, err
 	}
 	defer c.Sync()
 	// Re-check the archive AFTER the create: a sweep that was between its
@@ -589,7 +591,7 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 			return nil
 		})
 		if err == nil {
-			return store.ErrExists{Name: j.Name}
+			return api.QuantumJob{}, store.ErrExists{Name: j.Name}
 		}
 		// Another actor already advanced the fresh job (sub-microsecond
 		// window); let the accepted submission stand.
@@ -598,7 +600,8 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) error {
 	for _, n := range notes {
 		c.writeEvent("Job", j.Name, n.Reason, n.Message)
 	}
-	return nil
+	j.ResourceVersion = created
+	return j, nil
 }
 
 // ConflictError reports a bind that lost the job: between the caller's

@@ -87,7 +87,7 @@ func TestAddNodeRejectsDuplicatesAndInvalid(t *testing.T) {
 
 func TestSubmitJobDefaultsAndValidation(t *testing.T) {
 	c := New()
-	if err := c.SubmitJob(fidelityJob("j1")); err != nil {
+	if _, err := c.SubmitJob(fidelityJob("j1")); err != nil {
 		t.Fatal(err)
 	}
 	j, _, err := c.Jobs.Get("j1")
@@ -102,12 +102,12 @@ func TestSubmitJobDefaultsAndValidation(t *testing.T) {
 	}
 	bad := fidelityJob("j2")
 	bad.Spec.TargetFidelity = 1.5
-	if err := c.SubmitJob(bad); err == nil {
+	if _, err := c.SubmitJob(bad); err == nil {
 		t.Fatal("invalid fidelity accepted")
 	}
 	noStrategy := fidelityJob("j3")
 	noStrategy.Spec.Strategy = "magic"
-	if err := c.SubmitJob(noStrategy); err == nil {
+	if _, err := c.SubmitJob(noStrategy); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestBindJobLifecycle(t *testing.T) {
 	c.AddNode(testBackend(t, "dev-a"))
 	job := fidelityJob("j1")
 	job.Spec.Resources = api.ResourceRequirements{CPUMillis: 1000, MemoryMB: 512}
-	if err := c.SubmitJob(job); err != nil {
+	if _, err := c.SubmitJob(job); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("j1", "dev-a", 0.25); err != nil {
@@ -167,7 +167,7 @@ func TestBindJobMultiSlotNode(t *testing.T) {
 		return n, nil
 	})
 	for _, name := range []string{"j1", "j2", "j3"} {
-		if err := c.SubmitJob(fidelityJob(name)); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,12 +206,12 @@ func TestBindJobRejectsResourceOvercommit(t *testing.T) {
 	n, _, _ := c.Nodes.Get("dev")
 	big := fidelityJob("big")
 	big.Spec.Resources.CPUMillis = n.Spec.CPUMillis - 100
-	if err := c.SubmitJob(big); err != nil {
+	if _, err := c.SubmitJob(big); err != nil {
 		t.Fatal(err)
 	}
 	small := fidelityJob("small")
 	small.Spec.Resources.CPUMillis = 500
-	if err := c.SubmitJob(small); err != nil {
+	if _, err := c.SubmitJob(small); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob("big", "dev", 0); err != nil {
@@ -269,7 +269,7 @@ func TestPendingJobsFIFOThroughLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"j1", "j2", "j3"} {
-		if err := c.SubmitJob(fidelityJob(name)); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestPendingJobsCostIndependentOfHistory(t *testing.T) {
 	}
 	const pending = 8
 	for i := 0; i < pending; i++ {
-		if err := c.SubmitJob(fidelityJob(fmt.Sprintf("queued-%d", i))); err != nil {
+		if _, err := c.SubmitJob(fidelityJob(fmt.Sprintf("queued-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,11 +410,11 @@ func TestTenantUsageThroughLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.SubmitJob(tenantFidelityJob(fmt.Sprintf("a-%d", i), "alice", 1000)); err != nil {
+		if _, err := c.SubmitJob(tenantFidelityJob(fmt.Sprintf("a-%d", i), "alice", 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SubmitJob(tenantFidelityJob("b-0", "bob", 500)); err != nil {
+	if _, err := c.SubmitJob(tenantFidelityJob("b-0", "bob", 500)); err != nil {
 		t.Fatal(err)
 	}
 	perAliceJob := api.EstimateQubitSeconds(2, 1000)
@@ -490,7 +490,7 @@ func TestPendingJobsGlobalFIFOAcrossTenants(t *testing.T) {
 			tenant = "bob"
 		}
 		name := fmt.Sprintf("j-%d", i)
-		if err := c.SubmitJob(tenantFidelityJob(name, tenant, 1)); err != nil {
+		if _, err := c.SubmitJob(tenantFidelityJob(name, tenant, 1)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, name)
@@ -517,7 +517,7 @@ func TestPendingJobsCappedPerTenant(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		for _, tenant := range []string{"alice", "bob"} {
 			name := fmt.Sprintf("%s-%d", tenant, i)
-			if err := c.SubmitJob(tenantFidelityJob(name, tenant, 1)); err != nil {
+			if _, err := c.SubmitJob(tenantFidelityJob(name, tenant, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -549,11 +549,11 @@ func TestSubmitJobEnforcesQuota(t *testing.T) {
 	c := New()
 	c.Quotas = api.TenantQuotaPolicy{Default: api.TenantQuota{MaxPending: 2}}
 	for i := 0; i < 2; i++ {
-		if err := c.SubmitJob(tenantFidelityJob(fmt.Sprintf("ok-%d", i), "alice", 1)); err != nil {
+		if _, err := c.SubmitJob(tenantFidelityJob(fmt.Sprintf("ok-%d", i), "alice", 1)); err != nil {
 			t.Fatalf("submit %d under quota: %v", i, err)
 		}
 	}
-	err := c.SubmitJob(tenantFidelityJob("over", "alice", 1))
+	_, err := c.SubmitJob(tenantFidelityJob("over", "alice", 1))
 	var quotaErr *QuotaExceededError
 	if !errors.As(err, &quotaErr) || quotaErr.Limit != "pending" {
 		t.Fatalf("over-quota submit: %v", err)
@@ -562,13 +562,13 @@ func TestSubmitJobEnforcesQuota(t *testing.T) {
 		t.Fatalf("quota error maps to %d/%s", status, code)
 	}
 	// Other tenants are unaffected; draining re-admits.
-	if err := c.SubmitJob(tenantFidelityJob("b-ok", "bob", 1)); err != nil {
+	if _, err := c.SubmitJob(tenantFidelityJob("b-ok", "bob", 1)); err != nil {
 		t.Fatalf("bob blocked by alice quota: %v", err)
 	}
 	if _, err := c.CancelJob("ok-0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(tenantFidelityJob("over", "alice", 1)); err != nil {
+	if _, err := c.SubmitJob(tenantFidelityJob("over", "alice", 1)); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
@@ -587,10 +587,10 @@ func TestSubmitReleasesTheGateBeforeTheDiskWait(t *testing.T) {
 		}
 	})
 	first := make(chan error, 1)
-	go func() { first <- c.SubmitJob(tenantFidelityJob("first", "alice", 1)) }()
+	go func() { _, err := c.SubmitJob(tenantFidelityJob("first", "alice", 1)); first <- err }()
 	<-waiting
 	second := make(chan error, 1)
-	go func() { second <- c.SubmitJob(tenantFidelityJob("second", "alice", 1)) }()
+	go func() { _, err := c.SubmitJob(tenantFidelityJob("second", "alice", 1)); second <- err }()
 	select {
 	case err := <-second:
 		if err != nil {
@@ -621,7 +621,7 @@ func scheduledJob(t *testing.T, c *Cluster, name, node string) api.ResourceRequi
 	res := api.ResourceRequirements{CPUMillis: 1000, MemoryMB: 512}
 	j := fidelityJob(name)
 	j.Spec.Resources = res
-	if err := c.SubmitJob(j); err != nil {
+	if _, err := c.SubmitJob(j); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BindJob(name, node, 0.5); err != nil {
@@ -724,7 +724,7 @@ func TestBindJobAtConflicts(t *testing.T) {
 	c.AddNode(testBackend(t, "dev-b"))
 	j := fidelityJob("j1")
 	j.Spec.Resources = api.ResourceRequirements{CPUMillis: 1000, MemoryMB: 512}
-	if err := c.SubmitJob(j); err != nil {
+	if _, err := c.SubmitJob(j); err != nil {
 		t.Fatal(err)
 	}
 	pend := c.PendingJobs()
@@ -771,7 +771,7 @@ func TestBindJobAtExactlyOneWinner(t *testing.T) {
 	}
 	j := fidelityJob("j1")
 	j.Spec.Resources = api.ResourceRequirements{CPUMillis: 500, MemoryMB: 256}
-	if err := c.SubmitJob(j); err != nil {
+	if _, err := c.SubmitJob(j); err != nil {
 		t.Fatal(err)
 	}
 	_, v, err := c.Jobs.Get("j1")

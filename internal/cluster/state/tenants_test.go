@@ -144,12 +144,12 @@ func TestTenantQuotaHotReload(t *testing.T) {
 	}
 	j1 := fidelityJob("q1")
 	j1.Spec.Tenant = "tight"
-	if err := c.SubmitJob(j1); err != nil {
+	if _, err := c.SubmitJob(j1); err != nil {
 		t.Fatal(err)
 	}
 	j2 := fidelityJob("q2")
 	j2.Spec.Tenant = "tight"
-	if err := c.SubmitJob(j2); err == nil {
+	if _, err := c.SubmitJob(j2); err == nil {
 		t.Fatal("second pending job admitted past MaxPending=1")
 	}
 	// Raise the cap live; the queued submission now clears.
@@ -159,7 +159,7 @@ func TestTenantQuotaHotReload(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(j2); err != nil {
+	if _, err := c.SubmitJob(j2); err != nil {
 		t.Fatalf("submit after raise: %v", err)
 	}
 }

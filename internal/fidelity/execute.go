@@ -24,14 +24,18 @@ type Execution struct {
 	ActiveQubits []int
 	// AddedSwaps is the routing overhead.
 	AddedSwaps int
-	// Method names the simulation engine used: "statevector" for dense
-	// simulation, "stabilizer" for Clifford circuits too wide for it.
+	// Method names the simulation engine used: MethodDensityMatrix for a
+	// compact circuit statevec.Exactable takes (its exact distribution,
+	// then a draw of the shots), MethodStatevector for the wider ones dense
+	// simulation still holds (Monte-Carlo trajectories), "stabilizer" for
+	// Clifford circuits too wide for either.
 	Method string
 }
 
 // Execute transpiles and runs the circuit on the backend under its noise
 // model. Dense simulation is used whenever the routed circuit's active
-// footprint fits; all-Clifford circuits fall back to the tableau engine at
+// footprint fits (see dense for which of its two engines runs);
+// all-Clifford circuits fall back to the tableau engine at
 // any width. Non-Clifford circuits wider than dense limits are rejected —
 // exactly the regime where the paper's canary method is the only option.
 func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, error) {
@@ -54,16 +58,14 @@ func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, e
 	}
 	switch {
 	case compact.NumQubits <= e.denseLimit():
-		ex.Method = "statevector"
-		counts, ideal, err := e.dense(model).CountsAndIdeal(compact)
+		counts, f, method, err := e.dense(compact, model)
 		if err != nil {
 			return nil, err
 		}
-		ex.Counts = counts
-		ex.Fidelity = HellingerCounts(ideal, counts)
+		ex.Counts, ex.Fidelity, ex.Method = counts, f, method
 	case compact.IsClifford():
 		ex.Method = "stabilizer"
-		counts, err := stabilizer.Runner{Model: model, Shots: e.Shots, Seed: e.Seed}.Counts(compact)
+		counts, err := stabilizer.Runner{Model: model, Shots: e.Shots, Seed: e.Seed, Context: e.Context}.Counts(compact)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package fidelity_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ func TestExecuteDenseVsStabilizerAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exD.Method != "statevector" {
+	if exD.Method != fidelity.MethodDensityMatrix {
 		t.Fatalf("dense path used %s", exD.Method)
 	}
 	// Cap dense simulation below the circuit width to force the tableau.
@@ -60,6 +62,22 @@ func TestExecuteWideCliffordUsesStabilizer(t *testing.T) {
 	}
 	if len(ex.ActiveQubits) < 40 {
 		t.Fatalf("active footprint %d < 40", len(ex.ActiveQubits))
+	}
+}
+
+// TestExecuteWideCliffordCancelled: the tableau path honours the job's
+// context as the dense one does — a cancelled execution of a wide Clifford
+// circuit returns the context's error instead of running its shots out.
+func TestExecuteWideCliffordCancelled(t *testing.T) {
+	b, err := device.GenerateBackend("wide", 50, 0.7, device.DefaultFleetSpec(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	est := fidelity.Estimator{Shots: 64, Seed: 5, Context: ctx}
+	if ex, err := est.Execute(workload.GHZ(40), b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute = %v, %v; want context.Canceled", ex, err)
 	}
 }
 

@@ -109,9 +109,10 @@ type Estimator struct {
 	// averaged by CanaryFidelity (0 = 5; 1 = single deterministic canary).
 	// See clifford.Ensemble for why a single canary can be blind.
 	CanaryEnsemble int
-	// Context, when set, cancels dense simulation (statevec.Noisy checks it
-	// between shot blocks); nil means never cancelled. The stabilizer
-	// engine does not consult it.
+	// Context, when set, cancels an execution's shots: the trajectories
+	// (statevec.Noisy) and the tableau (stabilizer.Runner) check it between
+	// shot blocks. Nil means never cancelled. An exact distribution is at
+	// most 8 qubits and is not checked.
 	Context context.Context
 }
 
@@ -129,11 +130,6 @@ func (e Estimator) denseLimit() int {
 		return e.MaxDenseQubits
 	}
 	return statevec.MaxQubits
-}
-
-// dense is the estimator's dense simulation run under model.
-func (e Estimator) dense(model *noise.Model) statevec.Noisy {
-	return statevec.Noisy{Model: model, Shots: e.Shots, Seed: e.Seed, Context: e.Context}
 }
 
 // NewEstimator returns an estimator with sensible defaults.
@@ -430,7 +426,8 @@ func hellingerExact(counts map[string]int, ideal func(bits string) (float64, err
 }
 
 // OracleFidelity computes the achieved fidelity of the actual circuit on
-// the backend: exact ideal distribution vs Monte-Carlo noisy execution.
+// the backend: exact ideal distribution vs the counts of its noisy
+// execution on a dense engine (see Execute).
 // It fails when the circuit (after routing) touches more qubits than dense
 // simulation allows.
 func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float64, error) {
@@ -445,11 +442,8 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 		return 0, fmt.Errorf("fidelity: oracle needs %d qubits (> %d) on %s",
 			compact.NumQubits, e.denseLimit(), b.Name)
 	}
-	noisy, ideal, err := e.dense(model).CountsAndIdeal(compact)
-	if err != nil {
-		return 0, err
-	}
-	return HellingerCounts(ideal, noisy), nil
+	_, f, _, err := e.dense(compact, model)
+	return f, err
 }
 
 // AnalyticFidelity is the simplistic estimate Π(1−e_i) over the transpiled

@@ -22,11 +22,11 @@ import (
 // math.Float64bits and the full sorted histogram, so not one shot may land
 // elsewhere — of the six steady-warm circuit families and meta's nine
 // golden circuits on every device of the default 100-device fleet wide
-// enough to hold them. It was generated at the commit before the compiled
-// dense engine landed (the per-shot interpreter, a fresh state per shot,
-// a second IdealDistribution walk), so it pins "the faster engine executes
-// exactly what the old one did".
-const executeGoldenSHA256 = "d77a30c3f0445d50cfa2b87a7f65154fef683eeb4f2f102b69473ef42b8debb1"
+// enough to hold them. 1,369 of its 1,500 lines are exact distributions and
+// a draw (statevec.Exact, which TestExactAgreesWithTrajectories holds to
+// the trajectories); the 131 on trajectories — paper-bv, and circ's widest
+// routings — are the per-shot interpreter's counts, bit for bit.
+const executeGoldenSHA256 = "668fd52d1b45afc17f9764b01af2e20e28c8f4bd59c8a4ced9c31f3d74646272"
 
 // goldenJob is one circuit with the shot count its jobs carry.
 type goldenJob struct {

@@ -102,7 +102,8 @@ func NewServer(st *state.Cluster, reg *registry.Registry) *Server {
 }
 
 // Submit performs the full §3.3 intake: parse, containerise, push, build
-// the job spec, and hand it to the cluster API. It returns the stored job.
+// the job spec, and hand it to the cluster API. It returns the job as
+// created, at its create version.
 func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 	if err := req.Validate(); err != nil {
 		return api.QuantumJob{}, err
@@ -161,13 +162,8 @@ func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 			TopologyQASM:   req.TopologyQASM,
 		},
 	}
-	err = s.State.SubmitJob(job, state.Note{Reason: "Containerized",
+	return s.State.SubmitJob(job, state.Note{Reason: "Containerized",
 		Message: fmt.Sprintf("image %s pushed (%s)", imageName, digest[:19])})
-	if err != nil {
-		return api.QuantumJob{}, err
-	}
-	stored, _, err := s.State.Jobs.Get(req.JobName)
-	return stored, err
 }
 
 // Recontainerize re-pushes a stored job's image from its spec. The

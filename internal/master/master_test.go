@@ -3,10 +3,15 @@ package master_test
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
+	"qrio/internal/cluster/store"
+	"qrio/internal/device"
+	"qrio/internal/graph"
 	"qrio/internal/master"
 	"qrio/internal/registry"
 )
@@ -105,6 +110,58 @@ func TestSubmitDuplicateJobName(t *testing.T) {
 	}
 	if _, err := m.Submit(fidelityReq("dup")); err == nil {
 		t.Fatal("duplicate job accepted")
+	}
+}
+
+// bindingClock binds the job the first time the state layer reads it
+// after the job's create: the bind a scheduler can land between
+// SubmitJob's create and its return.
+type bindingClock struct {
+	st      *state.Cluster
+	created atomic.Int64 // the job's create version, once the store holds it
+	bound   atomic.Bool
+	err     error
+}
+
+func (c *bindingClock) Now() time.Time {
+	if c.created.Load() > 0 && c.bound.CompareAndSwap(false, true) {
+		c.err = c.st.BindJob("raced", "dev", 1)
+	}
+	return time.Now()
+}
+
+// TestSubmitAnswersWithTheJobAsCreated: a bind that races in before
+// Submit returns does not leak into its answer — the 201 carries the job
+// as created, Pending at its create version, while the store has moved on.
+func TestSubmitAnswersWithTheJobAsCreated(t *testing.T) {
+	m, st, _ := newMaster()
+	dev, err := device.UniformBackend("dev", graph.Line(3), 0.01, 0.001, 0.02, 100e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddNode(dev); err != nil {
+		t.Fatal(err)
+	}
+	clk := &bindingClock{st: st}
+	st.Jobs.OnEvent(func(ev store.WatchEvent[api.QuantumJob]) {
+		if ev.Type == store.Added && ev.Object.Name == "raced" {
+			clk.created.Store(ev.Version)
+		}
+	})
+	st.Clock = clk
+	job, err := m.Submit(fidelityReq("raced"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clk.bound.Load() || clk.err != nil {
+		t.Fatalf("the racing bind did not land: ran %t, %v", clk.bound.Load(), clk.err)
+	}
+	if job.Status.Phase != api.JobPending || job.ResourceVersion != clk.created.Load() {
+		t.Fatalf("Submit answered %s at version %d, want Pending at its create version %d",
+			job.Status.Phase, job.ResourceVersion, clk.created.Load())
+	}
+	if stored, v, _ := st.Jobs.Get("raced"); stored.Status.Phase != api.JobScheduled || v <= job.ResourceVersion {
+		t.Fatalf("store holds %s at version %d: the bind never raced the answer", stored.Status.Phase, v)
 	}
 }
 

@@ -2,10 +2,14 @@
 //
 // The model mirrors the calibration surface the paper's vendors must
 // publish for every node (§3.1): per-qubit single-qubit gate error, per-edge
-// two-qubit gate error, and per-qubit readout error. Gate errors are treated
-// as depolarizing channels realised by Monte-Carlo Pauli sampling, which
-// keeps the identical model usable by both the dense state-vector simulator
-// and the polynomial-time stabilizer simulator (Pauli errors are Clifford).
+// two-qubit gate error, and per-qubit readout error. Gate errors are
+// depolarizing channels: after a gate, with its probability, one of the
+// non-identity Paulis on its qubits, each equally likely. The shot-by-shot
+// engines — the stabilizer simulator and the dense trajectories — realise
+// them by sampling that Pauli per shot through Stream (Pauli errors are
+// Clifford, so one model serves both); the exact dense engine
+// (statevec.Exact) applies the same channels to a density matrix and
+// samples only the outcome.
 package noise
 
 import (

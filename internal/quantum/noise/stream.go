@@ -157,11 +157,14 @@ const (
 // order for a circuit without measurements, else each measurement where
 // it stands. The stabilizer engine (stabilizer.Runner.Counts) draws a Coin
 // at each measurement or reset whose outcome is random, before its
-// Readout. The dense engine (statevec.Noisy.Counts) measures only at the
-// end: a reset draws one Float64 where it stands, and after the body one
-// Float64 picks the outcome, before the readouts. Engines may change how
-// they honour this order, never the order: each engine's oracle test holds
-// its counts to an interpreter drawing from a real rand.Rand.
+// Readout. The dense trajectories (statevec.Noisy.Counts) measure only at
+// the end: a reset draws one Float64 where it stands, and after the body
+// one Float64 picks the outcome, before the readouts. Engines may change
+// how they honour this order, never the order: each engine's oracle test
+// holds its counts to an interpreter drawing from a real rand.Rand. The
+// exact dense engine draws none of these: its shot is one Float64 on the
+// exact distribution of outcomes these draws produce
+// (statevec.Distribution.Sample).
 func (s *Stream) Draw(k Kind, p float64) int {
 	switch {
 	case k == Coin:

@@ -1,6 +1,7 @@
 package stabilizer
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -260,7 +261,13 @@ type Runner struct {
 	Model *noise.Model // nil means noiseless
 	Shots int
 	Seed  int64
+	// Context, when set, is checked between shot blocks: once it is done
+	// the run stops and returns its error. Nil means never cancelled.
+	Context context.Context
 }
+
+// shotBlock is how many shots a run makes between checks of its Context.
+const shotBlock = 1024
 
 // Counts returns a histogram over classical bitstrings. When the circuit
 // has no measurements every qubit is measured at the end in qubit order.
@@ -297,6 +304,11 @@ func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	clear(sc.tally1)
 	hits := sc.hits[:0]
 	for shot := 0; shot < r.Shots; shot++ {
+		if r.Context != nil && shot%shotBlock == 0 {
+			if err := r.Context.Err(); err != nil {
+				return nil, err
+			}
+		}
 		k.shot(&sc.s)
 		if k.words == 1 {
 			i, ok := sc.tally1[k.out[0]]

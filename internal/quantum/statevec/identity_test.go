@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"qrio/internal/quantum/circuit"
@@ -95,7 +94,6 @@ func identityModels(rng *rand.Rand, n int) map[string]*noise.Model {
 // same order and computed the same amplitudes to the last bit — and its
 // ideal distribution equals the old second walk's, float for float.
 func TestEngineIdenticalToOracle(t *testing.T) {
-	checkpointed, fromStart := 0, 0
 	for n := 1; n <= 10; n++ {
 		for variant := 0; variant < 4; variant++ {
 			rng := rand.New(rand.NewSource(int64(100*n + variant)))
@@ -108,15 +106,6 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 				t.Fatalf("n=%d variant %d: IdealDistribution = %v, %v; oracle %v, %v", n, variant, gotIdeal, err, wantIdeal, wantIdealErr)
 			}
 			for regime, model := range identityModels(rng, n) {
-				if prog, err := compile(c, model); err != nil {
-					t.Fatal(err)
-				} else if !prog.hasReset && len(prog.sites) > 0 {
-					if cp, _ := prog.layout(1 << n); cp > 0 {
-						checkpointed++
-					} else {
-						fromStart++
-					}
-				}
 				for _, shots := range []int{1, 7, 512, 2*shotBlock + 3} {
 					// The oracle costs gates × 2^n per shot. On the wide registers
 					// 512 shots go to the regime that mixes all three paths; where
@@ -155,78 +144,41 @@ func TestEngineIdenticalToOracle(t *testing.T) {
 			}
 		}
 	}
-	if checkpointed == 0 || fromStart == 0 {
-		t.Fatalf("%d runs resumed from checkpoints, %d replayed from gate 0: both must be exercised", checkpointed, fromStart)
-	}
 }
 
 // TestSimulateMatchesReplay holds the sharing of states between error
-// patterns to the plain replay: after any earlier patterns, in sorted
-// order or not, simulate leaves exactly the amplitudes of the noiseless
-// circuit run from gate 0 with the pattern's Paulis injected — with every
-// site's checkpoint or none, and room for every saved state, one or none.
+// patterns to the plain replay: a block of shots that reaches each distinct
+// pattern by sweeping the noiseless state to its first hit tallies exactly
+// what the same block tallies replaying every pattern from gate 0 — the
+// form runs take past sweepBytes — on the same draws.
 func TestSimulateMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(5)
-		c := identityCircuit(rng, n, 4+rng.Intn(8*n), false, false)
-		prog, err := compile(c, noise.Uniform(n, 0.1, 0.1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites := len(prog.sites)
-		if sites == 0 {
-			continue
-		}
-		// Patterns that often share a prefix: a suffix of the last one redrawn.
-		var pats [][]uint64
-		for k := 0; k < 120; k++ {
-			var pat []uint64
-			from := 0
-			if len(pats) > 0 && rng.Intn(4) > 0 {
-				last := pats[rng.Intn(len(pats))]
-				keep := rng.Intn(len(last) + 1)
-				pat = slices.Clone(last[:keep])
-				if keep > 0 {
-					from = int(last[keep-1]>>4) + 1
-				}
+		c := identityCircuit(rng, n, 4+rng.Intn(8*n), false, trial%2 == 0)
+		for regime, model := range identityModels(rng, n) {
+			prog, err := compile(c, model)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for site := from; site < sites; site++ {
-				if rng.Intn(3) == 0 {
-					d := 1 + rng.Intn(3)
-					if prog.errs.kind[site] == noise.TwoQubitError {
-						d = 1 + rng.Intn(15)
-					}
-					pat = append(pat, uint64(site)<<4|uint64(d))
+			var tallies [2]map[int]int
+			for i := range tallies {
+				s, _ := New(n)
+				prog.runFrom(s, 0, nil)
+				e := &trajectories{p: prog, s: s, sums: s.runningSums(), workspace: new(workspace)}
+				if i == 0 {
+					e.sweep, _ = New(n)
 				}
+				var st noise.Stream
+				st.Seed(int64(trial))
+				tallies[i] = map[int]int{}
+				for range 3 {
+					e.block(&st, 200, tallies[i])
+				}
+				st.Release()
 			}
-			if len(pat) > 0 {
-				pats = append(pats, pat)
-			}
-		}
-		if trial%2 == 0 {
-			slices.SortFunc(pats, slices.Compare)
-		}
-		for _, layout := range [][2]int{{sites, sites - 1}, {0, sites}, {sites, 1}, {0, 1}, {sites, 0}, {0, 0}} {
-			s, _ := New(n)
-			e := newTrajectories(prog, s, new(workspace), layout[0], layout[1])
-			for k, pat := range pats {
-				e.simulate(pat)
-				want, _ := New(n)
-				site := 0
-				for i := range prog.ops {
-					if o := &prog.ops[i]; o.code != opNoise {
-						want.apply(o)
-						continue
-					}
-					if j := slices.IndexFunc(pat, func(h uint64) bool { return int(h>>4) == site }); j >= 0 {
-						want.inject(&prog.ops[i], int(pat[j]&15))
-					}
-					site++
-				}
-				if !slices.Equal(s.amps, want.amps) {
-					t.Fatalf("trial %d, layout %v, pattern %d %v: simulate left %v, replay %v", trial, layout, k, pat, s.amps, want.amps)
-				}
+			if !reflect.DeepEqual(tallies[0], tallies[1]) {
+				t.Fatalf("trial %d, %s: swept %v, replayed %v", trial, regime, tallies[0], tallies[1])
 			}
 		}
 	}

@@ -11,8 +11,12 @@ import (
 	"qrio/internal/quantum/noise"
 )
 
-// Noisy executes circuits shot-by-shot under a Pauli + readout noise model
-// (Monte-Carlo trajectories), which is exact for Pauli channels.
+// Noisy executes circuits shot by shot under a Pauli + readout noise model
+// (Monte-Carlo trajectories): each shot draws its Pauli errors and readout
+// flips and is simulated, or sampled, with them. Exact computes the
+// distribution these shots sample in one pass, for the reset-free circuits
+// of at most ExactQubits it takes; fidelity.Estimator runs those there and
+// everything wider here.
 type Noisy struct {
 	Model *noise.Model // nil means noiseless
 	Shots int          // number of trajectories; must be > 0
@@ -27,12 +31,10 @@ type Noisy struct {
 // error pattern among them is simulated once.
 const shotBlock = 1024
 
-// checkpointBytes bounds the states a run keeps: the noiseless state on
-// arrival at each noise site, so a shot resumes at its first error instead
-// of at gate 0, and in what is left the states the last simulated error
-// pattern passed, so the next resumes where the two part. Past the budget
-// shots replay from the start.
-const checkpointBytes = 1 << 20
+// sweepBytes bounds the one state a run keeps beside its own: the
+// noiseless state swept forward to each errored shot's first error. Past
+// it shots replay from gate 0.
+const sweepBytes = 1 << 20
 
 // Counts runs the circuit and returns a histogram over classical bitstrings
 // (or over all qubits when the circuit has no measurements).
@@ -43,9 +45,9 @@ const checkpointBytes = 1 << 20
 // not depend on the quantum state, so a block of shots is drawn before
 // anything is simulated; a shot that drew no gate error is sampled from the
 // noiseless final state instead of being simulated, and each distinct set
-// of errors the others drew is simulated once, with its errors injected.
-// Circuits with a reset, whose draw does depend on the state, run gate by
-// gate.
+// of errors the others drew is simulated once, from the noiseless state at
+// its first error. Circuits with a reset, whose draw does depend on the
+// state, run gate by gate.
 func (r Noisy) Counts(c *circuit.Circuit) (map[string]int, error) {
 	counts, _, err := r.run(c, false)
 	return counts, err
@@ -82,8 +84,12 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 	var ideal map[string]float64
 	var e *trajectories
 	if !prog.hasReset {
-		ncp, nsaved := prog.layout(len(s.amps))
-		e = newTrajectories(prog, s, ws, ncp, nsaved)
+		prog.runFrom(s, 0, nil)
+		e = &trajectories{p: prog, s: s, sums: s.runningSums(), workspace: ws}
+		if len(s.amps)*16 <= sweepBytes {
+			ws.sweep = slices.Grow(ws.sweep[:0], len(s.amps))[:len(s.amps)]
+			e.sweep = &State{n: s.n, amps: ws.sweep}
+		}
 		if wantIdeal {
 			ideal = prog.distribution(s)
 		}
@@ -116,11 +122,9 @@ func (r Noisy) run(c *circuit.Circuit, wantIdeal bool) (map[string]int, map[stri
 
 // workspace is the scratch a run borrows and hands on to the next.
 type workspace struct {
-	states []complex128 // trajectories' checkpoints, then their saved states
-	buf    []uint64     // a block's fired draws: per errored shot its hits, then its readout flips
-	shots  []errored
-	order  []uint64 // the block's errored shots in pattern order
-	path   []uint64 // the last error pattern simulated
+	sweep []complex128 // trajectories' swept noiseless state
+	buf   []uint64     // a block's fired draws: per errored shot its hits, then its readout flips
+	shots []errored
 }
 
 // workspaces keeps finished runs' scratch, at most one per processor. Not a
@@ -159,72 +163,20 @@ type errored struct {
 	lo, mid, hi int32
 }
 
-// trajectories runs the shots of a reset-free program. An error pattern's
-// final state is the noiseless circuit with its hits injected; on the way
-// it passes S_j, the state arriving at its j-th hit with the hits before
-// it injected. S_0 is the noiseless checkpoint at the first hit.
+// trajectories runs the shots of a reset-free program.
 type trajectories struct {
-	p    *program
-	s    *State
-	sums []float64 // the noiseless final state's running sums
-	size int
-	cp   []complex128 // the noiseless state on arrival at each site, or nil
-	// saved holds the path's S_low … S_top, back to back: S_0 too when no
-	// checkpoint stands in for it.
-	saved    []complex128
-	low, top int
+	p     *program
+	s     *State
+	sums  []float64 // the noiseless final state's running sums
+	sweep *State    // the noiseless state on its way through a block's first hits; nil past sweepBytes
 	*workspace
-}
-
-// newTrajectories runs the program noiselessly, leaving its final state in
-// s and taking its running sums, and lays the workspace's states out as
-// layout sizes them: ncp checkpoints, then nsaved pattern states.
-func newTrajectories(p *program, s *State, ws *workspace, ncp, nsaved int) *trajectories {
-	e := &trajectories{p: p, s: s, size: len(s.amps), workspace: ws}
-	ws.states = slices.Grow(ws.states[:0], (ncp+nsaved)*e.size)[:(ncp+nsaved)*e.size]
-	e.saved = ws.states[ncp*e.size:]
-	if ncp > 0 {
-		e.cp, e.low = ws.states[:ncp*e.size], 1
-	}
-	e.top = e.low + nsaved - 1
-	p.runNoiseless(s, e.cp)
-	e.sums = s.runningSums()
-	ws.path = ws.path[:0]
-	return e
-}
-
-// layout returns how many noiseless checkpoints (every site's or none) and
-// how many pattern states a run keeps for a state of size amplitudes.
-func (p *program) layout(size int) (checkpoints, saved int) {
-	budget := checkpointBytes / 16 / size
-	low := 0
-	if 0 < len(p.sites) && len(p.sites) <= budget {
-		checkpoints, low = len(p.sites), 1
-	}
-	// A pattern hits each site at most once: it has no S_j for j ≥ len(sites).
-	return checkpoints, max(0, min(budget-checkpoints, len(p.sites)-low))
-}
-
-// runNoiseless executes a reset-free program with no error injected,
-// leaving the noiseless final state in s. Given room for them it fills
-// checkpoints with the state on arrival at each noise site, back to back in
-// site order.
-func (p *program) runNoiseless(s *State, checkpoints []complex128) {
-	from := 0
-	for site, at := range p.sites {
-		p.advance(s, from, at)
-		if checkpoints != nil {
-			copy(checkpoints[site*len(s.amps):], s.amps)
-		}
-		from = at + 1
-	}
-	p.advance(s, from, len(p.ops))
 }
 
 // block runs n shots: it makes all their draws, in shot order, tallies the
 // shots that drew no gate error off the noiseless sums, and sorts the rest
-// by their hits to simulate each distinct pattern once and sample its
-// shots off it.
+// by their hits — by first hit, then by the rest — so one noiseless sweep
+// through the circuit reaches every first hit in order, and equal patterns
+// sit side by side and are simulated once.
 func (e *trajectories) block(st *noise.Stream, n int, tally map[int]int) {
 	e.buf, e.shots = e.buf[:0], e.shots[:0]
 	for ; n > 0; n-- {
@@ -240,83 +192,40 @@ func (e *trajectories) block(st *noise.Stream, n int, tally map[int]int) {
 		}
 		e.shots = append(e.shots, errored{u: u, lo: int32(lo), mid: int32(mid), hi: int32(len(e.buf))})
 	}
-	// Sort by first hit with an integer sort (key first<<32 | shot), then
-	// each run that shares a first hit by the rest. Any order gives the same
-	// counts; this one puts equal patterns and shared prefixes side by side.
-	e.order = e.order[:0]
+	hits := func(sh errored) []uint64 { return e.buf[sh.lo:sh.mid] }
+	slices.SortFunc(e.shots, func(a, b errored) int { return slices.Compare(hits(a), hits(b)) })
+	at := 0 // the sweep holds the noiseless state on arrival at ops[at]
+	if e.sweep != nil {
+		e.sweep.reset()
+	}
 	for i, sh := range e.shots {
-		e.order = append(e.order, e.buf[sh.lo]<<32|uint64(i))
-	}
-	slices.Sort(e.order)
-	rest := func(a, b uint64) int {
-		x, y := e.shots[uint32(a)], e.shots[uint32(b)]
-		return slices.Compare(e.buf[x.lo+1:x.mid], e.buf[y.lo+1:y.mid])
-	}
-	for lo := 0; lo < len(e.order); {
-		hi := lo + 1
-		for hi < len(e.order) && e.order[hi]>>32 == e.order[lo]>>32 {
-			hi++
-		}
-		slices.SortFunc(e.order[lo:hi], rest)
-		lo = hi
-	}
-	for _, k := range e.order {
-		sh := e.shots[uint32(k)]
-		if hits := e.buf[sh.lo:sh.mid]; !slices.Equal(hits, e.path) {
-			e.simulate(hits)
+		if i == 0 || !slices.Equal(hits(sh), hits(e.shots[i-1])) {
+			if e.sweep == nil {
+				e.s.reset()
+				e.p.runFrom(e.s, 0, hits(sh))
+			} else {
+				first := e.p.sites[hits(sh)[0]>>4]
+				e.p.advance(e.sweep, at, first)
+				at = first
+				copy(e.s.amps, e.sweep.amps)
+				e.p.runFrom(e.s, first, hits(sh))
+			}
 		}
 		tally[e.p.key(e.s.SampleIndex(sh.u), e.buf[sh.mid:sh.hi])]++
 	}
 }
 
-// simulate leaves pat's final state in s and makes pat the path. It
-// resumes from the deepest kept state pat passes — the path's S_j, else the
-// checkpoint at pat's first hit, else gate 0 — and keeps the S_j it passes.
-func (e *trajectories) simulate(pat []uint64) {
-	j := min(passes(e.path, pat), e.top)
-	i, from := 0, 0 // S_i, or a state pat passes before it, is in s on arrival at ops[from]
-	switch {
-	case j >= e.low:
-		i, from = j, e.p.sites[e.path[j]>>4]
-		copy(e.s.amps, e.state(j))
-	case e.cp != nil:
-		site := int(pat[0] >> 4)
-		from = e.p.sites[site]
-		copy(e.s.amps, e.cp[site*e.size:(site+1)*e.size])
-	default:
-		e.s.reset()
-	}
-	for start := i; i < len(pat); i++ {
-		at := e.p.sites[pat[i]>>4]
-		fresh := i > start || from < at
-		e.p.advance(e.s, from, at)
-		if fresh && e.low <= i && i <= e.top {
-			copy(e.state(i), e.s.amps)
-		}
-		e.s.inject(&e.p.ops[at], int(pat[i]&15))
+// runFrom executes a reset-free program's ops from ops[from] on, with hits
+// injected (errs entries that fired, i<<4 | d, in site order, none before
+// from), leaving the final state in s.
+func (p *program) runFrom(s *State, from int, hits []uint64) {
+	for _, h := range hits {
+		at := p.sites[h>>4]
+		p.advance(s, from, at)
+		s.inject(&p.ops[at], int(h&15))
 		from = at + 1
 	}
-	e.p.advance(e.s, from, len(e.p.ops))
-	e.path = append(e.path[:0], pat...)
-}
-
-// state is the saved S_j, low ≤ j ≤ top.
-func (e *trajectories) state(j int) []complex128 {
-	return e.saved[(j-e.low)*e.size : (j-e.low+1)*e.size]
-}
-
-// passes returns the deepest j at which pattern p passes pattern q's S_j —
-// p injects the hits q injects before its j-th and no other before that
-// hit's site — or -1 when p's first hit comes before q's.
-func passes(q, p []uint64) int {
-	m := 0
-	for m < len(p) && m < len(q) && p[m] == q[m] {
-		m++
-	}
-	if m < len(q) && (m == len(p) || p[m]>>4 >= q[m]>>4) {
-		return m
-	}
-	return m - 1
+	p.advance(s, from, len(p.ops))
 }
 
 // runningSums returns the state's cumulative outcome probabilities,

@@ -36,21 +36,22 @@ type measurement struct {
 	qmask, cmask int
 }
 
-// draws is a run of draws a shot makes in order: draw i is of kind kind[i]
-// at threshold t[i].
+// draws is a run of draws a shot makes in order: draw i is of kind kind[i],
+// firing with probability p[i], at threshold t[i].
 type draws struct {
 	t    []noise.Threshold
 	kind []noise.Kind
+	p    []float64
 }
 
 // newDraws returns an empty run with room for n draws.
 func newDraws(n int) draws {
-	return draws{t: make([]noise.Threshold, 0, n), kind: make([]noise.Kind, 0, n)}
+	return draws{t: make([]noise.Threshold, 0, n), kind: make([]noise.Kind, 0, n), p: make([]float64, 0, n)}
 }
 
 // add appends a draw of kind k that fires with probability p.
 func (ds *draws) add(k noise.Kind, p float64) {
-	ds.t, ds.kind = append(ds.t, noise.ThresholdOf(p)), append(ds.kind, k)
+	ds.t, ds.kind, ds.p = append(ds.t, noise.ThresholdOf(p)), append(ds.kind, k), append(ds.p, p)
 }
 
 // fire makes the draws in order and appends i<<4 | d for each draw i whose

@@ -1,8 +1,10 @@
-// Package statevec implements a dense state-vector simulator. It provides
-// the "oracle" execution path of the paper's evaluation (§4.3): exact ideal
-// output distributions for arbitrary circuits, and Monte-Carlo noisy
-// execution under a device noise model. Memory grows as 2^n; it is intended
-// for the ≤ ~20-qubit circuits the paper schedules.
+// Package statevec implements a dense simulator. It provides the "oracle"
+// execution path of the paper's evaluation (§4.3): exact ideal output
+// distributions for arbitrary circuits, and noisy execution under a device
+// noise model — the exact distribution of a density-matrix evolution
+// (Exact, up to ExactQubits) or Monte-Carlo trajectories (Noisy). Memory
+// grows as 2^n (4^n for Exact); it is intended for the ≤ ~20-qubit circuits
+// the paper schedules.
 package statevec
 
 import (
@@ -307,6 +309,6 @@ func IdealDistribution(c *circuit.Circuit) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog.runNoiseless(s, nil)
+	prog.runFrom(s, 0, nil)
 	return prog.distribution(s), nil
 }

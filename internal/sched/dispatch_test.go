@@ -112,12 +112,12 @@ func TestDispatchMatchesPerJobOracle(t *testing.T) {
 					job(fmt.Sprintf("small-%02d", i), 2, 0),
 					job(fmt.Sprintf("big-%02d", i), 5, 0),
 				} {
-					if err := st.SubmitJob(j); err != nil {
+					if _, err := st.SubmitJob(j); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if err := st.SubmitJob(job("impossible", 99, 0)); err != nil {
+			if _, err := st.SubmitJob(job("impossible", 99, 0)); err != nil {
 				t.Fatal(err)
 			}
 			s := New(st, chain())
@@ -174,7 +174,7 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 	s := New(st, NewFramework(scorer, QubitCount{}, Characteristics{}))
 	s.Concurrency = 4
 
-	if err := st.SubmitJob(job("warm", 2, 0)); err != nil {
+	if _, err := st.SubmitJob(job("warm", 2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.SchedulePass() != 1 {
@@ -189,7 +189,7 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SubmitJob(job("needs-new", 5, 0)); err != nil {
+	if _, err := st.SubmitJob(job("needs-new", 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.SchedulePass() != 1 {
@@ -204,7 +204,7 @@ func TestKeptRankingsSeeMembershipChanges(t *testing.T) {
 	if err := st.Nodes.Delete("old"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SubmitJob(job("warm-2", 2, 0)); err != nil {
+	if _, err := st.SubmitJob(job("warm-2", 2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.SchedulePass() != 1 {
@@ -224,7 +224,7 @@ func TestKeptRankingsSeeDeviceChanges(t *testing.T) {
 	st := state.New()
 	node(t, st, "dev", 8, 0.05)
 	s := New(st, NewFramework(staticScore{scores: map[string]float64{"dev": 1}}, QubitCount{}, Characteristics{}))
-	if err := st.SubmitJob(job("warm", 5, 0)); err != nil {
+	if _, err := st.SubmitJob(job("warm", 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.SchedulePass() != 1 {
@@ -246,7 +246,7 @@ func TestKeptRankingsSeeDeviceChanges(t *testing.T) {
 	if _, err := st.RefreshNode(small); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SubmitJob(job("too-big", 5, 0)); err != nil {
+	if _, err := st.SubmitJob(job("too-big", 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if bound := s.SchedulePass(); bound != 0 {
@@ -279,7 +279,7 @@ func TestOnlyStaticChainsKeepRankingsAcrossPasses(t *testing.T) {
 
 			var perPass []int64
 			for pass := 0; pass < 2; pass++ {
-				if err := st.SubmitJob(job(fmt.Sprintf("j%d", pass), 2, 0)); err != nil {
+				if _, err := st.SubmitJob(job(fmt.Sprintf("j%d", pass), 2, 0)); err != nil {
 					t.Fatal(err)
 				}
 				calls.Store(0)

@@ -37,7 +37,7 @@ func TestFleetCacheTracksStoreViaEvents(t *testing.T) {
 	}
 	// A bind's node-status event must flow in the same way: schedule onto
 	// the fleet and verify the next view sees the occupied slot.
-	if err := st.SubmitJob(job("j1", 0, 0)); err != nil {
+	if _, err := st.SubmitJob(job("j1", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if bound := s.SchedulePass(); bound != 1 {

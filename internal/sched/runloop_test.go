@@ -76,7 +76,7 @@ func TestRunLoopBindsOnWatchEvent(t *testing.T) {
 	runScheduler(t, s)
 	waitPasses(t, s, 1)
 
-	if err := st.SubmitJob(job("evt", 0, 0)); err != nil {
+	if _, err := st.SubmitJob(job("evt", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if n := waitScheduled(t, st, "evt"); n != "live" {
@@ -91,7 +91,7 @@ func TestRunPlacesJobsPendingAtBoot(t *testing.T) {
 	node(t, st, "a", 5, 0.1)
 	node(t, st, "b", 5, 0.1)
 	for _, name := range []string{"boot-1", "boot-2"} {
-		if err := st.SubmitJob(job(name, 0, 0)); err != nil {
+		if _, err := st.SubmitJob(job(name, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestRunPlacesJobsPendingAtBoot(t *testing.T) {
 func TestBlockedJobBindsWhenCapacityAppears(t *testing.T) {
 	st := state.New()
 	node(t, st, "small", 3, 0.1)
-	if err := st.SubmitJob(job("wide", 5, 0)); err != nil {
+	if _, err := st.SubmitJob(job("wide", 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	s := New(st, NewFramework(nil, DefaultFilters()...))
@@ -137,7 +137,7 @@ func TestQuotaRaiseUnblocks(t *testing.T) {
 	for _, name := range []string{"q-1", "q-2"} {
 		j := job(name, 0, 0)
 		j.Spec.Tenant = "capped"
-		if err := st.SubmitJob(j); err != nil {
+		if _, err := st.SubmitJob(j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestIdleSchedulerRunsNoPass(t *testing.T) {
 	}
 	idle()
 
-	if err := st.SubmitJob(job("once", 0, 0)); err != nil {
+	if _, err := st.SubmitJob(job("once", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitScheduled(t, st, "once")

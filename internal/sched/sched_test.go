@@ -176,10 +176,10 @@ func TestSchedulerPassFIFOOneAtATime(t *testing.T) {
 
 	j1 := job("j1", 0, 0)
 	j2 := job("j2", 0, 0)
-	if err := st.SubmitJob(j1); err != nil {
+	if _, err := st.SubmitJob(j1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SubmitJob(j2); err != nil {
+	if _, err := st.SubmitJob(j2); err != nil {
 		t.Fatal(err)
 	}
 	if bound := s.SchedulePass(); bound != 1 {
@@ -228,7 +228,7 @@ func TestBatchedDispatchDistinctNodes(t *testing.T) {
 	s := New(st, fw)
 	s.Concurrency = 8
 	for i := 1; i <= 4; i++ {
-		if err := st.SubmitJob(job(fmt.Sprintf("j%d", i), 0, 0)); err != nil {
+		if _, err := st.SubmitJob(job(fmt.Sprintf("j%d", i), 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,11 +318,11 @@ func TestBatchedDispatchSkipsStarvedHead(t *testing.T) {
 	// Five impossible jobs (need 100 qubits) fill more than one batch
 	// width ahead of the one feasible job.
 	for i := 1; i <= 5; i++ {
-		if err := st.SubmitJob(job(fmt.Sprintf("stuck%d", i), 100, 0)); err != nil {
+		if _, err := st.SubmitJob(job(fmt.Sprintf("stuck%d", i), 100, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.SubmitJob(job("runnable", 0, 0)); err != nil {
+	if _, err := st.SubmitJob(job("runnable", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if bound := s.SchedulePass(); bound != 1 {
@@ -392,7 +392,7 @@ func TestRefusedNodeFallsThroughAtBudgetOne(t *testing.T) {
 	scorer := &slotThief{mapScorer: mapScorer{"best": 1, "second": 2}, st: st, victim: "best"}
 	s := New(st, NewFramework(scorer, DefaultFilters()...))
 	s.Concurrency = 1
-	if err := st.SubmitJob(job("j", 0, 0)); err != nil {
+	if _, err := st.SubmitJob(job("j", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if bound := s.SchedulePass(); bound != 1 {

@@ -419,7 +419,7 @@ func (e *Engine) submit(a simload.Arrival) {
 	}
 	name := fmt.Sprintf("sim-%07d", e.metrics.submitted)
 	job := api.QuantumJob{ObjectMeta: api.ObjectMeta{Name: name}, Spec: spec}
-	if err := e.st.SubmitJob(job); err != nil {
+	if _, err := e.st.SubmitJob(job); err != nil {
 		e.metrics.rejected++
 		return
 	}
