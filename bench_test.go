@@ -319,16 +319,10 @@ func BenchmarkSchedulePassWithHistory(b *testing.B) {
 				bound += waveBound
 				// Retire the wave so the next one starts from a free fleet.
 				for _, name := range names {
-					j, _, err := st.Jobs.Get(name)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodeName := j.Status.Node
 					st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 						j.Status.Phase = api.JobSucceeded
 						return j, nil
 					})
-					st.ReleaseNode(nodeName, name)
 				}
 				if retention.Enabled() {
 					// The controller's sweep runs off the scheduling hot path;
@@ -470,12 +464,10 @@ func BenchmarkFairShare(b *testing.B) {
 				if j.Spec.Tenant == "drip" {
 					dripBound++
 				}
-				node := j.Status.Node
 				st.Jobs.Update(j.Name, func(j api.QuantumJob) (api.QuantumJob, error) {
 					j.Status.Phase = api.JobSucceeded
 					return j, nil
 				})
-				st.ReleaseNode(node, j.Name)
 			}
 			b.StartTimer()
 		}

@@ -333,15 +333,17 @@ func compare(baseline, current map[string][]result, names []string, threshold fl
 				continue
 			}
 			r := row{
-				name:      name + " " + unit,
-				baseline:  fmt.Sprintf("%.0f %s", bm, unit),
-				current:   fmt.Sprintf("%.0f %s (median of %d)", cm, unit, len(c)),
-				delta:     "+inf%",
-				regressed: cm > 0,
+				name:     name + " " + unit,
+				baseline: fmt.Sprintf("%.0f %s", bm, unit),
+				current:  fmt.Sprintf("%.0f %s (median of %d)", cm, unit, len(c)),
+				delta:    "+0.0%",
 			}
-			if bm > 0 {
+			switch {
+			case bm > 0:
 				delta := (cm - bm) / bm * 100
 				r.delta, r.regressed = fmt.Sprintf("%+.1f%%", delta), delta > threshold
+			case cm > 0:
+				r.delta, r.regressed = "+inf%", true
 			}
 			rows = append(rows, r)
 		}

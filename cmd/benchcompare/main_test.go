@@ -73,20 +73,28 @@ func TestCompare(t *testing.T) {
 }
 
 // TestCompareFromZeroAllocations: a benchmark that allocated nothing and
-// now allocates has regressed, however small the growth.
+// now allocates has regressed, however small the growth; one that still
+// allocates nothing reads +0.0%, not +inf%.
 func TestCompareFromZeroAllocations(t *testing.T) {
 	const name = "BenchmarkHot"
 	b, _ := parse(strings.NewReader(stream(name, "50 ns/op\t0 B/op\t0 allocs/op")))
 	for _, tc := range []struct {
 		current string
 		want    int
+		delta   string // of the B/op and allocs/op rows
 	}{
-		{"50 ns/op\t0 B/op\t0 allocs/op", 0},
-		{"50 ns/op\t8 B/op\t1 allocs/op", 2},
+		{"50 ns/op\t0 B/op\t0 allocs/op", 0, "+0.0%"},
+		{"50 ns/op\t8 B/op\t1 allocs/op", 2, "+inf%"},
 	} {
 		c, _ := parse(strings.NewReader(stream(name, tc.current)))
-		if _, n := compare(b, c, []string{name}, 25); n != tc.want {
+		rows, n := compare(b, c, []string{name}, 25)
+		if n != tc.want {
 			t.Fatalf("%q: %d regressions, want %d", tc.current, n, tc.want)
+		}
+		for _, r := range rows {
+			if strings.HasSuffix(r.name, "/op") && r.delta != tc.delta {
+				t.Fatalf("%q: row %s reads %s, want %s", tc.current, r.name, r.delta, tc.delta)
+			}
 		}
 	}
 }

@@ -189,8 +189,7 @@ func watch(ctx context.Context, c *client.Client, args []string) {
 			}
 		case ev.Node != nil:
 			n := ev.Node
-			fmt.Printf("%-9s node %-20s %-10s running=%s\n",
-				ev.Type, n.Name, n.Status.Phase, strings.Join(n.Status.RunningJobs, ","))
+			fmt.Printf("%-9s node %-20s %s\n", ev.Type, n.Name, n.Status.Phase)
 		}
 	}
 }

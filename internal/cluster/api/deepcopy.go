@@ -23,10 +23,9 @@ func copyTime(t *time.Time) *time.Time {
 
 // DeepCopy returns an independent copy of the node. Spec.BackendJSON is
 // shared, not copied: it is immutable by contract (see NodeSpec), and at
-// ~10 KB it was most of what every bind, release, list and journal slot
-// copied. So are the Labels, derived from those bytes and replaced whole
-// with them (state.NodeLabels): every bind and release is a node version,
-// and a map per version outweighed the rest of the record.
+// ~10 KB it was most of what every list and journal slot copied. So are
+// the Labels, derived from those bytes and replaced whole with them
+// (state.NodeLabels).
 func (n Node) DeepCopy() Node {
 	out := n
 	out.Status.RunningJobs = append([]string(nil), n.Status.RunningJobs...)

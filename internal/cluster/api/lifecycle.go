@@ -40,7 +40,6 @@ const (
 	stampFinish                         // FinishedAt ← now
 	clearStamps                         // StartedAt, FinishedAt ← nil
 	requestCancel                       // CancelRequested ← true
-	vacate                              // the job gives up its reservation on the node it held
 
 	// toPending is the one meaning of "back to the queue".
 	toPending = clearNode | clearStamps
@@ -63,14 +62,14 @@ type jobRule struct {
 var jobLifecycle = map[jobCell]jobRule{
 	{JobPending, JobEventBind}:      {JobScheduled, setNode, "Scheduled", ""},
 	{JobScheduled, JobEventClaim}:   {JobRunning, countAttempt | stampStart, "", ""},
-	{JobRunning, JobEventSucceed}:   {JobSucceeded, stampFinish | vacate, "Succeeded", ""},
-	{JobRunning, JobEventFail}:      {JobFailed, stampFinish | vacate, "Failed", ""},
-	{JobRunning, JobEventAbort}:     {JobCancelled, stampFinish | vacate, "Cancelled", ""},
+	{JobRunning, JobEventSucceed}:   {JobSucceeded, stampFinish, "Succeeded", ""},
+	{JobRunning, JobEventFail}:      {JobFailed, stampFinish, "Failed", ""},
+	{JobRunning, JobEventAbort}:     {JobCancelled, stampFinish, "Cancelled", ""},
 	{JobPending, JobEventCancel}:    {JobCancelled, stampFinish, "Cancelled", "cancelled while pending"},
-	{JobScheduled, JobEventCancel}:  {JobCancelled, clearNode | stampFinish | vacate, "Cancelled", "cancelled before execution started"},
+	{JobScheduled, JobEventCancel}:  {JobCancelled, clearNode | stampFinish, "Cancelled", "cancelled before execution started"},
 	{JobRunning, JobEventCancel}:    {JobRunning, requestCancel, "CancelRequested", "cancellation requested; the node's kubelet aborts the container"},
-	{JobScheduled, JobEventRequeue}: {JobPending, toPending | vacate, "Requeued", ""},
-	{JobRunning, JobEventRequeue}:   {JobPending, toPending | vacate, "Requeued", ""},
+	{JobScheduled, JobEventRequeue}: {JobPending, toPending, "Requeued", ""},
+	{JobRunning, JobEventRequeue}:   {JobPending, toPending, "Requeued", ""},
 	{JobFailed, JobEventRetry}:      {JobPending, toPending, "Retrying", ""},
 }
 
@@ -100,18 +99,13 @@ type JobInput struct {
 	Message string  // the new Status.Message ("" = the row's default, else unchanged)
 }
 
-// JobMove is what an applied transition asks of its caller.
-type JobMove struct {
-	Vacated string // node whose reservation the job gave up ("" = none)
-	Reason  string // cluster event reason to record ("" = none)
-}
-
-// Apply moves the status through one lifecycle event, or returns
-// IllegalTransitionError and leaves it untouched. A requeue of a running
-// job whose user asked for cancellation is an abort: the container that
-// was to be killed is gone with its node, so the cancellation is
-// complete, not lost.
-func (s *JobStatus) Apply(ev JobEvent, in JobInput) (JobMove, error) {
+// Apply moves the status through one lifecycle event and returns the
+// cluster event reason to record ("" = none), or returns
+// IllegalTransitionError and leaves the status untouched. A requeue of a
+// running job whose user asked for cancellation is an abort: the
+// container that was to be killed is gone with its node, so the
+// cancellation is complete, not lost.
+func (s *JobStatus) Apply(ev JobEvent, in JobInput) (reason string, err error) {
 	if ev == JobEventRequeue && s.Phase == JobRunning && s.CancelRequested {
 		ev = JobEventAbort
 		if in.Message != "" {
@@ -121,14 +115,10 @@ func (s *JobStatus) Apply(ev JobEvent, in JobInput) (JobMove, error) {
 	}
 	rule, ok := jobLifecycle[jobCell{s.Phase, ev}]
 	if !ok {
-		return JobMove{}, IllegalTransitionError{Phase: s.Phase, Event: ev}
+		return "", IllegalTransitionError{Phase: s.Phase, Event: ev}
 	}
 	if rule.effects&setNode == 0 && in.Node != "" && s.Node != in.Node {
-		return JobMove{}, IllegalTransitionError{Phase: s.Phase, Event: ev, Node: s.Node}
-	}
-	move := JobMove{Reason: rule.reason}
-	if rule.effects&vacate != 0 {
-		move.Vacated = s.Node
+		return "", IllegalTransitionError{Phase: s.Phase, Event: ev, Node: s.Node}
 	}
 	s.Phase = rule.to
 	if rule.effects&setNode != 0 {
@@ -157,5 +147,5 @@ func (s *JobStatus) Apply(ev JobEvent, in JobInput) (JobMove, error) {
 	} else if rule.message != "" {
 		s.Message = rule.message
 	}
-	return move, nil
+	return rule.reason, nil
 }

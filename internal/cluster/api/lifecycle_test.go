@@ -19,7 +19,6 @@ type legalMove struct {
 	started  bool   // StartedAt set after the move
 	finished bool   // FinishedAt set after the move
 	cancel   bool   // CancelRequested after the move
-	vacated  string
 	reason   string
 }
 
@@ -27,13 +26,13 @@ var legalMoves = []legalMove{
 	{from: JobPending, ev: JobEventBind, to: JobScheduled, node: "n2", attempts: 1, reason: "Scheduled"},
 	{from: JobPending, ev: JobEventCancel, to: JobCancelled, attempts: 1, finished: true, reason: "Cancelled"},
 	{from: JobScheduled, ev: JobEventClaim, to: JobRunning, node: "n1", attempts: 2, started: true},
-	{from: JobScheduled, ev: JobEventCancel, to: JobCancelled, attempts: 1, finished: true, vacated: "n1", reason: "Cancelled"},
-	{from: JobScheduled, ev: JobEventRequeue, to: JobPending, attempts: 1, vacated: "n1", reason: "Requeued"},
-	{from: JobRunning, ev: JobEventSucceed, to: JobSucceeded, node: "n1", attempts: 1, started: true, finished: true, vacated: "n1", reason: "Succeeded"},
-	{from: JobRunning, ev: JobEventFail, to: JobFailed, node: "n1", attempts: 1, started: true, finished: true, vacated: "n1", reason: "Failed"},
-	{from: JobRunning, ev: JobEventAbort, to: JobCancelled, node: "n1", attempts: 1, started: true, finished: true, vacated: "n1", reason: "Cancelled"},
+	{from: JobScheduled, ev: JobEventCancel, to: JobCancelled, attempts: 1, finished: true, reason: "Cancelled"},
+	{from: JobScheduled, ev: JobEventRequeue, to: JobPending, attempts: 1, reason: "Requeued"},
+	{from: JobRunning, ev: JobEventSucceed, to: JobSucceeded, node: "n1", attempts: 1, started: true, finished: true, reason: "Succeeded"},
+	{from: JobRunning, ev: JobEventFail, to: JobFailed, node: "n1", attempts: 1, started: true, finished: true, reason: "Failed"},
+	{from: JobRunning, ev: JobEventAbort, to: JobCancelled, node: "n1", attempts: 1, started: true, finished: true, reason: "Cancelled"},
 	{from: JobRunning, ev: JobEventCancel, to: JobRunning, node: "n1", attempts: 1, started: true, cancel: true, reason: "CancelRequested"},
-	{from: JobRunning, ev: JobEventRequeue, to: JobPending, attempts: 1, vacated: "n1", reason: "Requeued"},
+	{from: JobRunning, ev: JobEventRequeue, to: JobPending, attempts: 1, reason: "Requeued"},
 	{from: JobFailed, ev: JobEventRetry, to: JobPending, attempts: 1, reason: "Retrying"},
 }
 
@@ -81,15 +80,15 @@ func TestLifecycleTableIsTotal(t *testing.T) {
 			if ev == JobEventBind {
 				in.Node, in.Score = "n2", 0.9
 			}
-			move, err := s.Apply(ev, in)
+			reason, err := s.Apply(ev, in)
 			want, ok := legal[jobCell{from, ev}]
 			if !ok {
 				var illegal IllegalTransitionError
 				if !errors.As(err, &illegal) || illegal.Phase != from || illegal.Event != ev {
 					t.Errorf("%s + %s: err = %v, want IllegalTransitionError", from, ev, err)
 				}
-				if !reflect.DeepEqual(s, before) || move != (JobMove{}) {
-					t.Errorf("%s + %s: refused but changed the status: %+v → %+v (move %+v)", from, ev, before, s, move)
+				if !reflect.DeepEqual(s, before) || reason != "" {
+					t.Errorf("%s + %s: refused but changed the status: %+v → %+v (reason %q)", from, ev, before, s, reason)
 				}
 				continue
 			}
@@ -110,8 +109,8 @@ func TestLifecycleTableIsTotal(t *testing.T) {
 			if want.finished && !s.FinishedAt.Equal(tNow) {
 				t.Errorf("%s + %s: FinishedAt %v, want %v", from, ev, s.FinishedAt, tNow)
 			}
-			if move.Vacated != want.vacated || move.Reason != want.reason {
-				t.Errorf("%s + %s: move %+v, want vacated %q reason %q", from, ev, move, want.vacated, want.reason)
+			if reason != want.reason {
+				t.Errorf("%s + %s: reason %q, want %q", from, ev, reason, want.reason)
 			}
 			if ev == JobEventBind && s.Score != 0.9 {
 				t.Errorf("bind kept score %v", s.Score)
@@ -139,12 +138,12 @@ func TestTerminalPhasesAcceptOnlyRetryFromFailed(t *testing.T) {
 func TestRequeueOfCancelRequestedJobCompletesTheCancel(t *testing.T) {
 	s := statusIn(JobRunning)
 	s.CancelRequested = true
-	move, err := s.Apply(JobEventRequeue, JobInput{Now: tNow, Message: "node n1 unavailable"})
+	reason, err := s.Apply(JobEventRequeue, JobInput{Now: tNow, Message: "node n1 unavailable"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Phase != JobCancelled || s.FinishedAt == nil || move.Vacated != "n1" || move.Reason != "Cancelled" {
-		t.Fatalf("got %+v (move %+v), want a completed cancellation", s, move)
+	if s.Phase != JobCancelled || s.FinishedAt == nil || reason != "Cancelled" {
+		t.Fatalf("got %+v (reason %q), want a completed cancellation", s, reason)
 	}
 	if s.Message != "node n1 unavailable; cancellation completed" {
 		t.Fatalf("message = %q", s.Message)

@@ -68,13 +68,16 @@ type NodeStatus struct {
 	// state layer's volatile liveness table, never through the store or
 	// the WAL. GET /v1/nodes overlays the live value (state.LiveNode).
 	LastHeartbeat time.Time `json:"lastHeartbeat,omitempty"`
-	// RunningJobs are the jobs currently bound to or executing on the node
-	// (at most ContainerSlots entries; the paper's architecture keeps this
-	// to a single job).
-	RunningJobs []string `json:"runningJobs,omitempty"`
-	// CPUMillisInUse/MemoryMBInUse track committed classical resources.
-	CPUMillisInUse int64 `json:"cpuMillisInUse,omitempty"`
-	MemoryMBInUse  int64 `json:"memoryMBInUse,omitempty"`
+	// RunningJobs, CPUMillisInUse and MemoryMBInUse are the node's
+	// reservations: the jobs placed on it (Scheduled or Running, oldest
+	// first; at most ContainerSlots of them, and the paper's architecture
+	// keeps this to a single job) and the classical resources they
+	// request. They are a view, derived on read from the placed jobs
+	// (state.LiveNode, state.Fleet) and never stored: a node record, or a
+	// node streamed by a watch, does not carry them.
+	RunningJobs    []string `json:"runningJobs,omitempty"`
+	CPUMillisInUse int64    `json:"cpuMillisInUse,omitempty"`
+	MemoryMBInUse  int64    `json:"memoryMBInUse,omitempty"`
 }
 
 // ContainerSlots is the node's concurrent-container capacity (at least 1).
@@ -83,16 +86,6 @@ func (n *Node) ContainerSlots() int {
 		return n.Spec.MaxContainers
 	}
 	return 1
-}
-
-// HasRunningJob reports whether the named job is bound to the node.
-func (s *NodeStatus) HasRunningJob(jobName string) bool {
-	for _, j := range s.RunningJobs {
-		if j == jobName {
-			return true
-		}
-	}
-	return false
 }
 
 // Scheduling strategy names (paper §3.4).

@@ -137,7 +137,7 @@ func (h *harness) executor(r *rand.Rand) {
 		return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
 	})
 	for _, j := range scheduled {
-		name, node := j.Name, j.Status.Node
+		name := j.Name
 		if j.Status.Phase == api.JobScheduled {
 			h.st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 				if j.Status.Phase != api.JobScheduled {
@@ -151,7 +151,7 @@ func (h *harness) executor(r *rand.Rand) {
 			continue // finish on a later pass, giving cancels a window
 		}
 		fail := r.Intn(10) == 0
-		updated, _, err := h.st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
+		h.st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 			if j.Status.Phase != api.JobRunning {
 				return j, fmt.Errorf("not running")
 			}
@@ -169,9 +169,6 @@ func (h *harness) executor(r *rand.Rand) {
 			}
 			return j, nil
 		})
-		if err == nil && updated.Status.Phase.Terminal() {
-			h.st.ReleaseNode(node, name)
-		}
 	}
 	time.Sleep(time.Millisecond)
 }
@@ -312,7 +309,7 @@ func TestLifecycleChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
+		if n = h.st.LiveNode(n); len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
 			t.Errorf("node %s accounting leaked: %+v", name, n.Status)
 		}
 	}

@@ -189,7 +189,7 @@ func runCrashChild(t *testing.T, dir, round string) {
 		for _, j := range st.Jobs.ListFunc(func(j api.QuantumJob) bool {
 			return j.Status.Phase == api.JobScheduled || j.Status.Phase == api.JobRunning
 		}) {
-			name, node := j.Name, j.Status.Node
+			name := j.Name
 			if j.Status.Phase == api.JobScheduled {
 				st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 					if j.Status.Phase != api.JobScheduled {
@@ -206,7 +206,7 @@ func runCrashChild(t *testing.T, dir, round string) {
 				continue // leave some jobs Running for the orphan-requeue path
 			}
 			fail := r.Intn(10) == 0
-			updated, _, err := st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
+			st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 				if j.Status.Phase != api.JobRunning {
 					return j, fmt.Errorf("not running")
 				}
@@ -224,9 +224,6 @@ func runCrashChild(t *testing.T, dir, round string) {
 				}
 				return j, nil
 			})
-			if err == nil && updated.Status.Phase.Terminal() {
-				st.ReleaseNode(node, name)
-			}
 		}
 		time.Sleep(time.Millisecond)
 	})

@@ -366,7 +366,7 @@ func TestFaultStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
+		if n = s.q.State.LiveNode(n); len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
 			t.Errorf("node %s accounting leaked through the drain: %+v", n.Name, n.Status)
 		}
 	}

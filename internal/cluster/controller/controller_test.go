@@ -162,7 +162,7 @@ func TestStrandedJobRequeued(t *testing.T) {
 	}
 	// Node resources released.
 	n, _, _ := st.Nodes.Get("n1")
-	if len(n.Status.RunningJobs) != 0 {
+	if n = st.LiveNode(n); len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("node still holds job: %+v", n.Status)
 	}
 
@@ -258,14 +258,15 @@ func TestStaleSnapshotChangesNothing(t *testing.T) {
 			}
 			snapshot, _, _ := st.Jobs.Get("j1")
 			snapshot.Status.Phase = tc.stale
-			// The store moves on: the job succeeds, but its kubelet has not
-			// released the slot yet when the node goes NotReady.
+			// The store moves on: the job succeeds, then its node goes
+			// NotReady.
 			st.Jobs.Update("j1", func(j api.QuantumJob) (api.QuantumJob, error) {
 				j.Status.Phase = api.JobSucceeded
 				return j, nil
 			})
 			setNodePhase(st, api.NodeNotReady)
 			_, version, _ := st.Jobs.Get("j1")
+			_, nodeVersion, _ := st.Nodes.Get("n1")
 			events := len(st.EventsAbout("j1"))
 			clk.Advance(time.Minute)
 
@@ -277,8 +278,8 @@ func TestStaleSnapshotChangesNothing(t *testing.T) {
 			if got := st.EventsAbout("j1"); len(got) != events {
 				t.Fatalf("lost race recorded %q", got[len(got)-1].Reason)
 			}
-			if n, _, _ := st.Nodes.Get("n1"); len(n.Status.RunningJobs) != 1 {
-				t.Fatalf("lost race released the reservation: %+v", n.Status)
+			if _, v, _ := st.Nodes.Get("n1"); v != nodeVersion {
+				t.Fatalf("lost race wrote the node: version %d → %d", nodeVersion, v)
 			}
 		})
 	}

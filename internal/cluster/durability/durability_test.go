@@ -614,7 +614,7 @@ func TestReplayedNodesGetOneTimeoutOfGrace(t *testing.T) {
 	if node, jobPhase := phaseOf(); node != api.NodeNotReady || jobPhase != api.JobPending {
 		t.Fatalf("after the grace period: node %s, job %s", node, jobPhase)
 	}
-	if n, _, _ := c2.Nodes.Get("dev-a"); len(n.Status.RunningJobs) != 0 {
+	if n, _, _ := c2.Nodes.Get("dev-a"); len(c2.LiveNode(n).Status.RunningJobs) != 0 {
 		t.Fatalf("requeued job still holds its slot: %v", n.Status.RunningJobs)
 	}
 }

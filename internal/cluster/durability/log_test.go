@@ -66,12 +66,12 @@ func TestMutationReturnsDurable(t *testing.T) {
 		_, err := c.SubmitJob(job("j1", "alice"), state.Note{Reason: "Containerized", Message: "image pushed"})
 		return err
 	})
-	step("BindJob", 3, func() error { return c.BindJob("j1", "dev-a", 0.5) })
+	step("BindJob", 2, func() error { return c.BindJob("j1", "dev-a", 0.5) })
 	step("claim", 1, func() error {
 		_, err := c.TransitionJob("j1", api.JobEventClaim, state.Transition{Node: "dev-a"})
 		return err
 	})
-	step("finish", 4, func() error {
+	step("finish", 3, func() error {
 		_, err := c.TransitionJob("j1", api.JobEventSucceed, state.Transition{
 			Node:   "dev-a",
 			Result: &api.Result{ObjectMeta: api.ObjectMeta{Name: "j1"}, JobName: "j1", Node: "dev-a"},
@@ -92,7 +92,7 @@ func TestMutationReturnsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("CancelJob", 2, func() error { _, err := c.CancelJob("j2"); return err })
-	// The whole lifecycle of j1 above: 11 records behind 4 fsyncs.
+	// The whole lifecycle of j1 above: 9 records behind 4 fsyncs.
 }
 
 // fingerprint lists every resident object as "store/name@version", sorted.
@@ -103,7 +103,7 @@ func fingerprint(c *state.Cluster) string {
 		return true
 	})
 	c.Nodes.Range(func(n api.Node, v int64) bool {
-		out = append(out, fmt.Sprintf("nodes/%s@%d:%v", n.Name, v, n.Status.RunningJobs))
+		out = append(out, fmt.Sprintf("nodes/%s@%d:%v", n.Name, v, c.LiveNode(n).Status.RunningJobs))
 		return true
 	})
 	c.Events.Range(func(e api.Event, v int64) bool {
@@ -202,7 +202,7 @@ func TestRecoveryIsAPrefixAcrossStores(t *testing.T) {
 	}
 }
 
-// TestSlimNodeRecordsReplayIdentical: binds and releases journal their node
+// TestSlimNodeRecordsReplayIdentical: a node's phase changes journal it
 // without its immutable backend bytes, replay restores them from the
 // resident node, and the rebuilt nodes are byte-identical — across a plain
 // restart, across a snapshot, and after a refresh that changes the bytes.
@@ -215,19 +215,14 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	churn := func(c *state.Cluster, prefix string) {
+	churn := func(c *state.Cluster) {
 		t.Helper()
-		for i := 0; i < 4; i++ {
-			name := fmt.Sprintf("%s-%d", prefix, i)
-			if _, err := c.SubmitJob(job(name, "a")); err != nil {
-				t.Fatal(err)
-			}
-			node := []string{"dev-a", "dev-b"}[i%2]
-			if err := c.BindJob(name, node, 0.5); err != nil {
-				t.Fatal(err)
-			}
-			if i < 3 { // the last one stays bound: non-trivial node status to rebuild
-				if _, err := c.CancelJob(name); err != nil {
+		for _, node := range []string{"dev-a", "dev-b"} {
+			for _, phase := range []api.NodePhase{api.NodeNotReady, api.NodeReady} {
+				if _, _, err := c.Nodes.Update(node, func(n api.Node) (api.Node, error) {
+					n.Status.Phase = phase
+					return n, nil
+				}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -262,14 +257,14 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 		return whole, slim, bytes
 	}
 
-	churn(c, "first")
+	churn(c)
 	want := nodesJSON(c)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// 2 Added records whole; 4 binds + 3 releases slim.
-	if whole, slim, _ := nodeRecords(0); whole != 2 || slim != 7 {
-		t.Fatalf("generation 0 holds %d whole and %d slim node records, want 2 and 7", whole, slim)
+	// 2 Added records whole; 4 phase changes slim.
+	if whole, slim, _ := nodeRecords(0); whole != 2 || slim != 4 {
+		t.Fatalf("generation 0 holds %d whole and %d slim node records, want 2 and 4", whole, slim)
 	}
 
 	c2 := state.New()
@@ -283,7 +278,7 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 	if _, err := m2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	churn(c2, "second")
+	churn(c2)
 	// A refresh with new bytes is journaled whole and remembered.
 	drifted := testBackend(t, "dev-a")
 	drifted.CPUMillis += 1000
@@ -300,8 +295,8 @@ func TestSlimNodeRecordsReplayIdentical(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if whole, slim, _ := nodeRecords(1); whole != 3 || slim != 6 {
-		t.Fatalf("generation 1 holds %d whole and %d slim node records, want 3 and 6", whole, slim)
+	if whole, slim, _ := nodeRecords(1); whole != 3 || slim != 2 {
+		t.Fatalf("generation 1 holds %d whole and %d slim node records, want 3 and 2", whole, slim)
 	}
 
 	c3 := state.New()

@@ -133,10 +133,10 @@ func (k *sink[T]) Wait(pos int64) {
 	}
 }
 
-// slimNodes is the nodes shim's journal filter. A bind and a release each
-// modify a node whose ~11 KB of backend bytes never change, so a Modified
-// record carries them only when they differ from the last bytes journaled
-// for that node in this process; Added records, the first Modified after a
+// slimNodes is the nodes shim's journal filter. A Ready↔NotReady
+// transition modifies a node whose ~11 KB of backend bytes do not change,
+// so a Modified record carries them only when they differ from the last
+// bytes journaled for that node in this process; Added records, the first Modified after a
 // boot and RefreshNode's new bytes stay whole. Replay's fill reads them
 // back from the resident node, which log order guarantees is there. One map
 // per shard, each touched only under its shard's lock.

@@ -55,7 +55,7 @@ func TestCancelRunningJobAbortsAndFreesSlot(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		j, _, _ = st.Jobs.Get("ghz")
-		n, _, _ := st.Nodes.Get("node-a")
+		n := liveNode(st, "node-a")
 		if j.Status.Phase == api.JobCancelled && len(n.Status.RunningJobs) == 0 {
 			break
 		}
@@ -97,7 +97,7 @@ func TestCancelScheduledJobBeatsKubelet(t *testing.T) {
 	if j.Status.Phase != api.JobCancelled {
 		t.Fatalf("phase = %s", j.Status.Phase)
 	}
-	n, _, _ := st.Nodes.Get("node-a")
+	n := liveNode(st, "node-a")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("slot not freed: %v", n.Status.RunningJobs)
 	}

@@ -28,6 +28,13 @@ cx q[1],q[2];
 measure q -> c;
 `
 
+// liveNode reads a node with its reservations, as GET /v1/nodes/{name}
+// answers it.
+func liveNode(st *state.Cluster, name string) api.Node {
+	n, _, _ := st.Nodes.Get(name)
+	return st.LiveNode(n)
+}
+
 // setup builds a one-node cluster with a job bound to it via the master.
 func setup(t *testing.T, e2 float64) (*kubelet.Kubelet, *state.Cluster) {
 	t.Helper()
@@ -83,7 +90,7 @@ func TestExecutesBoundJob(t *testing.T) {
 		t.Fatalf("logs incomplete: %v", res.LogLines)
 	}
 	// Node released.
-	n, _, _ := st.Nodes.Get("node-a")
+	n := liveNode(st, "node-a")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("node not released: %+v", n.Status)
 	}
@@ -118,7 +125,7 @@ func TestRunsConcurrentContainers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, _, _ := st.Nodes.Get("wide")
+	n := liveNode(st, "wide")
 	if len(n.Status.RunningJobs) != 2 {
 		t.Fatalf("bound containers = %v", n.Status.RunningJobs)
 	}
@@ -146,7 +153,7 @@ func TestRunsConcurrentContainers(t *testing.T) {
 	if !overlapped {
 		t.Fatal("containers ran strictly serially on a two-slot node")
 	}
-	n, _, _ = st.Nodes.Get("wide")
+	n = liveNode(st, "wide")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("slots not released: %v", n.Status.RunningJobs)
 	}
@@ -209,7 +216,7 @@ func TestBrokenImageFailsJob(t *testing.T) {
 	if err != nil || len(res.LogLines) == 0 {
 		t.Fatalf("failed job has no logs: %v", err)
 	}
-	n, _, _ := st.Nodes.Get("node-a")
+	n := liveNode(st, "node-a")
 	if len(n.Status.RunningJobs) != 0 {
 		t.Fatal("node not released after failure")
 	}

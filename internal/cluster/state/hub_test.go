@@ -105,8 +105,7 @@ func TestCancelJobLifecycle(t *testing.T) {
 	if j, err = c.CancelJob("sched-job"); err != nil || j.Status.Phase != api.JobCancelled {
 		t.Fatalf("cancel scheduled: %+v, %v", j.Status, err)
 	}
-	n, _, _ := c.Nodes.Get("n1")
-	if len(n.Status.RunningJobs) != 0 {
+	if n := liveNode(t, c, "n1"); len(n.Status.RunningJobs) != 0 {
 		t.Fatalf("slot not released: %v", n.Status.RunningJobs)
 	}
 

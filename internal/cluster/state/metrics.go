@@ -26,11 +26,6 @@ type Metrics struct {
 	// journal still covered the token) or "compacted" (the client gets
 	// 410 and falls back to a fresh watch).
 	WatchResumes *obs.CounterVec
-	// ReleaseFailures counts node releases that could not land (node
-	// deregistered mid-release) — each one is a reservation that stays
-	// orphaned until the node re-registers, so a nonzero rate is an
-	// operator signal, not noise.
-	ReleaseFailures *obs.Counter
 }
 
 // NewMetrics registers the state layer's families on a registry.
@@ -46,7 +41,5 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Submissions rejected by tenant quota, per tripped limit.", "limit"),
 		WatchResumes: r.Counter("qrio_watch_resume_total",
 			"Watch resume attempts by outcome (replayed or compacted).", "outcome"),
-		ReleaseFailures: r.Counter("qrio_state_release_failures_total",
-			"Node releases that failed and left a reservation orphaned.").With(),
 	}
 }

@@ -51,9 +51,8 @@ type nodeEntry struct {
 // refreshes liveness without a second code path. A change of BackendJSON
 // drops the decoded device and moves the epoch. The bytes are immutable
 // and shared between versions of a node, so the check on an unchanged
-// device — every slot reservation is a node event — is a pointer compare.
-// A join, a delete or a change of phase wakes the controller
-// (ControllerWake); slot accounting does not.
+// device — a Ready↔NotReady transition — is a pointer compare. A join, a
+// delete or a change of phase wakes the controller (ControllerWake).
 func (c *Cluster) onNodeEvent(ev store.WatchEvent[api.Node]) {
 	t := &c.fleet
 	n := ev.Object
@@ -88,13 +87,14 @@ func (c *Cluster) onNodeEvent(ev store.WatchEvent[api.Node]) {
 }
 
 // Fleet returns the registered nodes in name order, each stamped with its
-// resource version, and the identity epoch they reflect. Each node is a
-// shallow copy of the installed object: callers must not mutate what it
-// shares (labels, slices), and the filter/score pipeline never does.
+// resource version and carrying its reservations (RunningJobs and the
+// CPU/memory in use, derived from its placed jobs), and the identity epoch
+// they reflect. Each node is a shallow copy of the installed object:
+// callers must not mutate what it shares (labels, slices), and the
+// filter/score pipeline never does.
 func (c *Cluster) Fleet() ([]api.Node, uint64) {
 	t := &c.fleet
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.sorted == nil {
 		t.sorted = make([]*nodeEntry, 0, len(t.entries))
 		for _, e := range t.entries {
@@ -107,7 +107,10 @@ func (c *Cluster) Fleet() ([]api.Node, uint64) {
 		out[i] = e.node
 		out[i].ResourceVersion = e.version
 	}
-	return out, t.epoch
+	epoch := t.epoch
+	t.mu.Unlock()
+	c.scheduled.overlay(out)
+	return out, epoch
 }
 
 // Heartbeat records that the node's agent was alive at now. A heartbeat
@@ -170,14 +173,17 @@ func (c *Cluster) SilentNodes(now time.Time, timeout time.Duration) (silent []st
 	return silent, next
 }
 
-// LiveNode overlays the live heartbeat onto a node copy bound for an API
-// response — the one place stored objects and the liveness table meet, so
-// GET /v1/nodes keeps answering truthfully.
+// LiveNode overlays the live heartbeat and the node's reservations
+// (derived from its placed jobs) onto a node copy bound for an API
+// response — the one place stored objects and the state layer's volatile
+// views meet, so GET /v1/nodes keeps answering truthfully.
 func (c *Cluster) LiveNode(n api.Node) api.Node {
 	if last, ok := c.LastHeartbeat(n.Name); ok {
 		n.Status.LastHeartbeat = last
 	}
-	return n
+	one := []api.Node{n}
+	c.scheduled.overlay(one)
+	return one[0]
 }
 
 // Backend decodes (and caches) the device behind a node. The cached device

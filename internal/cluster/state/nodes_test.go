@@ -90,6 +90,17 @@ func TestHeartbeatStaysOutOfTheStore(t *testing.T) {
 	}
 }
 
+// TestIdleFleetOverlayAllocatesNothing: Fleet derives each node's
+// reservations on read, and a node that holds no job costs no allocation:
+// an idle fleet of any size is one slice.
+func TestIdleFleetOverlayAllocatesNothing(t *testing.T) {
+	c, _ := livenessCluster(t, "dev-a", "dev-b", "dev-c")
+	c.Fleet() // fills the name-ordered entry list
+	if a := testing.AllocsPerRun(100, func() { c.Fleet() }); a != 1 {
+		t.Fatalf("Fleet over an idle fleet allocates %v times, want 1 (the slice)", a)
+	}
+}
+
 // TestHeartbeatRevivesThroughTheStore: the one heartbeat that does reach
 // the store is the one that finds its node NotReady.
 func TestHeartbeatRevivesThroughTheStore(t *testing.T) {

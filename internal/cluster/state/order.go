@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -226,8 +227,9 @@ func (o *jobOrder) diff(want *jobOrder) error {
 // CheckIndexes rebuilds every job order (pending, placed-by-node,
 // terminal, failed) from the stored jobs through its own key function and
 // reports the first difference in names, groups or order, then holds the
-// node table to the stored nodes (checkNodes). Only valid on a quiescent
-// cluster: a write racing the rebuild reads as a difference.
+// per-node load sums to a rebuild from the same jobs and the node table to
+// the stored nodes (checkNodes). Only valid on a quiescent cluster: a
+// write racing the rebuild reads as a difference.
 func (c *Cluster) CheckIndexes() error {
 	jobs := c.Jobs.List()
 	for name, o := range map[string]*jobOrder{"pending": c.pending, "placed": c.scheduled.jobOrder, "terminal": c.terminal, "failed": c.failed} {
@@ -238,6 +240,18 @@ func (c *Cluster) CheckIndexes() error {
 		if err := o.diff(fresh); err != nil {
 			return fmt.Errorf("state: %s index: %w", name, err)
 		}
+	}
+	load := make(map[string]nodeLoad)
+	for _, j := range jobs {
+		if node, _, ok := placedKey(&j); ok {
+			addLoad(load, node, &j, 1)
+		}
+	}
+	c.scheduled.loadMu.Lock()
+	held := maps.Clone(c.scheduled.load)
+	c.scheduled.loadMu.Unlock()
+	if !maps.Equal(held, load) {
+		return fmt.Errorf("state: node load %v, rebuild has %v", held, load)
 	}
 	if err := c.checkNodes(); err != nil {
 		return fmt.Errorf("state: node table: %w", err)

@@ -12,9 +12,10 @@ import (
 // state: spec and labels follow the current configuration (flags are
 // authoritative for hardware description), the node returns to Ready with
 // a fresh heartbeat (the stamp refreshes the liveness table through the
-// node hook), while its identity (UID, CreatedAt) and any surviving
-// slot reservations are preserved. MaxContainers is reset so the caller's
-// slot policy reapplies cleanly.
+// node hook), while its identity (UID, CreatedAt) is preserved; the jobs
+// still placed on it keep their reservations, which are derived from
+// them. MaxContainers is reset so the caller's slot policy reapplies
+// cleanly.
 func (c *Cluster) RefreshNode(b *device.Backend) (api.Node, error) {
 	if err := b.Validate(); err != nil {
 		return api.Node{}, fmt.Errorf("state: refusing invalid backend: %w", err)

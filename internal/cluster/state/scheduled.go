@@ -8,12 +8,15 @@ import (
 )
 
 // scheduledIndex is the placed-by-node job order (node → Scheduled and
-// Running jobs by (CreatedAt, name)) plus the wake channels it feeds:
-// every job event wakes the scheduler, and every one that concerns a node
-// wakes that node's kubelet, so each runs only when it has work, instead
-// of polling or watching every job in the cluster.
+// Running jobs by (CreatedAt, name)), what those jobs hold of each node,
+// and the wake channels it feeds: every job event wakes the scheduler, and
+// every one that concerns a node wakes that node's kubelet, so each runs
+// only when it has work, instead of polling or watching every job in the
+// cluster.
 type scheduledIndex struct {
 	*jobOrder
+	loadMu sync.Mutex
+	load   map[string]nodeLoad // node name → sums over its placed jobs (addLoad)
 	// schedWake is the scheduler's capacity-1 wake channel (SchedulerWake),
 	// level-triggered like the kubelets' below.
 	schedWake chan struct{}
@@ -36,6 +39,22 @@ func poke(ch chan struct{}) {
 
 func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
 	prev := x.jobOrder.onJobEvent(ev)
+	// Account before waking anyone: a scheduler woken by a finish must
+	// already see the slot free.
+	now, _, ok := placedKey(&ev.Object)
+	if !ok || ev.Type == store.Deleted {
+		now = ""
+	}
+	if prev != now {
+		x.loadMu.Lock()
+		if prev != "" {
+			addLoad(x.load, prev, &ev.Object, -1)
+		}
+		if now != "" {
+			addLoad(x.load, now, &ev.Object, 1)
+		}
+		x.loadMu.Unlock()
+	}
 	poke(x.schedWake)
 	if ev.Type == store.Deleted {
 		return // archival of a finished job: nothing for a kubelet to do
@@ -47,6 +66,47 @@ func (x *scheduledIndex) onJobEvent(ev store.WatchEvent[api.QuantumJob]) {
 	x.pokeLocked(ev.Object.Status.Node)
 	if prev != ev.Object.Status.Node {
 		x.pokeLocked(prev)
+	}
+}
+
+// nodeLoad is what the jobs placed on one node hold of it.
+type nodeLoad struct {
+	jobs     int
+	cpu, mem int64
+}
+
+// addLoad moves a job's request onto (sign 1) or off (sign -1) a node's
+// sums: an exact increment and decrement, since a job's spec never
+// changes after submission. The sums are keyed by node name, not by
+// node-table entry: a job placed on a node that was deleted, or deleted
+// and registered again, still counts there until it leaves.
+func addLoad(load map[string]nodeLoad, node string, j *api.QuantumJob, sign int) {
+	n := load[node]
+	n.jobs += sign
+	n.cpu += int64(sign) * j.Spec.Resources.CPUMillis
+	n.mem += int64(sign) * j.Spec.Resources.MemoryMB
+	load[node] = n
+	if n.jobs == 0 {
+		delete(load, node)
+	}
+}
+
+// overlay overwrites each node's reservations — a value a replayed record
+// carries in included — with its sums and its placed-by-node group. A node
+// that holds no job costs no allocation.
+func (x *scheduledIndex) overlay(nodes []api.Node) {
+	var busy []int
+	x.loadMu.Lock()
+	for i := range nodes {
+		s, l := &nodes[i].Status, x.load[nodes[i].Name]
+		s.RunningJobs, s.CPUMillisInUse, s.MemoryMBInUse = nil, l.cpu, l.mem
+		if l.jobs > 0 {
+			busy = append(busy, i)
+		}
+	}
+	x.loadMu.Unlock()
+	for _, i := range busy {
+		nodes[i].Status.RunningJobs = x.group(nodes[i].Name, nil)
 	}
 }
 
@@ -66,8 +126,8 @@ func (c *Cluster) SchedulerWake() <-chan struct{} { return c.scheduled.schedWake
 // ControllerWake returns the controller's wake channel. It receives a
 // token when a job enters Failed and when a node joins, leaves or changes
 // phase — the edges the controller's retry and stranded-job rules act on;
-// slot accounting and heartbeats leave none. Like SchedulerWake it has one
-// consumer and may hold a token from before its loop started.
+// heartbeats leave none. Like SchedulerWake it has one consumer and may
+// hold a token from before its loop started.
 func (c *Cluster) ControllerWake() <-chan struct{} { return c.ctlWake }
 
 // NodeWake returns the node's wake channel, creating it on first use. It

@@ -8,9 +8,10 @@
 // each is only a key function: the pending queue (per tenant, FIFO), the
 // placed-by-node lists that also wake each node's kubelet, the terminal
 // jobs the archive sweep takes oldest first, and the failed jobs the
-// controller retries. CheckIndexes holds them to a rebuild. An
-// About-keyed event ring, capped per object, serves EventsAbout without
-// scanning the whole event log.
+// controller retries. Per-node sums of the placed jobs' requests are the
+// view a node's reservations are read from. CheckIndexes holds them all to
+// a rebuild. An About-keyed event ring, capped per object, serves
+// EventsAbout without scanning the whole event log.
 //
 // Everything kept per node beside the stored object — the fleet view the
 // scheduler ranks against, the last heartbeat and the decoded device — is
@@ -108,6 +109,9 @@ type Cluster struct {
 	// accounting exact. Striping bounds memory; cross-tenant collisions
 	// only cost a moment of false serialisation.
 	submitGates [64]sync.Mutex
+	// bindGates does the same per node for BindJobAt's capacity check and
+	// the job write that moves the node's load sums.
+	bindGates [64]sync.Mutex
 }
 
 // New returns an empty cluster state with its indexes wired.
@@ -132,6 +136,7 @@ func New() *Cluster {
 	c.ctlWake = make(chan struct{}, 1)
 	c.scheduled = scheduledIndex{
 		jobOrder:  newJobOrder(placedKey),
+		load:      make(map[string]nodeLoad),
 		schedWake: make(chan struct{}, 1),
 		wake:      make(map[string]chan struct{}),
 	}
@@ -524,11 +529,11 @@ func (c *Cluster) rejectQuota(err *QuotaExceededError) error {
 	return err
 }
 
-// submitGate returns the tenant's submit-serialisation stripe.
-func (c *Cluster) submitGate(tenant string) *sync.Mutex {
+// stripe returns key's lock among a hash-striped set of gates.
+func stripe(gates []sync.Mutex, key string) *sync.Mutex {
 	h := fnv.New32a()
-	h.Write([]byte(tenant))
-	return &c.submitGates[h.Sum32()%uint32(len(c.submitGates))]
+	h.Write([]byte(key))
+	return &gates[h.Sum32()%uint32(len(gates))]
 }
 
 // Note is one more event SubmitJob records about the job it stores.
@@ -562,7 +567,7 @@ func (c *Cluster) SubmitJob(j api.QuantumJob, notes ...Note) (api.QuantumJob, er
 	// counts the job at create, so the next same-tenant submission may
 	// proceed while this one waits for the disk.
 	created, err := func() (int64, error) {
-		gate := c.submitGate(j.Spec.Tenant)
+		gate := stripe(c.submitGates[:], j.Spec.Tenant)
 		gate.Lock()
 		defer gate.Unlock()
 		if err := c.CheckTenantQuota(j.Spec.Tenant, j.Spec.QubitSecondsDemand()); err != nil {
@@ -654,10 +659,11 @@ func IsCapacity(err error) bool {
 	return errors.As(err, &c)
 }
 
-// BindJob assigns a pending job to a node (the scheduler's binding step)
-// and reserves one of the node's container slots plus the job's classical
-// resources. The node update is the serialisation point: concurrent binds
-// racing for the last free slot fail here rather than overcommitting.
+// BindJob assigns a pending job to a node (the scheduler's binding step),
+// which takes one of the node's container slots plus the job's classical
+// resources: the node's reservations are the sums over its placed jobs.
+// Concurrent binds racing for the last free slot serialise on the node's
+// bind gate, so exactly one wins and the rest get a CapacityError.
 func (c *Cluster) BindJob(jobName, nodeName string, score float64) error {
 	return c.BindJobAt(jobName, nodeName, score, 0)
 }
@@ -671,6 +677,9 @@ func (c *Cluster) BindJob(jobName, nodeName string, score float64) error {
 // binders resolve to exactly one winner per job. version 0 skips the
 // check — the form for callers that hold no observation.
 //
+// The job write is the bind's one store write besides its event. Lock
+// order: the node's bind gate, the job shard, the indexes.
+//
 // Every refusal is typed, so no caller decides by message or by
 // re-reading the job: ConflictError means the job moved (stale version,
 // or no longer Pending), CapacityError means this node cannot take it,
@@ -680,71 +689,74 @@ func (c *Cluster) BindJobAt(jobName, nodeName string, score float64, version int
 	if err != nil {
 		return err
 	}
-	// Fast path: a stale observation loses before it touches the node
-	// shard, so conflict storms don't serialise on node locks.
+	// Fast path: a stale observation loses before it takes the node's
+	// gate, so conflict storms don't serialise on it.
 	if version > 0 && cur != version {
 		return ConflictError{Job: jobName, Observed: version, Current: cur}
 	}
 	if job.Status.Phase != api.JobPending {
 		return ConflictError{Job: jobName, Observed: version, Current: cur, Phase: job.Status.Phase}
 	}
-	refuse := func(format string, args ...any) error {
-		return CapacityError{Node: nodeName, Reason: fmt.Sprintf(format, args...)}
+	gate := stripe(c.bindGates[:], nodeName)
+	gate.Lock()
+	err = c.roomFor(nodeName, &job)
+	if err == nil {
+		// The phase flip re-checks under the job shard's lock: a CancelJob
+		// (or any other transition) that landed since the pending check
+		// above wins, and with version > 0 so does any write at all.
+		_, err = c.transition(jobName, api.JobEventBind, Transition{
+			Node: nodeName, Score: score, Version: version,
+			Detail: fmt.Sprintf("bound to node %s (score %.4f)", nodeName, score),
+		})
 	}
-	_, _, err = c.Nodes.NoWait().Update(nodeName, func(n api.Node) (api.Node, error) {
-		if n.Status.Phase != api.NodeReady {
-			return n, refuse("not ready")
-		}
-		if slots := n.ContainerSlots(); len(n.Status.RunningJobs) >= slots {
-			return n, refuse("at container capacity (%d/%d)", len(n.Status.RunningJobs), slots)
-		}
-		if n.Status.HasRunningJob(jobName) {
-			// Another binder reserved this node for this very job and is
-			// between its reservation and its phase flip: the job is
-			// moving, which is a conflict on the job, not a full node.
-			return n, ConflictError{Job: jobName, Observed: version, Current: cur}
-		}
-		if free := n.Spec.CPUMillis - n.Status.CPUMillisInUse; job.Spec.Resources.CPUMillis > free {
-			return n, refuse("has %dm CPU free, job %s needs %dm", free, jobName, job.Spec.Resources.CPUMillis)
-		}
-		if free := n.Spec.MemoryMB - n.Status.MemoryMBInUse; job.Spec.Resources.MemoryMB > free {
-			return n, refuse("has %dMB memory free, job %s needs %dMB", free, jobName, job.Spec.Resources.MemoryMB)
-		}
-		n.Status.RunningJobs = append(n.Status.RunningJobs, jobName)
-		n.Status.CPUMillisInUse += job.Spec.Resources.CPUMillis
-		n.Status.MemoryMBInUse += job.Spec.Resources.MemoryMB
-		return n, nil
-	})
-	var gone store.ErrNotFound
-	if errors.As(err, &gone) {
-		return refuse("not registered")
+	gate.Unlock()
+	var illegal api.IllegalTransitionError
+	if errors.As(err, &illegal) {
+		return ConflictError{Job: jobName, Observed: version, Phase: illegal.Phase}
 	}
 	if err != nil {
 		return err
 	}
-	// Reservation, phase flip and event (or the give-back) are one wait.
 	defer c.Sync()
-	// The phase flip re-checks under the job shard's lock: a CancelJob (or
-	// any other transition) that landed since the pending check above
-	// wins, and with version > 0 so does any write at all.
-	_, err = c.transition(jobName, api.JobEventBind, Transition{
-		Node: nodeName, Score: score, Version: version,
-		Detail: fmt.Sprintf("bound to node %s (score %.4f)", nodeName, score),
-	})
-	if err != nil {
-		// The node reservation above is now orphaned; give it back.
-		c.release(nodeName, jobName)
-		var illegal api.IllegalTransitionError
-		if errors.As(err, &illegal) {
-			return ConflictError{Job: jobName, Observed: version, Phase: illegal.Phase}
-		}
-		return err
-	}
 	if m := c.Metrics; m != nil {
 		m.SubmitToBind.Observe(c.now().Sub(job.CreatedAt).Seconds())
 		m.TenantBinds.With(TenantOf(&job)).Inc()
 	}
 	return nil
+}
+
+// roomFor refuses, with a CapacityError, a node that cannot take the job
+// now: not registered, not Ready, or short of a container slot, CPU or
+// memory beside what its placed jobs hold. The caller holds the node's
+// bind gate.
+func (c *Cluster) roomFor(nodeName string, job *api.QuantumJob) error {
+	c.fleet.mu.Lock()
+	e, ok := c.fleet.entries[nodeName]
+	var n api.Node
+	if ok {
+		n = e.node
+	}
+	c.fleet.mu.Unlock()
+	c.scheduled.loadMu.Lock()
+	load := c.scheduled.load[nodeName]
+	c.scheduled.loadMu.Unlock()
+	cpu, mem := n.Spec.CPUMillis-load.cpu, n.Spec.MemoryMB-load.mem
+	var why string
+	switch res := job.Spec.Resources; {
+	case !ok:
+		why = "not registered"
+	case n.Status.Phase != api.NodeReady:
+		why = "not ready"
+	case load.jobs >= n.ContainerSlots():
+		why = fmt.Sprintf("at container capacity (%d/%d)", load.jobs, n.ContainerSlots())
+	case res.CPUMillis > cpu:
+		why = fmt.Sprintf("has %dm CPU free, job %s needs %dm", cpu, job.Name, res.CPUMillis)
+	case res.MemoryMB > mem:
+		why = fmt.Sprintf("has %dMB memory free, job %s needs %dMB", mem, job.Name, res.MemoryMB)
+	default:
+		return nil
+	}
+	return CapacityError{Node: nodeName, Reason: why}
 }
 
 // Transition is what a caller of TransitionJob knows beyond the event.
@@ -767,9 +779,9 @@ type Transition struct {
 
 // TransitionJob is the one writer of job phases: it applies ev through the
 // lifecycle table (api.JobStatus.Apply) atomically under the job shard's
-// lock, then releases the node the move vacated — latching a release that
-// cannot land — then records the table's event, in that order, and waits
-// for the disk once, after the last of them. An event the table has no row
+// lock, then records the table's event, and waits for the disk once, after
+// both. A move off a node frees its slot and resources there by the job
+// write alone: the node's reservations are derived from its placed jobs. An event the table has no row
 // for in the job's current phase moves nothing and returns
 // api.IllegalTransitionError.
 func (c *Cluster) TransitionJob(name string, ev api.JobEvent, t Transition) (api.QuantumJob, error) {
@@ -785,7 +797,7 @@ func (c *Cluster) transition(name string, ev api.JobEvent, t Transition) (api.Qu
 			results.Update(res.Name, func(api.Result) (api.Result, error) { return *res, nil })
 		}
 	}
-	var move api.JobMove
+	var reason string
 	updated, _, err := c.Jobs.NoWait().UpdateFunc(name, func(_ api.QuantumJob, v int64) error {
 		if t.Version > 0 && v != t.Version {
 			return ConflictError{Job: name, Observed: t.Version, Current: v}
@@ -793,21 +805,18 @@ func (c *Cluster) transition(name string, ev api.JobEvent, t Transition) (api.Qu
 		return nil
 	}, func(j api.QuantumJob) (api.QuantumJob, error) {
 		var err error
-		move, err = j.Status.Apply(ev, api.JobInput{Now: c.now(), Node: t.Node, Score: t.Score, Message: t.Message})
+		reason, err = j.Status.Apply(ev, api.JobInput{Now: c.now(), Node: t.Node, Score: t.Score, Message: t.Message})
 		return j, err
 	})
 	if err != nil {
 		return api.QuantumJob{}, err
 	}
-	if move.Vacated != "" {
-		c.release(move.Vacated, name)
-	}
-	if move.Reason != "" && !t.NoEvent {
+	if reason != "" && !t.NoEvent {
 		detail := t.Detail
 		if detail == "" {
 			detail = updated.Status.Message
 		}
-		c.writeEvent("Job", name, move.Reason, detail)
+		c.writeEvent("Job", name, reason, detail)
 	}
 	return updated, nil
 }
@@ -856,74 +865,6 @@ func (c *Cluster) CancelJob(name string) (api.QuantumJob, error) {
 		}
 	}
 	return updated, err
-}
-
-// ReleaseNode frees the container slot and resource reservation a job held
-// on a node. The job lookup happens before the node update so no store
-// read nests inside the node shard's lock; a job the retention sweep has
-// already archived resolves through the archive tier (the ResultFor
-// two-tier pattern) so its CPU/memory reservation is still decremented —
-// releasing only the slot would leak classical-resource accounting until
-// the node re-registers. The returned error is the node update failing
-// (typically the node deregistered mid-release).
-func (c *Cluster) ReleaseNode(nodeName, jobName string) error {
-	defer c.Sync()
-	return c.releaseNode(nodeName, jobName)
-}
-
-// releaseNode is ReleaseNode without the wait; the caller ends in Sync.
-func (c *Cluster) releaseNode(nodeName, jobName string) error {
-	job, _, jobErr := c.Jobs.Get(jobName)
-	if jobErr != nil {
-		if entry, ok := c.Archived.Get(jobName); ok {
-			job, jobErr = entry.Job, nil
-		}
-	}
-	_, _, err := c.Nodes.NoWait().Update(nodeName, func(n api.Node) (api.Node, error) {
-		if !n.Status.HasRunningJob(jobName) {
-			return n, nil
-		}
-		kept := n.Status.RunningJobs[:0]
-		for _, j := range n.Status.RunningJobs {
-			if j != jobName {
-				kept = append(kept, j)
-			}
-		}
-		n.Status.RunningJobs = kept
-		if len(n.Status.RunningJobs) == 0 {
-			n.Status.RunningJobs = nil
-		}
-		if jobErr == nil {
-			n.Status.CPUMillisInUse -= job.Spec.Resources.CPUMillis
-			n.Status.MemoryMBInUse -= job.Spec.Resources.MemoryMB
-			if n.Status.CPUMillisInUse < 0 {
-				n.Status.CPUMillisInUse = 0
-			}
-			if n.Status.MemoryMBInUse < 0 {
-				n.Status.MemoryMBInUse = 0
-			}
-		}
-		return n, nil
-	})
-	return err
-}
-
-// release is releaseNode for callers that cannot retry: a release that
-// cannot land (typically the node deregistered mid-flight) is latched as
-// a ReleaseFailed event on the job plus the
-// qrio_state_release_failures_total counter. The reservation may be
-// orphaned until the node re-registers (registration rebuilds accounting
-// from scratch), so the failure must be visible, not silently dropped.
-func (c *Cluster) release(nodeName, jobName string) {
-	err := c.releaseNode(nodeName, jobName)
-	if err == nil {
-		return
-	}
-	if m := c.Metrics; m != nil {
-		m.ReleaseFailures.Inc()
-	}
-	c.writeEvent("Job", jobName, "ReleaseFailed",
-		fmt.Sprintf("could not release reservation on node %s: %v", nodeName, err))
 }
 
 // RecordEvent appends an observability event.

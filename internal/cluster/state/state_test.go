@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 	"qrio/internal/cluster/api"
 	"qrio/internal/device"
 	"qrio/internal/graph"
-	"qrio/internal/obs"
 )
 
 func testBackend(t *testing.T, name string) *device.Backend {
@@ -24,6 +24,17 @@ func testBackend(t *testing.T, name string) *device.Backend {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// liveNode reads a node as GET /v1/nodes/{name} answers it: the stored
+// record with its reservations derived from the jobs placed on it.
+func liveNode(t *testing.T, c *Cluster, name string) api.Node {
+	t.Helper()
+	n, _, err := c.Nodes.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.LiveNode(n)
 }
 
 func fidelityJob(name string) api.QuantumJob {
@@ -115,6 +126,15 @@ func TestSubmitJobDefaultsAndValidation(t *testing.T) {
 func TestBindJobLifecycle(t *testing.T) {
 	c := New()
 	c.AddNode(testBackend(t, "dev-a"))
+	// Reservations are derived from the placed jobs: neither the bind nor
+	// the finish below writes the node record.
+	_, nodeVersion, _ := c.Nodes.Get("dev-a")
+	unwritten := func(step string) {
+		t.Helper()
+		if stored, v, _ := c.Nodes.Get("dev-a"); v != nodeVersion || stored.Status.RunningJobs != nil || stored.Status.CPUMillisInUse != 0 {
+			t.Fatalf("%s wrote the node: version %d → %d, stored status %+v", step, nodeVersion, v, stored.Status)
+		}
+	}
 	job := fidelityJob("j1")
 	job.Spec.Resources = api.ResourceRequirements{CPUMillis: 1000, MemoryMB: 512}
 	if _, err := c.SubmitJob(job); err != nil {
@@ -127,10 +147,11 @@ func TestBindJobLifecycle(t *testing.T) {
 	if j.Status.Phase != api.JobScheduled || j.Status.Node != "dev-a" || j.Status.Score != 0.25 {
 		t.Fatalf("bound job = %+v", j.Status)
 	}
-	n, _, _ := c.Nodes.Get("dev-a")
-	if !n.Status.HasRunningJob("j1") || n.Status.CPUMillisInUse != 1000 || n.Status.MemoryMBInUse != 512 {
+	n := liveNode(t, c, "dev-a")
+	if !slices.Equal(n.Status.RunningJobs, []string{"j1"}) || n.Status.CPUMillisInUse != 1000 || n.Status.MemoryMBInUse != 512 {
 		t.Fatalf("node after bind = %+v", n.Status)
 	}
+	unwritten("bind")
 	// Double bind must fail as "the job moved" (no longer pending) —
 	// typed, even for an unconditional bind.
 	if err := c.BindJob("j1", "dev-a", 0); !IsConflict(err) {
@@ -149,13 +170,57 @@ func TestBindJobLifecycle(t *testing.T) {
 			t.Fatalf("bind to %s error = %v, want CapacityError", node, err)
 		}
 	}
-	c.ReleaseNode("dev-a", "j1")
-	n, _, _ = c.Nodes.Get("dev-a")
-	if len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 {
-		t.Fatalf("node after release = %+v", n.Status)
+	// The job's finish gives the slot back.
+	for _, ev := range []api.JobEvent{api.JobEventClaim, api.JobEventSucceed} {
+		if _, err := c.TransitionJob("j1", ev, Transition{Node: "dev-a"}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	n = liveNode(t, c, "dev-a")
+	if len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
+		t.Fatalf("node after finish = %+v", n.Status)
+	}
+	unwritten("finish")
 	if err := c.BindJob("j2", "dev-a", 0.5); err != nil {
-		t.Fatalf("bind after release failed: %v", err)
+		t.Fatalf("bind after finish failed: %v", err)
+	}
+}
+
+// TestReRegisteredNodeKeepsItsPlacedJobs: a node deleted and registered
+// again while a job is placed on it (DELETE then POST /v1/nodes inside the
+// controller's stranded-job grace) still reports that job, and its one
+// slot stays taken until the job leaves — a cancel frees it.
+func TestReRegisteredNodeKeepsItsPlacedJobs(t *testing.T) {
+	c := New()
+	c.AddNode(testBackend(t, "dev-a"))
+	scheduledJob(t, c, "j1", "dev-a")
+	if err := c.Nodes.Delete("dev-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode(testBackend(t, "dev-a")); err != nil {
+		t.Fatal(err)
+	}
+	n := liveNode(t, c, "dev-a")
+	if !slices.Equal(n.Status.RunningJobs, []string{"j1"}) || n.Status.CPUMillisInUse != 1000 || n.Status.MemoryMBInUse != 512 {
+		t.Fatalf("re-registered node = %+v, want j1's reservation", n.Status)
+	}
+	if fleet, _ := c.Fleet(); len(fleet) != 1 || !slices.Equal(fleet[0].Status.RunningJobs, []string{"j1"}) {
+		t.Fatalf("fleet = %+v, want dev-a holding j1", fleet)
+	}
+	if _, err := c.SubmitJob(fidelityJob("j2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BindJob("j2", "dev-a", 0); !IsCapacity(err) {
+		t.Fatalf("second bind to a one-slot node holding j1: %v, want CapacityError", err)
+	}
+	if _, err := c.CancelJob("j1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BindJob("j2", "dev-a", 0); err != nil {
+		t.Fatalf("bind after the cancel freed the slot: %v", err)
+	}
+	if err := c.CheckIndexes(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -181,17 +246,17 @@ func TestBindJobMultiSlotNode(t *testing.T) {
 	if err := c.BindJob("j3", "multi", 0); !IsCapacity(err) {
 		t.Fatalf("bind beyond container capacity: %v, want CapacityError", err)
 	}
-	n, _, _ := c.Nodes.Get("multi")
-	if len(n.Status.RunningJobs) != 2 || !n.Status.HasRunningJob("j1") || !n.Status.HasRunningJob("j2") {
+	if n := liveNode(t, c, "multi"); !slices.Equal(n.Status.RunningJobs, []string{"j1", "j2"}) {
 		t.Fatalf("running jobs = %v", n.Status.RunningJobs)
 	}
-	// Releasing one slot admits the waiting job.
-	c.ReleaseNode("multi", "j1")
+	// Freeing one slot admits the waiting job.
+	if _, err := c.CancelJob("j1"); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.BindJob("j3", "multi", 0); err != nil {
 		t.Fatalf("bind after slot release failed: %v", err)
 	}
-	n, _, _ = c.Nodes.Get("multi")
-	if n.Status.HasRunningJob("j1") || !n.Status.HasRunningJob("j3") {
+	if n := liveNode(t, c, "multi"); !slices.Equal(n.Status.RunningJobs, []string{"j2", "j3"}) {
 		t.Fatalf("running jobs after release = %v", n.Status.RunningJobs)
 	}
 }
@@ -630,91 +695,6 @@ func scheduledJob(t *testing.T, c *Cluster, name, node string) api.ResourceRequi
 	return res
 }
 
-// TestReleaseNodeAfterArchival is the accounting-leak regression: a job
-// whose release races the retention sweep (terminal, swept to the archive,
-// THEN released) must still give back its CPU/memory reservation via the
-// archive tier — not just its container slot.
-func TestReleaseNodeAfterArchival(t *testing.T) {
-	c := New()
-	c.AddNode(testBackend(t, "dev-a"))
-	scheduledJob(t, c, "j1", "dev-a")
-
-	// The kubelet finishes the job but crashes before its release; the
-	// sweep then moves the terminal job to the archive.
-	finished := time.Now().Add(-time.Hour)
-	if _, _, err := c.Jobs.Update("j1", func(j api.QuantumJob) (api.QuantumJob, error) {
-		j.Status.Phase = api.JobSucceeded
-		j.Status.FinishedAt = &finished
-		return j, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.ArchiveTerminal(time.Now(), RetentionPolicy{MaxTerminalAge: time.Minute}); n != 1 {
-		t.Fatalf("archived %d, want 1", n)
-	}
-	if _, _, err := c.Jobs.Get("j1"); err == nil {
-		t.Fatal("j1 still resident after sweep")
-	}
-
-	if err := c.ReleaseNode("dev-a", "j1"); err != nil {
-		t.Fatal(err)
-	}
-	n, _, err := c.Nodes.Get("dev-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
-		t.Fatalf("release after archival leaked accounting: %dm CPU, %dMB memory still in use",
-			n.Status.CPUMillisInUse, n.Status.MemoryMBInUse)
-	}
-	if len(n.Status.RunningJobs) != 0 {
-		t.Fatalf("slot not released: %v", n.Status.RunningJobs)
-	}
-}
-
-// TestReleaseNodeSurfacesNodeError: a release racing a node deregistration
-// must report the failure instead of vanishing.
-func TestReleaseNodeSurfacesNodeError(t *testing.T) {
-	c := New()
-	if err := c.ReleaseNode("ghost-node", "j1"); err == nil {
-		t.Fatal("release against a missing node reported success")
-	}
-}
-
-// TestCancelLatchesFailedRelease: cancelling a scheduled job whose node
-// deregistered mid-flight still cancels the job, and the unreleasable
-// reservation is latched as a ReleaseFailed event plus the
-// qrio_state_release_failures_total counter.
-func TestCancelLatchesFailedRelease(t *testing.T) {
-	c := New()
-	c.Metrics = NewMetrics(obs.NewRegistry())
-	c.AddNode(testBackend(t, "dev-a"))
-	scheduledJob(t, c, "j1", "dev-a")
-	if err := c.Nodes.Delete("dev-a"); err != nil {
-		t.Fatal(err)
-	}
-
-	updated, err := c.CancelJob("j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updated.Status.Phase != api.JobCancelled {
-		t.Fatalf("phase = %s", updated.Status.Phase)
-	}
-	if got := c.Metrics.ReleaseFailures.Value(); got != 1 {
-		t.Fatalf("release failures counter = %d, want 1", got)
-	}
-	found := false
-	for _, ev := range c.EventsAbout("j1") {
-		if ev.Reason == "ReleaseFailed" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no ReleaseFailed event recorded")
-	}
-}
-
 // TestBindJobAtConflicts pins the optimistic-concurrency contract: a bind
 // at the observed version wins; a bind at a stale version loses with a
 // typed ConflictError and leaves no node reservation behind.
@@ -748,8 +728,7 @@ func TestBindJobAtConflicts(t *testing.T) {
 		t.Fatalf("conflict detail = %+v", conflict)
 	}
 	// The loser must not have reserved anything on its node.
-	nb, _, _ := c.Nodes.Get("dev-b")
-	if nb.Status.CPUMillisInUse != 0 || len(nb.Status.RunningJobs) != 0 {
+	if nb := liveNode(t, c, "dev-b"); nb.Status.CPUMillisInUse != 0 || len(nb.Status.RunningJobs) != 0 {
 		t.Fatalf("losing bind reserved on dev-b: %+v", nb.Status)
 	}
 	// And the winner's bind stands untouched.
@@ -759,60 +738,77 @@ func TestBindJobAtConflicts(t *testing.T) {
 	}
 }
 
-// TestBindJobAtExactlyOneWinner races binders placing one job at the same
-// observed version toward different nodes: exactly one bind commits, every
-// loser sees a typed refusal, and node accounting reflects one reservation.
+// TestBindJobAtExactlyOneWinner races binders for one thing only one of
+// them can have — one job at its observed version toward different nodes,
+// or different jobs toward one node's last free slot: exactly one bind
+// commits, every loser sees a typed refusal, and node accounting reflects
+// one reservation.
 func TestBindJobAtExactlyOneWinner(t *testing.T) {
-	c := New()
-	nodes := make([]string, 4)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("dev-%d", i)
-		c.AddNode(testBackend(t, nodes[i]))
-	}
-	j := fidelityJob("j1")
-	j.Spec.Resources = api.ResourceRequirements{CPUMillis: 500, MemoryMB: 256}
-	if _, err := c.SubmitJob(j); err != nil {
-		t.Fatal(err)
-	}
-	_, v, err := c.Jobs.Get("j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wins, conflicts atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := c.BindJobAt("j1", nodes[i%len(nodes)], 0.5, v)
-			switch {
-			case err == nil:
-				wins.Add(1)
-			case IsConflict(err), IsCapacity(err):
-				// Lost on the job's version — or, for the two racers that
-				// share a one-slot node, on the sibling's not-yet-rolled-back
-				// reservation. Both are typed losses, neither a double bind.
-				conflicts.Add(1)
-			default:
-				t.Errorf("racing bind got an untyped error: %v", err)
+	for _, tc := range []struct {
+		name         string
+		jobs, nodes  int
+		capacityOnly bool // every loser is refused by the node, none by the job
+	}{
+		{name: "one job, many nodes", jobs: 1, nodes: 4},
+		{name: "many jobs, one node's last slot", jobs: 8, nodes: 1, capacityOnly: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			nodes := make([]string, tc.nodes)
+			for i := range nodes {
+				nodes[i] = fmt.Sprintf("dev-%d", i)
+				c.AddNode(testBackend(t, nodes[i]))
 			}
-		}(i)
-	}
-	wg.Wait()
-	if wins.Load() != 1 {
-		t.Fatalf("%d binds won, want exactly 1 (%d conflicts)", wins.Load(), conflicts.Load())
-	}
-	// Exactly one node carries the reservation.
-	reserved := 0
-	for _, name := range nodes {
-		n, _, _ := c.Nodes.Get(name)
-		if len(n.Status.RunningJobs) > 0 {
-			reserved++
-		}
-	}
-	if reserved != 1 {
-		t.Fatalf("%d nodes hold reservations, want 1", reserved)
+			jobs := make([]string, tc.jobs)
+			versions := make([]int64, tc.jobs)
+			for i := range jobs {
+				jobs[i] = fmt.Sprintf("j%d", i)
+				j := fidelityJob(jobs[i])
+				j.Spec.Resources = api.ResourceRequirements{CPUMillis: 500, MemoryMB: 256}
+				created, err := c.SubmitJob(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				versions[i] = created.ResourceVersion
+			}
+
+			var wins, losses atomic.Int64
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					j := i % len(jobs)
+					err := c.BindJobAt(jobs[j], nodes[i%len(nodes)], 0.5, versions[j])
+					switch {
+					case err == nil:
+						wins.Add(1)
+					case IsCapacity(err), IsConflict(err) && !tc.capacityOnly:
+						losses.Add(1)
+					default:
+						t.Errorf("racing bind got %v", err)
+					}
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			if wins.Load() != 1 {
+				t.Fatalf("%d binds won, want exactly 1 (%d typed losses)", wins.Load(), losses.Load())
+			}
+			// Exactly one node carries exactly one reservation.
+			reserved := 0
+			for _, name := range nodes {
+				reserved += len(liveNode(t, c, name).Status.RunningJobs)
+			}
+			if reserved != 1 {
+				t.Fatalf("%d reservations held, want 1", reserved)
+			}
+			if err := c.CheckIndexes(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -857,8 +853,8 @@ func TestNodeCopySurvivesRefresh(t *testing.T) {
 
 // TestBackendFollowsDeleteAndReAdd: the decoded-backend cache belongs to the
 // node object, not to the name. A vendor who deletes a device and registers
-// another under the same name must see the new one executed — and a slot
-// reservation, which rewrites the node but not its device, must not cost a
+// another under the same name must see the new one executed — and a phase
+// change, which rewrites the node but not its device, must not cost a
 // re-decode.
 func TestBackendFollowsDeleteAndReAdd(t *testing.T) {
 	c := New()
@@ -874,7 +870,7 @@ func TestBackendFollowsDeleteAndReAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Nodes.Update("dev", func(n api.Node) (api.Node, error) {
-		n.Status.RunningJobs = append(n.Status.RunningJobs, "j")
+		n.Status.Phase = api.NodeNotReady
 		return n, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -907,8 +903,7 @@ func TestBackendFollowsDeleteAndReAdd(t *testing.T) {
 
 // TestIllegalTransitionWritesNothing: an event the lifecycle table has no
 // row for — here every event there is, fired at a job that already
-// Succeeded while a reservation in its name is still on the node — leaves
-// the job's version, its event trail and the node's accounting untouched.
+// Succeeded — leaves the job's version and its event trail untouched.
 func TestIllegalTransitionWritesNothing(t *testing.T) {
 	c := New()
 	c.AddNode(testBackend(t, "dev-a"))
@@ -918,11 +913,6 @@ func TestIllegalTransitionWritesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Re-reserve what succeed released, so a wrongful release would show.
-	c.Nodes.Update("dev-a", func(n api.Node) (api.Node, error) {
-		n.Status.RunningJobs = []string{"j1"}
-		return n, nil
-	})
 	_, version, _ := c.Jobs.Get("j1")
 	events := len(c.EventsAbout("j1"))
 
@@ -938,8 +928,5 @@ func TestIllegalTransitionWritesNothing(t *testing.T) {
 	}
 	if got := len(c.EventsAbout("j1")); got != events {
 		t.Fatalf("illegal transitions recorded %d events", got-events)
-	}
-	if n, _, _ := c.Nodes.Get("dev-a"); !n.Status.HasRunningJob("j1") {
-		t.Fatal("illegal transition released the node")
 	}
 }

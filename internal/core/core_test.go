@@ -213,22 +213,17 @@ func TestSequentialJobsShareTheCluster(t *testing.T) {
 			t.Fatalf("job %s phase = %s", name, job.Status.Phase)
 		}
 	}
-	waitNodesDrained(t, q)
+	nodesDrained(t, q)
 }
 
-// waitNodesDrained fails unless every node gives up its reservations. A
-// job's terminal phase is visible one write before its slot is released,
-// so the last releases get a moment to land.
-func waitNodesDrained(t *testing.T, q *core.QRIO) {
+// nodesDrained fails unless every node has given up its reservations: a
+// job's terminal phase frees its slot in the same write.
+func nodesDrained(t *testing.T, q *core.QRIO) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, n := range q.State.Nodes.List() {
-		for len(n.Status.RunningJobs) != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("node %s still holds %v", n.Name, n.Status.RunningJobs)
-			}
-			time.Sleep(time.Millisecond)
-			n, _, _ = q.State.Nodes.Get(n.Name)
+	nodes, _ := q.State.Fleet()
+	for _, n := range nodes {
+		if len(n.Status.RunningJobs) != 0 || n.Status.CPUMillisInUse != 0 || n.Status.MemoryMBInUse != 0 {
+			t.Fatalf("node %s still holds %+v", n.Name, n.Status)
 		}
 	}
 }
@@ -293,5 +288,5 @@ func TestConcurrentPipelineEndToEnd(t *testing.T) {
 	if st := q.Meta.CacheStats(); st.Misses > 2 || st.Hits == 0 {
 		t.Fatalf("cache stats hits=%d misses=%d; want ≤2 misses for 8 same-circuit jobs on 2 backends", st.Hits, st.Misses)
 	}
-	waitNodesDrained(t, q)
+	nodesDrained(t, q)
 }

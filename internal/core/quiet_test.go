@@ -75,9 +75,9 @@ func TestIdleControlPlaneWritesNothing(t *testing.T) {
 
 // TestJobLifecycleFsyncBudget holds the group-commit saving in place: on a
 // quiet durable deployment with fsync on, one job's whole life — submit,
-// bind, claim, finish — still journals its 11 records, but waits for the
+// bind, claim, finish — still journals its 9 records, but waits for the
 // disk once per stage: at most 5 fsyncs (4 when nothing else is writing;
-// one per record, 11, before the log was shared), read from the commit
+// one per record before the log was shared), read from the commit
 // histograms an operator would read.
 func TestJobLifecycleFsyncBudget(t *testing.T) {
 	b, err := device.UniformBackend("q1", graph.Line(6), 0.02, 0.005, 0.01, 500e3, 500e3)
@@ -122,16 +122,16 @@ func TestJobLifecycleFsyncBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The terminal watch event is out before the finishing transition has
-	// written its release and event: let those land before the barrier.
+	// written its event: let that land before the barrier.
 	written := func() float64 {
 		return obs.FindFamily(reg.Gather(), "qrio_durability_wal_appends_total").Samples[0].Value
 	}
-	for deadline := time.Now().Add(5 * time.Second); written() < r0+11 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); written() < r0+9 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	f1, r1, w1 := commits()
-	if r1-r0 != 11 {
-		t.Fatalf("one job journaled %v records, want 11", r1-r0)
+	if r1-r0 != 9 {
+		t.Fatalf("one job journaled %v records, want 9", r1-r0)
 	}
 	if n := f1 - f0; n < 1 || n > 5 {
 		t.Fatalf("one job cost %v fsyncs, want at most 5", n)

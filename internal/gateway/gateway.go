@@ -477,9 +477,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, s.Core.State.EventsAbout(name))
 }
 
-// handleListNodes and handleGetNode answer with the LIVE last heartbeat
-// (state.LiveNode): the stored objects carry it only as of registration
-// or the last Ready↔NotReady transition.
+// The node handlers answer with the LIVE last heartbeat and reservations
+// (state.LiveNode): the stored objects carry the heartbeat only as of
+// registration or the last Ready↔NotReady transition, and no reservations.
 func (s *Server) handleListNodes(w http.ResponseWriter, r *http.Request) {
 	nodes := s.Core.State.Nodes.List()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
@@ -506,7 +506,7 @@ func (s *Server) handleRegisterNode(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteErr(w, err, http.StatusInternalServerError, httpx.CodeInternal)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusCreated, n)
+	httpx.WriteJSON(w, http.StatusCreated, s.Core.State.LiveNode(n))
 }
 
 func (s *Server) handleGetNode(w http.ResponseWriter, r *http.Request) {

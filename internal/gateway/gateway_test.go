@@ -380,7 +380,7 @@ observe:
 	case <-time.After(5 * time.Second):
 		t.Fatal("container context never cancelled")
 	}
-	// ...and the node slot frees (release lands just after the phase).
+	// ...and the node slot frees.
 	freeBy := time.Now().Add(5 * time.Second)
 	for {
 		n, err := c.Node(ctx, "solo")

@@ -142,14 +142,11 @@ func TestDispatchMatchesPerJobOracle(t *testing.T) {
 					t.Fatalf("pass %d placements diverge from the per-job oracle:\n got %v\nwant %v", pass, got, want)
 				}
 				total += len(want)
-				for name, nodeName := range got {
+				for name := range got {
 					if _, _, err := st.Jobs.Update(name, func(j api.QuantumJob) (api.QuantumJob, error) {
 						j.Status.Phase = api.JobSucceeded
 						return j, nil
 					}); err != nil {
-						t.Fatal(err)
-					}
-					if err := st.ReleaseNode(nodeName, name); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -234,9 +231,6 @@ func TestKeptRankingsSeeDeviceChanges(t *testing.T) {
 		j.Status.Phase = api.JobSucceeded
 		return j, nil
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ReleaseNode("dev", "warm"); err != nil {
 		t.Fatal(err)
 	}
 	small, err := device.UniformBackend("dev", graph.Line(3), 0.05, 0.01, 0.05, 500e3, 100e3)

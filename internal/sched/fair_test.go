@@ -53,7 +53,6 @@ func driveBindSequence(t *testing.T, st *state.Cluster, s *Scheduler, total int)
 		}); err != nil {
 			t.Fatal(err)
 		}
-		st.ReleaseNode(j.Status.Node, j.Name)
 	}
 	return seq
 }
@@ -266,7 +265,6 @@ func TestDispatchRespectsMaxActiveQuota(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st.ReleaseNode(done.Status.Node, done.Name)
 	if n := s.SchedulePass(); n != 1 {
 		t.Fatalf("pass after one finish bound %d jobs, want 1", n)
 	}

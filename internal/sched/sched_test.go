@@ -83,14 +83,12 @@ func TestFiltersByCharacteristics(t *testing.T) {
 func TestResourceFitUsesFreeCapacity(t *testing.T) {
 	st := state.New()
 	node(t, st, "n", 5, 0.1)
-	st.Nodes.Update("n", func(n api.Node) (api.Node, error) {
-		n.Status.CPUMillisInUse = n.Spec.CPUMillis - 100
-		return n, nil
-	})
+	nodes := st.Nodes.List()
+	nodes[0].Status.CPUMillisInUse = nodes[0].Spec.CPUMillis - 100
 	j := job("j", 0, 0)
 	j.Spec.Resources.CPUMillis = 500
 	fw := NewFramework(nil, DefaultFilters()...)
-	feasible, rejected := fw.FilterNodes(j, st.Nodes.List())
+	feasible, rejected := fw.FilterNodes(j, nodes)
 	if len(feasible) != 0 {
 		t.Fatalf("overcommitted node passed: %v", feasible)
 	}
@@ -102,17 +100,20 @@ func TestResourceFitUsesFreeCapacity(t *testing.T) {
 func TestNodeReadyFilter(t *testing.T) {
 	st := state.New()
 	node(t, st, "busy", 5, 0.1)
-	st.Nodes.Update("busy", func(n api.Node) (api.Node, error) {
-		n.Status.RunningJobs = []string{"other"}
-		return n, nil
-	})
+	if _, err := st.SubmitJob(job("other", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BindJob("other", "busy", 0); err != nil {
+		t.Fatal(err)
+	}
 	node(t, st, "down", 5, 0.1)
 	st.Nodes.Update("down", func(n api.Node) (api.Node, error) {
 		n.Status.Phase = api.NodeNotReady
 		return n, nil
 	})
 	fw := NewFramework(nil, DefaultFilters()...)
-	feasible, _ := fw.FilterNodes(job("j", 0, 0), st.Nodes.List())
+	nodes, _ := st.Fleet()
+	feasible, _ := fw.FilterNodes(job("j", 0, 0), nodes)
 	if len(feasible) != 0 {
 		t.Fatalf("busy/down nodes passed: %v", feasible)
 	}
@@ -284,21 +285,18 @@ func TestBatchedDispatchMoreJobsThanNodes(t *testing.T) {
 	if bound := s.SchedulePass(); bound != 0 {
 		t.Fatalf("saturated pass bound %d", bound)
 	}
-	for _, name := range []string{"a", "b"} {
-		n, _, _ := st.Nodes.Get(name)
+	nodes, _ := st.Fleet()
+	for _, n := range nodes {
 		if len(n.Status.RunningJobs) != 1 {
-			t.Fatalf("node %s runs %v", name, n.Status.RunningJobs)
+			t.Fatalf("node %s runs %v", n.Name, n.Status.RunningJobs)
 		}
 	}
 	// Free both nodes; the following pass places the next two FIFO jobs.
-	for _, name := range []string{"a", "b"} {
-		n, _, _ := st.Nodes.Get(name)
-		jobName := n.Status.RunningJobs[0]
-		st.Jobs.Update(jobName, func(j api.QuantumJob) (api.QuantumJob, error) {
+	for _, n := range nodes {
+		st.Jobs.Update(n.Status.RunningJobs[0], func(j api.QuantumJob) (api.QuantumJob, error) {
 			j.Status.Phase = api.JobSucceeded
 			return j, nil
 		})
-		st.ReleaseNode(name, jobName)
 	}
 	if bound := s.SchedulePass(); bound != 2 {
 		t.Fatalf("post-release pass bound %d, want 2", bound)
@@ -352,9 +350,8 @@ func TestBatchedDispatchFillsMultiSlotNode(t *testing.T) {
 	if bound := s.SchedulePass(); bound != 3 {
 		t.Fatalf("bound %d, want 3 (slot cap)", bound)
 	}
-	n, _, _ := st.Nodes.Get("wide")
-	if len(n.Status.RunningJobs) != 3 {
-		t.Fatalf("node runs %v, want 3 containers", n.Status.RunningJobs)
+	if nodes, _ := st.Fleet(); len(nodes[0].Status.RunningJobs) != 3 {
+		t.Fatalf("node runs %v, want 3 containers", nodes[0].Status.RunningJobs)
 	}
 }
 
@@ -373,10 +370,12 @@ func (*slotThief) Name() string { return "slotThief" }
 func (s *slotThief) Score(_ api.QuantumJob, n api.Node) (float64, error) {
 	if n.Name == s.victim {
 		s.once.Do(func() {
-			s.st.Nodes.Update(s.victim, func(n api.Node) (api.Node, error) {
-				n.Status.RunningJobs = append(n.Status.RunningJobs, "squatter")
-				return n, nil
-			})
+			if _, err := s.st.SubmitJob(job("squatter", 0, 0)); err != nil {
+				panic(err)
+			}
+			if err := s.st.BindJob("squatter", s.victim, 0); err != nil {
+				panic(err)
+			}
 		})
 	}
 	return s.mapScorer.Score("", n.Name)

@@ -168,7 +168,7 @@ func TestSimAndLiveAgreeOnTheLifecycle(t *testing.T) {
 				for _, step := range tc.steps {
 					step(w)
 				}
-				if n, _, _ := w.e.st.Nodes.Get(node); len(n.Status.RunningJobs) != 0 {
+				if n, _, _ := w.e.st.Nodes.Get(node); len(w.e.st.LiveNode(n).Status.RunningJobs) != 0 {
 					t.Errorf("live=%v: node still holds %v", live, n.Status.RunningJobs)
 				}
 				trails[live] = w.trail
