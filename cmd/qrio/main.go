@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -153,7 +154,7 @@ func main() {
 	q.Start()
 	defer q.Close()
 
-	log.Printf("QRIO up: %d nodes, visualizer at http://localhost%s/", len(fleet), *addr)
+	log.Printf("QRIO up: %d nodes, visualizer at %s", len(fleet), visualizerURL(*addr))
 	srv := &http.Server{Addr: *addr, Handler: daemon.HandlerMaxInFlight(q, *maxInFlight)}
 	go func() {
 		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
@@ -186,6 +187,16 @@ func main() {
 		log.Printf("drain: %v", err)
 	}
 	log.Printf("drained: %d unclaimed jobs requeued; shutting down", requeued)
+}
+
+// visualizerURL is the dashboard's link for a listen address: its host, or
+// localhost when the address names none.
+func visualizerURL(addr string) string {
+	host, port, _ := net.SplitHostPort(addr) // a -addr without a port fails ListenAndServe
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port) + "/"
 }
 
 // parseTenantWeights parses "a=3,b=1" into a weight map.

@@ -6,6 +6,7 @@ import (
 
 	"qrio/internal/device"
 	"qrio/internal/mapomatic"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/stabilizer"
 	"qrio/internal/transpile"
@@ -36,7 +37,7 @@ func TestCanaryModelFollowsActiveSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.members = append(cs.members, &canaryMember{circuit: c, ideal: ideal, memo: map[string]float64{}})
+		cs.members = append(cs.members, &canaryMember{circuit: c, ideal: ideal, memo: memo.New[string, float64](maxIdealMemo)})
 	}
 	e := Estimator{Shots: 512, Seed: 3}
 	got, err := e.CanaryFidelityOn(cs, b)

@@ -7,8 +7,8 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
 
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/noise"
 	"qrio/internal/quantum/statevec"
@@ -29,7 +29,7 @@ const (
 // memo holds.
 func (e Estimator) dense(c *circuit.Circuit, model *noise.Model) (map[string]int, float64, string, error) {
 	if statevec.Exactable(c) {
-		d, err := exact(c, model)
+		d, err := exacts.Load(exactDigest(c, model), func() (*statevec.Distribution, error) { return statevec.Exact(c, model) })
 		if err != nil {
 			return nil, 0, "", err
 		}
@@ -44,42 +44,16 @@ func (e Estimator) dense(c *circuit.Circuit, model *noise.Model) (map[string]int
 	return counts, HellingerCounts(ideal, counts), MethodStatevector, nil
 }
 
-// maxExacts bounds the memo, which is emptied when full. A distribution is
-// at most 4 KiB (two floats per outcome of at most 8 measurements, a 5-qubit
-// one 0.6 KiB), so a full memo is at most a megabyte; the steady-warm
-// families need a few dozen, and a cold job's key never recurs.
+// maxExacts bounds the memo. A distribution is at most 4 KiB (two floats
+// per outcome of at most 8 measurements, a 5-qubit one 0.6 KiB), so a full
+// memo is at most a megabyte; the steady-warm families need a few dozen,
+// and a cold job's key never recurs.
 const maxExacts = 256
 
 // exacts memoises exact distributions, keyed by the digest of everything
 // they read, across calls and goroutines. No result depends on what it
-// holds, so one memo serves the process. Errors are never stored.
-var exacts = struct {
-	sync.Mutex
-	m map[[sha256.Size]byte]*statevec.Distribution
-}{m: make(map[[sha256.Size]byte]*statevec.Distribution)}
-
-// exact returns c's distribution under model, from the memo or computed
-// and memoised.
-func exact(c *circuit.Circuit, model *noise.Model) (*statevec.Distribution, error) {
-	k := exactDigest(c, model)
-	exacts.Lock()
-	d := exacts.m[k]
-	exacts.Unlock()
-	if d != nil {
-		return d, nil
-	}
-	d, err := statevec.Exact(c, model)
-	if err != nil {
-		return nil, err
-	}
-	exacts.Lock()
-	defer exacts.Unlock()
-	if len(exacts.m) >= maxExacts {
-		clear(exacts.m)
-	}
-	exacts.m[k] = d
-	return d, nil
-}
+// holds, so one memo serves the process.
+var exacts = memo.NewShared[[sha256.Size]byte, *statevec.Distribution]("fidelity.exacts", maxExacts)
 
 // exactDigest digests what statevec.Exact reads: c's register sizes and
 // every gate's name, operands and angles — not the circuit's name, which a

@@ -11,6 +11,7 @@ import (
 
 	"qrio/internal/device"
 	"qrio/internal/fidelity"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/statevec"
 )
 
@@ -133,7 +134,7 @@ func TestExactCountsIndependentOfMemo(t *testing.T) {
 	}
 	want := make([]string, len(runs))
 	for i := range runs {
-		fidelity.EmptyExactMemo()
+		memo.Empty()
 		var err error
 		if want[i], err = execute(i); err != nil {
 			t.Fatal(err)
@@ -153,7 +154,7 @@ func TestExactCountsIndependentOfMemo(t *testing.T) {
 			case <-done:
 				return
 			default:
-				fidelity.EmptyExactMemo()
+				memo.Empty()
 			}
 		}
 	}()

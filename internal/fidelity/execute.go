@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"qrio/internal/device"
-	"qrio/internal/mapomatic"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/stabilizer"
-	"qrio/internal/transpile"
 )
 
 // Execution is the record of actually running a circuit on a (simulated)
@@ -42,39 +40,26 @@ func (e Estimator) Execute(c *circuit.Circuit, b *device.Backend) (*Execution, e
 	if e.Shots <= 0 {
 		return nil, fmt.Errorf("fidelity: Execute needs positive Shots")
 	}
-	tr, err := transpile.Transpile(ensureMeasured(c), b, e.Transpile)
+	ex, compact, err := e.prepare(c, b)
 	if err != nil {
 		return nil, err
 	}
-	compact, active, err := mapomatic.Deflate(tr.Circuit)
-	if err != nil {
-		return nil, err
-	}
-	model := compactModel(b, active)
-	ex := &Execution{
-		Transpiled:   tr.Circuit,
-		ActiveQubits: active,
-		AddedSwaps:   tr.AddedSwaps,
-	}
+	model := compactModel(b, ex.ActiveQubits)
 	switch {
 	case compact.NumQubits <= e.denseLimit():
-		counts, f, method, err := e.dense(compact, model)
-		if err != nil {
+		if ex.Counts, ex.Fidelity, ex.Method, err = e.dense(compact, model); err != nil {
 			return nil, err
 		}
-		ex.Counts, ex.Fidelity, ex.Method = counts, f, method
 	case compact.IsClifford():
 		ex.Method = "stabilizer"
-		counts, err := stabilizer.Runner{Model: model, Shots: e.Shots, Seed: e.Seed, Context: e.Context}.Counts(compact)
-		if err != nil {
+		if ex.Counts, err = (stabilizer.Runner{Model: model, Shots: e.Shots, Seed: e.Seed, Context: e.Context}).Counts(compact); err != nil {
 			return nil, err
 		}
-		ex.Counts = counts
 		ideal, err := stabilizer.NewIdeal(compact)
 		if err != nil {
 			return nil, err
 		}
-		if ex.Fidelity, err = hellingerExact(counts, ideal.Probability); err != nil {
+		if ex.Fidelity, err = hellingerExact(ex.Counts, ideal.Probability); err != nil {
 			return nil, err
 		}
 	default:

@@ -1,12 +1,17 @@
 package fidelity
 
-// Prepare is Estimator.prepare: the compact circuit and noise model a dense
-// engine runs for a circuit on a backend.
-var Prepare = Estimator.prepare
+import (
+	"qrio/internal/device"
+	"qrio/internal/quantum/circuit"
+	"qrio/internal/quantum/noise"
+)
 
-// EmptyExactMemo empties the memo of exact distributions.
-func EmptyExactMemo() {
-	exacts.Lock()
-	defer exacts.Unlock()
-	clear(exacts.m)
+// Prepare is what Execute runs for a circuit on a backend: the compact
+// circuit and its noise model.
+func Prepare(e Estimator, c *circuit.Circuit, b *device.Backend) (*circuit.Circuit, *noise.Model, error) {
+	ex, compact, err := e.prepare(c, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return compact, compactModel(b, ex.ActiveQubits), nil
 }

@@ -26,10 +26,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"qrio/internal/device"
 	"qrio/internal/mapomatic"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/clifford"
 	"qrio/internal/quantum/noise"
@@ -61,20 +61,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // HellingerCounts compares an exact distribution with an empirical
 // histogram.
 func HellingerCounts(ideal map[string]float64, counts map[string]int) float64 {
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, k := range sortedKeys(counts) {
-		if p := ideal[k]; p > 0 {
-			s += math.Sqrt(p * float64(counts[k]) / float64(total))
-		}
-	}
-	return s * s
+	f, _ := hellingerExact(counts, func(bits string) (float64, error) { return ideal[bits], nil })
+	return f
 }
 
 // TVD returns the total variation distance between two distributions.
@@ -162,9 +150,11 @@ func ensureMeasured(c *circuit.Circuit) *circuit.Circuit {
 }
 
 // prepare transpiles the circuit for the backend and deflates the physical
-// circuit to its active qubits, returning the compact circuit plus the
-// matching compact noise model.
-func (e Estimator) prepare(c *circuit.Circuit, b *device.Backend) (*circuit.Circuit, *noise.Model, error) {
+// circuit to its active qubits: the one preparation path of Execute,
+// OracleFidelity and the canaries. It returns the record of that (the
+// transpiled circuit, its active qubits and added swaps) and the compact
+// circuit, which runs under compactModel(b, ActiveQubits).
+func (e Estimator) prepare(c *circuit.Circuit, b *device.Backend) (*Execution, *circuit.Circuit, error) {
 	tr, err := transpile.Transpile(ensureMeasured(c), b, e.Transpile)
 	if err != nil {
 		return nil, nil, err
@@ -173,7 +163,7 @@ func (e Estimator) prepare(c *circuit.Circuit, b *device.Backend) (*circuit.Circ
 	if err != nil {
 		return nil, nil, err
 	}
-	return compact, compactModel(b, active), nil
+	return &Execution{Transpiled: tr.Circuit, ActiveQubits: active, AddedSwaps: tr.AddedSwaps}, compact, nil
 }
 
 // compactModel restricts a backend's noise model to the given physical
@@ -221,35 +211,17 @@ type Canaries struct {
 type canaryMember struct {
 	circuit *circuit.Circuit
 	ideal   *stabilizer.Ideal
-
-	mu   sync.Mutex
-	memo map[string]float64 // ideal.Probability by outcome
+	memo    *memo.Bounded[string, float64] // ideal.Probability by outcome
 }
 
 // maxIdealMemo caps one member's memo: a wide circuit on noisy devices can
-// observe a new outcome on nearly every shot. Past the cap probabilities
-// are computed and not kept.
+// observe a new outcome on nearly every shot.
 const maxIdealMemo = 4096
 
 // idealProb returns the exact probability that the member's noiseless run
 // produces bits.
 func (m *canaryMember) idealProb(bits string) (float64, error) {
-	m.mu.Lock()
-	p, ok := m.memo[bits]
-	m.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := m.ideal.Probability(bits)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	if len(m.memo) < maxIdealMemo {
-		m.memo[bits] = p
-	}
-	m.mu.Unlock()
-	return p, nil
+	return m.memo.Load(bits, func() (float64, error) { return m.ideal.Probability(bits) })
 }
 
 // PrepareCanaries builds the canary ensemble for c. The ensemble is built
@@ -266,7 +238,7 @@ func (e Estimator) PrepareCanaries(c *circuit.Circuit) (*Canaries, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.members = append(cs.members, &canaryMember{circuit: member, ideal: ideal, memo: make(map[string]float64)})
+		cs.members = append(cs.members, &canaryMember{circuit: member, ideal: ideal, memo: memo.New[string, float64](maxIdealMemo)})
 	}
 	return cs, nil
 }
@@ -304,16 +276,12 @@ func (e Estimator) CanaryFidelityOn(cs *Canaries, b *device.Backend) (float64, e
 	var model *noise.Model
 	sum := 0.0
 	for k, member := range cs.members {
-		tr, err := transpile.Transpile(member.circuit, b, e.Transpile)
+		ex, compact, err := e.prepare(member.circuit, b)
 		if err != nil {
 			return 0, err
 		}
-		compact, act, err := mapomatic.Deflate(tr.Circuit)
-		if err != nil {
-			return 0, err
-		}
-		if model == nil || !slices.Equal(act, active) {
-			active, model = act, compactModel(b, act)
+		if model == nil || !slices.Equal(ex.ActiveQubits, active) {
+			active, model = ex.ActiveQubits, compactModel(b, ex.ActiveQubits)
 		}
 		noisy, err := stabilizer.Runner{Model: model, Shots: shots, Seed: e.Seed + int64(k)*7919}.Counts(compact)
 		if err != nil {
@@ -404,13 +372,16 @@ func circuitSeed(c *circuit.Circuit) int64 {
 	return h
 }
 
-// hellingerExact is HellingerCounts against an ideal distribution given as
-// a function evaluated only on the observed outcomes — the form that works
-// when the register is too wide to enumerate.
+// hellingerExact compares an ideal distribution, given as a function
+// evaluated only on the observed outcomes (the form that works when the
+// register is too wide to enumerate), with an empirical histogram.
 func hellingerExact(counts map[string]int, ideal func(bits string) (float64, error)) (float64, error) {
 	total := 0
 	for _, n := range counts {
 		total += n
+	}
+	if total == 0 {
+		return 0, nil
 	}
 	s := 0.0
 	for _, bits := range sortedKeys(counts) {
@@ -434,7 +405,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 	if e.Shots <= 0 {
 		return 0, fmt.Errorf("fidelity: estimator needs positive Shots")
 	}
-	compact, model, err := e.prepare(c, b)
+	ex, compact, err := e.prepare(c, b)
 	if err != nil {
 		return 0, err
 	}
@@ -442,7 +413,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 		return 0, fmt.Errorf("fidelity: oracle needs %d qubits (> %d) on %s",
 			compact.NumQubits, e.denseLimit(), b.Name)
 	}
-	_, f, _, err := e.dense(compact, model)
+	_, f, _, err := e.dense(compact, compactModel(b, ex.ActiveQubits))
 	return f, err
 }
 

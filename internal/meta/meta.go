@@ -19,6 +19,7 @@ import (
 	"qrio/internal/faults"
 	"qrio/internal/fidelity"
 	"qrio/internal/mapomatic"
+	"qrio/internal/memo"
 	"qrio/internal/par"
 	"qrio/internal/quantum/qasm"
 )
@@ -126,10 +127,9 @@ type job struct {
 // prepared is a singleflight slot of the prepared table: the canary
 // ensemble of one fingerprint, built by the first scorer that needs it.
 type prepared struct {
-	fingerprint string
-	once        sync.Once
-	canaries    *fidelity.Canaries
-	err         error
+	once     sync.Once
+	canaries *fidelity.Canaries
+	err      error
 }
 
 // maxPrepared bounds the prepared table. A prepared ensemble is only
@@ -159,10 +159,9 @@ type Server struct {
 	lru     list.List // of *cacheRow
 	entries int
 
-	// preparedMu guards the prepared table: the device-independent half of
-	// the canary estimate, most recently used first, at most maxPrepared.
-	preparedMu sync.Mutex
-	prepared   []*prepared
+	// prepared is the prepared table: the device-independent half of the
+	// canary estimate by fingerprint, at most maxPrepared.
+	prepared *memo.Bounded[string, *prepared]
 
 	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations atomic.Uint64
 }
@@ -180,6 +179,7 @@ func NewServer(opts Options) *Server {
 		backends: make(map[string]*backend),
 		jobs:     make(map[string]job),
 		rows:     make(map[string]*cacheRow),
+		prepared: memo.New[string, *prepared](maxPrepared),
 	}
 }
 
@@ -434,24 +434,7 @@ func (s *Server) compute(j job, row *cacheRow, cl claim) {
 // table is a convenience, not a contract: an entry evicted while a late
 // scorer still needs it is simply rebuilt, to the same ensemble.
 func (s *Server) canaries(fingerprint, circuitQASM string) (*fidelity.Canaries, error) {
-	s.preparedMu.Lock()
-	var p *prepared
-	for i, have := range s.prepared {
-		if have.fingerprint == fingerprint {
-			p = have
-			copy(s.prepared[1:i+1], s.prepared[:i])
-			break
-		}
-	}
-	if p == nil {
-		p = &prepared{fingerprint: fingerprint}
-		if len(s.prepared) < maxPrepared {
-			s.prepared = append(s.prepared, nil)
-		}
-		copy(s.prepared[1:], s.prepared)
-	}
-	s.prepared[0] = p
-	s.preparedMu.Unlock()
+	p, _ := s.prepared.Load(fingerprint, func() (*prepared, error) { return new(prepared), nil }) // a slot's build cannot fail
 	p.once.Do(func() {
 		// Pre-set, as in compute: a panic spends the Once, and scorers
 		// arriving later must find an error, not a nil ensemble.

@@ -50,14 +50,12 @@ func TestPreparedTableBoundedAndRebuildable(t *testing.T) {
 		if _, err := s.Score(preparedTestJob(t, s, k), "dev-0"); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(s.prepared); n > maxPrepared {
+		if n := s.prepared.Len(); n > maxPrepared {
 			t.Fatalf("prepared table holds %d ensembles, bound is %d", n, maxPrepared)
 		}
 	}
-	for _, p := range s.prepared {
-		if p.fingerprint == fingerprint {
-			t.Fatal("first fingerprint still prepared; the test did not evict it")
-		}
+	if _, held := s.prepared.Get(fingerprint); held {
+		t.Fatal("first fingerprint still prepared; the test did not evict it")
 	}
 	late, err := s.Score(first, "dev-1") // a device the first sweep never reached
 	if err != nil {

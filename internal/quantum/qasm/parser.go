@@ -5,11 +5,30 @@ import (
 	"math"
 	"sync/atomic"
 
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 )
 
 // parses counts Parse calls, so tests can hold a path to its parse budget.
 var parses atomic.Int64
+
+// sharedSlots bounds ParseShared's memo. A recurring workload needs one
+// entry per circuit it keeps submitting; a one-off circuit needs its entry
+// only from submission to execution.
+const sharedSlots = 32
+
+// shared maps a source text to its parsed circuit.
+var shared = memo.NewShared[string, *circuit.Circuit]("qasm.parse", sharedSlots)
+
+// ParseShared is Parse behind a bounded, process-wide memo keyed by the
+// exact source text: the intake and execution paths that each need a job's
+// circuit parse its text once while it recurs. The circuit returned is
+// shared with every other caller of the same text and must not be modified
+// (copy it first; a shallow copy is enough to rename it). Errors are never
+// stored, so an unparseable text fails the same way as Parse every time.
+func ParseShared(src string) (*circuit.Circuit, error) {
+	return shared.Load(src, func() (*circuit.Circuit, error) { return Parse(src) })
+}
 
 // Parse reads OpenQASM 2.0 source and returns the flattened circuit.
 // All quantum registers are concatenated into one logical qubit space in

@@ -8,13 +8,6 @@ import (
 	"time"
 )
 
-// sharedLen reads how many texts the memo holds.
-func sharedLen() int {
-	shared.Lock()
-	defer shared.Unlock()
-	return len(shared.byText)
-}
-
 // TestParseSharedParsesOnce: a recurring text is parsed once and every
 // caller gets the same circuit, equal to a fresh Parse.
 func TestParseSharedParsesOnce(t *testing.T) {
@@ -56,7 +49,7 @@ func TestParseSharedIsBounded(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if n := sharedLen(); n > sharedSlots {
+				if n := shared.Len(); n > sharedSlots {
 					t.Errorf("memo holds %d texts, bound %d", n, sharedSlots)
 					return
 				}
@@ -64,7 +57,7 @@ func TestParseSharedIsBounded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := sharedLen(); n != sharedSlots {
+	if n := shared.Len(); n != sharedSlots {
 		t.Fatalf("memo holds %d texts, want it full at %d", n, sharedSlots)
 	}
 	last := text(3 * sharedSlots)
@@ -95,10 +88,7 @@ func TestParseSharedStoresNoError(t *testing.T) {
 			t.Fatal("a failed parse was answered from the memo")
 		}
 	}
-	shared.Lock()
-	_, stored := shared.byText[src]
-	shared.Unlock()
-	if stored {
+	if _, stored := shared.Get(src); stored {
 		t.Fatal("an unparseable text was stored")
 	}
 }

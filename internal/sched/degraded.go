@@ -9,6 +9,7 @@ import (
 
 	"qrio/internal/clock"
 	"qrio/internal/cluster/api"
+	"qrio/internal/memo"
 	"qrio/internal/meta"
 	"qrio/internal/par"
 	"qrio/internal/resilience"
@@ -56,9 +57,7 @@ type ResilientMetaScore struct {
 
 	mu       sync.Mutex
 	breaker  *resilience.Breaker // resolved from Breaker on first use
-	pairs    map[pairKey]staleScore
-	pairRing []pairKey // pairs' keys in insertion order, a ring once full
-	pairHead int       // the oldest key's slot in a full ring
+	pairs    *memo.Bounded[pairKey, staleScore]
 	nodes    map[string]staleScore
 	notified int64 // breaker episode OnDegraded last fired for
 }
@@ -106,7 +105,8 @@ func (r *ResilientMetaScore) ScoreEach(j api.QuantumJob, nodes []api.Node, lim p
 	return scores, errs
 }
 
-// circuit resolves the breaker once so concurrent scoring shares one.
+// circuit resolves the breaker and the caches once so concurrent scoring
+// shares them.
 func (r *ResilientMetaScore) circuit() *resilience.Breaker {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,6 +116,8 @@ func (r *ResilientMetaScore) circuit() *resilience.Breaker {
 		} else {
 			r.breaker = &resilience.Breaker{Clock: r.Clock}
 		}
+		r.pairs = memo.New[pairKey, staleScore](maxCacheEntries)
+		r.nodes = make(map[string]staleScore)
 	}
 	return r.breaker
 }
@@ -124,33 +126,19 @@ func (r *ResilientMetaScore) circuit() *resilience.Breaker {
 // score makes no key string, and the table holds none.
 type pairKey struct{ job, node string }
 
-// remember stores a batch's live scores for degraded replay, under one
-// lock. Each pair is O(1): a new pair past the cap overwrites the oldest
-// one's ring slot, no scan.
+// remember stores a batch's live scores for degraded replay. A pair the
+// cache holds is refreshed in place; a new one past the cap evicts the
+// oldest-inserted pair.
 func (r *ResilientMetaScore) remember(job string, names []string, scores []float64, errs []error) {
 	entry := staleScore{at: clock.Now(r.Clock)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.pairs == nil {
-		r.pairs = make(map[pairKey]staleScore)
-		r.nodes = make(map[string]staleScore)
-	}
 	for i, node := range names {
 		if errs[i] != nil {
 			continue
 		}
 		entry.score = scores[i]
-		key := pairKey{job, node}
-		if _, known := r.pairs[key]; !known {
-			if len(r.pairRing) < maxCacheEntries {
-				r.pairRing = append(r.pairRing, key)
-			} else {
-				delete(r.pairs, r.pairRing[r.pairHead])
-				r.pairRing[r.pairHead] = key
-				r.pairHead = (r.pairHead + 1) % maxCacheEntries
-			}
-		}
-		r.pairs[key] = entry
+		r.pairs.Put(pairKey{job, node}, entry)
 		r.nodes[node] = entry
 	}
 }
@@ -170,7 +158,7 @@ func (r *ResilientMetaScore) degraded(j api.QuantumJob, nodes []api.Node, scores
 		if errs[i] == nil {
 			continue
 		}
-		if pair, ok := r.pairs[pairKey{j.Name, n.Name}]; ok && now.Sub(pair.at) <= maxStale {
+		if pair, ok := r.pairs.Get(pairKey{j.Name, n.Name}); ok && now.Sub(pair.at) <= maxStale {
 			scores[i], errs[i] = pair.score, nil
 		} else if node, ok := r.nodes[n.Name]; ok && now.Sub(node.at) <= maxStale {
 			scores[i], errs[i] = node.score, nil

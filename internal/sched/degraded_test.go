@@ -273,13 +273,11 @@ func TestCacheCap(t *testing.T) {
 		}
 		fc.Advance(time.Millisecond) // all well inside the 5m maxStale
 	}
-	r.mu.Lock()
-	size := len(r.pairs)
-	_, oldest := r.pairs[pairKey{"j0", "n1"}]
-	_, evictedLast := r.pairs[pairKey{fmt.Sprintf("j%d", extra-1), "n1"}]
-	_, survivor := r.pairs[pairKey{fmt.Sprintf("j%d", extra), "n1"}]
-	_, newest := r.pairs[pairKey{fmt.Sprintf("j%d", maxCacheEntries+extra-1), "n1"}]
-	r.mu.Unlock()
+	size := r.pairs.Len()
+	_, oldest := r.pairs.Get(pairKey{"j0", "n1"})
+	_, evictedLast := r.pairs.Get(pairKey{fmt.Sprintf("j%d", extra-1), "n1"})
+	_, survivor := r.pairs.Get(pairKey{fmt.Sprintf("j%d", extra), "n1"})
+	_, newest := r.pairs.Get(pairKey{fmt.Sprintf("j%d", maxCacheEntries+extra-1), "n1"})
 	if size != maxCacheEntries {
 		t.Fatalf("cache holds %d fresh pairs, want it capped at %d", size, maxCacheEntries)
 	}
@@ -291,10 +289,8 @@ func TestCacheCap(t *testing.T) {
 	if _, err := r.Score(jobNamed(fmt.Sprintf("j%d", extra)), nodeNamed("n1", nil)); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
-	_, stillThere := r.pairs[pairKey{fmt.Sprintf("j%d", extra+1), "n1"}]
-	size = len(r.pairs)
-	r.mu.Unlock()
+	_, stillThere := r.pairs.Get(pairKey{fmt.Sprintf("j%d", extra+1), "n1"})
+	size = r.pairs.Len()
 	if !stillThere || size != maxCacheEntries {
 		t.Fatalf("re-scoring a cached pair evicted a neighbour (size %d)", size)
 	}

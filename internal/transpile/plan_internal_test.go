@@ -7,6 +7,7 @@ import (
 
 	"qrio/internal/device"
 	"qrio/internal/graph"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 )
 
@@ -15,7 +16,7 @@ import (
 // have stopped at. SABRE-lite shortens the blocked gate's distance every
 // step, so no real plan comes near a cap; this one is padded.
 func TestReplayHonoursStepCap(t *testing.T) {
-	t.Cleanup(ResetPlans)
+	t.Cleanup(memo.Empty)
 	b, err := device.UniformBackend("line", graph.Line(5), 0.1, 0.01, 0.02, 100e3, 100e3)
 	if err != nil {
 		t.Fatal(err)
@@ -55,15 +56,41 @@ func TestReplayHonoursStepCap(t *testing.T) {
 // TestPlanMemoIsBounded: the memo never holds more than maxPlans plans, and
 // the latest plan is always found.
 func TestPlanMemoIsBounded(t *testing.T) {
-	t.Cleanup(ResetPlans)
+	t.Cleanup(memo.Empty)
 	for i := 0; i < 3*maxPlans; i++ {
 		k := planKey{skeleton: strconv.Itoa(i)}
-		memoise(k, &plan{})
-		plans.Lock()
-		held, found := len(plans.m), plans.m[k] != nil
-		plans.Unlock()
-		if held > maxPlans || !found {
+		plans.Put(k, &plan{})
+		_, found := plans.Get(k)
+		if held := plans.Len(); held > maxPlans || !found {
 			t.Fatalf("after %d plans the memo holds %d and found the last: %t", i+1, held, found)
 		}
+	}
+}
+
+// TestPlanLookupBuildsNothing: a memoised plan is found without allocating,
+// for a skeleton longer than the compiler's 32-byte stack buffer for a
+// converted string.
+func TestPlanLookupBuildsNothing(t *testing.T) {
+	t.Cleanup(memo.Empty)
+	b, err := device.UniformBackend("line", graph.Line(9), 0.1, 0.01, 0.02, 100e3, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New(9)
+	for r := 0; r < 4; r++ {
+		for q := 0; q+1 < 9; q++ {
+			c.CX(q, q+1)
+		}
+	}
+	if n := len(appendSkeleton(nil, c)); n <= 32 {
+		t.Fatalf("skeleton is %d bytes, want it past 32", n)
+	}
+	want, err := planFor(c, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *plan
+	if allocs := testing.AllocsPerRun(100, func() { got, _ = planFor(c, b, Options{}) }); allocs != 0 || got != want {
+		t.Fatalf("a plan lookup made %.0f allocations (same plan: %t), want 0", allocs, got == want)
 	}
 }

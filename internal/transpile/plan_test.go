@@ -10,6 +10,7 @@ import (
 
 	"qrio/internal/device"
 	"qrio/internal/graph"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/transpile"
 	"qrio/internal/workload"
@@ -46,7 +47,7 @@ func withSkeleton(rng *rand.Rand, n int, pairs [][2]int) *circuit.Circuit {
 
 // fresh transpiles with the memo emptied: every plan built anew.
 func fresh(c *circuit.Circuit, b *device.Backend, opts transpile.Options) (*transpile.Result, error) {
-	transpile.ResetPlans()
+	memo.Empty()
 	return transpile.Transpile(c, b, opts)
 }
 
@@ -91,7 +92,7 @@ func FuzzPlanReplay(f *testing.F) {
 
 		for _, c := range []*circuit.Circuit{withSkeleton(rng, n, pairs), withSkeleton(rng, n+1, pairs)} {
 			want, wantErr := fresh(c, b, opts)
-			transpile.ResetPlans()
+			memo.Empty()
 			if _, err := transpile.Transpile(c1, b, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func TestPlansUnderConcurrentTranspiles(t *testing.T) {
 			want[i] = append(want[i], res)
 		}
 	}
-	transpile.ResetPlans()
+	memo.Empty()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -187,7 +188,7 @@ func TestPlanFollowsAdjacencyOrder(t *testing.T) {
 	if reflect.DeepEqual(want.InitialLayout, wantRe.InitialLayout) {
 		t.Fatalf("both orders choose layout %v; the test needs a device where they differ", want.InitialLayout)
 	}
-	transpile.ResetPlans()
+	memo.Empty()
 	for pass := 0; pass < 2; pass++ {
 		got, err := transpile.Transpile(c, b, transpile.Options{})
 		sameOutcome(t, "original order", got, want, err, nil)
@@ -244,7 +245,7 @@ func BenchmarkTranspileBV10(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if cold {
-					transpile.ResetPlans()
+					memo.Empty()
 				}
 				if _, err := transpile.Transpile(c, dev, transpile.Options{}); err != nil {
 					b.Fatal(err)

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
+	"unsafe"
 
 	"qrio/internal/device"
+	"qrio/internal/memo"
 	"qrio/internal/quantum/circuit"
 )
 
@@ -197,43 +198,24 @@ func appendSkeleton(buf []byte, c *circuit.Circuit) []byte {
 	return buf
 }
 
-// maxPlans bounds the memo, which is emptied when full. A canary's plan is
-// a few hundred bytes, so a full memo is about a megabyte; a cold sweep of
-// the 100-device fleet needs 100 plans, the steady-warm families about a
-// thousand.
+// maxPlans bounds the memo. A canary's plan is a few hundred bytes, so a
+// full memo is about a megabyte; a cold sweep of the 100-device fleet needs
+// 100 plans, the steady-warm families about a thousand.
 const maxPlans = 4096
 
 // plans memoises route plans across calls and goroutines. No result depends
-// on what it holds, so one memo serves the process. Errors are never stored.
-var plans = struct {
-	sync.Mutex
-	m map[planKey]*plan
-}{m: make(map[planKey]*plan)}
+// on what it holds, so one memo serves the process.
+var plans = memo.NewShared[planKey, *plan]("transpile.plans", maxPlans)
 
 // planFor returns c's plan on b, from the memo or built and memoised.
 func planFor(c *circuit.Circuit, b *device.Backend, opts Options) (*plan, error) {
 	var buf [128]byte
 	skel := appendSkeleton(buf[:0], c)
 	digest := b.Coupling.Digest()
-	plans.Lock()
-	p := plans.m[planKey{opts, digest, string(skel)}] // a lookup builds no string
-	plans.Unlock()
-	if p == nil {
-		var err error
-		if p, err = route(c, b, opts); err != nil {
-			return nil, err
-		}
-		memoise(planKey{opts, digest, string(skel)}, p)
+	// The lookup's key views skel in place, so a hit builds no string; only
+	// a stored key copies it.
+	if p, ok := plans.Get(planKey{opts, digest, unsafe.String(unsafe.SliceData(skel), len(skel))}); ok {
+		return p, nil
 	}
-	return p, nil
-}
-
-// memoise stores a plan, emptying a full memo first.
-func memoise(k planKey, p *plan) {
-	plans.Lock()
-	defer plans.Unlock()
-	if len(plans.m) >= maxPlans {
-		clear(plans.m)
-	}
-	plans.m[k] = p
+	return plans.Load(planKey{opts, digest, string(skel)}, func() (*plan, error) { return route(c, b, opts) })
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qrio"
+	"qrio/internal/memo"
 )
 
 // TestPublicAPIEndToEnd drives the entire system exclusively through the
@@ -145,6 +146,9 @@ func TestPublicServers(t *testing.T) {
 // forever: its job, result, event trail and image, its Meta entry and a
 // 100-slot score-cache row. The live heap after two GCs is read at two job
 // counts; the slope is the cost of one more finished job (≈ 5.5 KB as JSON).
+// The process-wide memos are bounded caches, not per-job state: each must
+// hold no more than its cap, and each is emptied before the heap is read,
+// so one still filling between the two reads is not counted as residency.
 func TestColdJobResidency(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs 110 cold sweeps and reads the heap: not under -short or -race")
@@ -185,6 +189,12 @@ func TestColdJobResidency(t *testing.T) {
 				t.Fatalf("job %d: %v (phase %s)", submitted, err, job.Status.Phase)
 			}
 		}
+		for _, m := range memo.Sizes() {
+			if m.Len > m.Cap {
+				t.Fatalf("memo %s holds %d entries, cap %d", m.Name, m.Len, m.Cap)
+			}
+		}
+		memo.Empty()
 		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats
