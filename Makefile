@@ -198,10 +198,17 @@ lint-draw:
 # a job waits; non-test code under internal/cluster/controller wakes on
 # its state wake token (a job failed, a node joined, left or changed
 # phase) and on a one-shot timer armed at the next deadline, capped by a
-# 1 s backstop. Neither runs a ticker (time.NewTicker, time.Tick).
+# 1 s backstop; non-test code under internal/cluster/kubelet wakes on its
+# node's wake token, and its one timer is the deployment's heartbeat loop
+# in heartbeat.go. None runs a ticker (time.NewTicker, time.Tick), and a
+# kubelet keeps no timer of its own (time.NewTimer, time.After,
+# time.AfterFunc anywhere else in the package).
 lint-poll:
-	@out="$$(grep -rnE 'time\.(NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' internal/sched internal/cluster/controller || true)"; \
-	if [ -n "$$out" ]; then echo "lint-poll: the scheduler and the controller wake on edges and one-shot timers, not a ticker:"; echo "$$out"; exit 1; fi
+	@out="$$( { grep -rnE 'time\.(NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' internal/sched internal/cluster/controller internal/cluster/kubelet; \
+		grep -rnE 'time\.(NewTimer|After|AfterFunc)\(' --include='*.go' --exclude='*_test.go' --exclude='heartbeat.go' internal/cluster/kubelet; } || true)"; \
+	timers="$$(grep -cE 'time\.(NewTimer|After|AfterFunc)\(' internal/cluster/kubelet/heartbeat.go || true)"; \
+	if [ -n "$$out" ]; then echo "lint-poll: the scheduler, the controller and the kubelets wake on edges and one-shot timers, not a ticker; a kubelet has no timer but the heartbeat loop's:"; echo "$$out"; exit 1; fi; \
+	if [ "$$timers" != 1 ]; then echo "lint-poll: internal/cluster/kubelet/heartbeat.go should hold the heartbeat loop's one timer, found $$timers"; exit 1; fi
 
 # lint-metrics enforces the metric naming contract: every family literal
 # ("qrio_..." strings in non-test code) must read

@@ -944,11 +944,11 @@ func BenchmarkExactDistribution(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteDense measures fidelity.Estimator.Execute — transpile,
-// deflate, exact noise model, the memoised exact distribution, the draw of
-// the shots, Hellinger fidelity — the whole of what a kubelet calls per
-// warm job: one op executes each of the six `steady-warm` families once on
-// one fixed device.
+// BenchmarkExecuteDense measures fidelity.Estimator.Execute — the memoised
+// preparation (transpile, deflate, noise model, the transpiled text and
+// figures) and exact distribution, the draw of the shots, Hellinger
+// fidelity — the whole of what a kubelet calls per warm job: one op
+// executes each of the six `steady-warm` families once on one fixed device.
 func BenchmarkExecuteDense(b *testing.B) {
 	dev := cleanestDevice(b)
 	families := lightFamilies(b)

@@ -339,6 +339,10 @@ func TestRunActsAtDeadlines(t *testing.T) {
 	within("NotReady", notReady, last.Add(timeout))
 	within("requeue", requeued, j.CreatedAt.Add(stuck))
 
+	// The hooks stamp from inside the writes; a rule counts its action
+	// after its write returns. Stop the loop before reading the counters.
+	cancel()
+	<-done
 	actions := reg.Counter("qrio_controller_actions_total", "", "rule")
 	if s, r := actions.With("stale").Value(), actions.With("requeue").Value(); s != 1 || r != 1 {
 		t.Fatalf("actions stale=%d requeue=%d, want 1 and 1", s, r)

@@ -40,16 +40,12 @@ type Kubelet struct {
 	NodeName string
 	State    *state.Cluster
 	Registry *registry.Registry
-	// Heartbeat cadence for node liveness (default 250ms). Heartbeats go to
-	// the state layer's volatile liveness table, not through the store.
-	// Every ⌈1s / Heartbeat⌉-th beat also heals: a level-triggered
-	// reconcile that runs even when no wake token arrived. The agent does
-	// not depend on it — the node's wake channel (state.NodeWake) carries
-	// every bind, cancel request and freed slot.
-	Heartbeat time.Duration
+	// Beats is the deployment's heartbeat loop: Run joins it, so the node
+	// is recorded alive while the agent runs. Nil beats nothing.
+	Beats *Heartbeats
 	// Seed makes executions reproducible per node.
 	Seed int64
-	// Clock is the kubelet's time source (heartbeats, elapsed-time logs;
+	// Clock is the kubelet's time source (elapsed-time logs;
 	// StartedAt/FinishedAt are stamped by the cluster's clock inside
 	// state.TransitionJob). Nil means the wall clock.
 	Clock clock.Clock
@@ -74,13 +70,12 @@ type Kubelet struct {
 // New builds a kubelet for a node.
 func New(nodeName string, st *state.Cluster, reg *registry.Registry, seed int64) *Kubelet {
 	return &Kubelet{
-		NodeName:  nodeName,
-		State:     st,
-		Registry:  reg,
-		Heartbeat: 250 * time.Millisecond,
-		Seed:      seed,
-		Clock:     clock.Real{},
-		inflight:  make(map[string]context.CancelFunc),
+		NodeName: nodeName,
+		State:    st,
+		Registry: reg,
+		Seed:     seed,
+		Clock:    clock.Real{},
+		inflight: make(map[string]context.CancelFunc),
 	}
 }
 
@@ -88,33 +83,25 @@ func New(nodeName string, st *state.Cluster, reg *registry.Registry, seed int64)
 func (k *Kubelet) now() time.Time { return clock.Now(k.Clock) }
 
 // Run reconciles until the context is cancelled, then waits for in-flight
-// containers to finish so no execution outlives the agent. It sleeps
-// until its own node has work: the wake channel fires for job events that
-// name this node and for containers exiting here, nothing else — bar the
-// heal that rides the heartbeat about once a second.
+// containers to finish so no execution outlives the agent. It reconciles
+// once at start and then only when its node's wake channel fires — for job
+// events that name this node and for containers exiting here, nothing
+// else — so an idle agent sleeps. While Run is live the node is a member
+// of the heartbeat loop (Beats); when Run returns it leaves, and the node
+// goes silent.
 func (k *Kubelet) Run(ctx context.Context) {
-	hb := k.Heartbeat
-	if hb <= 0 {
-		hb = 250 * time.Millisecond
-	}
-	healEvery := int((time.Second + hb - 1) / hb) // beats per heal, ≥ 1
-	beat := time.NewTicker(hb)
+	k.Beats.set(k.NodeName, true)
+	defer k.Beats.set(k.NodeName, false)
 	defer k.jobs.Wait()
-	defer beat.Stop()
 	wake := k.State.NodeWake(k.NodeName)
-	// Jobs bound before the channel existed (boot, WAL replay) left no token.
-	k.reconcile()
-	for beats := 0; ; {
+	for {
+		// The first pass covers jobs bound before the channel existed
+		// (boot, WAL replay), which left no token.
+		k.reconcile()
 		select {
 		case <-ctx.Done():
 			return
-		case <-beat.C:
-			k.State.Heartbeat(k.NodeName, k.now())
-			if beats++; beats%healEvery == 0 {
-				k.reconcile()
-			}
 		case <-wake:
-			k.reconcile()
 		}
 	}
 }
@@ -122,6 +109,7 @@ func (k *Kubelet) Run(ctx context.Context) {
 // reconcile is one level-triggered pass: abort what the user cancelled,
 // start what is bound and fits.
 func (k *Kubelet) reconcile() {
+	k.Metrics.reconciled()
 	k.reapCancelled()
 	k.launch()
 }
@@ -296,9 +284,7 @@ func (k *Kubelet) finishExecuted(jobName string, start time.Time, o execOutcome)
 	if result != nil {
 		res.Counts = result.Counts
 		res.Fidelity = result.Fidelity
-		if qasmText, err := qasm.Dump(result.Transpiled); err == nil {
-			res.TranspiledQASM = qasmText
-		}
+		res.TranspiledQASM = result.TranspiledQASM
 	}
 	// The transition stores the result, releases the slot and records the
 	// event behind one wait for the disk; when another actor already
@@ -419,10 +405,9 @@ func (k *Kubelet) execute(ctx context.Context, j api.QuantumJob) ([]string, *fid
 	if err != nil {
 		return logs, nil, err
 	}
-	ops := ex.Transpiled.CountOps()
 	logs = append(logs,
 		fmt.Sprintf("[qrio] transpiled: %d gates (%d cx), depth %d, %d swaps inserted",
-			ex.Transpiled.Size(), ops["cx"], ex.Transpiled.Depth(), ex.AddedSwaps),
+			ex.Gates, ex.CX, ex.Depth, ex.AddedSwaps),
 		fmt.Sprintf("[qrio] executed %d shots via %s simulation", shots, ex.Method),
 		fmt.Sprintf("[qrio] top counts: %s", strings.Join(fidelity.TopCounts(ex.Counts, 5), " ")),
 		fmt.Sprintf("[qrio] estimated fidelity: %.4f", ex.Fidelity),

@@ -379,3 +379,60 @@ measure q -> c;
 		t.Fatalf("the shared circuit changed under its readers:\nshared %+v\nfresh  %+v", shared, fresh)
 	}
 }
+
+// TestExecutionFollowsTheNodesDevice: a second job of one circuit on one
+// node reuses the first's preparation — same transpiled text under its own
+// name, same transpile log line — and once the node's device is replaced
+// the next job is prepared for the new one.
+func TestExecutionFollowsTheNodesDevice(t *testing.T) {
+	k, st := setup(t, 0.02)
+	m := master.NewServer(st, k.Registry)
+	run := func(name string) api.Result {
+		t.Helper()
+		if name != "ghz" {
+			if _, err := m.Submit(master.SubmitRequest{
+				JobName: name, QASM: ghzQASM, Shots: 256,
+				Strategy: api.StrategyFidelity, TargetFidelity: 1.0,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BindJob(name, "node-a", 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !k.SyncOnce() {
+			t.Fatalf("%s did not run", name)
+		}
+		res, ok := st.ResultFor(name)
+		if !ok || !strings.Contains(res.TranspiledQASM, "// circuit: "+name+"\n") {
+			t.Fatalf("%s: transpiled text %q does not name its job", name, res.TranspiledQASM)
+		}
+		return res
+	}
+	transpiled := func(res api.Result) string {
+		for _, l := range res.LogLines {
+			if strings.HasPrefix(l, "[qrio] transpiled:") {
+				return l
+			}
+		}
+		t.Fatalf("no transpile line in %q", res.LogLines)
+		return ""
+	}
+	unnamed := func(res api.Result) string {
+		return strings.Replace(res.TranspiledQASM, "// circuit: "+res.JobName+"\n", "", 1)
+	}
+	first, second := run("ghz"), run("ghz-again")
+	if unnamed(first) != unnamed(second) || transpiled(first) != transpiled(second) {
+		t.Fatalf("one circuit on one device recorded two executables:\n%s\n%s", first.TranspiledQASM, second.TranspiledQASM)
+	}
+	wider, err := device.UniformBackend("node-a", graph.Line(8), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RefreshNode(wider); err != nil {
+		t.Fatal(err)
+	}
+	if res := run("ghz-wider"); !strings.Contains(res.TranspiledQASM, "qreg q[8];") {
+		t.Fatalf("after the device changed the job ran on the old one:\n%s", res.TranspiledQASM)
+	}
+}

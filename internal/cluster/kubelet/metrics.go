@@ -14,6 +14,10 @@ type Metrics struct {
 	// job, at every job it brings to a terminal phase: the time the
 	// simulated device — the node itself — held the job.
 	succeeded, failed, cancelled *obs.Histogram
+	// reconciles counts the kubelets' level-triggered passes, rounds the
+	// heartbeat loop's: an idle agent reconciles once, at start, and the
+	// loop wakes once per cadence for the whole fleet.
+	reconciles, rounds *obs.Counter
 }
 
 // NewMetrics registers the kubelet family on a registry.
@@ -26,6 +30,24 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		succeeded: run.With("succeeded"),
 		failed:    run.With("failed"),
 		cancelled: run.With("cancelled"),
+		reconciles: r.Counter("qrio_kubelet_reconciles_total",
+			"Level-triggered passes the kubelets made: one at start, then one per wake of their node.").With(),
+		rounds: r.Counter("qrio_kubelet_heartbeat_rounds_total",
+			"Rounds of the heartbeat loop, each beating the node of every running kubelet.").With(),
+	}
+}
+
+// reconciled counts a kubelet's pass.
+func (m *Metrics) reconciled() {
+	if m != nil {
+		m.reconciles.Inc()
+	}
+}
+
+// round counts a heartbeat loop round.
+func (m *Metrics) round() {
+	if m != nil {
+		m.rounds.Inc()
 	}
 }
 

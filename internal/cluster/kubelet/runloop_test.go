@@ -6,20 +6,35 @@ import (
 	"time"
 
 	"qrio/internal/cluster/api"
+	"qrio/internal/cluster/controller"
+	"qrio/internal/cluster/durability"
 	"qrio/internal/cluster/kubelet"
 	"qrio/internal/cluster/state"
 	"qrio/internal/cluster/store"
 	"qrio/internal/device"
+	"qrio/internal/faults"
 	"qrio/internal/fidelity"
 	"qrio/internal/graph"
 	"qrio/internal/master"
 	"qrio/internal/registry"
 )
 
+// beatEvery runs a heartbeat loop of the given cadence until the test ends.
+func beatEvery(t *testing.T, st *state.Cluster, every time.Duration) *kubelet.Heartbeats {
+	t.Helper()
+	beats := kubelet.NewHeartbeats(st)
+	beats.Every = every
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { beats.Run(ctx); close(done) }()
+	t.Cleanup(func() { cancel(); <-done })
+	return beats
+}
+
 // TestRunLoopExecutesAndHeartbeats drives the kubelet through its own Run
-// loop (wake + heartbeat, which also heals) rather than SyncOnce. Heartbeats
-// must advance the state layer's liveness table and leave the stored node
-// alone.
+// loop (woken by its node's channel, beaten by the heartbeat loop it joins)
+// rather than SyncOnce. Heartbeats must advance the state layer's liveness
+// table and leave the stored node alone.
 func TestRunLoopExecutesAndHeartbeats(t *testing.T) {
 	st := state.New()
 	b, err := device.UniformBackend("looper", graph.Line(6), 0.05, 0.005, 0.01, 500e3, 500e3)
@@ -33,7 +48,7 @@ func TestRunLoopExecutesAndHeartbeats(t *testing.T) {
 	m := master.NewServer(st, reg)
 
 	k := kubelet.New("looper", st, reg, 5)
-	k.Heartbeat = 5 * time.Millisecond
+	k.Beats = beatEvery(t, st, 5*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
@@ -110,7 +125,7 @@ func TestHeartbeatRevivesNotReadyNode(t *testing.T) {
 	})
 	_, notReadyVersion, _ := st.Nodes.Get("reviver")
 	k := kubelet.New("reviver", st, registry.New(), 1)
-	k.Heartbeat = time.Millisecond
+	k.Beats = beatEvery(t, st, time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	done := make(chan struct{})
@@ -139,9 +154,9 @@ func TestHeartbeatRevivesNotReadyNode(t *testing.T) {
 	}
 }
 
-// TestWakeAloneDrivesTheKubelet turns the heartbeat, and with it the heal
-// that rides it, off in all but name — one hour — and checks that the node's wake channel
-// is sufficient on its own: a job bound before the agent started runs, a
+// TestWakeAloneDrivesTheKubelet turns the heartbeat loop off in all but
+// name — one hour — and checks that the node's wake channel is sufficient
+// on its own: a job bound before the agent started runs, a
 // second job launches the instant the first frees the node's only slot,
 // and a cancel request aborts a Running container.
 func TestWakeAloneDrivesTheKubelet(t *testing.T) {
@@ -178,7 +193,7 @@ func TestWakeAloneDrivesTheKubelet(t *testing.T) {
 	}
 
 	k := kubelet.New("solo", st, reg, 1)
-	k.Heartbeat = time.Hour
+	k.Beats = beatEvery(t, st, time.Hour)
 	started := make(chan string, 2) // one send per job in this test
 	finish := make(chan struct{})
 	k.Runtime = func(ctx context.Context, j api.QuantumJob) ([]string, *fidelity.Execution, error) {
@@ -235,4 +250,158 @@ func TestWakeAloneDrivesTheKubelet(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestStoppedKubeletStopsBeating: the heartbeat loop beats only the nodes
+// whose kubelet is running. Once one agent's Run returns, its node falls
+// silent while its neighbour's keeps beating; the controller marks it
+// NotReady after NodeTimeout and requeues the job placed on it.
+func TestStoppedKubeletStopsBeating(t *testing.T) {
+	st := state.New()
+	reg := registry.New()
+	for _, name := range []string{"stopped", "running"} {
+		b, err := device.UniformBackend(name, graph.Line(6), 0.05, 0.005, 0.01, 500e3, 500e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AddNode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beats := beatEvery(t, st, 5*time.Millisecond)
+	run := func(name string) (stop func()) {
+		k := kubelet.New(name, st, reg, 1)
+		k.Beats = beats
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { k.Run(ctx); close(done) }()
+		return func() { cancel(); <-done }
+	}
+	stopRunning := run("running")
+	defer stopRunning()
+	stop := run("stopped")
+	advanced := func(name string, since time.Time) bool {
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if last, _ := st.LastHeartbeat(name); last.After(since) {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+	if start := time.Now(); !advanced("stopped", start) {
+		t.Fatal("a running kubelet's node was never beaten")
+	}
+	stop()
+	silentSince, _ := st.LastHeartbeat("stopped")
+	if !advanced("running", time.Now()) {
+		t.Fatal("the neighbour's node stopped beating too")
+	}
+	if last, _ := st.LastHeartbeat("stopped"); !last.Equal(silentSince) {
+		t.Fatalf("the stopped kubelet's node was beaten at %v, after its Run returned", last)
+	}
+
+	m := master.NewServer(st, reg)
+	if _, err := m.Submit(master.SubmitRequest{
+		JobName: "stranded", QASM: ghzQASM, Shots: 16,
+		Strategy: api.StrategyFidelity, TargetFidelity: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BindJob("stranded", "stopped", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	ctl := controller.New(st)
+	ctl.NodeTimeout, ctl.StuckTimeout = 100*time.Millisecond, 200*time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	ctlDone := make(chan struct{})
+	go func() { ctl.Run(ctx); close(ctlDone) }()
+	defer func() { cancel(); <-ctlDone }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, _, _ := st.Nodes.Get("stopped")
+		j, _, _ := st.Jobs.Get("stranded")
+		if n.Status.Phase == api.NodeNotReady && j.Status.Phase == api.JobPending {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s, job %s: want NotReady and Pending", n.Status.Phase, j.Status.Phase)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n, _, _ := st.Nodes.Get("running"); n.Status.Phase != api.NodeReady {
+		t.Fatalf("the beating neighbour is %s", n.Status.Phase)
+	}
+}
+
+// TestSlowRevivalHoldsNoBeat: a revival is the one beat that writes the
+// store, and a slow one — a 1 s latency fault on every WAL append — must
+// not hold up the loop. While the NotReady node's revival sleeps in the
+// fault, its Ready neighbour's liveness keeps advancing at the loop's
+// cadence; the revival itself writes the node once.
+func TestSlowRevivalHoldsNoBeat(t *testing.T) {
+	st := state.New()
+	reg := faults.NewRegistry(1)
+	dur, err := durability.Open(st, durability.Options{Dir: t.TempDir(), SnapshotInterval: -1, Faults: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dur.Close() }) // after the loop's cleanup: its revival is done
+	for _, name := range []string{"sleeper", "neighbour"} {
+		b, err := device.UniformBackend(name, graph.Line(4), 0.05, 0.005, 0.01, 500e3, 500e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AddNode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := st.Nodes.Update("sleeper", func(n api.Node) (api.Node, error) {
+		n.Status.Phase = api.NodeNotReady
+		return n, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, notReadyVersion, _ := st.Nodes.Get("sleeper")
+	const latency = time.Second
+	reg.Enable(faults.PointWALAppend, faults.Spec{Mode: faults.ModeLatency, Latency: latency})
+	t.Cleanup(func() { reg.Disable(faults.PointWALAppend) })
+
+	beats := beatEvery(t, st, 5*time.Millisecond)
+	for _, name := range []string{"sleeper", "neighbour"} {
+		k := kubelet.New(name, st, registry.New(), 1)
+		k.Beats = beats
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { k.Run(ctx); close(done) }()
+		defer func() { cancel(); <-done }()
+	}
+	for deadline := time.Now().Add(5 * time.Second); reg.Fired(faults.PointWALAppend) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sleeper's revival never reached the log")
+		}
+	}
+	held := time.Now()
+	// Sample the neighbour for 200 ms while the revival sleeps in the fault.
+	last, _ := st.LastHeartbeat("neighbour")
+	advances := 0
+	for time.Since(held) < 200*time.Millisecond {
+		time.Sleep(10 * time.Millisecond)
+		if now, _ := st.LastHeartbeat("neighbour"); now.After(last) {
+			last, advances = now, advances+1
+		}
+	}
+	if time.Since(held) >= latency {
+		t.Fatalf("sampling outlasted the fault (%v): the test proves nothing", time.Since(held))
+	}
+	if advances < 10 {
+		t.Fatalf("the neighbour's liveness advanced %d times in 200 ms of 5 ms rounds while a revival was held", advances)
+	}
+	if n := reg.Fired(faults.PointWALAppend); n != 1 {
+		t.Fatalf("%d appends reached the fault, want the one revival", n)
+	}
+	if n, v, _ := st.Nodes.Get("sleeper"); n.Status.Phase != api.NodeReady || v != notReadyVersion+1 {
+		t.Fatalf("sleeper %s after %d node writes, want Ready after 1", n.Status.Phase, v-notReadyVersion)
+	}
 }

@@ -119,15 +119,7 @@ func (c *Cluster) Fleet() ([]api.Node, uint64) {
 // the one that finds its node NotReady: it journals the transition back
 // to Ready.
 func (c *Cluster) Heartbeat(node string, now time.Time) {
-	t := &c.fleet
-	t.mu.Lock()
-	e, ok := t.entries[node]
-	if ok && now.After(e.last) {
-		e.last = now
-	}
-	notReady := ok && e.node.Status.Phase == api.NodeNotReady
-	t.mu.Unlock()
-	if !notReady {
+	if len(c.Beat([]string{node}, now)) == 0 {
 		return
 	}
 	c.Nodes.Update(node, func(n api.Node) (api.Node, error) {
@@ -138,6 +130,29 @@ func (c *Cluster) Heartbeat(node string, now time.Time) {
 		n.Status.LastHeartbeat = now
 		return n, nil
 	})
+}
+
+// Beat records every named node as alive at now in one pass under the
+// table's lock, with no store write, and returns the NotReady ones among
+// them: a Heartbeat at the same now brings each back to Ready.
+// Unregistered names are dropped.
+func (c *Cluster) Beat(nodes []string, now time.Time) (notReady []string) {
+	t := &c.fleet
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, node := range nodes {
+		e, ok := t.entries[node]
+		if !ok {
+			continue
+		}
+		if now.After(e.last) {
+			e.last = now
+		}
+		if e.node.Status.Phase == api.NodeNotReady {
+			notReady = append(notReady, node)
+		}
+	}
+	return notReady
 }
 
 // LastHeartbeat reports when the node was last known alive: its latest

@@ -134,6 +134,9 @@ type QRIO struct {
 	Scheduler  *sched.Scheduler
 	Controller *controller.Controller
 	Kubelets   []*kubelet.Kubelet
+	// Heartbeats is the one heartbeat loop: Start runs it, and it beats
+	// the node of every kubelet whose Run is live.
+	Heartbeats *kubelet.Heartbeats
 	// Quotas is the deployment's tenant quota policy (Config.TenantQuotas);
 	// the gateway's admission layer reads it (live TenantConfig overrides
 	// win — resolve through State.QuotaFor).
@@ -246,10 +249,12 @@ func New(cfg Config) (*QRIO, error) {
 		Durability:    dur,
 		Faults:        cfg.Faults,
 		ScorerBreaker: breaker,
+		Heartbeats:    kubelet.NewHeartbeats(st),
 	}
 	for i, b := range cfg.Backends {
 		k := kubelet.New(b.Name, st, reg, cfg.KubeletSeed+int64(i))
 		k.Faults = cfg.Faults
+		k.Beats = q.Heartbeats
 		if cfg.Clock != nil {
 			k.Clock = cfg.Clock
 		}
@@ -321,6 +326,7 @@ func (q *QRIO) AddBackend(b *device.Backend) error {
 	k := kubelet.New(b.Name, q.State, q.Registry, q.nextKubeletSeed)
 	k.Faults = q.Faults
 	k.Metrics = q.kubeletMetrics
+	k.Beats = q.Heartbeats
 	if q.State.Clock != nil {
 		k.Clock = q.State.Clock
 	}
@@ -337,7 +343,8 @@ func (q *QRIO) AddBackend(b *device.Backend) error {
 	return nil
 }
 
-// Start launches the control loops (scheduler, controller, kubelets).
+// Start launches the control loops (scheduler, controller, heartbeat
+// loop, kubelets).
 func (q *QRIO) Start() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -357,6 +364,11 @@ func (q *QRIO) Start() {
 	go func() {
 		defer q.wg.Done()
 		q.Controller.Run(ctx)
+	}()
+	q.wg.Add(1)
+	go func() {
+		defer q.wg.Done()
+		q.Heartbeats.Run(ctx)
 	}()
 	for _, k := range q.Kubelets {
 		k := k

@@ -24,6 +24,7 @@ func registerMetrics(q *QRIO, r *obs.Registry) {
 	q.Scheduler.Metrics = sched.NewMetrics(r)
 	q.Controller.Metrics = controller.NewMetrics(r)
 	q.kubeletMetrics = kubelet.NewMetrics(r)
+	q.Heartbeats.Metrics = q.kubeletMetrics
 	for _, k := range q.Kubelets {
 		k.Metrics = q.kubeletMetrics
 	}

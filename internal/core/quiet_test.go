@@ -6,6 +6,7 @@ import (
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/durability"
+	"qrio/internal/cluster/kubelet"
 	"qrio/internal/core"
 	"qrio/internal/device"
 	"qrio/internal/graph"
@@ -35,9 +36,7 @@ func TestIdleControlPlaneWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	for _, k := range q.Kubelets {
-		k.Heartbeat = 10 * time.Millisecond // ~100 beats per node in the window
-	}
+	q.Heartbeats.Every = 10 * time.Millisecond // ~100 beats per node in the window
 	nodeEvents, _, cancel, _ := q.State.Nodes.Watch(nil, 64)
 	defer cancel()
 	q.Start()
@@ -70,6 +69,53 @@ func TestIdleControlPlaneWritesNothing(t *testing.T) {
 		Shots: 32, Strategy: api.StrategyFidelity, TargetFidelity: 1,
 	}, 20*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleKubeletsOnlyBeat: on a started deployment with no jobs, a kubelet
+// reconciles once, at start, and then sleeps on its node's wake channel;
+// the one heartbeat loop wakes once per 250 ms for the whole fleet and
+// still moves every node's liveness.
+func TestIdleKubeletsOnlyBeat(t *testing.T) {
+	const window = 1200 * time.Millisecond
+	var fleet []*device.Backend
+	for _, name := range []string{"q1", "q2", "q3", "q4"} {
+		b, err := device.UniformBackend(name, graph.Line(6), 0.02, 0.005, 0.01, 500e3, 500e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = append(fleet, b)
+	}
+	reg := obs.NewRegistry()
+	q, err := core.New(core.Config{Backends: fleet, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	reconciles := reg.Counter("qrio_kubelet_reconciles_total", "").With()
+	rounds := reg.Counter("qrio_kubelet_heartbeat_rounds_total", "").With()
+	q.Start()
+	for deadline := time.Now().Add(5 * time.Second); reconciles.Value() < uint64(len(fleet)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d kubelets made their start-up pass", reconciles.Value(), len(fleet))
+		}
+	}
+	seeded := make(map[string]time.Time)
+	for _, b := range fleet {
+		seeded[b.Name], _ = q.State.LastHeartbeat(b.Name)
+	}
+	before := rounds.Value()
+	time.Sleep(window)
+	if n := rounds.Value() - before; n > uint64((window+kubelet.DefaultHeartbeat-1)/kubelet.DefaultHeartbeat)+1 {
+		t.Fatalf("the heartbeat loop made %d rounds in %v", n, window)
+	}
+	if n := reconciles.Value(); n != uint64(len(fleet)) {
+		t.Fatalf("%d idle kubelets reconciled %d times, want once each at start", len(fleet), n)
+	}
+	for name, was := range seeded {
+		if last, ok := q.State.LastHeartbeat(name); !ok || !last.After(was) {
+			t.Fatalf("node %s liveness did not move while idling (%v → %v)", name, was, last)
+		}
 	}
 }
 

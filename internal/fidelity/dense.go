@@ -58,7 +58,7 @@ var exacts = memo.NewShared[[sha256.Size]byte, *statevec.Distribution]("fidelity
 // exactDigest digests what statevec.Exact reads: c's register sizes and
 // every gate's name, operands and angles — not the circuit's name, which a
 // kubelet sets to the job's — and every rate of the model, its pairs in
-// sorted order.
+// sorted order. With a nil model it digests the circuit alone.
 func exactDigest(c *circuit.Circuit, m *noise.Model) [sha256.Size]byte {
 	buf := make([]byte, 0, 1024)
 	ints := func(vs ...int) {

@@ -12,6 +12,7 @@ import (
 	"qrio/internal/fidelity"
 	"qrio/internal/graph"
 	"qrio/internal/quantum/circuit"
+	"qrio/internal/quantum/qasm"
 	"qrio/internal/workload"
 )
 
@@ -60,8 +61,9 @@ func TestExecuteWideCliffordUsesStabilizer(t *testing.T) {
 	if ex.Fidelity < 0 || ex.Fidelity > 1 {
 		t.Fatalf("fidelity out of range: %v", ex.Fidelity)
 	}
-	if len(ex.ActiveQubits) < 40 {
-		t.Fatalf("active footprint %d < 40", len(ex.ActiveQubits))
+	// The compact circuit keeps one qubit per physical qubit it touched.
+	if compact, _, err := fidelity.Prepare(est, c, b); err != nil || compact.NumQubits < 40 {
+		t.Fatalf("active footprint %d < 40 (%v)", compact.NumQubits, err)
 	}
 }
 
@@ -119,8 +121,13 @@ func TestExecuteRecordsTranspilationArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Transpiled == nil || ex.Transpiled.NumQubits != 6 {
-		t.Fatal("transpiled circuit missing or wrong register")
+	tr, err := qasm.Parse(ex.TranspiledQASM)
+	if err != nil || tr.NumQubits != 6 {
+		t.Fatalf("transpiled circuit missing or wrong register: %v", err)
+	}
+	if tr.Size() != ex.Gates || tr.CountOps()["cx"] != ex.CX || tr.Depth() != ex.Depth {
+		t.Fatalf("record says %d gates (%d cx), depth %d; its text %d (%d), depth %d",
+			ex.Gates, ex.CX, ex.Depth, tr.Size(), tr.CountOps()["cx"], tr.Depth())
 	}
 	total := 0
 	for _, n := range ex.Counts {

@@ -151,19 +151,19 @@ func ensureMeasured(c *circuit.Circuit) *circuit.Circuit {
 
 // prepare transpiles the circuit for the backend and deflates the physical
 // circuit to its active qubits: the one preparation path of Execute,
-// OracleFidelity and the canaries. It returns the record of that (the
-// transpiled circuit, its active qubits and added swaps) and the compact
-// circuit, which runs under compactModel(b, ActiveQubits).
-func (e Estimator) prepare(c *circuit.Circuit, b *device.Backend) (*Execution, *circuit.Circuit, error) {
+// OracleFidelity and the canaries. It returns the transpilation, the
+// compact circuit and the physical qubits it was deflated from; the
+// compact circuit runs under compactModel(b, active).
+func (e Estimator) prepare(c *circuit.Circuit, b *device.Backend) (*transpile.Result, *circuit.Circuit, []int, error) {
 	tr, err := transpile.Transpile(ensureMeasured(c), b, e.Transpile)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	compact, active, err := mapomatic.Deflate(tr.Circuit)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return &Execution{Transpiled: tr.Circuit, ActiveQubits: active, AddedSwaps: tr.AddedSwaps}, compact, nil
+	return tr, compact, active, nil
 }
 
 // compactModel restricts a backend's noise model to the given physical
@@ -276,12 +276,12 @@ func (e Estimator) CanaryFidelityOn(cs *Canaries, b *device.Backend) (float64, e
 	var model *noise.Model
 	sum := 0.0
 	for k, member := range cs.members {
-		ex, compact, err := e.prepare(member.circuit, b)
+		_, compact, memberActive, err := e.prepare(member.circuit, b)
 		if err != nil {
 			return 0, err
 		}
-		if model == nil || !slices.Equal(ex.ActiveQubits, active) {
-			active, model = ex.ActiveQubits, compactModel(b, ex.ActiveQubits)
+		if model == nil || !slices.Equal(memberActive, active) {
+			active, model = memberActive, compactModel(b, memberActive)
 		}
 		noisy, err := stabilizer.Runner{Model: model, Shots: shots, Seed: e.Seed + int64(k)*7919}.Counts(compact)
 		if err != nil {
@@ -405,7 +405,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 	if e.Shots <= 0 {
 		return 0, fmt.Errorf("fidelity: estimator needs positive Shots")
 	}
-	ex, compact, err := e.prepare(c, b)
+	_, compact, active, err := e.prepare(c, b)
 	if err != nil {
 		return 0, err
 	}
@@ -413,7 +413,7 @@ func (e Estimator) OracleFidelity(c *circuit.Circuit, b *device.Backend) (float6
 		return 0, fmt.Errorf("fidelity: oracle needs %d qubits (> %d) on %s",
 			compact.NumQubits, e.denseLimit(), b.Name)
 	}
-	_, f, _, err := e.dense(compact, compactModel(b, ex.ActiveQubits))
+	_, f, _, err := e.dense(compact, compactModel(b, active))
 	return f, err
 }
 

@@ -119,6 +119,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"qrio_state_quota_rejections_total",
 		// kubelets
 		"qrio_kubelet_run_duration_seconds",
+		"qrio_kubelet_reconciles_total",
+		"qrio_kubelet_heartbeat_rounds_total",
 		// meta score cache
 		"qrio_meta_cache_events_total",
 		"qrio_meta_cache_entries",

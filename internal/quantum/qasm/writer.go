@@ -7,6 +7,29 @@ import (
 	"qrio/internal/quantum/circuit"
 )
 
+// header opens every text Dump writes.
+const header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+
+// nameLine is the comment naming a circuit that Dump writes after header,
+// empty for a circuit without a name.
+func nameLine(name string) string {
+	if name == "" {
+		return ""
+	}
+	return "// circuit: " + strings.ReplaceAll(name, "\n", " ") + "\n"
+}
+
+// Named returns what Dump writes for a circuit named name, given what it
+// wrote for the same circuit without a name — so one dump serves every
+// name. Any other text comes back as it is.
+func Named(unnamed, name string) string {
+	rest, ok := strings.CutPrefix(unnamed, header)
+	if !ok || name == "" {
+		return unnamed
+	}
+	return header + nameLine(name) + rest
+}
+
 // Dump renders a circuit as OpenQASM 2.0 source with a single quantum
 // register q and classical register c. The output round-trips through Parse.
 func Dump(c *circuit.Circuit) (string, error) {
@@ -14,11 +37,8 @@ func Dump(c *circuit.Circuit) (string, error) {
 		return "", fmt.Errorf("qasm: cannot dump invalid circuit: %w", err)
 	}
 	var b strings.Builder
-	b.WriteString("OPENQASM 2.0;\n")
-	b.WriteString("include \"qelib1.inc\";\n")
-	if c.Name != "" {
-		fmt.Fprintf(&b, "// circuit: %s\n", strings.ReplaceAll(c.Name, "\n", " "))
-	}
+	b.WriteString(header)
+	b.WriteString(nameLine(c.Name))
 	if c.NumQubits > 0 {
 		fmt.Fprintf(&b, "qreg q[%d];\n", c.NumQubits)
 	}
