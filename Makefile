@@ -20,7 +20,7 @@ GO ?= go
 # engine, which runs what is wider than 8 qubits) and ExecuteDense (one
 # fidelity.Execute of each family, a memo hit) — which guard what
 # steady-warm's run stage pays. SubmitIntake (the six
-# steady-warm families plus a topology job through gateway.Server.Submit,
+# steady-warm families plus a topology job through core.QRIO.Submit,
 # ~0.1 ms an op) guards what a job pays before it exists, and RankWarm
 # (one 100-node rank of a cached circuit through core's scorer chain,
 # ~0.06 ms and ~9 allocations an op) what a warm job pays to be placed.
@@ -28,10 +28,10 @@ GO ?= go
 # bench-json does) so medians compare apples-to-apples.
 GUARDED_FAST := BenchmarkSchedulePassWithHistory|BenchmarkStoreContention|BenchmarkFairShare|BenchmarkWatchResume|BenchmarkWALAppend$$|BenchmarkReplayBoot|BenchmarkSubmitIntake|BenchmarkRankWarm
 GUARDED_SLOW := BenchmarkSubmitThroughput|BenchmarkColdSweep|BenchmarkStabilizerNoisyShots|BenchmarkNoisyStatevecShots|BenchmarkExecuteDense|BenchmarkExactDistribution
-# The gateway's rate-limiter fast path is guarded from its own package
-# (the limiter is internal); benchcompare keys on benchmark name, so its
+# The intake's rate-limiter fast path is guarded from internal/core (the
+# limiter is internal); benchcompare keys on benchmark name, so its
 # results concatenate into the same JSON stream.
-GUARDED_GATEWAY := BenchmarkRateLimit
+GUARDED_CORE := BenchmarkRateLimit
 # The metrics hot path (counter inc, labeled lookup, histogram observe,
 # full scrape) is guarded from internal/obs: instrumentation that shows
 # up in the scheduler or gateway profiles defeats its own purpose.
@@ -49,7 +49,7 @@ BENCH_FAST_TIME ?= 20x
 # many points.
 COVERAGE_SLACK ?= 2
 
-.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-fanout lint-metrics test race fuzz-smoke bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
+.PHONY: all build vet fmt loc lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-intake lint-index lint-watch lint-fanout lint-metrics test race fuzz-smoke examples bench bench-json bench-store bench-compare bench-harness chaos-crash chaos-faults chaos-replicas coverage sim sim-smoke sim-check ci
 
 all: build
 
@@ -93,9 +93,9 @@ lint-http:
 
 # lint-routes enforces the one-front-door rule: HTTP routes are registered
 # only by the gateway (/v1), the dashboard built over it and the daemon mux
-# that mounts the two, so no component can grow a side door that skips the
-# gateway's drain, rate-limit, schedulability and quota gates. Tests and
-# examples/ (which mount the gateway on their own mux) are exempt.
+# that mounts the two, so no component can grow an HTTP side door. (The
+# gates themselves are core.QRIO.Submit's, which lint-intake holds.) Tests
+# and examples/ (which mount the gateway on their own mux) are exempt.
 lint-routes:
 	@out="$$(grep -rnE 'http\.NewServeMux|HandleFunc\(|mux\.Handle\(' --include='*.go' --exclude='*_test.go' internal cmd client | grep -vE '^internal/(gateway|visualizer|daemon)/' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-routes: register HTTP routes in internal/gateway, not beside it:"; echo "$$out"; exit 1; fi
@@ -134,6 +134,24 @@ lint-bind:
 	if [ -z "$$all" ]; then echo "lint-bind: found no BindJobAt call — audit miswired"; exit 1; fi; \
 	out="$$(echo "$$all" | grep -vE '^(internal/sched/scheduler\.go|internal/cluster/state/[^:]+\.go):' || true)"; \
 	if [ -n "$$out" ]; then echo "lint-bind: place jobs through sched.Dispatch (Scheduler.bind), not beside it:"; echo "$$out"; exit 1; fi
+
+# lint-intake enforces the one-intake rule: a job enters the cluster only
+# through core.QRIO.Submit, which holds the drain, rate-limit,
+# schedulability, quota and name gates. So master.Server.Submit (the
+# intake's last step) is called only from internal/core — and a Master
+# Server is built only there — and
+# state.Cluster.SubmitJob only from internal/master, the state layer
+# itself and internal/sim (which still submits straight into the state
+# until it runs the daemon's own loops). Tests and bench/ are exempt.
+# Finding no call at all means the grep is miswired, not that the code
+# is clean.
+lint-intake:
+	@master="$$(grep -rnE '\.Master\.Submit\(|master\.NewServer\(' --include='*.go' --exclude='*_test.go' internal cmd client examples *.go || true)"; \
+	submit="$$(grep -rnE '\.SubmitJob\(' --include='*.go' --exclude='*_test.go' internal cmd client examples *.go || true)"; \
+	if [ -z "$$master" ] || [ -z "$$submit" ]; then echo "lint-intake: found no Master.Submit, master.NewServer or SubmitJob call — audit miswired"; exit 1; fi; \
+	out="$$( { echo "$$master" | grep -vE '^internal/core/[^:]+\.go:'; \
+		echo "$$submit" | grep -vE '^internal/(master|cluster/state|sim)/[^:]+\.go:'; } || true)"; \
+	if [ -n "$$out" ]; then echo "lint-intake: submit through core.QRIO.Submit, the one intake, not beside it:"; echo "$$out"; exit 1; fi
 
 # lint-index enforces the one-job-order rule: every ordered job index in
 # internal/cluster/state (pending, scheduled by node, terminal) is a key
@@ -302,6 +320,15 @@ chaos-faults:
 chaos-replicas:
 	$(GO) test -race -count=1 -run 'TestConcurrentBindStorm' ./internal/cluster/chaostest
 
+# examples runs every program under examples/ — the documented users of
+# the embedded API — each under a timeout, so a change to what Submit
+# accepts or refuses shows up as a failing example, not a stale doc.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		timeout 60s $(GO) run "./$$d" >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
@@ -312,7 +339,7 @@ bench-json:
 	$(GO) test -run xxx -bench '$(GUARDED_SLOW)' -benchtime 1x -count $(BENCH_COUNT) -json . > BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_FAST)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json . >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_results.json
-	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_results.json
+	$(GO) test -run xxx -bench '$(GUARDED_CORE)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/core >> BENCH_results.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_results.json
 
 # bench-store exercises the sharded store's lock scaling across core counts.
@@ -331,10 +358,10 @@ bench-compare:
 	$(GO) test -run xxx -bench '$(GUARDED_SLOW)' -benchtime 1x -count $(BENCH_COUNT) -json . > BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_FAST)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_WAL)' -benchtime $(BENCH_WAL_TIME) -count $(BENCH_COUNT) -json . >> BENCH_current.json
-	$(GO) test -run xxx -bench '$(GUARDED_GATEWAY)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/gateway >> BENCH_current.json
+	$(GO) test -run xxx -bench '$(GUARDED_CORE)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/core >> BENCH_current.json
 	$(GO) test -run xxx -bench '$(GUARDED_OBS)' -benchtime $(BENCH_FAST_TIME) -count $(BENCH_COUNT) -json ./internal/obs >> BENCH_current.json
 	$(GO) run ./cmd/benchcompare -baseline BENCH_results.json -current BENCH_current.json -threshold 25 \
-		-match '$(GUARDED_SLOW)|$(GUARDED_FAST)|$(GUARDED_WAL)|$(GUARDED_GATEWAY)|$(GUARDED_OBS)'
+		-match '$(GUARDED_SLOW)|$(GUARDED_FAST)|$(GUARDED_WAL)|$(GUARDED_CORE)|$(GUARDED_OBS)'
 
 # bench-harness vets and tests the end-to-end benchmark harness. bench/ is
 # its own module (qrio/bench, replace qrio => ..), so `go build ./...` and
@@ -355,4 +382,4 @@ coverage:
 		if (t + 0 < floor) { printf "coverage: total %.1f%% fell below floor %.1f%% (baseline %.1f%% - %d)\n", t, floor, b, s; exit 1 } \
 		printf "coverage: total %.1f%% (floor %.1f%%, baseline %.1f%%)\n", t, floor, b }'
 
-ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-index lint-watch lint-fanout lint-metrics test race sim-smoke bench-harness
+ci: build vet fmt lint lint-rand lint-draw lint-poll lint-http lint-routes lint-phase lint-sync lint-bind lint-intake lint-index lint-watch lint-fanout lint-metrics test race examples sim-smoke bench-harness

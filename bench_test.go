@@ -972,10 +972,10 @@ func BenchmarkExecuteDense(b *testing.B) {
 }
 
 // BenchmarkSubmitIntake measures what a job pays before it exists: one op
-// is gateway.Server.Submit of each `steady-warm` family plus one topology
-// job, under fresh names, into an unstarted in-memory deployment of the
-// default 100-device fleet — validation, width check, admission, Meta
-// upload, containerisation and the store write, with no scheduler or
+// is the intake (Orchestrator.Submit) of each `steady-warm` family plus one
+// topology job, under fresh names, into an unstarted in-memory deployment
+// of the default 100-device fleet — validation, width check, admission,
+// name claim, Meta upload, containerisation and the store write, with no scheduler or
 // kubelet running. Its allocs/op catch a parse, a lexer map or a fleet copy
 // coming back.
 func BenchmarkSubmitIntake(b *testing.B) {
@@ -987,7 +987,6 @@ func BenchmarkSubmitIntake(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gw := qrio.NewGateway(q)
 	lib, err := simload.DefaultLibrary()
 	if err != nil {
 		b.Fatal(err)
@@ -1012,7 +1011,7 @@ func BenchmarkSubmitIntake(b *testing.B) {
 	submit := func(i int) {
 		for j, req := range reqs {
 			req.JobName = fmt.Sprintf("intake-%d-%d", i, j)
-			if _, err := gw.Submit(req); err != nil {
+			if _, err := q.Submit(req); err != nil {
 				b.Fatal(err)
 			}
 		}

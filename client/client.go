@@ -450,7 +450,8 @@ func (c *Client) Score(ctx context.Context, jobName, backendName string) (float6
 }
 
 // ScoreBatch scores a job against many backends in one round trip (all
-// registered backends when backendNames is empty).
+// nodes of the fleet, as GET /v1/nodes lists them, when backendNames is
+// empty).
 func (c *Client) ScoreBatch(ctx context.Context, jobName string, backendNames []string) ([]ScoreResult, error) {
 	q := url.Values{"job": {jobName}}
 	for _, b := range backendNames {

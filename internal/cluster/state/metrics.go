@@ -18,9 +18,9 @@ type Metrics struct {
 	TenantBinds *obs.CounterVec
 	// QuotaRejections counts quota-rejected submissions per tripped
 	// limit ("pending", "active", "qubit-seconds"). CheckTenantQuota is
-	// the single counting point: the gateway's admission layer rejects
-	// before SubmitJob re-checks, so each rejected submission counts
-	// exactly once on whichever surface it arrived through.
+	// the single counting point: the intake's pre-check refuses before
+	// SubmitJob re-checks, so each rejected submission counts exactly
+	// once on whichever surface it arrived through.
 	QuotaRejections *obs.CounterVec
 	// WatchResumes counts resume attempts by outcome: "replayed" (the
 	// journal still covered the token) or "compacted" (the client gets

@@ -258,8 +258,8 @@ func (c *Cluster) ActiveCount() int {
 // --- tenant usage index -------------------------------------------------
 
 // TenantUsage aggregates one tenant's admitted-but-unfinished work — the
-// figures the gateway's admission layer checks quotas against and
-// GET /v1/tenants reports.
+// figures the intake's quota pre-check and SubmitJob's quota gate check
+// against and GET /v1/tenants reports.
 type TenantUsage struct {
 	Tenant string `json:"tenant"`
 	// Pending counts jobs waiting in the queue.
@@ -486,10 +486,10 @@ func (e *QuotaExceededError) HTTPStatus() (int, string) { return 429, "quota_exc
 func (e *QuotaExceededError) RetryAfter() time.Duration { return time.Second }
 
 // CheckTenantQuota evaluates the tenant's quota against its live usage
-// plus one prospective submission of qsec qubit-seconds. Callers that
-// need exactness against concurrent submitters must hold the tenant's
-// submit gate (SubmitJob does; the gateway's admission layer holds its
-// own gate across the whole submission pipeline).
+// plus one prospective submission of qsec qubit-seconds. Only SubmitJob's
+// check, under the tenant's submit gate, is exact against concurrent
+// submitters; the intake's (core.QRIO.Submit) is an early refusal ahead
+// of the expensive work.
 func (c *Cluster) CheckTenantQuota(tenant string, qsec float64) error {
 	quota := c.QuotaFor(tenant)
 	if quota.Unlimited() {
@@ -519,9 +519,9 @@ func (c *Cluster) CheckTenantQuota(tenant string, qsec float64) error {
 	return nil
 }
 
-// rejectQuota counts and passes through a quota rejection. The gateway's
-// admission layer rejects before SubmitJob would re-check, so each
-// rejected submission increments exactly once.
+// rejectQuota counts and passes through a quota rejection. A submission
+// the intake's pre-check refuses never reaches SubmitJob's re-check, so
+// each rejected submission increments exactly once.
 func (c *Cluster) rejectQuota(err *QuotaExceededError) error {
 	if m := c.Metrics; m != nil {
 		m.QuotaRejections.With(err.Limit).Inc()
@@ -539,11 +539,12 @@ func stripe(gates []sync.Mutex, key string) *sync.Mutex {
 // Note is one more event SubmitJob records about the job it stores.
 type Note struct{ Reason, Message string }
 
-// SubmitJob validates and stores a new job in the Pending phase. The
-// tenant quota policy is enforced here — the choke point every
-// submission surface (gateway, master, cluster API, visualizer) flows
-// through — under a per-tenant gate so concurrent same-tenant
-// submissions cannot overshoot the last quota slot. The job, its
+// SubmitJob validates and stores a new job in the Pending phase. Outside
+// tests its callers are the intake's last step (master.Server.Submit,
+// reached only through core.QRIO.Submit) and the simulator. The tenant
+// quota policy is enforced here, under a per-tenant gate so concurrent
+// same-tenant submissions cannot overshoot the last quota slot: the one
+// exact quota gate. The job, its
 // Submitted event and the caller's notes (the Master Server's
 // Containerized) are written back to back and waited for once. It
 // returns the job as it installed it, stamped with its create version —

@@ -52,12 +52,12 @@ type Config struct {
 	// their weights (missing tenants weigh 1), at every Concurrency.
 	TenantWeights map[string]int
 	// TenantQuotas bounds each tenant's admitted-but-unfinished work; the
-	// gateway's admission layer enforces it on every submission. The zero
-	// policy admits everything.
+	// intake (Submit) enforces it on every submission. The zero policy
+	// admits everything.
 	TenantQuotas api.TenantQuotaPolicy
 	// TenantRateLimits bounds each tenant's submission arrival rate; the
-	// gateway's flow-control layer enforces it (live TenantConfig
-	// overrides win). The zero policy rate-limits nobody.
+	// intake (Submit) enforces it (live TenantConfig overrides win). The
+	// zero policy rate-limits nobody.
 	TenantRateLimits api.TenantRateLimitPolicy
 	// Faults is the fault-injection registry threaded through the
 	// deployment's dependency edges (meta scoring, kubelet runtimes, WAL
@@ -138,8 +138,8 @@ type QRIO struct {
 	// the node of every kubelet whose Run is live.
 	Heartbeats *kubelet.Heartbeats
 	// Quotas is the deployment's tenant quota policy (Config.TenantQuotas);
-	// the gateway's admission layer reads it (live TenantConfig overrides
-	// win — resolve through State.QuotaFor).
+	// GET /v1/tenants lists its tenants (live TenantConfig overrides win —
+	// resolve through State.QuotaFor).
 	Quotas api.TenantQuotaPolicy
 	// Durability is the durable-state manager, nil when the deployment
 	// runs in-memory.
@@ -164,6 +164,12 @@ type QRIO struct {
 	nextKubeletSeed int64
 	kubeletMetrics  *kubelet.Metrics // nil without a registry; shared by every agent
 	nodeConcurrency int
+
+	// The intake's state (intake.go): the per-tenant token buckets and the
+	// names of the submissions between their claim and their create.
+	limiter rateLimiter
+	claimMu sync.Mutex
+	claimed map[string]bool
 }
 
 // New wires a QRIO deployment from the config. Backends are registered
@@ -250,6 +256,8 @@ func New(cfg Config) (*QRIO, error) {
 		Faults:        cfg.Faults,
 		ScorerBreaker: breaker,
 		Heartbeats:    kubelet.NewHeartbeats(st),
+		limiter:       rateLimiter{clock: st.Clock},
+		claimed:       make(map[string]bool),
 	}
 	for i, b := range cfg.Backends {
 		k := kubelet.New(b.Name, st, reg, cfg.KubeletSeed+int64(i))
@@ -400,10 +408,10 @@ func (q *QRIO) Stop() {
 	q.wg.Wait()
 }
 
-// BeginDrain flips the orchestrator into draining mode: the gateway
-// rejects new submissions with 503 draining while reads, watches and
-// in-flight work continue. Idempotent; there is no undrain — a draining
-// process is on its way out.
+// BeginDrain flips the orchestrator into draining mode: Submit refuses
+// new submissions with DrainingError (503 draining over HTTP) while reads,
+// watches and in-flight work continue. Idempotent; there is no undrain —
+// a draining process is on its way out.
 func (q *QRIO) BeginDrain() { q.draining.Store(true) }
 
 // Draining reports whether BeginDrain was called.
@@ -440,33 +448,6 @@ func (q *QRIO) Close() error {
 		return q.Durability.Close()
 	}
 	return nil
-}
-
-// Submit routes a full job request through the Master Server, uploading
-// the strategy metadata to the Meta Server first (the Visualizer's flow:
-// step 2 uploads metadata, step 3 sends the job to the master, §3).
-func (q *QRIO) Submit(req master.SubmitRequest) (api.QuantumJob, error) {
-	err := q.uploadMeta(meta.JobMeta{
-		JobName:        req.JobName,
-		Strategy:       req.Strategy,
-		TargetFidelity: req.TargetFidelity,
-		CircuitQASM:    req.QASM,
-		TopologyQASM:   req.TopologyQASM,
-	})
-	if err != nil {
-		return api.QuantumJob{}, err
-	}
-	return q.Master.Submit(req)
-}
-
-// uploadMeta stores a job's strategy metadata in the Meta Server in Table
-// 1's shape: topology uploads carry only the topology file.
-func (q *QRIO) uploadMeta(m meta.JobMeta) error {
-	if m.Strategy == api.StrategyTopology {
-		m.CircuitQASM = ""
-		m.TargetFidelity = 0
-	}
-	return q.Meta.PutJobMeta(m)
 }
 
 // Cancel requests cancellation of a job through the full lifecycle:

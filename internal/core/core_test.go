@@ -20,6 +20,19 @@ import (
 // one noisy line, one clean ring.
 func testCluster(t *testing.T) *core.QRIO {
 	t.Helper()
+	q, err := core.New(core.Config{
+		Backends:    testFleet(t),
+		KubeletSeed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// testFleet is testCluster's three devices.
+func testFleet(t *testing.T) []*device.Backend {
+	t.Helper()
 	clean, err := device.UniformBackend("clean-line", graph.Line(12), 0.02, 0.005, 0.01, 500e3, 500e3)
 	if err != nil {
 		t.Fatal(err)
@@ -32,14 +45,7 @@ func testCluster(t *testing.T) *core.QRIO {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.New(core.Config{
-		Backends:    []*device.Backend{clean, noisy, ring},
-		KubeletSeed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
+	return []*device.Backend{clean, noisy, ring}
 }
 
 func TestEndToEndFidelityJob(t *testing.T) {
@@ -155,22 +161,32 @@ func TestCharacteristicsFilteringExcludesNoisyDevice(t *testing.T) {
 	}
 }
 
+// TestUnschedulableJobStaysPending: a job whose only fitting node leaves
+// after the intake admitted it stays Pending, and the scheduler records why.
 func TestUnschedulableJobStaysPending(t *testing.T) {
 	q := testCluster(t)
-	q.Start()
-	defer q.Stop()
-
+	wide, err := device.UniformBackend("wide", graph.Line(16), 0.02, 0.005, 0.01, 500e3, 500e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AddBackend(wide); err != nil {
+		t.Fatal(err)
+	}
 	src, _ := qasm.Dump(workload.GHZ(3))
-	_, err := q.Submit(master.SubmitRequest{
+	if _, err := q.Submit(master.SubmitRequest{
 		JobName:        "impossible",
 		QASM:           src,
 		Strategy:       api.StrategyFidelity,
 		TargetFidelity: 1.0,
-		Requirements:   api.DeviceRequirements{MinQubits: 1000},
-	})
-	if err != nil {
+		Requirements:   api.DeviceRequirements{MinQubits: 16},
+	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := q.State.Nodes.Delete("wide"); err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	defer q.Stop()
 	time.Sleep(300 * time.Millisecond)
 	j, _, err := q.State.Jobs.Get("impossible")
 	if err != nil {

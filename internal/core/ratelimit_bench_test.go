@@ -1,4 +1,4 @@
-package gateway
+package core
 
 import (
 	"fmt"
@@ -7,9 +7,9 @@ import (
 	"qrio/internal/cluster/api"
 )
 
-// BenchmarkRateLimit measures the flow-control hot path — it sits ahead
+// BenchmarkRateLimit measures the intake's rate-limit hot path — it sits ahead
 // of admission on every submission, so it must stay cheap exactly when
-// the gateway is being flooded. Guarded by the CI bench-compare job.
+// the orchestrator is being flooded. Guarded by the CI bench-compare job.
 func BenchmarkRateLimit(b *testing.B) {
 	// The common production case: no limit configured — one map delete
 	// under the mutex, no bucket state.

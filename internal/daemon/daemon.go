@@ -17,9 +17,10 @@ import (
 //	        API qrioctl and the Go client package speak
 //	/     — Visualizer dashboard, built over the same gateway
 //
-// Nothing else is mounted: every write — API call or dashboard form —
-// enters through the gateway's drain, rate-limit, schedulability and quota
-// gates.
+// Nothing else is mounted. Every submission — API call or dashboard form —
+// enters through the orchestrator's one intake (core.QRIO.Submit), whose
+// drain, rate-limit, schedulability, quota and name gates an embedded
+// caller meets too; the gateway adds only its in-flight cap.
 func Handler(q *core.QRIO) http.Handler {
 	return HandlerMaxInFlight(q, 0)
 }

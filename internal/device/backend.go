@@ -171,7 +171,7 @@ func (b *Backend) MarshalJSON() ([]byte, error) {
 	j := backendJSON{
 		Name:         b.Name,
 		NumQubits:    b.NumQubits,
-		CouplingMap:  b.Coupling.Edges(),
+		CouplingMap:  b.Coupling.ReplayEdges(), // decodes to the same adjacency order
 		OneQubitErr:  b.OneQubitErr,
 		ReadoutErr:   b.ReadoutErr,
 		ReadoutLenNS: b.ReadoutLenNS,

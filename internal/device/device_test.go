@@ -3,6 +3,7 @@ package device
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"qrio/internal/graph"
@@ -116,6 +117,36 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.CPUMillis != b.CPUMillis || back.MemoryMB != b.MemoryMB {
 		t.Fatal("classical capacity lost in round trip")
+	}
+}
+
+// TestJSONRoundTripKeepsAdjacencyOrder: every default-fleet device decodes
+// with each qubit's neighbours in the order the generated device lists
+// them. Routing walks adjacency lists in order, so a node's decoded device
+// (what its kubelet executes on) must route as the generated one (what the
+// Meta Server scores) does.
+func TestJSONRoundTripKeepsAdjacencyOrder(t *testing.T) {
+	fleet, err := GenerateFleet(DefaultFleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range fleet {
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Backend
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < b.NumQubits; q++ {
+			if got, want := back.Coupling.Neighbors(q), b.Coupling.Neighbors(q); !slices.Equal(got, want) {
+				t.Fatalf("%s qubit %d: decoded neighbours %v, generated %v", b.Name, q, got, want)
+			}
+		}
+		if back.Coupling.Digest() != b.Coupling.Digest() {
+			t.Fatalf("%s: decoded coupling digest differs", b.Name)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func TestAdminDurabilityEnabled(t *testing.T) {
 
 // TestSetTenantHotReload: PUT /v1/tenants/{name} changes weight and quota
 // atomically, the change shows in GET /v1/tenants immediately, and the
-// admission gate enforces the new quota on the very next submission.
+// intake enforces the new quota on the very next submission.
 func TestSetTenantHotReload(t *testing.T) {
 	c, _ := deployCfg(t, core.Config{}, false, nil) // loops stopped: jobs stay Pending
 	ctx := context.Background()

@@ -4,9 +4,12 @@
 // /v1/jobs/{name} (full-lifecycle cancellation, including aborting a
 // running container) and GET /v1/watch (server-sent events fanned out from
 // the cluster's broadcast hub, so clients observe transitions without
-// polling). The dashboard (internal/visualizer) is built over the same
-// Server and submits through Submit, so a form post meets the gates a
-// POST /v1/jobs meets.
+// polling). The gateway holds only HTTP concerns: it decodes and encodes,
+// sheds requests over its global in-flight cap, and counts the refusals it
+// passes on. Every gate a submission meets — drain, rate limit,
+// schedulability, quota, name — is the orchestrator's intake,
+// core.QRIO.Submit, which the dashboard (internal/visualizer) and embedded
+// callers enter too.
 //
 //	GET    /v1/health               — typed per-component health (health.go)
 //	GET    /v1/metrics              — Prometheus text exposition of the
@@ -27,7 +30,7 @@
 //	GET    /v1/nodes/{name}         — fetch one node
 //	DELETE /v1/nodes/{name}         — remove a node
 //	GET    /v1/score?job=J&backend=B
-//	GET    /v1/score/batch?job=J[&backend=B...]
+//	GET    /v1/score/batch?job=J[&backend=B...] — no backend: every node
 //	GET    /v1/tenants              — per-tenant usage, fair-share weight,
 //	                                  quota, submission rate limit
 //	PUT    /v1/tenants/{name}       — hot-reload a tenant's weight + quota +
@@ -44,10 +47,7 @@
 //	POST   /v1/admin/snapshot       — force a compacted snapshot now
 //
 // Submissions are charged to a tenant (SubmitRequest.Tenant, defaulted to
-// "default") and pass flow control (ratelimit.go: per-tenant arrival rate,
-// global in-flight cap, drain gate) and the quota admission layer
-// (admission.go) before any expensive work; GET /v1/jobs accepts a tenant
-// filter.
+// "default" by the intake); GET /v1/jobs accepts a tenant filter.
 //
 // Error responses carry machine-readable codes: invalid (400),
 // not_found (404), conflict (409), compacted (410), unschedulable (422),
@@ -57,6 +57,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -71,8 +72,6 @@ import (
 	"qrio/internal/device"
 	"qrio/internal/httpx"
 	"qrio/internal/master"
-	"qrio/internal/quantum/qasm"
-	"qrio/internal/sched"
 )
 
 // SyncEvent marks watch notifications that carry a snapshot of current
@@ -104,11 +103,6 @@ type Server struct {
 	// excess requests are shed with 503 overloaded. 0 means uncapped.
 	MaxInFlight int
 
-	// admission is the tenant quota layer (see admission.go); quotas come
-	// from Core.Quotas, live usage from the cluster's tenant index.
-	admission admission
-	// limiter holds the per-tenant submission token buckets (ratelimit.go).
-	limiter rateLimiter
 	// inflight counts requests for the MaxInFlight shed and the in-flight
 	// gauge.
 	inflight atomic.Int64
@@ -117,11 +111,9 @@ type Server struct {
 	metrics *gwMetrics
 }
 
-// New builds a gateway for an orchestrator. The rate limiter shares the
-// cluster's clock so virtual-time harnesses drive bucket refills.
+// New builds a gateway for an orchestrator.
 func New(q *core.QRIO) *Server {
 	s := &Server{Core: q}
-	s.limiter.clock = q.State.Clock
 	if q.Metrics != nil {
 		s.metrics = newGWMetrics(q.Metrics, s)
 	}
@@ -197,90 +189,20 @@ func (w *syncedWriter) Flush() {
 	}
 }
 
-// staticFilters are the fleet-invariant admission filters: a job no node
-// can ever satisfy on published device characteristics is rejected at
-// submit time with the unschedulable code, instead of parking forever in
-// the queue. Dynamic conditions (busy slots, committed resources) are
-// deliberately excluded — those clear as the fleet drains.
-func staticFilters() []sched.FilterPlugin {
-	return []sched.FilterPlugin{sched.QubitCount{}, sched.Characteristics{}}
-}
-
-// checkSchedulable runs the static admission filters for one request,
-// including the circuit-derived qubit demand the Master Server will later
-// impose (a 40-qubit circuit is never schedulable on a 27-qubit fleet
-// even with no explicit MinQubits). minQubits carries that derived width.
-// It stops at the first node that passes, copying none; only a rejection
-// lists the fleet, to say why each node refused.
-func (s *Server) checkSchedulable(req master.SubmitRequest, minQubits int) error {
-	reqs := req.Requirements
-	reqs.MinQubits = minQubits
-	probe := api.QuantumJob{
-		ObjectMeta: api.ObjectMeta{Name: req.JobName},
-		Spec:       api.JobSpec{Requirements: reqs},
-	}
-	fw := sched.Framework{Filters: staticFilters()}
-	fits := false
-	s.Core.State.Nodes.Range(func(n api.Node, _ int64) bool {
-		fits = fw.Reject(probe, n) == ""
-		return !fits
-	})
-	if fits {
-		return nil
-	}
-	// An empty fleet rejects nothing: it queues jobs until vendors register.
-	feasible, rejected := fw.FilterNodes(probe, s.Core.State.Nodes.List())
-	if len(feasible) == 0 && len(rejected) > 0 {
-		return &sched.UnschedulableError{Job: req.JobName, Rejected: rejected}
-	}
-	return nil
-}
-
-// Submit is the gated intake behind POST /v1/jobs, /v1/jobs/batch and the
-// dashboard's form: it validates, applies flow control, admission-checks
-// (static schedulability + tenant quota) and submits one request through
-// the orchestrator (meta upload + containerisation + cluster submit). The
-// tenant is defaulted and validated here: the gateway is the multi-tenant
-// front door.
-func (s *Server) Submit(req master.SubmitRequest) (api.QuantumJob, error) {
-	if req.Tenant == "" {
-		req.Tenant = api.DefaultTenant
-	}
-	if err := req.Validate(); err != nil {
-		return api.QuantumJob{}, err
-	}
-	// Flow control precedes everything else: a draining daemon accepts no
-	// new work, and a tenant over its arrival rate is bounced before any
-	// parsing, scoring or quota bookkeeping happens on its behalf.
-	if s.Core.Draining() {
+// submit runs one request through the orchestrator's intake
+// (core.QRIO.Submit, which holds every gate) and counts a drain or
+// rate-limit refusal as a shed.
+func (s *Server) submit(req master.SubmitRequest) (api.QuantumJob, error) {
+	job, err := s.Core.Submit(req)
+	var draining *core.DrainingError
+	var limited *core.RateLimitedError
+	switch {
+	case errors.As(err, &draining):
 		s.countShed("draining")
-		return api.QuantumJob{}, &DrainingError{}
-	}
-	if err := s.rateLimit(req.Tenant); err != nil {
+	case errors.As(err, &limited):
 		s.countShed("rate_limited")
-		return api.QuantumJob{}, err
 	}
-	// The circuit-derived qubit width feeds both the static filters and
-	// the quota accounting. Unparseable QASM is left for the Master
-	// Server's intake, which rejects it with the invalid code.
-	minQubits := req.Requirements.MinQubits
-	if circ, err := qasm.ParseShared(req.QASM); err == nil && minQubits < circ.NumQubits {
-		minQubits = circ.NumQubits
-	}
-	if err := s.checkSchedulable(req, minQubits); err != nil {
-		return api.QuantumJob{}, err
-	}
-	shots := req.Shots
-	if shots <= 0 {
-		shots = api.DefaultShots // quota pricing parity with master intake
-	}
-	release, err := s.admission.admit(s.Core.State, s.Core.State.QuotaFor(req.Tenant),
-		req.Tenant, api.EstimateQubitSeconds(minQubits, shots))
-	if err != nil {
-		return api.QuantumJob{}, err
-	}
-	defer release()
-	return s.Core.Submit(req)
+	return job, err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -289,7 +211,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, httpx.CodeInvalid, err)
 		return
 	}
-	job, err := s.Submit(req)
+	job, err := s.submit(req)
 	if err != nil {
 		httpx.WriteErr(w, err, http.StatusBadRequest, httpx.CodeInvalid)
 		return
@@ -311,7 +233,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchSubmitItem, len(reqs))
 	for i, req := range reqs {
 		items[i].Name = req.JobName
-		job, err := s.Submit(req)
+		job, err := s.submit(req)
 		if err != nil {
 			status, code := httpx.StatusOf(err)
 			if status == 0 {
@@ -552,8 +474,10 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	backends := r.URL.Query()["backend"]
 	if len(backends) == 0 {
-		backends = s.Core.Meta.BackendNames()
-		sort.Strings(backends)
+		nodes, _ := s.Core.State.Fleet()
+		for _, n := range nodes {
+			backends = append(backends, n.Name)
+		}
 	}
 	httpx.WriteJSON(w, http.StatusOK, s.Core.Meta.ScoreBatch(job, backends, 0))
 }

@@ -647,3 +647,24 @@ func TestGatewayNodesAndScores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScoreBatchScoresTheFleet: GET /v1/score/batch with no backend scores
+// the nodes GET /v1/nodes lists, so a deleted node drops out of both.
+func TestScoreBatchScoresTheFleet(t *testing.T) {
+	c, _ := deploy(t, twoNodeFleet(t), nil)
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, ghzReq("scored")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteNode(ctx, "bad"); err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := c.Nodes(ctx)
+	if err != nil || len(nodes) != 1 {
+		t.Fatalf("nodes = %v, %v", nodes, err)
+	}
+	batch, err := c.ScoreBatch(ctx, "scored", nil)
+	if err != nil || len(batch) != 1 || batch[0].Backend != "good" {
+		t.Fatalf("score batch after deleting bad = %+v, %v; want good alone", batch, err)
+	}
+}

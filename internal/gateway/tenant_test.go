@@ -1,5 +1,5 @@
-// Multi-tenancy end-to-end: tenant defaulting/validation, the quota
-// admission layer with its typed quota_exceeded envelope, the /v1/tenants
+// Multi-tenancy end-to-end: tenant defaulting/validation, the intake's
+// quota gates with their typed quota_exceeded envelope, the /v1/tenants
 // usage listing, and the tenant list filter — all through the Go client.
 package gateway_test
 
@@ -75,7 +75,7 @@ func TestTenantDefaultingAndValidation(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaPending: the admission layer rejects the submission that
+// TestTenantQuotaPending: the intake rejects the submission that
 // would exceed MaxPending with a 429 quota_exceeded envelope, tenants are
 // isolated from each other, and draining the queue re-admits.
 func TestTenantQuotaPending(t *testing.T) {
@@ -235,8 +235,8 @@ func TestTenantsEndpointAndListFilter(t *testing.T) {
 }
 
 // TestQuotaAdmissionConcurrentSubmits: N parallel submissions racing for
-// a MaxPending=K quota admit exactly K — the reservation table closes the
-// check-then-store window.
+// a MaxPending=K quota admit exactly K — state.SubmitJob's per-tenant gate
+// closes the window between the intake's ungated pre-check and the store.
 func TestQuotaAdmissionConcurrentSubmits(t *testing.T) {
 	cfg := core.Config{
 		TenantQuotas: api.TenantQuotaPolicy{Default: api.TenantQuota{MaxPending: 3}},

@@ -118,6 +118,35 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
+// ReplayEdges returns every edge once, as a normalised pair, in an order
+// whose replay through AddEdge on an empty graph of g's size rebuilds every
+// adjacency list of g, order included — which Edges' sorted order does
+// not, and routing follows adjacency order. An edge is emitted once it
+// heads what is left of both its endpoints' lists; the order the edges
+// were added in is such an order, so the walk cannot stall.
+func (g *Graph) ReplayEdges() [][2]int {
+	out := make([][2]int, 0, g.edges)
+	next := make([]int, g.n) // per vertex, its first neighbour not yet emitted
+	for len(out) < g.edges {
+		before := len(out)
+		for a, nbrs := range g.adj {
+			for next[a] < len(nbrs) {
+				b := nbrs[next[a]]
+				if g.adj[b][next[b]] != a {
+					break
+				}
+				next[a]++
+				next[b]++
+				out = append(out, [2]int{min(a, b), max(a, b)})
+			}
+		}
+		if len(out) == before {
+			panic("graph: adjacency lists admit no replay order")
+		}
+	}
+	return out
+}
+
 // Copy returns a deep copy.
 func (g *Graph) Copy() *Graph {
 	c := New(g.n)

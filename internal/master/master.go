@@ -12,7 +12,6 @@ import (
 
 	"qrio/internal/cluster/api"
 	"qrio/internal/cluster/state"
-	"qrio/internal/cluster/store"
 	"qrio/internal/quantum/qasm"
 	"qrio/internal/registry"
 )
@@ -22,7 +21,7 @@ import (
 type SubmitRequest struct {
 	// Tenant names the submitting principal for quota accounting and
 	// weighted fair scheduling; empty means the default tenant. The
-	// gateway's admission layer charges quotas against it.
+	// intake (core.QRIO.Submit) charges quotas against it.
 	Tenant string `json:"tenant,omitempty"`
 
 	// Step 1 (Fig. 4a): job identity and classical resources.
@@ -88,9 +87,9 @@ qiskit_ibmq_provider
 qiskit_ibm_runtime
 `
 
-// Server is the Master Server core. It has no HTTP surface of its own:
-// requests reach it through the /v1 gateway (or core.QRIO.Submit for
-// embedded callers).
+// Server is the Master Server core. It has no HTTP surface of its own, and
+// no gate: requests reach it only as the last step of the orchestrator's
+// intake (core.QRIO.Submit), which has already claimed the job's name.
 type Server struct {
 	State    *state.Cluster
 	Registry *registry.Registry
@@ -107,14 +106,6 @@ func NewServer(st *state.Cluster, reg *registry.Registry) *Server {
 func (s *Server) Submit(req SubmitRequest) (api.QuantumJob, error) {
 	if err := req.Validate(); err != nil {
 		return api.QuantumJob{}, err
-	}
-	// Reject duplicate names before containerising: under concurrent
-	// multi-user submission the name collision would otherwise only
-	// surface after an image was built and pushed for nothing. The job
-	// store's create remains the authoritative check for exact races.
-	// Wrapping store.ErrExists lets the HTTP layer map this to 409.
-	if _, _, err := s.State.Jobs.Get(req.JobName); err == nil {
-		return api.QuantumJob{}, fmt.Errorf("master: %w", store.ErrExists{Name: req.JobName})
 	}
 	circ, err := qasm.ParseShared(req.QASM)
 	if err != nil {
@@ -219,14 +210,4 @@ CMD ["qrio-run", "/job/runner.json"]
 		return "", fmt.Errorf("master: pushing image for %s: %w", jobName, err)
 	}
 	return digest, nil
-}
-
-// Logs returns the execution log for a job once it has finished (§3.2:
-// "logs are only available once the job has finished execution").
-func (s *Server) Logs(jobName string) (api.Result, error) {
-	res, ok := s.State.ResultFor(jobName)
-	if !ok {
-		return api.Result{}, fmt.Errorf("master: no logs for job %q yet", jobName)
-	}
-	return res, nil
 }

@@ -164,19 +164,3 @@ func TestSubmitAnswersWithTheJobAsCreated(t *testing.T) {
 		t.Fatalf("store holds %s at version %d: the bind never raced the answer", stored.Status.Phase, v)
 	}
 }
-
-func TestLogsOnlyAfterExecution(t *testing.T) {
-	m, st, _ := newMaster()
-	m.Submit(fidelityReq("j"))
-	if _, err := m.Logs("j"); err == nil {
-		t.Fatal("logs available before execution")
-	}
-	st.Results.Create(api.Result{
-		ObjectMeta: api.ObjectMeta{Name: "j"},
-		JobName:    "j", Node: "n", LogLines: []string{"done"},
-	})
-	res, err := m.Logs("j")
-	if err != nil || len(res.LogLines) != 1 {
-		t.Fatalf("logs = %v, %v", res, err)
-	}
-}

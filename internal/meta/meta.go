@@ -460,17 +460,6 @@ func (s *Server) Backend(name string) (*device.Backend, error) {
 	return reg.dev, nil
 }
 
-// BackendNames lists registered backends.
-func (s *Server) BackendNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.backends))
-	for n := range s.backends {
-		out = append(out, n)
-	}
-	return out
-}
-
 // PutJobMeta stores job metadata (Table 1 upload) together with the
 // fingerprint its scores are cached under.
 func (s *Server) PutJobMeta(m JobMeta) error {
@@ -499,6 +488,14 @@ func (s *Server) PutJobMeta(m JobMeta) error {
 	s.jobs[m.JobName] = j
 	s.mu.Unlock()
 	return nil
+}
+
+// DropJobMeta forgets a job's metadata: the intake takes back an upload
+// whose job the Master Server refused to create.
+func (s *Server) DropJobMeta(jobName string) {
+	s.mu.Lock()
+	delete(s.jobs, jobName)
+	s.mu.Unlock()
 }
 
 // JobMeta returns stored metadata.

@@ -8,16 +8,16 @@ import (
 	"qrio/internal/cluster/api"
 	"qrio/internal/core"
 	"qrio/internal/device"
-	"qrio/internal/gateway"
 	"qrio/internal/graph"
 	"qrio/internal/master"
 	"qrio/internal/quantum/qasm"
 )
 
 // TestIntakeParsesOnce: N jobs of one circuit, submitted through the
-// gateway and run to completion, parse its text once — the gateway's width
-// check, Meta's validation and canaries, Master's intake and every
-// kubelet's execution share one memoised circuit.
+// orchestrator's intake and run to completion, parse its text once — the
+// intake's width check, Meta's validation and canaries, Master's
+// containerisation and every kubelet's execution share one memoised
+// circuit.
 func TestIntakeParsesOnce(t *testing.T) {
 	var fleet []*device.Backend
 	for i := 0; i < 3; i++ {
@@ -33,7 +33,6 @@ func TestIntakeParsesOnce(t *testing.T) {
 	}
 	q.Start()
 	defer q.Stop()
-	gw := gateway.New(q)
 	// A text no other test or earlier run parses, so the memo cannot
 	// already hold it.
 	src := fmt.Sprintf("OPENQASM 2.0;\n// intake parses once: %d\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q -> c;\n",
@@ -42,7 +41,7 @@ func TestIntakeParsesOnce(t *testing.T) {
 	before := qasm.Parses()
 	for i := 0; i < jobs; i++ {
 		name := fmt.Sprintf("once-%d", i)
-		if _, err := gw.Submit(master.SubmitRequest{
+		if _, err := q.Submit(master.SubmitRequest{
 			JobName: name, QASM: src, Shots: 128,
 			Strategy: api.StrategyFidelity, TargetFidelity: 1,
 		}); err != nil {

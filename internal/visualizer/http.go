@@ -83,7 +83,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	f := parseForm(r)
 	req, err := f.buildRequest()
 	if err == nil {
-		_, err = s.Gateway.Submit(req)
+		_, err = s.Gateway.Core.Submit(req)
 	}
 	if err != nil {
 		s.render(w, page{Title: "Submit a Quantum Job", Error: err.Error(), Body: submitForm})

@@ -7,8 +7,9 @@
 // (Fig. 5). A minimal vendor page covers the paper's future-work item (1).
 //
 // The dashboard holds no path of its own into the orchestrator: it is
-// built over the /v1 gateway's Server, submits through the gateway's gated
-// intake and cancels, adds and removes devices through the calls behind
+// built over the /v1 gateway's Server, submits through the orchestrator's
+// one intake (core.QRIO.Submit, the gates a POST /v1/jobs meets) and
+// cancels, adds and removes devices through the calls behind
 // DELETE /v1/jobs/{name}, POST /v1/nodes and DELETE /v1/nodes/{name}.
 package visualizer
 
@@ -31,7 +32,7 @@ type Server struct {
 }
 
 // New builds a visualizer over the gateway that serves /v1 on the same
-// mux, so both share one set of rate-limit buckets and quota reservations.
+// mux; its responses wait behind the same durable-log barrier.
 func New(gw *gateway.Server) *Server { return &Server{Gateway: gw} }
 
 // formInput is the parsed three-step submission form.

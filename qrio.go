@@ -47,9 +47,16 @@
 // cluster's broadcast hub). DELETE cancels a job at any lifecycle stage
 // — pending jobs leave the queue, scheduled jobs release their slot,
 // running jobs have their container aborted on the node — landing the
-// terminal JobCancelled phase. /v1 is the only HTTP intake: the
-// dashboard (NewVisualizer) is built over the same gateway and its form
-// posts pass the same drain, rate-limit, schedulability and quota gates.
+// terminal JobCancelled phase. /v1 is the only HTTP surface besides the
+// dashboard (NewVisualizer), which is built over the same gateway.
+//
+// Every submission has one intake, Orchestrator.Submit: POST /v1/jobs,
+// the batch route, a dashboard form and an embedded Submit or
+// SubmitAndWait all pass the same gates, in order — validation, drain,
+// the tenant's rate limit, static schedulability, the tenant's quota and
+// a claim on the job's name — before the Meta upload and the Master
+// Server. An embedded caller gets the typed error an HTTP client gets as
+// an envelope code (an UnschedulableError, for instance, is 422).
 //
 // Watch streams are resumable: every SSE event carries an opaque resume
 // token, and GET /v1/watch?resume=<token> replays exactly the
@@ -107,8 +114,8 @@
 // Submissions are charged to a tenant (SubmitRequest.Tenant, defaulted
 // to "default"). Config.TenantQuotas bounds each tenant's admitted work
 // — pending jobs, active jobs, estimated qubit-seconds in flight — and
-// the gateway rejects over-quota submissions with the quota_exceeded
-// envelope. Config.TenantWeights skews the scheduler's weighted fair
+// the intake refuses over-quota submissions (the quota_exceeded envelope
+// over HTTP). Config.TenantWeights skews the scheduler's weighted fair
 // queue: backlogged tenants share binds in proportion to their weights
 // regardless of submission rates. GET /v1/tenants (Client.Tenants,
 // qrioctl tenants) reports per-tenant usage, weight and quota.
@@ -203,6 +210,7 @@ import (
 	"qrio/internal/obs"
 	"qrio/internal/quantum/circuit"
 	"qrio/internal/quantum/qasm"
+	"qrio/internal/sched"
 	"qrio/internal/visualizer"
 	"qrio/internal/workload"
 )
@@ -221,6 +229,10 @@ func New(cfg Config) (*Orchestrator, error) { return core.New(cfg) }
 // SubmitRequest is a complete user job: circuit, resources, characteristic
 // bounds and selection strategy (the Visualizer's three-step form).
 type SubmitRequest = master.SubmitRequest
+
+// UnschedulableError is Submit's refusal of a job no device in the fleet
+// can ever hold; Rejected says why each device refused it.
+type UnschedulableError = sched.UnschedulableError
 
 // Job is a scheduled quantum job with its spec and live status.
 type Job = api.QuantumJob
@@ -391,5 +403,5 @@ func NewGateway(q *Orchestrator) *gateway.Server { return gateway.New(q) }
 // NewVisualizer returns the web dashboard server (submission form, cluster
 // and job views, vendor page) over a deployment's gateway — pass the one
 // serving /v1 on the same mux; its Handler method plugs into net/http.
-// Form submissions go through the gateway's gated intake.
+// Form submissions go through the one intake, Orchestrator.Submit.
 func NewVisualizer(gw *gateway.Server) *visualizer.Server { return visualizer.New(gw) }
